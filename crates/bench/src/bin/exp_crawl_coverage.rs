@@ -11,6 +11,7 @@
 use dwr_bench::SEED;
 use dwr_crawler::assign::{AgentId, ConsistentHashAssigner, HashAssigner};
 use dwr_crawler::sim::{CrawlConfig, DistributedCrawl};
+use dwr_crawler::AgentSchedule;
 use dwr_sim::SECOND;
 use dwr_webgraph::generate::{generate_web, WebConfig};
 use dwr_webgraph::qos::QosConfig;
@@ -60,7 +61,7 @@ fn main() {
     let baseline =
         DistributedCrawl::new(&web, ConsistentHashAssigner::new(8, 128), base_cfg(), SEED).run();
     let mut crash_cfg = base_cfg();
-    crash_cfg.crash = Some((AgentId(3), baseline.makespan / 4));
+    crash_cfg.faults = Some(AgentSchedule::single_crash(8, AgentId(3), baseline.makespan / 4));
     let crashed =
         DistributedCrawl::new(&web, ConsistentHashAssigner::new(8, 128), crash_cfg, SEED).run();
     println!("  {:<22} {:>10} {:>12} {:>12}", "", "coverage", "duplicates", "makespan(h)");

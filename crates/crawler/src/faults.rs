@@ -71,10 +71,8 @@ impl AgentSchedule {
         AgentSchedule { horizon, outages }
     }
 
-    /// The legacy `CrawlConfig::crash` scenario as a schedule: `agent`
-    /// dies at `at` and never recovers. This is how the deprecated
-    /// scripted-crash field is lowered internally, so the two paths
-    /// share one implementation.
+    /// The scripted single-crash scenario: `agent` dies at `at` and
+    /// never recovers.
     pub fn single_crash(agents: usize, agent: AgentId, at: SimTime) -> Self {
         let horizon = SimTime::MAX;
         let outages = (0..agents as u32)
@@ -240,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn single_crash_mirrors_the_legacy_field() {
+    fn single_crash_never_recovers() {
         let s = AgentSchedule::single_crash(4, AgentId(2), 30 * SECOND);
         assert!(!s.is_down(2, 30 * SECOND - 1));
         assert!(s.is_down(2, 30 * SECOND));

@@ -70,13 +70,8 @@ pub struct CrawlConfig {
     pub flush_interval: SimTime,
     /// Server QoS configuration.
     pub qos: QosConfig,
-    /// Deprecated single-crash script: crash this agent at this time,
-    /// with no recovery. Kept for compatibility; internally lowered to
-    /// [`AgentSchedule::single_crash`]. Ignored when [`CrawlConfig::faults`]
-    /// is set — use `faults` for anything beyond the legacy scenario.
-    pub crash: Option<(AgentId, SimTime)>,
-    /// Schedule-driven agent churn: repeated crashes *and* recoveries.
-    /// Takes precedence over [`CrawlConfig::crash`].
+    /// Schedule-driven agent churn: repeated crashes *and* recoveries
+    /// ([`AgentSchedule::single_crash`] scripts one crash, no recovery).
     pub faults: Option<AgentSchedule>,
     /// Record a per-fetch [`FetchSpan`] trace in the report (off by
     /// default: the trace grows with every attempt).
@@ -110,7 +105,6 @@ impl Default for CrawlConfig {
             failure_timeout: 5 * SECOND,
             flush_interval: 10 * SECOND,
             qos: QosConfig::default(),
-            crash: None,
             faults: None,
             record_trace: false,
             seeds: 8,
@@ -308,16 +302,14 @@ impl<'w, A: UrlAssigner, R: Recorder> DistributedCrawl<'w, A, R> {
     /// evaporate in dedup.
     pub fn run(self) -> CrawlReport {
         let n = self.cfg.agents as usize;
-        // Lower the deprecated single-crash field onto the schedule path
-        // so both share one implementation.
-        let transitions: Vec<Transition> = match (&self.cfg.faults, self.cfg.crash) {
-            (Some(s), _) => s.transitions(),
-            (None, Some((agent, at))) => AgentSchedule::single_crash(n, agent, at).transitions(),
-            (None, None) => Vec::new(),
-        }
-        .into_iter()
-        .filter(|t| (t.agent.0 as usize) < n)
-        .collect();
+        let transitions: Vec<Transition> = self
+            .cfg
+            .faults
+            .as_ref()
+            .map_or_else(Vec::new, AgentSchedule::transitions)
+            .into_iter()
+            .filter(|t| (t.agent.0 as usize) < n)
+            .collect();
 
         let qos = QosModel::new(
             self.web.num_hosts(),
@@ -1131,7 +1123,7 @@ mod tests {
         let baseline =
             DistributedCrawl::new(&web, ConsistentHashAssigner::new(4, 64), fast_cfg(), 11).run();
         let mut cfg = fast_cfg();
-        cfg.crash = Some((AgentId(2), baseline.makespan / 4));
+        cfg.faults = Some(AgentSchedule::single_crash(4, AgentId(2), baseline.makespan / 4));
         let crashed =
             DistributedCrawl::new(&web, ConsistentHashAssigner::new(4, 64), cfg, 11).run();
         assert!(
@@ -1143,26 +1135,8 @@ mod tests {
         // The dead agent stops fetching.
         assert!(crashed.per_agent_fetches[2] < baseline.per_agent_fetches[2]);
         assert_eq!(crashed.faults.crashes, 1);
-        assert_eq!(crashed.faults.recoveries, 0, "the legacy crash never recovers");
+        assert_eq!(crashed.faults.recoveries, 0, "a single crash never recovers");
         assert!(crashed.faults.hosts_moved > 0, "agent 2's hosts must move");
-    }
-
-    #[test]
-    fn legacy_crash_field_equals_single_crash_schedule() {
-        let web = tiny_web();
-        let at = 30 * SECOND;
-        let mut via_field = fast_cfg();
-        via_field.crash = Some((AgentId(1), at));
-        let mut via_schedule = fast_cfg();
-        via_schedule.faults = Some(AgentSchedule::single_crash(4, AgentId(1), at));
-        let a =
-            DistributedCrawl::new(&web, ConsistentHashAssigner::new(4, 64), via_field, 31).run();
-        let b =
-            DistributedCrawl::new(&web, ConsistentHashAssigner::new(4, 64), via_schedule, 31).run();
-        assert_eq!(a.fetched_pages, b.fetched_pages);
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.exchange, b.exchange);
-        assert_eq!(a.faults, b.faults, "the two spellings share one implementation");
     }
 
     #[test]

@@ -79,8 +79,7 @@ pub struct BrokeredResponse {
     pub latency: SimTime,
 }
 
-/// Timing overrides for a deadline-aware gather
-/// ([`DocBroker::query_selected_timed`]).
+/// Timing overrides for a deadline-aware gather.
 ///
 /// The engine supplies the *shard-side completion time* of each queried
 /// partition — the replica's drawn service cost under a straggler model,
@@ -91,7 +90,7 @@ pub struct BrokeredResponse {
 /// arrived too late), but their hits never reach the top-k and the
 /// response reports how many partitions made the cut.
 #[derive(Debug, Clone, Copy)]
-pub struct GatherTiming<'a> {
+pub(crate) struct GatherTiming<'a> {
     /// Shard-side completion (µs after dispatch), parallel to `parts`.
     pub completions: &'a [SimTime],
     /// Response deadline: shards whose completion exceeds it are dropped
@@ -100,19 +99,22 @@ pub struct GatherTiming<'a> {
     pub deadline: Option<SimTime>,
 }
 
-/// One query of a broker batch: terms, result depth, target partitions,
-/// and the query key stamped onto observability events.
-#[derive(Debug, Clone)]
-pub struct BatchQuery<'a> {
+/// One query of a broker batch ([`DocBroker::scatter_gather`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BatchQuery<'a> {
     /// Query terms (bag-of-words; duplicates collapse to a set inside
     /// the evaluator).
     pub terms: &'a [TermId],
     /// Result depth.
     pub k: usize,
     /// Partitions to scatter over.
-    pub parts: Vec<u32>,
+    pub parts: &'a [u32],
     /// Query key for observability events (0 when nobody listens).
     pub qid: u64,
+    /// `None` gathers on the df-based latency model (completion = the
+    /// truncated service time, every partition merges); `Some` gathers
+    /// on the engine's drawn completions and optional deadline.
+    pub timing: Option<GatherTiming<'a>>,
 }
 
 /// The document-partition broker: an immutable shared core (index,
@@ -403,9 +405,7 @@ impl<R: Recorder> DocBroker<R> {
     /// epoch (all partitions, on a static index).
     pub fn query(&self, terms: &[TermId], k: usize) -> BrokeredResponse {
         let snap = self.snapshot();
-        let all = snap.active_parts();
-        let qid = if self.recorder.is_live() { crate::engine::query_key(terms) } else { 0 };
-        self.query_selected_at_in(&snap, terms, k, &all, qid, 0)
+        self.query_in(&snap, terms, k, &snap.active_parts())
     }
 
     /// Evaluate a query over the top-`m` partitions of `selector`.
@@ -420,8 +420,69 @@ impl<R: Recorder> DocBroker<R> {
         self.query_selected(terms, k, &chosen)
     }
 
+    /// Evaluate a query over an explicit partition set.
+    ///
+    /// Degenerate inputs are served gracefully, never panicked on:
+    /// `k == 0` answers an empty result without touching any shard, and
+    /// out-of-range / inactive / duplicate partition ids are dropped
+    /// (`partitions_used` reports the partitions actually consulted).
+    pub fn query_selected(&self, terms: &[TermId], k: usize, parts: &[u32]) -> BrokeredResponse {
+        self.query_in(&self.snapshot(), terms, k, parts)
+    }
+
+    /// Batch convenience over all active partitions: identical to
+    /// calling [`Self::query`] once per entry in order, with every shard
+    /// task admitted to the pool in one enqueue.
+    pub fn query_batch(&self, queries: &[Vec<TermId>], k: usize) -> Vec<BrokeredResponse> {
+        let snap = self.snapshot();
+        let all = snap.active_parts();
+        let batch: Vec<BatchQuery<'_>> = queries
+            .iter()
+            .map(|terms| BatchQuery {
+                terms,
+                k,
+                parts: &all,
+                qid: self.standalone_qid(terms),
+                timing: None,
+            })
+            .collect();
+        self.scatter_gather(&snap, &batch, 0).into_iter().map(|(resp, _)| resp).collect()
+    }
+
+    /// The standalone-broker form of one query: no sim clock, untimed.
+    fn query_in(
+        &self,
+        snap: &PartitionedIndex,
+        terms: &[TermId],
+        k: usize,
+        parts: &[u32],
+    ) -> BrokeredResponse {
+        let q = BatchQuery { terms, k, parts, qid: self.standalone_qid(terms), timing: None };
+        self.scatter_gather_one(snap, q, 0).0
+    }
+
+    /// Standalone brokers compute the query key only when someone is
+    /// listening.
+    fn standalone_qid(&self, terms: &[TermId]) -> u64 {
+        if self.recorder.is_live() {
+            crate::engine::query_key(terms)
+        } else {
+            0
+        }
+    }
+
+    /// [`Self::scatter_gather`] for a batch of one.
+    pub(crate) fn scatter_gather_one(
+        &self,
+        snap: &PartitionedIndex,
+        query: BatchQuery<'_>,
+        now: SimTime,
+    ) -> (BrokeredResponse, usize) {
+        self.scatter_gather(snap, &[query], now).pop().expect("one response per query")
+    }
+
     /// Build the owned shard-evaluation task for one `(partition, query)`
-    /// pair (runs inline or on a pool worker).
+    /// pair (runs on a pool worker).
     fn shard_task(
         &self,
         snap: &PartitionedIndex,
@@ -440,192 +501,105 @@ impl<R: Recorder> DocBroker<R> {
     /// Drop partition ids that are out of range, inactive at this
     /// epoch, or duplicated — any of which would panic the scatter or
     /// silently double-merge a document — preserving the order of what
-    /// survives. Borrows when the input is already clean (the engine
-    /// path always is), so the hot path allocates nothing.
-    fn sanitize_parts<'a>(snap: &PartitionedIndex, parts: &'a [u32]) -> Cow<'a, [u32]> {
-        let valid = |p: u32| snap.is_active(p);
-        let dirty = parts.iter().enumerate().any(|(i, &p)| !valid(p) || parts[..i].contains(&p));
-        if !dirty {
-            return Cow::Borrowed(parts);
+    /// survives; a dropped id takes its completion entry with it, so
+    /// the two stay index-parallel. `k == 0` asks for nothing and keeps
+    /// no partition. Borrows when the input is already clean (the engine
+    /// path always is), so the hot path allocates nothing. Untimed
+    /// queries get an empty completion list.
+    fn sanitize<'a>(
+        snap: &PartitionedIndex,
+        q: &BatchQuery<'a>,
+    ) -> (Cow<'a, [u32]>, Cow<'a, [SimTime]>) {
+        let parts = q.parts;
+        let completions = q.timing.map_or(&[][..], |t| t.completions);
+        if q.timing.is_some() {
+            assert_eq!(completions.len(), parts.len(), "one completion per queried partition");
         }
-        let mut out: Vec<u32> = Vec::with_capacity(parts.len());
-        for &p in parts {
-            if valid(p) && !out.contains(&p) {
-                out.push(p);
-            }
+        if q.k == 0 {
+            return (Cow::Borrowed(&[]), Cow::Borrowed(&[]));
         }
-        Cow::Owned(out)
+        let keep = |i: usize| snap.is_active(parts[i]) && !parts[..i].contains(&parts[i]);
+        if (0..parts.len()).all(keep) {
+            return (Cow::Borrowed(parts), Cow::Borrowed(completions));
+        }
+        let kept: Vec<usize> = (0..parts.len()).filter(|&i| keep(i)).collect();
+        (
+            kept.iter().map(|&i| parts[i]).collect(),
+            kept.iter().filter_map(|&i| completions.get(i).copied()).collect(),
+        )
     }
 
-    /// Scatter: per-partition result lists, in `parts` order. Runs on
-    /// the pool when configured, inline otherwise; either way the output
-    /// is indexed by task, so the gather phase is order-independent of
-    /// completion. Both branches emit the same single
-    /// [`Event::ScatterDispatch`] (identical payload), keeping the
-    /// sequential and parallel event streams indistinguishable. Pool
-    /// tasks carry an `(epoch, partition)` label so a panicking shard
-    /// evaluation names the exact map snapshot that dispatched it.
-    fn scatter(
+    /// The one serving path of the broker: sanitize every query's
+    /// partition list, scatter **all** of their shard tasks at once,
+    /// then gather query by query. Returns, per query in order, the
+    /// response and the number of partitions whose answer was merged
+    /// (fewer than `partitions_used` only under a gather deadline).
+    ///
+    /// The whole batch runs against one epoch snapshot, so a split
+    /// landing mid-batch cannot straddle two epochs within it. Shard
+    /// evaluation runs on the pool when one is configured — a single
+    /// enqueue for the batch, each task labeled `(epoch, partition)` so
+    /// a panicking evaluation names the exact map snapshot that
+    /// dispatched it — and inline otherwise; either way results are
+    /// indexed by task, so the gather is independent of completion
+    /// order. Every event is emitted from this coordinating thread: per
+    /// query, one [`Event::ScatterDispatch`] immediately before its own
+    /// gather block (`ShardService*`, `GatherDone`) — the stream a
+    /// query-at-a-time loop produces, and the same with or without a
+    /// pool.
+    pub(crate) fn scatter_gather(
         &self,
         snap: &PartitionedIndex,
-        terms: &[TermId],
-        k: usize,
-        parts: &[u32],
-        qid: u64,
+        batch: &[BatchQuery<'_>],
         now: SimTime,
-    ) -> Vec<ShardResult> {
-        match &self.pool {
-            Some(pool) if parts.len() > 1 => {
-                let shared_terms: Arc<[TermId]> = terms.into();
+    ) -> Vec<(BrokeredResponse, usize)> {
+        let sane: Vec<_> = batch.iter().map(|q| Self::sanitize(snap, q)).collect();
+        let tasks = sane.iter().map(|(parts, _)| parts.len()).sum::<usize>();
+        let evaluated: Vec<ShardResult> = match &self.pool {
+            Some(pool) if tasks > 1 => {
                 let epoch = snap.epoch();
-                let tasks: Vec<(u64, _)> = parts
-                    .iter()
-                    .map(|&p| (task_label(epoch, p), self.shard_task(snap, p, &shared_terms, k)))
-                    .collect();
-                self.recorder.record(Event::ScatterDispatch {
-                    qid,
-                    now,
-                    partitions: parts.len() as u32,
-                });
-                pool.scatter_labeled(tasks)
+                let mut labeled = Vec::with_capacity(tasks);
+                for (q, (parts, _)) in batch.iter().zip(&sane) {
+                    let terms: Arc<[TermId]> = q.terms.into();
+                    labeled.extend(parts.iter().map(|&p| {
+                        (Some(task_label(epoch, p)), self.shard_task(snap, p, &terms, q.k))
+                    }));
+                }
+                pool.scatter_tasks(labeled)
             }
             _ => {
-                self.recorder.record(Event::ScatterDispatch {
-                    qid,
-                    now,
-                    partitions: parts.len() as u32,
-                });
-                parts
-                    .iter()
-                    .map(|&p| {
+                let mut inline = Vec::with_capacity(tasks);
+                for (q, (parts, _)) in batch.iter().zip(&sane) {
+                    inline.extend(parts.iter().map(|&p| {
                         evaluate_shard(
                             &snap.shard(p as usize),
-                            terms,
-                            k,
+                            q.terms,
+                            q.k,
                             &self.bm25,
                             self.eval,
                             self.global_stats.as_deref(),
                         )
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// Evaluate a query over an explicit partition set.
-    pub fn query_selected(&self, terms: &[TermId], k: usize, parts: &[u32]) -> BrokeredResponse {
-        // Standalone brokers have no sim clock and compute the query key
-        // only when someone is listening.
-        let qid = if self.recorder.is_live() { crate::engine::query_key(terms) } else { 0 };
-        self.query_selected_at(terms, k, parts, qid, 0)
-    }
-
-    /// As [`Self::query_selected`], with the caller supplying the query
-    /// key and sim-clock instant stamped onto observability events (the
-    /// engine path, which has both at hand).
-    pub fn query_selected_at(
-        &self,
-        terms: &[TermId],
-        k: usize,
-        parts: &[u32],
-        qid: u64,
-        now: SimTime,
-    ) -> BrokeredResponse {
-        let snap = self.snapshot();
-        self.query_selected_at_in(&snap, terms, k, parts, qid, now)
-    }
-
-    /// As [`Self::query_selected_at`], against an explicit epoch
-    /// snapshot — the engine path, which takes one snapshot per query
-    /// at admission and threads it through dispatch and evaluation so
-    /// the whole query observes a single epoch.
-    ///
-    /// Degenerate inputs are served gracefully, never panicked on:
-    /// `k == 0` answers an empty result without touching any shard, and
-    /// out-of-range / inactive / duplicate partition ids are dropped
-    /// (`partitions_used` reports the partitions actually consulted).
-    pub fn query_selected_at_in(
-        &self,
-        snap: &PartitionedIndex,
-        terms: &[TermId],
-        k: usize,
-        parts: &[u32],
-        qid: u64,
-        now: SimTime,
-    ) -> BrokeredResponse {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let parts: Cow<'_, [u32]> =
-            if k == 0 { Cow::Owned(Vec::new()) } else { Self::sanitize_parts(snap, parts) };
-        let per_part = self.scatter(snap, terms, k, &parts, qid, now);
-        self.gather(snap, terms, k, &parts, qid, now, per_part)
-    }
-
-    /// As [`Self::query_selected_at`], with engine-supplied per-partition
-    /// completion times and an optional response deadline (see
-    /// [`GatherTiming`]). Returns the response plus the number of
-    /// partitions whose answer arrived in time — `answered < parts.len()`
-    /// means a partial result.
-    pub fn query_selected_timed(
-        &self,
-        terms: &[TermId],
-        k: usize,
-        parts: &[u32],
-        qid: u64,
-        now: SimTime,
-        timing: GatherTiming<'_>,
-    ) -> (BrokeredResponse, usize) {
-        let snap = self.snapshot();
-        self.query_selected_timed_in(&snap, terms, k, parts, qid, now, timing)
-    }
-
-    /// As [`Self::query_selected_timed`], against an explicit epoch
-    /// snapshot. Degenerate inputs sanitize like
-    /// [`Self::query_selected_at_in`]; each dropped partition id takes
-    /// its completion entry with it so the two stay parallel.
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_selected_timed_in(
-        &self,
-        snap: &PartitionedIndex,
-        terms: &[TermId],
-        k: usize,
-        parts: &[u32],
-        qid: u64,
-        now: SimTime,
-        timing: GatherTiming<'_>,
-    ) -> (BrokeredResponse, usize) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        assert_eq!(timing.completions.len(), parts.len(), "one completion per queried partition");
-        let (parts, completions): (Cow<'_, [u32]>, Cow<'_, [SimTime]>) = if k == 0 {
-            (Cow::Owned(Vec::new()), Cow::Owned(Vec::new()))
-        } else {
-            match Self::sanitize_parts(snap, parts) {
-                Cow::Borrowed(p) => (Cow::Borrowed(p), Cow::Borrowed(timing.completions)),
-                Cow::Owned(clean) => {
-                    // Re-filter completions with the same predicate so
-                    // the two vectors stay index-parallel.
-                    let mut keep = Vec::with_capacity(clean.len());
-                    let mut seen: Vec<u32> = Vec::with_capacity(clean.len());
-                    for (i, &p) in parts.iter().enumerate() {
-                        if snap.is_active(p) && !seen.contains(&p) {
-                            seen.push(p);
-                            keep.push(timing.completions[i]);
-                        }
-                    }
-                    (Cow::Owned(clean), Cow::Owned(keep))
+                    }));
                 }
+                inline
             }
         };
-        let per_part = self.scatter(snap, terms, k, &parts, qid, now);
-        self.gather_with(
-            snap,
-            terms,
-            k,
-            &parts,
-            qid,
-            now,
-            per_part,
-            Some(GatherTiming { completions: &completions, deadline: timing.deadline }),
-        )
+        let mut rest = evaluated.as_slice();
+        batch
+            .iter()
+            .zip(&sane)
+            .map(|(q, (parts, completions))| {
+                self.queries.fetch_add(1, Ordering::Relaxed);
+                self.recorder.record(Event::ScatterDispatch {
+                    qid: q.qid,
+                    now,
+                    partitions: parts.len() as u32,
+                });
+                let (per_part, tail) = rest.split_at(parts.len());
+                rest = tail;
+                self.gather(snap, q, parts, completions, now, per_part)
+            })
+            .collect()
     }
 
     /// Gather in partition order: deterministic merge and latency
@@ -633,67 +607,46 @@ impl<R: Recorder> DocBroker<R> {
     /// emitted here (not by workers), so their order is deterministic
     /// too. Also folds each shard's measured evaluator work into the
     /// broker-wide [`ScanCounters`].
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// Untimed, completion is the (truncated) df-based service time and
+    /// every partition merges. Timed, completion comes from the engine's
+    /// latency model and the optional deadline drops late shards from
+    /// the merge — busy time, the `ShardService` event, and scan
+    /// counters are still charged for them, because the server did the
+    /// work whether or not the broker waited for the answer.
     fn gather(
         &self,
         snap: &PartitionedIndex,
-        terms: &[TermId],
-        k: usize,
+        q: &BatchQuery<'_>,
         parts: &[u32],
-        qid: u64,
+        completions: &[SimTime],
         now: SimTime,
-        per_part: Vec<ShardResult>,
-    ) -> BrokeredResponse {
-        self.gather_with(snap, terms, k, parts, qid, now, per_part, None).0
-    }
-
-    /// The one gather loop behind both the legacy and the timed paths.
-    ///
-    /// With `timing: None` this is bit-identical to the pre-tail-suite
-    /// gather: completion is the (truncated) df-based service time and
-    /// every partition merges. With timing, completion comes from the
-    /// engine's latency model and the optional deadline drops late
-    /// shards from the merge — busy time, the `ShardService` event, and
-    /// scan counters are still charged for them, because the server did
-    /// the work whether or not the broker waited for the answer.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_with(
-        &self,
-        snap: &PartitionedIndex,
-        terms: &[TermId],
-        k: usize,
-        parts: &[u32],
-        qid: u64,
-        now: SimTime,
-        per_part: Vec<ShardResult>,
-        timing: Option<GatherTiming<'_>>,
+        per_part: &[ShardResult],
     ) -> (BrokeredResponse, usize) {
-        if let Some(t) = &timing {
-            assert_eq!(t.completions.len(), parts.len(), "one completion per queried partition");
-        }
-        // `k == 0` callers arrive with `parts` already emptied, so the
+        let deadline = q.timing.and_then(|t| t.deadline);
+        // `k == 0` queries arrive with `parts` already emptied, so the
         // max(1) floor (TopK rejects capacity 0) never admits a hit.
-        let mut top = TopK::new(k.max(1));
+        let mut top = TopK::new(q.k.max(1));
         let mut slowest: SimTime = 0;
         let mut merged_hits = 0u64;
         let mut answered = 0usize;
         for (i, &p) in parts.iter().enumerate() {
             let pu = p as usize;
-            let service = self.service_time_in(snap, pu, terms);
+            let service = self.service_time_in(snap, pu, q.terms);
             self.add_busy(pu, service);
             self.recorder.record(Event::ShardService {
-                qid,
+                qid: q.qid,
                 now,
                 partition: p,
                 service_us: service,
             });
             let (hits, ev) = &per_part[i];
             self.scan.add(ev);
-            let completion = match &timing {
-                Some(t) => t.completions[i],
+            let completion = match q.timing {
+                Some(_) => completions[i],
                 None => service as SimTime,
             };
-            if timing.as_ref().is_some_and(|t| t.deadline.is_some_and(|d| completion > d)) {
+            if deadline.is_some_and(|d| completion > d) {
                 continue; // answer arrived past the deadline: work charged, hits dropped
             }
             answered += 1;
@@ -709,11 +662,16 @@ impl<R: Recorder> DocBroker<R> {
         // A partial response is released *at* the deadline (plus transit
         // of what made it, plus merge); a complete one when the slowest
         // included answer lands.
-        let latency = match timing.as_ref().and_then(|t| t.deadline) {
+        let latency = match deadline {
             Some(d) if answered < parts.len() => slowest.max(d) + merge,
             _ => slowest + merge,
         };
-        self.recorder.record(Event::GatherDone { qid, now, merged_hits, latency_us: latency });
+        self.recorder.record(Event::GatherDone {
+            qid: q.qid,
+            now,
+            merged_hits,
+            latency_us: latency,
+        });
         let resp = BrokeredResponse {
             hits: top
                 .into_sorted_vec()
@@ -724,113 +682,6 @@ impl<R: Recorder> DocBroker<R> {
             latency,
         };
         (resp, answered)
-    }
-
-    /// Evaluate a batch of queries, admitting every shard task under a
-    /// single pool-lock acquisition ([`ScatterPool::scatter_batch`]).
-    ///
-    /// Responses, counters, and the observability event stream are
-    /// identical to calling [`Self::query_selected_at`] once per entry in
-    /// order: each query's `ScatterDispatch` is emitted immediately
-    /// before its own gather (`ShardService*`, `GatherDone`), from this
-    /// coordinating thread. Only the *locking* is amortized.
-    pub fn query_selected_batch(
-        &self,
-        batch: &[BatchQuery<'_>],
-        now: SimTime,
-    ) -> Vec<BrokeredResponse> {
-        let snap = self.snapshot();
-        self.query_selected_batch_in(&snap, batch, now)
-    }
-
-    /// As [`Self::query_selected_batch`], against an explicit epoch
-    /// snapshot: the whole batch is admitted under one snapshot, so a
-    /// split landing mid-batch cannot straddle two epochs within it.
-    /// Per-query degenerate inputs sanitize exactly as in
-    /// [`Self::query_selected_at_in`].
-    pub fn query_selected_batch_in(
-        &self,
-        snap: &PartitionedIndex,
-        batch: &[BatchQuery<'_>],
-        now: SimTime,
-    ) -> Vec<BrokeredResponse> {
-        let sane: Vec<Cow<'_, [u32]>> = batch
-            .iter()
-            .map(|q| {
-                if q.k == 0 {
-                    Cow::Owned(Vec::new())
-                } else {
-                    Self::sanitize_parts(snap, &q.parts)
-                }
-            })
-            .collect();
-        let evaluated: Vec<Vec<ShardResult>> = match &self.pool {
-            Some(pool) if sane.iter().map(|p| p.len()).sum::<usize>() > 1 => {
-                let groups: Vec<Vec<_>> = batch
-                    .iter()
-                    .zip(&sane)
-                    .map(|(q, parts)| {
-                        let shared_terms: Arc<[TermId]> = q.terms.into();
-                        parts
-                            .iter()
-                            .map(|&p| self.shard_task(snap, p, &shared_terms, q.k))
-                            .collect()
-                    })
-                    .collect();
-                pool.scatter_batch(groups)
-            }
-            _ => batch
-                .iter()
-                .zip(&sane)
-                .map(|(q, parts)| {
-                    parts
-                        .iter()
-                        .map(|&p| {
-                            evaluate_shard(
-                                &snap.shard(p as usize),
-                                q.terms,
-                                q.k,
-                                &self.bm25,
-                                self.eval,
-                                self.global_stats.as_deref(),
-                            )
-                        })
-                        .collect()
-                })
-                .collect(),
-        };
-        batch
-            .iter()
-            .zip(&sane)
-            .zip(evaluated)
-            .map(|((q, parts), per_part)| {
-                self.queries.fetch_add(1, Ordering::Relaxed);
-                self.recorder.record(Event::ScatterDispatch {
-                    qid: q.qid,
-                    now,
-                    partitions: parts.len() as u32,
-                });
-                self.gather(snap, q.terms, q.k, parts, q.qid, now, per_part)
-            })
-            .collect()
-    }
-
-    /// Batch convenience over all active partitions (standalone-broker
-    /// path: sim clock at 0, query keys computed only when someone
-    /// listens).
-    pub fn query_batch(&self, queries: &[Vec<TermId>], k: usize) -> Vec<BrokeredResponse> {
-        let snap = self.snapshot();
-        let all = snap.active_parts();
-        let batch: Vec<BatchQuery<'_>> = queries
-            .iter()
-            .map(|terms| BatchQuery {
-                terms,
-                k,
-                parts: all.clone(),
-                qid: if self.recorder.is_live() { crate::engine::query_key(terms) } else { 0 },
-            })
-            .collect();
-        self.query_selected_batch_in(&snap, &batch, 0)
     }
 
     fn add_busy(&self, p: usize, amount: f64) {
@@ -889,6 +740,19 @@ mod tests {
         let a = RoundRobinPartitioner.assign(&c, k);
         let pi = PartitionedIndex::build(&c, &a, k);
         (c, pi)
+    }
+
+    /// One timed query through the broker's entry point (sim clock 0).
+    fn timed(
+        b: &DocBroker,
+        terms: &[TermId],
+        k: usize,
+        parts: &[u32],
+        completions: &[SimTime],
+        deadline: Option<SimTime>,
+    ) -> (BrokeredResponse, usize) {
+        let timing = Some(GatherTiming { completions, deadline });
+        b.scatter_gather_one(&b.snapshot(), BatchQuery { terms, k, parts, qid: 0, timing }, 0)
     }
 
     #[test]
@@ -1059,27 +923,20 @@ mod tests {
     }
 
     #[test]
-    fn timed_gather_with_service_completions_matches_legacy() {
+    fn timed_gather_with_service_completions_matches_untimed() {
         let (_, pi) = parted(4);
-        let legacy = DocBroker::single_site(&pi);
-        let timed = DocBroker::single_site(&pi);
+        let untimed = DocBroker::single_site(&pi);
+        let drawn = DocBroker::single_site(&pi);
         let terms = [TermId(1), TermId(100)];
         let parts = [0u32, 1, 2, 3];
         let completions: Vec<SimTime> =
-            parts.iter().map(|&p| timed.service_time(p as usize, &terms) as SimTime).collect();
-        let a = legacy.query_selected(&terms, 10, &parts);
-        let (b, answered) = timed.query_selected_timed(
-            &terms,
-            10,
-            &parts,
-            0,
-            0,
-            GatherTiming { completions: &completions, deadline: None },
-        );
+            parts.iter().map(|&p| drawn.service_time(p as usize, &terms) as SimTime).collect();
+        let a = untimed.query_selected(&terms, 10, &parts);
+        let (b, answered) = timed(&drawn, &terms, 10, &parts, &completions, None);
         assert_eq!(answered, 4, "no deadline: every partition answers");
         assert_eq!(a.hits, b.hits);
-        assert_eq!(a.latency, b.latency, "service-time completions reproduce the legacy model");
-        assert_eq!(legacy.busy_time(), timed.busy_time());
+        assert_eq!(a.latency, b.latency, "service-time completions reproduce the df-based model");
+        assert_eq!(untimed.busy_time(), drawn.busy_time());
     }
 
     #[test]
@@ -1091,14 +948,7 @@ mod tests {
         // Partitions 1 and 3 straggle far past the deadline.
         let completions = [300, 9_000, 300, 9_000];
         let full = DocBroker::single_site(&pi).query_selected(&terms, 40, &parts);
-        let (partial, answered) = b.query_selected_timed(
-            &terms,
-            40,
-            &parts,
-            0,
-            0,
-            GatherTiming { completions: &completions, deadline: Some(1_000) },
-        );
+        let (partial, answered) = timed(&b, &terms, 40, &parts, &completions, Some(1_000));
         assert_eq!(answered, 2);
         // Round-robin assignment: doc % 4 names the partition, so the
         // late partitions' documents must be absent from the merge.
@@ -1124,14 +974,7 @@ mod tests {
         // Same through the explicit-selection and timed paths.
         let r = broker.query_selected(&[TermId(1)], 0, &[0, 1]);
         assert!(r.hits.is_empty() && r.partitions_used == 0);
-        let (r, answered) = broker.query_selected_timed(
-            &[TermId(1)],
-            0,
-            &[0, 1],
-            0,
-            0,
-            GatherTiming { completions: &[100, 100], deadline: Some(1_000) },
-        );
+        let (r, answered) = timed(&broker, &[TermId(1)], 0, &[0, 1], &[100, 100], Some(1_000));
         assert!(r.hits.is_empty() && answered == 0);
     }
 
@@ -1173,14 +1016,8 @@ mod tests {
         let terms = [TermId(1), TermId(100)];
         // Partition 9 does not exist; its (late) completion must vanish
         // with it instead of being attributed to a real partition.
-        let (r, answered) = broker.query_selected_timed(
-            &terms,
-            10,
-            &[0, 9, 1],
-            0,
-            0,
-            GatherTiming { completions: &[100, 9_999_999, 100], deadline: Some(1_000) },
-        );
+        let (r, answered) =
+            timed(&broker, &terms, 10, &[0, 9, 1], &[100, 9_999_999, 100], Some(1_000));
         assert_eq!(answered, 2, "both real partitions answer in time");
         assert_eq!(r.partitions_used, 2);
     }

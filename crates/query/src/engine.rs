@@ -57,11 +57,12 @@
 //! the response budget. All policies preserve the parallel ≡ sequential
 //! and batch ≡ loop equivalence invariants.
 
-use crate::broker::{BatchQuery, BrokeredResponse, DocBroker, GatherTiming, GlobalHit};
+use crate::broker::{BatchQuery, DocBroker, GatherTiming, GlobalHit};
 use crate::cache::{ResultCache, ShardedCache};
 use crate::faults::FaultSchedule;
+use crate::lock_recovering;
 use crate::replica::ReplicaGroup;
-use crate::route::{merge_topk, ShardRouter};
+use crate::route::{merge_topk, RouteDecision, ShardRouter};
 use crate::straggler::StragglerModel;
 use dwr_obs::{Event, Histogram, NoopRecorder, Outcome as ObsOutcome, Recorder};
 use dwr_partition::parted::PartitionedIndex;
@@ -72,15 +73,7 @@ use dwr_text::search::EvalStrategy;
 use dwr_text::TermId;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Lock a mutex, recovering the guard when a previous holder panicked.
-/// Engine state under these locks (replica cursors, liveness bits) is
-/// valid after any interrupted operation, so one panicking client must
-/// not wedge every other thread.
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex};
 
 /// How a query was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,69 +203,82 @@ struct Counters {
     hedge_work_us: AtomicU64,
 }
 
-/// Outcome of the single choose-and-dispatch pass for one query.
-struct DispatchPlan {
-    /// Partitions with a successfully dispatched, surviving replica.
-    served: Vec<u32>,
-    /// Shard-side completion time per served partition (parallel to
-    /// `served`); feeds the timed gather.
+/// One cold query's pass through the backend: the tranches of
+/// partitions it may contact, the latest tranche's dispatch (awaiting
+/// evaluation), and everything merged so far. An unrouted query is the
+/// degenerate cascade whose single tranche is every active partition.
+struct Cascade<'q> {
+    /// Position in the admitted batch.
+    pos: usize,
+    key: u64,
+    terms: &'q [TermId],
+    /// Tranches in contact order, and the snapshot's active count.
+    decision: RouteDecision,
+    /// Tranches dispatched so far.
+    rounds: usize,
+    /// Latest tranche: partitions with a dispatched, surviving replica.
+    parts: Vec<u32>,
+    /// Shard-side completion time per entry of `parts`; feeds the
+    /// drawn-completion gather.
     completions: Vec<SimTime>,
-    /// Chosen partitions that could not be served.
-    missing: usize,
-    /// Extra simulated latency added by hedged retries (legacy path).
+    /// Latest tranche: latency a hedged retry adds under the df-based
+    /// latency model.
     hedge_extra: SimTime,
-    /// Hedged retries dispatched.
-    hedges: u64,
-    /// Hedges cancelled after the other copy answered first.
-    cancelled: u64,
-    /// Simulated µs burned on hedges that did not serve the answer.
-    hedge_work: u64,
+    /// Merged top-k over the evaluated tranches.
+    hits: Vec<GlobalHit>,
+    /// Backend latency, charged additively per round.
+    latency: SimTime,
+    /// Partitions contacted / that could not be served / that were
+    /// served / whose answer was merged before the gather deadline.
+    contacted: usize,
+    missing: usize,
+    served: usize,
+    answered: usize,
+    /// Some dispatched answer lands past the gather deadline: the
+    /// response will be partial.
+    late: bool,
+    /// Broadening rounds taken.
+    broadenings: u32,
 }
 
-impl DispatchPlan {
-    fn with_capacity(n: usize) -> Self {
-        DispatchPlan {
-            served: Vec::with_capacity(n),
-            completions: Vec::with_capacity(n),
-            missing: 0,
-            hedge_extra: 0,
-            hedges: 0,
-            cancelled: 0,
-            hedge_work: 0,
+/// A query admitted but not yet answered.
+enum Staged<'q> {
+    /// A cache miss, dispatched and awaiting evaluation.
+    Cold(Cascade<'q>),
+    /// Same key as an earlier cacheable miss of this batch: answered
+    /// from the cache once that one has resolved.
+    Dup { pos: usize, key: u64, terms: &'q [TermId] },
+}
+
+impl<'q> Staged<'q> {
+    fn cold(&mut self) -> Option<&mut Cascade<'q>> {
+        match self {
+            Staged::Cold(c) => Some(c),
+            Staged::Dup { .. } => None,
         }
     }
 }
 
 /// Outcome of dispatching one query on one replica group.
+#[derive(Default)]
 struct OneDispatch {
     /// A surviving replica took the query.
     served: bool,
+    /// Shard-side completion time of the serving answer (0 if unserved).
+    completion: SimTime,
     /// Hedged retries dispatched (0 or 1).
     hedges: u64,
-    /// Extra simulated latency a hedge added (legacy path).
+    /// Extra simulated latency a hedge added (df-based latency model).
     extra: SimTime,
     /// 1 when a hedge was cancelled because the other copy won.
     cancelled: u64,
-    /// Shard-side completion time of the serving answer (0 if unserved).
-    completion: SimTime,
     /// Simulated µs burned on a hedge that did not serve the answer.
     hedge_work: u64,
 }
 
 impl OneDispatch {
-    fn not_served() -> Self {
-        OneDispatch {
-            served: false,
-            hedges: 0,
-            extra: 0,
-            cancelled: 0,
-            completion: 0,
-            hedge_work: 0,
-        }
-    }
-
     fn served_at(completion: SimTime) -> Self {
-        OneDispatch { served: true, hedges: 0, extra: 0, cancelled: 0, completion, hedge_work: 0 }
+        OneDispatch { served: true, completion, ..OneDispatch::default() }
     }
 }
 
@@ -341,25 +347,7 @@ pub fn query_key(terms: &[TermId]) -> u64 {
 impl<C: ResultCache> DistributedEngine<C> {
     /// Create an engine over `index` with `replicas` per partition.
     pub fn new(index: &PartitionedIndex, cache: C, replicas: usize) -> Self {
-        let groups =
-            (0..index.num_partitions()).map(|_| Mutex::new(ReplicaGroup::new(replicas))).collect();
-        DistributedEngine {
-            broker: DocBroker::single_site(index),
-            cache: ShardedCache::single(cache),
-            groups,
-            counters: Counters::default(),
-            router: None,
-            faults: None,
-            deadline: None,
-            policy: HedgePolicy::default(),
-            stragglers: None,
-            gather_deadline: None,
-            shard_latency: (0..index.num_partitions()).map(|_| Histogram::new()).collect(),
-            clock: AtomicU64::new(0),
-            repart: None,
-            splits: None,
-            recorder: NoopRecorder,
-        }
+        Self::assemble(DocBroker::single_site(index), None, cache, replicas)
     }
 
     /// Create an engine over a **live** (splittable) index with
@@ -368,12 +356,22 @@ impl<C: ResultCache> DistributedEngine<C> {
     /// child partitions born from later splits dispatch onto replica
     /// groups that already exist — a split never resizes engine state.
     pub fn new_live(repart: &Arc<RepartIndex>, cache: C, replicas: usize) -> Self {
-        let capacity = repart.capacity();
-        let groups = (0..capacity).map(|_| Mutex::new(ReplicaGroup::new(replicas))).collect();
+        Self::assemble(DocBroker::live(repart), Some(Arc::clone(repart)), cache, replicas)
+    }
+
+    /// One replica group and latency instrument per broker accounting
+    /// slot (the partition count, or the live index's capacity).
+    fn assemble(
+        broker: DocBroker,
+        repart: Option<Arc<RepartIndex>>,
+        cache: C,
+        replicas: usize,
+    ) -> Self {
+        let slots = broker.slots();
         DistributedEngine {
-            broker: DocBroker::live(repart),
+            broker,
             cache: ShardedCache::single(cache),
-            groups,
+            groups: (0..slots).map(|_| Mutex::new(ReplicaGroup::new(replicas))).collect(),
             counters: Counters::default(),
             router: None,
             faults: None,
@@ -381,9 +379,9 @@ impl<C: ResultCache> DistributedEngine<C> {
             policy: HedgePolicy::default(),
             stragglers: None,
             gather_deadline: None,
-            shard_latency: (0..capacity).map(|_| Histogram::new()).collect(),
+            shard_latency: (0..slots).map(|_| Histogram::new()).collect(),
             clock: AtomicU64::new(0),
-            repart: Some(Arc::clone(repart)),
+            repart,
             splits: None,
             recorder: NoopRecorder,
         }
@@ -694,268 +692,221 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// Serve a query, reporting the simulated backend latency alongside
     /// the results.
     pub fn query_full(&self, terms: &[TermId], k: usize) -> EngineResponse {
-        self.serve(terms, k, false)
+        self.answer(&[terms], k, false).pop().expect("one response per query")
     }
 
     /// Serve a query, allowing stale cache results when the backend is
     /// down (the dependability role of caches). Unlike [`Self::query`],
     /// a backend outage consults the cache *ignoring freshness*.
     pub fn query_stale_ok(&self, terms: &[TermId], k: usize) -> (Vec<GlobalHit>, Served) {
-        let r = self.serve(terms, k, true);
+        let r = self.answer(&[terms], k, true).pop().expect("one response per query");
         (r.hits, r.served)
     }
 
-    /// Serve a batch of queries with amortized locking: admission (cache
-    /// consult) runs per query in order, dispatch runs **partition-outer**
-    /// (each replica-group lock taken once for the whole batch), and
-    /// shard evaluation is admitted to the scatter pool in one enqueue
-    /// ([`DocBroker::query_selected_batch`]).
+    /// Serve a batch of queries through the same pipeline as
+    /// [`Self::query_full`] — which is this with a batch of one — with
+    /// the shard evaluation of every cold query admitted to the scatter
+    /// pool in one enqueue. Stale serving is not consulted.
     ///
     /// Responses and every counter (engine, cache, broker, dispatch
     /// counts) are identical to calling [`Self::query_full`] once per
-    /// query in order, with one documented caveat: a query whose
-    /// duplicate appears earlier in the batch is answered from the cache
-    /// at resolution time, so if the cached entry is *evicted* while the
-    /// batch is in flight the duplicate is re-evaluated (counted
-    /// full/degraded where the loop form would have counted a cache
-    /// hit). With a cache wide enough to hold the batch's distinct
-    /// queries — the throughput-bench regime — batch ≡ loop exactly.
+    /// query in order: queries dispatch in query order, so every replica
+    /// group's round-robin cursor — and therefore every straggler draw,
+    /// hedge and coverage figure — sees the loop form's sequence. One
+    /// caveat is documented: a query repeating an earlier *cacheable*
+    /// miss of the same batch is answered from the cache once that miss
+    /// has resolved, so if the entry is *evicted* while the batch is in
+    /// flight the repeat is re-evaluated then (counted full/degraded
+    /// where the loop form would have counted a cache hit). With a cache
+    /// wide enough to hold the batch's distinct queries — the
+    /// throughput-bench regime — batch ≡ loop exactly.
     ///
-    /// The observability stream carries the same events with the same
-    /// payloads, phase-ordered: all `QueryStart`/`CacheLookup`s (query
-    /// order), then `Hedge`s (partition order), then per-query
-    /// scatter/gather blocks (query order), then `Outcome`s (query
-    /// order). Stale serving is not consulted (`stale_ok = false`
-    /// semantics).
+    /// The observability stream carries the loop form's events with the
+    /// same payloads, in each query's own order: per query in order,
+    /// `QueryStart`, `CacheLookup`, then its `Outcome` on a hit or its
+    /// `Hedge`s on a miss; then the scatter/gather blocks of the misses
+    /// (query order); then their `Outcome`s (query order).
     pub fn query_batch(&self, queries: &[Vec<TermId>], k: usize) -> Vec<EngineResponse> {
+        self.answer(queries, k, false)
+    }
+
+    /// The one serving pipeline: admission (cache consult) and dispatch
+    /// per query in query order, evaluation of every cache miss in one
+    /// broker batch, resolution in query order.
+    ///
+    /// Every query of the call is served against one epoch-consistent
+    /// snapshot taken here, threaded through choose, dispatch, and
+    /// evaluation, so a split committing mid-call cannot tear the
+    /// partition set.
+    fn answer<Q: AsRef<[TermId]>>(
+        &self,
+        queries: &[Q],
+        k: usize,
+        stale_ok: bool,
+    ) -> Vec<EngineResponse> {
         let now = self.now();
-        if k == 0 {
-            // Same short-circuit as the loop form, per query in order.
-            return queries
-                .iter()
-                .map(|terms| {
-                    let key = query_key(terms);
-                    self.recorder.record(Event::QueryStart { qid: key, now });
-                    self.answer_k_zero(key, now)
-                })
-                .collect();
-        }
-        // One epoch-consistent snapshot for the whole batch (the loop
-        // form takes one per query; with no split between queries the
-        // two views are identical).
         let snap = self.broker.snapshot();
-        enum Slot {
-            /// Resolved at admission (fresh cache hit).
-            Done(EngineResponse),
-            /// Duplicate of an earlier cold query in this batch; answered
-            /// from the cache at resolution time.
-            Dup { key: u64 },
-            /// Admitted for evaluation.
-            Cold { key: u64, chosen: Vec<u32> },
-        }
-        // --- Admission, in query order. Duplicates are detected *before*
-        // the cache consult so cache hit/miss counters match the loop
-        // form (where the duplicate's consult happens after the original
-        // resolved, and hits).
+        let mut out: Vec<Option<EngineResponse>> = Vec::with_capacity(queries.len());
+        let mut staged: Vec<Staged<'_>> = Vec::new();
+        // Staged entries before this index have been evaluated.
+        let mut evaluated = 0;
+        // Keys of staged misses whose answer will be cached.
         let mut pending: HashSet<u64> = HashSet::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(queries.len());
-        for terms in queries {
+        for (pos, terms) in queries.iter().map(AsRef::as_ref).enumerate() {
             let key = query_key(terms);
             self.recorder.record(Event::QueryStart { qid: key, now });
+            if k == 0 {
+                // Asks for nothing: empty and `Full` without touching
+                // cache or backend (a deadline gather would otherwise
+                // report zero-of-n coverage as `Partial`).
+                out.push(Some(self.respond(key, now, Vec::new(), Served::Full, Some(0))));
+                continue;
+            }
+            // Repeats are detected *before* the cache consult so cache
+            // hit/miss counters match the loop form (where the repeat's
+            // consult happens after the original resolved, and hits).
             if pending.contains(&key) {
-                slots.push(Slot::Dup { key });
+                out.push(None);
+                staged.push(Staged::Dup { pos, key, terms });
                 continue;
             }
             if let Some(hit) = self.cache.get_recorded(key, &self.recorder, now) {
-                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.record_outcome(key, now, ObsOutcome::CacheHit, None);
-                slots.push(Slot::Done(EngineResponse {
-                    hits: hit,
-                    served: Served::CacheHit,
-                    latency: None,
-                }));
+                let backend_down = stale_ok
+                    && !self.reachable(&snap, terms).iter().any(|&p| self.group_available(p));
+                let served = if backend_down { Served::StaleFromCache } else { Served::CacheHit };
+                out.push(Some(self.respond(key, now, hit, served, None)));
                 continue;
             }
-            pending.insert(key);
-            let chosen = if self.router.is_some() { Vec::new() } else { snap.active_parts() };
-            slots.push(Slot::Cold { key, chosen });
+            out.push(None);
+            let mut cascade = self.begin(&snap, pos, key, terms, now);
+            if cascade.decision.tranches.len() > 1 {
+                // Later tranches dispatch only once earlier rounds have
+                // answered, and the next query's dispatch must see the
+                // replica cursors they leave behind: run the cascade to
+                // completion now (with whatever else is staged).
+                let earlier = staged[evaluated..].iter_mut().filter_map(Staged::cold);
+                self.evaluate(&snap, k, now, earlier.chain([&mut cascade]));
+                evaluated = staged.len() + 1;
+            }
+            // A repeat of a miss that will not be cached (nothing served,
+            // or an answer landing past the gather deadline) must miss
+            // and dispatch in its own position, as in the loop form.
+            if cascade.served > 0 && !cascade.late {
+                pending.insert(key);
+            }
+            staged.push(Staged::Cold(cascade));
         }
-        // --- Routed engines resolve every cold slot per query, in query
-        // order: the cascade's later tranches depend on earlier rounds'
-        // answers, so its dispatches cannot be staged partition-outer up
-        // front. Each group's round-robin cursor therefore sees exactly
-        // the loop form's dispatch sequence — batch ≡ loop holds by
-        // construction (events phase-ordered as documented above).
-        if self.router.is_some() {
-            return slots
-                .into_iter()
-                .zip(queries)
-                .map(|(slot, terms)| match slot {
-                    Slot::Done(r) => r,
-                    Slot::Dup { key } => match self.cache.get_recorded(key, &self.recorder, now) {
-                        Some(hit) => {
-                            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                            self.record_outcome(key, now, ObsOutcome::CacheHit, None);
-                            EngineResponse { hits: hit, served: Served::CacheHit, latency: None }
+        self.evaluate(&snap, k, now, staged[evaluated..].iter_mut().filter_map(Staged::cold));
+        // Resolution, in query order: cache fills and repeat lookups
+        // interleave exactly as in the loop form.
+        for s in staged {
+            let (pos, resp) = match s {
+                Staged::Cold(c) => (c.pos, self.resolve(k, now, c)),
+                Staged::Dup { pos, key, terms } => {
+                    let resp = match self.cache.get_recorded(key, &self.recorder, now) {
+                        Some(hit) => self.respond(key, now, hit, Served::CacheHit, None),
+                        // Evicted while the batch was in flight: an
+                        // ordinary miss, late (the documented divergence).
+                        None => {
+                            let mut c = self.begin(&snap, pos, key, terms, now);
+                            self.evaluate(&snap, k, now, std::iter::once(&mut c));
+                            self.resolve(k, now, c)
                         }
-                        None => self.evaluate_cold(&snap, terms, k, key, now),
-                    },
-                    Slot::Cold { key, .. } => self.evaluate_cold(&snap, terms, k, key, now),
-                })
-                .collect();
-        }
-        // --- Dispatch, partition-outer: one lock acquisition per replica
-        // group for the whole batch. Within a group, queries dispatch in
-        // query order, so the round-robin cursor sees exactly the
-        // sequence the loop form produces. `served` is rebuilt in each
-        // query's own `chosen` order so gather (events, busy time,
-        // latency) is untouched by the transposition.
-        let cold: Vec<usize> =
-            (0..slots.len()).filter(|&i| matches!(slots[i], Slot::Cold { .. })).collect();
-        // (query position, partition, shard-side completion) per dispatch.
-        type StagedDispatch = Vec<(usize, u32, SimTime)>;
-        let mut staged: Vec<(StagedDispatch, DispatchPlan)> =
-            cold.iter().map(|_| (Vec::new(), DispatchPlan::with_capacity(0))).collect();
-        let mut by_part: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.groups.len()];
-        for (ci, &si) in cold.iter().enumerate() {
-            let Slot::Cold { chosen, .. } = &slots[si] else { unreachable!() };
-            for (pos, &p) in chosen.iter().enumerate() {
-                match by_part.get_mut(p as usize) {
-                    Some(interested) => interested.push((ci, pos)),
-                    None => staged[ci].1.missing += 1,
+                    };
+                    (pos, resp)
                 }
-            }
+            };
+            out[pos] = Some(resp);
         }
-        for (pu, interested) in by_part.iter().enumerate() {
-            if interested.is_empty() {
-                continue;
-            }
-            let mut group = lock_recovering(&self.groups[pu]);
-            for &(ci, pos) in interested {
-                let Slot::Cold { key, .. } = slots[cold[ci]] else { unreachable!() };
-                let one =
-                    self.dispatch_one(&snap, &mut group, pu as u32, &queries[cold[ci]], now, key);
-                let (served, plan) = &mut staged[ci];
-                if one.served {
-                    served.push((pos, pu as u32, one.completion));
-                } else {
-                    plan.missing += 1;
-                }
-                plan.hedges += one.hedges;
-                plan.hedge_extra = plan.hedge_extra.max(one.extra);
-                plan.cancelled += one.cancelled;
-                plan.hedge_work += one.hedge_work;
-            }
-        }
-        let plans: Vec<DispatchPlan> = staged
-            .into_iter()
-            .map(|(mut served, mut plan)| {
-                served.sort_unstable_by_key(|&(pos, _, _)| pos);
-                plan.completions = served.iter().map(|&(_, _, c)| c).collect();
-                plan.served = served.into_iter().map(|(_, p, _)| p).collect();
-                plan
-            })
-            .collect();
-        // --- Evaluation: one broker batch over every cold query with a
-        // non-empty plan (a single pool-lock acquisition admits all of
-        // their shard tasks). The timed path instead evaluates each cold
-        // query at resolution time — its gather needs the per-query
-        // completions and deadline — trading the amortized enqueue for
-        // the tail-tolerant latency model.
-        let broker_batch: Vec<BatchQuery<'_>> = if self.timed() {
-            Vec::new()
-        } else {
-            cold.iter()
-                .zip(&plans)
-                .filter(|(_, plan)| !plan.served.is_empty())
-                .map(|(&si, plan)| {
-                    let Slot::Cold { key, .. } = slots[si] else { unreachable!() };
-                    BatchQuery { terms: &queries[si], k, parts: plan.served.clone(), qid: key }
-                })
-                .collect()
-        };
-        let mut evaluated =
-            self.broker.query_selected_batch_in(&snap, &broker_batch, now).into_iter();
-        // --- Resolution, in query order.
-        let mut plans = plans.into_iter();
-        slots
-            .into_iter()
-            .zip(queries)
-            .map(|(slot, terms)| match slot {
-                Slot::Done(r) => r,
-                Slot::Dup { key } => match self.cache.get_recorded(key, &self.recorder, now) {
-                    Some(hit) => {
-                        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        self.record_outcome(key, now, ObsOutcome::CacheHit, None);
-                        EngineResponse { hits: hit, served: Served::CacheHit, latency: None }
-                    }
-                    // Evicted while the batch was in flight: fall back to
-                    // the ordinary cold path (the documented divergence).
-                    None => self.evaluate_cold(&snap, terms, k, key, now),
-                },
-                Slot::Cold { key, .. } => {
-                    let plan = plans.next().expect("one plan per cold query");
-                    self.account_dispatch(&plan);
-                    if plan.served.is_empty() {
-                        self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                        self.record_outcome(key, now, ObsOutcome::Failed, None);
-                        return EngineResponse {
-                            hits: Vec::new(),
-                            served: Served::Failed,
-                            latency: None,
-                        };
-                    }
-                    if self.timed() {
-                        return self.evaluate_plan(&snap, terms, k, key, now, &plan);
-                    }
-                    let resp = evaluated.next().expect("one response per evaluated query");
-                    self.resolve_evaluated(key, now, &plan, resp, None)
-                }
-            })
-            .collect()
+        out.into_iter().map(|r| r.expect("every admitted query resolved")).collect()
     }
 
-    /// One pass over the chosen partitions: per group, availability and
-    /// dispatch are decided under a **single** lock acquisition, so a
-    /// group dying concurrently is observed as `None` and dropped rather
-    /// than queried anyway. When a fault schedule is attached, a replica
-    /// whose outage begins mid-query loses the attempt and the engine
-    /// hedges once on another live replica (if the deadline leaves room).
-    fn dispatch_partitions(
+    /// Start a cache miss's cascade: decide its tranches — the router's
+    /// plan, or every active partition at once — and dispatch the first.
+    fn begin<'q>(
         &self,
         snap: &PartitionedIndex,
-        chosen: &[u32],
-        terms: &[TermId],
+        pos: usize,
+        key: u64,
+        terms: &'q [TermId],
         now: SimTime,
-        qid: u64,
-    ) -> DispatchPlan {
-        let mut plan = DispatchPlan::with_capacity(chosen.len());
-        for &p in chosen {
-            let pu = p as usize;
-            let Some(group) = self.groups.get(pu) else {
-                plan.missing += 1;
-                continue;
-            };
-            let mut group = lock_recovering(group);
-            let one = self.dispatch_one(snap, &mut group, p, terms, now, qid);
-            drop(group);
-            if one.served {
-                plan.served.push(p);
-                plan.completions.push(one.completion);
-            } else {
-                plan.missing += 1;
+    ) -> Cascade<'q> {
+        let decision = match &self.router {
+            Some(router) => {
+                let selector = router.profile_for(snap, now, &self.recorder);
+                router.decide(selector.as_ref(), snap, terms)
             }
-            plan.hedges += one.hedges;
-            plan.hedge_extra = plan.hedge_extra.max(one.extra);
-            plan.cancelled += one.cancelled;
-            plan.hedge_work += one.hedge_work;
-        }
-        plan
+            None => {
+                let all = snap.active_parts();
+                RouteDecision { active: all.len(), tranches: vec![all] }
+            }
+        };
+        let mut cascade = Cascade {
+            pos,
+            key,
+            terms,
+            decision,
+            rounds: 0,
+            parts: Vec::new(),
+            completions: Vec::new(),
+            hedge_extra: 0,
+            hits: Vec::new(),
+            latency: 0,
+            contacted: 0,
+            missing: 0,
+            served: 0,
+            answered: 0,
+            late: false,
+            broadenings: 0,
+        };
+        self.dispatch_next(snap, now, &mut cascade);
+        cascade
     }
 
-    /// Whether gather runs through the timed path (engine-drawn
-    /// completions, optional partial results) instead of the legacy
-    /// df-based latency model.
+    /// Dispatch the cascade's next tranche, one pass over its
+    /// partitions: per group, availability and dispatch are decided
+    /// under a **single** lock acquisition, so a group dying
+    /// concurrently is observed as unserved and dropped rather than
+    /// queried anyway. When a fault schedule is attached, a replica
+    /// whose outage begins mid-query loses the attempt and the engine
+    /// hedges once on another live replica (if the deadline leaves room).
+    fn dispatch_next(&self, snap: &PartitionedIndex, now: SimTime, c: &mut Cascade<'_>) {
+        let tranche = &c.decision.tranches[c.rounds];
+        c.rounds += 1;
+        c.contacted += tranche.len();
+        c.parts.clear();
+        c.parts.reserve(tranche.len());
+        c.completions.clear();
+        c.completions.reserve(tranche.len());
+        c.hedge_extra = 0;
+        let (mut hedges, mut cancelled, mut hedge_work) = (0, 0, 0);
+        for &p in tranche {
+            let one = match self.groups.get(p as usize) {
+                Some(group) => {
+                    self.dispatch_one(snap, &mut lock_recovering(group), p, c.terms, now, c.key)
+                }
+                None => OneDispatch::default(),
+            };
+            if one.served {
+                c.parts.push(p);
+                c.completions.push(one.completion);
+            } else {
+                c.missing += 1;
+            }
+            hedges += one.hedges;
+            c.hedge_extra = c.hedge_extra.max(one.extra);
+            cancelled += one.cancelled;
+            hedge_work += one.hedge_work;
+        }
+        c.served += c.parts.len();
+        c.late |= self.gather_deadline.is_some_and(|d| c.completions.iter().any(|&t| t > d));
+        self.counters.hedged.fetch_add(hedges, Ordering::Relaxed);
+        self.counters.cancelled.fetch_add(cancelled, Ordering::Relaxed);
+        self.counters.hedge_work_us.fetch_add(hedge_work, Ordering::Relaxed);
+    }
+
+    /// Whether gather runs on engine-drawn completions (and may return
+    /// partial results) instead of the df-based latency model.
     fn timed(&self) -> bool {
         self.stragglers.is_some() || self.gather_deadline.is_some()
     }
@@ -986,11 +937,10 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// Dispatch one query on one **already locked** replica group: pick a
     /// replica (round-robin), draw its service cost, consult the fault
     /// schedule for a mid-query death, and let the [`HedgePolicy`] decide
-    /// whether a duplicate request launches on a second replica. Shared
-    /// by the per-query and batched dispatch passes, so both advance each
-    /// group's round-robin cursor — and each partition's live latency
-    /// history — through the exact same decision sequence.
-    #[allow(clippy::too_many_arguments)]
+    /// whether a duplicate request launches on a second replica. Queries
+    /// dispatch in query order whatever the batch size, so each group's
+    /// round-robin cursor — and each partition's live latency history —
+    /// goes through the exact same decision sequence.
     fn dispatch_one(
         &self,
         snap: &PartitionedIndex,
@@ -1002,11 +952,11 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     ) -> OneDispatch {
         let pu = p as usize;
         let Some(first) = group.dispatch() else {
-            return OneDispatch::not_served();
+            return OneDispatch::default();
         };
-        // Fast path — exactly the pre-suite behavior: without faults, a
-        // latency model, or a gather deadline, a Never/OnDeath policy can
-        // never hedge, so the dispatch is already decided.
+        // Fast path: without faults, a latency model, or a gather
+        // deadline, a Never/OnDeath policy can never hedge, so the
+        // dispatch is already decided (and nobody reads the completion).
         if self.faults.is_none()
             && !self.timed()
             && matches!(self.policy, HedgePolicy::Never | HedgePolicy::OnDeath)
@@ -1032,9 +982,8 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         };
         let one = self.hedge_or_settle(group, p, base, now, qid, first, c1, dead1, launch);
         // Record the served completion *after* this query's trigger was
-        // read. Both the loop and batch dispatch passes visit each
-        // partition's queries in query order, so every query observes an
-        // identical history — batch ≡ loop holds under PercentileTrigger.
+        // read: every query observes the history its predecessors left,
+        // the same in a batch as in a loop.
         if one.served {
             self.shard_latency[pu].record(one.completion as f64);
         }
@@ -1059,27 +1008,22 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         launch: Option<SimTime>,
     ) -> OneDispatch {
         let pu = p as usize;
-        let settle = |served: bool| {
-            if served {
-                OneDispatch::served_at(c1)
-            } else {
-                OneDispatch::not_served()
-            }
-        };
-        let Some(h) = launch else { return settle(!dead1) };
-        let Some(second) = group.peek_excluding(first) else { return settle(!dead1) };
+        let unhedged = || if dead1 { OneDispatch::default() } else { OneDispatch::served_at(c1) };
+        let Some(h) = launch else { return unhedged() };
+        let Some(second) = group.peek_excluding(first) else { return unhedged() };
         let c2 = self.drawn_cost(base, pu, second, qid);
         // Budget the hedge at the retry replica's own drawn cost from its
         // own launch offset. (Historically this check was `2 * svc <= d`,
         // silently pricing the retry at the *first* replica's cost — under
         // a straggler model the two genuinely diverge.)
         if self.deadline.is_some_and(|d| h + c2 > d) {
-            return settle(!dead1);
+            return unhedged();
         }
         let dispatched = group.dispatch_excluding(first);
         debug_assert_eq!(dispatched, Some(second), "peek and dispatch agree on the candidate");
         self.recorder.record(Event::Hedge { qid, now, partition: p, extra_us: c2 as f64 });
         let dead2 = self.fails_during(pu, second, now + h, now + h + c2);
+        let hedged = OneDispatch { hedges: 1, ..OneDispatch::default() };
         match (dead1, dead2) {
             (false, false) => {
                 // Both copies survive: the faster answer serves, the
@@ -1089,308 +1033,150 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
                 let hedge_work = if t2 < t1 { t2 } else { t1.saturating_sub(h) };
                 OneDispatch {
                     served: true,
-                    hedges: 1,
-                    extra: 0,
-                    cancelled: 1,
                     completion: t1.min(t2),
+                    cancelled: 1,
                     hedge_work,
+                    ..hedged
                 }
             }
-            (true, false) => OneDispatch {
-                served: true,
-                hedges: 1,
-                extra: c2,
-                cancelled: 0,
-                completion: h + c2,
-                hedge_work: 0,
-            },
-            (false, true) => OneDispatch {
-                // The hedge died mid-flight; the primary answer stands.
-                served: true,
-                hedges: 1,
-                extra: 0,
-                cancelled: 0,
-                completion: c1,
-                hedge_work: c2,
-            },
-            (true, true) => OneDispatch {
-                served: false,
-                hedges: 1,
-                extra: 0,
-                cancelled: 0,
-                completion: 0,
-                hedge_work: c2,
-            },
+            (true, false) => OneDispatch { served: true, completion: h + c2, extra: c2, ..hedged },
+            // The hedge died mid-flight; the primary answer stands.
+            (false, true) => OneDispatch { served: true, completion: c1, hedge_work: c2, ..hedged },
+            (true, true) => OneDispatch { hedge_work: c2, ..hedged },
         }
     }
 
-    /// The one serving path behind [`Self::query_full`] and
-    /// [`Self::query_stale_ok`]: cache consult, then a single
-    /// choose-and-dispatch pass, then evaluation — selection,
-    /// availability, and dispatch each happen exactly once per query.
-    fn serve(&self, terms: &[TermId], k: usize, stale_ok: bool) -> EngineResponse {
-        let now = self.now();
-        let key = query_key(terms);
-        self.recorder.record(Event::QueryStart { qid: key, now });
-        if k == 0 {
-            return self.answer_k_zero(key, now);
-        }
-        // The query's epoch-consistent view: one snapshot at admission,
-        // threaded through choose, dispatch, and evaluation, so a split
-        // committing mid-query cannot tear the partition set.
-        let snap = self.broker.snapshot();
-        if let Some(hit) = self.cache.get_recorded(key, &self.recorder, now) {
-            if stale_ok && !self.reachable(&snap, terms).iter().any(|&p| self.group_available(p)) {
-                self.counters.stale.fetch_add(1, Ordering::Relaxed);
-                self.record_outcome(key, now, ObsOutcome::StaleFromCache, None);
-                return EngineResponse { hits: hit, served: Served::StaleFromCache, latency: None };
-            }
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.record_outcome(key, now, ObsOutcome::CacheHit, None);
-            return EngineResponse { hits: hit, served: Served::CacheHit, latency: None };
-        }
-        self.evaluate_cold(&snap, terms, k, key, now)
-    }
-
-    /// A `k = 0` query asks for nothing: answer it empty and `Full`
-    /// without touching cache or backend, on every serving path alike
-    /// (the timed gather would otherwise report zero-of-n coverage as
-    /// `Partial`).
-    fn answer_k_zero(&self, key: u64, now: SimTime) -> EngineResponse {
-        self.counters.full.fetch_add(1, Ordering::Relaxed);
-        self.record_outcome(key, now, ObsOutcome::Full, Some(0));
-        EngineResponse { hits: Vec::new(), served: Served::Full, latency: Some(0) }
-    }
-
-    /// The cold path behind a cache miss: one choose-and-dispatch pass,
-    /// scatter-gather evaluation, cache fill, and outcome accounting.
-    /// With a router attached, dispatch runs the routed cascade instead
-    /// of fanning out to every active partition.
-    fn evaluate_cold(
-        &self,
-        snap: &PartitionedIndex,
-        terms: &[TermId],
-        k: usize,
-        key: u64,
-        now: SimTime,
-    ) -> EngineResponse {
-        if let Some(router) = &self.router {
-            return self.evaluate_routed(router, snap, terms, k, key, now);
-        }
-        let chosen = snap.active_parts();
-        let plan = self.dispatch_partitions(snap, &chosen, terms, now, key);
-        self.account_dispatch(&plan);
-        if plan.served.is_empty() {
-            // Whole backend (for this query) is down, and the cache
-            // already missed: nothing to serve.
-            self.counters.failed.fetch_add(1, Ordering::Relaxed);
-            self.record_outcome(key, now, ObsOutcome::Failed, None);
-            return EngineResponse { hits: Vec::new(), served: Served::Failed, latency: None };
-        }
-        self.evaluate_plan(snap, terms, k, key, now, &plan)
-    }
-
-    /// The routed cold path: contact the router's tranches in order —
-    /// each through the **same** dispatch pass as the unrouted engine,
-    /// so hedging, deadlines, and stragglers apply unchanged on the
-    /// contacted subset — merging round answers through the broker's
-    /// top-k comparator and broadening while the merged answer is
-    /// deficient. With `width >= active` the plan is one tranche equal
-    /// to `active_parts()` and this degenerates bit-identically to the
-    /// unrouted path (`tests/route_chaos.rs` pins it).
+    /// Run cascades to completion, round by round: the dispatched
+    /// tranche of every cascade still in flight is evaluated in **one**
+    /// broker batch (a single pool enqueue), merged through the broker's
+    /// top-k comparator, and a cascade whose merged answer is still
+    /// deficient dispatches its next tranche for the following round.
+    /// Hedging, deadlines, and stragglers apply per tranche through the
+    /// same dispatch pass; round latencies are charged additively.
     ///
-    /// Honest coverage: `Full` only when every active partition was
-    /// contacted; [`Served::Routed`] when the router skipped some and
-    /// every contacted one answered; `Degraded`/`Partial`/`Failed` keep
-    /// their meanings (and their priority) from the unrouted path.
-    /// Cascade rounds are decided at admission time against the query's
-    /// one epoch snapshot; round latencies are charged additively.
-    fn evaluate_routed(
-        &self,
-        router: &ShardRouter,
-        snap: &PartitionedIndex,
-        terms: &[TermId],
-        k: usize,
-        key: u64,
-        now: SimTime,
-    ) -> EngineResponse {
-        let selector = router.profile_for(snap, now, &self.recorder);
-        let decision = router.decide(selector.as_ref(), snap, terms);
-        let mut hits: Vec<GlobalHit> = Vec::new();
-        let mut latency: SimTime = 0;
-        let mut contacted = 0usize;
-        let mut missing = 0usize;
-        let mut served_total = 0usize;
-        let mut answered_total = 0usize;
-        let mut partial = false;
-        let mut broadenings = 0u32;
-        for (round, tranche) in decision.tranches.iter().enumerate() {
-            if round > 0 {
-                if !router.deficient(&hits, k) {
-                    break;
-                }
-                broadenings += 1;
-            }
-            contacted += tranche.len();
-            let plan = self.dispatch_partitions(snap, tranche, terms, now, key);
-            self.account_dispatch(&plan);
-            missing += plan.missing;
-            if plan.served.is_empty() {
-                // An entirely-unavailable tranche merges nothing; the
-                // deficiency check naturally broadens past it.
-                continue;
-            }
-            served_total += plan.served.len();
-            let resp = if self.timed() {
-                let timing =
-                    GatherTiming { completions: &plan.completions, deadline: self.gather_deadline };
-                let (resp, answered) = self.broker.query_selected_timed_in(
-                    snap,
-                    terms,
-                    k,
-                    &plan.served,
-                    key,
-                    now,
-                    timing,
-                );
-                answered_total += answered;
-                partial |= answered < plan.served.len();
-                latency += resp.latency;
-                resp
-            } else {
-                let resp = self.broker.query_selected_at_in(snap, terms, k, &plan.served, key, now);
-                latency += resp.latency + plan.hedge_extra;
-                resp
-            };
-            hits = if hits.is_empty() { resp.hits } else { merge_topk(&hits, &resp.hits, k) };
-        }
-        router.account(contacted, decision.active, broadenings);
-        self.counters.broadenings.fetch_add(u64::from(broadenings), Ordering::Relaxed);
-        self.recorder.record(Event::RouteServed {
-            qid: key,
-            now,
-            contacted: contacted as u32,
-            active: decision.active as u32,
-            broadenings,
-            hits: hits.len() as u32,
-            k: k as u32,
-        });
-        if served_total == 0 {
-            self.counters.failed.fetch_add(1, Ordering::Relaxed);
-            self.record_outcome(key, now, ObsOutcome::Failed, None);
-            return EngineResponse { hits: Vec::new(), served: Served::Failed, latency: None };
-        }
-        if partial {
-            // Same rule as the unrouted timed gather: report coverage
-            // exactly, and never cache a truncated answer.
-            self.counters.partial.fetch_add(1, Ordering::Relaxed);
-            self.record_outcome(key, now, ObsOutcome::Partial, Some(latency));
-            return EngineResponse {
-                hits,
-                served: Served::Partial { partitions_answered: answered_total },
-                latency: Some(latency),
-            };
-        }
-        self.cache.put(key, hits.clone());
-        let served = if missing > 0 {
-            self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-            self.record_outcome(key, now, ObsOutcome::Degraded, Some(latency));
-            Served::Degraded { missing }
-        } else if contacted < decision.active {
-            self.counters.routed.fetch_add(1, Ordering::Relaxed);
-            self.record_outcome(key, now, ObsOutcome::Routed, Some(latency));
-            Served::Routed { partitions_contacted: contacted }
-        } else {
-            self.counters.full.fetch_add(1, Ordering::Relaxed);
-            self.record_outcome(key, now, ObsOutcome::Full, Some(latency));
-            Served::Full
-        };
-        EngineResponse { hits, served, latency: Some(latency) }
-    }
-
-    /// Evaluate a non-empty dispatch plan through the broker. The legacy
-    /// path (no latency model, no gather deadline) is the pre-suite code
-    /// bit-for-bit; the timed path feeds the engine-drawn per-partition
-    /// completions into a deadline-aware gather.
-    fn evaluate_plan(
+    /// The two latency models are chosen here and nowhere else: without
+    /// a straggler model or gather deadline, the broker's df-based
+    /// service times plus the additive cost of hedged retries; with one,
+    /// the engine-drawn completions fed to a deadline-aware gather
+    /// (which already folds hedge-shortened completions in, so adding
+    /// `hedge_extra` there would double-charge).
+    fn evaluate<'a, 'q: 'a>(
         &self,
         snap: &PartitionedIndex,
-        terms: &[TermId],
         k: usize,
-        key: u64,
         now: SimTime,
-        plan: &DispatchPlan,
-    ) -> EngineResponse {
-        if self.timed() {
-            let timing =
-                GatherTiming { completions: &plan.completions, deadline: self.gather_deadline };
-            let (resp, answered) =
-                self.broker.query_selected_timed_in(snap, terms, k, &plan.served, key, now, timing);
-            self.resolve_evaluated(key, now, plan, resp, Some(answered))
-        } else {
-            let resp = self.broker.query_selected_at_in(snap, terms, k, &plan.served, key, now);
-            self.resolve_evaluated(key, now, plan, resp, None)
-        }
-    }
-
-    /// Fold one dispatch plan's hedging counters into the engine totals.
-    fn account_dispatch(&self, plan: &DispatchPlan) {
-        self.counters.hedged.fetch_add(plan.hedges, Ordering::Relaxed);
-        self.counters.cancelled.fetch_add(plan.cancelled, Ordering::Relaxed);
-        self.counters.hedge_work_us.fetch_add(plan.hedge_work, Ordering::Relaxed);
-    }
-
-    /// Shared tail of the cold path: turn a brokered response for `plan`
-    /// into the engine response — cache fill, counters, outcome event.
-    /// `answered` is `Some` on the timed path (how many served partitions
-    /// merged before the gather deadline) and `None` on the legacy path.
-    fn resolve_evaluated(
-        &self,
-        key: u64,
-        now: SimTime,
-        plan: &DispatchPlan,
-        resp: BrokeredResponse,
-        answered: Option<usize>,
-    ) -> EngineResponse {
-        if let Some(answered) = answered {
-            if answered < plan.served.len() {
-                // Partial coverage: report it exactly, and never cache a
-                // truncated result under the full answer's key.
-                self.counters.partial.fetch_add(1, Ordering::Relaxed);
-                self.record_outcome(key, now, ObsOutcome::Partial, Some(resp.latency));
-                return EngineResponse {
-                    hits: resp.hits,
-                    served: Served::Partial { partitions_answered: answered },
-                    latency: Some(resp.latency),
-                };
-            }
-        }
-        self.cache.put(key, resp.hits.clone());
-        // The legacy model charges hedge retries as additive latency; the
-        // timed gather already folded hedge-shortened completions in, so
-        // adding `hedge_extra` there would double-charge.
-        let latency =
-            if answered.is_some() { resp.latency } else { resp.latency + plan.hedge_extra };
-        let served = if plan.missing == 0 {
-            self.counters.full.fetch_add(1, Ordering::Relaxed);
-            self.record_outcome(key, now, ObsOutcome::Full, Some(latency));
-            Served::Full
-        } else {
-            self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-            self.record_outcome(key, now, ObsOutcome::Degraded, Some(latency));
-            Served::Degraded { missing: plan.missing }
-        };
-        EngineResponse { hits: resp.hits, served, latency: Some(latency) }
-    }
-
-    fn record_outcome(
-        &self,
-        qid: u64,
-        now: SimTime,
-        outcome: ObsOutcome,
-        latency: Option<SimTime>,
+        cascades: impl Iterator<Item = &'a mut Cascade<'q>>,
     ) {
-        self.recorder.record(Event::Outcome { qid, now, outcome, latency_us: latency });
+        let timed = self.timed();
+        let mut in_flight: Vec<&mut Cascade<'q>> = cascades.collect();
+        while !in_flight.is_empty() {
+            // An entirely-unavailable tranche has nothing to evaluate
+            // and merges nothing; the deficiency check broadens past it.
+            let batch: Vec<BatchQuery<'_>> = in_flight
+                .iter()
+                .filter(|c| !c.parts.is_empty())
+                .map(|c| BatchQuery {
+                    terms: c.terms,
+                    k,
+                    parts: &c.parts,
+                    qid: c.key,
+                    timing: timed.then_some(GatherTiming {
+                        completions: &c.completions,
+                        deadline: self.gather_deadline,
+                    }),
+                })
+                .collect();
+            let mut answers = self.broker.scatter_gather(snap, &batch, now).into_iter();
+            in_flight.retain_mut(|c| {
+                if !c.parts.is_empty() {
+                    let (resp, answered) =
+                        answers.next().expect("one answer per evaluated tranche");
+                    c.answered += answered;
+                    c.latency += resp.latency + if timed { 0 } else { c.hedge_extra };
+                    c.hits = if c.hits.is_empty() {
+                        resp.hits
+                    } else {
+                        merge_topk(&c.hits, &resp.hits, k)
+                    };
+                }
+                let broaden = c.rounds < c.decision.tranches.len()
+                    && self.router.as_ref().is_some_and(|r| r.deficient(&c.hits, k));
+                if broaden {
+                    c.broadenings += 1;
+                    self.dispatch_next(snap, now, c);
+                }
+                broaden
+            });
+        }
+    }
+
+    /// Turn a finished cascade into the engine response: router
+    /// accounting, the outcome ladder, cache fill.
+    ///
+    /// Honest coverage: `Failed` when nothing could be served;
+    /// [`Served::Partial`] when the gather deadline cut answers off
+    /// (coverage reported exactly, and never cached — a truncated result
+    /// must not sit under the full answer's key); `Degraded` when
+    /// contacted partitions were unavailable; [`Served::Routed`] when
+    /// the router skipped some and every contacted one answered; `Full`
+    /// only when every active partition was contacted and answered.
+    fn resolve(&self, k: usize, now: SimTime, c: Cascade<'_>) -> EngineResponse {
+        let active = c.decision.active;
+        if let Some(router) = &self.router {
+            router.account(c.contacted, active, c.broadenings);
+            self.counters.broadenings.fetch_add(u64::from(c.broadenings), Ordering::Relaxed);
+            self.recorder.record(Event::RouteServed {
+                qid: c.key,
+                now,
+                contacted: c.contacted as u32,
+                active: active as u32,
+                broadenings: c.broadenings,
+                hits: c.hits.len() as u32,
+                k: k as u32,
+            });
+        }
+        let served = if c.served == 0 {
+            Served::Failed
+        } else if c.answered < c.served {
+            Served::Partial { partitions_answered: c.answered }
+        } else if c.missing > 0 {
+            Served::Degraded { missing: c.missing }
+        } else if c.contacted < active {
+            Served::Routed { partitions_contacted: c.contacted }
+        } else {
+            Served::Full
+        };
+        if !matches!(served, Served::Failed | Served::Partial { .. }) {
+            self.cache.put(c.key, c.hits.clone());
+        }
+        let latency = (c.served > 0).then_some(c.latency);
+        self.respond(c.key, now, c.hits, served, latency)
+    }
+
+    /// Count and announce one answer: the single site where outcome
+    /// counters move and `Outcome` events are emitted.
+    fn respond(
+        &self,
+        key: u64,
+        now: SimTime,
+        hits: Vec<GlobalHit>,
+        served: Served,
+        latency: Option<SimTime>,
+    ) -> EngineResponse {
+        let n = &self.counters;
+        let (counter, outcome) = match served {
+            Served::CacheHit => (&n.cache_hits, ObsOutcome::CacheHit),
+            Served::Full => (&n.full, ObsOutcome::Full),
+            Served::Degraded { .. } => (&n.degraded, ObsOutcome::Degraded),
+            Served::StaleFromCache => (&n.stale, ObsOutcome::StaleFromCache),
+            Served::Failed => (&n.failed, ObsOutcome::Failed),
+            Served::Partial { .. } => (&n.partial, ObsOutcome::Partial),
+            Served::Routed { .. } => (&n.routed, ObsOutcome::Routed),
+            Served::Shed => unreachable!("only the site tier sheds"),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.recorder.record(Event::Outcome { qid: key, now, outcome, latency_us: latency });
+        EngineResponse { hits, served, latency }
     }
 
     /// Counters so far.
@@ -1983,6 +1769,54 @@ mod tests {
         // A second identical batch is answered entirely from the cache.
         let again = batched.query_batch(&queries, 5);
         assert!(again.iter().all(|r| r.served == Served::CacheHit));
+    }
+
+    /// A recorder that keeps the event stream itself, in emission order.
+    #[derive(Debug, Default)]
+    struct Tape(Mutex<Vec<Event>>);
+
+    impl Recorder for Tape {
+        fn record(&self, event: Event) {
+            lock_recovering(&self.0).push(event);
+        }
+    }
+
+    /// Query-at-a-time *is* a batch of one: a one-query `query_batch`
+    /// emits the very event sequence `query_full` does — not merely the
+    /// same multiset — on the plain, the broadening-routed and the
+    /// hedging drawn-completion engine, through misses, hits and `k = 0`.
+    #[test]
+    fn one_query_batch_emits_the_query_full_event_sequence() {
+        let pi = setup();
+        let model = Arc::new(StragglerModel::fixed(vec![vec![4.0, 1.0]; 4]));
+        type Build<'a> = Box<dyn Fn() -> DistributedEngine<LruCache> + 'a>;
+        let builds: [Build<'_>; 3] = [
+            Box::new(|| DistributedEngine::new(&pi, LruCache::new(16), 2)),
+            Box::new(|| {
+                DistributedEngine::new(&pi, LruCache::new(16), 2)
+                    .with_router(Arc::new(ShardRouter::cori(1)))
+            }),
+            Box::new(|| {
+                DistributedEngine::new(&pi, LruCache::new(16), 2)
+                    .with_stragglers(Arc::clone(&model))
+                    .with_hedge_policy(HedgePolicy::Tied)
+                    .with_gather_deadline(10_000)
+            }),
+        ];
+        for (config, build) in builds.iter().enumerate() {
+            let (loop_tape, batch_tape) = (Arc::new(Tape::default()), Arc::new(Tape::default()));
+            let looped = build().with_obs(Arc::clone(&loop_tape));
+            let batched = build().with_obs(Arc::clone(&batch_tape));
+            for (q, k) in [(1u32, 30), (1, 30), (2, 0), (3, 5), (1, 30)] {
+                let terms = vec![TermId(q), TermId(50 + q % 3)];
+                let a = looped.query_full(&terms, k);
+                let b = batched.query_batch(std::slice::from_ref(&terms), k).remove(0);
+                assert_eq!((a.hits, a.served, a.latency), (b.hits, b.served, b.latency));
+            }
+            let (a, b) = (lock_recovering(&loop_tape.0), lock_recovering(&batch_tape.0));
+            assert!(a.iter().any(|e| matches!(e, Event::GatherDone { .. })), "config {config}");
+            assert_eq!(*a, *b, "config {config}");
+        }
     }
 
     #[test]

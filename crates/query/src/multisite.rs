@@ -43,19 +43,14 @@
 use crate::broker::GlobalHit;
 use crate::cache::ResultCache;
 use crate::engine::{query_key, DistributedEngine, Served};
+use crate::lock_recovering;
 use dwr_avail::site::Site;
 use dwr_obs::{Event, NoopRecorder, Recorder, SiteOutcome};
 use dwr_sim::net::{SiteId, Topology};
 use dwr_sim::{SimTime, MILLISECOND, MINUTE, SECOND};
 use dwr_text::TermId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Lock a mutex, recovering the guard when a previous holder panicked
-/// (admission-window state is valid at every instruction boundary).
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::Mutex;
 
 /// Site-tier routing and robustness knobs.
 #[derive(Debug, Clone, Copy)]

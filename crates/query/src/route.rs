@@ -47,7 +47,8 @@
 //! (bumping the router's generation, which invalidates every cached
 //! per-epoch profile).
 
-use crate::broker::{DocBroker, GlobalHit};
+use crate::broker::{BatchQuery, DocBroker, GlobalHit};
+use crate::lock_recovering;
 use dwr_obs::{Event, Recorder};
 use dwr_partition::doc::TrainingResults;
 use dwr_partition::parted::PartitionedIndex;
@@ -58,14 +59,7 @@ use dwr_text::topk::TopK;
 use dwr_text::TermId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Lock a mutex, recovering the guard when a previous holder panicked
-/// (router state — profile caches, refresh bookkeeping — stays valid
-/// across an interrupted operation).
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex};
 
 /// A selector the router can share across threads.
 pub type SharedSelector = Arc<dyn CollectionSelector + Send + Sync>;
@@ -500,7 +494,8 @@ impl ShardRouter {
                 broadenings += 1;
             }
             contacted += tranche.len();
-            let resp = broker.query_selected_at_in(snap, terms, k, tranche, qid, now);
+            let round = BatchQuery { terms, k, parts: tranche, qid, timing: None };
+            let (resp, _) = broker.scatter_gather_one(snap, round, now);
             latency += resp.latency;
             hits = if hits.is_empty() { resp.hits } else { merge_topk(&hits, &resp.hits, k) };
         }

@@ -20,8 +20,6 @@
 //!   owned term vectors), so nothing borrows from the submitting stack
 //!   frame and the pool can outlive any particular query.
 
-use dwr_obs::{Event, Recorder};
-use dwr_sim::SimTime;
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -98,39 +96,7 @@ impl ScatterPool {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let n = tasks.len();
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
-        {
-            let mut state =
-                self.shared.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (i, task) in tasks.into_iter().enumerate() {
-                let tx = tx.clone();
-                state.queue.push_back(Box::new(move || {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                    // The gatherer may have unwound already; a dead
-                    // receiver is fine.
-                    let _ = tx.send((i, result));
-                }));
-            }
-        }
-        drop(tx);
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 {
-            self.shared.work_ready.notify_one();
-        } else {
-            self.shared.work_ready.notify_all();
-        }
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, result) = rx.recv().expect("scatter worker disappeared");
-            match result {
-                Ok(v) => slots[i] = Some(v),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        slots.into_iter().map(|s| s.expect("every task reported")).collect()
+        self.scatter_tasks(tasks.into_iter().map(|task| (None, task)))
     }
 
     /// Run several task *groups* on the pool under **one** queue-lock
@@ -146,106 +112,78 @@ impl ScatterPool {
     /// stay bit-identical to the query-at-a-time loop.
     ///
     /// # Panics
-    /// Panics if any task panics (first panicking task in flat order).
+    /// Panics if any task panics.
     pub fn scatter_batch<T, F>(&self, groups: Vec<Vec<F>>) -> Vec<Vec<T>>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
         let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
-        let total: usize = sizes.iter().sum();
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
-        {
-            // One critical section for the whole batch.
-            let mut state =
-                self.shared.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut flat = 0usize;
-            for group in groups {
-                for task in group {
-                    let tx = tx.clone();
-                    let i = flat;
-                    flat += 1;
-                    state.queue.push_back(Box::new(move || {
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                        let _ = tx.send((i, result));
-                    }));
-                }
-            }
-        }
-        drop(tx);
-        if total == 0 {
-            return sizes.iter().map(|_| Vec::new()).collect();
-        }
-        if total == 1 {
-            self.shared.work_ready.notify_one();
-        } else {
-            self.shared.work_ready.notify_all();
-        }
-        let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-        for _ in 0..total {
-            let (i, result) = rx.recv().expect("scatter worker disappeared");
-            match result {
-                Ok(v) => slots[i] = Some(v),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        let mut out = Vec::with_capacity(sizes.len());
-        let mut it = slots.into_iter();
-        for n in sizes {
-            out.push(it.by_ref().take(n).map(|s| s.expect("every task reported")).collect());
-        }
-        out
+        let mut flat =
+            self.scatter_tasks(groups.into_iter().flatten().map(|task| (None, task))).into_iter();
+        sizes.into_iter().map(|n| flat.by_ref().take(n).collect()).collect()
     }
 
-    /// As [`Self::scatter`], with a caller-supplied label attached to
-    /// each task. A panicking task is re-raised on the caller with its
-    /// label in the panic message, so a crash inside a shard evaluation
-    /// racing a repartition identifies exactly which (epoch, partition)
-    /// was being served — see [`task_label`].
+    /// The one enqueue-and-gather core behind [`Self::scatter`],
+    /// [`Self::scatter_batch`] and the broker's batches: every task is
+    /// admitted under a single queue-lock acquisition and the results
+    /// come back **in task order** whatever order workers finish in.
+    ///
+    /// A task may carry a label (see [`task_label`]). A panicking
+    /// labeled task is re-raised on the caller with the label decoded
+    /// into the message, so a crash inside a shard evaluation racing a
+    /// repartition identifies exactly which (epoch, partition) was being
+    /// served; an unlabeled task's panic is resumed untouched.
     ///
     /// # Panics
-    /// Panics if a task panics, with `scatter task [label …]` prefixed
-    /// to the original message.
-    pub fn scatter_labeled<T, F>(&self, tasks: Vec<(u64, F)>) -> Vec<T>
+    /// Panics if a task panics (the first one *received*), with
+    /// `scatter task [label …]` prefixed to the message when labeled.
+    pub(crate) fn scatter_tasks<T, F>(
+        &self,
+        tasks: impl IntoIterator<Item = (Option<u64>, F)>,
+    ) -> Vec<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let labels: Vec<u64> = tasks.iter().map(|&(label, _)| label).collect();
-        let n = tasks.len();
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
+        type Panicked = (Option<u64>, Box<dyn std::any::Any + Send>);
+        let (tx, rx) = mpsc::channel::<(usize, Result<T, Panicked>)>();
+        let mut n = 0usize;
         {
+            // One critical section for the whole batch.
             let mut state =
                 self.shared.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (i, (_, task)) in tasks.into_iter().enumerate() {
+            for (label, task) in tasks {
                 let tx = tx.clone();
+                let i = n;
+                n += 1;
                 state.queue.push_back(Box::new(move || {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task))
+                        .map_err(|payload| (label, payload));
+                    // The gatherer may have unwound already; a dead
+                    // receiver is fine.
                     let _ = tx.send((i, result));
                 }));
             }
         }
         drop(tx);
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 {
-            self.shared.work_ready.notify_one();
-        } else {
-            self.shared.work_ready.notify_all();
+        match n {
+            0 => return Vec::new(),
+            1 => self.shared.work_ready.notify_one(),
+            _ => self.shared.work_ready.notify_all(),
         }
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
         for _ in 0..n {
             let (i, result) = rx.recv().expect("scatter worker disappeared");
             match result {
                 Ok(v) => slots[i] = Some(v),
-                Err(payload) => {
+                Err((None, payload)) => std::panic::resume_unwind(payload),
+                Err((Some(label), payload)) => {
                     let msg = payload
                         .downcast_ref::<&str>()
                         .map(|s| (*s).to_string())
                         .or_else(|| payload.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "non-string panic payload".to_string());
-                    let label = labels[i];
                     panic!(
                         "scatter task [label {label:#018x}: epoch {}, partition {}] \
                          panicked: {msg}",
@@ -256,26 +194,6 @@ impl ScatterPool {
             }
         }
         slots.into_iter().map(|s| s.expect("every task reported")).collect()
-    }
-
-    /// As [`Self::scatter`], announcing the dispatch to `recorder` first
-    /// (one [`Event::ScatterDispatch`] per batch, emitted from the
-    /// coordinating thread *before* any worker runs, so the event stream
-    /// is deterministic regardless of completion order).
-    pub fn scatter_recorded<T, F, R>(
-        &self,
-        tasks: Vec<F>,
-        recorder: &R,
-        qid: u64,
-        now: SimTime,
-    ) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-        R: Recorder + ?Sized,
-    {
-        recorder.record(Event::ScatterDispatch { qid, now, partitions: tasks.len() as u32 });
-        self.scatter(tasks)
     }
 }
 
@@ -554,28 +472,32 @@ mod tests {
     }
 
     #[test]
-    fn scatter_labeled_preserves_task_order() {
+    fn labeled_tasks_preserve_task_order() {
         let pool = ScatterPool::new(4);
-        let tasks: Vec<(u64, _)> = (0..16usize)
-            .map(|i| {
-                (task_label(3, i as u32), move || {
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        ((16 - i) % 4) as u64 * 40,
-                    ));
-                    i * 7
-                })
+        let tasks = (0..16usize).map(|i| {
+            (Some(task_label(3, i as u32)), move || {
+                std::thread::sleep(std::time::Duration::from_micros(((16 - i) % 4) as u64 * 40));
+                i * 7
             })
-            .collect();
-        assert_eq!(pool.scatter_labeled(tasks), (0..16).map(|i| i * 7).collect::<Vec<_>>());
+        });
+        assert_eq!(pool.scatter_tasks(tasks), (0..16).map(|i| i * 7).collect::<Vec<_>>());
     }
 
+    /// A batch flattens several queries' shard tasks into one enqueue;
+    /// a panic in any of them — here the second query's — must still
+    /// name the (epoch, partition) that dispatched it.
     #[test]
     #[should_panic(expected = "epoch 5, partition 2")]
     fn scatter_labeled_panic_names_epoch_and_partition() {
         let pool = ScatterPool::new(2);
         let ok: fn() -> u32 = || 1;
         let bad: fn() -> u32 = || panic!("shard blew up");
-        pool.scatter_labeled(vec![(task_label(5, 0), ok), (task_label(5, 2), bad)]);
+        let groups = vec![
+            vec![(task_label(5, 0), ok), (task_label(5, 1), ok), (task_label(5, 2), ok)],
+            vec![(task_label(5, 0), ok), (task_label(5, 2), bad)],
+            vec![(task_label(5, 1), ok)],
+        ];
+        pool.scatter_tasks(groups.into_iter().flatten().map(|(label, task)| (Some(label), task)));
     }
 
     #[test]
@@ -583,17 +505,5 @@ mod tests {
         assert_eq!(task_label(0, 0), 0);
         assert_eq!(task_label(1, 3), (1 << 32) | 3);
         assert_eq!(task_label(u32::MAX as u64, u32::MAX), u64::MAX);
-    }
-
-    #[test]
-    fn scatter_recorded_emits_one_dispatch_event() {
-        use dwr_obs::{ObsConfig, ObsRecorder};
-        let pool = ScatterPool::new(2);
-        let rec = ObsRecorder::new(ObsConfig::single_site(4));
-        let got = pool.scatter_recorded((0..4).map(|i| move || i).collect::<Vec<_>>(), &rec, 9, 0);
-        assert_eq!(got, vec![0, 1, 2, 3]);
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter("scatter.batches"), Some(1));
-        assert_eq!(snap.counter("scatter.tasks"), Some(4));
     }
 }

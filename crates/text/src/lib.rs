@@ -25,8 +25,6 @@
 //!   communication-heavy case of Section 5's pipelined evaluation);
 //! * [`dynamic`] — online index maintenance with geometric partitioning
 //!   \[15\] and lock-time accounting (Section 4's update problem);
-//! * [`skips`] — the legacy decoded skip-list path, kept as the baseline
-//!   the blocked-cursor intersection is benchmarked against;
 //! * [`langid`] — Cavnar–Trenkle n-gram language identification for the
 //!   language-routing discussion of Section 5.
 
@@ -37,7 +35,6 @@ pub mod positions;
 pub mod postings;
 pub mod score;
 pub mod search;
-pub mod skips;
 pub mod token;
 pub mod topk;
 

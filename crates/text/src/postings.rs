@@ -29,9 +29,7 @@
 //! MaxScore evaluator in [`crate::search`] prunes with.
 //!
 //! [`PostingCursor`] is the skip-aware access path: `next_geq(target)`
-//! consults `last_doc` to hop over whole blocks without decoding them
-//! (subsuming the decoded skip ladder that used to live in
-//! [`crate::skips`], which is retained only as a benchmark baseline).
+//! consults `last_doc` to hop over whole blocks without decoding them.
 
 use crate::DocId;
 use bytes::{BufMut, Bytes, BytesMut};

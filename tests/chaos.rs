@@ -15,7 +15,6 @@
 //! runs; the proptest blocks widen the net locally.
 
 use dwr_avail::UpDownProcess;
-use dwr_partition::parted::{Corpus, PartitionedIndex};
 use dwr_query::cache::LruCache;
 use dwr_query::engine::{DistributedEngine, Served};
 use dwr_query::faults::FaultSchedule;
@@ -24,23 +23,8 @@ use dwr_text::TermId;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A small random corpus over `terms` distinct terms, spread over
-/// `partitions` partitions, all derived from `seed`.
-fn build_index(docs: u32, terms: u32, partitions: usize, seed: u64) -> PartitionedIndex {
-    let mut rng = SimRng::new(seed);
-    let corpus: Corpus = (0..docs)
-        .map(|d| {
-            // BTreeMap dedups terms (the index builder requires strictly
-            // ascending postings per term).
-            let mut doc = std::collections::BTreeMap::new();
-            doc.insert(TermId(d % terms), 1 + d % 3);
-            doc.entry(TermId(rng.below(u64::from(terms)) as u32)).or_insert(1);
-            doc.into_iter().collect()
-        })
-        .collect();
-    let assignment: Vec<u32> = (0..docs).map(|_| rng.below(partitions as u64) as u32).collect();
-    PartitionedIndex::build(&corpus, &assignment, partitions)
-}
+mod support;
+use support::build_index;
 
 fn outcome_total(s: dwr_query::engine::EngineStats) -> u64 {
     s.cache_hits + s.full + s.degraded + s.stale + s.failed

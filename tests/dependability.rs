@@ -5,6 +5,7 @@ use distributed_web_retrieval::avail::failure::UpDownProcess;
 use distributed_web_retrieval::avail::site::{Site, SiteConfig};
 use distributed_web_retrieval::crawler::assign::{AgentId, ConsistentHashAssigner};
 use distributed_web_retrieval::crawler::sim::{CrawlConfig, DistributedCrawl};
+use distributed_web_retrieval::crawler::AgentSchedule;
 use distributed_web_retrieval::partition::doc::{DocPartitioner, RandomPartitioner};
 use distributed_web_retrieval::partition::parted::{corpus_from_web, PartitionedIndex};
 use distributed_web_retrieval::query::cache::LruCache;
@@ -28,7 +29,7 @@ fn crawl_survives_agent_crash_and_flaky_servers() {
         connections_per_agent: 8,
         politeness_delay: SECOND / 2,
         qos: QosConfig { flaky_fraction: 0.2, flaky_failure_prob: 0.3, ..QosConfig::default() },
-        crash: Some((AgentId(1), 20 * 60 * SECOND)),
+        faults: Some(AgentSchedule::single_crash(4, AgentId(1), 20 * 60 * SECOND)),
         ..CrawlConfig::default()
     };
     let r = DistributedCrawl::new(&web, ConsistentHashAssigner::new(4, 64), cfg, SEED).run();

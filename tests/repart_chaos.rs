@@ -30,6 +30,9 @@ use dwr_text::TermId;
 use proptest::prelude::*;
 use std::sync::Arc;
 
+mod support;
+use support::random_assignment;
+
 /// A corpus where **every** document contains `TermId(0)` (so a
 /// `[TermId(0)]` query with `k = docs` must cover the whole corpus)
 /// plus per-doc random topical terms from `1..terms`.
@@ -49,8 +52,7 @@ fn exactly_once_corpus(docs: u32, terms: u32, seed: u64) -> Corpus {
 /// splits, all derived from `seed`.
 fn build_live(docs: u32, terms: u32, parts: usize, capacity: usize, seed: u64) -> Arc<RepartIndex> {
     let corpus = exactly_once_corpus(docs, terms, seed);
-    let mut rng = SimRng::new(seed ^ 0xA551);
-    let assignment: Vec<u32> = (0..docs).map(|_| rng.below(parts as u64) as u32).collect();
+    let assignment = random_assignment(docs, parts, &mut SimRng::new(seed ^ 0xA551));
     Arc::new(RepartIndex::build(corpus, &assignment, parts, capacity))
 }
 

@@ -23,7 +23,6 @@
 use dwr_avail::UpDownProcess;
 use dwr_obs::{ObsConfig, ObsRecorder};
 use dwr_partition::doc::TrainingResults;
-use dwr_partition::parted::{Corpus, PartitionedIndex};
 use dwr_partition::repart::{RepartIndex, SplitFate, SplitSchedule};
 use dwr_query::broker::DocBroker;
 use dwr_query::cache::LruCache;
@@ -36,37 +35,8 @@ use dwr_text::TermId;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A small random corpus over `terms` distinct terms spread over
-/// `partitions` partitions, all derived from `seed`.
-fn build_index(docs: u32, terms: u32, partitions: usize, seed: u64) -> PartitionedIndex {
-    let mut rng = SimRng::new(seed);
-    let corpus: Corpus = (0..docs)
-        .map(|d| {
-            let mut doc = std::collections::BTreeMap::new();
-            doc.insert(TermId(d % terms), 1 + d % 3);
-            doc.entry(TermId(rng.below(u64::from(terms)) as u32)).or_insert(1);
-            doc.into_iter().collect()
-        })
-        .collect();
-    let assignment: Vec<u32> = (0..docs).map(|_| rng.below(partitions as u64) as u32).collect();
-    PartitionedIndex::build(&corpus, &assignment, partitions)
-}
-
-/// A live index over `parts` initial partitions with headroom for
-/// splits.
-fn build_live(docs: u32, terms: u32, parts: usize, capacity: usize, seed: u64) -> Arc<RepartIndex> {
-    let mut rng = SimRng::new(seed);
-    let corpus: Corpus = (0..docs)
-        .map(|d| {
-            let mut doc = std::collections::BTreeMap::new();
-            doc.insert(TermId(d % terms), 1 + d % 3);
-            doc.entry(TermId(rng.below(u64::from(terms)) as u32)).or_insert(1);
-            doc.into_iter().collect()
-        })
-        .collect();
-    let assignment: Vec<u32> = (0..docs).map(|_| rng.below(parts as u64) as u32).collect();
-    Arc::new(RepartIndex::build(corpus, &assignment, parts, capacity))
-}
+mod support;
+use support::{build_index, build_live};
 
 /// A query-driven training log replayed against the exhaustive oracle
 /// for the index's initial epoch: one training query per term, weighted
@@ -164,9 +134,10 @@ proptest! {
     }
 
     /// Property 1, admission form: batched admission equals the query
-    /// loop on routed engines at **any** width (the cascade resolves
-    /// per query at resolution time), and at t = all the routed batch
-    /// equals the unrouted batch bit-for-bit.
+    /// loop on routed engines at **any** width (a cascade that may
+    /// broaden runs to completion before the next query dispatches),
+    /// and at t = all the routed batch equals the unrouted batch
+    /// bit-for-bit.
     #[test]
     fn routed_batch_equals_loop_at_any_width(
         partitions in 1usize..5,

@@ -19,7 +19,7 @@
 
 use dwr_avail::failure::UpDownProcess;
 use dwr_avail::site::{Site, SiteConfig};
-use dwr_partition::parted::{Corpus, PartitionedIndex};
+use dwr_partition::parted::PartitionedIndex;
 use dwr_query::cache::LruCache;
 use dwr_query::engine::{DistributedEngine, Served};
 use dwr_query::faults::{site_outage_traces, FaultSchedule};
@@ -30,21 +30,8 @@ use dwr_text::TermId;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A small random corpus over `terms` distinct terms, spread over
-/// `partitions` partitions, all derived from `seed`.
-fn build_index(docs: u32, terms: u32, partitions: usize, seed: u64) -> PartitionedIndex {
-    let mut rng = SimRng::new(seed);
-    let corpus: Corpus = (0..docs)
-        .map(|d| {
-            let mut doc = std::collections::BTreeMap::new();
-            doc.insert(TermId(d % terms), 1 + d % 3);
-            doc.entry(TermId(rng.below(u64::from(terms)) as u32)).or_insert(1);
-            doc.into_iter().collect()
-        })
-        .collect();
-    let assignment: Vec<u32> = (0..docs).map(|_| rng.below(partitions as u64) as u32).collect();
-    PartitionedIndex::build(&corpus, &assignment, partitions)
-}
+mod support;
+use support::build_index;
 
 /// Assemble a site tier: one engine per trace over a shared index, each
 /// with its own inner fault schedule, on a geo ring.

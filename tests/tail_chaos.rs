@@ -29,6 +29,7 @@ use dwr_query::straggler::{StragglerModel, TailParams};
 use dwr_sim::{SimRng, SimTime, DAY, HOUR, MINUTE};
 use dwr_text::TermId;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
 
 /// Round-robin corpus: doc `d` holds term `d % terms`, so partition
@@ -49,6 +50,58 @@ fn policy(ix: usize) -> HedgePolicy {
         3 => HedgePolicy::PercentileTrigger(90.0),
         _ => HedgePolicy::Tied,
     }
+}
+
+/// Property 3's comparison: one `query_batch` call against the
+/// query-at-a-time loop on an identically built engine at instant `t` —
+/// response by response, then every counter.
+fn batch_equals_loop(
+    build: impl Fn() -> DistributedEngine<LruCache>,
+    queries: &[Vec<TermId>],
+    t: SimTime,
+) -> Result<(), TestCaseError> {
+    let (batched, looped) = (build(), build());
+    batched.advance_to(t);
+    looped.advance_to(t);
+    let from_batch = batched.query_batch(queries, 10);
+    let from_loop: Vec<_> = queries.iter().map(|q| looped.query_full(q, 10)).collect();
+    prop_assert_eq!(from_batch.len(), from_loop.len());
+    for (i, (a, b)) in from_batch.iter().zip(&from_loop).enumerate() {
+        prop_assert_eq!(&a.hits, &b.hits, "hits diverge at query {}", i);
+        prop_assert_eq!(a.served, b.served, "outcome diverges at query {}", i);
+        prop_assert_eq!(a.latency, b.latency, "latency diverges at query {}", i);
+    }
+    prop_assert_eq!(batched.stats(), looped.stats());
+    prop_assert_eq!(batched.cache_stats(), looped.cache_stats());
+    prop_assert_eq!(batched.dispatch_counts(), looped.dispatch_counts());
+    Ok(())
+}
+
+/// Property 3, fixed input: a batch repeating a query whose first
+/// occurrence comes back `Partial` — and is therefore never cached. The
+/// loop form re-dispatches the repeat *in its own position*; a batch
+/// that defers it to resolution time dispatches it after every later
+/// query, so round-robin cursors (and with them straggler draws,
+/// coverage and latency) diverge. A tight gather deadline under a heavy
+/// tail makes most seeds hit the case.
+#[test]
+fn batch_equals_loop_when_a_repeated_query_is_uncacheable() {
+    let pi = build_rr_index(30, 15, 4);
+    let queries = [vec![TermId(1)], vec![TermId(1)], vec![TermId(2)]];
+    let mut partial_repeats = 0;
+    for seed in 0..50u64 {
+        let model = Arc::new(StragglerModel::drawn(seed, TailParams::heavy()));
+        let build = || {
+            DistributedEngine::new(&pi, LruCache::new(16), 2)
+                .with_stragglers(Arc::clone(&model))
+                .with_hedge_policy(HedgePolicy::Never)
+                .with_gather_deadline(120 + 20 * (seed % 10))
+        };
+        batch_equals_loop(build, &queries, 0).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+        let first = build().query_full(&queries[0], 10);
+        partial_repeats += usize::from(matches!(first.served, Served::Partial { .. }));
+    }
+    assert!(partial_repeats >= 25, "the fixed input must exercise the case: {partial_repeats}/50");
 }
 
 proptest! {
@@ -164,27 +217,11 @@ proptest! {
                 .with_hedge_policy(policy(policy_ix));
             if with_deadline { e.with_gather_deadline(1_500) } else { e }
         };
-        let batched = build();
-        let looped = build();
         let mut rng = SimRng::new(seed ^ 5);
         let queries: Vec<Vec<TermId>> = (0..n_queries)
             .map(|_| vec![TermId(rng.below(15) as u32)])
             .collect();
-        let t = rng.below(DAY);
-        batched.advance_to(t);
-        looped.advance_to(t);
-        let from_batch = batched.query_batch(&queries, 10);
-        let from_loop: Vec<_> =
-            queries.iter().map(|q| looped.query_full(q, 10)).collect();
-        prop_assert_eq!(from_batch.len(), from_loop.len());
-        for (i, (a, b)) in from_batch.iter().zip(&from_loop).enumerate() {
-            prop_assert_eq!(&a.hits, &b.hits, "hits diverge at query {}", i);
-            prop_assert_eq!(a.served, b.served, "outcome diverges at query {}", i);
-            prop_assert_eq!(a.latency, b.latency, "latency diverges at query {}", i);
-        }
-        prop_assert_eq!(batched.stats(), looped.stats());
-        prop_assert_eq!(batched.cache_stats(), looped.cache_stats());
-        prop_assert_eq!(batched.dispatch_counts(), looped.dispatch_counts());
+        batch_equals_loop(build, &queries, rng.below(DAY))?;
     }
 
     /// Property 4: `Served::Partial` coverage counts are exact. With one

@@ -133,9 +133,9 @@ impl<'a> PipelinedTermEngine<'a> {
             // Merge this server's postings into the accumulators.
             for &t in server_terms {
                 if let Some(list) = self.index.postings(t) {
+                    let scorer = self.bm25.term_scorer(self.index, t);
                     for p in list.iter() {
-                        let s =
-                            self.bm25.score(self.index, t, p.tf, self.index.doc_len(p.doc)) as f32;
+                        let s = scorer.score(p.tf, self.index.doc_len(p.doc)) as f32;
                         *accumulators.entry(p.doc.0).or_insert(0.0) += s;
                     }
                 }

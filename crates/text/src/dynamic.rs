@@ -236,13 +236,12 @@ mod tests {
             let corpus: Vec<Vec<(TermId, u32)>> = (0..100).map(doc).collect();
             let mono = build_index(&corpus);
             for q in [vec![TermId(1)], vec![TermId(2), TermId(101)]] {
-                let got: Vec<(u32, String)> =
-                    d.search(&q, 10).iter().map(|h| (h.doc.0, format!("{:.4}", h.score))).collect();
-                let want: Vec<(u32, String)> =
-                    search_or(&mono, &q, 10, &crate::score::Bm25::default(), &mono)
-                        .iter()
-                        .map(|h| (h.doc.0, format!("{:.4}", h.score)))
-                        .collect();
+                // Bit for bit: the aggregated statistics are exact sums.
+                let bits = |hits: Vec<SearchHit>| -> Vec<(u32, u32)> {
+                    hits.iter().map(|h| (h.doc.0, h.score.to_bits())).collect()
+                };
+                let got = bits(d.search(&q, 10));
+                let want = bits(search_or(&mono, &q, 10, &crate::score::Bm25::default(), &mono));
                 assert_eq!(got, want, "policy {policy:?} query {q:?}");
             }
         }

@@ -44,6 +44,11 @@ impl InvertedIndex {
         self.doc_len[doc.0 as usize]
     }
 
+    /// Sum of all document lengths, in tokens.
+    pub fn total_tokens(&self) -> u64 {
+        self.total_tokens
+    }
+
     /// Average document length in tokens (0 for an empty index).
     pub fn avg_doc_len(&self) -> f64 {
         if self.doc_len.is_empty() {

@@ -50,7 +50,7 @@ pub struct TermId(pub u32);
 
 pub use index::{IndexBuilder, InvertedIndex};
 pub use postings::{BlockMeta, CursorStats, DecodeError, PostingCursor, PostingList, BLOCK_LEN};
-pub use score::{Bm25, CollectionStats, GlobalStats};
+pub use score::{Bm25, CollectionStats, GlobalStats, TermScorer};
 pub use search::{
     search_and, search_and_exhaustive, search_or, search_or_with, EvalStats, EvalStrategy,
     SearchHit,

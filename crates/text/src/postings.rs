@@ -24,7 +24,7 @@
 //! `last_doc` the doc id of its final posting, so any block can be decoded
 //! independently (the delta base of block `b` is `blocks[b-1].last_doc`).
 //! `max_tf` and `min_doc_len` dominate every posting in the block for any
-//! monotone scorer — [`crate::score::Bm25::block_upper_bound`] turns them
+//! monotone scorer — [`crate::score::TermScorer::block_upper_bound`] turns them
 //! into a per-block score ceiling, the *block-max* metadata that the
 //! MaxScore evaluator in [`crate::search`] prunes with.
 //!
@@ -835,5 +835,31 @@ mod tests {
         assert_eq!(l.to_vec()[0].doc, DocId(u32::MAX));
         let wire = PostingList::from_encoded(l.data.clone(), 1).expect("valid");
         assert_eq!(wire.to_vec()[0].doc, DocId(u32::MAX));
+    }
+
+    #[test]
+    fn five_byte_varint_opens_a_block() {
+        // Block 0 is all one-byte varints; block 1 starts with a
+        // five-byte delta and returns to one byte for its tf and
+        // everything after.
+        let mut docs: Vec<u32> = (0..BLOCK_LEN as u32).collect();
+        docs.extend([u32::MAX - 9, u32::MAX - 8, u32::MAX]);
+        let l = list_of(&docs);
+        assert_eq!(l.blocks().len(), 2);
+        assert_eq!(l.encoded_bytes(), 2 * BLOCK_LEN + 6 + 2 + 2);
+        let via_iter: Vec<u32> = l.iter().map(|p| p.doc.0).collect();
+        assert_eq!(via_iter, docs);
+        let mut c = l.cursor();
+        let mut walked = Vec::new();
+        while c.valid() {
+            walked.push(c.doc().0);
+            c.next();
+        }
+        assert_eq!(walked, docs);
+        let mut c = l.cursor();
+        assert!(c.next_geq(DocId(u32::MAX - 8)));
+        assert_eq!((c.doc(), c.tf()), (DocId(u32::MAX - 8), 1 + (u32::MAX - 8) % 3));
+        let wire = PostingList::from_encoded(l.encoded(), l.df()).expect("valid");
+        assert_eq!(wire.to_vec(), l.to_vec());
     }
 }

@@ -54,7 +54,7 @@ impl GlobalStats {
         let mut total_tokens = 0u64;
         for p in parts {
             num_docs += u64::from(p.num_docs());
-            total_tokens += (p.avg_doc_len() * f64::from(p.num_docs())) as u64;
+            total_tokens += p.total_tokens();
             for &t in terms {
                 *df.entry(t.0).or_insert(0) += u64::from(p.df(t));
             }
@@ -109,13 +109,41 @@ impl Bm25 {
         (((n - df + 0.5) / (df + 0.5)) + 1.0).ln().max(0.0)
     }
 
+    /// Resolve the collection statistics of one query term, once. Every
+    /// per-posting loop hoists this out: df, idf and the average length
+    /// are constant per (query, term).
+    pub fn term_scorer(&self, stats: &impl CollectionStats, term: TermId) -> TermScorer {
+        TermScorer {
+            idf: self.idf(stats, term),
+            avg: stats.avg_doc_len().max(1.0),
+            k1: self.k1,
+            b: self.b,
+        }
+    }
+
     /// Score one term occurrence.
     pub fn score(&self, stats: &impl CollectionStats, term: TermId, tf: u32, doc_len: u32) -> f64 {
-        let idf = self.idf(stats, term);
-        let avg = stats.avg_doc_len().max(1.0);
+        self.term_scorer(stats, term).score(tf, doc_len)
+    }
+}
+
+/// BM25 for one (query, term): [`Bm25::term_scorer`] settles the
+/// statistics, scoring a posting then touches only `tf` and the document
+/// length. The formula lives here and nowhere else.
+#[derive(Debug, Clone, Copy)]
+pub struct TermScorer {
+    idf: f64,
+    avg: f64,
+    k1: f64,
+    b: f64,
+}
+
+impl TermScorer {
+    /// Score one term occurrence.
+    pub fn score(&self, tf: u32, doc_len: u32) -> f64 {
         let tf = f64::from(tf);
-        let norm = self.k1 * (1.0 - self.b + self.b * f64::from(doc_len) / avg);
-        idf * tf * (self.k1 + 1.0) / (tf + norm)
+        let norm = self.k1 * (1.0 - self.b + self.b * f64::from(doc_len) / self.avg);
+        self.idf * tf * (self.k1 + 1.0) / (tf + norm)
     }
 
     /// Upper bound on the score any posting inside a block can reach.
@@ -125,19 +153,14 @@ impl Bm25 {
     /// in `doc_len` (longer documents only grow `norm`). Evaluating the
     /// scorer at the block's `max_tf` and `min_doc_len` therefore
     /// dominates every real posting in the block — *for the same `stats`*.
-    /// Because the bound is computed at query time against whatever
+    /// Because the scorer is built at query time from whatever
     /// [`CollectionStats`] the evaluation itself uses (local or
     /// [`GlobalStats`]), the index never bakes in a statistics source and
     /// the bound stays sound under the two-round global-statistics
     /// protocol. A `min_doc_len` of 0 (lists built without lengths, or
     /// re-admitted from the wire) is simply the loosest sound bound.
-    pub fn block_upper_bound(
-        &self,
-        stats: &impl CollectionStats,
-        term: TermId,
-        block: &crate::postings::BlockMeta,
-    ) -> f64 {
-        self.score(stats, term, block.max_tf, block.min_doc_len)
+    pub fn block_upper_bound(&self, block: &crate::postings::BlockMeta) -> f64 {
+        self.score(block.max_tf, block.min_doc_len)
     }
 }
 
@@ -220,6 +243,23 @@ mod tests {
         assert_eq!(g.df(TermId(3)), 1);
         assert_eq!(g.df(TermId(9)), 0);
         assert!(g.payload_bytes() > 0);
+    }
+
+    #[test]
+    fn global_stats_over_one_partition_are_that_partitions_stats() {
+        // 11 docs / 60 tokens: 60.0 / 11.0 * 11.0 = 59.99999999999999, so
+        // rebuilding the token count from the average loses a token.
+        let mut corpus = vec![vec![(TermId(1), 5)]; 10];
+        corpus.push(vec![(TermId(1), 10)]);
+        let p = build_index(&corpus);
+        assert_eq!((p.num_docs(), p.total_tokens()), (11, 60));
+        let g = GlobalStats::for_terms(&[&p], &[TermId(1)]);
+        assert_eq!(g.avg_doc_len().to_bits(), p.avg_doc_len().to_bits());
+        let bm = Bm25::default();
+        assert_eq!(
+            bm.score(&g, TermId(1), 5, 5).to_bits(),
+            bm.score(&p, TermId(1), 5, 5).to_bits()
+        );
     }
 
     #[test]

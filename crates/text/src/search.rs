@@ -43,7 +43,7 @@
 
 use crate::index::InvertedIndex;
 use crate::postings::{PostingCursor, PostingList};
-use crate::score::{Bm25, CollectionStats};
+use crate::score::{Bm25, CollectionStats, TermScorer};
 use crate::topk::TopK;
 use crate::{DocId, TermId};
 use std::collections::HashMap;
@@ -164,9 +164,9 @@ fn search_or_exhaustive(
         let Some(list) = index.postings(t) else { continue };
         ev.postings_scanned += u64::from(list.df());
         ev.blocks_decoded += list.blocks().len() as u64;
+        let scorer = bm25.term_scorer(stats, t);
         for p in list.iter() {
-            let s = bm25.score(stats, t, p.tf, index.doc_len(p.doc));
-            *acc.entry(p.doc.0).or_insert(0.0) += s;
+            *acc.entry(p.doc.0).or_insert(0.0) += scorer.score(p.tf, index.doc_len(p.doc));
         }
     }
     let mut top = TopK::new(k.max(1));
@@ -180,7 +180,8 @@ fn search_or_exhaustive(
 struct TermState<'a> {
     /// Position in the canonical (deduplicated) term order.
     canon: usize,
-    term: TermId,
+    /// The term's statistics, settled once for the whole evaluation.
+    scorer: TermScorer,
     /// Max over the list's block upper bounds: the term's score ceiling.
     ub: f64,
     cursor: PostingCursor<'a>,
@@ -205,12 +206,9 @@ fn search_or_maxscore(
         if list.is_empty() {
             continue;
         }
-        let ub = list
-            .blocks()
-            .iter()
-            .map(|b| bm25.block_upper_bound(stats, t, b))
-            .fold(0.0f64, f64::max);
-        ts.push(TermState { canon: i, term: t, ub, cursor: list.cursor() });
+        let scorer = bm25.term_scorer(stats, t);
+        let ub = list.blocks().iter().map(|b| scorer.block_upper_bound(b)).fold(0.0f64, f64::max);
+        ts.push(TermState { canon: i, scorer, ub, cursor: list.cursor() });
     }
     let mut top = TopK::new(k.max(1));
     if ts.is_empty() {
@@ -260,7 +258,7 @@ fn search_or_maxscore(
         let mut actual = 0.0f64; // bound-check sum only, order-insensitive
         for t in &ts[ne..] {
             if t.cursor.valid() && t.cursor.doc() == cand {
-                let c = bm25.score(stats, t.term, t.cursor.tf(), doc_len);
+                let c = t.scorer.score(t.cursor.tf(), doc_len);
                 parts.push((t.canon, c));
                 actual += c;
             }
@@ -279,7 +277,7 @@ fn search_or_maxscore(
             j -= 1;
             let t = &mut ts[j];
             if t.cursor.next_geq(cand) && t.cursor.doc() == cand {
-                let c = bm25.score(stats, t.term, t.cursor.tf(), doc_len);
+                let c = t.scorer.score(t.cursor.tf(), doc_len);
                 parts.push((t.canon, c));
                 actual += c;
             }
@@ -319,6 +317,27 @@ fn into_hits(top: TopK) -> Vec<SearchHit> {
         .collect()
 }
 
+/// The posting lists of a conjunction, shortest first, each with its
+/// canonical position and its scorer; `None` when the conjunction is
+/// empty or one of its terms has no postings (nothing can match).
+fn and_lists<'a>(
+    index: &'a InvertedIndex,
+    canon: &[TermId],
+    bm25: &Bm25,
+    stats: &impl CollectionStats,
+) -> Option<Vec<(usize, TermScorer, &'a PostingList)>> {
+    if canon.is_empty() {
+        return None;
+    }
+    let mut lists = Vec::with_capacity(canon.len());
+    for (i, &t) in canon.iter().enumerate() {
+        let list = index.postings(t).filter(|l| !l.is_empty())?;
+        lists.push((i, bm25.term_scorer(stats, t), list));
+    }
+    lists.sort_by_key(|&(_, _, l)| l.df());
+    Some(lists)
+}
+
 /// Boolean conjunctive (AND) evaluation: documents containing *all* query
 /// terms, scored and ranked.
 ///
@@ -333,21 +352,11 @@ pub fn search_and(
     bm25: &Bm25,
     stats: &impl CollectionStats,
 ) -> Vec<SearchHit> {
-    let canon = dedup_terms(terms);
-    if canon.is_empty() {
-        return Vec::new();
-    }
-    let mut lists: Vec<(usize, TermId, &PostingList)> = Vec::with_capacity(canon.len());
-    for (i, &t) in canon.iter().enumerate() {
-        match index.postings(t) {
-            Some(l) if !l.is_empty() => lists.push((i, t, l)),
-            _ => return Vec::new(), // a missing term empties the AND
-        }
-    }
-    // Shortest list drives the leapfrog.
-    lists.sort_by_key(|&(_, _, l)| l.df());
-    let mut cursors: Vec<(usize, TermId, PostingCursor<'_>)> =
-        lists.into_iter().map(|(c, t, l)| (c, t, l.cursor())).collect();
+    let Some(lists) = and_lists(index, &dedup_terms(terms), bm25, stats) else {
+        return Vec::new(); // a missing term empties the AND
+    };
+    let mut cursors: Vec<(usize, TermScorer, PostingCursor<'_>)> =
+        lists.into_iter().map(|(c, s, l)| (c, s, l.cursor())).collect();
 
     let mut top = TopK::new(k.max(1));
     let mut parts: Vec<(usize, f64)> = Vec::with_capacity(cursors.len());
@@ -370,8 +379,8 @@ pub fn search_and(
         }
         let doc_len = index.doc_len(cand);
         parts.clear();
-        for (canon_pos, t, c) in &cursors {
-            parts.push((*canon_pos, bm25.score(stats, *t, c.tf(), doc_len)));
+        for (canon_pos, scorer, c) in &cursors {
+            parts.push((*canon_pos, scorer.score(c.tf(), doc_len)));
         }
         parts.sort_unstable_by_key(|&(c, _)| c);
         let mut score = 0.0f64;
@@ -398,30 +407,18 @@ pub fn search_and_exhaustive(
     bm25: &Bm25,
     stats: &impl CollectionStats,
 ) -> Vec<SearchHit> {
-    let canon = dedup_terms(terms);
-    if canon.is_empty() {
+    let Some(lists) = and_lists(index, &dedup_terms(terms), bm25, stats) else {
         return Vec::new();
-    }
-    let mut lists: Vec<(usize, TermId, &PostingList)> = Vec::with_capacity(canon.len());
-    for (i, &t) in canon.iter().enumerate() {
-        match index.postings(t) {
-            Some(l) if !l.is_empty() => lists.push((i, t, l)),
-            _ => return Vec::new(),
-        }
-    }
-    lists.sort_by_key(|&(_, _, l)| l.df());
+    };
 
     // Start from the shortest list; probe the rest.
-    let (first_canon, first_term, first_list) = lists[0];
+    let (first_canon, first_scorer, first_list) = lists[0];
     let mut candidates: Vec<(DocId, Vec<(usize, f64)>)> = first_list
         .iter()
-        .map(|p| {
-            let s = bm25.score(stats, first_term, p.tf, index.doc_len(p.doc));
-            (p.doc, vec![(first_canon, s)])
-        })
+        .map(|p| (p.doc, vec![(first_canon, first_scorer.score(p.tf, index.doc_len(p.doc)))]))
         .collect();
 
-    for &(canon_pos, term, list) in &lists[1..] {
+    for &(canon_pos, scorer, list) in &lists[1..] {
         if candidates.is_empty() {
             return Vec::new();
         }
@@ -435,7 +432,7 @@ pub fn search_and_exhaustive(
         }
         candidates.retain_mut(|(d, parts)| {
             if let Some(&tf) = tfs.get(&d.0) {
-                parts.push((canon_pos, bm25.score(stats, term, tf, index.doc_len(*d))));
+                parts.push((canon_pos, scorer.score(tf, index.doc_len(*d))));
                 true
             } else {
                 false

@@ -1,8 +1,10 @@
 //! Property-based tests of the IR core's invariants.
 
+use bytes::Bytes;
+use dwr_sim::SimRng;
 use dwr_text::index::{build_index, merge_indexes, sort_based_build};
-use dwr_text::postings::{PostingList, PostingListBuilder};
-use dwr_text::score::{Bm25, GlobalStats};
+use dwr_text::postings::{Posting, PostingList, PostingListBuilder};
+use dwr_text::score::{Bm25, CollectionStats, GlobalStats};
 use dwr_text::search::{
     search_and, search_and_exhaustive, search_or, search_or_with, EvalStats, EvalStrategy,
 };
@@ -28,6 +30,104 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Vec<(TermId, u32)>>> {
             .prop_map(|m| m.into_iter().map(|(t, tf)| (TermId(t), tf)).collect()),
         0..40,
     )
+}
+
+/// Strategy: a strictly ascending (doc, tf) vector spanning several
+/// blocks, with one-byte, two-byte or four-byte deltas; the widest reach
+/// up to `u32::MAX`, so a corrupted delta can wrap the doc id.
+fn long_postings_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
+    (0usize..3, prop::collection::vec((0u32..20_000_000, 1u32..300), 0..400)).prop_map(
+        |(width, raw)| {
+            let max_gap = [4, 300, 20_000_000][width];
+            let mut doc = 0u32;
+            let mut out = Vec::with_capacity(raw.len());
+            for (gap, tf) in raw {
+                let Some(next) = doc.checked_add(1 + gap % max_gap) else { break };
+                doc = next;
+                out.push((doc, tf));
+            }
+            out
+        },
+    )
+}
+
+/// BM25 exactly as the evaluators computed it per posting before the
+/// statistics were hoisted into `TermScorer`: the operation order that
+/// every pinned score in the repository was produced with.
+fn inline_bm25(
+    bm: &Bm25,
+    stats: &impl CollectionStats,
+    term: TermId,
+    tf: u32,
+    doc_len: u32,
+) -> f64 {
+    let n = stats.num_docs() as f64;
+    let df = stats.df(term) as f64;
+    let idf = (((n - df + 0.5) / (df + 0.5)) + 1.0).ln().max(0.0);
+    let avg = stats.avg_doc_len().max(1.0);
+    let tf = f64::from(tf);
+    let norm = bm.k1 * (1.0 - bm.b + bm.b * f64::from(doc_len) / avg);
+    idf * tf * (bm.k1 + 1.0) / (tf + norm)
+}
+
+/// `n` documents of which the first `df` contain term 0 once; term 1
+/// pads document `i` to `pad[i]` further tokens (none when 0, so the
+/// average length can fall below 1).
+fn stats_corpus(n: usize, df: usize, pad: &[u32]) -> Vec<Vec<(TermId, u32)>> {
+    (0..n)
+        .map(|i| {
+            let mut doc = Vec::new();
+            if i < df {
+                doc.push((TermId(0), 1));
+            }
+            if pad[i] > 0 {
+                doc.push((TermId(1), pad[i]));
+            }
+            doc
+        })
+        .collect()
+}
+
+/// Fixed-seed anchor: the hoist changes what a posting costs, not which
+/// postings MaxScore touches. The counters below are the ones the
+/// per-posting-statistics evaluator produced.
+#[test]
+fn maxscore_work_counters_anchor() {
+    let mut rng = SimRng::new(20_070_415);
+    let corpus: Vec<Vec<(TermId, u32)>> = (0..6000)
+        .map(|_| {
+            let mut doc = std::collections::BTreeMap::new();
+            for _ in 0..rng.range_u64(4, 40) {
+                // Cubed uniform: a few terms in most documents, a long tail.
+                let t = (400.0 * rng.f64().powi(3)) as u32;
+                *doc.entry(t).or_insert(0u32) += 1;
+            }
+            doc.into_iter().map(|(t, tf)| (TermId(t), tf)).collect()
+        })
+        .collect();
+    let idx = build_index(&corpus);
+    let bm = Bm25::default();
+    let mut ms = EvalStats::default();
+    let mut ex = EvalStats::default();
+    for q in 0..64u64 {
+        let mut qrng = rng.fork(q);
+        let terms: Vec<TermId> = (0..qrng.range_u64(1, 5))
+            .map(|_| TermId((400.0 * qrng.f64().powi(2)) as u32))
+            .collect();
+        let a = search_or_with(EvalStrategy::Exhaustive, &idx, &terms, 10, &bm, &idx, &mut ex);
+        let b = search_or_with(EvalStrategy::MaxScore, &idx, &terms, 10, &bm, &idx, &mut ms);
+        assert_eq!(a, b, "query {q}: {terms:?}");
+    }
+    assert_eq!(
+        ms,
+        EvalStats {
+            postings_scanned: 100_396,
+            blocks_decoded: 870,
+            blocks_skipped: 121,
+            candidates_pruned: 10_782,
+        }
+    );
+    assert_eq!(ex.postings_scanned, 117_529);
 }
 
 proptest! {
@@ -139,6 +239,93 @@ proptest! {
         let bm = Bm25::default();
         let s = bm.score(&idx, TermId(0), tf, doc_len);
         prop_assert!(s.is_finite() && s >= 0.0);
+    }
+
+    /// The hoisted scorer is the inline formula, bit for bit, under local
+    /// and aggregated statistics — `df = 0`, `df > n/2` (idf floored at
+    /// 0) and `avg < 1` (clamped to 1) included. `CorpusStats` is covered
+    /// by the same property in `crates/partition/tests/props.rs`.
+    #[test]
+    fn term_scorer_matches_inline_formula(
+        shape in (1usize..48, 0usize..48, 1u32..9, 0usize..48),
+        pad in prop::collection::vec(0u32..8, 48),
+        tf in 1u32..1000,
+        doc_len in 0u32..100_000,
+    ) {
+        let (n, df, thin, cut) = shape;
+        let pad: Vec<u32> = pad.iter().map(|&p| p / thin).collect();
+        let corpus = stats_corpus(n, df % (n + 1), &pad);
+        let idx = build_index(&corpus);
+        let cut = cut.min(n);
+        let (pa, pb) = (build_index(&corpus[..cut]), build_index(&corpus[cut..]));
+        let bm = Bm25::default();
+        // Term 9 is in no document: df = 0.
+        for term in [TermId(0), TermId(1), TermId(9)] {
+            let g = GlobalStats::for_terms(&[&pa, &pb], &[term]);
+            prop_assert_eq!(g.avg_doc_len().to_bits(), idx.avg_doc_len().to_bits());
+            let want = inline_bm25(&bm, &idx, term, tf, doc_len).to_bits();
+            prop_assert_eq!(bm.term_scorer(&idx, term).score(tf, doc_len).to_bits(), want);
+            prop_assert_eq!(bm.score(&idx, term, tf, doc_len).to_bits(), want);
+            prop_assert_eq!(bm.term_scorer(&g, term).score(tf, doc_len).to_bits(), want);
+            prop_assert_eq!(inline_bm25(&bm, &g, term, tf, doc_len).to_bits(), want);
+        }
+    }
+
+    /// Adversarial decode: one flipped byte or a truncation of a valid
+    /// stream is either rejected by `from_encoded` or admitted as a list
+    /// whose three access paths never panic, never yield more than `df`
+    /// postings and agree with each other.
+    #[test]
+    fn corrupted_stream_errors_or_decodes_consistently(
+        postings in long_postings_strategy(),
+        damage in (0u8..2, any::<u64>(), 1u32..256),
+        probes in prop::collection::btree_set(any::<u32>(), 0..40),
+    ) {
+        let mut b = PostingListBuilder::new();
+        for &(d, tf) in &postings {
+            b.push(DocId(d), tf);
+        }
+        let list = b.finish();
+        let mut bytes = list.encoded().to_vec();
+        prop_assume!(!bytes.is_empty());
+        let (flip, at, mask) = damage;
+        let at = (at % bytes.len() as u64) as usize;
+        if flip == 1 {
+            bytes[at] ^= mask as u8;
+        } else {
+            bytes.truncate(at);
+        }
+        let df = list.df() as usize;
+        // Err(DecodeError) is the other acceptable outcome.
+        if let Ok(bad) = PostingList::from_encoded(Bytes::from(bytes), list.df()) {
+            let via_iter: Vec<Posting> = bad.iter().collect();
+            prop_assert!(via_iter.len() <= df);
+            let mut walked = Vec::with_capacity(df);
+            let mut c = bad.cursor();
+            while c.valid() {
+                walked.push(Posting { doc: c.doc(), tf: c.tf() });
+                prop_assert!(walked.len() <= df, "cursor ran past df");
+                c.next();
+            }
+            prop_assert_eq!(&walked, &via_iter);
+            // A flipped delta can leave the doc ids unsorted; `next_geq`
+            // then only owes "no panic, and a posting of the list".
+            let ascending = via_iter.windows(2).all(|w| w[0].doc < w[1].doc);
+            let mut c = bad.cursor();
+            let mut floor = 0u32;
+            for &p in &probes {
+                let target = p.max(floor);
+                let got = c.next_geq(DocId(target)).then(|| Posting { doc: c.doc(), tf: c.tf() });
+                if ascending {
+                    let want = via_iter.iter().copied().find(|p| p.doc.0 >= target);
+                    prop_assert_eq!(got, want, "target {}", target);
+                } else if let Some(hit) = got {
+                    prop_assert!(via_iter.contains(&hit), "{:?} is not in the list", hit);
+                }
+                let Some(hit) = got else { break };
+                floor = floor.max(hit.doc.0);
+            }
+        }
     }
 
     /// Old≡new decode equivalence: the blocked cursor walked posting by

@@ -16,11 +16,18 @@
 //! and the whole type is `Send + Sync`, so any number of threads can
 //! serve queries through one shared broker.
 //!
-//! Scatter itself runs either inline (sequential) or on a
-//! [`ScatterPool`] (parallel, one task per partition). Both paths feed
-//! the same gather loop, which walks partitions **in partition order**
-//! — so merged hits, busy-time accounting, and the simulated latency
-//! model are bit-for-bit identical whichever path evaluated the shards.
+//! A `(query, partition)` shard task has one evaluation path,
+//! [`ShardEval::task`]. Without a pool the coordinating thread calls it
+//! in a plain loop, borrowing the query's terms. With a [`ScatterPool`]
+//! the batch is described **once** as a [`ShardPlan`] — one snapshot
+//! clone, one `Arc<[TermId]>` per query, a flat `(query, partition)`
+//! task list — handed to the pool in a single enqueue; a task is then
+//! just an index into that plan, claimed and run by a pool worker (never
+//! by the coordinator, which parks until the last result lands in its
+//! slot). Either way results are indexed by task and feed the same
+//! gather loop, which walks partitions **in partition order** — so
+//! merged hits, busy-time accounting, and the simulated latency model
+//! are bit-for-bit identical whoever evaluated the shards.
 //!
 //! # Live (splittable) indexes
 //!
@@ -36,9 +43,9 @@
 //! provisioned to the repart *capacity* up front, so the fixed-width
 //! atomic ledgers survive any number of splits.
 
-use crate::scatter::{task_label, ScatterPool};
+use crate::scatter::{task_label, IndexedTasks, ScatterPool};
 use dwr_obs::{Event, NoopRecorder, Recorder};
-use dwr_partition::parted::{IndexShard, PartitionedIndex};
+use dwr_partition::parted::PartitionedIndex;
 use dwr_partition::repart::{CorpusStats, RepartIndex};
 use dwr_partition::select::CollectionSelector;
 use dwr_sim::net::{SiteId, Topology};
@@ -131,19 +138,13 @@ pub struct DocBroker<R: Recorder = NoopRecorder> {
     index: PartitionedIndex,
     /// The live, splittable index, when this broker serves one.
     live: Option<Arc<RepartIndex>>,
-    /// Corpus-wide scoring statistics. Set on live brokers (scores must
-    /// be invariant across epochs) and on static oracles built to match
-    /// them ([`Self::with_global_stats`]); `None` scores with local
-    /// per-shard statistics, the classic one-round protocol.
-    global_stats: Option<Arc<CorpusStats>>,
     topo: Topology,
     broker_site: SiteId,
     /// Site of each partition server.
     part_sites: Vec<SiteId>,
-    bm25: Bm25,
-    /// Which ranked evaluator shards run ([`EvalStrategy::MaxScore`] by
-    /// default; both strategies return bit-identical hits).
-    eval: EvalStrategy,
+    /// How a shard task is evaluated: scoring parameters, evaluator
+    /// strategy, corpus-wide statistics when set.
+    shard_eval: ShardEval,
     /// Accumulated busy time per partition server, µs (f64 bits in an
     /// atomic cell).
     busy: Vec<AtomicU64>,
@@ -187,31 +188,89 @@ impl ScanCounters {
     }
 }
 
+/// A query's sanitized partition list and the completions parallel to it
+/// (see [`DocBroker::sanitize`]).
+type Sane<'a> = (Cow<'a, [u32]>, Cow<'a, [SimTime]>);
+
+/// Map every `(query, partition)` task of a sanitized batch — `tasks` of
+/// them — in gather order: queries in batch order, each query's
+/// partitions in list order.
+fn per_task<T>(tasks: usize, sane: &[Sane<'_>], mut f: impl FnMut(usize, u32) -> T) -> Vec<T> {
+    let mut out = Vec::with_capacity(tasks);
+    for (q, (parts, _)) in sane.iter().enumerate() {
+        out.extend(parts.iter().map(|&p| f(q, p)));
+    }
+    out
+}
+
 /// Per-shard evaluation output: local top-k mapped to global doc ids,
 /// plus the work counters the evaluator accumulated.
 type ShardResult = (Vec<(u32, f32)>, EvalStats);
 
-/// Evaluate one shard: local top-k, mapped to global doc ids, plus the
-/// work counters the evaluator accumulated. With `stats` the shard
-/// scores against corpus-wide statistics (epoch-invariant, the live
-/// path); without, against its own local statistics (the classic
-/// one-round protocol).
-fn evaluate_shard(
-    shard: &IndexShard,
-    terms: &[TermId],
-    k: usize,
-    bm25: &Bm25,
-    eval: EvalStrategy,
-    stats: Option<&CorpusStats>,
-) -> ShardResult {
-    let idx = shard.index();
-    let mut ev = EvalStats::default();
-    let local = match stats {
-        Some(gs) => search_or_with(eval, idx, terms, k, bm25, gs, &mut ev),
-        None => search_or_with(eval, idx, terms, k, bm25, idx, &mut ev),
-    };
-    let hits = local.into_iter().map(|h| (shard.to_global(h.doc), h.score)).collect();
-    (hits, ev)
+/// What every shard task of a broker shares: cheap to clone into a pool
+/// batch, so the pooled and the inline scatter run the same
+/// [`Self::task`].
+#[derive(Debug, Clone, Default)]
+struct ShardEval {
+    bm25: Bm25,
+    /// Which ranked evaluator shards run ([`EvalStrategy::MaxScore`] by
+    /// default; both strategies return bit-identical hits).
+    strategy: EvalStrategy,
+    /// Corpus-wide scoring statistics. Set on live brokers (scores must
+    /// be invariant across epochs) and on static oracles built to match
+    /// them ([`DocBroker::with_global_stats`]); `None` scores with local
+    /// per-shard statistics, the classic one-round protocol.
+    global_stats: Option<Arc<CorpusStats>>,
+}
+
+impl ShardEval {
+    /// Evaluate one `(query, partition)` task — the single evaluation
+    /// path, whoever calls it: partition `p`'s local top-k, mapped to
+    /// global doc ids, plus the work counters the evaluator accumulated.
+    fn task(&self, snap: &PartitionedIndex, terms: &[TermId], k: usize, p: u32) -> ShardResult {
+        let shard = &snap.shards()[p as usize];
+        let idx = shard.index();
+        let mut ev = EvalStats::default();
+        let local = match self.global_stats.as_deref() {
+            Some(gs) => search_or_with(self.strategy, idx, terms, k, &self.bm25, gs, &mut ev),
+            None => search_or_with(self.strategy, idx, terms, k, &self.bm25, idx, &mut ev),
+        };
+        let hits = local.into_iter().map(|h| (shard.to_global(h.doc), h.score)).collect();
+        (hits, ev)
+    }
+}
+
+/// A pooled batch, described once: everything its shard tasks read, and
+/// the flat task list. A task is an index into `tasks`; the plan owns
+/// its inputs, so pool workers borrow nothing from the coordinator.
+struct ShardPlan {
+    snap: PartitionedIndex,
+    shard_eval: ShardEval,
+    /// `(terms, k)` per query of the batch.
+    queries: Vec<(Arc<[TermId]>, usize)>,
+    /// `(query, partition)` per task, queries in batch order and each
+    /// query's partitions in gather order.
+    tasks: Vec<(u32, u32)>,
+}
+
+impl IndexedTasks for ShardPlan {
+    type Output = ShardResult;
+
+    fn count(&self) -> usize {
+        self.tasks.len()
+    }
+
+    fn run(&self, i: usize) -> ShardResult {
+        let (q, p) = self.tasks[i];
+        let (terms, k) = &self.queries[q as usize];
+        self.shard_eval.task(&self.snap, terms, *k, p)
+    }
+
+    /// `(epoch, partition)`: a panicking evaluation names the exact map
+    /// snapshot that dispatched it.
+    fn label(&self, i: usize) -> Option<u64> {
+        Some(task_label(self.snap.epoch(), self.tasks[i].1))
+    }
 }
 
 impl DocBroker {
@@ -238,12 +297,10 @@ impl DocBroker {
         DocBroker {
             index: index.clone(),
             live: None,
-            global_stats: None,
             topo,
             broker_site,
             part_sites,
-            bm25: Bm25::default(),
-            eval: EvalStrategy::default(),
+            shard_eval: ShardEval::default(),
             busy,
             queries: AtomicU64::new(0),
             scan: ScanCounters::default(),
@@ -272,12 +329,13 @@ impl DocBroker {
         DocBroker {
             index: snapshot,
             live: Some(Arc::clone(repart)),
-            global_stats: Some(repart.corpus_stats()),
             topo: Topology::single_site(),
             broker_site: SiteId(0),
             part_sites: vec![SiteId(0); capacity],
-            bm25: Bm25::default(),
-            eval: EvalStrategy::default(),
+            shard_eval: ShardEval {
+                global_stats: Some(repart.corpus_stats()),
+                ..ShardEval::default()
+            },
             busy,
             queries: AtomicU64::new(0),
             scan: ScanCounters::default(),
@@ -295,12 +353,10 @@ impl<R: Recorder> DocBroker<R> {
         DocBroker {
             index: self.index,
             live: self.live,
-            global_stats: self.global_stats,
             topo: self.topo,
             broker_site: self.broker_site,
             part_sites: self.part_sites,
-            bm25: self.bm25,
-            eval: self.eval,
+            shard_eval: self.shard_eval,
             busy: self.busy,
             queries: self.queries,
             scan: self.scan,
@@ -314,13 +370,13 @@ impl<R: Recorder> DocBroker<R> {
     /// exactly and the simulated latency model is df-based); only the
     /// *measured* work in [`DocBroker::eval_stats`] differs.
     pub fn with_strategy(mut self, eval: EvalStrategy) -> Self {
-        self.eval = eval;
+        self.shard_eval.strategy = eval;
         self
     }
 
     /// The evaluator strategy in force.
     pub fn strategy(&self) -> EvalStrategy {
-        self.eval
+        self.shard_eval.strategy
     }
 
     /// Measured evaluator work accumulated so far, over all shards and
@@ -359,7 +415,7 @@ impl<R: Recorder> DocBroker<R> {
     /// the same epoch-invariant statistics, so partition layout cannot
     /// leak into scores.
     pub fn with_global_stats(mut self, stats: Arc<CorpusStats>) -> Self {
-        self.global_stats = Some(stats);
+        self.shard_eval.global_stats = Some(stats);
         self
     }
 
@@ -481,23 +537,6 @@ impl<R: Recorder> DocBroker<R> {
         self.scatter_gather(snap, &[query], now).pop().expect("one response per query")
     }
 
-    /// Build the owned shard-evaluation task for one `(partition, query)`
-    /// pair (runs on a pool worker).
-    fn shard_task(
-        &self,
-        snap: &PartitionedIndex,
-        p: u32,
-        terms: &Arc<[TermId]>,
-        k: usize,
-    ) -> impl FnOnce() -> ShardResult + Send + 'static {
-        let shard = snap.shard(p as usize);
-        let terms = Arc::clone(terms);
-        let bm25 = self.bm25;
-        let eval = self.eval;
-        let gs = self.global_stats.clone();
-        move || evaluate_shard(&shard, &terms, k, &bm25, eval, gs.as_deref())
-    }
-
     /// Drop partition ids that are out of range, inactive at this
     /// epoch, or duplicated — any of which would panic the scatter or
     /// silently double-merge a document — preserving the order of what
@@ -506,10 +545,7 @@ impl<R: Recorder> DocBroker<R> {
     /// no partition. Borrows when the input is already clean (the engine
     /// path always is), so the hot path allocates nothing. Untimed
     /// queries get an empty completion list.
-    fn sanitize<'a>(
-        snap: &PartitionedIndex,
-        q: &BatchQuery<'a>,
-    ) -> (Cow<'a, [u32]>, Cow<'a, [SimTime]>) {
+    fn sanitize<'a>(snap: &PartitionedIndex, q: &BatchQuery<'a>) -> Sane<'a> {
         let parts = q.parts;
         let completions = q.timing.map_or(&[][..], |t| t.completions);
         if q.timing.is_some() {
@@ -536,11 +572,11 @@ impl<R: Recorder> DocBroker<R> {
     /// (fewer than `partitions_used` only under a gather deadline).
     ///
     /// The whole batch runs against one epoch snapshot, so a split
-    /// landing mid-batch cannot straddle two epochs within it. Shard
-    /// evaluation runs on the pool when one is configured — a single
-    /// enqueue for the batch, each task labeled `(epoch, partition)` so
-    /// a panicking evaluation names the exact map snapshot that
-    /// dispatched it — and inline otherwise; either way results are
+    /// landing mid-batch cannot straddle two epochs within it. Every
+    /// `(query, partition)` task goes through [`ShardEval::task`]: on
+    /// pool workers when a pool is configured — the batch described once
+    /// as a [`ShardPlan`] and handed over in a single enqueue — and in a
+    /// plain loop on this thread otherwise; either way results are
     /// indexed by task, so the gather is independent of completion
     /// order. Every event is emitted from this coordinating thread: per
     /// query, one [`Event::ScatterDispatch`] immediately before its own
@@ -556,33 +592,15 @@ impl<R: Recorder> DocBroker<R> {
         let sane: Vec<_> = batch.iter().map(|q| Self::sanitize(snap, q)).collect();
         let tasks = sane.iter().map(|(parts, _)| parts.len()).sum::<usize>();
         let evaluated: Vec<ShardResult> = match &self.pool {
-            Some(pool) if tasks > 1 => {
-                let epoch = snap.epoch();
-                let mut labeled = Vec::with_capacity(tasks);
-                for (q, (parts, _)) in batch.iter().zip(&sane) {
-                    let terms: Arc<[TermId]> = q.terms.into();
-                    labeled.extend(parts.iter().map(|&p| {
-                        (Some(task_label(epoch, p)), self.shard_task(snap, p, &terms, q.k))
-                    }));
-                }
-                pool.scatter_tasks(labeled)
-            }
-            _ => {
-                let mut inline = Vec::with_capacity(tasks);
-                for (q, (parts, _)) in batch.iter().zip(&sane) {
-                    inline.extend(parts.iter().map(|&p| {
-                        evaluate_shard(
-                            &snap.shard(p as usize),
-                            q.terms,
-                            q.k,
-                            &self.bm25,
-                            self.eval,
-                            self.global_stats.as_deref(),
-                        )
-                    }));
-                }
-                inline
-            }
+            Some(pool) if tasks > 1 => pool.run(ShardPlan {
+                snap: snap.clone(),
+                shard_eval: self.shard_eval.clone(),
+                queries: batch.iter().map(|q| (q.terms.into(), q.k)).collect(),
+                tasks: per_task(tasks, &sane, |q, p| (q as u32, p)),
+            }),
+            _ => per_task(tasks, &sane, |q, p| {
+                self.shard_eval.task(snap, batch[q].terms, batch[q].k, p)
+            }),
         };
         let mut rest = evaluated.as_slice();
         batch

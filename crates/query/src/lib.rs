@@ -76,7 +76,8 @@ pub mod straggler;
 /// Lock a mutex, recovering the guard when a previous holder panicked.
 /// Every mutex in this crate guards state that is valid after any
 /// interrupted operation (replica cursors and liveness bits, router
-/// profile caches and refresh bookkeeping, load-shedding windows), so
+/// profile caches and refresh bookkeeping, load-shedding windows, the
+/// scatter pool's batch queue and single-assignment result slots), so
 /// one panicking client must not wedge every other thread.
 pub(crate) fn lock_recovering<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -1,9 +1,10 @@
 //! Property-based tests of query-layer invariants: cache bounds, replica
-//! dispatch, and key stability.
+//! dispatch, key stability, and the scatter pool's batch gather.
 
 use dwr_query::cache::{LfuCache, LruCache, ResultCache, SdcCache};
 use dwr_query::engine::query_key;
 use dwr_query::replica::{PrimaryBackupStore, ReplicaGroup};
+use dwr_query::ScatterPool;
 use dwr_text::TermId;
 use proptest::prelude::*;
 
@@ -100,5 +101,86 @@ proptest! {
         for (&k, &v) in &expected {
             prop_assert_eq!(s.get(k), Some(v), "lost acknowledged write {}", k);
         }
+    }
+
+    /// Whatever the group shape (empty batch, empty groups, one task,
+    /// more tasks than workers) and pool size, `scatter_batch` returns
+    /// what evaluating every task in order on the caller returns.
+    #[test]
+    fn scatter_batch_equals_in_order_evaluation(
+        sizes in prop::collection::vec(0usize..7, 0..9),
+        threads in 1usize..5,
+        salt in any::<u64>()
+    ) {
+        let groups = || -> Vec<Vec<_>> {
+            sizes
+                .iter()
+                .enumerate()
+                .map(|(g, &n)| (0..n).map(|i| move || task_value(salt, g, i)).collect())
+                .collect()
+        };
+        let on_caller: Vec<Vec<u64>> =
+            groups().into_iter().map(|g| g.into_iter().map(|task| task()).collect()).collect();
+        prop_assert_eq!(ScatterPool::new(threads).scatter_batch(groups()), on_caller);
+    }
+}
+
+/// A value only task `(group, i)` of a given batch produces.
+fn task_value(salt: u64, group: usize, i: usize) -> u64 {
+    (salt ^ ((group as u64) << 32 | i as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Three clients share a pool of two workers, and their batches are made
+/// to overlap: client 0's first task holds one worker until the *last*
+/// task of client 2's batch has run, and clients 1 and 2 only enqueue
+/// once that task is running. So two later batches are claimed, run and
+/// gathered while an earlier one still has a slot pending — each client
+/// must get exactly its own results in task order (no cross-batch slot
+/// mix-up), and the later batches must not wait for the stuck one.
+#[test]
+fn overlapping_batches_on_a_shared_pool_keep_their_own_results() {
+    use std::sync::{mpsc, Arc, Barrier};
+    type Task = Box<dyn FnOnce() -> u64 + Send>;
+    const SHAPE: [usize; 4] = [5, 0, 1, 7];
+    const HOLDS_A_WORKER: (u64, usize, usize) = (0, 0, 0);
+    const RELEASES_IT: (u64, usize, usize) = (2, 3, 6);
+
+    let pool = Arc::new(ScatterPool::new(2));
+    for round in 0..10u64 {
+        let (running_tx, running_rx) = mpsc::channel();
+        let gate = Arc::new(Barrier::new(2));
+        let value = move |client: u64, g: usize, i: usize| task_value(round * 3 + client, g, i);
+        let task = |client: u64, g: usize, i: usize| -> Task {
+            let (running, gate) = (running_tx.clone(), Arc::clone(&gate));
+            Box::new(move || {
+                if (client, g, i) == HOLDS_A_WORKER {
+                    running.send(()).unwrap();
+                    gate.wait();
+                } else if (client, g, i) == RELEASES_IT {
+                    gate.wait();
+                }
+                value(client, g, i)
+            })
+        };
+        let groups = |client: u64| SHAPE.iter().enumerate().map(move |(g, &n)| (client, g, n));
+        std::thread::scope(|s| {
+            let mut clients = Vec::new();
+            for client in 0..3u64 {
+                let batch: Vec<Vec<Task>> = groups(client)
+                    .map(|(c, g, n)| (0..n).map(|i| task(c, g, i)).collect())
+                    .collect();
+                let want: Vec<Vec<u64>> = groups(client)
+                    .map(|(c, g, n)| (0..n).map(|i| value(c, g, i)).collect())
+                    .collect();
+                let pool = Arc::clone(&pool);
+                clients.push(s.spawn(move || assert_eq!(pool.scatter_batch(batch), want)));
+                if client == 0 {
+                    running_rx.recv().expect("client 0's first task is running");
+                }
+            }
+            for (client, handle) in clients.into_iter().enumerate() {
+                handle.join().unwrap_or_else(|_| panic!("round {round}: client {client}"));
+            }
+        });
     }
 }

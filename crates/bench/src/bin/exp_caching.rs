@@ -7,11 +7,9 @@
 //! tolerance."
 //!
 //! Run: `cargo run -p dwr-bench --bin exp_caching` (use --release)
-//! CI smoke: `... -- --smoke --json` (small fixture, short stream, and a
-//! machine-readable `BENCH_caching.json` next to the text report)
+//! CI smoke: `... -- --smoke` (small fixture, short stream)
 
-use dwr_bench::{emit_json, json_requested, smoke_requested, Fixture, Scale, SEED};
-use dwr_obs::Json;
+use dwr_bench::{smoke_requested, Fixture, Scale, SEED};
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner};
 use dwr_partition::parted::PartitionedIndex;
 use dwr_query::cache::{LfuCache, LruCache, ResultCache, SdcCache};
@@ -119,30 +117,4 @@ fn main() {
     println!("\npaper shape: SDC >= LRU/LFU under drift (static half pins the stable head,");
     println!("dynamic half follows the drift); a warm cache masks a large share of a");
     println!("backend outage.");
-
-    if json_requested() {
-        emit_json(
-            "caching",
-            &Json::obj([
-                ("experiment", Json::str("E8")),
-                ("smoke", smoke.into()),
-                ("queries", log.len().into()),
-                (
-                    "hit_ratio",
-                    Json::obj([
-                        ("lru", hr_lru.into()),
-                        ("lfu", hr_lfu.into()),
-                        ("sdc", hr_sdc.into()),
-                    ]),
-                ),
-                (
-                    "outage_masking",
-                    Json::obj([
-                        ("answered_stale", answered_during_outage.into()),
-                        ("failed", failed_during_outage.into()),
-                    ]),
-                ),
-            ]),
-        );
-    }
 }

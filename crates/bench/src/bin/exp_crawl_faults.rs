@@ -18,15 +18,14 @@
 //! rehashing — and churn never costs coverage.
 //!
 //! Run: `cargo run -p dwr-bench --bin exp_crawl_faults --release`
-//! CI smoke: `cargo run -p dwr-bench --bin exp_crawl_faults --release -- --smoke --json`
-//! (`--json` additionally writes `BENCH_crawl_faults.json`)
+//! CI smoke: `cargo run -p dwr-bench --bin exp_crawl_faults --release -- --smoke`
 
 use dwr_avail::UpDownProcess;
-use dwr_bench::{emit_json, json_requested, smoke_requested, SEED};
+use dwr_bench::{smoke_requested, SEED};
 use dwr_crawler::assign::{ConsistentHashAssigner, HashAssigner};
 use dwr_crawler::sim::{CrawlConfig, CrawlReport, DistributedCrawl};
 use dwr_crawler::AgentSchedule;
-use dwr_obs::{Json, ObsConfig, ObsRecorder};
+use dwr_obs::{ObsConfig, ObsRecorder};
 use dwr_sim::{SimTime, SECOND};
 use dwr_webgraph::generate::{generate_web, WebConfig};
 use dwr_webgraph::SyntheticWeb;
@@ -108,7 +107,6 @@ fn main() {
     // Sized against the crawl itself so every sweep point actually
     // churns: at scale 1.0 an agent flaps ~4 times over the horizon.
     let base = UpDownProcess::exponential(horizon / 8, horizon / 32);
-    let mut json_rows = Vec::new();
     for &scale in scales {
         let process = base.scaled(scale);
         let schedule = AgentSchedule::generate(agents as usize, &process, horizon, SEED ^ 0xC8A4);
@@ -141,21 +139,6 @@ fn main() {
                 baseline.coverage
             );
             per_change.push(moved_per_change);
-            json_rows.push(Json::obj([
-                ("churn_scale", scale.into()),
-                ("policy", Json::str(policy)),
-                ("crashes", f.crashes.into()),
-                ("recoveries", f.recoveries.into()),
-                ("hosts_moved", f.hosts_moved.into()),
-                ("moved_per_change", moved_per_change.into()),
-                ("lost_inflight", f.lost_inflight.into()),
-                ("refetches", f.refetches.into()),
-                ("handoff_batches", f.handoff_batches.into()),
-                ("handoff_urls", f.handoff_urls.into()),
-                ("duplicate_fetches", r.duplicate_fetches.into()),
-                ("coverage", r.coverage.into()),
-                ("makespan", r.makespan.into()),
-            ]));
         }
         // The paper's point, asserted: consistent hashing moves strictly
         // fewer hosts per membership change than modulo rehashing.
@@ -199,19 +182,4 @@ fn main() {
     println!("same churn it pays far less frontier handoff — and either way the handoff");
     println!("protocol keeps coverage at the fault-free level for the politeness-bounded cost");
     println!("of refetching the work that crashed mid-flight.");
-
-    if json_requested() {
-        emit_json(
-            "crawl_faults",
-            &Json::obj([
-                ("experiment", Json::str("E26")),
-                ("smoke", smoke.into()),
-                ("agents", u64::from(agents).into()),
-                ("baseline_coverage_modulo", base_mod.coverage.into()),
-                ("baseline_coverage_consistent", base_cons.coverage.into()),
-                ("horizon", horizon.into()),
-                ("cells", Json::Arr(json_rows)),
-            ]),
-        );
-    }
 }

@@ -23,14 +23,13 @@
 //! rather than post-hoc accounting.
 //!
 //! Run: `cargo run -p dwr-bench --bin exp_observability --release`
-//! CI smoke: `... -- --smoke --json` (also writes
-//! `BENCH_observability.json`)
+//! CI smoke: `... -- --smoke`
 
 use dwr_avail::site::SiteConfig;
 use dwr_avail::UpDownProcess;
-use dwr_bench::{emit_json, json_requested, smoke_requested, Fixture, Scale, SEED};
+use dwr_bench::{smoke_requested, Fixture, Scale, SEED};
 use dwr_obs::report::{busy_load_report, stage_tail_report};
-use dwr_obs::{Json, NoopRecorder, ObsConfig, ObsRecorder, Snapshot};
+use dwr_obs::{NoopRecorder, ObsConfig, ObsRecorder, Snapshot};
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner};
 use dwr_partition::parted::PartitionedIndex;
 use dwr_query::cache::LruCache;
@@ -255,20 +254,6 @@ fn main() {
         100.0 * (live_elapsed.as_secs_f64() / noop_elapsed.as_secs_f64().max(1e-9) - 1.0),
     );
     println!("  NoopRecorder is zero-sized; identical EngineStats on both paths  [ok]");
-
-    if json_requested() {
-        emit_json(
-            "observability",
-            &Json::obj([
-                ("experiment", Json::str("E25")),
-                ("smoke", smoke.into()),
-                ("queries", n_queries.into()),
-                ("single_site", rec_seq.snapshot().to_json()),
-                ("multi_site", rec_tier.snapshot().to_json()),
-            ]),
-        );
-    }
-
     println!("\npaper shape: the Figure-2 busy-load table and the latency-tail breakdown");
     println!("fall out of always-on instruments that cost nothing when disabled and");
     println!("provably never perturb what they measure.");

@@ -24,11 +24,10 @@
 //!    the final epoch (asserted exactly).
 //!
 //! Run: `cargo run -p dwr-bench --bin exp_repart --release`
-//! CI smoke: `... -- --smoke --json` (also writes `BENCH_repart.json`)
+//! CI smoke: `... -- --smoke`
 
-use dwr_bench::{emit_json, json_requested, smoke_requested, Fixture, Scale, SEED};
+use dwr_bench::{smoke_requested, Fixture, Scale, SEED};
 use dwr_obs::recorder::{ObsConfig, ObsRecorder};
-use dwr_obs::Json;
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner};
 use dwr_partition::parted::{Corpus, PartitionedIndex};
 use dwr_partition::repart::{RepartIndex, SplitSchedule};
@@ -302,38 +301,6 @@ fn main() {
     println!("check: zero failed/degraded/partial queries during the live split storm  [ok]");
     println!("check: offline rebuild lockouts degrade coverage; live availability wins  [ok]");
     println!("check: repart.* instruments equal RepartStats exactly (live == offline)  [ok]");
-
-    if json_requested() {
-        let cells_json: Vec<Json> = cells
-            .iter()
-            .map(|c| {
-                Json::obj([
-                    ("architecture", Json::str(c.arch)),
-                    ("answered_full", c.answered.into()),
-                    ("full_pct", c.full_pct.into()),
-                    ("degraded", c.degraded.into()),
-                    ("failed", c.failed.into()),
-                    ("p50_us", c.p50.into()),
-                    ("p99_us", c.p99.into()),
-                    ("epochs", c.epochs.into()),
-                    ("rebuild_lockout_s", c.lockout_s.into()),
-                ])
-            })
-            .collect();
-        emit_json(
-            "repart",
-            &Json::obj([
-                ("experiment", Json::str("E29")),
-                ("smoke", smoke.into()),
-                ("queries", n_queries.into()),
-                ("shards", SERVERS.into()),
-                ("replicas", REPLICAS.into()),
-                ("splits_scheduled", SPLITS.into()),
-                ("crash_rate", CRASH_RATE.into()),
-                ("cells", Json::Arr(cells_json)),
-            ]),
-        );
-    }
 
     // The paper shape: Section 5's index maintenance challenge — the
     // collection grows, shards must split, and the naive answer (take

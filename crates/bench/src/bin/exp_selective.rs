@@ -30,13 +30,12 @@
 //!    site's queries fail over and are still answered routed).
 //!
 //! Run: `cargo run -p dwr-bench --bin exp_selective --release`
-//! CI smoke: `... -- --smoke --json` (also writes `BENCH_selective.json`)
+//! CI smoke: `... -- --smoke`
 
 use dwr_avail::failure::DownInterval;
 use dwr_avail::site::Site;
-use dwr_bench::{emit_json, json_requested, smoke_requested, Fixture, Scale, SEED};
+use dwr_bench::{smoke_requested, Fixture, Scale, SEED};
 use dwr_obs::recorder::{ObsConfig, ObsRecorder};
-use dwr_obs::Json;
 use dwr_partition::doc::{DocPartitioner, KMeansPartitioner, TrainingResults};
 use dwr_partition::parted::PartitionedIndex;
 use dwr_query::cache::LruCache;
@@ -400,62 +399,4 @@ fn main() {
     println!("check: capacity q/s monotone in shards saved; cascade keeps the floor  [ok]");
     println!("check: drift refresh retrains ({retrains}x) and recovers recall  [ok]");
     println!("check: route.* instruments equal RouterStats exactly, all arms  [ok]");
-
-    if json_requested() {
-        let cells_json: Vec<Json> = cells
-            .iter()
-            .map(|c| {
-                Json::obj([
-                    ("selector", Json::str(c.system)),
-                    ("width", c.width.into()),
-                    ("recall_at_10", c.recall.into()),
-                    ("shards_per_query", c.contacted.into()),
-                    ("capacity_qps", c.qps.into()),
-                    ("broadenings", c.broadenings.into()),
-                    ("covered_pct", c.covered_pct.into()),
-                ])
-            })
-            .collect();
-        emit_json(
-            "selective",
-            &Json::obj([
-                ("experiment", Json::str("E30")),
-                ("smoke", smoke.into()),
-                ("queries", n_eval.into()),
-                ("shards", SERVERS.into()),
-                ("k", K.into()),
-                ("recall_floor", RECALL_FLOOR.into()),
-                ("cells", Json::Arr(cells_json)),
-                (
-                    "operating_points",
-                    Json::obj([
-                        (
-                            "query_driven",
-                            Json::obj([
-                                ("width", qd.width.into()),
-                                ("shards_per_query", qd.contacted.into()),
-                                ("capacity_multiplier", (qd.qps / full_qps).into()),
-                            ]),
-                        ),
-                        (
-                            "cori",
-                            Json::obj([
-                                ("width", cori.width.into()),
-                                ("shards_per_query", cori.contacted.into()),
-                                ("capacity_multiplier", (cori.qps / full_qps).into()),
-                            ]),
-                        ),
-                    ]),
-                ),
-                (
-                    "drift",
-                    Json::obj([
-                        ("stale_recall", stale_recall.into()),
-                        ("refreshed_recall", fresh_recall.into()),
-                        ("retrains", retrains.into()),
-                    ]),
-                ),
-            ]),
-        );
-    }
 }

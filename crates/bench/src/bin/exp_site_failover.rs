@@ -16,13 +16,11 @@
 //! go down as r grows, and the table asserts exactly that.
 //!
 //! Run: `cargo run -p dwr-bench --bin exp_site_failover --release`
-//! CI smoke: `cargo run -p dwr-bench --bin exp_site_failover --release -- --smoke --json`
-//! (`--json` additionally writes `BENCH_site_failover.json`)
+//! CI smoke: `cargo run -p dwr-bench --bin exp_site_failover --release -- --smoke`
 
 use dwr_avail::site::SiteConfig;
 use dwr_avail::UpDownProcess;
-use dwr_bench::{emit_json, json_requested, Fixture, Scale, SEED};
-use dwr_obs::Json;
+use dwr_bench::{Fixture, Scale, SEED};
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner};
 use dwr_partition::parted::PartitionedIndex;
 use dwr_query::cache::LruCache;
@@ -87,7 +85,6 @@ fn main() {
         "r", "local%", "remote%", "shed%", "failed%", "hops", "addlat", "down%", "answered%"
     );
     let mut failed_rates = Vec::new();
-    let mut json_rows = Vec::new();
     for n_sites in 1..=MAX_SITES {
         // Dimension-stable: these traces extend the previous row's.
         let traces = site_outage_traces(n_sites, &site_cfg, horizon, trace_seed);
@@ -126,17 +123,6 @@ fn main() {
             100.0 - failed - pct(s.shed()),
         );
         failed_rates.push(failed);
-        json_rows.push(Json::obj([
-            ("sites", n_sites.into()),
-            ("served_local", s.served_local.into()),
-            ("served_remote", s.served_remote.into()),
-            ("shed", s.shed().into()),
-            ("failed", s.failed.into()),
-            ("wan_hops", s.wan_hops.into()),
-            ("added_latency_us", s.added_latency_us.into()),
-            ("failovers", s.failovers.into()),
-            ("mean_site_downtime", mean_down.into()),
-        ]));
     }
 
     for pair in failed_rates.windows(2) {
@@ -187,24 +173,4 @@ fn main() {
     println!("absorbs an order of magnitude of failures at the price of WAN round trips on");
     println!("the failed-over fraction, and admission control turns overload into explicit");
     println!("shedding and spill instead of silent loss.");
-
-    if json_requested() {
-        emit_json(
-            "site_failover",
-            &Json::obj([
-                ("experiment", Json::str("E24")),
-                ("smoke", smoke.into()),
-                ("queries", n_queries.into()),
-                ("replication", Json::Arr(json_rows)),
-                (
-                    "burst",
-                    Json::obj([
-                        ("served_local", s.served_local.into()),
-                        ("served_remote", s.served_remote.into()),
-                        ("shed_overload", s.shed_overload.into()),
-                    ]),
-                ),
-            ]),
-        );
-    }
 }

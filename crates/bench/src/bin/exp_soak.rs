@@ -27,10 +27,9 @@
 //!    counter for counter ([`SoakInvariants`] checks ~25 of them).
 //!
 //! Run: `cargo run -p dwr-bench --bin exp_soak --release`
-//! CI smoke: `... -- --smoke --json` (also writes `BENCH_soak.json`)
+//! CI smoke: `... -- --smoke`
 
-use dwr_bench::{emit_json, json_requested, smoke_requested, SEED};
-use dwr_obs::Json;
+use dwr_bench::{smoke_requested, SEED};
 use dwr_sim::{DAY, SECOND};
 use dwr_soak::{SoakConfig, SoakInvariants, SoakReport, SoakScenario};
 
@@ -147,42 +146,6 @@ fn main() {
         "headline: {storm_fid:.2}% of queries served at full fidelity through the combined \
          storm (calm baseline {calm_fid:.2}%)"
     );
-
-    if json_requested() {
-        let arm_json = |arm: &Arm| {
-            let r = &arm.report;
-            let c = r.outcomes();
-            Json::obj([
-                ("arm", Json::str(arm.name)),
-                ("queries", c.total().into()),
-                ("full_fidelity_pct", (100.0 * r.full_fidelity_fraction()).into()),
-                ("cache_hit", c.cache_hit.into()),
-                ("full", c.full.into()),
-                ("routed", c.routed.into()),
-                ("served_remote", r.site_stats.served_remote.into()),
-                ("degraded", (c.degraded + c.stale + c.partial).into()),
-                ("shed", c.shed.into()),
-                ("failed", c.failed.into()),
-                ("crawl_crashes", r.crawl_faults.crashes.into()),
-                ("crawl_coverage_pct", (100.0 * r.crawl_coverage).into()),
-                ("splits_committed", r.repart_stats.splits_committed.into()),
-                ("final_epoch", r.repart_stats.epoch.into()),
-                ("max_freshness_lag_s", (r.max_freshness_lag() as f64 / SECOND as f64).into()),
-                ("politeness_violations", 0u64.into()),
-                ("failed_while_live", 0u64.into()),
-            ])
-        };
-        emit_json(
-            "soak",
-            &Json::obj([
-                ("experiment", Json::str("E31")),
-                ("smoke", smoke.into()),
-                ("storm_full_fidelity_pct", storm_fid.into()),
-                ("calm_full_fidelity_pct", calm_fid.into()),
-                ("arms", Json::Arr(vec![arm_json(&calm), arm_json(&storm)])),
-            ]),
-        );
-    }
 
     // The paper shape: the paper's closing argument is that crawling,
     // indexing, and querying cannot be engineered in isolation — each

@@ -23,11 +23,10 @@
 //!    lands in exactly one counter).
 //!
 //! Run: `cargo run -p dwr-bench --bin exp_tail --release`
-//! CI smoke: `... -- --smoke --json` (also writes `BENCH_tail.json`)
+//! CI smoke: `... -- --smoke`
 
 use dwr_avail::UpDownProcess;
-use dwr_bench::{emit_json, json_requested, smoke_requested, Fixture, Scale, SEED};
-use dwr_obs::Json;
+use dwr_bench::{smoke_requested, Fixture, Scale, SEED};
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner};
 use dwr_partition::parted::PartitionedIndex;
 use dwr_query::cache::LruCache;
@@ -277,51 +276,6 @@ fn main() {
     }
     println!("\ncheck: at every load, a hedging policy beats Never strictly at p999  [ok]");
     println!("check: gather deadline converts the over-budget tail into Served::Partial  [ok]");
-
-    if json_requested() {
-        let cells_json: Vec<Json> = cells
-            .iter()
-            .map(|c| {
-                Json::obj([
-                    ("policy", Json::str(&c.policy)),
-                    ("load", c.load.into()),
-                    ("backend_queries", c.backend.into()),
-                    ("p50_us", c.p50.into()),
-                    ("p99_us", c.p99.into()),
-                    ("p999_us", c.p999.into()),
-                    ("hedges_per_query", c.hedges_per_q.into()),
-                    ("cancelled", c.cancelled.into()),
-                    ("hedge_overhead_pct", c.overhead_pct.into()),
-                    ("goodput_pct", c.goodput_pct.into()),
-                ])
-            })
-            .collect();
-        let partial_json: Vec<Json> = partial_report
-            .iter()
-            .map(|(load, partial, full, p999)| {
-                Json::obj([
-                    ("load", (*load).into()),
-                    ("partial", (*partial).into()),
-                    ("full", (*full).into()),
-                    ("p999_us", (*p999).into()),
-                ])
-            })
-            .collect();
-        emit_json(
-            "tail",
-            &Json::obj([
-                ("experiment", Json::str("E28")),
-                ("smoke", smoke.into()),
-                ("queries", n_queries.into()),
-                ("servers", SERVERS.into()),
-                ("replicas", REPLICAS.into()),
-                ("k", K.into()),
-                ("cells", Json::Arr(cells_json)),
-                ("deadline_cells", Json::Arr(partial_json)),
-            ]),
-        );
-    }
-
     println!("\npaper shape: Section 5 observes that in scatter-gather retrieval the");
     println!("slowest server sets the response time; with heavy-tailed shard service,");
     println!("p999 is a straggler story, and the classic remedies -- hedged requests,");

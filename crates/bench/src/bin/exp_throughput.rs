@@ -28,11 +28,9 @@
 //!    deterministic work counters above are the regression guard.
 //!
 //! Run: `cargo run -p dwr-bench --bin exp_throughput --release`
-//! CI smoke: `... -- --smoke --json` (also writes
-//! `BENCH_throughput.json`)
+//! CI smoke: `... -- --smoke`
 
-use dwr_bench::{emit_json, json_requested, smoke_requested, Fixture, Scale, SEED};
-use dwr_obs::Json;
+use dwr_bench::{smoke_requested, Fixture, Scale, SEED};
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner};
 use dwr_partition::parted::PartitionedIndex;
 use dwr_query::broker::{BrokeredResponse, DocBroker};
@@ -182,36 +180,6 @@ fn main() {
         "check: MaxScore scans {:.1}% fewer postings ({} vs {}), skipping {} blocks  [ok]",
         scan_saved, ms.postings_scanned, ex.postings_scanned, ms.blocks_skipped
     );
-
-    if json_requested() {
-        let cells_json: Vec<Json> = cells
-            .iter()
-            .map(|c| {
-                Json::obj([
-                    ("evaluator", Json::str(strategy_name(c.strategy))),
-                    ("batch", c.batch.into()),
-                    ("elapsed_s", c.elapsed_s.into()),
-                    ("queries_per_sec", c.qps.into()),
-                    ("postings_scanned", c.work.postings_scanned.into()),
-                    ("blocks_decoded", c.work.blocks_decoded.into()),
-                    ("blocks_skipped", c.work.blocks_skipped.into()),
-                    ("candidates_pruned", c.work.candidates_pruned.into()),
-                ])
-            })
-            .collect();
-        emit_json(
-            "throughput",
-            &Json::obj([
-                ("experiment", Json::str("E27")),
-                ("smoke", smoke.into()),
-                ("queries", n_queries.into()),
-                ("servers", SERVERS.into()),
-                ("k", K.into()),
-                ("postings_scan_saved_pct", scan_saved.into()),
-                ("cells", Json::Arr(cells_json)),
-            ]),
-        );
-    }
 
     println!("\npaper shape: Section 5's query-processing bottleneck is posting-list");
     println!("traversal; a block-max index prunes most of it without changing a single");

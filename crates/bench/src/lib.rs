@@ -81,24 +81,6 @@ pub fn smoke_requested() -> bool {
     std::env::args().any(|a| a == "--smoke")
 }
 
-/// True when `--json` was passed: regeneration binaries then also write
-/// their headline numbers to a machine-readable `BENCH_<name>.json`
-/// next to the text report (see [`emit_json`]).
-pub fn json_requested() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// Write `value` to `BENCH_<name>.json` in the current directory. Every
-/// regeneration binary that supports `--json` funnels through here so
-/// the artifact naming stays uniform for CI collection.
-pub fn emit_json(name: &str, value: &dwr_obs::Json) {
-    let path = format!("BENCH_{name}.json");
-    match std::fs::write(&path, value.render() + "\n") {
-        Ok(()) => println!("\n[json] wrote {path}"),
-        Err(e) => eprintln!("[json] failed to write {path}: {e}"),
-    }
-}
-
 /// Format a bar of width proportional to `value / max` (for terminal
 /// "figures").
 pub fn bar(value: f64, max: f64, width: usize) -> String {

@@ -81,29 +81,31 @@ pub struct BrokeredResponse {
     pub hits: Vec<GlobalHit>,
     /// Partitions actually queried.
     pub partitions_used: usize,
-    /// Response latency: slowest partition (service + round trip) plus
-    /// merge time.
+    /// Response latency: slowest merged partition (shard-side completion
+    /// + round trip) plus merge time.
     pub latency: SimTime,
 }
 
-/// Timing overrides for a deadline-aware gather.
-///
-/// The engine supplies the *shard-side completion time* of each queried
-/// partition — the replica's drawn service cost under a straggler model,
-/// possibly shortened by a hedge — and an optional response deadline.
-/// Shards completing after the deadline are excluded from the merge (the
-/// partial-results policy of tail-tolerant search): their busy time and
-/// scan work are still charged (the server did the work; its answer just
-/// arrived too late), but their hits never reach the top-k and the
-/// response reports how many partitions made the cut.
+/// One served `(query, partition)`, priced **once** at dispatch: what
+/// the partition server is charged and when its answer is ready.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct GatherTiming<'a> {
-    /// Shard-side completion (µs after dispatch), parallel to `parts`.
-    pub completions: &'a [SimTime],
-    /// Response deadline: shards whose completion exceeds it are dropped
-    /// from the merge. The deadline gates on shard-side completion; the
-    /// transit of the included responses still counts toward latency.
-    pub deadline: Option<SimTime>,
+pub(crate) struct Shard {
+    /// The partition queried.
+    pub partition: u32,
+    /// df-based service time, µs ([`DocBroker::service_time_in`]): the
+    /// busy time charged to the server, whoever ends up answering.
+    pub service: f64,
+    /// Shard-side completion, µs after dispatch: [`plain_completion`] of
+    /// `service` on a plain replica; on an engine the serving replica's
+    /// drawn cost under a straggler model, shortened or lengthened by a
+    /// hedge.
+    pub completion: SimTime,
+}
+
+/// When a plain replica — no straggler draw, no hedge — answers: its
+/// service time, rounded up onto the whole-µs simulated clock.
+pub(crate) fn plain_completion(service: f64) -> SimTime {
+    service.ceil() as SimTime
 }
 
 /// One query of a broker batch ([`DocBroker::scatter_gather`]).
@@ -114,14 +116,19 @@ pub(crate) struct BatchQuery<'a> {
     pub terms: &'a [TermId],
     /// Result depth.
     pub k: usize,
-    /// Partitions to scatter over.
-    pub parts: &'a [u32],
+    /// Partitions to scatter over, priced.
+    pub shards: &'a [Shard],
     /// Query key for observability events (0 when nobody listens).
     pub qid: u64,
-    /// `None` gathers on the df-based latency model (completion = the
-    /// truncated service time, every partition merges); `Some` gathers
-    /// on the engine's drawn completions and optional deadline.
-    pub timing: Option<GatherTiming<'a>>,
+    /// Response deadline; `None` waits for every shard (a deadline of
+    /// ∞). Shards whose completion exceeds it are excluded from the
+    /// merge (the partial-results policy of tail-tolerant search): their
+    /// busy time and scan work are still charged (the server did the
+    /// work; its answer just arrived too late), but their hits never
+    /// reach the top-k and the response reports how many partitions made
+    /// the cut. The deadline gates on shard-side completion; the transit
+    /// of the included responses still counts toward latency.
+    pub deadline: Option<SimTime>,
 }
 
 /// The document-partition broker: an immutable shared core (index,
@@ -133,6 +140,16 @@ pub(crate) struct BatchQuery<'a> {
 /// uninstrumented brokers are exactly the pre-instrumentation code.
 #[derive(Debug)]
 pub struct DocBroker<R: Recorder = NoopRecorder> {
+    core: BrokerCore,
+    /// Observability sink; all events are emitted from the coordinating
+    /// thread in deterministic order.
+    recorder: R,
+}
+
+/// Everything of a [`DocBroker`] that does not depend on its recorder's
+/// type, so swapping recorders moves it whole.
+#[derive(Debug)]
+struct BrokerCore {
     /// The static index (epoch-0 snapshot for live brokers; query paths
     /// on a live broker always re-snapshot from `live`).
     index: PartitionedIndex,
@@ -154,9 +171,6 @@ pub struct DocBroker<R: Recorder = NoopRecorder> {
     scan: ScanCounters,
     /// When set, shards are evaluated concurrently on this pool.
     pool: Option<Arc<ScatterPool>>,
-    /// Observability sink; all events are emitted from the coordinating
-    /// thread in deterministic order.
-    recorder: R,
 }
 
 /// Atomic mirror of [`EvalStats`]: the broker's measured evaluator work
@@ -188,17 +202,17 @@ impl ScanCounters {
     }
 }
 
-/// A query's sanitized partition list and the completions parallel to it
-/// (see [`DocBroker::sanitize`]).
-type Sane<'a> = (Cow<'a, [u32]>, Cow<'a, [SimTime]>);
-
 /// Map every `(query, partition)` task of a sanitized batch — `tasks` of
 /// them — in gather order: queries in batch order, each query's
 /// partitions in list order.
-fn per_task<T>(tasks: usize, sane: &[Sane<'_>], mut f: impl FnMut(usize, u32) -> T) -> Vec<T> {
+fn per_task<T>(
+    tasks: usize,
+    sane: &[Cow<'_, [Shard]>],
+    mut f: impl FnMut(usize, u32) -> T,
+) -> Vec<T> {
     let mut out = Vec::with_capacity(tasks);
-    for (q, (parts, _)) in sane.iter().enumerate() {
-        out.extend(parts.iter().map(|&p| f(q, p)));
+    for (q, shards) in sane.iter().enumerate() {
+        out.extend(shards.iter().map(|s| f(q, s.partition)));
     }
     out
 }
@@ -293,20 +307,30 @@ impl DocBroker {
     ) -> Self {
         assert!(index.num_partitions() > 0, "zero-partition index");
         assert_eq!(part_sites.len(), index.num_partitions(), "one site per partition");
-        let busy = (0..index.num_partitions()).map(|_| AtomicU64::new(0)).collect();
-        DocBroker {
-            index: index.clone(),
-            live: None,
+        Self::assemble(index.clone(), None, topo, broker_site, part_sites)
+    }
+
+    /// One accounting slot per located partition server.
+    fn assemble(
+        index: PartitionedIndex,
+        live: Option<Arc<RepartIndex>>,
+        topo: Topology,
+        broker_site: SiteId,
+        part_sites: Vec<SiteId>,
+    ) -> Self {
+        let core = BrokerCore {
+            index,
+            live,
             topo,
             broker_site,
+            busy: part_sites.iter().map(|_| AtomicU64::new(0)).collect(),
             part_sites,
             shard_eval: ShardEval::default(),
-            busy,
             queries: AtomicU64::new(0),
             scan: ScanCounters::default(),
             pool: None,
-            recorder: NoopRecorder,
-        }
+        };
+        DocBroker { core, recorder: NoopRecorder }
     }
 
     /// Single-site convenience constructor (everything on one LAN).
@@ -323,25 +347,10 @@ impl DocBroker {
     /// bit-identical to a static oracle at any epoch (pair the oracle
     /// with [`Self::with_global_stats`]).
     pub fn live(repart: &Arc<RepartIndex>) -> Self {
-        let capacity = repart.capacity();
-        let snapshot = repart.snapshot();
-        let busy = (0..capacity).map(|_| AtomicU64::new(0)).collect();
-        DocBroker {
-            index: snapshot,
-            live: Some(Arc::clone(repart)),
-            topo: Topology::single_site(),
-            broker_site: SiteId(0),
-            part_sites: vec![SiteId(0); capacity],
-            shard_eval: ShardEval {
-                global_stats: Some(repart.corpus_stats()),
-                ..ShardEval::default()
-            },
-            busy,
-            queries: AtomicU64::new(0),
-            scan: ScanCounters::default(),
-            pool: None,
-            recorder: NoopRecorder,
-        }
+        let sites = vec![SiteId(0); repart.capacity()];
+        let live = Some(Arc::clone(repart));
+        Self::assemble(repart.snapshot(), live, Topology::single_site(), SiteId(0), sites)
+            .with_global_stats(repart.corpus_stats())
     }
 }
 
@@ -350,19 +359,7 @@ impl<R: Recorder> DocBroker<R> {
     /// query method). Counters and results are unaffected: recorders
     /// observe, they never steer.
     pub fn with_recorder<R2: Recorder>(self, recorder: R2) -> DocBroker<R2> {
-        DocBroker {
-            index: self.index,
-            live: self.live,
-            topo: self.topo,
-            broker_site: self.broker_site,
-            part_sites: self.part_sites,
-            shard_eval: self.shard_eval,
-            busy: self.busy,
-            queries: self.queries,
-            scan: self.scan,
-            pool: self.pool,
-            recorder,
-        }
+        DocBroker { core: self.core, recorder }
     }
 
     /// Pick the ranked evaluator shards run. Hits, latencies, and busy
@@ -370,19 +367,19 @@ impl<R: Recorder> DocBroker<R> {
     /// exactly and the simulated latency model is df-based); only the
     /// *measured* work in [`DocBroker::eval_stats`] differs.
     pub fn with_strategy(mut self, eval: EvalStrategy) -> Self {
-        self.shard_eval.strategy = eval;
+        self.core.shard_eval.strategy = eval;
         self
     }
 
     /// The evaluator strategy in force.
     pub fn strategy(&self) -> EvalStrategy {
-        self.shard_eval.strategy
+        self.core.shard_eval.strategy
     }
 
     /// Measured evaluator work accumulated so far, over all shards and
     /// queries.
     pub fn eval_stats(&self) -> EvalStats {
-        self.scan.snapshot()
+        self.core.scan.snapshot()
     }
 
     /// The attached recorder.
@@ -400,13 +397,13 @@ impl<R: Recorder> DocBroker<R> {
     /// Evaluate shards concurrently on an existing (possibly shared)
     /// pool.
     pub fn with_pool(mut self, pool: Arc<ScatterPool>) -> Self {
-        self.pool = Some(pool);
+        self.core.pool = Some(pool);
         self
     }
 
     /// Whether shard evaluation runs on a worker pool.
     pub fn is_parallel(&self) -> bool {
-        self.pool.is_some()
+        self.core.pool.is_some()
     }
 
     /// Score shards against corpus-wide statistics instead of each
@@ -415,7 +412,7 @@ impl<R: Recorder> DocBroker<R> {
     /// the same epoch-invariant statistics, so partition layout cannot
     /// leak into scores.
     pub fn with_global_stats(mut self, stats: Arc<CorpusStats>) -> Self {
-        self.shard_eval.global_stats = Some(stats);
+        self.core.shard_eval.global_stats = Some(stats);
         self
     }
 
@@ -423,21 +420,21 @@ impl<R: Recorder> DocBroker<R> {
     /// snapshot, or the static index. One short lock on the live path;
     /// a cheap `Arc` clone either way.
     pub fn snapshot(&self) -> PartitionedIndex {
-        match &self.live {
+        match &self.core.live {
             Some(r) => r.snapshot(),
-            None => self.index.clone(),
+            None => self.core.index.clone(),
         }
     }
 
     /// The live index behind this broker, if any.
     pub fn live_index(&self) -> Option<&Arc<RepartIndex>> {
-        self.live.as_ref()
+        self.core.live.as_ref()
     }
 
     /// Provisioned accounting slots (= capacity for live brokers,
     /// partition count for static ones).
     pub fn slots(&self) -> usize {
-        self.busy.len()
+        self.core.busy.len()
     }
 
     /// The service time partition `p` spends on `terms`: posting volume
@@ -445,9 +442,9 @@ impl<R: Recorder> DocBroker<R> {
     /// epoch; engines holding a per-query snapshot should prefer
     /// [`Self::service_time_in`].
     pub fn service_time(&self, p: usize, terms: &[TermId]) -> f64 {
-        match &self.live {
+        match &self.core.live {
             Some(r) => self.service_time_in(&r.snapshot(), p, terms),
-            None => self.service_time_in(&self.index, p, terms),
+            None => self.service_time_in(&self.core.index, p, terms),
         }
     }
 
@@ -492,20 +489,16 @@ impl<R: Recorder> DocBroker<R> {
     pub fn query_batch(&self, queries: &[Vec<TermId>], k: usize) -> Vec<BrokeredResponse> {
         let snap = self.snapshot();
         let all = snap.active_parts();
+        let priced: Vec<_> = queries.iter().map(|t| self.plain_shards(&snap, t, &all)).collect();
         let batch: Vec<BatchQuery<'_>> = queries
             .iter()
-            .map(|terms| BatchQuery {
-                terms,
-                k,
-                parts: &all,
-                qid: self.standalone_qid(terms),
-                timing: None,
-            })
+            .zip(&priced)
+            .map(|(terms, shards)| self.standalone(terms, k, shards))
             .collect();
         self.scatter_gather(&snap, &batch, 0).into_iter().map(|(resp, _)| resp).collect()
     }
 
-    /// The standalone-broker form of one query: no sim clock, untimed.
+    /// One standalone-broker query: plain replicas, no sim clock.
     fn query_in(
         &self,
         snap: &PartitionedIndex,
@@ -513,18 +506,32 @@ impl<R: Recorder> DocBroker<R> {
         k: usize,
         parts: &[u32],
     ) -> BrokeredResponse {
-        let q = BatchQuery { terms, k, parts, qid: self.standalone_qid(terms), timing: None };
-        self.scatter_gather_one(snap, q, 0).0
+        let shards = self.plain_shards(snap, terms, parts);
+        self.scatter_gather_one(snap, self.standalone(terms, k, &shards), 0).0
     }
 
-    /// Standalone brokers compute the query key only when someone is
-    /// listening.
-    fn standalone_qid(&self, terms: &[TermId]) -> u64 {
-        if self.recorder.is_live() {
-            crate::engine::query_key(terms)
-        } else {
-            0
-        }
+    /// Price `parts` for `terms` as plain replicas ([`plain_completion`])
+    /// — what a caller without replica state dispatches: the standalone
+    /// entry points and a routed oracle. Ids with no active shard in
+    /// `snap` have nothing to price and are dropped here.
+    pub(crate) fn plain_shards(
+        &self,
+        snap: &PartitionedIndex,
+        terms: &[TermId],
+        parts: &[u32],
+    ) -> Vec<Shard> {
+        let price = |&p: &u32| {
+            let service = self.service_time_in(snap, p as usize, terms);
+            Shard { partition: p, service, completion: plain_completion(service) }
+        };
+        parts.iter().filter(|&&p| snap.is_active(p)).map(price).collect()
+    }
+
+    /// A standalone query waits for every shard, and computes the query
+    /// key only when someone is listening.
+    fn standalone<'a>(&self, terms: &'a [TermId], k: usize, shards: &'a [Shard]) -> BatchQuery<'a> {
+        let qid = if self.recorder.is_live() { crate::engine::query_key(terms) } else { 0 };
+        BatchQuery { terms, k, shards, qid, deadline: None }
     }
 
     /// [`Self::scatter_gather`] for a batch of one.
@@ -537,32 +544,25 @@ impl<R: Recorder> DocBroker<R> {
         self.scatter_gather(snap, &[query], now).pop().expect("one response per query")
     }
 
-    /// Drop partition ids that are out of range, inactive at this
+    /// Drop shards whose partition is out of range, inactive at this
     /// epoch, or duplicated — any of which would panic the scatter or
     /// silently double-merge a document — preserving the order of what
-    /// survives; a dropped id takes its completion entry with it, so
-    /// the two stay index-parallel. `k == 0` asks for nothing and keeps
-    /// no partition. Borrows when the input is already clean (the engine
-    /// path always is), so the hot path allocates nothing. Untimed
-    /// queries get an empty completion list.
-    fn sanitize<'a>(snap: &PartitionedIndex, q: &BatchQuery<'a>) -> Sane<'a> {
-        let parts = q.parts;
-        let completions = q.timing.map_or(&[][..], |t| t.completions);
-        if q.timing.is_some() {
-            assert_eq!(completions.len(), parts.len(), "one completion per queried partition");
-        }
+    /// survives. `k == 0` asks for nothing and keeps no shard. Borrows
+    /// when the input is already clean (the engine path always is), so
+    /// the hot path allocates nothing.
+    fn sanitize<'a>(snap: &PartitionedIndex, q: &BatchQuery<'a>) -> Cow<'a, [Shard]> {
+        let shards = q.shards;
         if q.k == 0 {
-            return (Cow::Borrowed(&[]), Cow::Borrowed(&[]));
+            return Cow::Borrowed(&[]);
         }
-        let keep = |i: usize| snap.is_active(parts[i]) && !parts[..i].contains(&parts[i]);
-        if (0..parts.len()).all(keep) {
-            return (Cow::Borrowed(parts), Cow::Borrowed(completions));
+        let keep = |i: usize| {
+            let p = shards[i].partition;
+            snap.is_active(p) && !shards[..i].iter().any(|s| s.partition == p)
+        };
+        if (0..shards.len()).all(keep) {
+            return Cow::Borrowed(shards);
         }
-        let kept: Vec<usize> = (0..parts.len()).filter(|&i| keep(i)).collect();
-        (
-            kept.iter().map(|&i| parts[i]).collect(),
-            kept.iter().filter_map(|&i| completions.get(i).copied()).collect(),
-        )
+        (0..shards.len()).filter(|&i| keep(i)).map(|i| shards[i]).collect()
     }
 
     /// The one serving path of the broker: sanitize every query's
@@ -590,32 +590,32 @@ impl<R: Recorder> DocBroker<R> {
         now: SimTime,
     ) -> Vec<(BrokeredResponse, usize)> {
         let sane: Vec<_> = batch.iter().map(|q| Self::sanitize(snap, q)).collect();
-        let tasks = sane.iter().map(|(parts, _)| parts.len()).sum::<usize>();
-        let evaluated: Vec<ShardResult> = match &self.pool {
+        let tasks = sane.iter().map(|shards| shards.len()).sum::<usize>();
+        let evaluated: Vec<ShardResult> = match &self.core.pool {
             Some(pool) if tasks > 1 => pool.run(ShardPlan {
                 snap: snap.clone(),
-                shard_eval: self.shard_eval.clone(),
+                shard_eval: self.core.shard_eval.clone(),
                 queries: batch.iter().map(|q| (q.terms.into(), q.k)).collect(),
                 tasks: per_task(tasks, &sane, |q, p| (q as u32, p)),
             }),
             _ => per_task(tasks, &sane, |q, p| {
-                self.shard_eval.task(snap, batch[q].terms, batch[q].k, p)
+                self.core.shard_eval.task(snap, batch[q].terms, batch[q].k, p)
             }),
         };
         let mut rest = evaluated.as_slice();
         batch
             .iter()
             .zip(&sane)
-            .map(|(q, (parts, completions))| {
-                self.queries.fetch_add(1, Ordering::Relaxed);
+            .map(|(q, shards)| {
+                self.core.queries.fetch_add(1, Ordering::Relaxed);
                 self.recorder.record(Event::ScatterDispatch {
                     qid: q.qid,
                     now,
-                    partitions: parts.len() as u32,
+                    partitions: shards.len() as u32,
                 });
-                let (per_part, tail) = rest.split_at(parts.len());
+                let (per_shard, tail) = rest.split_at(shards.len());
                 rest = tail;
-                self.gather(snap, q, parts, completions, now, per_part)
+                self.gather(q, shards, now, per_shard)
             })
             .collect()
     }
@@ -626,52 +626,43 @@ impl<R: Recorder> DocBroker<R> {
     /// too. Also folds each shard's measured evaluator work into the
     /// broker-wide [`ScanCounters`].
     ///
-    /// Untimed, completion is the (truncated) df-based service time and
-    /// every partition merges. Timed, completion comes from the engine's
-    /// latency model and the optional deadline drops late shards from
-    /// the merge — busy time, the `ShardService` event, and scan
-    /// counters are still charged for them, because the server did the
-    /// work whether or not the broker waited for the answer.
+    /// One arithmetic, whoever priced the shards: the response waits for
+    /// the slowest merged `completion + rtt`, and the deadline — when
+    /// there is one — drops later shards from the merge. Busy time, the
+    /// `ShardService` event, and scan counters are still charged for
+    /// them, because the server did the work whether or not the broker
+    /// waited for the answer.
     fn gather(
         &self,
-        snap: &PartitionedIndex,
         q: &BatchQuery<'_>,
-        parts: &[u32],
-        completions: &[SimTime],
+        shards: &[Shard],
         now: SimTime,
-        per_part: &[ShardResult],
+        per_shard: &[ShardResult],
     ) -> (BrokeredResponse, usize) {
-        let deadline = q.timing.and_then(|t| t.deadline);
-        // `k == 0` queries arrive with `parts` already emptied, so the
+        // `k == 0` queries arrive with `shards` already emptied, so the
         // max(1) floor (TopK rejects capacity 0) never admits a hit.
         let mut top = TopK::new(q.k.max(1));
         let mut slowest: SimTime = 0;
         let mut merged_hits = 0u64;
         let mut answered = 0usize;
-        for (i, &p) in parts.iter().enumerate() {
-            let pu = p as usize;
-            let service = self.service_time_in(snap, pu, q.terms);
-            self.add_busy(pu, service);
+        for (shard, (hits, ev)) in shards.iter().zip(per_shard) {
+            let pu = shard.partition as usize;
+            self.add_busy(pu, shard.service);
             self.recorder.record(Event::ShardService {
                 qid: q.qid,
                 now,
-                partition: p,
-                service_us: service,
+                partition: shard.partition,
+                service_us: shard.service,
             });
-            let (hits, ev) = &per_part[i];
-            self.scan.add(ev);
-            let completion = match q.timing {
-                Some(_) => completions[i],
-                None => service as SimTime,
-            };
-            if deadline.is_some_and(|d| completion > d) {
+            self.core.scan.add(ev);
+            if q.deadline.is_some_and(|d| shard.completion > d) {
                 continue; // answer arrived past the deadline: work charged, hits dropped
             }
             answered += 1;
             merged_hits += hits.len() as u64;
-            let rtt =
-                self.topo.rtt(self.broker_site, self.part_sites[pu], 64, hits.len() as u64 * 12);
-            slowest = slowest.max(completion + rtt);
+            let site = self.core.part_sites[pu];
+            let rtt = self.core.topo.rtt(self.core.broker_site, site, 64, hits.len() as u64 * 12);
+            slowest = slowest.max(shard.completion + rtt);
             for &(doc, score) in hits {
                 top.push(doc, score);
             }
@@ -680,8 +671,8 @@ impl<R: Recorder> DocBroker<R> {
         // A partial response is released *at* the deadline (plus transit
         // of what made it, plus merge); a complete one when the slowest
         // included answer lands.
-        let latency = match deadline {
-            Some(d) if answered < parts.len() => slowest.max(d) + merge,
+        let latency = match q.deadline {
+            Some(d) if answered < shards.len() => slowest.max(d) + merge,
             _ => slowest + merge,
         };
         self.recorder.record(Event::GatherDone {
@@ -696,14 +687,14 @@ impl<R: Recorder> DocBroker<R> {
                 .into_iter()
                 .map(|(doc, score)| GlobalHit { doc, score })
                 .collect(),
-            partitions_used: parts.len(),
+            partitions_used: shards.len(),
             latency,
         };
         (resp, answered)
     }
 
     fn add_busy(&self, p: usize, amount: f64) {
-        let cell = &self.busy[p];
+        let cell = &self.core.busy[p];
         let mut cur = cell.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + amount).to_bits();
@@ -716,7 +707,7 @@ impl<R: Recorder> DocBroker<R> {
 
     /// Accumulated busy time per partition server (µs).
     pub fn busy_time(&self) -> Vec<f64> {
-        self.busy.iter().map(|b| f64::from_bits(b.load(Ordering::Relaxed))).collect()
+        self.core.busy.iter().map(|b| f64::from_bits(b.load(Ordering::Relaxed))).collect()
     }
 
     /// Busy time normalized by its mean — the Figure 2 y-axis (dashed line
@@ -738,7 +729,7 @@ impl<R: Recorder> DocBroker<R> {
 
     /// Queries processed so far.
     pub fn queries_processed(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
+        self.core.queries.load(Ordering::Relaxed)
     }
 }
 
@@ -760,8 +751,10 @@ mod tests {
         (c, pi)
     }
 
-    /// One timed query through the broker's entry point (sim clock 0).
-    fn timed(
+    /// One query priced the way an engine would — explicit completions,
+    /// an optional deadline — through the broker's entry point (sim
+    /// clock 0). A partition the snapshot does not have is priced at 0.
+    fn drawn(
         b: &DocBroker,
         terms: &[TermId],
         k: usize,
@@ -769,8 +762,14 @@ mod tests {
         completions: &[SimTime],
         deadline: Option<SimTime>,
     ) -> (BrokeredResponse, usize) {
-        let timing = Some(GatherTiming { completions, deadline });
-        b.scatter_gather_one(&b.snapshot(), BatchQuery { terms, k, parts, qid: 0, timing }, 0)
+        let snap = b.snapshot();
+        let price = |(&p, &completion)| {
+            let service =
+                if snap.is_active(p) { b.service_time_in(&snap, p as usize, terms) } else { 0.0 };
+            Shard { partition: p, service, completion }
+        };
+        let shards: Vec<Shard> = parts.iter().zip(completions).map(price).collect();
+        b.scatter_gather_one(&snap, BatchQuery { terms, k, shards: &shards, qid: 0, deadline }, 0)
     }
 
     #[test]
@@ -940,21 +939,36 @@ mod tests {
         assert!(!r[1].hits.is_empty());
     }
 
+    /// The one gather arithmetic, from public APIs: a standalone query
+    /// waits for the slowest `ceil(service) + rtt`, then merges.
     #[test]
-    fn timed_gather_with_service_completions_matches_untimed() {
-        let (_, pi) = parted(4);
-        let untimed = DocBroker::single_site(&pi);
-        let drawn = DocBroker::single_site(&pi);
+    fn latency_is_slowest_plain_completion_plus_transit_plus_merge() {
+        let (_, pi) = parted(2);
+        let topo = Topology::geo_ring(3);
+        let sites = vec![SiteId(1), SiteId(2)];
+        let b = DocBroker::new(&pi, topo.clone(), SiteId(0), sites.clone());
         let terms = [TermId(1), TermId(100)];
-        let parts = [0u32, 1, 2, 3];
-        let completions: Vec<SimTime> =
-            parts.iter().map(|&p| drawn.service_time(p as usize, &terms) as SimTime).collect();
-        let a = untimed.query_selected(&terms, 10, &parts);
-        let (b, answered) = timed(&drawn, &terms, 10, &parts, &completions, None);
-        assert_eq!(answered, 4, "no deadline: every partition answers");
-        assert_eq!(a.hits, b.hits);
-        assert_eq!(a.latency, b.latency, "service-time completions reproduce the df-based model");
-        assert_eq!(untimed.busy_time(), drawn.busy_time());
+        // k exceeds the corpus: the response carries every shard's hits.
+        let r = b.query(&terms, 40);
+        let slowest = (0..2u32)
+            .map(|p| {
+                let hits = r.hits.iter().filter(|h| h.doc % 2 == p).count() as u64;
+                let rtt = topo.rtt(SiteId(0), sites[p as usize], 64, hits * 12);
+                b.service_time(p as usize, &terms).ceil() as SimTime + rtt
+            })
+            .max()
+            .expect("two partitions");
+        let merge = (r.hits.len() as f64 * US_PER_MERGE_HIT) as SimTime;
+        assert_eq!(r.latency, slowest + merge);
+        // Completions priced by someone else feed the same arithmetic.
+        let (d, answered) = drawn(&b, &terms, 40, &[0, 1], &[7_000, 9_000], None);
+        assert_eq!(answered, 2, "no deadline: every partition answers");
+        assert_eq!(d.hits, r.hits);
+        let hits1 = r.hits.iter().filter(|h| h.doc % 2 == 1).count() as u64;
+        let slow = 9_000 + topo.rtt(SiteId(0), SiteId(2), 64, hits1 * 12);
+        let hits0 = r.hits.len() as u64 - hits1;
+        let fast = 7_000 + topo.rtt(SiteId(0), SiteId(1), 64, hits0 * 12);
+        assert_eq!(d.latency, slow.max(fast) + merge);
     }
 
     #[test]
@@ -966,7 +980,7 @@ mod tests {
         // Partitions 1 and 3 straggle far past the deadline.
         let completions = [300, 9_000, 300, 9_000];
         let full = DocBroker::single_site(&pi).query_selected(&terms, 40, &parts);
-        let (partial, answered) = timed(&b, &terms, 40, &parts, &completions, Some(1_000));
+        let (partial, answered) = drawn(&b, &terms, 40, &parts, &completions, Some(1_000));
         assert_eq!(answered, 2);
         // Round-robin assignment: doc % 4 names the partition, so the
         // late partitions' documents must be absent from the merge.
@@ -989,10 +1003,10 @@ mod tests {
         assert_eq!(r.latency, 0);
         assert!(broker.busy_time().iter().all(|&b| b == 0.0), "no shard consulted");
         assert_eq!(broker.queries_processed(), 1, "the query itself is still counted");
-        // Same through the explicit-selection and timed paths.
+        // Same through explicit selection and under a deadline.
         let r = broker.query_selected(&[TermId(1)], 0, &[0, 1]);
         assert!(r.hits.is_empty() && r.partitions_used == 0);
-        let (r, answered) = timed(&broker, &[TermId(1)], 0, &[0, 1], &[100, 100], Some(1_000));
+        let (r, answered) = drawn(&broker, &[TermId(1)], 0, &[0, 1], &[100, 100], Some(1_000));
         assert!(r.hits.is_empty() && answered == 0);
     }
 
@@ -1028,14 +1042,14 @@ mod tests {
     }
 
     #[test]
-    fn timed_gather_sanitizes_parts_and_completions_together() {
+    fn sanitize_drops_a_partition_together_with_its_completion() {
         let (_, pi) = parted(4);
         let broker = DocBroker::single_site(&pi);
         let terms = [TermId(1), TermId(100)];
         // Partition 9 does not exist; its (late) completion must vanish
         // with it instead of being attributed to a real partition.
         let (r, answered) =
-            timed(&broker, &terms, 10, &[0, 9, 1], &[100, 9_999_999, 100], Some(1_000));
+            drawn(&broker, &terms, 10, &[0, 9, 1], &[100, 9_999_999, 100], Some(1_000));
         assert_eq!(answered, 2, "both real partitions answer in time");
         assert_eq!(r.partitions_used, 2);
     }

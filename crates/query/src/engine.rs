@@ -49,15 +49,24 @@
 //! the response time" becomes a measurable tail. The [`HedgePolicy`]
 //! ([`DistributedEngine::with_hedge_policy`]) decides when a duplicate
 //! request is launched on a second replica — never, on detected death
-//! (the bit-identical default), after a fixed delay, past a live
+//! (the default), after a fixed delay, past a live
 //! percentile of the shard's own completion history, or immediately
 //! (tied requests with cancellation accounting). A gather deadline
 //! ([`DistributedEngine::with_gather_deadline`]) returns partial top-k
 //! with explicit coverage ([`Served::Partial`]) when stragglers outlast
 //! the response budget. All policies preserve the parallel ≡ sequential
 //! and batch ≡ loop equivalence invariants.
+//!
+//! There is **one latency model**. Dispatch prices every served
+//! `(query, partition)` once — its df-based service time and its
+//! shard-side completion: `ceil(service)` on a plain replica, the
+//! straggler draw otherwise, a hedge folded in — and the broker's gather
+//! waits for the slowest `completion + rtt`. An engine without a gather
+//! deadline is an engine whose deadline is ∞: `tests/tail_chaos.rs`
+//! pins that adding `.with_gather_deadline(SimTime::MAX)` changes
+//! nothing.
 
-use crate::broker::{BatchQuery, DocBroker, GatherTiming, GlobalHit};
+use crate::broker::{plain_completion, BatchQuery, DocBroker, GlobalHit, Shard};
 use crate::cache::{ResultCache, ShardedCache};
 use crate::faults::FaultSchedule;
 use crate::lock_recovering;
@@ -130,7 +139,7 @@ pub enum HedgePolicy {
     /// Never hedge: a mid-query death simply degrades the partition.
     Never,
     /// Hedge only on a detected mid-query death — the engine's historical
-    /// behavior and the default; bit-identical to the pre-policy engine.
+    /// behavior and the default.
     #[default]
     OnDeath,
     /// Launch the hedge when the first replica has not answered after a
@@ -216,14 +225,9 @@ struct Cascade<'q> {
     decision: RouteDecision,
     /// Tranches dispatched so far.
     rounds: usize,
-    /// Latest tranche: partitions with a dispatched, surviving replica.
-    parts: Vec<u32>,
-    /// Shard-side completion time per entry of `parts`; feeds the
-    /// drawn-completion gather.
-    completions: Vec<SimTime>,
-    /// Latest tranche: latency a hedged retry adds under the df-based
-    /// latency model.
-    hedge_extra: SimTime,
+    /// Latest tranche: the partitions a surviving replica took, priced
+    /// at dispatch; what the gather merges on.
+    shards: Vec<Shard>,
     /// Merged top-k over the evaluated tranches.
     hits: Vec<GlobalHit>,
     /// Backend latency, charged additively per round.
@@ -259,27 +263,33 @@ impl<'q> Staged<'q> {
     }
 }
 
+/// One query's first attempt on one partition: what the hedge decision
+/// and its settlement read.
+struct Dispatch {
+    p: u32,
+    /// df-based service time of the partition for this query.
+    service: f64,
+    now: SimTime,
+    qid: u64,
+    /// The replica that took the first attempt, its drawn cost, and
+    /// whether it dies mid-query.
+    first: usize,
+    c1: SimTime,
+    dead1: bool,
+}
+
 /// Outcome of dispatching one query on one replica group.
 #[derive(Default)]
 struct OneDispatch {
-    /// A surviving replica took the query.
-    served: bool,
-    /// Shard-side completion time of the serving answer (0 if unserved).
-    completion: SimTime,
+    /// The priced answer of the surviving replica that took the query,
+    /// if one did.
+    shard: Option<Shard>,
     /// Hedged retries dispatched (0 or 1).
     hedges: u64,
-    /// Extra simulated latency a hedge added (df-based latency model).
-    extra: SimTime,
     /// 1 when a hedge was cancelled because the other copy won.
     cancelled: u64,
     /// Simulated µs burned on a hedge that did not serve the answer.
     hedge_work: u64,
-}
-
-impl OneDispatch {
-    fn served_at(completion: SimTime) -> Self {
-        OneDispatch { served: true, completion, ..OneDispatch::default() }
-    }
 }
 
 /// Live-history samples a [`HedgePolicy::PercentileTrigger`] needs on a
@@ -296,6 +306,15 @@ const MIN_TRIGGER_SAMPLES: u64 = 16;
 /// steer (`tests/observability.rs` pins this).
 pub struct DistributedEngine<C: ResultCache, R: Recorder = NoopRecorder> {
     broker: DocBroker<R>,
+    core: EngineCore<C>,
+    /// Observability sink (cloned into the broker so both emit to the
+    /// same instruments).
+    recorder: R,
+}
+
+/// Everything of a [`DistributedEngine`] that does not depend on its
+/// recorder's type, so swapping recorders moves it whole.
+struct EngineCore<C: ResultCache> {
     cache: ShardedCache<C>,
     groups: Vec<Mutex<ReplicaGroup>>,
     counters: Counters,
@@ -327,9 +346,6 @@ pub struct DistributedEngine<C: ResultCache, R: Recorder = NoopRecorder> {
     /// Deterministic split storm applied by [`Self::advance_to`]; the
     /// cursor makes each scheduled split fire exactly once.
     splits: Option<(Arc<SplitSchedule>, Mutex<usize>)>,
-    /// Observability sink (cloned into the broker so both emit to the
-    /// same instruments).
-    recorder: R,
 }
 
 /// A stable cache key for a term multiset.
@@ -368,8 +384,7 @@ impl<C: ResultCache> DistributedEngine<C> {
         replicas: usize,
     ) -> Self {
         let slots = broker.slots();
-        DistributedEngine {
-            broker,
+        let core = EngineCore {
             cache: ShardedCache::single(cache),
             groups: (0..slots).map(|_| Mutex::new(ReplicaGroup::new(replicas))).collect(),
             counters: Counters::default(),
@@ -383,8 +398,8 @@ impl<C: ResultCache> DistributedEngine<C> {
             clock: AtomicU64::new(0),
             repart,
             splits: None,
-            recorder: NoopRecorder,
-        }
+        };
+        DistributedEngine { broker, core, recorder: NoopRecorder }
     }
 }
 
@@ -396,23 +411,8 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// the same instruments; share one `Arc<ObsRecorder>` across engines
     /// for tier-wide accounting.
     pub fn with_obs<R2: Recorder + Clone>(self, recorder: R2) -> DistributedEngine<C, R2> {
-        DistributedEngine {
-            broker: self.broker.with_recorder(recorder.clone()),
-            cache: self.cache,
-            groups: self.groups,
-            counters: self.counters,
-            router: self.router,
-            faults: self.faults,
-            deadline: self.deadline,
-            policy: self.policy,
-            stragglers: self.stragglers,
-            gather_deadline: self.gather_deadline,
-            shard_latency: self.shard_latency,
-            clock: self.clock,
-            repart: self.repart,
-            splits: self.splits,
-            recorder,
-        }
+        let broker = self.broker.with_recorder(recorder.clone());
+        DistributedEngine { broker, core: self.core, recorder }
     }
 
     /// The attached recorder.
@@ -431,7 +431,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     ) -> Self {
         assert!(m >= 1);
         assert!(
-            self.repart.is_none(),
+            self.core.repart.is_none(),
             "collection selection requires a static partition layout \
              (selectors rank the partitions they were built from; a live \
              index retires those ids as it splits). Use with_router with \
@@ -450,13 +450,13 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// subset. [`Self::advance_to`] drives the router's drift-refresh
     /// loop when one is configured.
     pub fn with_router(mut self, router: Arc<ShardRouter>) -> Self {
-        self.router = Some(router);
+        self.core.router = Some(router);
         self
     }
 
     /// The attached routing stage, if any.
     pub fn router(&self) -> Option<&Arc<ShardRouter>> {
-        self.router.as_ref()
+        self.core.router.as_ref()
     }
 
     /// Attach a deterministic split storm: [`Self::advance_to`] fires
@@ -468,16 +468,16 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// refuses (capacity, too few docs) are skipped silently.
     pub fn with_splits(mut self, schedule: Arc<SplitSchedule>) -> Self {
         assert!(
-            self.repart.is_some(),
+            self.core.repart.is_some(),
             "split schedules require a live index (DistributedEngine::new_live)"
         );
-        self.splits = Some((schedule, Mutex::new(0)));
+        self.core.splits = Some((schedule, Mutex::new(0)));
         self
     }
 
     /// The live index behind this engine, if any.
     pub fn repart(&self) -> Option<&Arc<RepartIndex>> {
-        self.repart.as_ref()
+        self.core.repart.as_ref()
     }
 
     /// Evaluate each query's partitions concurrently on a pool of
@@ -507,7 +507,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// deaths (triggering hedged retries). The same `Arc` can drive
     /// several engines, which keeps fault-equivalence tests honest.
     pub fn with_faults(mut self, schedule: Arc<FaultSchedule>) -> Self {
-        self.faults = Some(schedule);
+        self.core.faults = Some(schedule);
         self.advance_to(self.now());
         self
     }
@@ -517,7 +517,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// within `deadline`.
     pub fn with_deadline(mut self, deadline: SimTime) -> Self {
         assert!(deadline > 0);
-        self.deadline = Some(deadline);
+        self.core.deadline = Some(deadline);
         self
     }
 
@@ -533,13 +533,13 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             ),
             _ => {}
         }
-        self.policy = policy;
+        self.core.policy = policy;
         self
     }
 
     /// The hedging policy in force.
     pub fn hedge_policy(&self) -> HedgePolicy {
-        self.policy
+        self.core.policy
     }
 
     /// Attach a per-(partition, replica, query) latency model: every
@@ -547,7 +547,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// inflated by the model's deterministic draw, so replicas of one
     /// partition genuinely diverge and the gather sees real stragglers.
     pub fn with_stragglers(mut self, model: Arc<StragglerModel>) -> Self {
-        self.stragglers = Some(model);
+        self.core.stragglers = Some(model);
         self
     }
 
@@ -558,19 +558,22 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// partition.
     pub fn with_gather_deadline(mut self, deadline: SimTime) -> Self {
         assert!(deadline > 0);
-        self.gather_deadline = Some(deadline);
+        self.core.gather_deadline = Some(deadline);
         self
     }
 
     /// Mergeable percentile summaries of each partition's live completion
     /// history (the instrument behind [`HedgePolicy::PercentileTrigger`]).
+    /// Empty on an engine with no fault schedule, straggler model or
+    /// gather deadline under `Never`/`OnDeath`: there every completion is
+    /// `ceil(service_time)`, and none is recorded.
     pub fn shard_latency_percentiles(&self) -> Vec<dwr_sim::stats::Percentiles> {
-        self.shard_latency.iter().map(Histogram::snapshot).collect()
+        self.core.shard_latency.iter().map(Histogram::snapshot).collect()
     }
 
     /// The engine's simulated clock.
     pub fn now(&self) -> SimTime {
-        self.clock.load(Ordering::Relaxed)
+        self.core.clock.load(Ordering::Relaxed)
     }
 
     /// Advance the simulated clock to `t`, fire any scheduled splits
@@ -578,13 +581,13 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// outage state to every replica group. Idempotent; callable from any
     /// thread while other threads serve queries.
     pub fn advance_to(&self, t: SimTime) {
-        self.clock.store(t, Ordering::Relaxed);
+        self.core.clock.store(t, Ordering::Relaxed);
         self.fire_due_splits(t);
-        if let Some(router) = &self.router {
+        if let Some(router) = &self.core.router {
             router.maybe_refresh(t, &self.recorder);
         }
-        let Some(faults) = &self.faults else { return };
-        for (p, group) in self.groups.iter().enumerate() {
+        let Some(faults) = &self.core.faults else { return };
+        for (p, group) in self.core.groups.iter().enumerate() {
             let replicas = faults.num_replicas(p);
             if replicas == 0 {
                 continue;
@@ -604,7 +607,8 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// replica group has no live replica at the split instant — a split
     /// needs a live builder.
     fn fire_due_splits(&self, t: SimTime) {
-        let (Some(repart), Some((schedule, cursor))) = (&self.repart, &self.splits) else {
+        let (Some(repart), Some((schedule, cursor))) = (&self.core.repart, &self.core.splits)
+        else {
             return;
         };
         let mut cur = lock_recovering(cursor);
@@ -642,7 +646,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// Whether any replica of partition `p`'s group is live at `at`
     /// according to the fault schedule (no schedule = always live).
     fn group_has_live_replica(&self, p: u32, at: SimTime) -> bool {
-        let Some(faults) = &self.faults else { return true };
+        let Some(faults) = &self.core.faults else { return true };
         let pu = p as usize;
         let replicas = faults.num_replicas(pu);
         if replicas == 0 {
@@ -654,7 +658,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// Mark one replica of one partition down or up. Returns `false`
     /// (changing nothing) when either index is out of range.
     pub fn set_replica_alive(&self, partition: usize, replica: usize, up: bool) -> bool {
-        match self.groups.get(partition) {
+        match self.core.groups.get(partition) {
             Some(g) => lock_recovering(g).set_alive(replica, up),
             None => false,
         }
@@ -662,7 +666,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
 
     /// Queries dispatched so far, per partition and replica.
     pub fn dispatch_counts(&self) -> Vec<Vec<u64>> {
-        self.groups.iter().map(|g| lock_recovering(g).dispatched().to_vec()).collect()
+        self.core.groups.iter().map(|g| lock_recovering(g).dispatched().to_vec()).collect()
     }
 
     /// The partitions a query *could* address (before availability): the
@@ -673,14 +677,14 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// backend counts as down for a query only when none of these
     /// partitions has an available replica group.
     fn reachable(&self, snap: &PartitionedIndex, terms: &[TermId]) -> Vec<u32> {
-        match &self.router {
+        match &self.core.router {
             Some(router) => router.reachable(snap, terms),
             None => snap.active_parts(),
         }
     }
 
     fn group_available(&self, p: u32) -> bool {
-        self.groups.get(p as usize).is_some_and(|g| lock_recovering(g).available())
+        self.core.groups.get(p as usize).is_some_and(|g| lock_recovering(g).available())
     }
 
     /// Serve a query.
@@ -770,7 +774,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
                 staged.push(Staged::Dup { pos, key, terms });
                 continue;
             }
-            if let Some(hit) = self.cache.get_recorded(key, &self.recorder, now) {
+            if let Some(hit) = self.core.cache.get_recorded(key, &self.recorder, now) {
                 let backend_down = stale_ok
                     && !self.reachable(&snap, terms).iter().any(|&p| self.group_available(p));
                 let served = if backend_down { Served::StaleFromCache } else { Served::CacheHit };
@@ -803,7 +807,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             let (pos, resp) = match s {
                 Staged::Cold(c) => (c.pos, self.resolve(k, now, c)),
                 Staged::Dup { pos, key, terms } => {
-                    let resp = match self.cache.get_recorded(key, &self.recorder, now) {
+                    let resp = match self.core.cache.get_recorded(key, &self.recorder, now) {
                         Some(hit) => self.respond(key, now, hit, Served::CacheHit, None),
                         // Evicted while the batch was in flight: an
                         // ordinary miss, late (the documented divergence).
@@ -831,7 +835,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         terms: &'q [TermId],
         now: SimTime,
     ) -> Cascade<'q> {
-        let decision = match &self.router {
+        let decision = match &self.core.router {
             Some(router) => {
                 let selector = router.profile_for(snap, now, &self.recorder);
                 router.decide(selector.as_ref(), snap, terms)
@@ -847,9 +851,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             terms,
             decision,
             rounds: 0,
-            parts: Vec::new(),
-            completions: Vec::new(),
-            hedge_extra: 0,
+            shards: Vec::new(),
             hits: Vec::new(),
             latency: 0,
             contacted: 0,
@@ -874,60 +876,70 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         let tranche = &c.decision.tranches[c.rounds];
         c.rounds += 1;
         c.contacted += tranche.len();
-        c.parts.clear();
-        c.parts.reserve(tranche.len());
-        c.completions.clear();
-        c.completions.reserve(tranche.len());
-        c.hedge_extra = 0;
+        c.shards.clear();
+        c.shards.reserve(tranche.len());
         let (mut hedges, mut cancelled, mut hedge_work) = (0, 0, 0);
         for &p in tranche {
-            let one = match self.groups.get(p as usize) {
+            let one = match self.core.groups.get(p as usize) {
                 Some(group) => {
                     self.dispatch_one(snap, &mut lock_recovering(group), p, c.terms, now, c.key)
                 }
                 None => OneDispatch::default(),
             };
-            if one.served {
-                c.parts.push(p);
-                c.completions.push(one.completion);
-            } else {
-                c.missing += 1;
+            match one.shard {
+                Some(shard) => c.shards.push(shard),
+                None => c.missing += 1,
             }
             hedges += one.hedges;
-            c.hedge_extra = c.hedge_extra.max(one.extra);
             cancelled += one.cancelled;
             hedge_work += one.hedge_work;
         }
-        c.served += c.parts.len();
-        c.late |= self.gather_deadline.is_some_and(|d| c.completions.iter().any(|&t| t > d));
-        self.counters.hedged.fetch_add(hedges, Ordering::Relaxed);
-        self.counters.cancelled.fetch_add(cancelled, Ordering::Relaxed);
-        self.counters.hedge_work_us.fetch_add(hedge_work, Ordering::Relaxed);
+        c.served += c.shards.len();
+        c.late |=
+            self.core.gather_deadline.is_some_and(|d| c.shards.iter().any(|s| s.completion > d));
+        self.core.counters.hedged.fetch_add(hedges, Ordering::Relaxed);
+        self.core.counters.cancelled.fetch_add(cancelled, Ordering::Relaxed);
+        self.core.counters.hedge_work_us.fetch_add(hedge_work, Ordering::Relaxed);
     }
 
-    /// Whether gather runs on engine-drawn completions (and may return
-    /// partial results) instead of the df-based latency model.
-    fn timed(&self) -> bool {
-        self.stragglers.is_some() || self.gather_deadline.is_some()
+    /// Whether a dispatch is settled the moment a replica takes it:
+    /// nothing can die, nothing is drawn and no policy hedges a live
+    /// replica, so the general path could only draw `ceil(service)`, see
+    /// no death, launch no hedge and settle unhedged. Such a dispatch
+    /// returns exactly that early (the deadline-∞ property in
+    /// `tests/tail_chaos.rs` pins the equality), and its completion stays
+    /// out of the per-shard history: it would restate the df model for a
+    /// policy (`Never`/`OnDeath`) that never reads it. Both sit on the
+    /// coordinator's serial path of every shard task — walking the
+    /// general path read behind on `fanout_batch` in 27 of 36 pairs, the
+    /// history write by −3.6 %. A gather deadline takes the general path
+    /// and keeps its history, as it always has:
+    /// [`Self::shard_latency_percentiles`] is public, and readers of a
+    /// deadline engine have always found it filled.
+    fn plain_completions(&self) -> bool {
+        self.core.faults.is_none()
+            && self.core.stragglers.is_none()
+            && self.core.gather_deadline.is_none()
+            && matches!(self.core.policy, HedgePolicy::Never | HedgePolicy::OnDeath)
     }
 
     /// The drawn service cost of one attempt: the df-based base inflated
-    /// by the straggler model, or plain `ceil(base)` without one.
+    /// by the straggler model, or a plain replica's without one.
     fn drawn_cost(&self, base: f64, p: usize, r: usize, qid: u64) -> SimTime {
-        match &self.stragglers {
+        match &self.core.stragglers {
             Some(m) => m.cost(base, p, r, qid),
-            None => base.ceil() as SimTime,
+            None => plain_completion(base),
         }
     }
 
     fn fails_during(&self, p: usize, r: usize, lo: SimTime, hi: SimTime) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.fails_during(p, r, lo, hi))
+        self.core.faults.as_ref().is_some_and(|f| f.fails_during(p, r, lo, hi))
     }
 
     /// The live percentile trigger for partition `p`, once enough history
     /// has accumulated.
     fn shard_trigger(&self, p: usize, q: f64) -> Option<SimTime> {
-        let hist = &self.shard_latency[p];
+        let hist = &self.core.shard_latency[p];
         if hist.count() < MIN_TRIGGER_SAMPLES {
             return None;
         }
@@ -954,22 +966,17 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         let Some(first) = group.dispatch() else {
             return OneDispatch::default();
         };
-        // Fast path: without faults, a latency model, or a gather
-        // deadline, a Never/OnDeath policy can never hedge, so the
-        // dispatch is already decided (and nobody reads the completion).
-        if self.faults.is_none()
-            && !self.timed()
-            && matches!(self.policy, HedgePolicy::Never | HedgePolicy::OnDeath)
-        {
-            return OneDispatch::served_at(0);
+        let service = self.broker.service_time_in(snap, pu, terms);
+        if self.plain_completions() {
+            let shard = Shard { partition: p, service, completion: plain_completion(service) };
+            return OneDispatch { shard: Some(shard), ..OneDispatch::default() };
         }
-        let base = self.broker.service_time_in(snap, pu, terms);
-        let c1 = self.drawn_cost(base, pu, first, qid);
+        let c1 = self.drawn_cost(service, pu, first, qid);
         let dead1 = self.fails_during(pu, first, now, now + c1);
         // When (relative to dispatch) the hedge launches, if at all. A
         // dead first replica never answers, so time-triggered policies
         // fire their timer on it regardless of `c1`.
-        let launch = match self.policy {
+        let launch = match self.core.policy {
             HedgePolicy::Never => None,
             HedgePolicy::OnDeath => dead1.then_some(c1),
             HedgePolicy::FixedDelay(t) => (dead1 || c1 > t).then_some(t),
@@ -980,12 +987,13 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             },
             HedgePolicy::Tied => Some(0),
         };
-        let one = self.hedge_or_settle(group, p, base, now, qid, first, c1, dead1, launch);
+        let d = Dispatch { p, service, now, qid, first, c1, dead1 };
+        let one = self.hedge_or_settle(group, &d, launch);
         // Record the served completion *after* this query's trigger was
         // read: every query observes the history its predecessors left,
         // the same in a batch as in a loop.
-        if one.served {
-            self.shard_latency[pu].record(one.completion as f64);
+        if let Some(shard) = one.shard {
+            self.core.shard_latency[pu].record(shard.completion as f64);
         }
         one
     }
@@ -993,30 +1001,29 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// Resolve one dispatched attempt against an optional hedge launch:
     /// peek the retry replica, budget-check it at its **own** drawn cost,
     /// then commit the dispatch and settle who serves, who is cancelled,
-    /// and what work was burned.
-    #[allow(clippy::too_many_arguments)]
+    /// and what work was burned. A hedge is folded into the completion:
+    /// the serving answer is ready when the copy that serves it is.
     fn hedge_or_settle(
         &self,
         group: &mut ReplicaGroup,
-        p: u32,
-        base: f64,
-        now: SimTime,
-        qid: u64,
-        first: usize,
-        c1: SimTime,
-        dead1: bool,
+        d: &Dispatch,
         launch: Option<SimTime>,
     ) -> OneDispatch {
+        let &Dispatch { p, service, now, qid, first, c1, dead1 } = d;
         let pu = p as usize;
-        let unhedged = || if dead1 { OneDispatch::default() } else { OneDispatch::served_at(c1) };
+        let served_at = |completion| Some(Shard { partition: p, service, completion });
+        let unhedged = || OneDispatch {
+            shard: if dead1 { None } else { served_at(c1) },
+            ..OneDispatch::default()
+        };
         let Some(h) = launch else { return unhedged() };
         let Some(second) = group.peek_excluding(first) else { return unhedged() };
-        let c2 = self.drawn_cost(base, pu, second, qid);
+        let c2 = self.drawn_cost(service, pu, second, qid);
         // Budget the hedge at the retry replica's own drawn cost from its
         // own launch offset. (Historically this check was `2 * svc <= d`,
         // silently pricing the retry at the *first* replica's cost — under
         // a straggler model the two genuinely diverge.)
-        if self.deadline.is_some_and(|d| h + c2 > d) {
+        if self.core.deadline.is_some_and(|d| h + c2 > d) {
             return unhedged();
         }
         let dispatched = group.dispatch_excluding(first);
@@ -1031,17 +1038,11 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
                 // cancellation is the hedging overhead.
                 let (t1, t2) = (c1, h + c2);
                 let hedge_work = if t2 < t1 { t2 } else { t1.saturating_sub(h) };
-                OneDispatch {
-                    served: true,
-                    completion: t1.min(t2),
-                    cancelled: 1,
-                    hedge_work,
-                    ..hedged
-                }
+                OneDispatch { shard: served_at(t1.min(t2)), cancelled: 1, hedge_work, ..hedged }
             }
-            (true, false) => OneDispatch { served: true, completion: h + c2, extra: c2, ..hedged },
+            (true, false) => OneDispatch { shard: served_at(h + c2), ..hedged },
             // The hedge died mid-flight; the primary answer stands.
-            (false, true) => OneDispatch { served: true, completion: c1, hedge_work: c2, ..hedged },
+            (false, true) => OneDispatch { shard: served_at(c1), hedge_work: c2, ..hedged },
             (true, true) => OneDispatch { hedge_work: c2, ..hedged },
         }
     }
@@ -1052,14 +1053,9 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// top-k comparator, and a cascade whose merged answer is still
     /// deficient dispatches its next tranche for the following round.
     /// Hedging, deadlines, and stragglers apply per tranche through the
-    /// same dispatch pass; round latencies are charged additively.
-    ///
-    /// The two latency models are chosen here and nowhere else: without
-    /// a straggler model or gather deadline, the broker's df-based
-    /// service times plus the additive cost of hedged retries; with one,
-    /// the engine-drawn completions fed to a deadline-aware gather
-    /// (which already folds hedge-shortened completions in, so adding
-    /// `hedge_extra` there would double-charge).
+    /// same dispatch pass, which prices every shard (hedges folded into
+    /// its completion) before the broker sees it; round latencies are
+    /// charged additively.
     fn evaluate<'a, 'q: 'a>(
         &self,
         snap: &PartitionedIndex,
@@ -1067,32 +1063,28 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         now: SimTime,
         cascades: impl Iterator<Item = &'a mut Cascade<'q>>,
     ) {
-        let timed = self.timed();
         let mut in_flight: Vec<&mut Cascade<'q>> = cascades.collect();
         while !in_flight.is_empty() {
             // An entirely-unavailable tranche has nothing to evaluate
             // and merges nothing; the deficiency check broadens past it.
             let batch: Vec<BatchQuery<'_>> = in_flight
                 .iter()
-                .filter(|c| !c.parts.is_empty())
+                .filter(|c| !c.shards.is_empty())
                 .map(|c| BatchQuery {
                     terms: c.terms,
                     k,
-                    parts: &c.parts,
+                    shards: &c.shards,
                     qid: c.key,
-                    timing: timed.then_some(GatherTiming {
-                        completions: &c.completions,
-                        deadline: self.gather_deadline,
-                    }),
+                    deadline: self.core.gather_deadline,
                 })
                 .collect();
             let mut answers = self.broker.scatter_gather(snap, &batch, now).into_iter();
             in_flight.retain_mut(|c| {
-                if !c.parts.is_empty() {
+                if !c.shards.is_empty() {
                     let (resp, answered) =
                         answers.next().expect("one answer per evaluated tranche");
                     c.answered += answered;
-                    c.latency += resp.latency + if timed { 0 } else { c.hedge_extra };
+                    c.latency += resp.latency;
                     c.hits = if c.hits.is_empty() {
                         resp.hits
                     } else {
@@ -1100,7 +1092,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
                     };
                 }
                 let broaden = c.rounds < c.decision.tranches.len()
-                    && self.router.as_ref().is_some_and(|r| r.deficient(&c.hits, k));
+                    && self.core.router.as_ref().is_some_and(|r| r.deficient(&c.hits, k));
                 if broaden {
                     c.broadenings += 1;
                     self.dispatch_next(snap, now, c);
@@ -1122,9 +1114,9 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// only when every active partition was contacted and answered.
     fn resolve(&self, k: usize, now: SimTime, c: Cascade<'_>) -> EngineResponse {
         let active = c.decision.active;
-        if let Some(router) = &self.router {
+        if let Some(router) = &self.core.router {
             router.account(c.contacted, active, c.broadenings);
-            self.counters.broadenings.fetch_add(u64::from(c.broadenings), Ordering::Relaxed);
+            self.core.counters.broadenings.fetch_add(u64::from(c.broadenings), Ordering::Relaxed);
             self.recorder.record(Event::RouteServed {
                 qid: c.key,
                 now,
@@ -1147,7 +1139,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             Served::Full
         };
         if !matches!(served, Served::Failed | Served::Partial { .. }) {
-            self.cache.put(c.key, c.hits.clone());
+            self.core.cache.put(c.key, c.hits.clone());
         }
         let latency = (c.served > 0).then_some(c.latency);
         self.respond(c.key, now, c.hits, served, latency)
@@ -1163,7 +1155,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         served: Served,
         latency: Option<SimTime>,
     ) -> EngineResponse {
-        let n = &self.counters;
+        let n = &self.core.counters;
         let (counter, outcome) = match served {
             Served::CacheHit => (&n.cache_hits, ObsOutcome::CacheHit),
             Served::Full => (&n.full, ObsOutcome::Full),
@@ -1182,23 +1174,23 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// Counters so far.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            full: self.counters.full.load(Ordering::Relaxed),
-            degraded: self.counters.degraded.load(Ordering::Relaxed),
-            stale: self.counters.stale.load(Ordering::Relaxed),
-            failed: self.counters.failed.load(Ordering::Relaxed),
-            hedged: self.counters.hedged.load(Ordering::Relaxed),
-            cancelled: self.counters.cancelled.load(Ordering::Relaxed),
-            partial: self.counters.partial.load(Ordering::Relaxed),
-            routed: self.counters.routed.load(Ordering::Relaxed),
-            broadenings: self.counters.broadenings.load(Ordering::Relaxed),
-            hedge_work_us: self.counters.hedge_work_us.load(Ordering::Relaxed),
+            cache_hits: self.core.counters.cache_hits.load(Ordering::Relaxed),
+            full: self.core.counters.full.load(Ordering::Relaxed),
+            degraded: self.core.counters.degraded.load(Ordering::Relaxed),
+            stale: self.core.counters.stale.load(Ordering::Relaxed),
+            failed: self.core.counters.failed.load(Ordering::Relaxed),
+            hedged: self.core.counters.hedged.load(Ordering::Relaxed),
+            cancelled: self.core.counters.cancelled.load(Ordering::Relaxed),
+            partial: self.core.counters.partial.load(Ordering::Relaxed),
+            routed: self.core.counters.routed.load(Ordering::Relaxed),
+            broadenings: self.core.counters.broadenings.load(Ordering::Relaxed),
+            hedge_work_us: self.core.counters.hedge_work_us.load(Ordering::Relaxed),
         }
     }
 
     /// The cache's own counters.
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats()
+        self.core.cache.stats()
     }
 
     /// The broker, for busy-time inspection.
@@ -1404,6 +1396,38 @@ mod tests {
         let counts = e.dispatch_counts();
         assert_eq!(counts[0], vec![1, 1], "first attempt plus hedge on partition 0");
         assert_eq!(counts[1].iter().sum::<u64>(), 1, "partition 1 served in one attempt");
+    }
+
+    /// The one latency arithmetic, pinned from public APIs only: the
+    /// gather waits for the slowest `completion + rtt`, then merges. A
+    /// plain completion is `ceil(service)`; a partition hedged on death
+    /// completes when the retry does — the dead attempt's cost plus the
+    /// retry's own.
+    #[test]
+    fn latency_is_slowest_completion_plus_transit_plus_merge() {
+        use crate::broker::US_PER_MERGE_HIT;
+        use dwr_sim::net::{SiteId, Topology};
+        let (pi, schedule) = setup_mid_query_death();
+        let terms = [TermId(1)];
+        let probe = DocBroker::single_site(&pi);
+        let hits = |p: u32| probe.query_selected(&terms, 10, &[p]).hits.len() as u64;
+        let plain = |p: usize| probe.service_time(p, &terms).ceil() as SimTime;
+        let arrival = |p: u32, completion: SimTime| {
+            completion + Topology::single_site().rtt(SiteId(0), SiteId(0), 64, hits(p) * 12)
+        };
+        let merge = ((hits(0) + hits(1)) as f64 * US_PER_MERGE_HIT) as SimTime;
+
+        let fault_free = DistributedEngine::new(&pi, LruCache::new(16), 2);
+        let r = fault_free.query_full(&terms, 10);
+        assert_eq!(r.served, Served::Full);
+        assert_eq!(r.latency, Some(arrival(0, plain(0)).max(arrival(1, plain(1))) + merge));
+
+        let hedged = DistributedEngine::new(&pi, LruCache::new(16), 2).with_faults(schedule);
+        let h = hedged.query_full(&terms, 10);
+        assert_eq!((h.served, hedged.stats().hedged), (Served::Full, 1));
+        assert_eq!(h.hits, r.hits);
+        // No straggler model: c1 = c2 = ceil(service), launched at c1.
+        assert_eq!(h.latency, Some(arrival(0, 2 * plain(0)).max(arrival(1, plain(1))) + merge));
     }
 
     #[test]

@@ -52,6 +52,11 @@ use dwr_text::TermId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+/// WAN message size of a query request, bytes.
+const REQUEST_BYTES: u64 = 200;
+/// WAN message size of a result page, bytes.
+const RESPONSE_BYTES: u64 = 4_000;
+
 /// Site-tier routing and robustness knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiSiteConfig {
@@ -70,10 +75,6 @@ pub struct MultiSiteConfig {
     pub shed_threshold: f64,
     /// Window over which per-site utilization is measured.
     pub util_window: SimTime,
-    /// WAN message size of a query request, bytes.
-    pub request_bytes: u64,
-    /// WAN message size of a result page, bytes.
-    pub response_bytes: u64,
 }
 
 impl Default for MultiSiteConfig {
@@ -84,8 +85,6 @@ impl Default for MultiSiteConfig {
             backoff: 50 * MILLISECOND,
             shed_threshold: f64::INFINITY,
             util_window: MINUTE,
-            request_bytes: 200,
-            response_bytes: 4_000,
         }
     }
 }
@@ -362,7 +361,7 @@ impl<C: ResultCache, R: Recorder + Clone> MultiSiteEngine<C, R> {
             }
             let remote = s != anchor;
             let wan = if remote {
-                self.topo.rtt(anchor_id, sid, self.cfg.request_bytes, self.cfg.response_bytes)
+                self.topo.rtt(anchor_id, sid, REQUEST_BYTES, RESPONSE_BYTES)
             } else {
                 0
             };

@@ -176,8 +176,8 @@ pub struct RoutedOracle {
 
 /// The routing stage: wraps a [`CollectionSelector`] source, contacts
 /// the top-*t* active partitions per query, and broadens recall-safely
-/// when the routed answer is deficient. Shared behind an `Arc` by the
-/// engine's serve, timed, batch, and live paths; all methods `&self`.
+/// when the routed answer is deficient. Shared behind an `Arc` (by
+/// several engines, when they route alike); all methods `&self`.
 pub struct ShardRouter {
     source: RouteSource,
     /// Initial shards contacted per query (*t*).
@@ -494,7 +494,8 @@ impl ShardRouter {
                 broadenings += 1;
             }
             contacted += tranche.len();
-            let round = BatchQuery { terms, k, parts: tranche, qid, timing: None };
+            let shards = broker.plain_shards(snap, terms, tranche);
+            let round = BatchQuery { terms, k, shards: &shards, qid, deadline: None };
             let (resp, _) = broker.scatter_gather_one(snap, round, now);
             latency += resp.latency;
             hits = if hits.is_empty() { resp.hits } else { merge_topk(&hits, &resp.hits, k) };

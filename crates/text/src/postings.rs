@@ -55,6 +55,9 @@ pub enum DecodeError {
     /// A varint ran past the 5 bytes a `u32` can occupy, or its fifth
     /// byte carried bits beyond bit 31.
     Overlong,
+    /// A doc id does not exceed its predecessor: a zero delta after the
+    /// first posting, or a delta that wraps `u32`.
+    NotAscending,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -62,6 +65,7 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "posting data truncated mid-varint"),
             DecodeError::Overlong => write!(f, "varint longer than a u32 permits"),
+            DecodeError::NotAscending => write!(f, "doc ids not strictly ascending"),
         }
     }
 }
@@ -203,10 +207,11 @@ impl PostingList {
 
     /// Re-admit a wire-encoded stream (the payload a document broker
     /// ships between sites). The stream is fully validated — truncated or
-    /// overlong varints surface as [`DecodeError`] instead of looping or
-    /// panicking — and the block-max ladder is rebuilt locally (document
-    /// lengths are not on the wire, so `min_doc_len` is the conservative
-    /// `0`).
+    /// overlong varints and doc ids that fail to ascend surface as
+    /// [`DecodeError`] instead of looping, panicking, or admitting a list
+    /// a scan would score twice — and the block-max ladder is rebuilt
+    /// locally (document lengths are not on the wire, so `min_doc_len` is
+    /// the conservative `0`).
     pub fn from_encoded(data: Bytes, df: u32) -> Result<Self, DecodeError> {
         let mut pos = 0usize;
         let mut prev_doc = 0u32;
@@ -219,7 +224,13 @@ impl PostingList {
             let delta = get_varint(&data[..], &mut pos)?;
             let tf =
                 get_varint(&data[..], &mut pos)?.checked_add(1).ok_or(DecodeError::Overlong)?;
-            prev_doc = if i == 0 { delta } else { prev_doc.wrapping_add(delta) };
+            prev_doc = match i {
+                0 => delta,
+                _ => prev_doc
+                    .checked_add(delta)
+                    .filter(|_| delta >= 1)
+                    .ok_or(DecodeError::NotAscending)?,
+            };
             cf += u64::from(tf);
             let meta = cur.get_or_insert(BlockMeta {
                 last_doc: prev_doc,
@@ -825,6 +836,25 @@ mod tests {
             assert_eq!(a.max_tf, b.max_tf);
             assert_eq!(a.min_doc_len, 0, "lengths are not on the wire");
         }
+    }
+
+    #[test]
+    fn from_encoded_rejects_doc_ids_that_do_not_ascend() {
+        // Doc 5, then a zero delta: doc 5 again, which a DAAT scan
+        // would score twice.
+        let repeated = Bytes::from(vec![5, 0, 0, 0]);
+        assert_eq!(PostingList::from_encoded(repeated, 2).err(), Some(DecodeError::NotAscending));
+        // Doc u32::MAX, then a delta of 2 wrapping to doc 1.
+        let wrapped = Bytes::from(vec![0xff, 0xff, 0xff, 0xff, 0x0f, 0, 2, 0]);
+        assert_eq!(PostingList::from_encoded(wrapped, 2).err(), Some(DecodeError::NotAscending));
+        // A first posting at doc 0 is a zero delta from nothing: valid.
+        let from_zero = Bytes::from(vec![0, 0, 1, 0]);
+        let docs: Vec<u32> = PostingList::from_encoded(from_zero, 2)
+            .expect("ascending")
+            .iter()
+            .map(|p| p.doc.0)
+            .collect();
+        assert_eq!(docs, [0, 1]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Tail-tolerance suite: the engine under heavy-tailed straggler models,
 //! hedging policies, and deadline-aware gather, randomized.
 //!
-//! Four properties, per ISSUE 7:
+//! Five properties (1–4 per ISSUE 7, 5 per ISSUE 19):
 //!
 //! 1. with no gather deadline, no straggler model, and the default
 //!    [`HedgePolicy::OnDeath`], the reworked dispatch path is
@@ -17,13 +17,17 @@
 //!    from the public `FaultSchedule` + `StragglerModel` + `service_time`
 //!    APIs predicts which partitions make the deadline, and the engine's
 //!    `partitions_answered` (and the partition membership of every hit)
-//!    must match it.
+//!    must match it;
+//! 5. there is **one latency model**: a gather deadline of ∞
+//!    (`SimTime::MAX`) is indistinguishable from no deadline at all, with
+//!    or without a straggler model, under every policy and fault
+//!    schedule.
 
 use dwr_avail::UpDownProcess;
 use dwr_partition::doc::{DocPartitioner, RoundRobinPartitioner};
 use dwr_partition::parted::{Corpus, PartitionedIndex};
 use dwr_query::cache::LruCache;
-use dwr_query::engine::{query_key, DistributedEngine, HedgePolicy, Served};
+use dwr_query::engine::{query_key, DistributedEngine, EngineResponse, HedgePolicy, Served};
 use dwr_query::faults::FaultSchedule;
 use dwr_query::straggler::{StragglerModel, TailParams};
 use dwr_sim::{SimRng, SimTime, DAY, HOUR, MINUTE};
@@ -52,9 +56,27 @@ fn policy(ix: usize) -> HedgePolicy {
     }
 }
 
+/// Two engines served the same stream indistinguishably: response by
+/// response, then every counter and ledger.
+fn same_run(
+    (a, from_a): (&DistributedEngine<LruCache>, &[EngineResponse]),
+    (b, from_b): (&DistributedEngine<LruCache>, &[EngineResponse]),
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(from_a.len(), from_b.len());
+    for (i, (x, y)) in from_a.iter().zip(from_b).enumerate() {
+        prop_assert_eq!(&x.hits, &y.hits, "hits diverge at query {}", i);
+        prop_assert_eq!(x.served, y.served, "outcome diverges at query {}", i);
+        prop_assert_eq!(x.latency, y.latency, "latency diverges at query {}", i);
+    }
+    prop_assert_eq!(a.stats(), b.stats());
+    prop_assert_eq!(a.cache_stats(), b.cache_stats());
+    prop_assert_eq!(a.dispatch_counts(), b.dispatch_counts());
+    prop_assert_eq!(a.broker().busy_time(), b.broker().busy_time());
+    Ok(())
+}
+
 /// Property 3's comparison: one `query_batch` call against the
-/// query-at-a-time loop on an identically built engine at instant `t` —
-/// response by response, then every counter.
+/// query-at-a-time loop on an identically built engine at instant `t`.
 fn batch_equals_loop(
     build: impl Fn() -> DistributedEngine<LruCache>,
     queries: &[Vec<TermId>],
@@ -65,16 +87,7 @@ fn batch_equals_loop(
     looped.advance_to(t);
     let from_batch = batched.query_batch(queries, 10);
     let from_loop: Vec<_> = queries.iter().map(|q| looped.query_full(q, 10)).collect();
-    prop_assert_eq!(from_batch.len(), from_loop.len());
-    for (i, (a, b)) in from_batch.iter().zip(&from_loop).enumerate() {
-        prop_assert_eq!(&a.hits, &b.hits, "hits diverge at query {}", i);
-        prop_assert_eq!(a.served, b.served, "outcome diverges at query {}", i);
-        prop_assert_eq!(a.latency, b.latency, "latency diverges at query {}", i);
-    }
-    prop_assert_eq!(batched.stats(), looped.stats());
-    prop_assert_eq!(batched.cache_stats(), looped.cache_stats());
-    prop_assert_eq!(batched.dispatch_counts(), looped.dispatch_counts());
-    Ok(())
+    same_run((&batched, &from_batch), (&looped, &from_loop))
 }
 
 /// Property 3, fixed input: a batch repeating a query whose first
@@ -309,6 +322,62 @@ proptest! {
             }
         }
         prop_assert_eq!(engine.stats().partial, expected_partials);
+    }
+
+    /// Property 5: an untimed query is a gather deadline of ∞. Adding
+    /// `.with_gather_deadline(SimTime::MAX)` — which no completion can
+    /// exceed — changes no response and no ledger, whether completions
+    /// are drawn from a straggler model or plain, query at a time across
+    /// the fault schedule and as one batch. Without faults or stragglers
+    /// the deadline-free engine settles `Never`/`OnDeath` dispatches by
+    /// its early return while the deadline-∞ engine walks the general
+    /// path: the property holds the shortcut to the general path's values.
+    #[test]
+    fn infinite_gather_deadline_equals_no_deadline(
+        partitions in 1usize..5,
+        replicas in 1usize..4,
+        n_queries in 1usize..40,
+        policy_ix in 0usize..5,
+        with_faults in any::<bool>(),
+        with_stragglers in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let pi = build_rr_index(30, 15, partitions);
+        let process = UpDownProcess::exponential(8 * HOUR, HOUR);
+        let schedule = Arc::new(FaultSchedule::generate(
+            partitions, replicas, &process, DAY, seed ^ 0x7A18,
+        ));
+        let model = Arc::new(StragglerModel::drawn(seed ^ 0x7A19, TailParams::heavy()));
+        let build = |deadline: Option<SimTime>| {
+            let e = DistributedEngine::new(&pi, LruCache::new(16), replicas)
+                .with_hedge_policy(policy(policy_ix));
+            let e = if with_faults { e.with_faults(Arc::clone(&schedule)) } else { e };
+            let e = if with_stragglers { e.with_stragglers(Arc::clone(&model)) } else { e };
+            match deadline {
+                Some(d) => e.with_gather_deadline(d),
+                None => e,
+            }
+        };
+        let mut rng = SimRng::new(seed ^ 6);
+        let queries: Vec<Vec<TermId>> = (0..n_queries)
+            .map(|_| vec![TermId(rng.below(15) as u32)])
+            .collect();
+        let (unbounded, infinite) = (build(None), build(Some(SimTime::MAX)));
+        let serve_loop = |e: &DistributedEngine<LruCache>| -> Vec<EngineResponse> {
+            let serve = |(i, q): (usize, &Vec<TermId>)| {
+                e.advance_to(i as SimTime * DAY / n_queries as SimTime);
+                e.query_full(q, 10)
+            };
+            queries.iter().enumerate().map(serve).collect()
+        };
+        same_run((&unbounded, &serve_loop(&unbounded)), (&infinite, &serve_loop(&infinite)))?;
+        let (unbounded, infinite) = (build(None), build(Some(SimTime::MAX)));
+        let t = rng.below(DAY);
+        unbounded.advance_to(t);
+        infinite.advance_to(t);
+        let (from_unbounded, from_infinite) =
+            (unbounded.query_batch(&queries, 10), infinite.query_batch(&queries, 10));
+        same_run((&unbounded, &from_unbounded), (&infinite, &from_infinite))?;
     }
 }
 

@@ -7,9 +7,10 @@
 //! * [`token`] — a fault-tolerant tokenizer (the paper stresses that "it is
 //!   very important that the HTML parser is tolerant to all sort of
 //!   errors"; our tokenizer never fails, it only emits fewer tokens);
-//! * [`postings`] — delta + varint compressed posting lists with term
-//!   frequencies in a block-max layout (per-block last-doc/max-tf/
-//!   min-doc-len metadata plus a block-skipping `next_geq` cursor), the
+//! * [`postings`] — posting lists with term frequencies, bit-packed per
+//!   block of 128 (frame of reference: one gap width and one tf width per
+//!   block) in a block-max layout (per-block last-doc/max-tf/min-doc-len
+//!   metadata plus a block-skipping `next_geq` cursor), the
 //!   Lexicon/PostingList pair the paper describes;
 //! * [`index`] — sort-based and single-pass index builders, plus index
 //!   merging (the building blocks of Section 4's distributed construction

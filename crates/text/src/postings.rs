@@ -1,41 +1,54 @@
-//! Compressed posting lists in a block-max layout.
+//! Compressed posting lists in a block-max, frame-of-reference layout.
 //!
-//! Each posting is a `(doc, tf)` pair; documents are stored as varint
-//! deltas (ascending doc ids) and term frequencies as varints. This is the
-//! minimal production layout the paper describes ("each element of a list,
-//! a posting, contains in its minimal form the identifier of the document
-//! containing the terms (...) often keep more information, such as the
-//! number of occurrences").
+//! Each posting is a `(doc, tf)` pair, the minimal production layout the
+//! paper describes ("each element of a list, a posting, contains in its
+//! minimal form the identifier of the document containing the terms (...)
+//! often keep more information, such as the number of occurrences").
 //!
 //! # Block layout
 //!
-//! On top of the flat varint stream, the list is organized into
-//! fixed-size **blocks** of [`BLOCK_LEN`] postings. The byte stream is
-//! *identical* to the unblocked encoding (deltas chain across block
-//! boundaries); blocks only add per-block metadata on the side:
+//! The list is cut into fixed-size **blocks** of [`BLOCK_LEN`] postings
+//! (the last may be partial), and each block is bit-packed on its own with
+//! one width for its doc gaps and one for its term frequencies:
 //!
 //! ```text
-//! data:   |d0 tf0 d1 tf1 ... d127 tf127|d128 tf128 ...          |...
-//!          `------- block 0 ----------' `------ block 1 ------'
+//! data:   |gw tw| n × (gap−1) : gw bits | n × (tf−1) : tw bits |gw tw| ...
+//!          `---------------------- block 0 --------------------' `- block 1
 //! blocks: [ {offset, last_doc, max_tf, min_doc_len} , {...} , ... ]
 //! ```
 //!
-//! `offset` is the byte position where the block's first delta starts and
-//! `last_doc` the doc id of its final posting, so any block can be decoded
-//! independently (the delta base of block `b` is `blocks[b-1].last_doc`).
-//! `max_tf` and `min_doc_len` dominate every posting in the block for any
-//! monotone scorer — [`crate::score::TermScorer::block_upper_bound`] turns them
-//! into a per-block score ceiling, the *block-max* metadata that the
-//! MaxScore evaluator in [`crate::search`] prunes with.
+//! * a 2-byte header holds the two widths in bits, each `0..=32`;
+//! * doc ids strictly ascend, so every gap is at least 1 and is stored
+//!   minus one; the list's first doc is its gap from a virtual predecessor
+//!   −1, i.e. the doc id itself;
+//! * values are packed LSB-first, and each of the two sections is padded
+//!   with zero bits to a whole byte.
 //!
+//! A dense block whose postings all have tf 1 therefore costs its two
+//! header bytes. Every byte of the format, headers included, is in `data`
+//! and counted by [`PostingList::encoded_bytes`]; the `blocks` sidecar
+//! holds only what [`PostingList::from_encoded`] rebuilds from `data`.
+//!
+//! `offset` is the byte position of the block's header and `last_doc` the
+//! doc id of its final posting, so any block decodes independently (the
+//! gap base of block `b` is `blocks[b-1].last_doc`). `max_tf` and
+//! `min_doc_len` dominate every posting in the block for any monotone
+//! scorer — [`crate::score::TermScorer::block_upper_bound`] turns them into
+//! a per-block score ceiling, the *block-max* metadata that the MaxScore
+//! evaluator in [`crate::search`] prunes with.
+//!
+//! One block decoder serves every reader — [`PostingCursor`],
+//! [`PostingIter`] and the validation in [`PostingList::from_encoded`] —
+//! so what validation admits is exactly what the readers decode.
 //! [`PostingCursor`] is the skip-aware access path: `next_geq(target)`
 //! consults `last_doc` to hop over whole blocks without decoding them.
 
 use crate::DocId;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Postings per block. 128 keeps a decoded block (1 KiB of `Posting`)
-/// inside L1 while making the metadata overhead ~3% of a dense list.
+/// inside L1 while making the metadata overhead ~3% of a dense list, and,
+/// being a multiple of 8, leaves every full block's sections unpadded.
 pub const BLOCK_LEN: usize = 128;
 
 /// One decoded posting.
@@ -47,69 +60,177 @@ pub struct Posting {
     pub tf: u32,
 }
 
-/// Why a varint stream failed to decode.
+/// Why an encoded posting stream failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The stream ended inside a varint (or before `df` postings).
+    /// The stream ended inside a block header or its packed values (or
+    /// before `df` postings).
     Truncated,
-    /// A varint ran past the 5 bytes a `u32` can occupy, or its fifth
-    /// byte carried bits beyond bit 31.
-    Overlong,
-    /// A doc id does not exceed its predecessor: a zero delta after the
-    /// first posting, or a delta that wraps `u32`.
+    /// A block header declares a width above 32 bits, or a packed `tf − 1`
+    /// is `u32::MAX` (no `u32` tf is one more than that).
+    OutOfRange,
+    /// A doc id overflows `u32`: a block's gaps carry it past `u32::MAX`.
     NotAscending,
+    /// The stream continues past its `df`-th posting: bytes after the last
+    /// block, or set bits in the last block's padding.
+    TrailingBytes,
 }
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::Truncated => write!(f, "posting data truncated mid-varint"),
-            DecodeError::Overlong => write!(f, "varint longer than a u32 permits"),
+            DecodeError::Truncated => write!(f, "posting data truncated inside a block"),
+            DecodeError::OutOfRange => write!(f, "block width above 32 bits or tf out of range"),
             DecodeError::NotAscending => write!(f, "doc ids not strictly ascending"),
+            DecodeError::TrailingBytes => write!(f, "posting data continues past the last posting"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-fn put_varint(buf: &mut BytesMut, mut v: u32) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
+/// Bytes that `n` values of `width` bits occupy once padded to a byte.
+fn packed_len(n: usize, width: u32) -> usize {
+    (n * width as usize).div_ceil(8)
+}
+
+/// Bits needed for the largest of the values OR-ed into `any`.
+fn width_of(any: u32) -> u32 {
+    u32::BITS - any.leading_zeros()
+}
+
+/// Whether the padding after `n` values of `width` bits, in the byte
+/// before `section_end`, has a bit set.
+fn padding_set(data: &[u8], section_end: usize, n: usize, width: u32) -> bool {
+    let used = (n * width as usize) % 8;
+    used != 0 && data[section_end - 1] >> used != 0
+}
+
+/// Hands `f` each posting of `block` with the next of `block.len()`
+/// values of `width` bits, packed LSB-first from byte `at` of `data` (at
+/// least 8 bytes long).
+#[inline(always)]
+fn unpack(
+    data: &[u8],
+    at: usize,
+    width: u32,
+    block: &mut [Posting],
+    f: impl FnMut(&mut Posting, u32),
+) {
+    macro_rules! by_width {
+        ($($w:literal)*) => {
+            match width {
+                $($w => unpack_width::<$w>(data, at, block, f),)*
+                _ => unreachable!("block widths are checked against 32"),
+            }
+        };
+    }
+    by_width!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32);
+}
+
+/// [`unpack`] at a width known at compile time. Eight values fill exactly
+/// `W` bytes, so inside a group of eight every value's byte offset and
+/// shift are constants, and its little-endian word is read from a
+/// `W + 8`-byte window checked once per group. The values left over — a
+/// partial group, or groups whose window would run past the end of `data`
+/// — are read one at a time, near the end from the last word of `data`.
+/// A zero-width section reads nothing.
+fn unpack_width<const W: usize>(
+    data: &[u8],
+    at: usize,
+    block: &mut [Posting],
+    mut f: impl FnMut(&mut Posting, u32),
+) {
+    if W == 0 {
+        return block.iter_mut().for_each(|p| f(p, 0));
+    }
+    let mask = (1u64 << W) - 1;
+    let word = |bytes: &[u8], at: usize| {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("an 8-byte window"))
+    };
+    let groups = (data.len() - 8).saturating_sub(at) / W;
+    let (head, tail) = block.split_at_mut((groups * 8).min(block.len() / 8 * 8));
+    for (g, group) in head.chunks_exact_mut(8).enumerate() {
+        let window = &data[at + g * W..at + g * W + W + 8];
+        for (j, p) in group.iter_mut().enumerate() {
+            f(p, ((word(window, j * W / 8) >> (j * W % 8)) & mask) as u32);
         }
-        buf.put_u8(byte | 0x80);
+    }
+    let last = data.len() - 8;
+    for (i, p) in tail.iter_mut().enumerate() {
+        let bit = at * 8 + (head.len() + i) * W;
+        let from = (bit / 8).min(last);
+        f(p, ((word(data, from) >> (bit - from * 8)) & mask) as u32);
     }
 }
 
-/// Decode one varint from `data` starting at `*pos`, advancing `*pos`.
+/// Decode the block of `n` postings whose header sits at `offset`,
+/// appending them to `out`; `prev` is the last doc before the block
+/// (`None` for the first block: the virtual predecessor −1). Returns the
+/// offset just past the block.
 ///
-/// Unlike the pre-hardening version (which panicked on truncation via the
-/// buffer and looped past 5 bytes in release builds), corrupt input is a
-/// first-class [`DecodeError`] in every build profile.
-fn get_varint(data: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
-    let mut v = 0u32;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = data.get(*pos) else {
-            return Err(DecodeError::Truncated);
-        };
-        *pos += 1;
-        if shift == 28 {
-            // Fifth byte: must terminate and fit in the 4 bits left.
-            if byte & 0xf0 != 0 {
-                return Err(DecodeError::Overlong);
-            }
-            return Ok(v | (u32::from(byte) << 28));
-        }
-        v |= u32::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
+/// Values are unpacked straight into `out`, docs first, then tfs. Bounds
+/// are checked once per block, before the first value; doc-id overflow
+/// once, on the last doc (every gap is at least 1, so it bounds the rest);
+/// tf overflow only where a 32-bit tf field can hold `u32::MAX`. On error
+/// `out` is left as it was.
+fn decode_block(
+    data: &[u8],
+    offset: usize,
+    n: usize,
+    prev: Option<u32>,
+    out: &mut Vec<Posting>,
+) -> Result<usize, DecodeError> {
+    debug_assert!((1..=BLOCK_LEN).contains(&n), "a block holds 1..=BLOCK_LEN postings");
+    let Some(&[gw, tw]) = data.get(offset..offset + 2) else {
+        return Err(DecodeError::Truncated);
+    };
+    let (gw, tw) = (u32::from(gw), u32::from(tw));
+    if gw > 32 || tw > 32 {
+        return Err(DecodeError::OutOfRange);
     }
+    let gaps_at = offset + 2;
+    let tfs_at = gaps_at + packed_len(n, gw);
+    let end = tfs_at + packed_len(n, tw);
+    if end > data.len() {
+        return Err(DecodeError::Truncated);
+    }
+    if padding_set(data, tfs_at, n, gw) || padding_set(data, end, n, tw) {
+        return Err(DecodeError::TrailingBytes);
+    }
+    // A stream shorter than one word is read from a copy padded to one.
+    let mut short = [0u8; 8];
+    let data = match data.len() {
+        0..8 => {
+            short[..data.len()].copy_from_slice(data);
+            &short[..]
+        }
+        _ => data,
+    };
+    // Both passes write in place; tf 1 is what a zero-width tf section
+    // holds, so that pass is skipped.
+    let start = out.len();
+    out.resize(start + n, Posting { doc: DocId(0), tf: 1 });
+    let block = &mut out[start..];
+    // One past the last doc so far; u64, so an overflowing gap shows in
+    // the last doc instead of wrapping.
+    let mut next = prev.map_or(0, |p| u64::from(p) + 1);
+    unpack(data, gaps_at, gw, block, |p, gap_minus_one| {
+        next += u64::from(gap_minus_one) + 1;
+        p.doc = DocId((next - 1) as u32);
+    });
+    if tw > 0 {
+        unpack(data, tfs_at, tw, block, |p, tf_minus_one| p.tf = tf_minus_one.wrapping_add(1));
+    }
+    if next > 1 << 32 {
+        out.truncate(start);
+        return Err(DecodeError::NotAscending);
+    }
+    if tw == 32 && out[start..].iter().any(|p| p.tf == 0) {
+        out.truncate(start);
+        return Err(DecodeError::OutOfRange);
+    }
+    Ok(end)
 }
 
 /// Per-block metadata: everything a pruning evaluator needs to decide
@@ -124,7 +245,7 @@ pub struct BlockMeta {
     /// builder was not given lengths (the conservative, always-sound
     /// default: BM25 is maximal at length 0).
     pub min_doc_len: u32,
-    /// Byte offset of the block's first delta in the encoded stream.
+    /// Byte offset of the block's header in the encoded stream.
     offset: u32,
 }
 
@@ -185,13 +306,27 @@ impl PostingList {
         }
     }
 
+    /// Decode block `b`, appending its postings to `out` (nothing on
+    /// corrupt data).
+    fn decode_into(&self, b: usize, out: &mut Vec<Posting>) -> Result<usize, DecodeError> {
+        let prev = b.checked_sub(1).map(|p| self.blocks[p].last_doc);
+        decode_block(&self.data, self.blocks[b].offset as usize, self.block_len(b), prev, out)
+    }
+
     /// Iterate over the decoded postings in ascending doc order.
     ///
     /// On corrupt data the iterator stops early; [`PostingIter::error`]
     /// reports why. Lists built by [`PostingListBuilder`] or admitted via
     /// [`PostingList::from_encoded`] never trip this.
     pub fn iter(&self) -> PostingIter<'_> {
-        PostingIter { data: &self.data[..], pos: 0, prev_doc: 0, remaining: self.df, error: None }
+        PostingIter {
+            list: self,
+            block: 0,
+            buf: Vec::new(),
+            pos: 0,
+            remaining: self.df,
+            error: None,
+        }
     }
 
     /// Decode everything into a vector (convenience for tests/merging).
@@ -205,60 +340,52 @@ impl PostingList {
         PostingCursor::new(self)
     }
 
-    /// Re-admit a wire-encoded stream (the payload a document broker
-    /// ships between sites). The stream is fully validated — truncated or
-    /// overlong varints and doc ids that fail to ascend surface as
-    /// [`DecodeError`] instead of looping, panicking, or admitting a list
-    /// a scan would score twice — and the block-max ladder is rebuilt
-    /// locally (document lengths are not on the wire, so `min_doc_len` is
-    /// the conservative `0`).
+    /// Re-admit a wire-encoded stream of exactly `df` postings (the
+    /// payload a document broker ships between sites). The stream is fully
+    /// validated by the readers' own block decoder — a block cut short, a
+    /// width above 32 bits or a tf field that cannot be `tf − 1`, doc ids
+    /// that overflow `u32`, and anything after the `df`-th posting surface
+    /// as [`DecodeError`] instead of panicking or admitting a list a scan
+    /// would answer wrongly — and the block-max ladder is rebuilt locally
+    /// (document lengths are not on the wire, so `min_doc_len` is the
+    /// conservative `0`). A block of zero-width sections (consecutive
+    /// docs, every tf 1) stores no count of its own; there `df` alone says
+    /// how many postings it holds.
     pub fn from_encoded(data: Bytes, df: u32) -> Result<Self, DecodeError> {
-        let mut pos = 0usize;
-        let mut prev_doc = 0u32;
-        let mut cf = 0u64;
-        let mut blocks = Vec::with_capacity((df as usize).div_ceil(BLOCK_LEN));
-        let mut cur: Option<BlockMeta> = None;
-        let mut in_block = 0usize;
-        for i in 0..df {
-            let start = pos;
-            let delta = get_varint(&data[..], &mut pos)?;
-            let tf =
-                get_varint(&data[..], &mut pos)?.checked_add(1).ok_or(DecodeError::Overlong)?;
-            prev_doc = match i {
-                0 => delta,
-                _ => prev_doc
-                    .checked_add(delta)
-                    .filter(|_| delta >= 1)
-                    .ok_or(DecodeError::NotAscending)?,
-            };
-            cf += u64::from(tf);
-            let meta = cur.get_or_insert(BlockMeta {
-                last_doc: prev_doc,
-                max_tf: tf,
-                min_doc_len: 0,
-                offset: start as u32,
-            });
-            meta.last_doc = prev_doc;
-            meta.max_tf = meta.max_tf.max(tf);
-            in_block += 1;
-            if in_block == BLOCK_LEN {
-                blocks.push(cur.take().expect("block in progress"));
-                in_block = 0;
-            }
+        let total = df as usize;
+        // Every block costs at least its header: bound the ladder by the
+        // stream before trusting `df` with an allocation.
+        let mut blocks = Vec::with_capacity(total.div_ceil(BLOCK_LEN).min(data.len() / 2));
+        let mut block = Vec::with_capacity(total.min(BLOCK_LEN));
+        let (mut offset, mut cf, mut prev) = (0usize, 0u64, None);
+        for first in (0..total).step_by(BLOCK_LEN) {
+            block.clear();
+            let end =
+                decode_block(&data, offset, (total - first).min(BLOCK_LEN), prev, &mut block)?;
+            let last_doc = block.last().expect("a decoded block is non-empty").doc.0;
+            let max_tf = block.iter().map(|p| p.tf).max().expect("a decoded block is non-empty");
+            cf += block.iter().map(|p| u64::from(p.tf)).sum::<u64>();
+            blocks.push(BlockMeta { last_doc, max_tf, min_doc_len: 0, offset: offset as u32 });
+            prev = Some(last_doc);
+            offset = end;
         }
-        if let Some(meta) = cur {
-            blocks.push(meta);
+        if offset != data.len() {
+            return Err(DecodeError::TrailingBytes);
         }
         Ok(PostingList { data, df, cf, blocks })
     }
 }
 
-/// Decoding iterator over a [`PostingList`].
+/// Decoding iterator over a [`PostingList`], one block at a time.
 #[derive(Debug)]
 pub struct PostingIter<'a> {
-    data: &'a [u8],
+    list: &'a PostingList,
+    /// Next block to decode.
+    block: usize,
+    /// Decoded postings of the current block.
+    buf: Vec<Posting>,
+    /// Position within `buf`.
     pos: usize,
-    prev_doc: u32,
     remaining: u32,
     error: Option<DecodeError>,
 }
@@ -277,20 +404,20 @@ impl Iterator for PostingIter<'_> {
         if self.remaining == 0 {
             return None;
         }
-        let decoded = get_varint(self.data, &mut self.pos)
-            .and_then(|delta| get_varint(self.data, &mut self.pos).map(|tf| (delta, tf)));
-        match decoded {
-            Ok((delta, tf)) => {
-                self.remaining -= 1;
-                self.prev_doc = self.prev_doc.wrapping_add(delta);
-                Some(Posting { doc: DocId(self.prev_doc), tf: tf + 1 })
-            }
-            Err(e) => {
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+            if let Err(e) = self.list.decode_into(self.block, &mut self.buf) {
                 self.error = Some(e);
                 self.remaining = 0;
-                None
+                return None;
             }
+            self.block += 1;
         }
+        let p = self.buf[self.pos];
+        self.pos += 1;
+        self.remaining -= 1;
+        Some(p)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -342,30 +469,20 @@ impl<'a> PostingCursor<'a> {
             stats: CursorStats::default(),
         };
         if !c.exhausted {
-            c.decode_block(0);
+            c.load_block(0);
         }
         c
     }
 
-    fn decode_block(&mut self, b: usize) {
-        let n = self.list.block_len(b);
-        let meta = &self.list.blocks[b];
-        let mut pos = meta.offset as usize;
-        let mut prev = if b == 0 { 0 } else { self.list.blocks[b - 1].last_doc };
+    fn load_block(&mut self, b: usize) {
         self.entries.clear();
-        self.entries.reserve(n);
-        for i in 0..n {
-            let Ok(delta) = get_varint(&self.list.data[..], &mut pos) else { break };
-            let Ok(tf) = get_varint(&self.list.data[..], &mut pos) else { break };
-            prev = if b == 0 && i == 0 { delta } else { prev.wrapping_add(delta) };
-            self.entries.push(Posting { doc: DocId(prev), tf: tf + 1 });
-        }
+        // Corrupt data (impossible for builder-produced or admitted lists)
+        // leaves the block empty: end of list rather than a panic.
+        let _ = self.list.decode_into(b, &mut self.entries);
         self.block = b;
         self.pos = 0;
         self.stats.blocks_decoded += 1;
         self.stats.postings_decoded += self.entries.len() as u64;
-        // Corrupt data (impossible for builder-produced lists) shows up
-        // as a short block; treat it as end-of-list rather than panicking.
         self.exhausted = self.entries.is_empty();
     }
 
@@ -409,7 +526,7 @@ impl<'a> PostingCursor<'a> {
             return true;
         }
         if self.block + 1 < self.list.blocks.len() {
-            self.decode_block(self.block + 1);
+            self.load_block(self.block + 1);
             !self.exhausted
         } else {
             self.exhausted = true;
@@ -440,7 +557,7 @@ impl<'a> PostingCursor<'a> {
                 self.exhausted = true;
                 return false;
             }
-            self.decode_block(b);
+            self.load_block(b);
             if self.exhausted {
                 return false;
             }
@@ -461,16 +578,64 @@ impl<'a> PostingCursor<'a> {
     }
 }
 
+/// Append `v` to the staging area: LEB128, 7 value bits a byte, the high
+/// bit set on every byte but the last.
+fn stage(buf: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// Read back one value [`stage`] wrote at `*pos`, advancing `*pos`.
+fn unstage(buf: &[u8], pos: &mut usize) -> u32 {
+    let (mut v, mut shift) = (0u32, 0);
+    loop {
+        let byte = buf[*pos];
+        *pos += 1;
+        v |= u32::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// Append `values` bit-packed LSB-first at `width` bits each, padded with
+/// zero bits to a byte.
+fn pack(buf: &mut Vec<u8>, values: &[u32], width: u32) {
+    buf.reserve(packed_len(values.len(), width));
+    let (mut acc, mut bits) = (0u64, 0u32);
+    for &v in values {
+        acc |= u64::from(v) << bits;
+        bits += width;
+        if bits >= 32 {
+            buf.extend_from_slice(&(acc as u32).to_le_bytes());
+            acc >>= 32;
+            bits -= 32;
+        }
+    }
+    buf.extend_from_slice(&acc.to_le_bytes()[..bits.div_ceil(8) as usize]);
+}
+
 /// Incremental encoder for one term's postings.
 ///
-/// Documents must be appended in strictly ascending order; the first
-/// document is encoded as a delta from zero. Block-max metadata is built
-/// as postings stream in; [`PostingListBuilder::push_with_len`] threads
-/// the document length through so blocks carry a tight `min_doc_len`
-/// (plain [`PostingListBuilder::push`] records the sound-but-loose `0`).
+/// Documents must be appended in strictly ascending order. Block-max
+/// metadata is built as postings stream in;
+/// [`PostingListBuilder::push_with_len`] threads the document length
+/// through so blocks carry a tight `min_doc_len` (plain
+/// [`PostingListBuilder::push`] records the sound-but-loose `0`).
+///
+/// The widths of a block are known only once it is complete, so its
+/// postings wait at the tail of the buffer, staged as `(gap − 1, tf − 1)`
+/// LEB128 pairs — about as compact as the packed form, so the buffer grows
+/// no further than the list it becomes — and are packed in place when the
+/// block closes.
 #[derive(Debug, Default)]
 pub struct PostingListBuilder {
-    buf: BytesMut,
+    /// Packed closed blocks, then the open block's staged pairs.
+    buf: Vec<u8>,
     prev_doc: Option<u32>,
     df: u32,
     cf: u64,
@@ -504,7 +669,7 @@ impl PostingListBuilder {
     /// `tf == 0`.
     pub fn push_with_len(&mut self, doc: DocId, tf: u32, doc_len: u32) {
         assert!(tf > 0, "a posting must have at least one occurrence");
-        let delta = match self.prev_doc {
+        let gap_minus_one = match self.prev_doc {
             None => doc.0,
             Some(prev) => {
                 assert!(
@@ -512,12 +677,12 @@ impl PostingListBuilder {
                     "postings must be strictly ascending: {} after {prev}",
                     doc.0
                 );
-                doc.0 - prev
+                doc.0 - prev - 1
             }
         };
         let offset = self.buf.len() as u32;
-        put_varint(&mut self.buf, delta);
-        put_varint(&mut self.buf, tf - 1);
+        stage(&mut self.buf, gap_minus_one);
+        stage(&mut self.buf, tf - 1);
         self.prev_doc = Some(doc.0);
         self.df += 1;
         self.cf += u64::from(tf);
@@ -532,9 +697,29 @@ impl PostingListBuilder {
         meta.min_doc_len = meta.min_doc_len.min(doc_len);
         self.in_block += 1;
         if self.in_block == BLOCK_LEN {
-            self.blocks.push(self.cur.take().expect("block in progress"));
-            self.in_block = 0;
+            self.close_block();
         }
+    }
+
+    /// Pack the open block's staged pairs in place and file its metadata.
+    fn close_block(&mut self) {
+        let meta = self.cur.take().expect("block in progress");
+        let (start, n) = (meta.offset as usize, self.in_block);
+        let (mut gaps, mut tfs) = ([0u32; BLOCK_LEN], [0u32; BLOCK_LEN]);
+        let (mut any_gap, mut any_tf, mut pos) = (0u32, 0u32, start);
+        for (g, t) in gaps[..n].iter_mut().zip(&mut tfs[..n]) {
+            *g = unstage(&self.buf, &mut pos);
+            *t = unstage(&self.buf, &mut pos);
+            any_gap |= *g;
+            any_tf |= *t;
+        }
+        let (gw, tw) = (width_of(any_gap), width_of(any_tf));
+        self.buf.truncate(start);
+        self.buf.extend_from_slice(&[gw as u8, tw as u8]);
+        pack(&mut self.buf, &gaps[..n], gw);
+        pack(&mut self.buf, &tfs[..n], tw);
+        self.blocks.push(meta);
+        self.in_block = 0;
     }
 
     /// Current number of postings.
@@ -544,10 +729,10 @@ impl PostingListBuilder {
 
     /// Finish encoding.
     pub fn finish(mut self) -> PostingList {
-        if let Some(meta) = self.cur.take() {
-            self.blocks.push(meta);
+        if self.cur.is_some() {
+            self.close_block();
         }
-        PostingList { data: self.buf.freeze(), df: self.df, cf: self.cf, blocks: self.blocks }
+        PostingList { data: Bytes::from(self.buf), df: self.df, cf: self.cf, blocks: self.blocks }
     }
 }
 
@@ -593,6 +778,7 @@ mod tests {
         assert_eq!(l.to_vec(), vec![]);
         assert!(l.blocks().is_empty());
         assert!(!l.cursor().valid());
+        assert_eq!(l.encoded_bytes(), 0);
     }
 
     #[test]
@@ -637,8 +823,10 @@ mod tests {
             b.push(DocId(d), 1);
         }
         let l = b.finish();
-        // Naive layout would be 8 bytes/posting; deltas of 1 with tf 1 take 2.
-        assert!(l.encoded_bytes() <= 2 * 10_000);
+        // Naive layout would be 8 bytes/posting; gaps of 1 with tf 1 pack
+        // into zero-width sections, leaving 79 blocks × 2 header bytes.
+        assert_eq!(l.blocks().len(), 79);
+        assert_eq!(l.encoded_bytes(), 79 * 2);
     }
 
     #[test]
@@ -796,15 +984,30 @@ mod tests {
     }
 
     #[test]
-    fn overlong_varint_is_an_error() {
-        // Six continuation bytes: a varint no u32 can hold.
-        let bad = Bytes::from(vec![0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
-        let err = PostingList::from_encoded(bad, 1).unwrap_err();
-        assert_eq!(err, DecodeError::Overlong);
-        // Five bytes whose fifth carries bits past bit 31.
-        let bad = Bytes::from(vec![0xff, 0xff, 0xff, 0xff, 0x7f, 0x00]);
-        let err = PostingList::from_encoded(bad, 1).unwrap_err();
-        assert_eq!(err, DecodeError::Overlong);
+    fn from_encoded_rejects_a_df_that_undercounts_the_stream() {
+        // Admitted with df = 2, a stream of three postings would silently
+        // drop doc 40: its gap sits in the last block's padding bits.
+        let three = list_of(&[10, 20, 40]);
+        let err = PostingList::from_encoded(three.encoded(), 2).unwrap_err();
+        assert_eq!(err, DecodeError::TrailingBytes);
+        // Here the shorter block ends a whole byte early.
+        let four = list_of(&[10, 20, 30, 40]);
+        let err = PostingList::from_encoded(four.encoded(), 2).unwrap_err();
+        assert_eq!(err, DecodeError::TrailingBytes);
+        assert!(PostingList::from_encoded(three.encoded(), 3).is_ok());
+    }
+
+    #[test]
+    fn from_encoded_rejects_trailing_bytes() {
+        let good = list_of(&[10, 20, 40]);
+        let mut bytes = good.encoded().to_vec();
+        bytes.extend([0xff, 0xff]);
+        let err = PostingList::from_encoded(Bytes::from(bytes), good.df()).unwrap_err();
+        assert_eq!(err, DecodeError::TrailingBytes);
+        // An empty list is an empty stream.
+        let err = PostingList::from_encoded(Bytes::from(vec![0, 0]), 0).unwrap_err();
+        assert_eq!(err, DecodeError::TrailingBytes);
+        assert!(PostingList::from_encoded(Bytes::default(), 0).is_ok());
     }
 
     #[test]
@@ -839,44 +1042,99 @@ mod tests {
     }
 
     #[test]
-    fn from_encoded_rejects_doc_ids_that_do_not_ascend() {
-        // Doc 5, then a zero delta: doc 5 again, which a DAAT scan
-        // would score twice.
-        let repeated = Bytes::from(vec![5, 0, 0, 0]);
-        assert_eq!(PostingList::from_encoded(repeated, 2).err(), Some(DecodeError::NotAscending));
-        // Doc u32::MAX, then a delta of 2 wrapping to doc 1.
-        let wrapped = Bytes::from(vec![0xff, 0xff, 0xff, 0xff, 0x0f, 0, 2, 0]);
-        assert_eq!(PostingList::from_encoded(wrapped, 2).err(), Some(DecodeError::NotAscending));
-        // A first posting at doc 0 is a zero delta from nothing: valid.
-        let from_zero = Bytes::from(vec![0, 0, 1, 0]);
-        let docs: Vec<u32> = PostingList::from_encoded(from_zero, 2)
-            .expect("ascending")
-            .iter()
-            .map(|p| p.doc.0)
-            .collect();
+    fn from_encoded_rejects_malformed_blocks() {
+        let admit = |bytes: Vec<u8>, df| PostingList::from_encoded(Bytes::from(bytes), df);
+        // 32-bit gaps: doc u32::MAX, then a gap of 1 past it.
+        let wrapped = vec![32, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0];
+        assert_eq!(admit(wrapped, 2).err(), Some(DecodeError::NotAscending));
+        // Block 0 ends on doc u32::MAX; block 1's one posting has no room.
+        let mut full = vec![32, 0];
+        full.extend((u32::MAX - 127).to_le_bytes());
+        full.extend([0; 4 * (BLOCK_LEN - 1)]);
+        assert_eq!(admit(full.clone(), BLOCK_LEN as u32).expect("ascending").df(), 128);
+        full.extend([0, 0]);
+        assert_eq!(admit(full, BLOCK_LEN as u32 + 1).err(), Some(DecodeError::NotAscending));
+        // Widths above 32 bits, in either header byte.
+        assert_eq!(admit(vec![33, 0, 0, 0, 0, 0, 0], 1).err(), Some(DecodeError::OutOfRange));
+        assert_eq!(admit(vec![0, 33, 0, 0, 0, 0, 0], 1).err(), Some(DecodeError::OutOfRange));
+        // A header cut in half, and no header at all.
+        assert_eq!(admit(vec![0], 1).err(), Some(DecodeError::Truncated));
+        assert_eq!(admit(vec![], 1).err(), Some(DecodeError::Truncated));
+        // A tf − 1 of u32::MAX: no u32 tf.
+        let huge_tf = vec![0, 32, 0xff, 0xff, 0xff, 0xff];
+        assert_eq!(admit(huge_tf, 1).err(), Some(DecodeError::OutOfRange));
+        // A first posting at doc 0 is a gap of 1 from the virtual −1, and a
+        // zero-width block of two is docs 0 and 1: valid.
+        let docs: Vec<u32> =
+            admit(vec![0, 0], 2).expect("ascending").iter().map(|p| p.doc.0).collect();
         assert_eq!(docs, [0, 1]);
     }
 
     #[test]
-    fn five_byte_varint_at_u32_max_roundtrips() {
+    fn doc_u32_max_roundtrips_as_a_32_bit_gap() {
         let mut b = PostingListBuilder::new();
         b.push(DocId(u32::MAX), 1);
         let l = b.finish();
+        assert_eq!(l.encoded_bytes(), 2 + 4);
         assert_eq!(l.to_vec()[0].doc, DocId(u32::MAX));
         let wire = PostingList::from_encoded(l.data.clone(), 1).expect("valid");
         assert_eq!(wire.to_vec()[0].doc, DocId(u32::MAX));
     }
 
     #[test]
-    fn five_byte_varint_opens_a_block() {
-        // Block 0 is all one-byte varints; block 1 starts with a
-        // five-byte delta and returns to one byte for its tf and
-        // everything after.
+    fn every_width_roundtrips_through_every_reader() {
+        // For each width, the first posting's gap − 1 and tf − 1 need
+        // exactly that many bits and every other value is small: block 0
+        // unpacks at the width in whole groups of eight (a multi-block
+        // list) and at the stream's end (one block, full or partial).
+        for width in 0..=32u32 {
+            let mask = ((1u64 << width) - 1) as u32;
+            let top = if width == 0 { 0 } else { 1 << (width - 1) };
+            for n in [2 * BLOCK_LEN + 37, BLOCK_LEN, 13] {
+                let mut doc = -1i64;
+                let postings: Vec<(u32, u32)> = (0..n as u32)
+                    .map(|i| {
+                        let (gap, tf) = match i {
+                            0 => (mask.saturating_sub(2000) | top, mask.saturating_sub(1) | top),
+                            _ => ((i * 7 % 5) & mask, (i * 3 % 4) & mask),
+                        };
+                        doc += i64::from(gap) + 1;
+                        (doc as u32, tf + 1)
+                    })
+                    .collect();
+                let mut b = PostingListBuilder::new();
+                for &(d, tf) in &postings {
+                    b.push(DocId(d), tf);
+                }
+                let l = b.finish();
+                let as_pairs = |v: Vec<Posting>| -> Vec<(u32, u32)> {
+                    v.into_iter().map(|p| (p.doc.0, p.tf)).collect()
+                };
+                assert_eq!(as_pairs(l.to_vec()), postings, "width {width}, {n} postings");
+                let mut c = l.cursor();
+                let mut walked = Vec::new();
+                while c.valid() {
+                    walked.push((c.doc().0, c.tf()));
+                    c.next();
+                }
+                assert_eq!(walked, postings, "cursor, width {width}, {n} postings");
+                let wire = PostingList::from_encoded(l.encoded(), l.df()).expect("valid");
+                assert_eq!(as_pairs(wire.to_vec()), postings, "wire, width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn thirty_two_bit_gap_opens_a_block() {
+        // Block 0 is dense (zero-width gaps, 2-bit tfs); block 1 opens
+        // with a gap that needs all 32 bits, which widens every gap in it.
         let mut docs: Vec<u32> = (0..BLOCK_LEN as u32).collect();
         docs.extend([u32::MAX - 9, u32::MAX - 8, u32::MAX]);
         let l = list_of(&docs);
         assert_eq!(l.blocks().len(), 2);
-        assert_eq!(l.encoded_bytes(), 2 * BLOCK_LEN + 6 + 2 + 2);
+        let block0 = 2 + BLOCK_LEN * 2 / 8;
+        let block1 = 2 + 3 * 32 / 8 + 1;
+        assert_eq!(l.encoded_bytes(), block0 + block1);
         let via_iter: Vec<u32> = l.iter().map(|p| p.doc.0).collect();
         assert_eq!(via_iter, docs);
         let mut c = l.cursor();

@@ -9,7 +9,7 @@
 //! exactly the two configurations the paper's two-round broker protocol
 //! switches between. Experiment E7 measures the result-set divergence.
 
-use crate::index::InvertedIndex;
+use crate::index::{IdMap, InvertedIndex};
 use crate::TermId;
 
 /// Source of the corpus-level statistics a ranking function needs.
@@ -42,14 +42,14 @@ impl CollectionStats for InvertedIndex {
 pub struct GlobalStats {
     num_docs: u64,
     total_tokens: u64,
-    df: std::collections::HashMap<u32, u64>,
+    df: IdMap<u64>,
 }
 
 impl GlobalStats {
     /// Aggregate the statistics of all partitions for the given query
     /// terms only (that is all the broker requests over the wire).
     pub fn for_terms(parts: &[&InvertedIndex], terms: &[TermId]) -> Self {
-        let mut df = std::collections::HashMap::with_capacity(terms.len());
+        let mut df = IdMap::with_capacity_and_hasher(terms.len(), Default::default());
         let mut num_docs = 0u64;
         let mut total_tokens = 0u64;
         for p in parts {

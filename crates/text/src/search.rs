@@ -41,7 +41,7 @@
 //!    `1 + 1e-9` before the comparison, absorbing the non-associativity
 //!    of summing bounds in sorted order versus canonical order.
 
-use crate::index::InvertedIndex;
+use crate::index::{IdMap, InvertedIndex};
 use crate::postings::{PostingCursor, PostingList};
 use crate::score::{Bm25, CollectionStats, TermScorer};
 use crate::topk::TopK;
@@ -159,7 +159,7 @@ fn search_or_exhaustive(
     let cap: usize = canon.iter().map(|&t| index.df(t) as usize).sum();
     // f64 accumulators; terms are walked in canonical order, so each
     // document's sum is the canonical fold (see module docs).
-    let mut acc: HashMap<u32, f64> = HashMap::with_capacity(cap.min(1 << 20));
+    let mut acc: IdMap<f64> = IdMap::with_capacity_and_hasher(cap.min(1 << 20), Default::default());
     for &t in canon {
         let Some(list) = index.postings(t) else { continue };
         ev.postings_scanned += u64::from(list.df());

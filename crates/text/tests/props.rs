@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use dwr_sim::SimRng;
 use dwr_text::index::{build_index, merge_indexes, sort_based_build};
-use dwr_text::postings::{Posting, PostingList, PostingListBuilder};
+use dwr_text::postings::{Posting, PostingList, PostingListBuilder, BLOCK_LEN};
 use dwr_text::score::{Bm25, CollectionStats, GlobalStats};
 use dwr_text::search::{
     search_and, search_and_exhaustive, search_or, search_or_with, EvalStats, EvalStrategy,
@@ -33,8 +33,9 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Vec<(TermId, u32)>>> {
 }
 
 /// Strategy: a strictly ascending (doc, tf) vector spanning several
-/// blocks, with one-byte, two-byte or four-byte deltas; the widest reach
-/// up to `u32::MAX`, so a corrupted delta can wrap the doc id.
+/// blocks, with gaps of up to 4, 300 or 20 million (2-, 9- or 25-bit gap
+/// fields); the widest reach up to `u32::MAX`, so a corrupted gap can
+/// overflow the doc id.
 fn long_postings_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
     (0usize..3, prop::collection::vec((0u32..20_000_000, 1u32..300), 0..400)).prop_map(
         |(width, raw)| {
@@ -49,6 +50,28 @@ fn long_postings_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
             out
         },
     )
+}
+
+/// The size of `postings` in the posting format, worked out from the
+/// input alone: per block of `BLOCK_LEN`, a 2-byte header, then `n` values
+/// at the width of the block's largest `gap − 1` (the first doc's gap is
+/// from −1) and `n` at the width of its largest `tf − 1`, each section
+/// padded to a byte.
+fn packed_size(postings: &[(u32, u32)]) -> usize {
+    let bits = |max: u32| (u32::BITS - max.leading_zeros()) as usize;
+    let mut prev = -1i64;
+    postings
+        .chunks(BLOCK_LEN)
+        .map(|block| {
+            let (mut gap, mut tf) = (0u32, 0u32);
+            for &(doc, t) in block {
+                gap = gap.max((i64::from(doc) - prev - 1) as u32);
+                tf = tf.max(t - 1);
+                prev = i64::from(doc);
+            }
+            2 + (block.len() * bits(gap)).div_ceil(8) + (block.len() * bits(tf)).div_ceil(8)
+        })
+        .sum()
 }
 
 /// BM25 exactly as the evaluators computed it per posting before the
@@ -144,6 +167,23 @@ proptest! {
         prop_assert_eq!(list.cf(), postings.iter().map(|&(_, tf)| u64::from(tf)).sum::<u64>());
         let decoded: Vec<(u32, u32)> = list.iter().map(|p| (p.doc.0, p.tf)).collect();
         prop_assert_eq!(decoded, postings);
+    }
+
+    /// The byte count is honest: `encoded_bytes()` is the headers plus the
+    /// packed sections and nothing else, so no byte of the format hides
+    /// in the uncounted block sidecar.
+    #[test]
+    fn encoded_bytes_are_headers_plus_packed_sections(
+        short in postings_strategy(),
+        long in long_postings_strategy(),
+    ) {
+        for postings in [short, long] {
+            let mut b = PostingListBuilder::new();
+            for &(d, tf) in &postings {
+                b.push(DocId(d), tf);
+            }
+            prop_assert_eq!(b.finish().encoded_bytes(), packed_size(&postings));
+        }
     }
 
     /// TopK equals a full sort-and-truncate.

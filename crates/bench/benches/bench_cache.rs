@@ -13,8 +13,8 @@ fn stream(n: usize) -> Vec<u64> {
 
 fn run(cache: &mut dyn ResultCache, keys: &[u64]) -> f64 {
     for &k in keys {
-        if cache.get(k).is_none() {
-            cache.put(k, Vec::new());
+        if cache.get(k, 0).is_none() {
+            cache.put(k, Vec::new().into());
         }
     }
     cache.stats().hit_ratio()

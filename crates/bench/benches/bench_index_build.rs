@@ -1,16 +1,15 @@
-//! Index-construction benchmarks: single-pass vs sort-based vs parallel
-//! (Section 4's construction strategies, local costs).
+//! Index-construction benchmarks: the counting-sort build vs a parallel
+//! build and merge (Section 4's construction strategies, local costs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dwr_bench::{Fixture, Scale};
-use dwr_text::index::{build_index, parallel_build, sort_based_build};
+use dwr_text::index::{build_index, parallel_build};
 
 fn bench_builders(c: &mut Criterion) {
     let f = Fixture::new(Scale::Small);
     let mut g = c.benchmark_group("index_build");
     g.sample_size(10);
-    g.bench_function("single_pass", |b| b.iter(|| build_index(&f.corpus)));
-    g.bench_function("sort_based", |b| b.iter(|| sort_based_build(&f.corpus)));
+    g.bench_function("counting_sort", |b| b.iter(|| build_index(&f.corpus)));
     for threads in [2usize, 4] {
         g.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
             b.iter(|| parallel_build(&f.corpus, t))

@@ -73,8 +73,8 @@ fn main() {
     for cap in [16usize, 64, 256, 1024, 4096] {
         let mut cache = LruCache::new(cap);
         for &k in &stream {
-            if cache.get(k).is_none() {
-                cache.put(k, Vec::new());
+            if cache.get(k, 0).is_none() {
+                cache.put(k, Vec::new().into());
             }
         }
         println!("  {:>9} {:>9.1}%", cap, 100.0 * cache.stats().hit_ratio());

@@ -61,8 +61,8 @@ fn main() {
             let terms: Vec<dwr_text::TermId> =
                 f.queries.query(rec.query).terms.iter().map(|t| dwr_text::TermId(t.0)).collect();
             let key = query_key(&terms);
-            if cache.get(key).is_none() {
-                cache.put(key, Vec::new());
+            if cache.get(key, 0).is_none() {
+                cache.put(key, Vec::new().into());
             }
         }
         cache.stats().hit_ratio()

@@ -16,7 +16,7 @@
 //! immutable after `build`, hence `Send + Sync` for free.
 
 use crate::repart::{PartStatus, PartitionMap, SplitError, SPLIT_FANOUT};
-use dwr_text::index::{build_index, InvertedIndex};
+use dwr_text::index::{index_documents, InvertedIndex};
 use dwr_text::{DocId, TermId};
 use dwr_webgraph::content::ContentModel;
 use dwr_webgraph::SyntheticWeb;
@@ -166,8 +166,8 @@ impl PartitionedIndex {
         let shards: Vec<Arc<IndexShard>> = global_of
             .into_iter()
             .map(|globals| {
-                let sub: Corpus = globals.iter().map(|&g| corpus[g as usize].clone()).collect();
-                Arc::new(IndexShard { index: build_index(&sub), global_of: globals })
+                let index = index_documents(globals.iter().map(|&g| corpus[g as usize].as_slice()));
+                Arc::new(IndexShard { index, global_of: globals })
             })
             .collect();
         let sizes: Vec<usize> = shards.iter().map(|s| s.num_docs()).collect();
@@ -186,11 +186,10 @@ impl PartitionedIndex {
     ///
     /// The parent's documents interleave round-robin over the children
     /// in local order, so each child inherits the parent's topical mix
-    /// and sizes differ by at most one document.
-    ///
-    /// `corpus` must be the corpus this index was built from.
-    pub fn with_split(&self, corpus: &Corpus, parent: u32) -> Result<Self, SplitError> {
-        assert_eq!(corpus.len(), self.num_docs(), "corpus arity mismatch");
+    /// and sizes differ by at most one document. The children's indexes
+    /// are filtered out of the parent's posting lists
+    /// ([`InvertedIndex::split_round_robin`]), so a split needs no corpus.
+    pub fn with_split(&self, parent: u32) -> Result<Self, SplitError> {
         let pu = parent as usize;
         if pu >= self.shards.len() {
             return Err(SplitError::OutOfRange(parent));
@@ -204,24 +203,21 @@ impl PartitionedIndex {
             return Err(SplitError::TooSmall { part: parent, docs: n });
         }
         let base = self.shards.len() as u32;
-        let mut child_globals: Vec<Vec<u32>> =
-            (0..SPLIT_FANOUT).map(|_| Vec::with_capacity(n / SPLIT_FANOUT + 1)).collect();
-        for local in 0..n {
-            child_globals[local % SPLIT_FANOUT].push(parent_shard.to_global(DocId(local as u32)));
-        }
         let mut assignment: Vec<u32> = self.assignment.to_vec();
         let mut local_of: Vec<DocId> = self.local_of.to_vec();
         let mut shards = self.shards.clone();
         let mut child_sizes = Vec::with_capacity(SPLIT_FANOUT);
-        for (c, globals) in child_globals.into_iter().enumerate() {
+        let children = parent_shard.index.split_round_robin(SPLIT_FANOUT);
+        for (c, index) in children.into_iter().enumerate() {
             let id = base + c as u32;
+            let globals: Vec<u32> =
+                parent_shard.global_of.iter().skip(c).step_by(SPLIT_FANOUT).copied().collect();
             for (local, &g) in globals.iter().enumerate() {
                 assignment[g as usize] = id;
                 local_of[g as usize] = DocId(local as u32);
             }
             child_sizes.push(globals.len());
-            let sub: Corpus = globals.iter().map(|&g| corpus[g as usize].clone()).collect();
-            shards.push(Arc::new(IndexShard { index: build_index(&sub), global_of: globals }));
+            shards.push(Arc::new(IndexShard { index, global_of: globals }));
         }
         Ok(PartitionedIndex {
             shards,
@@ -492,7 +488,7 @@ mod tests {
     fn with_split_subdivides_without_mutating_parent_epoch() {
         let c = corpus();
         let pi = PartitionedIndex::build(&c, &[0, 0, 0, 1, 1], 2);
-        let next = pi.with_split(&c, 0).expect("split");
+        let next = pi.with_split(0).expect("split");
         assert_eq!(next.epoch(), 1);
         assert_eq!(next.num_partitions(), 4);
         assert_eq!(next.active_parts(), vec![1, 2, 3]);
@@ -504,6 +500,6 @@ mod tests {
         assert_eq!(pi.epoch(), 0);
         assert_eq!(pi.active_parts(), vec![0, 1]);
         // A closed partition cannot be re-split.
-        assert!(matches!(next.with_split(&c, 0), Err(SplitError::NotActive(0))));
+        assert!(matches!(next.with_split(0), Err(SplitError::NotActive(0))));
     }
 }

@@ -318,12 +318,13 @@ impl CollectionStats for CorpusStats {
 
 /// A live, splittable partitioned index.
 ///
-/// Owns the corpus, the corpus-wide [`CorpusStats`], and the current
+/// Holds the corpus-wide [`CorpusStats`] and the current
 /// [`PartitionedIndex`] behind a mutex whose critical sections are
 /// *short*: a reader clones the index out ([`snapshot`]); a split swaps
 /// a pre-built successor in. Child shards are built outside the lock
 /// (splits are serialized by a separate mutex), so queries are never
-/// blocked behind an index build.
+/// blocked behind an index build. Splits filter the parent shard's
+/// posting lists, so the corpus is not kept once the index is built.
 ///
 /// `capacity` provisions the total number of shard slots the structure
 /// may ever use, so brokers and engines can size their fixed-width
@@ -334,7 +335,6 @@ impl CollectionStats for CorpusStats {
 /// [`snapshot`]: RepartIndex::snapshot
 #[derive(Debug)]
 pub struct RepartIndex {
-    corpus: Arc<Corpus>,
     stats: Arc<CorpusStats>,
     capacity: usize,
     current: Mutex<PartitionedIndex>,
@@ -346,7 +346,8 @@ pub struct RepartIndex {
 
 impl RepartIndex {
     /// Build the epoch-0 index with `k` initial partitions and room for
-    /// `capacity` total shard slots.
+    /// `capacity` total shard slots. The corpus is dropped once its
+    /// statistics and the index are built.
     ///
     /// # Panics
     /// Panics if `capacity < k`, or on the same degenerate inputs as
@@ -356,7 +357,6 @@ impl RepartIndex {
         let current = PartitionedIndex::build(&corpus, assignment, k);
         let stats = Arc::new(CorpusStats::from_corpus(&corpus));
         RepartIndex {
-            corpus: Arc::new(corpus),
             stats,
             capacity,
             current: Mutex::new(current),
@@ -374,7 +374,7 @@ impl RepartIndex {
 
     /// Documents in the corpus (invariant across splits).
     pub fn num_docs(&self) -> usize {
-        self.corpus.len()
+        lock_recovering(&self.current).num_docs()
     }
 
     /// Shared ownership of the corpus-wide statistics.
@@ -435,7 +435,7 @@ impl RepartIndex {
         if need > self.capacity {
             return Err(SplitError::Capacity { need, capacity: self.capacity });
         }
-        let next = cur.with_split(&self.corpus, parent)?;
+        let next = cur.with_split(parent)?;
         let epoch_before = cur.epoch();
         let docs_split = cur.sizes()[parent as usize];
         if fate == SplitFate::CrashBeforePublish {

@@ -4,14 +4,14 @@ use dwr_partition::doc::{
     DocPartitioner, KMeansPartitioner, RandomPartitioner, RoundRobinPartitioner,
 };
 use dwr_partition::parted::{Corpus, PartitionedIndex};
-use dwr_partition::repart::CorpusStats;
+use dwr_partition::repart::{CorpusStats, PartStatus, SPLIT_FANOUT};
 use dwr_partition::term::{
     BinPackingTermPartitioner, CoOccurrenceTermPartitioner, QueryWorkload, RandomTermPartitioner,
     TermPartitioner,
 };
-use dwr_text::index::build_index;
+use dwr_text::index::{build_index, InvertedIndex};
 use dwr_text::score::{Bm25, CollectionStats};
-use dwr_text::TermId;
+use dwr_text::{DocId, PostingList, TermId};
 use proptest::prelude::*;
 
 fn corpus_strategy() -> impl Strategy<Value = Corpus> {
@@ -20,6 +20,32 @@ fn corpus_strategy() -> impl Strategy<Value = Corpus> {
             .prop_map(|m| m.into_iter().map(|(t, tf)| (TermId(t), tf)).collect()),
         1..60,
     )
+}
+
+/// The first difference between two indexes, compared bit for bit:
+/// document lengths, token total, the term set, and per term the encoded
+/// bytes, `(last_doc, max_tf, min_doc_len)` ladder, df and cf.
+fn index_diff(a: &InvertedIndex, b: &InvertedIndex) -> Option<String> {
+    let lens = |i: &InvertedIndex| -> Vec<u32> {
+        (0..i.num_docs()).map(|d| i.doc_len(DocId(d))).collect()
+    };
+    let ladder = |l: &PostingList| -> Vec<(u32, u32, u32)> {
+        l.blocks().iter().map(|m| (m.last_doc, m.max_tf, m.min_doc_len)).collect()
+    };
+    if lens(a) != lens(b) || a.total_tokens() != b.total_tokens() {
+        return Some("document lengths".into());
+    }
+    if a.num_terms() != b.num_terms() {
+        return Some(format!("{} terms against {}", a.num_terms(), b.num_terms()));
+    }
+    a.terms().find_map(|(t, l)| {
+        let same = b.postings(t).is_some_and(|lb| {
+            l.encoded()[..] == lb.encoded()[..]
+                && ladder(l) == ladder(lb)
+                && (l.df(), l.cf()) == (lb.df(), lb.cf())
+        });
+        (!same).then(|| format!("term {}", t.0))
+    })
 }
 
 proptest! {
@@ -50,6 +76,45 @@ proptest! {
         let mono = build_index(&corpus);
         for (t, list) in mono.terms() {
             prop_assert_eq!(pi.global_df(t), u64::from(list.df()));
+        }
+    }
+
+    /// A split filters its parent's posting lists, and that is a rebuild:
+    /// after each of three successive splits of the largest active shard,
+    /// both children are bit for bit the index `build_index` gives their
+    /// documents, and the map validates.
+    #[test]
+    fn split_children_equal_building_their_documents(
+        corpus in corpus_strategy(),
+        k in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let assignment = RandomPartitioner { seed }.assign(&corpus, k);
+        let mut pi = PartitionedIndex::build(&corpus, &assignment, k);
+        for _ in 0..3 {
+            let sizes = pi.sizes();
+            let Some(parent) = pi
+                .active_parts()
+                .into_iter()
+                .filter(|&p| sizes[p as usize] >= SPLIT_FANOUT)
+                .max_by_key(|&p| (sizes[p as usize], std::cmp::Reverse(p)))
+            else {
+                break;
+            };
+            pi = pi.with_split(parent).expect("an active shard of two docs splits");
+            prop_assert!(pi.validate_epoch().is_ok(), "{:?}", pi.validate_epoch());
+            let PartStatus::Closed { children } = &pi.map().entry(parent).expect("parent").status
+            else {
+                panic!("a split closes its parent");
+            };
+            for &c in children {
+                let shard = pi.shard(c as usize);
+                let docs: Corpus = (0..shard.num_docs() as u32)
+                    .map(|l| corpus[shard.to_global(DocId(l)) as usize].clone())
+                    .collect();
+                let diff = index_diff(shard.index(), &build_index(&docs));
+                prop_assert!(diff.is_none(), "child {} of {}: {:?}", c, parent, diff);
+            }
         }
     }
 

@@ -10,13 +10,41 @@
 //! Caches also double as a dependability mechanism: [`ResultCache::get`]
 //! never expires entries, so a front-end can serve stale results while the
 //! backend is down (experiment E8 measures this).
+//!
+//! An entry is the answer to a query *at a depth*: it records the `k` it
+//! was asked for, and answers a later request only when that request's
+//! top `k` is a prefix of it ([`CachedResults::answers`]).
 
 use crate::broker::GlobalHit;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
-/// Cached value: the merged result list of a query.
-pub type CachedResults = Vec<GlobalHit>;
+/// Cached value: the merged result list of a query and the depth it was
+/// asked at.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CachedResults {
+    /// The `k` the answer was computed for.
+    pub k: usize,
+    /// The answer: at most `k` hits, best first.
+    pub hits: Vec<GlobalHit>,
+}
+
+impl CachedResults {
+    /// Whether this entry answers a request for the top `k`: it was asked
+    /// at least that deep, or it came back shorter than it was asked —
+    /// then it holds every hit there is. Either way the request's answer
+    /// is a prefix of `hits`. Any entry answers `k = 0`.
+    pub fn answers(&self, k: usize) -> bool {
+        self.k >= k || self.hits.len() < self.k
+    }
+}
+
+/// A bare hit list is an answer at the depth of its length.
+impl From<Vec<GlobalHit>> for CachedResults {
+    fn from(hits: Vec<GlobalHit>) -> Self {
+        CachedResults { k: hits.len(), hits }
+    }
+}
 
 /// Hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,9 +74,12 @@ impl CacheStats {
 
 /// A query-result cache keyed by a stable query key.
 pub trait ResultCache {
-    /// Look up a query; counts a hit or miss.
-    fn get(&mut self, key: u64) -> Option<&CachedResults>;
-    /// Insert a result (no-op if the policy rejects the key).
+    /// Look up a query's answer at depth `k`; counts a hit or a miss. An
+    /// entry that does not [answer](CachedResults::answers) `k` is a miss,
+    /// and only a hit refreshes the entry's standing with the policy.
+    fn get(&mut self, key: u64, k: usize) -> Option<&CachedResults>;
+    /// Insert a result, replacing the key's entry (no-op if the policy
+    /// rejects the key).
     fn put(&mut self, key: u64, value: CachedResults);
     /// Counters so far.
     fn stats(&self) -> CacheStats;
@@ -96,8 +127,8 @@ impl LruCache {
 }
 
 impl ResultCache for LruCache {
-    fn get(&mut self, key: u64) -> Option<&CachedResults> {
-        if self.map.contains_key(&key) {
+    fn get(&mut self, key: u64, k: usize) -> Option<&CachedResults> {
+        if self.map.get(&key).is_some_and(|(v, _)| v.answers(k)) {
             self.stats.hits += 1;
             self.touch(key);
             self.map.get(&key).map(|(v, _)| v)
@@ -174,8 +205,8 @@ impl LfuCache {
 }
 
 impl ResultCache for LfuCache {
-    fn get(&mut self, key: u64) -> Option<&CachedResults> {
-        if self.map.contains_key(&key) {
+    fn get(&mut self, key: u64, k: usize) -> Option<&CachedResults> {
+        if self.map.get(&key).is_some_and(|(v, _, _)| v.answers(k)) {
             self.stats.hits += 1;
             self.bump(key);
             self.map.get(&key).map(|(v, _, _)| v)
@@ -247,9 +278,9 @@ impl SdcCache {
 }
 
 impl ResultCache for SdcCache {
-    fn get(&mut self, key: u64) -> Option<&CachedResults> {
+    fn get(&mut self, key: u64, k: usize) -> Option<&CachedResults> {
         if let Some(slot) = self.static_map.get(&key) {
-            if slot.is_some() {
+            if slot.as_ref().is_some_and(|v| v.answers(k)) {
                 self.stats.hits += 1;
                 return self.static_map.get(&key).and_then(Option::as_ref);
             }
@@ -258,7 +289,7 @@ impl ResultCache for SdcCache {
         }
         // Delegate to the dynamic half; fold its counters into ours.
         let before = self.dynamic.stats();
-        let hit = self.dynamic.get(key).is_some();
+        let hit = self.dynamic.get(key, k).is_some();
         let after = self.dynamic.stats();
         self.stats.hits += after.hits - before.hits;
         self.stats.misses += after.misses - before.misses;
@@ -326,35 +357,44 @@ impl<C: ResultCache> ShardedCache<C> {
         &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
-    /// Look up a query, returning an owned copy of the cached results.
+    /// Look up a query at whatever depth it was answered (a lookup at
+    /// `k = 0`), returning an owned copy of the entry.
     pub fn get(&self, key: u64) -> Option<CachedResults> {
         self.shard_for(key)
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(key)
+            .get(key, 0)
             .cloned()
     }
 
-    /// As [`Self::get`], announcing the lookup (hit or miss) to
-    /// `recorder` — one [`dwr_obs::Event::CacheLookup`] per call, after
-    /// the shard lock is released.
+    /// The top `k` hits of a query from the cache — the first `k` of an
+    /// entry that [answers](CachedResults::answers) `k` — announcing the
+    /// lookup (hit or miss) to `recorder`: one
+    /// [`dwr_obs::Event::CacheLookup`] per call, after the shard lock is
+    /// released.
     pub fn get_recorded<R: dwr_obs::Recorder + ?Sized>(
         &self,
         key: u64,
+        k: usize,
         recorder: &R,
         now: dwr_sim::SimTime,
-    ) -> Option<CachedResults> {
-        let hit = self.get(key);
+    ) -> Option<Vec<GlobalHit>> {
+        let hit = self
+            .shard_for(key)
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .get(key, k)
+            .map(|entry| entry.hits[..k.min(entry.hits.len())].to_vec());
         recorder.record(dwr_obs::Event::CacheLookup { qid: key, now, hit: hit.is_some() });
         hit
     }
 
-    /// Insert a result.
-    pub fn put(&self, key: u64, value: CachedResults) {
+    /// Insert a result, replacing the key's entry.
+    pub fn put(&self, key: u64, value: impl Into<CachedResults>) {
         self.shard_for(key)
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .put(key, value);
+            .put(key, value.into());
     }
 
     /// Number of shards.
@@ -397,8 +437,9 @@ impl<C: ResultCache> ShardedCache<C> {
 mod tests {
     use super::*;
 
+    /// A one-hit answer, at `k = 1`.
     fn value(id: u32) -> CachedResults {
-        vec![GlobalHit { doc: id, score: 1.0 }]
+        vec![GlobalHit { doc: id, score: 1.0 }].into()
     }
 
     #[test]
@@ -406,11 +447,11 @@ mod tests {
         let mut c = LruCache::new(2);
         c.put(1, value(1));
         c.put(2, value(2));
-        assert!(c.get(1).is_some()); // 1 is now most recent
+        assert!(c.get(1, 1).is_some()); // 1 is now most recent
         c.put(3, value(3)); // evicts 2
-        assert!(c.get(2).is_none());
-        assert!(c.get(1).is_some());
-        assert!(c.get(3).is_some());
+        assert!(c.get(2, 1).is_none());
+        assert!(c.get(1, 1).is_some());
+        assert!(c.get(3, 1).is_some());
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -421,8 +462,8 @@ mod tests {
         c.put(2, value(2));
         c.put(1, value(10));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get(1).unwrap()[0].doc, 10);
-        assert!(c.get(2).is_some());
+        assert_eq!(c.get(1, 1).unwrap().hits[0].doc, 10);
+        assert!(c.get(2, 1).is_some());
     }
 
     #[test]
@@ -430,12 +471,12 @@ mod tests {
         let mut c = LfuCache::new(2);
         c.put(1, value(1));
         c.put(2, value(2));
-        c.get(1);
-        c.get(1); // key 1 now count 3
+        c.get(1, 1);
+        c.get(1, 1); // key 1 now count 3
         c.put(3, value(3)); // evicts 2 (count 1)
-        assert!(c.get(2).is_none());
-        assert!(c.get(1).is_some());
-        assert!(c.get(3).is_some());
+        assert!(c.get(2, 1).is_none());
+        assert!(c.get(1, 1).is_some());
+        assert!(c.get(3, 1).is_some());
     }
 
     #[test]
@@ -448,7 +489,7 @@ mod tests {
         for k in 0..50u64 {
             c.put(k, value(k as u32));
         }
-        assert!(c.get(100).is_some(), "static entry survived the flood");
+        assert!(c.get(100, 1).is_some(), "static entry survived the flood");
     }
 
     /// Regression: `hit_ratio` on a cache that has never been consulted
@@ -482,8 +523,8 @@ mod tests {
         assert!(rec.is_live());
         let c = ShardedCache::single(LruCache::new(4));
         c.put(1, value(1));
-        assert!(c.get_recorded(1, &rec, 0).is_some());
-        assert!(c.get_recorded(2, &rec, 0).is_none());
+        assert!(c.get_recorded(1, 1, &rec, 0).is_some());
+        assert!(c.get_recorded(2, 1, &rec, 0).is_none());
         let snap = rec.snapshot();
         assert_eq!(snap.counter("cache.hits"), Some(1));
         assert_eq!(snap.counter("cache.misses"), Some(1));
@@ -493,11 +534,30 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_answers_only_the_depths_it_covers() {
+        let hits = |n: u32| -> Vec<GlobalHit> {
+            (0..n).map(|doc| GlobalHit { doc, score: 1.0 }).collect()
+        };
+        let mut c = LruCache::new(4);
+        c.put(1, CachedResults { k: 10, hits: hits(10) });
+        c.put(2, CachedResults { k: 10, hits: hits(3) });
+        assert!(c.get(1, 10).is_some() && c.get(1, 5).is_some());
+        assert!(c.get(1, 11).is_none(), "a top-10 entry does not answer a top-11 request");
+        assert!(c.get(2, 50).is_some(), "3 hits asked 10 deep are every hit there is");
+        assert_eq!((c.stats().hits, c.stats().misses), (3, 1));
+        // Through the sharded wrapper a hit is the requested prefix.
+        let sharded = ShardedCache::single(LruCache::new(4));
+        sharded.put(1, CachedResults { k: 10, hits: hits(10) });
+        assert_eq!(sharded.get_recorded(1, 4, &dwr_obs::NoopRecorder, 0), Some(hits(4)));
+        assert_eq!(sharded.get_recorded(1, 20, &dwr_obs::NoopRecorder, 0), None);
+    }
+
+    #[test]
     fn hit_ratio_computation() {
         let mut c = LruCache::new(4);
         c.put(1, value(1));
-        c.get(1);
-        c.get(2);
+        c.get(1, 1);
+        c.get(2, 1);
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
@@ -533,7 +593,7 @@ mod tests {
                 zipf.sample(&mut rng)
             };
             for c in [&mut lru as &mut dyn ResultCache, &mut sdc] {
-                if c.get(key).is_none() {
+                if c.get(key, 1).is_none() {
                     c.put(key, value(0));
                 }
             }
@@ -550,7 +610,7 @@ mod tests {
             &mut LfuCache::new(4),
             &mut SdcCache::new(4, 0.5, &[1, 2]),
         ] {
-            assert!(c.get(42).is_none());
+            assert!(c.get(42, 1).is_none());
             assert_eq!(c.stats().hits, 0);
         }
     }
@@ -563,7 +623,7 @@ mod tests {
         let ops: &[(u64, bool)] =
             &[(1, false), (2, false), (1, true), (3, false), (2, true), (1, true)];
         for &(key, _) in ops {
-            if plain.get(key).is_none() {
+            if plain.get(key, 0).is_none() {
                 plain.put(key, value(key as u32));
             }
             if sharded.get(key).is_none() {
@@ -596,9 +656,9 @@ mod tests {
     }
 
     impl ResultCache for BombCache {
-        fn get(&mut self, key: u64) -> Option<&CachedResults> {
+        fn get(&mut self, key: u64, k: usize) -> Option<&CachedResults> {
             assert_ne!(key, self.bomb, "boom");
-            self.inner.get(key)
+            self.inner.get(key, k)
         }
         fn put(&mut self, key: u64, value: CachedResults) {
             self.inner.put(key, value);
@@ -629,7 +689,7 @@ mod tests {
             for _ in 0..3 {
                 let c = Arc::clone(&c);
                 s.spawn(move || {
-                    assert_eq!(c.get(1).expect("entry survives the panic")[0].doc, 1);
+                    assert_eq!(c.get(1).expect("entry survives the panic").hits[0].doc, 1);
                     c.put(2, value(2));
                     assert!(c.get(2).is_some());
                 });
@@ -641,11 +701,14 @@ mod tests {
     #[test]
     fn sharded_cache_is_usable_from_threads() {
         use std::sync::Arc;
+        // Each shard receives 100 of the 400 keys: room for all of them,
+        // so no thread's puts can evict a key between another's put and
+        // get.
         let c = Arc::new(ShardedCache::from_shards(vec![
-            LruCache::new(64),
-            LruCache::new(64),
-            LruCache::new(64),
-            LruCache::new(64),
+            LruCache::new(128),
+            LruCache::new(128),
+            LruCache::new(128),
+            LruCache::new(128),
         ]));
         std::thread::scope(|s| {
             for t in 0..4u64 {

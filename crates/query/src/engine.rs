@@ -8,6 +8,11 @@
 //! a whole replica group is down ("upon query processor failures, the
 //! system returns cached results").
 //!
+//! A cache entry records the `k` it answered, and serves a request only
+//! for a `k` whose top hits are a prefix of it: a shallower one, or any
+//! one once the entry came back shorter than its own `k`. The response is
+//! that prefix; a deeper request misses and refills the entry.
+//!
 //! # Concurrency
 //!
 //! The engine is split into an immutable shared core and interior-mutable
@@ -67,7 +72,7 @@
 //! nothing.
 
 use crate::broker::{plain_completion, BatchQuery, DocBroker, GlobalHit, Shard};
-use crate::cache::{ResultCache, ShardedCache};
+use crate::cache::{CachedResults, ResultCache, ShardedCache};
 use crate::faults::FaultSchedule;
 use crate::lock_recovering;
 use crate::replica::ReplicaGroup;
@@ -774,7 +779,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
                 staged.push(Staged::Dup { pos, key, terms });
                 continue;
             }
-            if let Some(hit) = self.core.cache.get_recorded(key, &self.recorder, now) {
+            if let Some(hit) = self.core.cache.get_recorded(key, k, &self.recorder, now) {
                 let backend_down = stale_ok
                     && !self.reachable(&snap, terms).iter().any(|&p| self.group_available(p));
                 let served = if backend_down { Served::StaleFromCache } else { Served::CacheHit };
@@ -807,7 +812,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             let (pos, resp) = match s {
                 Staged::Cold(c) => (c.pos, self.resolve(k, now, c)),
                 Staged::Dup { pos, key, terms } => {
-                    let resp = match self.core.cache.get_recorded(key, &self.recorder, now) {
+                    let resp = match self.core.cache.get_recorded(key, k, &self.recorder, now) {
                         Some(hit) => self.respond(key, now, hit, Served::CacheHit, None),
                         // Evicted while the batch was in flight: an
                         // ordinary miss, late (the documented divergence).
@@ -1139,7 +1144,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             Served::Full
         };
         if !matches!(served, Served::Failed | Served::Partial { .. }) {
-            self.core.cache.put(c.key, c.hits.clone());
+            self.core.cache.put(c.key, CachedResults { k, hits: c.hits.clone() });
         }
         let latency = (c.served > 0).then_some(c.latency);
         self.respond(c.key, now, c.hits, served, latency)
@@ -1223,6 +1228,59 @@ mod tests {
         assert_eq!(s2, Served::CacheHit);
         assert_eq!(r1, r2);
         assert_eq!(e.stats().cache_hits, 1);
+    }
+
+    /// 120 documents, every one holding term 7: a top-50 answer is 50
+    /// hits deep.
+    fn wide() -> PartitionedIndex {
+        let corpus: Corpus = (0..120u32)
+            .map(|d| vec![(TermId(7), 1 + d % 5), (TermId(100 + d % 9), 1 + d % 4)])
+            .collect();
+        let a = RoundRobinPartitioner.assign(&corpus, 4);
+        PartitionedIndex::build(&corpus, &a, 4)
+    }
+
+    /// What an engine with an empty cache answers.
+    fn fresh(pi: &PartitionedIndex, terms: &[TermId], k: usize) -> Vec<GlobalHit> {
+        DistributedEngine::new(pi, LruCache::new(16), 1).query(terms, k).0
+    }
+
+    #[test]
+    fn a_top_10_entry_does_not_answer_a_top_50_request() {
+        let pi = wide();
+        let e = DistributedEngine::new(&pi, LruCache::new(16), 1);
+        let (top10, s) = e.query(&[TermId(7)], 10);
+        assert_eq!((top10.len(), s), (10, Served::Full));
+        // A miss, evaluated at k = 50 ...
+        let (top50, s) = e.query(&[TermId(7)], 50);
+        assert_eq!(s, Served::Full);
+        assert_eq!(top50, fresh(&pi, &[TermId(7)], 50));
+        assert_eq!(top50[..10], top10[..]);
+        // ... which refills the entry at the deeper k.
+        assert_eq!(e.query(&[TermId(7)], 50), (top50, Served::CacheHit));
+        assert_eq!((e.cache_stats().hits, e.cache_stats().misses), (1, 2));
+    }
+
+    #[test]
+    fn a_top_50_entry_answers_a_top_10_request_with_its_prefix() {
+        let pi = wide();
+        let e = DistributedEngine::new(&pi, LruCache::new(16), 1);
+        let (top50, s) = e.query(&[TermId(7)], 50);
+        assert_eq!((top50.len(), s), (50, Served::Full));
+        let (top10, s) = e.query(&[TermId(7)], 10);
+        assert_eq!(s, Served::CacheHit);
+        assert_eq!(top10, fresh(&pi, &[TermId(7)], 10));
+        assert_eq!(top10[..], top50[..10]);
+    }
+
+    #[test]
+    fn an_entry_shorter_than_its_k_answers_any_k() {
+        let pi = setup();
+        let e = DistributedEngine::new(&pi, LruCache::new(16), 1);
+        // Term 3 is in 5 of the 24 documents: the top 10 is all of them.
+        let (all, s) = e.query(&[TermId(3)], 10);
+        assert_eq!((all.len(), s), (5, Served::Full));
+        assert_eq!(e.query(&[TermId(3)], 50), (all, Served::CacheHit));
     }
 
     #[test]
@@ -1718,9 +1776,9 @@ mod tests {
     }
 
     impl crate::cache::ResultCache for BombCache {
-        fn get(&mut self, key: u64) -> Option<&crate::cache::CachedResults> {
+        fn get(&mut self, key: u64, k: usize) -> Option<&crate::cache::CachedResults> {
             assert_ne!(key, self.bomb, "boom");
-            self.inner.get(key)
+            self.inner.get(key, k)
         }
         fn put(&mut self, key: u64, value: crate::cache::CachedResults) {
             self.inner.put(key, value);

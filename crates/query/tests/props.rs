@@ -23,8 +23,8 @@ proptest! {
         ];
         for c in &mut caches {
             for &k in &keys {
-                if c.get(k).is_none() {
-                    c.put(k, Vec::new());
+                if c.get(k, 0).is_none() {
+                    c.put(k, Vec::new().into());
                 }
                 prop_assert!(c.len() <= cap, "{} over capacity", c.name());
             }
@@ -38,8 +38,8 @@ proptest! {
     fn lru_keeps_most_recent(cap in 1usize..32, keys in prop::collection::vec(0u64..100, 1..200)) {
         let mut c = LruCache::new(cap);
         for &k in &keys {
-            c.put(k, Vec::new());
-            prop_assert!(c.get(k).is_some(), "most recent key evicted");
+            c.put(k, Vec::new().into());
+            prop_assert!(c.get(k, 0).is_some(), "most recent key evicted");
         }
     }
 

@@ -1,22 +1,24 @@
-//! Inverted-index construction: single-pass, sort-based, merged, parallel.
+//! Inverted-index construction: counting-sort builds, round-robin splits,
+//! merges, parallel builds.
 //!
 //! Section 4 frames indexing as "a 'sort' operation on a set of records
 //! representing term occurrences" and points at sort-based \[14\] and
 //! single-pass \[15\] construction, pipelined distributed builds \[25\], and
-//! map-reduce \[26\]. This module provides the local building blocks:
+//! map-reduce \[26\]. This module provides the local building blocks, all
+//! of which write an index's lists back to back into one arena (see
+//! [`crate::postings`]):
 //!
-//! * [`IndexBuilder`] — single-pass: per-term encoders fed documents in
-//!   ascending id order;
-//! * [`sort_based_build`] — materializes `(term, doc, tf)` records, sorts,
-//!   then encodes (same output, different cost profile — benchmarked in
-//!   `dwr-bench`);
-//! * [`merge_indexes`] — k-way merge of sub-indexes over disjoint doc-id
-//!   ranges, the primitive behind distributed construction;
+//! * [`build_index`] / [`index_documents`] — a counting sort of the
+//!   postings on term, then one encode pass;
+//! * [`InvertedIndex::split_round_robin`] — children of an index filtered
+//!   out of its lists, never re-read from documents;
+//! * [`merge_indexes`] — sub-indexes over consecutive doc-id ranges
+//!   appended into one, the primitive behind distributed construction;
 //! * [`parallel_build`] — chunks the corpus across threads (std scoped
 //!   threads) and merges, a faithful single-machine analogue of the
 //!   map-reduce build.
 
-use crate::postings::{PostingList, PostingListBuilder};
+use crate::postings::{Arena, ArenaWriter, ListSpan, PostingList, BLOCK_LEN};
 use crate::{DocId, TermId};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -114,120 +116,182 @@ impl InvertedIndex {
     pub fn encoded_bytes(&self) -> usize {
         self.postings.values().map(PostingList::encoded_bytes).sum()
     }
-}
 
-/// Single-pass in-memory index builder.
-///
-/// Documents must be added in ascending [`DocId`] order starting at 0
-/// (enforced), which keeps every per-term encoder append-only.
-#[derive(Debug, Default)]
-pub struct IndexBuilder {
-    builders: IdMap<PostingListBuilder>,
-    doc_len: Vec<u32>,
-    total_tokens: u64,
-}
-
-impl IndexBuilder {
-    /// Create an empty builder.
-    pub fn new() -> Self {
-        Self::default()
+    /// Assemble an index from its frozen arena, the `(term, list)` spans
+    /// written into it and the document lengths. The term table is built
+    /// once, at its final size.
+    fn from_arena(arena: Arena, lists: Vec<(u32, ListSpan)>, doc_len: Vec<u32>) -> Self {
+        let mut postings = IdMap::with_capacity_and_hasher(lists.len(), Default::default());
+        postings.extend(lists.into_iter().map(|(term, span)| (term, arena.list(span))));
+        let total_tokens = doc_len.iter().map(|&len| u64::from(len)).sum();
+        InvertedIndex { postings, doc_len, total_tokens }
     }
 
-    /// Add the next document's `(term, tf)` vector. Terms may be in any
-    /// order but must be unique within the document.
-    pub fn add_document(&mut self, terms: &[(TermId, u32)]) -> DocId {
-        let doc = DocId(self.doc_len.len() as u32);
-        // Length first, so every posting carries it into block metadata
-        // (tight `min_doc_len` ⇒ tight block-max bounds).
-        let len: u64 = terms.iter().map(|&(_, tf)| u64::from(tf)).sum();
-        for &(t, tf) in terms {
-            self.builders.entry(t.0).or_default().push_with_len(doc, tf, len as u32);
+    /// Split the index round-robin into `fanout` children: child `c`
+    /// holds local documents `c, c + fanout, c + 2·fanout, …`, renumbered
+    /// `0, 1, 2, …`. That renumbering is monotone, so each child's list of
+    /// a term is the parent's list filtered to `doc % fanout == c` with
+    /// `doc / fanout` as the new id, and each document keeps its length:
+    /// every child is, byte for byte, the index [`build_index`] gives its
+    /// documents, yet no document is read. Each parent list is decoded
+    /// once and streamed into the children's arenas; a term a child has
+    /// no document of is not in that child.
+    ///
+    /// # Panics
+    /// Panics if `fanout == 0`.
+    pub fn split_round_robin(&self, fanout: usize) -> Vec<InvertedIndex> {
+        assert!(fanout > 0, "a split needs at least one child");
+        let (f, bytes) = (fanout as u32, self.encoded_bytes() / fanout);
+        let mut children: Vec<(ArenaWriter, Vec<(u32, ListSpan)>)> = (0..fanout)
+            .map(|_| (ArenaWriter::with_capacity(bytes, 0), Vec::with_capacity(self.num_terms())))
+            .collect();
+        let mut buf = Vec::new();
+        for (&term, list) in &self.postings {
+            buf.clear();
+            list.decode_all(&mut buf);
+            for p in &buf {
+                let doc = p.doc.0;
+                children[(doc % f) as usize].0.push(doc / f, p.tf, self.doc_len[doc as usize]);
+            }
+            for (arena, lists) in &mut children {
+                let span = arena.end_list();
+                if !span.is_empty() {
+                    lists.push((term, span));
+                }
+            }
         }
-        self.doc_len.push(len as u32);
-        self.total_tokens += len;
-        doc
-    }
-
-    /// Finish into an immutable index.
-    pub fn finish(self) -> InvertedIndex {
-        InvertedIndex {
-            postings: self.builders.into_iter().map(|(t, b)| (t, b.finish())).collect(),
-            doc_len: self.doc_len,
-            total_tokens: self.total_tokens,
-        }
+        children
+            .into_iter()
+            .enumerate()
+            .map(|(c, (arena, lists))| {
+                let doc_len = self.doc_len.iter().skip(c).step_by(fanout).copied().collect();
+                InvertedIndex::from_arena(arena.finish(), lists, doc_len)
+            })
+            .collect()
     }
 }
 
-/// Build an index from a corpus via the single-pass builder.
+/// Build an index from a corpus (see [`index_documents`]).
 pub fn build_index(corpus: &[Vec<(TermId, u32)>]) -> InvertedIndex {
-    let mut b = IndexBuilder::new();
-    for doc in corpus {
-        b.add_document(doc);
-    }
-    b.finish()
+    index_documents(corpus.iter().map(Vec::as_slice))
 }
 
-/// Sort-based construction: materialize `(term, doc, tf)` records, sort by
-/// `(term, doc)`, then encode runs. Produces exactly the same index as
-/// [`build_index`]; exists so the two strategies can be compared under the
-/// benchmark harness, as in Section 4's discussion.
-pub fn sort_based_build(corpus: &[Vec<(TermId, u32)>]) -> InvertedIndex {
-    let total: usize = corpus.iter().map(Vec::len).sum();
-    let mut records: Vec<(u32, u32, u32)> = Vec::with_capacity(total);
-    let mut doc_len = Vec::with_capacity(corpus.len());
-    let mut total_tokens = 0u64;
-    for (d, doc) in corpus.iter().enumerate() {
+/// Build an index over documents `0..n`, given in id order as `(term, tf)`
+/// vectors whose terms are unique within each document (in any order).
+/// The documents are borrowed, and read three times through clones of
+/// the iterator.
+///
+/// Indexing is the "sort" of Section 4, done as a counting sort on term:
+/// 1. map each term to a dense slot, count its df, sum each document's
+///    length and record every posting's slot;
+/// 2. scatter the `(doc, tf)` pairs into one flat array at per-slot
+///    offsets, which leaves each slot's run in ascending doc order;
+/// 3. encode the runs one after another into one arena.
+///
+/// # Panics
+/// Panics if a tf is 0 ("at least one occurrence") or a document repeats
+/// a term ("strictly ascending").
+pub fn index_documents<'a, I>(docs: I) -> InvertedIndex
+where
+    I: IntoIterator<Item = &'a [(TermId, u32)]>,
+    I::IntoIter: Clone,
+{
+    let docs = docs.into_iter();
+    let total: usize = docs.clone().map(<[_]>::len).sum();
+    // Pass 1: slots, df, lengths.
+    let mut slot_of: IdMap<u32> = IdMap::default();
+    let (mut terms, mut df) = (Vec::new(), Vec::<u32>::new());
+    let mut slots = Vec::with_capacity(total);
+    let mut doc_len = Vec::with_capacity(docs.size_hint().0);
+    for doc in docs.clone() {
         let mut len = 0u64;
         for &(t, tf) in doc {
-            records.push((t.0, d as u32, tf));
+            let slot = *slot_of.entry(t.0).or_insert_with(|| {
+                terms.push(t.0);
+                df.push(0);
+                (terms.len() - 1) as u32
+            });
+            df[slot as usize] += 1;
+            slots.push(slot);
             len += u64::from(tf);
         }
         doc_len.push(len as u32);
-        total_tokens += len;
     }
-    records.sort_unstable();
-    let mut postings = IdMap::default();
-    let mut i = 0;
-    while i < records.len() {
-        let term = records[i].0;
-        let mut b = PostingListBuilder::new();
-        while i < records.len() && records[i].0 == term {
-            let (_, d, tf) = records[i];
-            b.push_with_len(DocId(d), tf, doc_len[d as usize]);
-            i += 1;
+    drop(slot_of);
+    // Pass 2: scatter. `next[s]` walks slot `s`'s run and ends one past it.
+    let mut next: Vec<usize> = df
+        .iter()
+        .scan(0, |at, &n| {
+            let start = *at;
+            *at += n as usize;
+            Some(start)
+        })
+        .collect();
+    let mut runs = vec![(0u32, 0u32); total];
+    let mut at = 0;
+    for (d, doc) in docs.enumerate() {
+        for (&(_, tf), &slot) in doc.iter().zip(&slots[at..at + doc.len()]) {
+            let pos = &mut next[slot as usize];
+            runs[*pos] = (d as u32, tf);
+            *pos += 1;
         }
-        postings.insert(term, b.finish());
+        at += doc.len();
     }
-    InvertedIndex { postings, doc_len, total_tokens }
+    drop(slots);
+    // Pass 3: encode.
+    let blocks = df.iter().map(|&n| (n as usize).div_ceil(BLOCK_LEN)).sum();
+    let mut arena = ArenaWriter::with_capacity(total + total / 2 + 2 * blocks, blocks);
+    let mut lists = Vec::with_capacity(terms.len());
+    for ((&term, &n), &end) in terms.iter().zip(&df).zip(&next) {
+        for &(d, tf) in &runs[end - n as usize..end] {
+            arena.push(d, tf, doc_len[d as usize]);
+        }
+        lists.push((term, arena.end_list()));
+    }
+    drop(runs);
+    InvertedIndex::from_arena(arena.finish(), lists, doc_len)
 }
 
 /// Merge sub-indexes built over consecutive corpus chunks into one index.
 ///
 /// `parts[i]` must cover documents `[offsets[i], offsets[i] + parts[i].num_docs())`
-/// of the final id space, with offsets ascending and contiguous.
+/// of the final id space, with offsets ascending and contiguous. Each
+/// term's list is its parts' lists appended in part order, shifted by
+/// each part's offset, into one arena: they are re-encoded rather than
+/// copied, because every block but a list's last holds exactly
+/// [`BLOCK_LEN`] postings.
 pub fn merge_indexes(parts: &[InvertedIndex]) -> InvertedIndex {
-    let mut doc_len = Vec::new();
-    let mut total_tokens = 0u64;
-    // term -> per-part builders in order; since parts cover ascending
-    // disjoint ranges, appending in part order keeps doc ids ascending.
-    let mut merged: IdMap<PostingListBuilder> = IdMap::default();
-    let mut offset = 0u32;
-    for part in parts {
-        for (term, list) in part.terms() {
-            let b = merged.entry(term.0).or_default();
-            for p in list.iter() {
-                b.push_with_len(DocId(p.doc.0 + offset), p.tf, part.doc_len(p.doc));
+    let offsets: Vec<u32> = parts
+        .iter()
+        .scan(0, |at, part| {
+            let start = *at;
+            *at += part.num_docs();
+            Some(start)
+        })
+        .collect();
+    let bytes = parts.iter().map(InvertedIndex::encoded_bytes).sum();
+    let mut arena = ArenaWriter::with_capacity(bytes, 0);
+    let mut lists = Vec::new();
+    let mut buf = Vec::new();
+    for (i, part) in parts.iter().enumerate() {
+        for &term in part.postings.keys() {
+            // Written with the first part that holds it.
+            if parts[..i].iter().any(|earlier| earlier.postings.contains_key(&term)) {
+                continue;
             }
+            for (later, &offset) in parts[i..].iter().zip(&offsets[i..]) {
+                let Some(list) = later.postings.get(&term) else { continue };
+                buf.clear();
+                list.decode_all(&mut buf);
+                for p in &buf {
+                    arena.push(p.doc.0 + offset, p.tf, later.doc_len[p.doc.0 as usize]);
+                }
+            }
+            lists.push((term, arena.end_list()));
         }
-        doc_len.extend_from_slice(&part.doc_len);
-        total_tokens += part.total_tokens;
-        offset += part.num_docs();
     }
-    InvertedIndex {
-        postings: merged.into_iter().map(|(t, b)| (t, b.finish())).collect(),
-        doc_len,
-        total_tokens,
-    }
+    let doc_len = parts.iter().flat_map(|part| part.doc_len.iter().copied()).collect();
+    InvertedIndex::from_arena(arena.finish(), lists, doc_len)
 }
 
 /// Parallel build: split the corpus into `threads` contiguous chunks,
@@ -284,20 +348,92 @@ mod tests {
         }
     }
 
+    /// Bitwise equality: the same documents, and for every term the same
+    /// encoded bytes, block ladder, df and cf.
     fn index_eq(a: &InvertedIndex, b: &InvertedIndex) -> bool {
-        if a.num_docs() != b.num_docs() || a.num_terms() != b.num_terms() {
-            return false;
+        let ladder = |l: &PostingList| -> Vec<(u32, u32, u32)> {
+            l.blocks().iter().map(|m| (m.last_doc, m.max_tf, m.min_doc_len)).collect()
+        };
+        a.doc_len == b.doc_len
+            && a.total_tokens == b.total_tokens
+            && a.num_terms() == b.num_terms()
+            && a.terms().all(|(t, l)| {
+                b.postings(t).is_some_and(|lb| {
+                    l.encoded()[..] == lb.encoded()[..]
+                        && ladder(l) == ladder(lb)
+                        && (l.df(), l.cf()) == (lb.df(), lb.cf())
+                })
+            })
+    }
+
+    /// Every list ships exactly the bytes it counts and re-admits as the
+    /// same list, and the lists of the index share one arena whose every
+    /// byte they count.
+    fn assert_honest(idx: &InvertedIndex) {
+        let mut arena = None;
+        for (_, l) in idx.terms() {
+            assert_eq!(l.encoded_bytes(), l.encoded().len());
+            let wire = PostingList::from_encoded(l.encoded(), l.df()).expect("a list re-admits");
+            assert_eq!(wire.to_vec(), l.to_vec());
+            let ladder = |l: &PostingList| -> Vec<(u32, u32)> {
+                l.blocks().iter().map(|m| (m.last_doc, m.max_tf)).collect()
+            };
+            assert_eq!(ladder(&wire), ladder(l));
+            assert_eq!(*arena.get_or_insert(l.arena_bytes()), l.arena_bytes(), "one arena");
         }
-        if a.doc_len != b.doc_len {
-            return false;
-        }
-        a.terms().all(|(t, l)| b.postings(t).is_some_and(|lb| l.to_vec() == lb.to_vec()))
+        assert_eq!(idx.encoded_bytes(), arena.unwrap_or(0));
     }
 
     #[test]
-    fn sort_based_matches_single_pass() {
-        let c = corpus();
-        assert!(index_eq(&build_index(&c), &sort_based_build(&c)));
+    #[should_panic(expected = "at least one occurrence")]
+    fn build_rejects_a_zero_tf() {
+        build_index(&[vec![(TermId(1), 1)], vec![(TermId(1), 0)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn build_rejects_a_document_that_repeats_a_term() {
+        build_index(&[vec![(TermId(1), 1)], vec![(TermId(4), 1), (TermId(1), 2), (TermId(4), 3)]]);
+    }
+
+    /// A corpus whose lists span several blocks, with rare terms beside
+    /// them (one child of a split gets none of some).
+    fn wide_corpus() -> Vec<Vec<(TermId, u32)>> {
+        (0..300u32)
+            .map(|i| {
+                let mut doc = vec![(TermId(i % 7), 1 + i % 3), (TermId(20 + i % 50), 1 + i % 11)];
+                if i % 29 == 0 {
+                    doc.push((TermId(1_000 + i), 2));
+                }
+                doc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn split_round_robin_equals_building_the_children() {
+        let c = wide_corpus();
+        let idx = build_index(&c);
+        for fanout in [1, 2, 3] {
+            let children = idx.split_round_robin(fanout);
+            assert_eq!(children.len(), fanout);
+            for (k, child) in children.iter().enumerate() {
+                let docs: Vec<_> = c.iter().skip(k).step_by(fanout).cloned().collect();
+                assert!(index_eq(child, &build_index(&docs)), "fanout {fanout}, child {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn built_split_and_merged_indexes_count_every_arena_byte() {
+        let c = wide_corpus();
+        let built = build_index(&c);
+        assert_honest(&built);
+        for child in built.split_round_robin(2) {
+            assert_honest(&child);
+        }
+        assert_honest(&merge_indexes(&[build_index(&c[..111]), build_index(&c[111..])]));
+        assert_honest(&build_index(&[]));
     }
 
     #[test]

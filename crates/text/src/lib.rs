@@ -49,7 +49,7 @@ pub struct DocId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
-pub use index::{IndexBuilder, InvertedIndex};
+pub use index::InvertedIndex;
 pub use postings::{BlockMeta, CursorStats, DecodeError, PostingCursor, PostingList, BLOCK_LEN};
 pub use score::{Bm25, CollectionStats, GlobalStats, TermScorer};
 pub use search::{

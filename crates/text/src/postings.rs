@@ -42,9 +42,22 @@
 //! so what validation admits is exactly what the readers decode.
 //! [`PostingCursor`] is the skip-aware access path: `next_geq(target)`
 //! consults `last_doc` to hop over whole blocks without decoding them.
+//!
+//! # Arenas
+//!
+//! A [`PostingList`] is a view into an **arena**: lists written back to
+//! back into one shared byte buffer and one shared block ladder, so a
+//! whole index is two allocations rather than three per term. One writer
+//! fills every arena — the crate-private `ArenaWriter`, which index
+//! builds, splits and merges drive one list at a time, and which
+//! [`PostingListBuilder`] wraps as an arena of one list. A list's bytes
+//! are the contiguous range from its first block's `offset` to its end,
+//! exactly what [`PostingList::encoded`] returns and
+//! [`PostingList::encoded_bytes`] counts.
 
 use crate::DocId;
 use bytes::Bytes;
+use std::sync::Arc;
 
 /// Postings per block. 128 keeps a decoded block (1 KiB of `Posting`)
 /// inside L1 while making the metadata overhead ~3% of a dense list, and,
@@ -245,72 +258,102 @@ pub struct BlockMeta {
     /// builder was not given lengths (the conservative, always-sound
     /// default: BM25 is maximal at length 0).
     pub min_doc_len: u32,
-    /// Byte offset of the block's header in the encoded stream.
+    /// Byte offset of the block's header in the arena's buffer.
     offset: u32,
 }
 
-/// An immutable compressed posting list with block-max metadata.
+/// An immutable compressed posting list with block-max metadata: a view
+/// of one list in an arena (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
 pub struct PostingList {
+    /// The arena's buffer and block ladder.
     data: Bytes,
-    /// Document frequency (number of postings).
-    df: u32,
-    /// Collection frequency (sum of tf over postings).
-    cf: u64,
-    /// Per-block metadata, one entry per `BLOCK_LEN` postings.
-    blocks: Vec<BlockMeta>,
+    ladder: Arc<[BlockMeta]>,
+    /// Where in them this list sits.
+    span: ListSpan,
 }
 
 impl PostingList {
     /// Document frequency: number of documents in the list.
     pub fn df(&self) -> u32 {
-        self.df
+        self.span.df
     }
 
     /// Collection frequency: total occurrences across documents.
     pub fn cf(&self) -> u64 {
-        self.cf
+        self.span.cf
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.df == 0
+        self.span.is_empty()
+    }
+
+    /// Byte position of the list's first block in its arena.
+    fn start(&self) -> usize {
+        self.blocks().first().map_or(self.span.end, |b| b.offset) as usize
     }
 
     /// Encoded size in bytes (what a broker would ship over the network).
     pub fn encoded_bytes(&self) -> usize {
-        self.data.len()
+        self.span.end as usize - self.start()
     }
 
-    /// The encoded byte stream itself (cheaply cloned; `Bytes` is
-    /// reference counted). Feed it back through
-    /// [`PostingList::from_encoded`] to re-admit it after a network hop.
+    /// The encoded byte stream itself: this list's range of its arena,
+    /// shared when the list is the whole arena and copied otherwise. Feed
+    /// it back through [`PostingList::from_encoded`] to re-admit it after
+    /// a network hop.
     pub fn encoded(&self) -> Bytes {
-        self.data.clone()
+        let (start, end) = (self.start(), self.span.end as usize);
+        if start == 0 && end == self.data.len() {
+            self.data.clone()
+        } else {
+            Bytes::from(self.data[start..end].to_vec())
+        }
     }
 
     /// The block-max metadata ladder, one entry per [`BLOCK_LEN`]
     /// postings (the last block may be partial).
     pub fn blocks(&self) -> &[BlockMeta] {
-        &self.blocks
+        let ListSpan { first, len, .. } = self.span;
+        &self.ladder[first as usize..(first + len) as usize]
     }
 
     /// Number of postings in block `b` (all blocks are full except
     /// possibly the last).
     pub fn block_len(&self, b: usize) -> usize {
-        debug_assert!(b < self.blocks.len());
-        if b + 1 == self.blocks.len() {
-            self.df as usize - b * BLOCK_LEN
+        let len = self.span.len as usize;
+        debug_assert!(b < len);
+        if b + 1 == len {
+            self.span.df as usize - b * BLOCK_LEN
         } else {
             BLOCK_LEN
         }
     }
 
     /// Decode block `b`, appending its postings to `out` (nothing on
-    /// corrupt data).
+    /// corrupt data). The decoder sees the arena up to this list's end,
+    /// so a block cannot read past its own list.
     fn decode_into(&self, b: usize, out: &mut Vec<Posting>) -> Result<usize, DecodeError> {
-        let prev = b.checked_sub(1).map(|p| self.blocks[p].last_doc);
-        decode_block(&self.data, self.blocks[b].offset as usize, self.block_len(b), prev, out)
+        let blocks = self.blocks();
+        let prev = b.checked_sub(1).map(|p| blocks[p].last_doc);
+        let data = &self.data[..self.span.end as usize];
+        decode_block(data, blocks[b].offset as usize, self.block_len(b), prev, out)
+    }
+
+    /// Length of the arena the list lives in.
+    #[cfg(test)]
+    pub(crate) fn arena_bytes(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Decode the whole list, appending it to `out`: the one read the
+    /// write side makes of an index's own lists, which its writers
+    /// produced and which therefore decode.
+    pub(crate) fn decode_all(&self, out: &mut Vec<Posting>) {
+        for b in 0..self.span.len as usize {
+            self.decode_into(b, out).expect("an index's own list decodes");
+        }
     }
 
     /// Iterate over the decoded postings in ascending doc order.
@@ -324,7 +367,7 @@ impl PostingList {
             block: 0,
             buf: Vec::new(),
             pos: 0,
-            remaining: self.df,
+            remaining: self.span.df,
             error: None,
         }
     }
@@ -372,7 +415,9 @@ impl PostingList {
         if offset != data.len() {
             return Err(DecodeError::TrailingBytes);
         }
-        Ok(PostingList { data, df, cf, blocks })
+        // An arena of one list.
+        let span = ListSpan { first: 0, len: blocks.len() as u32, end: offset as u32, df, cf };
+        Ok(PostingList { data, ladder: blocks.into(), span })
     }
 }
 
@@ -448,6 +493,8 @@ pub struct CursorStats {
 #[derive(Debug)]
 pub struct PostingCursor<'a> {
     list: &'a PostingList,
+    /// The list's block ladder.
+    blocks: &'a [BlockMeta],
     /// Index of the decoded block.
     block: usize,
     /// Decoded postings of the current block.
@@ -462,6 +509,7 @@ impl<'a> PostingCursor<'a> {
     fn new(list: &'a PostingList) -> Self {
         let mut c = PostingCursor {
             list,
+            blocks: list.blocks(),
             block: 0,
             entries: Vec::new(),
             pos: 0,
@@ -508,7 +556,7 @@ impl<'a> PostingCursor<'a> {
 
     /// Metadata of the block the cursor is in.
     pub fn block_meta(&self) -> &BlockMeta {
-        &self.list.blocks[self.block]
+        &self.blocks[self.block]
     }
 
     /// Advance one posting; `false` when the list is exhausted.
@@ -525,7 +573,7 @@ impl<'a> PostingCursor<'a> {
         if self.pos < self.entries.len() {
             return true;
         }
-        if self.block + 1 < self.list.blocks.len() {
+        if self.block + 1 < self.blocks.len() {
             self.load_block(self.block + 1);
             !self.exhausted
         } else {
@@ -544,7 +592,7 @@ impl<'a> PostingCursor<'a> {
         if self.entries[self.pos].doc >= target {
             return true;
         }
-        let blocks = &self.list.blocks;
+        let blocks = self.blocks;
         if blocks[self.block].last_doc < target.0 {
             // Hop along the metadata ladder; blocks strictly between the
             // current one and the destination are never decoded.
@@ -578,34 +626,21 @@ impl<'a> PostingCursor<'a> {
     }
 }
 
-/// Append `v` to the staging area: LEB128, 7 value bits a byte, the high
-/// bit set on every byte but the last.
-fn stage(buf: &mut Vec<u8>, mut v: u32) {
-    while v >= 0x80 {
-        buf.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-/// Read back one value [`stage`] wrote at `*pos`, advancing `*pos`.
-fn unstage(buf: &[u8], pos: &mut usize) -> u32 {
-    let (mut v, mut shift) = (0u32, 0);
-    loop {
-        let byte = buf[*pos];
-        *pos += 1;
-        v |= u32::from(byte & 0x7f) << shift;
-        if byte < 0x80 {
-            return v;
-        }
-        shift += 7;
-    }
+/// Append one block: its 2-byte header, then `gaps` (each doc's
+/// `gap − 1`) and `tfs` (each `tf − 1`), each section bit-packed at the
+/// width of its largest value and padded with zero bits to a byte.
+fn write_block(buf: &mut Vec<u8>, gaps: &[u32], tfs: &[u32]) {
+    let gw = width_of(gaps.iter().fold(0, |any, &g| any | g));
+    let tw = width_of(tfs.iter().fold(0, |any, &t| any | t));
+    buf.reserve(2 + packed_len(gaps.len(), gw) + packed_len(tfs.len(), tw));
+    buf.extend_from_slice(&[gw as u8, tw as u8]);
+    pack(buf, gaps, gw);
+    pack(buf, tfs, tw);
 }
 
 /// Append `values` bit-packed LSB-first at `width` bits each, padded with
 /// zero bits to a byte.
 fn pack(buf: &mut Vec<u8>, values: &[u32], width: u32) {
-    buf.reserve(packed_len(values.len(), width));
     let (mut acc, mut bits) = (0u64, 0u32);
     for &v in values {
         acc |= u64::from(v) << bits;
@@ -619,29 +654,170 @@ fn pack(buf: &mut Vec<u8>, values: &[u32], width: u32) {
     buf.extend_from_slice(&acc.to_le_bytes()[..bits.div_ceil(8) as usize]);
 }
 
-/// Incremental encoder for one term's postings.
+/// Where one list sits in its arena, and its two counts: what
+/// [`ArenaWriter::end_list`] hands back and [`Arena::list`] turns into a
+/// [`PostingList`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ListSpan {
+    /// The list's first block in the ladder, and its block count.
+    first: u32,
+    len: u32,
+    /// One past the list's last byte in the buffer.
+    end: u32,
+    /// Document frequency (number of postings).
+    df: u32,
+    /// Collection frequency (sum of tf over postings).
+    cf: u64,
+}
+
+impl ListSpan {
+    /// Whether the list holds no posting.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.df == 0
+    }
+}
+
+/// The one posting-list writer: lists encoded back to back, one at a
+/// time, into one byte buffer and one block ladder.
+///
+/// A block's widths are known only once it is complete, so the open
+/// block's `gap − 1` and `tf − 1` values wait in two fixed arrays — one
+/// pair per arena, reused by every block of every list it writes — and
+/// are packed when the block closes.
+#[derive(Debug)]
+pub(crate) struct ArenaWriter {
+    buf: Vec<u8>,
+    ladder: Vec<BlockMeta>,
+    /// The open list: its first block in `ladder`, last doc, df and cf.
+    first: usize,
+    prev_doc: Option<u32>,
+    df: u32,
+    cf: u64,
+    /// The open block: its metadata (`offset` is set when it closes), its
+    /// posting count and its staged values.
+    meta: BlockMeta,
+    n: usize,
+    gaps: [u32; BLOCK_LEN],
+    tfs: [u32; BLOCK_LEN],
+}
+
+impl ArenaWriter {
+    /// An empty arena with room for `bytes` bytes and `blocks` blocks.
+    pub(crate) fn with_capacity(bytes: usize, blocks: usize) -> Self {
+        ArenaWriter {
+            buf: Vec::with_capacity(bytes),
+            ladder: Vec::with_capacity(blocks),
+            first: 0,
+            prev_doc: None,
+            df: 0,
+            cf: 0,
+            meta: BlockMeta { last_doc: 0, max_tf: 0, min_doc_len: 0, offset: 0 },
+            n: 0,
+            gaps: [0; BLOCK_LEN],
+            tfs: [0; BLOCK_LEN],
+        }
+    }
+
+    /// Append a posting of document `doc`, `doc_len` tokens long, to the
+    /// open list.
+    ///
+    /// # Panics
+    /// Panics if `doc` is not strictly greater than the open list's
+    /// previous doc, or if `tf == 0`.
+    #[inline]
+    pub(crate) fn push(&mut self, doc: u32, tf: u32, doc_len: u32) {
+        assert!(tf > 0, "a posting must have at least one occurrence");
+        let gap_minus_one = match self.prev_doc {
+            None => doc,
+            Some(prev) => {
+                assert!(doc > prev, "postings must be strictly ascending: {doc} after {prev}");
+                doc - prev - 1
+            }
+        };
+        let meta = &mut self.meta;
+        if self.n == 0 {
+            (meta.max_tf, meta.min_doc_len) = (tf, doc_len);
+        } else {
+            meta.max_tf = meta.max_tf.max(tf);
+            meta.min_doc_len = meta.min_doc_len.min(doc_len);
+        }
+        meta.last_doc = doc;
+        self.gaps[self.n] = gap_minus_one;
+        self.tfs[self.n] = tf - 1;
+        self.n += 1;
+        self.prev_doc = Some(doc);
+        self.df += 1;
+        self.cf += u64::from(tf);
+        if self.n == BLOCK_LEN {
+            self.close_block();
+        }
+    }
+
+    /// Pack the open block and file its metadata.
+    fn close_block(&mut self) {
+        self.meta.offset = arena_offset(self.buf.len());
+        write_block(&mut self.buf, &self.gaps[..self.n], &self.tfs[..self.n]);
+        self.ladder.push(self.meta);
+        self.n = 0;
+    }
+
+    /// Close the open list (possibly empty) and open the next.
+    pub(crate) fn end_list(&mut self) -> ListSpan {
+        if self.n > 0 {
+            self.close_block();
+        }
+        let span = ListSpan {
+            first: self.first as u32,
+            len: (self.ladder.len() - self.first) as u32,
+            end: arena_offset(self.buf.len()),
+            df: self.df,
+            cf: self.cf,
+        };
+        (self.first, self.prev_doc, self.df, self.cf) = (self.ladder.len(), None, 0, 0);
+        span
+    }
+
+    /// Freeze the written lists into their shared arena.
+    pub(crate) fn finish(self) -> Arena {
+        Arena { data: Bytes::from(self.buf), ladder: self.ladder.into() }
+    }
+}
+
+/// A byte position in an arena, which block offsets hold as `u32`.
+fn arena_offset(at: usize) -> u32 {
+    u32::try_from(at).expect("a posting arena fits in 4 GiB")
+}
+
+/// A frozen arena: the buffer and ladder its lists share.
+#[derive(Debug)]
+pub(crate) struct Arena {
+    data: Bytes,
+    ladder: Arc<[BlockMeta]>,
+}
+
+impl Arena {
+    /// The list `span` describes, as a view of this arena.
+    pub(crate) fn list(&self, span: ListSpan) -> PostingList {
+        PostingList { data: self.data.clone(), ladder: Arc::clone(&self.ladder), span }
+    }
+}
+
+/// Incremental encoder for one term's postings: an arena of one list.
 ///
 /// Documents must be appended in strictly ascending order. Block-max
 /// metadata is built as postings stream in;
 /// [`PostingListBuilder::push_with_len`] threads the document length
 /// through so blocks carry a tight `min_doc_len` (plain
 /// [`PostingListBuilder::push`] records the sound-but-loose `0`).
-///
-/// The widths of a block are known only once it is complete, so its
-/// postings wait at the tail of the buffer, staged as `(gap − 1, tf − 1)`
-/// LEB128 pairs — about as compact as the packed form, so the buffer grows
-/// no further than the list it becomes — and are packed in place when the
-/// block closes.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PostingListBuilder {
-    /// Packed closed blocks, then the open block's staged pairs.
-    buf: Vec<u8>,
-    prev_doc: Option<u32>,
-    df: u32,
-    cf: u64,
-    blocks: Vec<BlockMeta>,
-    cur: Option<BlockMeta>,
-    in_block: usize,
+    arena: ArenaWriter,
+}
+
+impl Default for PostingListBuilder {
+    fn default() -> Self {
+        PostingListBuilder { arena: ArenaWriter::with_capacity(0, 0) }
+    }
 }
 
 impl PostingListBuilder {
@@ -657,7 +833,7 @@ impl PostingListBuilder {
     /// Panics if `doc` is not strictly greater than the previous doc, or if
     /// `tf == 0`.
     pub fn push(&mut self, doc: DocId, tf: u32) {
-        self.push_with_len(doc, tf, 0);
+        self.arena.push(doc.0, tf, 0);
     }
 
     /// Append a posting whose document has `doc_len` tokens, tightening
@@ -668,86 +844,19 @@ impl PostingListBuilder {
     /// Panics if `doc` is not strictly greater than the previous doc, or if
     /// `tf == 0`.
     pub fn push_with_len(&mut self, doc: DocId, tf: u32, doc_len: u32) {
-        assert!(tf > 0, "a posting must have at least one occurrence");
-        let gap_minus_one = match self.prev_doc {
-            None => doc.0,
-            Some(prev) => {
-                assert!(
-                    doc.0 > prev,
-                    "postings must be strictly ascending: {} after {prev}",
-                    doc.0
-                );
-                doc.0 - prev - 1
-            }
-        };
-        let offset = self.buf.len() as u32;
-        stage(&mut self.buf, gap_minus_one);
-        stage(&mut self.buf, tf - 1);
-        self.prev_doc = Some(doc.0);
-        self.df += 1;
-        self.cf += u64::from(tf);
-        let meta = self.cur.get_or_insert(BlockMeta {
-            last_doc: doc.0,
-            max_tf: tf,
-            min_doc_len: doc_len,
-            offset,
-        });
-        meta.last_doc = doc.0;
-        meta.max_tf = meta.max_tf.max(tf);
-        meta.min_doc_len = meta.min_doc_len.min(doc_len);
-        self.in_block += 1;
-        if self.in_block == BLOCK_LEN {
-            self.close_block();
-        }
-    }
-
-    /// Pack the open block's staged pairs in place and file its metadata.
-    fn close_block(&mut self) {
-        let meta = self.cur.take().expect("block in progress");
-        let (start, n) = (meta.offset as usize, self.in_block);
-        let (mut gaps, mut tfs) = ([0u32; BLOCK_LEN], [0u32; BLOCK_LEN]);
-        let (mut any_gap, mut any_tf, mut pos) = (0u32, 0u32, start);
-        for (g, t) in gaps[..n].iter_mut().zip(&mut tfs[..n]) {
-            *g = unstage(&self.buf, &mut pos);
-            *t = unstage(&self.buf, &mut pos);
-            any_gap |= *g;
-            any_tf |= *t;
-        }
-        let (gw, tw) = (width_of(any_gap), width_of(any_tf));
-        self.buf.truncate(start);
-        self.buf.extend_from_slice(&[gw as u8, tw as u8]);
-        pack(&mut self.buf, &gaps[..n], gw);
-        pack(&mut self.buf, &tfs[..n], tw);
-        self.blocks.push(meta);
-        self.in_block = 0;
+        self.arena.push(doc.0, tf, doc_len);
     }
 
     /// Current number of postings.
     pub fn df(&self) -> u32 {
-        self.df
+        self.arena.df
     }
 
     /// Finish encoding.
     pub fn finish(mut self) -> PostingList {
-        if self.cur.is_some() {
-            self.close_block();
-        }
-        PostingList { data: Bytes::from(self.buf), df: self.df, cf: self.cf, blocks: self.blocks }
+        let span = self.arena.end_list();
+        self.arena.finish().list(span)
     }
-}
-
-/// Merge several posting lists whose doc-id spaces are disjoint and
-/// ascending across inputs (the common case when concatenating partition
-/// sub-indexes with remapped ids). More general k-way merging for
-/// overlapping spaces lives in `index::merge_indexes`.
-pub fn concat_lists(lists: &[&PostingList]) -> PostingList {
-    let mut b = PostingListBuilder::new();
-    for l in lists {
-        for p in l.iter() {
-            b.push(p.doc, p.tf);
-        }
-    }
-    b.finish()
 }
 
 #[cfg(test)]
@@ -844,16 +953,40 @@ mod tests {
     }
 
     #[test]
-    fn concat_disjoint_lists() {
-        let mut a = PostingListBuilder::new();
-        a.push(DocId(0), 1);
-        a.push(DocId(2), 2);
-        let mut b = PostingListBuilder::new();
-        b.push(DocId(10), 3);
-        let merged = concat_lists(&[&a.finish(), &b.finish()]);
-        assert_eq!(merged.df(), 3);
-        assert_eq!(merged.cf(), 6);
-        assert_eq!(merged.to_vec().iter().map(|p| p.doc.0).collect::<Vec<_>>(), vec![0, 2, 10]);
+    fn lists_sharing_an_arena_are_independent_views() {
+        // Three lists back to back, the middle one empty: each view reads
+        // its own blocks, counts its own bytes and ships only its range.
+        let lists: [&[u32]; 3] = [&[0, 2, 9], &[], &[1, 300, 301, 70_000]];
+        let mut w = ArenaWriter::with_capacity(0, 0);
+        let spans: Vec<ListSpan> = lists
+            .iter()
+            .map(|docs| {
+                for &d in docs.iter() {
+                    w.push(d, 1 + d % 4, 10 + d % 7);
+                }
+                w.end_list()
+            })
+            .collect();
+        assert!(spans[1].is_empty() && !spans[0].is_empty());
+        let arena = w.finish();
+        let views: Vec<PostingList> = spans.iter().map(|&s| arena.list(s)).collect();
+        assert_eq!(views.iter().map(PostingList::encoded_bytes).sum::<usize>(), arena.data.len());
+        for (view, docs) in views.iter().zip(lists) {
+            let alone = {
+                let mut b = PostingListBuilder::new();
+                for &d in docs {
+                    b.push_with_len(DocId(d), 1 + d % 4, 10 + d % 7);
+                }
+                b.finish()
+            };
+            assert_eq!(view.to_vec(), alone.to_vec());
+            assert_eq!((view.df(), view.cf()), (alone.df(), alone.cf()));
+            assert_eq!(view.blocks().len(), alone.blocks().len());
+            assert_eq!(&view.encoded()[..], &alone.encoded()[..]);
+            assert_eq!(view.encoded_bytes(), view.encoded().len());
+            let mut c = view.cursor();
+            assert!(c.next_geq(DocId(2)) == docs.iter().any(|&d| d >= 2));
+        }
     }
 
     #[test]
@@ -1014,12 +1147,8 @@ mod tests {
     fn iterator_stops_cleanly_on_corrupt_payload() {
         let good = list_of(&[100, 200, 300]);
         let cut = good.encoded_bytes() - 1;
-        let corrupt = PostingList {
-            data: Bytes::from(good.data[..cut].to_vec()),
-            df: good.df(),
-            cf: good.cf(),
-            blocks: good.blocks.clone(),
-        };
+        let span = ListSpan { end: cut as u32, ..good.span };
+        let corrupt = PostingList { data: Bytes::from(good.data[..cut].to_vec()), span, ..good };
         let mut it = corrupt.iter();
         let n = it.by_ref().count();
         assert!(n < 3, "the damaged posting is not produced");

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use dwr_sim::SimRng;
-use dwr_text::index::{build_index, merge_indexes, sort_based_build};
+use dwr_text::index::{build_index, merge_indexes};
 use dwr_text::postings::{Posting, PostingList, PostingListBuilder, BLOCK_LEN};
 use dwr_text::score::{Bm25, CollectionStats, GlobalStats};
 use dwr_text::search::{
@@ -12,6 +12,7 @@ use dwr_text::token::{term_frequencies, tokenize};
 use dwr_text::topk::TopK;
 use dwr_text::{DocId, TermId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Strategy: a sorted, strictly ascending (doc, tf) posting vector.
 fn postings_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -72,6 +73,12 @@ fn packed_size(postings: &[(u32, u32)]) -> usize {
             2 + (block.len() * bits(gap)).div_ceil(8) + (block.len() * bits(tf)).div_ceil(8)
         })
         .sum()
+}
+
+/// A list's block ladder as `(last_doc, max_tf, min_doc_len)`: the
+/// metadata a pruning evaluator reads, without the arena offsets.
+fn ladder(list: &PostingList) -> Vec<(u32, u32, u32)> {
+    list.blocks().iter().map(|m| (m.last_doc, m.max_tf, m.min_doc_len)).collect()
 }
 
 /// BM25 exactly as the evaluators computed it per posting before the
@@ -208,16 +215,33 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Building an index via any strategy yields identical statistics.
+    /// The counting-sort build equals a per-term reference written with
+    /// `PostingListBuilder::push_with_len`, bit for bit: every term's
+    /// encoded bytes, `(last_doc, max_tf, min_doc_len)` ladder, df and cf,
+    /// and the document lengths and token total.
     #[test]
-    fn builders_agree(corpus in corpus_strategy()) {
-        let a = build_index(&corpus);
-        let b = sort_based_build(&corpus);
-        prop_assert_eq!(a.num_docs(), b.num_docs());
-        prop_assert_eq!(a.num_terms(), b.num_terms());
-        for (t, list) in a.terms() {
-            let other = b.postings(t).expect("term in both");
-            prop_assert_eq!(list.to_vec(), other.to_vec());
+    fn build_equals_per_term_builders(corpus in corpus_strategy()) {
+        let idx = build_index(&corpus);
+        let doc_len: Vec<u32> =
+            corpus.iter().map(|doc| doc.iter().map(|&(_, tf)| tf).sum()).collect();
+        let mut reference: BTreeMap<u32, PostingListBuilder> = BTreeMap::new();
+        for (d, doc) in corpus.iter().enumerate() {
+            for &(t, tf) in doc {
+                reference.entry(t.0).or_default().push_with_len(DocId(d as u32), tf, doc_len[d]);
+            }
+        }
+        prop_assert_eq!(idx.num_docs() as usize, corpus.len());
+        for (d, &len) in doc_len.iter().enumerate() {
+            prop_assert_eq!(idx.doc_len(DocId(d as u32)), len);
+        }
+        prop_assert_eq!(idx.total_tokens(), doc_len.iter().map(|&l| u64::from(l)).sum::<u64>());
+        prop_assert_eq!(idx.num_terms(), reference.len());
+        for (t, b) in reference {
+            let want = b.finish();
+            let got = idx.postings(TermId(t)).expect("every reference term is indexed");
+            prop_assert_eq!(&got.encoded()[..], &want.encoded()[..], "term {}", t);
+            prop_assert_eq!(ladder(got), ladder(&want), "term {}", t);
+            prop_assert_eq!((got.df(), got.cf()), (want.df(), want.cf()), "term {}", t);
         }
     }
 
@@ -228,9 +252,13 @@ proptest! {
         let merged = merge_indexes(&[build_index(&corpus[..cut]), build_index(&corpus[cut..])]);
         let mono = build_index(&corpus);
         prop_assert_eq!(merged.num_docs(), mono.num_docs());
+        prop_assert_eq!(merged.num_terms(), mono.num_terms());
         for (t, list) in mono.terms() {
             let other = merged.postings(t).expect("term present");
             prop_assert_eq!(list.to_vec(), other.to_vec());
+            // Appended lists are re-blocked: the same bytes as a build.
+            prop_assert_eq!(&list.encoded()[..], &other.encoded()[..]);
+            prop_assert_eq!(ladder(list), ladder(other));
         }
     }
 

@@ -5,61 +5,89 @@
 //! remote query processors provide additional results with a higher
 //! latency and users continuously obtain new results."
 //!
-//! Run: `cargo run -p dwr-bench --bin exp_incremental` (use --release)
+//! One live [`DistributedEngine`] per deadline of the sweep, over 8
+//! partitions of which 4 are slowed 40× (the remote processors). At its
+//! gather deadline the engine answers with the partitions that arrived
+//! in time (`Served::Partial`); completeness is the share of the
+//! deadline-free engine's top-10 already in that answer.
+//!
+//! Run: `cargo run -p dwr-bench --bin exp_incremental --release`
 
 use dwr_bench::{bar, Fixture, Scale, SEED};
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner};
 use dwr_partition::parted::PartitionedIndex;
-use dwr_query::broker::GlobalHit;
-use dwr_query::incremental::{completeness_at, PartitionArrival};
+use dwr_query::cache::LruCache;
+use dwr_query::engine::{DistributedEngine, Served};
+use dwr_query::straggler::StragglerModel;
 use dwr_sim::{SimRng, MILLISECOND};
-use dwr_text::score::Bm25;
-use dwr_text::search::search_or;
+use dwr_text::TermId;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 const PARTS: usize = 8;
+const K: usize = 10;
+/// Service-time factor of the remote half of the partitions.
+const REMOTE_SLOWDOWN: f64 = 40.0;
 
 fn main() {
-    println!("E11. Incremental results: completeness of the top-10 vs deadline.");
-    println!("{PARTS} partitions: 4 local (LAN, ~2-10 ms), 4 remote (WAN, ~60-200 ms).\n");
+    println!("E11. Incremental results: completeness of the top-{K} vs deadline.");
+    println!(
+        "{PARTS} partitions: {} local, {} remote ({REMOTE_SLOWDOWN}x slower).\n",
+        PARTS / 2,
+        PARTS / 2
+    );
     let f = Fixture::new(Scale::Medium);
     let assignment = RandomPartitioner { seed: SEED }.assign(&f.corpus, PARTS);
     let pi = PartitionedIndex::build(&f.corpus, &assignment, PARTS);
+    let remote = Arc::new(StragglerModel::fixed(
+        (0..PARTS).map(|p| vec![if p < PARTS / 2 { 1.0 } else { REMOTE_SLOWDOWN }]).collect(),
+    ));
     let mut rng = SimRng::new(SEED ^ 0x17C);
-    let deadlines: Vec<u64> =
-        vec![5, 10, 20, 50, 100, 150, 250].into_iter().map(|ms| ms * MILLISECOND).collect();
-    let mut acc = vec![0f64; deadlines.len()];
-    let queries = 200;
-    for _ in 0..queries {
-        let q = f.queries.sample(&mut rng);
-        let terms: Vec<dwr_text::TermId> =
-            f.queries.query(q).terms.iter().map(|t| dwr_text::TermId(t.0)).collect();
-        // Per-partition hits with a latency: local partitions fast,
-        // remote ones slow.
-        let arrivals: Vec<PartitionArrival> = (0..PARTS)
-            .map(|p| {
-                let idx = pi.part(p);
-                let hits: Vec<GlobalHit> = search_or(idx, &terms, 10, &Bm25::default(), idx)
-                    .into_iter()
-                    .map(|h| GlobalHit { doc: pi.to_global(p, h.doc), score: h.score })
-                    .collect();
-                let at = if p < PARTS / 2 {
-                    rng.range_u64(2 * MILLISECOND, 10 * MILLISECOND)
-                } else {
-                    rng.range_u64(60 * MILLISECOND, 200 * MILLISECOND)
-                };
-                PartitionArrival { at, hits }
-            })
-            .collect();
-        for (i, &d) in deadlines.iter().enumerate() {
-            acc[i] += completeness_at(&arrivals, d, 10);
+    let queries: Vec<Vec<TermId>> = (0..200)
+        .map(|_| {
+            let q = f.queries.sample(&mut rng);
+            f.queries.query(q).terms.iter().map(|t| TermId(t.0)).collect()
+        })
+        .collect();
+    let reference = DistributedEngine::new(&pi, LruCache::new(256), 1);
+    let finals: Vec<HashSet<u32>> =
+        queries.iter().map(|q| reference.query(q, K).0.iter().map(|h| h.doc).collect()).collect();
+
+    println!("  {:>10} {:>14} {:>20}", "deadline", "completeness", "partitions answered");
+    let mut rows = Vec::new();
+    for ms in [1, 2, 5, 10, 20, 50, 100] {
+        let engine = DistributedEngine::new(&pi, LruCache::new(256), 1)
+            .with_stragglers(Arc::clone(&remote))
+            .with_gather_deadline(ms * MILLISECOND);
+        let (mut completeness, mut answered) = (0.0, 0usize);
+        for (q, fin) in queries.iter().zip(&finals) {
+            let r = engine.query_full(q, K);
+            answered += match r.served {
+                Served::Partial { partitions_answered } => partitions_answered,
+                _ => PARTS,
+            };
+            completeness += if fin.is_empty() {
+                1.0
+            } else {
+                r.hits.iter().filter(|h| fin.contains(&h.doc)).count() as f64 / fin.len() as f64
+            };
         }
+        let c = completeness / queries.len() as f64;
+        let a = answered as f64 / queries.len() as f64;
+        println!("  {:>8}ms {:>13.1}% {:>20.2}  |{}", ms, 100.0 * c, a, bar(c, 1.0, 40));
+        rows.push((c, a));
     }
 
-    println!("  {:>10} {:>14}", "deadline", "completeness");
-    for (i, &d) in deadlines.iter().enumerate() {
-        let c = acc[i] / queries as f64;
-        println!("  {:>8}ms {:>13.1}%  |{}", d / MILLISECOND, 100.0 * c, bar(c, 1.0, 40));
-    }
+    assert!(rows.windows(2).all(|w| w[0].0 <= w[1].0), "completeness falls with the deadline");
+    assert_eq!(rows.last().map(|r| r.0), Some(1.0), "the last deadline waits for every partition");
+    let plateau: Vec<f64> =
+        rows.iter().filter(|r| r.1 == (PARTS / 2) as f64).map(|r| r.0).collect();
+    assert!(!plateau.is_empty(), "no deadline admits exactly the local half");
+    assert!(
+        plateau.iter().all(|c| (0.4..=0.6).contains(c)),
+        "local-half completeness {plateau:?} is not about half"
+    );
+
     println!("\npaper shape: roughly half the final answer is available at LAN latency;");
-    println!("the tail waits for the WAN partitions — the case for serving incrementally.");
+    println!("the tail waits for the remote partitions — the case for serving incrementally.");
 }

@@ -152,7 +152,7 @@ pub fn taxonomy() -> Vec<TaxonomyEntry> {
             issue: Partitioning,
             topics: vec!["Query routing", "Collection selection", "Load balancing"],
             implemented_in:
-                "dwr-query::{broker, site, routing, arch}, dwr-partition::select, dwr-text::langid",
+                "dwr-query::{broker, multisite, routing, arch}, dwr-partition::select, dwr-text::langid",
         },
         TaxonomyEntry {
             module: Querying,

@@ -22,16 +22,12 @@
 //!   the top-*t* shards per query with a recall-safe broadening cascade,
 //!   snapshots selector statistics per epoch (so routing composes with
 //!   live repartitioning), and retrains profiles on topic drift;
-//! * [`site`] — multi-site routing: geographic (DNS-style) routing,
-//!   load-aware offloading across time zones \[33\], and site-failure
-//!   failover;
-//! * [`multisite`] — the *live* site tier: a [`multisite::MultiSiteEngine`]
+//! * [`multisite`] — the site tier: a [`multisite::MultiSiteEngine`]
 //!   owns one fault-injected engine per site plus a WAN topology, drives
 //!   per-site liveness from `dwr_avail::site::Site` outage traces, and
-//!   serves queries end-to-end with nearest-live routing, budgeted WAN
-//!   failover, and explicit load shedding;
-//! * [`incremental`] — incremental result delivery: fast processors answer
-//!   first, remote ones top up later;
+//!   serves queries end-to-end with geographic (DNS-style) nearest-live
+//!   routing, load-aware offloading across time zones \[33\] by admission
+//!   quota, budgeted WAN failover, and explicit load shedding;
 //! * [`hierarchy`] — flat vs. tree-of-coordinators result merging ("it is
 //!   possible to use a hierarchy of coordinators");
 //! * [`arch`] — the client/server vs. peer-to-peer vs. federated vs. open
@@ -53,8 +49,10 @@
 //!   engine's tail-tolerance policies ([`engine::HedgePolicy`]);
 //! * [`engine`] — the assembled distributed engine: cache in front of a
 //!   selector in front of replicated partitions, with degradation
-//!   accounting. The broker and engine are `Send + Sync` with `&self`
-//!   query methods, so threads share one engine behind an `Arc`.
+//!   accounting and a gather deadline that answers with the partitions
+//!   that arrived in time (incremental results). The broker and engine
+//!   are `Send + Sync` with `&self` query methods, so threads share one
+//!   engine behind an `Arc`.
 
 pub mod arch;
 pub mod broker;
@@ -62,7 +60,6 @@ pub mod cache;
 pub mod engine;
 pub mod faults;
 pub mod hierarchy;
-pub mod incremental;
 pub mod multisite;
 pub mod personalize;
 pub mod pipeline;
@@ -70,7 +67,6 @@ pub mod replica;
 pub mod route;
 pub mod routing;
 pub mod scatter;
-pub mod site;
 pub mod straggler;
 
 /// Lock a mutex, recovering the guard when a previous holder panicked.

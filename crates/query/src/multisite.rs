@@ -1,8 +1,6 @@
 //! The live multi-site engine: outage-driven failover over the WAN.
 //!
-//! Section 5's site tier, served end to end instead of analytically
-//! (compare [`crate::site::simulate_multisite`], the hour-bucketed
-//! queueing model over the *same* outage traces): a
+//! Section 5's site tier, served end to end: a
 //! [`MultiSiteEngine`] owns one (possibly fault-injected)
 //! [`DistributedEngine`] per site plus a WAN [`Topology`], and each
 //! site's up/down state comes from a materialized
@@ -127,23 +125,20 @@ impl<C: ResultCache, R: Recorder> SiteNode<C, R> {
     }
 
     /// Admit one query at `now`, or refuse because the window's quota is
-    /// spent. Infinite thresholds always admit (and keep no state).
+    /// spent. Every admission is counted, so [`Self::utilization`] is
+    /// measured under any threshold; only a finite one ever refuses.
     fn admit(&self, now: SimTime, cfg: &MultiSiteConfig) -> bool {
-        if !cfg.shed_threshold.is_finite() {
-            return true;
-        }
         let bucket = now / cfg.util_window.max(1);
         let mut w = lock_recovering(&self.window);
         if w.bucket != bucket {
             w.bucket = bucket;
             w.admitted = 0;
         }
-        if (w.admitted as f64) < self.quota(cfg) {
-            w.admitted += 1;
-            true
-        } else {
-            false
+        if cfg.shed_threshold.is_finite() && w.admitted as f64 >= self.quota(cfg) {
+            return false;
         }
+        w.admitted += 1;
+        true
     }
 
     /// Measured utilization of the window containing `now` (admitted
@@ -326,7 +321,7 @@ impl<C: ResultCache, R: Recorder + Clone> MultiSiteEngine<C, R> {
     }
 
     /// The site anchoring `region`'s traffic (first site in that region,
-    /// else site 0 — the same convention as the analytic model).
+    /// else site 0).
     fn anchor(&self, region: u16) -> usize {
         self.sites.iter().position(|n| n.region == region).unwrap_or(0)
     }
@@ -706,6 +701,52 @@ mod tests {
         // The next window admits again.
         e.advance_to(2 * SECOND);
         assert_eq!(e.query(0, &[TermId(3)], 10).site, Some(0));
+    }
+
+    #[test]
+    fn default_config_measures_utilization() {
+        // Regression: with the default infinite threshold, admission kept
+        // no window state, so utilization read 0.0 under any load.
+        let e = engine_with_traces(all_up(), MultiSiteConfig::default());
+        let n = 30;
+        for i in 0..n {
+            e.query(0, &[TermId(i % 5)], 10);
+        }
+        let window_s = MultiSiteConfig::default().util_window as f64 / SECOND as f64;
+        assert_eq!(e.utilization(0), f64::from(n) / (100.0 * window_s));
+        assert_eq!(e.utilization(1), 0.0, "no traffic from region 1");
+    }
+
+    #[test]
+    fn hourly_quota_offloads_the_busy_site_without_shedding() {
+        // Quota: 0.5 × 0.01 qps × 3600 s = 18 queries per site per hour.
+        // 40 queries from region 0 fit under the 54 the three sites admit
+        // together: the busy site stops at its quota, the overflow is
+        // served remotely, and nothing is shed.
+        let cfg = MultiSiteConfig {
+            shed_threshold: 0.5,
+            util_window: HOUR,
+            ..MultiSiteConfig::default()
+        };
+        let pi = index();
+        let sites = (0..3)
+            .map(|s| SiteEngineSpec {
+                region: s as u16,
+                capacity_qps: 0.01,
+                engine: DistributedEngine::new(&pi, LruCache::new(16), 1),
+                outages: Site::always_up(DAY),
+            })
+            .collect();
+        let e = MultiSiteEngine::new(sites, Topology::geo_ring(3), cfg);
+        for i in 0..40u64 {
+            e.advance_to(i * MINUTE);
+            e.query(0, &[TermId((i % 5) as u32)], 10);
+        }
+        let util: Vec<f64> = (0..3).map(|s| e.utilization(s)).collect();
+        assert!(util.iter().all(|&u| u <= 0.5), "{util:?}");
+        assert_eq!(util[0], 0.5, "the busy site runs at its threshold");
+        let s = e.stats();
+        assert_eq!((s.served_local, s.served_remote, s.shed()), (18, 22, 0));
     }
 
     #[test]

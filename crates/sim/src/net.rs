@@ -137,12 +137,6 @@ impl Topology {
         self.transfer_time(a, b, req) + self.transfer_time(b, a, resp)
     }
 
-    /// The site nearest to `from` among `candidates` by small-message
-    /// latency. Returns `None` if `candidates` is empty.
-    pub fn nearest(&self, from: SiteId, candidates: &[SiteId]) -> Option<SiteId> {
-        candidates.iter().copied().min_by_key(|&c| (self.transfer_time(from, c, 64), c.0))
-    }
-
     /// Every site ordered by small-message latency from `from` (the
     /// failover preference order of the site tier): `from` itself first
     /// (intra-site latency is the smallest by construction of any sane
@@ -212,55 +206,6 @@ mod tests {
         let near = topo.transfer_time(SiteId(0), SiteId(1), 64);
         let far = topo.transfer_time(SiteId(0), SiteId(2), 64);
         assert!(near < far);
-    }
-
-    #[test]
-    fn nearest_picks_minimum_latency() {
-        let topo = Topology::geo_ring(5);
-        let c = [SiteId(2), SiteId(1), SiteId(3)];
-        assert_eq!(topo.nearest(SiteId(0), &c), Some(SiteId(1)));
-        assert_eq!(topo.nearest(SiteId(0), &[]), None);
-    }
-
-    #[test]
-    fn nearest_includes_self() {
-        let topo = Topology::geo_ring(3);
-        assert_eq!(topo.nearest(SiteId(1), &[SiteId(0), SiteId(1)]), Some(SiteId(1)));
-    }
-
-    #[test]
-    fn nearest_empty_candidates_is_none() {
-        let topo = Topology::uniform(4, Link::wan(), Link::lan());
-        for s in 0..4u32 {
-            assert_eq!(topo.nearest(SiteId(s), &[]), None);
-        }
-    }
-
-    #[test]
-    fn nearest_self_as_candidate_wins() {
-        // The intra-site (LAN) link beats every WAN link, so whenever the
-        // origin is among the candidates it must win — regardless of its
-        // position in the slice.
-        let topo = Topology::geo_ring(5);
-        for s in 0..5u32 {
-            let all: Vec<SiteId> = (0..5).map(SiteId).collect();
-            assert_eq!(topo.nearest(SiteId(s), &all), Some(SiteId(s)));
-            let reversed: Vec<SiteId> = (0..5).rev().map(SiteId).collect();
-            assert_eq!(topo.nearest(SiteId(s), &reversed), Some(SiteId(s)));
-        }
-    }
-
-    #[test]
-    fn nearest_tie_break_is_deterministic() {
-        // Uniform topology: every remote candidate is equidistant. The
-        // lowest site id must win, on every call, for any candidate order.
-        let topo = Topology::uniform(6, Link::wan(), Link::lan());
-        let a = [SiteId(4), SiteId(2), SiteId(5)];
-        let b = [SiteId(5), SiteId(4), SiteId(2)];
-        for _ in 0..3 {
-            assert_eq!(topo.nearest(SiteId(0), &a), Some(SiteId(2)));
-            assert_eq!(topo.nearest(SiteId(0), &b), Some(SiteId(2)));
-        }
     }
 
     #[test]

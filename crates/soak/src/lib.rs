@@ -51,7 +51,6 @@ use dwr_query::broker::{DocBroker, GlobalHit};
 use dwr_query::cache::LruCache;
 use dwr_query::engine::{DistributedEngine, EngineStats, HedgePolicy, Served};
 use dwr_query::faults::{site_outage_traces, FaultSchedule};
-use dwr_query::incremental::{self, IncrementalProfile, PartitionArrival};
 use dwr_query::multisite::{MultiSiteConfig, MultiSiteEngine, MultiSiteStats, SiteEngineSpec};
 use dwr_query::route::{RouterStats, ShardRouter};
 use dwr_query::straggler::{StragglerModel, TailParams};
@@ -64,6 +63,9 @@ use dwr_webgraph::content::ContentModel;
 use dwr_webgraph::generate::{generate_web, WebConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Evenly spaced instants on [`Freshness::curve`], both ends included.
+const FRESHNESS_STEPS: u64 = 6;
 
 /// Everything that shapes one soak run. All churn mechanisms are
 /// individually gateable so the same scenario doubles as its own
@@ -219,6 +221,18 @@ pub struct IndexRefresh {
     pub max_lag: SimTime,
 }
 
+/// How much of a probe query's eventual top-k the refreshes have
+/// published over time.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Freshness {
+    /// `(instant, completeness)` pairs at evenly spaced instants up to
+    /// `full_at`, ascending: the share of the eventual top-k already
+    /// published at that instant.
+    pub curve: Vec<(SimTime, f64)>,
+    /// Publication of the last document the probe matches.
+    pub full_at: SimTime,
+}
+
 /// One served query in the trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryRecord {
@@ -320,9 +334,8 @@ pub struct SoakReport {
     pub refreshes: Vec<IndexRefresh>,
     /// The freshness bound every refresh must respect.
     pub refresh_interval: SimTime,
-    /// Probe-query completeness as refreshes land (the incremental
-    /// model's view of index freshness).
-    pub freshness: IncrementalProfile,
+    /// Probe-query completeness as refreshes land.
+    pub freshness: Freshness,
     /// Every served query, in arrival order.
     pub queries: Vec<QueryRecord>,
     /// Interval-report windows over the serving horizon.
@@ -503,9 +516,10 @@ impl SoakScenario {
         let assignment = RandomPartitioner { seed: cfg.seed }.assign(&corpus, cfg.partitions);
         let repart = Arc::new(RepartIndex::build(corpus, &assignment, cfg.partitions, capacity));
 
-        // Freshness through the incremental model: each refresh batch
-        // is one "arrival" of the probe query's hits, so the profile is
-        // the fraction of the eventual top-k already indexed over time.
+        // Freshness: the oracle ranks every document the probe matches,
+        // with fixed scores and ties, so its first k hits are the eventual
+        // top-k, and at t the published share of it is the count of those
+        // hits with `publish_at ≤ t`.
         let qmodel =
             QueryModel::generate(&content, cfg.query_universe, 0.8, 0.9, cfg.seed ^ 0xF00D);
         let probe: Vec<TermId> = qmodel
@@ -516,13 +530,26 @@ impl SoakScenario {
             .collect();
         let oracle =
             DocBroker::single_site(&repart.snapshot()).with_global_stats(repart.corpus_stats());
-        let mut by_refresh: BTreeMap<SimTime, Vec<GlobalHit>> = BTreeMap::new();
-        for hit in oracle.query(&probe, docs.len()).hits {
-            by_refresh.entry(publish_at(docs[hit.doc as usize].1)).or_default().push(hit);
-        }
-        let probe_arrivals: Vec<PartitionArrival> =
-            by_refresh.into_iter().map(|(at, hits)| PartitionArrival { at, hits }).collect();
-        let freshness = incremental::profile(&probe_arrivals, cfg.k, 6);
+        let published_at: Vec<SimTime> = oracle
+            .query(&probe, docs.len())
+            .hits
+            .iter()
+            .map(|hit| publish_at(docs[hit.doc as usize].1))
+            .collect();
+        let full_at = published_at.iter().copied().max().unwrap_or(0);
+        let top_k = &published_at[..cfg.k.min(published_at.len())];
+        let curve = (0..FRESHNESS_STEPS)
+            .map(|i| {
+                let t = full_at * i / (FRESHNESS_STEPS - 1);
+                let share = if top_k.is_empty() {
+                    1.0
+                } else {
+                    top_k.iter().filter(|&&at| at <= t).count() as f64 / top_k.len() as f64
+                };
+                (t, share)
+            })
+            .collect();
+        let freshness = Freshness { curve, full_at };
 
         let split_schedule = (cfg.splits > 0).then(|| {
             Arc::new(SplitSchedule::generate_with_crashes(
@@ -876,6 +903,29 @@ mod tests {
         // Window query counts partition the arrival stream.
         let windowed: u64 = report.windows.iter().map(|w| w.queries).sum();
         assert_eq!(windowed, report.queries.len() as u64);
+    }
+
+    #[test]
+    fn probe_freshness_is_pinned() {
+        // Freshness depends on the crawl and the index alone, so a short
+        // serving horizon leaves it unchanged.
+        let report =
+            SoakScenario::new(SoakConfig { serve_horizon: HOUR, ..SoakConfig::smoke(0x50A6_0001) })
+                .run();
+        let bits: Vec<(SimTime, u64)> =
+            report.freshness.curve.iter().map(|&(t, c)| (t, c.to_bits())).collect();
+        assert_eq!(
+            bits,
+            [
+                (0, 0),
+                (96 * SECOND, 0),
+                (192 * SECOND, 0.9f64.to_bits()),
+                (288 * SECOND, 1.0f64.to_bits()),
+                (384 * SECOND, 1.0f64.to_bits()),
+                (480 * SECOND, 1.0f64.to_bits()),
+            ]
+        );
+        assert_eq!(report.freshness.full_at, 480 * SECOND);
     }
 
     #[test]

@@ -18,84 +18,70 @@ use distributed_web_retrieval::query::multisite::{
     MultiSiteConfig, MultiSiteEngine, SiteEngineSpec,
 };
 use distributed_web_retrieval::query::replica::PrimaryBackupStore;
-use distributed_web_retrieval::query::site::{simulate_multisite, RoutingPolicy, SiteSpec};
 use distributed_web_retrieval::querylog::arrival::{generate_arrivals, DiurnalProfile};
 use distributed_web_retrieval::sim::net::Topology;
 use distributed_web_retrieval::sim::{SimTime, DAY, HOUR};
 use distributed_web_retrieval::text::TermId;
 
+/// Three sites in three time zones, one small engine per site over the
+/// same index, each serving 1 query/second at full utilization.
+fn tier(pi: &PartitionedIndex, traces: &[Site], cfg: MultiSiteConfig) -> MultiSiteEngine<LruCache> {
+    let sites = traces
+        .iter()
+        .enumerate()
+        .map(|(s, trace)| SiteEngineSpec {
+            region: s as u16,
+            capacity_qps: 1.0,
+            engine: DistributedEngine::new(pi, LruCache::new(64), 2),
+            outages: trace.clone(),
+        })
+        .collect();
+    MultiSiteEngine::new(sites, Topology::geo_ring(3), cfg)
+}
+
 fn main() {
     let seed = 404;
-
-    // --- Three sites in three time zones. ---
-    let sites = vec![
-        SiteSpec { region: 0, servers: 12, mean_service_s: 0.1 },
-        SiteSpec { region: 1, servers: 12, mean_service_s: 0.1 },
-        SiteSpec { region: 2, servers: 12, mean_service_s: 0.1 },
-    ];
-    let profiles: Vec<DiurnalProfile> = (0..3)
-        .map(|r| DiurnalProfile { mean_qps: 70.0, amplitude: 0.9, phase: r as f64 / 3.0 })
-        .collect();
-    let arrivals = generate_arrivals(&profiles, DAY, seed);
-    let topo = Topology::geo_ring(3);
-    println!("one day, {} queries across 3 regions", arrivals.len());
-
-    let near = simulate_multisite(&arrivals, &sites, &topo, RoutingPolicy::Nearest, DAY, &[]);
-    let aware = simulate_multisite(
-        &arrivals,
-        &sites,
-        &topo,
-        RoutingPolicy::LoadAware { threshold: 0.65 },
-        DAY,
-        &[],
-    );
-    println!(
-        "nearest routing:    peak utilization {:>4.0}%, {} overload-hour queries",
-        100.0 * near.peak_utilization(),
-        near.overloaded
-    );
-    println!(
-        "load-aware routing: peak utilization {:>4.0}%, {} rerouted, {} overloaded",
-        100.0 * aware.peak_utilization(),
-        aware.rerouted,
-        aware.overloaded
-    );
-
-    // --- A site outage during the local peak (analytic model). ---
-    let traces = vec![
-        Site::from_down_intervals(vec![DownInterval { start: 9 * HOUR, end: 15 * HOUR }], DAY),
-        Site::always_up(DAY),
-        Site::always_up(DAY),
-    ];
-    let outage = simulate_multisite(&arrivals, &sites, &topo, RoutingPolicy::Nearest, DAY, &traces);
-    println!(
-        "site-0 outage 9h-15h: {} queries diverted; surviving peak {:.0}%; {} unserved",
-        outage.rerouted,
-        100.0 * outage.peak_utilization(),
-        outage.unserved
-    );
-
-    // --- The same outage served live by the MultiSiteEngine. ---
-    // One small engine per site over the same corpus; site 0's queries
-    // fail over to the ring neighbours while its trace says "down".
     let corpus: Corpus =
         (0..60u32).map(|d| vec![(TermId(d % 8), 2), (TermId(100 + d % 5), 1)]).collect();
     let assignment = RoundRobinPartitioner.assign(&corpus, 4);
     let pi = PartitionedIndex::build(&corpus, &assignment, 4);
-    let engine = MultiSiteEngine::new(
-        traces
-            .iter()
-            .enumerate()
-            .map(|(s, trace)| SiteEngineSpec {
-                region: s as u16,
-                capacity_qps: 100.0,
-                engine: DistributedEngine::new(&pi, LruCache::new(64), 2),
-                outages: trace.clone(),
-            })
-            .collect(),
-        topo.clone(),
-        MultiSiteConfig::default(),
-    );
+
+    // --- Diurnal demand whose local peak exceeds one site's capacity. ---
+    let profiles: Vec<DiurnalProfile> = (0..3)
+        .map(|r| DiurnalProfile { mean_qps: 0.6, amplitude: 0.9, phase: r as f64 / 3.0 })
+        .collect();
+    let arrivals = generate_arrivals(&profiles, DAY, seed);
+    println!("one day, {} queries across 3 regions", arrivals.len());
+    let always_up: Vec<Site> = (0..3).map(|_| Site::always_up(DAY)).collect();
+    let hourly = MultiSiteConfig { util_window: HOUR, ..MultiSiteConfig::default() };
+    for (name, shed_threshold) in [("nearest", f64::INFINITY), ("load-aware", 0.65)] {
+        let engine = tier(&pi, &always_up, MultiSiteConfig { shed_threshold, ..hourly });
+        // Utilization only grows inside its window, so the serving site's
+        // reading after each query tracks every hour's peak.
+        let mut peak = 0f64;
+        for (i, a) in arrivals.iter().enumerate() {
+            engine.advance_to(a.time);
+            let r = engine.query(a.region, &[TermId((i % 8) as u32)], 10);
+            if let Some(s) = r.site {
+                peak = peak.max(engine.utilization(s));
+            }
+        }
+        let s = engine.stats();
+        println!(
+            "{name:>10} routing: peak utilization {:>4.0}%, {} rerouted, {} shed",
+            100.0 * peak,
+            s.served_remote,
+            s.shed()
+        );
+    }
+
+    // --- A site outage during the local peak. ---
+    // Site 0's queries fail over to the ring neighbours while its trace
+    // says "down".
+    let mut traces = always_up;
+    traces[0] =
+        Site::from_down_intervals(vec![DownInterval { start: 9 * HOUR, end: 15 * HOUR }], DAY);
+    let engine = tier(&pi, &traces, MultiSiteConfig::default());
     let n = 600u64;
     for i in 0..n {
         engine.advance_to(i as SimTime * DAY / n as SimTime);
@@ -103,7 +89,7 @@ fn main() {
     }
     let live = engine.stats();
     println!(
-        "live engine, {} queries: {} local, {} remote ({} WAN hops), {} shed, {} failed",
+        "site-0 outage 9h-15h, {} queries: {} local, {} remote ({} WAN hops), {} shed, {} failed",
         live.total(),
         live.served_local,
         live.served_remote,

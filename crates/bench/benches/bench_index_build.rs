@@ -1,8 +1,10 @@
 //! Index-construction benchmarks: the counting-sort build vs a parallel
-//! build and merge (Section 4's construction strategies, local costs).
+//! build and merge, and a document-partitioned build whose shards are
+//! built side by side (Section 4's construction strategies, local costs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dwr_bench::{Fixture, Scale};
+use dwr_partition::parted::PartitionedIndex;
 use dwr_text::index::{build_index, parallel_build};
 
 fn bench_builders(c: &mut Criterion) {
@@ -15,6 +17,11 @@ fn bench_builders(c: &mut Criterion) {
             b.iter(|| parallel_build(&f.corpus, t))
         });
     }
+    let shards = 8;
+    let assignment: Vec<u32> = (0..f.corpus.len()).map(|d| (d % shards) as u32).collect();
+    g.bench_with_input(BenchmarkId::new("partitioned", shards), &shards, |b, &k| {
+        b.iter(|| PartitionedIndex::build(&f.corpus, &assignment, k))
+    });
     g.finish();
 }
 

@@ -21,7 +21,10 @@ use dwr_text::{DocId, TermId};
 use dwr_webgraph::content::ContentModel;
 use dwr_webgraph::SyntheticWeb;
 use std::fmt;
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread;
 
 /// A corpus: per-document sorted `(term, tf)` vectors, indexed by global
 /// document id (= page id in web-derived corpora).
@@ -64,6 +67,46 @@ impl IndexShard {
     pub fn to_global(&self, local: DocId) -> u32 {
         self.global_of[local.0 as usize]
     }
+}
+
+/// Build shard `p` over the documents `global_of[p]`, in that order, on
+/// `available_parallelism().min(k)` scoped workers, the caller being one.
+///
+/// Each shard is a pure function of its own documents, so the shards are
+/// the ones a loop would build, whatever the workers' interleaving.
+/// Workers claim shard indices from one counter and write each result
+/// into the shard's slot. A panicking build is caught, and once every
+/// shard is attempted the lowest panicking shard's payload is re-raised.
+fn build_shards(corpus: &Corpus, global_of: Vec<Vec<u32>>) -> Vec<Arc<IndexShard>> {
+    let workers = thread::available_parallelism().map_or(1, usize::from).min(global_of.len());
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<thread::Result<InvertedIndex>>>> =
+        global_of.iter().map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        // Relaxed: the counter only hands out indices; the built indexes
+        // reach the caller through the slots' mutexes and the scope's join.
+        let p = next.fetch_add(1, Ordering::Relaxed);
+        let Some(globals) = global_of.get(p) else { return };
+        let built = catch_unwind(|| {
+            index_documents(globals.iter().map(|&g| corpus[g as usize].as_slice()))
+        });
+        *slots[p].lock().unwrap_or_else(PoisonError::into_inner) = Some(built);
+    };
+    thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
+    });
+    global_of
+        .into_iter()
+        .zip(slots)
+        .map(|(globals, slot)| {
+            let built = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+            let index = built.expect("every shard is claimed").unwrap_or_else(|p| resume_unwind(p));
+            Arc::new(IndexShard { index, global_of: globals })
+        })
+        .collect()
 }
 
 /// Why [`PartitionedIndex::try_build`] refused its inputs.
@@ -131,7 +174,9 @@ impl PartitionedIndex {
     /// # Panics
     /// Panics if `assignment.len() != corpus.len()`, `k == 0`, or any
     /// partition id is `>= k`. Use [`Self::try_build`] for a
-    /// non-panicking variant.
+    /// non-panicking variant. A shard build that panics (a tf of 0, a term
+    /// repeated within a document) re-raises its own panic; when several
+    /// do, the lowest partition's.
     pub fn build(corpus: &Corpus, assignment: &[u32], k: usize) -> Self {
         match Self::try_build(corpus, assignment, k) {
             Ok(pi) => pi,
@@ -142,7 +187,8 @@ impl PartitionedIndex {
     /// As [`Self::build`], returning degenerate inputs as a
     /// [`BuildError`] instead of panicking. `k` larger than the corpus
     /// is fine (trailing partitions are empty); an empty corpus with
-    /// `k >= 1` is fine (every partition is empty).
+    /// `k >= 1` is fine (every partition is empty). The `k` shard builds
+    /// are independent and run on the machine's available cores.
     pub fn try_build(corpus: &Corpus, assignment: &[u32], k: usize) -> Result<Self, BuildError> {
         if corpus.len() != assignment.len() {
             return Err(BuildError::ArityMismatch {
@@ -163,13 +209,7 @@ impl PartitionedIndex {
             local_of[doc] = DocId(global_of[p as usize].len() as u32);
             global_of[p as usize].push(doc as u32);
         }
-        let shards: Vec<Arc<IndexShard>> = global_of
-            .into_iter()
-            .map(|globals| {
-                let index = index_documents(globals.iter().map(|&g| corpus[g as usize].as_slice()));
-                Arc::new(IndexShard { index, global_of: globals })
-            })
-            .collect();
+        let shards = build_shards(corpus, global_of);
         let sizes: Vec<usize> = shards.iter().map(|s| s.num_docs()).collect();
         Ok(PartitionedIndex {
             shards,
@@ -449,6 +489,34 @@ mod tests {
     #[should_panic(expected = "arity mismatch")]
     fn rejects_wrong_assignment_len() {
         PartitionedIndex::build(&corpus(), &[0, 0], 2);
+    }
+
+    #[test]
+    fn a_panicking_shard_build_raises_the_lowest_shards_own_panic() {
+        // Shard 1 holds a tf of 0 and shard 3 a repeated term. A loop over
+        // the shards meets shard 1 first; so must every run on workers.
+        // Shard 0 is large, so with two or more cores a spawned worker
+        // claims shard 1 while the caller is still building shard 0.
+        let big = 20_000;
+        let mut c: Corpus =
+            (0..big).map(|d| vec![(TermId(d % 97), 1), (TermId(100 + d % 13), 2)]).collect();
+        c.push(vec![(TermId(2), 0)]);
+        c.push(vec![(TermId(1), 1)]);
+        c.push(vec![(TermId(4), 1), (TermId(4), 2)]);
+        let mut assignment = vec![0; big as usize];
+        assignment.extend([1, 2, 3]);
+        for run in 0..20 {
+            let payload = catch_unwind(|| PartitionedIndex::build(&c, &assignment, 4))
+                .expect_err("two shard builds panic");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert!(
+                msg.is_some_and(|m| m.contains("at least one occurrence")),
+                "run {run}: {msg:?}"
+            );
+        }
     }
 
     #[test]

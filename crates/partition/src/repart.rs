@@ -279,22 +279,24 @@ pub struct CorpusStats {
 }
 
 impl CorpusStats {
-    /// Scan the corpus once for document frequencies and lengths.
-    pub fn from_corpus(corpus: &Corpus) -> Self {
-        let max_term = corpus
-            .iter()
-            .flat_map(|doc| doc.iter().map(|&(t, _)| t.0 as usize))
-            .max()
-            .map_or(0, |t| t + 1);
-        let mut df = vec![0u64; max_term];
-        let mut total_tokens = 0u64;
-        for doc in corpus {
-            for &(t, tf) in doc {
-                df[t.0 as usize] += 1;
-                total_tokens += u64::from(tf);
+    /// Sum the statistics of an index's active shards: a term's df is the
+    /// sum of its shard dfs and the token total the sum of the shards'.
+    /// The active shards partition the corpus, so these integer sums are
+    /// exactly what a pass over the corpus would count.
+    fn from_shards(index: &PartitionedIndex) -> Self {
+        let (mut df, mut total_tokens) = (Vec::new(), 0);
+        for p in index.active_parts() {
+            let part = index.part(p as usize);
+            total_tokens += part.total_tokens();
+            for (t, list) in part.terms() {
+                let t = t.0 as usize;
+                if t >= df.len() {
+                    df.resize(t + 1, 0);
+                }
+                df[t] += u64::from(list.df());
             }
         }
-        CorpusStats { num_docs: corpus.len() as u64, total_tokens, df }
+        CorpusStats { num_docs: index.num_docs() as u64, total_tokens, df }
     }
 }
 
@@ -346,8 +348,9 @@ pub struct RepartIndex {
 
 impl RepartIndex {
     /// Build the epoch-0 index with `k` initial partitions and room for
-    /// `capacity` total shard slots. The corpus is dropped once its
-    /// statistics and the index are built.
+    /// `capacity` total shard slots. The corpus is dropped once the index
+    /// is built; the [`CorpusStats`] are summed from its shards, so the
+    /// corpus is read once.
     ///
     /// # Panics
     /// Panics if `capacity < k`, or on the same degenerate inputs as
@@ -355,7 +358,8 @@ impl RepartIndex {
     pub fn build(corpus: Corpus, assignment: &[u32], k: usize, capacity: usize) -> Self {
         assert!(capacity >= k, "capacity {capacity} below initial partition count {k}");
         let current = PartitionedIndex::build(&corpus, assignment, k);
-        let stats = Arc::new(CorpusStats::from_corpus(&corpus));
+        drop(corpus);
+        let stats = Arc::new(CorpusStats::from_shards(&current));
         RepartIndex {
             stats,
             capacity,
@@ -681,14 +685,60 @@ mod tests {
         assert_eq!(ri.split_target(), Some(1));
     }
 
+    /// A direct count of the corpus, the reference the shard sums answer to.
+    fn counted(corpus: &Corpus) -> CorpusStats {
+        let (mut df, mut total_tokens) = (Vec::new(), 0);
+        for &(t, tf) in corpus.iter().flatten() {
+            let t = t.0 as usize;
+            if t >= df.len() {
+                df.resize(t + 1, 0);
+            }
+            df[t] += 1;
+            total_tokens += u64::from(tf);
+        }
+        CorpusStats { num_docs: corpus.len() as u64, total_tokens, df }
+    }
+
+    #[test]
+    fn corpus_stats_summed_from_shards_equal_a_corpus_count() {
+        // A sparse corpus: an empty document and term ids far apart.
+        let sparse: Corpus =
+            vec![vec![(TermId(7), 3)], vec![], vec![(TermId(2), 1), (TermId(900), 5)]];
+        let cases = [
+            (corpus(12), round_robin(12, 2), 2),
+            (corpus(9), vec![0, 0, 0, 0, 0, 0, 0, 1, 3], 4),
+            // k above the document count: shards 0, 2 and 4..7 are empty.
+            (sparse, vec![1, 3, 1], 7),
+            (Vec::new(), Vec::new(), 3),
+        ];
+        for (c, assignment, k) in cases {
+            let want = counted(&c);
+            let ri = RepartIndex::build(c, &assignment, k, k + 3 * SPLIT_FANOUT);
+            let got = ri.corpus_stats();
+            assert_eq!(*got, want, "k={k}");
+            assert_eq!(got.avg_doc_len().to_bits(), want.avg_doc_len().to_bits());
+            for t in 0..want.df.len() as u32 + 2 {
+                assert_eq!(got.df(TermId(t)), want.df(TermId(t)), "df(term {t})");
+            }
+            // Splits reshape the shards, never the sums over the active ones.
+            while let Some(target) = ri.split_target() {
+                if ri.split(target, SplitFate::Commit).is_err() {
+                    break;
+                }
+            }
+            assert_eq!(CorpusStats::from_shards(&ri.snapshot()), want, "after splits, k={k}");
+            assert_eq!(*ri.corpus_stats(), want);
+        }
+    }
+
     #[test]
     fn corpus_stats_match_global_stats_at_every_epoch() {
         let c = corpus(12);
         let reference = build_index(&c);
-        let cs = CorpusStats::from_corpus(&c);
+        let ri = RepartIndex::build(c, &round_robin(12, 2), 2, 8);
+        let cs = ri.corpus_stats();
         assert_eq!(cs.num_docs(), 12);
         assert_eq!(cs.avg_doc_len(), reference.avg_doc_len());
-        let ri = RepartIndex::build(c, &round_robin(12, 2), 2, 8);
         for _ in 0..2 {
             let snap = ri.snapshot();
             let shards: Vec<_> =
@@ -705,9 +755,9 @@ mod tests {
 
     #[test]
     fn corpus_stats_df_out_of_range_is_zero() {
-        let cs = CorpusStats::from_corpus(&corpus(4));
+        let cs = RepartIndex::build(corpus(4), &round_robin(4, 2), 2, 2).corpus_stats();
         assert_eq!(cs.df(TermId(9999)), 0);
-        let empty = CorpusStats::from_corpus(&Vec::new());
+        let empty = RepartIndex::build(Vec::new(), &[], 1, 1).corpus_stats();
         assert_eq!(empty.num_docs(), 0);
         assert_eq!(empty.avg_doc_len(), 0.0);
     }

@@ -4,7 +4,7 @@ use dwr_partition::doc::{
     DocPartitioner, KMeansPartitioner, RandomPartitioner, RoundRobinPartitioner,
 };
 use dwr_partition::parted::{Corpus, PartitionedIndex};
-use dwr_partition::repart::{CorpusStats, PartStatus, SPLIT_FANOUT};
+use dwr_partition::repart::{CorpusStats, PartStatus, RepartIndex, SPLIT_FANOUT};
 use dwr_partition::term::{
     BinPackingTermPartitioner, CoOccurrenceTermPartitioner, QueryWorkload, RandomTermPartitioner,
     TermPartitioner,
@@ -14,12 +14,30 @@ use dwr_text::score::{Bm25, CollectionStats};
 use dwr_text::{DocId, PostingList, TermId};
 use proptest::prelude::*;
 
+/// A document: up to 12 distinct terms below 100, each with tf 1..4.
+fn doc_strategy() -> impl Strategy<Value = Vec<(TermId, u32)>> {
+    prop::collection::btree_map(0u32..100, 1u32..4, 0..12)
+        .prop_map(|m| m.into_iter().map(|(t, tf)| (TermId(t), tf)).collect())
+}
+
 fn corpus_strategy() -> impl Strategy<Value = Corpus> {
-    prop::collection::vec(
-        prop::collection::btree_map(0u32..100, 1u32..4, 0..12)
-            .prop_map(|m| m.into_iter().map(|(t, tf)| (TermId(t), tf)).collect()),
-        1..60,
+    prop::collection::vec(doc_strategy(), 1..60)
+}
+
+/// Up to 40 documents assigned to `k ∈ 1..=12` shards, about half of them
+/// piled onto shard 0: `k` above the document count, empty shards and
+/// skewed shards all come up.
+fn assigned_corpus_strategy() -> impl Strategy<Value = (Corpus, Vec<u32>, usize)> {
+    (
+        prop::collection::vec(doc_strategy(), 0..40),
+        1usize..13,
+        prop::collection::vec(any::<u32>(), 40),
     )
+        .prop_map(|(corpus, k, raw)| {
+            let spread = |r: u32| if r.is_multiple_of(2) { 0 } else { (r / 2) % k as u32 };
+            let assignment = raw[..corpus.len()].iter().map(|&r| spread(r)).collect();
+            (corpus, assignment, k)
+        })
 }
 
 /// The first difference between two indexes, compared bit for bit:
@@ -77,6 +95,49 @@ proptest! {
         for (t, list) in mono.terms() {
             prop_assert_eq!(pi.global_df(t), u64::from(list.df()));
         }
+    }
+
+    /// Shards are built on workers, yet each is bit for bit the index
+    /// `build_index` gives its own documents in local order, and maps its
+    /// local ids to those documents' global ids.
+    #[test]
+    fn shard_builds_equal_building_each_shards_documents(
+        (corpus, assignment, k) in assigned_corpus_strategy(),
+    ) {
+        let pi = PartitionedIndex::build(&corpus, &assignment, k);
+        prop_assert_eq!(pi.num_partitions(), k);
+        for (p, shard) in pi.shards().iter().enumerate() {
+            let globals: Vec<u32> =
+                (0..corpus.len() as u32).filter(|&g| assignment[g as usize] == p as u32).collect();
+            let global_of: Vec<u32> =
+                (0..shard.num_docs() as u32).map(|l| shard.to_global(DocId(l))).collect();
+            prop_assert_eq!(&global_of, &globals, "global ids of shard {}", p);
+            let docs: Corpus = globals.iter().map(|&g| corpus[g as usize].clone()).collect();
+            let diff = index_diff(shard.index(), &build_index(&docs));
+            prop_assert!(diff.is_none(), "shard {}: {:?}", p, diff);
+        }
+    }
+
+    /// `RepartIndex` sums its statistics from its shards, and they are a
+    /// direct count of the corpus: every term's df (an absent term's is
+    /// 0), the document count, and the average length to the bit.
+    #[test]
+    fn corpus_stats_equal_a_direct_count((corpus, assignment, k) in assigned_corpus_strategy()) {
+        let (mut df, mut tokens) = ([0u64; 100], 0u64);
+        for &(t, tf) in corpus.iter().flatten() {
+            df[t.0 as usize] += 1;
+            tokens += u64::from(tf);
+        }
+        let n = corpus.len() as u64;
+        let avg = if n == 0 { 0.0 } else { tokens as f64 / n as f64 };
+        let stats = RepartIndex::build(corpus, &assignment, k, k).corpus_stats();
+        prop_assert_eq!(stats.num_docs(), n);
+        prop_assert_eq!(stats.avg_doc_len().to_bits(), avg.to_bits());
+        for (t, &want) in df.iter().enumerate() {
+            prop_assert_eq!(stats.df(TermId(t as u32)), want, "df(term {})", t);
+        }
+        prop_assert_eq!(stats.df(TermId(100)), 0);
+        prop_assert_eq!(stats.df(TermId(u32::MAX)), 0);
     }
 
     /// A split filters its parent's posting lists, and that is a rebuild:
@@ -199,7 +260,7 @@ proptest! {
                 doc
             })
             .collect();
-        let stats = CorpusStats::from_corpus(&corpus);
+        let stats = CorpusStats::clone(&RepartIndex::build(corpus, &vec![0; n], 1, 1).corpus_stats());
         let bm = Bm25::default();
         // Term 9 is in no document: df = 0.
         for term in [TermId(0), TermId(1), TermId(9)] {

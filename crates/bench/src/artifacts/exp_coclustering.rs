@@ -1,0 +1,98 @@
+//! Experiment **E6**: query-driven co-clustering vs CORI vs random
+//! (Puppin et al. \[19\] against Callan's CORI \[24\]).
+//!
+//! Reproduced claims: (a) the query-driven partitioning + selector
+//! retrieves more of the global top-k when querying few partitions than
+//! CORI over random/k-means partitions; (b) a large fraction of documents
+//! is never recalled by any training query ("this subset comprises 53% of
+//! the documents" on their logs).
+//!
+//! Run: `cargo run -p dwr-bench --release -- E6`
+
+use crate::{replay_training, Ctx, Scale, SEED};
+use dwr_partition::doc::{DocPartitioner, KMeansPartitioner, QueryDrivenPartitioner};
+use dwr_partition::parted::PartitionedIndex;
+use dwr_partition::quality::recall_curve;
+use dwr_partition::select::{CollectionSelector, CoriSelector, QueryDrivenSelector};
+use dwr_sim::SimRng;
+use dwr_text::index::build_index;
+
+const K: usize = 8; // partitions
+const TOPK: usize = 20; // reference result depth
+
+pub(crate) fn run(ctx: &Ctx) {
+    println!("E6. Collection selection: query-driven co-clustering vs CORI, {K} partitions.\n");
+    let f = ctx.fixture(Scale::Medium);
+    let reference = build_index(&f.corpus);
+
+    // Train/test split of the query universe by replaying a Zipf stream.
+    let mut rng = SimRng::new(SEED ^ 0xC0C);
+    let mut train_counts = std::collections::HashMap::new();
+    for _ in 0..4_000 {
+        *train_counts.entry(f.queries.sample(&mut rng)).or_insert(0u64) += 1;
+    }
+    // Training results: replay each distinct training query on the
+    // reference index.
+    let weighted = train_counts.iter().map(|(&q, &c)| (q, c as f64));
+    let training = replay_training(&reference, &f.queries, weighted, TOPK);
+    let never = training.never_recalled_fraction(f.corpus.len());
+    println!(
+        "never-recalled documents: {:.1}% of the collection (paper: 53% on their logs)\n",
+        100.0 * never
+    );
+
+    // Test queries: a fresh sample (popularity-drawn, unseen mixes too).
+    let test: Vec<Vec<dwr_text::TermId>> =
+        (0..300).map(|_| f.terms(f.queries.sample(&mut rng))).collect();
+
+    // Candidate systems: (partitioning, selector).
+    let qd_partitioner =
+        QueryDrivenPartitioner { training: training.clone(), iterations: 15, seed: SEED };
+    let qd_assign = qd_partitioner.assign(&f.corpus, K);
+    let qd_pi = PartitionedIndex::build(&f.corpus, &qd_assign, K);
+    let qd_sel = QueryDrivenSelector::train(&training, &qd_assign, K);
+
+    let km_assign = KMeansPartitioner::default().assign(&f.corpus, K);
+    let km_pi = PartitionedIndex::build(&f.corpus, &km_assign, K);
+    let km_cori = CoriSelector::from_partitions(&km_pi);
+
+    let rnd_pi = ctx.random_index(Scale::Medium, K);
+    let rnd_cori = CoriSelector::from_partitions(&rnd_pi);
+
+    println!("recall of the global top-{TOPK} when querying the best m partitions:");
+    println!("  {:<30} {:>7} {:>7} {:>7} {:>7}", "system", "m=1", "m=2", "m=4", "m=8");
+    let qd_cori = CoriSelector::from_partitions(&qd_pi);
+    let rows: Vec<(&str, Vec<f64>)> = vec![
+        (
+            "co-cluster + query-driven",
+            recall_curve(&qd_pi, &qd_sel as &dyn CollectionSelector, &f.corpus, &test, TOPK),
+        ),
+        (
+            "co-cluster + CORI",
+            recall_curve(&qd_pi, &qd_cori as &dyn CollectionSelector, &f.corpus, &test, TOPK),
+        ),
+        (
+            "k-means + CORI",
+            recall_curve(&km_pi, &km_cori as &dyn CollectionSelector, &f.corpus, &test, TOPK),
+        ),
+        (
+            "random + CORI",
+            recall_curve(&rnd_pi, &rnd_cori as &dyn CollectionSelector, &f.corpus, &test, TOPK),
+        ),
+    ];
+    for (name, curve) in &rows {
+        println!(
+            "  {:<30} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
+            name,
+            100.0 * curve[0],
+            100.0 * curve[1],
+            100.0 * curve[3],
+            100.0 * curve[7]
+        );
+    }
+    println!("\npaper shape: on the query-driven partitions, the learned selector beats");
+    println!("CORI (Puppin et al.'s headline comparison); random partitioning needs");
+    println!("nearly all partitions for full recall. On this synthetic corpus content");
+    println!("clustering is unrealistically clean, so k-means+CORI is a strong baseline —");
+    println!("on real webs the query-driven system wins outright, per the paper.");
+}

@@ -226,49 +226,37 @@ impl SearchEngineLab {
         }
         let engine = &engine;
 
-        let mut served = 0u64;
-        let mut backend_queries = 0u64;
-        let mut latency_sum = 0u128;
-        if opts.clients == 1 {
-            for terms in &stream {
-                let r = engine.query_full(terms, 10);
-                debug_assert!(!matches!(r.served, Served::Failed));
-                served += 1;
-                if let Some(l) = r.latency {
-                    backend_queries += 1;
-                    latency_sum += u128::from(l);
-                }
-            }
-        } else {
-            let chunk = stream.len().div_ceil(opts.clients);
-            let per_client: Vec<(u64, u64, u128)> = std::thread::scope(|s| {
-                let handles: Vec<_> = stream
-                    .chunks(chunk.max(1))
-                    .map(|slice| {
-                        s.spawn(move || {
-                            let mut served = 0u64;
-                            let mut backend = 0u64;
-                            let mut lat = 0u128;
-                            for terms in slice {
-                                let r = engine.query_full(terms, 10);
-                                debug_assert!(!matches!(r.served, Served::Failed));
-                                served += 1;
-                                if let Some(l) = r.latency {
-                                    backend += 1;
-                                    lat += u128::from(l);
-                                }
+        // Each client serves one contiguous chunk of the log in order, so
+        // a single client replays the whole log in log order.
+        let chunk = stream.len().div_ceil(opts.clients);
+        let per_client: Vec<(u64, u64, u128)> = std::thread::scope(|s| {
+            let handles: Vec<_> = stream
+                .chunks(chunk.max(1))
+                .map(|slice| {
+                    s.spawn(move || {
+                        let mut served = 0u64;
+                        let mut backend = 0u64;
+                        let mut lat = 0u128;
+                        for terms in slice {
+                            let r = engine.query_full(terms, 10);
+                            debug_assert!(!matches!(r.served, Served::Failed));
+                            served += 1;
+                            if let Some(l) = r.latency {
+                                backend += 1;
+                                lat += u128::from(l);
                             }
-                            (served, backend, lat)
-                        })
+                        }
+                        (served, backend, lat)
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
-            });
-            for (s, b, l) in per_client {
-                served += s;
-                backend_queries += b;
-                latency_sum += l;
-            }
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
+        });
+        let (mut served, mut backend_queries, mut latency_sum) = (0u64, 0u64, 0u128);
+        for (s, b, l) in per_client {
+            served += s;
+            backend_queries += b;
+            latency_sum += l;
         }
         EngineReport {
             crawl: self.crawl_report.clone(),

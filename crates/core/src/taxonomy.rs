@@ -5,7 +5,7 @@
 //! modules (crawling, indexing, querying) against the four high-level
 //! issues (partitioning, communication, dependability/synchronization,
 //! external factors). Encoding it as data keeps the survey's structure
-//! testable and lets the `table1` bench binary print it verbatim.
+//! testable and lets `regen T1` print it verbatim.
 
 /// The three main system modules (rows of Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -133,13 +133,13 @@ pub fn taxonomy() -> Vec<TaxonomyEntry> {
             module: Indexing,
             issue: Communication,
             topics: vec!["Re-indexing"],
-            implemented_in: "dwr-partition::build",
+            implemented_in: "dwr-partition::repart",
         },
         TaxonomyEntry {
             module: Indexing,
             issue: Dependability,
             topics: vec!["Partial indexing", "Updating", "Merging"],
-            implemented_in: "dwr-text::{index, dynamic}, dwr-partition::build",
+            implemented_in: "dwr-text::{index, dynamic}, dwr-partition::repart",
         },
         TaxonomyEntry {
             module: Indexing,
@@ -175,7 +175,7 @@ pub fn taxonomy() -> Vec<TaxonomyEntry> {
     ]
 }
 
-/// Render Table 1 as aligned plain text (what `--bin table1` prints).
+/// Render Table 1 as aligned plain text (what `regen T1` prints).
 pub fn render_table1() -> String {
     let mut out = String::new();
     out.push_str(

@@ -17,9 +17,6 @@
 //!   selector, both behind one trait so E6 can compare them;
 //! * [`parted`] — the partitioned index structure shared with the query
 //!   crate (global↔local doc-id mapping, per-partition `InvertedIndex`);
-//! * [`build`] — distributed index construction strategies (local,
-//!   pipelined \[25\], map-reduce-like \[26\]) with communication cost
-//!   accounting;
 //! * [`stats`] — the two-round global-statistics broker protocol
 //!   (Section 4, external factors);
 //! * [`quality`] — partition quality metrics: balance, recall@partitions,
@@ -31,7 +28,6 @@
 //!   label-forked [`repart::SplitSchedule`]s for deterministic split
 //!   storms under live traffic.
 
-pub mod build;
 pub mod doc;
 pub mod parted;
 pub mod quality;

@@ -13,9 +13,9 @@
 //!   contacts the top-*t*;
 //! * a **recall-safe fallback cascade** broadens to more shards —
 //!   doubling the contacted set along the ranking — whenever the merged
-//!   answer is count-deficient (fewer than `k` hits) or score-deficient
-//!   (the `k`-th score under a configured floor), so a mis-routed query
+//!   answer is deficient (fewer than `k` hits), so a mis-routed query
 //!   degrades to exhaustive fan-out instead of silently losing recall;
+//!   a [`ShardRouter::fixed`] router has no cascade;
 //! * coverage is reported honestly: the engine returns
 //!   [`crate::engine::Served::Full`] only when the router provably lost
 //!   nothing (every active partition contacted), and a routed-coverage
@@ -182,10 +182,6 @@ pub struct ShardRouter {
     source: RouteSource,
     /// Initial shards contacted per query (*t*).
     width: usize,
-    /// Broaden while the merged answer has fewer than `k` hits.
-    broaden_on_count: bool,
-    /// Broaden while the `k`-th merged score is under this floor.
-    score_floor: Option<f32>,
     /// Per-`(epoch, generation)` selector snapshots.
     profiles: Mutex<HashMap<(u64, u64), SharedSelector>>,
     /// Bumped by every retrain; invalidates cached profiles.
@@ -202,21 +198,17 @@ impl std::fmt::Debug for ShardRouter {
         f.debug_struct("ShardRouter")
             .field("source", &self.source)
             .field("width", &self.width)
-            .field("broaden_on_count", &self.broaden_on_count)
-            .field("score_floor", &self.score_floor)
             .field("generation", &self.generation())
             .finish_non_exhaustive()
     }
 }
 
 impl ShardRouter {
-    fn with_source(source: RouteSource, width: usize, broaden: bool) -> Self {
+    fn with_source(source: RouteSource, width: usize) -> Self {
         assert!(width >= 1, "router width must be at least 1");
         ShardRouter {
             source,
             width,
-            broaden_on_count: broaden,
-            score_floor: None,
             profiles: Mutex::new(HashMap::new()),
             generation: AtomicU64::new(0),
             training: Mutex::new(Arc::new(TrainingResults::default())),
@@ -230,38 +222,23 @@ impl ShardRouter {
     /// top-`width` partitions with no fallback cascade — the legacy
     /// `with_selection` semantics, now with honest coverage reporting.
     pub fn fixed(selector: SharedSelector, width: usize) -> Self {
-        Self::with_source(RouteSource::Fixed(selector), width, false)
+        Self::with_source(RouteSource::Fixed(selector), width)
     }
 
     /// A CORI router: statistics rebuilt per epoch from the query's own
-    /// snapshot, count-deficiency broadening on.
+    /// snapshot, broadening on deficiency.
     pub fn cori(width: usize) -> Self {
-        Self::with_source(RouteSource::Cori, width, true)
+        Self::with_source(RouteSource::Cori, width)
     }
 
     /// A query-driven router over `training`, profiles rebuilt per epoch
     /// against the snapshot's assignment (so child partitions born from
     /// splits are profiled at publish time), cold queries delegated to
-    /// CORI, count-deficiency broadening on.
+    /// CORI, broadening on deficiency.
     pub fn query_driven(training: TrainingResults, width: usize) -> Self {
-        let r = Self::with_source(RouteSource::QueryDriven, width, true);
+        let r = Self::with_source(RouteSource::QueryDriven, width);
         *lock_recovering(&r.training) = Arc::new(training);
         r
-    }
-
-    /// Disable the fallback cascade: contact the initial top-*t* only.
-    pub fn without_broadening(mut self) -> Self {
-        self.broaden_on_count = false;
-        self.score_floor = None;
-        self
-    }
-
-    /// Also broaden while the `k`-th merged score is below `floor`
-    /// (score-deficiency, on top of count-deficiency).
-    pub fn with_score_floor(mut self, floor: f32) -> Self {
-        assert!(floor.is_finite(), "score floor must be finite");
-        self.score_floor = Some(floor);
-        self
     }
 
     /// Attach a drift-driven refresh loop (see [`DriftRefresh`]).
@@ -275,9 +252,10 @@ impl ShardRouter {
         self
     }
 
-    /// Whether the fallback cascade can broaden past the initial tranche.
+    /// Whether the fallback cascade can broaden past the initial tranche:
+    /// every source but [`RouteSource::Fixed`] does.
     pub fn broadens(&self) -> bool {
-        self.broaden_on_count || self.score_floor.is_some()
+        !matches!(self.source, RouteSource::Fixed(_))
     }
 
     /// Initial shards contacted per query (*t*).
@@ -405,17 +383,10 @@ impl ShardRouter {
         RouteDecision { tranches, active }
     }
 
-    /// Whether the merged answer so far warrants broadening.
+    /// Whether the merged answer so far warrants broadening: it holds
+    /// fewer than `k` hits.
     pub fn deficient(&self, merged: &[GlobalHit], k: usize) -> bool {
-        if self.broaden_on_count && merged.len() < k {
-            return true;
-        }
-        if let Some(floor) = self.score_floor {
-            if merged.len() < k || merged[k - 1].score < floor {
-                return true;
-            }
-        }
-        false
+        merged.len() < k
     }
 
     /// Every partition this query's cascade could contact — the
@@ -559,7 +530,7 @@ mod tests {
     #[test]
     fn without_broadening_contacts_initial_tranche_only() {
         let pi = setup(8);
-        let router = ShardRouter::cori(3).without_broadening();
+        let router = ShardRouter::fixed(Arc::new(CoriSelector::from_partitions(&pi)), 3);
         assert!(!router.broadens());
         let sel = router.profile(&pi);
         let d = router.decide(sel.as_ref(), &pi, &[TermId(1)]);
@@ -575,9 +546,6 @@ mod tests {
         assert!(router.deficient(&[], 3));
         assert!(router.deficient(&[hit(1, 2.0), hit(2, 1.0)], 3));
         assert!(!router.deficient(&[hit(1, 2.0), hit(2, 1.0), hit(3, 0.5)], 3));
-        let floored = ShardRouter::cori(1).with_score_floor(1.0);
-        assert!(floored.deficient(&[hit(1, 2.0), hit(2, 1.0), hit(3, 0.5)], 3), "kth under floor");
-        assert!(!floored.deficient(&[hit(1, 2.0), hit(2, 1.5), hit(3, 1.0)], 3));
     }
 
     #[test]

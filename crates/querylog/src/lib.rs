@@ -14,12 +14,9 @@
 //!   diurnal profiles (Beitzel et al.'s hourly fluctuation);
 //! * [`drift`] — slow topic-distribution drift, the "changing user needs"
 //!   external factor of Table 1;
-//! * [`click`] — a position-biased click model producing the
-//!   (query, clicked document) pairs co-clustering consumes;
 //! * [`log`] — materialized logs with train/test splitting.
 
 pub mod arrival;
-pub mod click;
 pub mod drift;
 pub mod log;
 pub mod model;

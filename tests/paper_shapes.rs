@@ -1,6 +1,6 @@
 //! Regression tests pinning the paper's headline *shapes* at small scale.
 //!
-//! The full experiments live in `dwr-bench` binaries; these tests keep the
+//! The full experiments live in `dwr-bench` (`regen`); these tests keep the
 //! central qualitative results under CI so a refactor cannot silently
 //! invert a conclusion. Each test states the paper claim it guards.
 

@@ -1,8 +1,9 @@
-//! Query-evaluation benchmarks: monolithic vs document-partitioned
-//! scatter-gather vs pipelined term-partitioned, and sequential vs
-//! parallel scatter at increasing partition counts.
+//! Query-evaluation benchmarks: the ranked evaluator alone at two index
+//! sizes, monolithic vs document-partitioned scatter-gather vs pipelined
+//! term-partitioned, and sequential vs parallel scatter at increasing
+//! partition counts.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dwr_bench::{Fixture, Scale};
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner};
 use dwr_partition::parted::PartitionedIndex;
@@ -11,7 +12,33 @@ use dwr_query::broker::DocBroker;
 use dwr_query::pipeline::PipelinedTermEngine;
 use dwr_text::index::build_index;
 use dwr_text::score::Bm25;
-use dwr_text::search::search_or;
+use dwr_text::search::{search_or, search_or_with, EvalStats, EvalStrategy};
+
+/// `search_or_with` alone, the dense hot path against the exhaustive
+/// reference, over the Medium fixture's unpartitioned index and over one
+/// of its 8 shards — the evaluation each broker query runs per shard.
+fn bench_evaluator(c: &mut Criterion) {
+    let f = Fixture::new(Scale::Medium);
+    let queries = f.query_terms(64);
+    let whole = build_index(&f.corpus);
+    let assignment = RandomPartitioner { seed: 1 }.assign(&f.corpus, 8);
+    let pi = PartitionedIndex::build(&f.corpus, &assignment, 8);
+    let bm25 = Bm25::default();
+    let mut g = c.benchmark_group("evaluator");
+    for (name, idx) in [("unpartitioned", &whole), ("shard_of_8", pi.shards()[0].index())] {
+        for strategy in [EvalStrategy::Dense, EvalStrategy::Exhaustive] {
+            g.bench_function(format!("{strategy:?}/{name}"), |b| {
+                b.iter(|| {
+                    let mut ev = EvalStats::default();
+                    for q in &queries {
+                        black_box(search_or_with(strategy, idx, q, 10, &bm25, idx, &mut ev));
+                    }
+                })
+            });
+        }
+    }
+    g.finish();
+}
 
 fn bench_eval(c: &mut Criterion) {
     let f = Fixture::new(Scale::Small);
@@ -85,5 +112,5 @@ fn bench_scatter(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_eval, bench_scatter);
+criterion_group!(benches, bench_evaluator, bench_eval, bench_scatter);
 criterion_main!(benches);

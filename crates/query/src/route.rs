@@ -478,9 +478,12 @@ impl ShardRouter {
 /// Merge two best-first hit lists into the top-`k`, with the broker's
 /// exact comparator (score, ties to the lower doc id) — cascade rounds
 /// merge through this, so a single-round answer reproduces the broker's
-/// list bit-for-bit.
+/// list bit-for-bit. A top-0 merge is empty.
 pub fn merge_topk(a: &[GlobalHit], b: &[GlobalHit], k: usize) -> Vec<GlobalHit> {
-    let mut top = TopK::new(k.max(1));
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut top = TopK::new(k);
     for h in a.iter().chain(b) {
         top.push(h.doc, h.score);
     }
@@ -557,6 +560,12 @@ mod tests {
         let tied =
             merge_topk(&[GlobalHit { doc: 7, score: 1.0 }], &[GlobalHit { doc: 2, score: 1.0 }], 1);
         assert_eq!(tied, vec![GlobalHit { doc: 2, score: 1.0 }]);
+    }
+
+    #[test]
+    fn merge_topk_of_0_is_empty() {
+        let round = vec![GlobalHit { doc: 3, score: 2.0 }, GlobalHit { doc: 1, score: 1.0 }];
+        assert!(merge_topk(&round, &round, 0).is_empty());
     }
 
     #[test]

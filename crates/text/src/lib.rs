@@ -20,8 +20,8 @@
 //!   factors) can swap the statistics source under the same scorer;
 //! * [`topk`] — a bounded top-k heap;
 //! * [`search`] — ranked disjunctive and Boolean conjunctive evaluation,
-//!   with an exhaustive reference evaluator and a block-max MaxScore
-//!   evaluator returning bit-identical top-k;
+//!   with a hashed reference evaluator and a dense per-thread accumulator
+//!   returning bit-identical top-k;
 //! * [`positions`] — positional postings and phrase search (the
 //!   communication-heavy case of Section 5's pipelined evaluation);
 //! * [`dynamic`] — online index maintenance with geometric partitioning

@@ -32,10 +32,11 @@
 //! `offset` is the byte position of the block's header and `last_doc` the
 //! doc id of its final posting, so any block decodes independently (the
 //! gap base of block `b` is `blocks[b-1].last_doc`). `max_tf` and
-//! `min_doc_len` dominate every posting in the block for any monotone
-//! scorer — [`crate::score::TermScorer::block_upper_bound`] turns them into
-//! a per-block score ceiling, the *block-max* metadata that the MaxScore
-//! evaluator in [`crate::search`] prunes with.
+//! `min_doc_len` dominate every posting in the block for any scorer
+//! increasing in tf and decreasing in length, as BM25 is: the *block-max*
+//! metadata a pruning evaluator would bound a block's scores with. The
+//! ranked evaluators in [`crate::search`] read every posting instead (see
+//! DESIGN.md §8 for why pruning did not pay).
 //!
 //! One block decoder serves every reader — [`PostingCursor`],
 //! [`PostingIter`] and the validation in [`PostingList::from_encoded`] —
@@ -334,11 +335,11 @@ impl PostingList {
     /// Decode block `b`, appending its postings to `out` (nothing on
     /// corrupt data). The decoder sees the arena up to this list's end,
     /// so a block cannot read past its own list.
-    fn decode_into(&self, b: usize, out: &mut Vec<Posting>) -> Result<usize, DecodeError> {
+    pub(crate) fn decode_into(&self, b: usize, out: &mut Vec<Posting>) -> Result<(), DecodeError> {
         let blocks = self.blocks();
         let prev = b.checked_sub(1).map(|p| blocks[p].last_doc);
         let data = &self.data[..self.span.end as usize];
-        decode_block(data, blocks[b].offset as usize, self.block_len(b), prev, out)
+        decode_block(data, blocks[b].offset as usize, self.block_len(b), prev, out).map(drop)
     }
 
     /// Length of the arena the list lives in.

@@ -145,23 +145,6 @@ impl TermScorer {
         let norm = self.k1 * (1.0 - self.b + self.b * f64::from(doc_len) / self.avg);
         self.idf * tf * (self.k1 + 1.0) / (tf + norm)
     }
-
-    /// Upper bound on the score any posting inside a block can reach.
-    ///
-    /// **Pruning invariant.** BM25 is monotone *increasing* in `tf`
-    /// (∂/∂tf = idf·(k1+1)·norm/(tf+norm)² > 0) and monotone *decreasing*
-    /// in `doc_len` (longer documents only grow `norm`). Evaluating the
-    /// scorer at the block's `max_tf` and `min_doc_len` therefore
-    /// dominates every real posting in the block — *for the same `stats`*.
-    /// Because the scorer is built at query time from whatever
-    /// [`CollectionStats`] the evaluation itself uses (local or
-    /// [`GlobalStats`]), the index never bakes in a statistics source and
-    /// the bound stays sound under the two-round global-statistics
-    /// protocol. A `min_doc_len` of 0 (lists built without lengths, or
-    /// re-admitted from the wire) is simply the loosest sound bound.
-    pub fn block_upper_bound(&self, block: &crate::postings::BlockMeta) -> f64 {
-        self.score(block.max_tf, block.min_doc_len)
-    }
 }
 
 #[cfg(test)]

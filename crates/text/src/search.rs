@@ -10,42 +10,50 @@
 //! Repeated query terms are deduplicated before evaluation (first
 //! occurrence wins, preserving order): a query is a *set* of distinct
 //! terms, so `[a, a, b]` scores exactly like `[a, b]`. Besides matching
-//! what web engines do, this keeps pruning bounds tight — duplicated
-//! terms would double their upper-bound contribution without changing
-//! which documents can win — and stops the accumulator capacity estimate
-//! from being inflated by duplicates.
+//! what web engines do, this keeps a document from collecting one term's
+//! contribution twice and stops the accumulator capacity estimate from
+//! being inflated by duplicates.
 //!
 //! # Two evaluators, one answer
 //!
-//! [`EvalStrategy::Exhaustive`] is the reference: term-at-a-time, every
-//! posting of every term decoded and accumulated.
-//! [`EvalStrategy::MaxScore`] is the hot path: document-at-a-time with
-//! MaxScore pruning over the block-max metadata of
-//! [`crate::postings::PostingList`]. Both return **bit-identical** top-k
-//! vectors — same docs, same `f32` scores, same tie-breaks — which the
-//! property suite pins. Three mechanisms make that exactness possible
-//! rather than approximate:
+//! Both evaluators are term-at-a-time: every posting of every query term
+//! is decoded and its BM25 contribution added to its document's sum.
+//! They differ only in where the sums live.
+//! [`EvalStrategy::Exhaustive`] is the reference: a hash table keyed by
+//! doc id. [`EvalStrategy::Dense`] is the hot path: a per-thread `f64`
+//! array indexed by local doc id, plus the list of documents it touched.
+//! Both return **bit-identical** top-k vectors — same docs, same `f32`
+//! scores, same tie-breaks — which the property suite pins:
 //!
 //! 1. **Canonical accumulation order.** A document's score is the `f64`
-//!    sum of its per-term BM25 contributions folded in the deduplicated
-//!    query's term order, converted to `f32` once at top-k insertion.
-//!    Both evaluators perform the identical float operation sequence per
-//!    scored document, so even non-associativity cannot split them.
-//! 2. **Strict pruning against the threshold.** A candidate is skipped
-//!    only when its score upper bound, converted to `f32`, is *strictly
-//!    below* [`TopK::threshold`]. `f64 → f32` rounding is monotone, so
-//!    the candidate's real `f32` score is also strictly below the
-//!    threshold and could never be admitted (ties at the threshold can
-//!    be admitted on a lower doc id, so `<=` would be wrong).
-//! 3. **Inflated bound sums.** Upper-bound sums are multiplied by
-//!    `1 + 1e-9` before the comparison, absorbing the non-associativity
-//!    of summing bounds in sorted order versus canonical order.
+//!    sum, folded from `0.0`, of its per-term BM25 contributions in the
+//!    deduplicated query's term order, converted to `f32` once. Both
+//!    evaluators perform that identical float operation sequence per
+//!    document, so even non-associativity cannot split them.
+//! 2. **Strict rejection against the threshold.** The dense evaluator
+//!    offers a document to the heap only when its `f32` score is not
+//!    *strictly below* [`TopK::threshold`]; a score equal to the
+//!    threshold can still win on a lower doc id, so `<=` would be wrong.
+//!    [`TopK`]'s order is total, so the order documents are offered in
+//!    does not matter.
+//! 3. **Every touched document is a candidate.** A document whose
+//!    contributions are all `0.0` (idf is floored at 0) is still in the
+//!    reference's table, and still in the dense evaluator's touched list.
+//!
+//! The dense scratch — sums, "seen" flags, the touched list and one
+//! block-decode buffer — is kept per thread and grows to the largest
+//! `num_docs` the thread has evaluated (9 bytes per document). Every
+//! slot is zero between evaluations: each evaluation resets the slots
+//! its touched list names when it ends, and again before it starts, so a
+//! panic that unwinds out of one evaluation (the scatter pool catches it
+//! and keeps its worker) cannot leave stale sums for the next.
 
 use crate::index::{IdMap, InvertedIndex};
-use crate::postings::{PostingCursor, PostingList};
+use crate::postings::{Posting, PostingCursor, PostingList};
 use crate::score::{Bm25, CollectionStats, TermScorer};
 use crate::topk::TopK;
 use crate::{DocId, TermId};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// One result: a document and its score.
@@ -60,11 +68,20 @@ pub struct SearchHit {
 /// Which ranked-retrieval evaluator to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalStrategy {
-    /// Decode-everything term-at-a-time accumulation (the reference).
+    /// Term-at-a-time into a hash table keyed by doc id (the reference).
     Exhaustive,
-    /// Block-max MaxScore pruning, document-at-a-time (the hot path).
+    /// Term-at-a-time into a dense per-thread array indexed by local doc
+    /// id (the hot path).
     #[default]
-    MaxScore,
+    Dense,
+}
+
+impl EvalStrategy {
+    /// The name [`EvalStrategy::Dense`] had while the hot path was a
+    /// document-at-a-time MaxScore evaluator.
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const MaxScore: EvalStrategy = EvalStrategy::Dense;
 }
 
 /// Work counters for one evaluation; the broker aggregates these into the
@@ -75,9 +92,11 @@ pub struct EvalStats {
     pub postings_scanned: u64,
     /// Blocks decoded.
     pub blocks_decoded: u64,
-    /// Blocks hopped over without decoding.
+    /// Blocks hopped over without decoding (0: both evaluators decode
+    /// every block).
     pub blocks_skipped: u64,
-    /// Candidate documents discarded by a bound check before full scoring.
+    /// Candidate documents discarded by a bound check before full scoring
+    /// (0: neither evaluator bounds scores).
     pub candidates_pruned: u64,
 }
 
@@ -90,11 +109,6 @@ impl EvalStats {
         self.candidates_pruned += other.candidates_pruned;
     }
 }
-
-/// Headroom factor applied to upper-bound *sums* before comparing against
-/// the `f32` threshold, absorbing f64 non-associativity between the
-/// sorted-order bound sum and the canonical-order score sum.
-const BOUND_INFLATE: f64 = 1.0 + 1e-9;
 
 /// Deduplicate query terms preserving first-occurrence order (the
 /// canonical term order both evaluators fold scores in).
@@ -130,7 +144,9 @@ pub fn search_or(
 /// Ranked disjunctive evaluation under an explicit [`EvalStrategy`],
 /// accumulating work counters into `ev`.
 ///
-/// Both strategies return bit-identical results (see module docs).
+/// Both strategies return bit-identical results and count the same work
+/// (see module docs). A top-0 request is answered empty without reading
+/// a list.
 pub fn search_or_with(
     strategy: EvalStrategy,
     index: &InvertedIndex,
@@ -140,10 +156,15 @@ pub fn search_or_with(
     stats: &impl CollectionStats,
     ev: &mut EvalStats,
 ) -> Vec<SearchHit> {
+    if k == 0 {
+        return Vec::new();
+    }
     let canon = dedup_terms(terms);
     match strategy {
         EvalStrategy::Exhaustive => search_or_exhaustive(index, &canon, k, bm25, stats, ev),
-        EvalStrategy::MaxScore => search_or_maxscore(index, &canon, k, bm25, stats, ev),
+        EvalStrategy::Dense => {
+            SCRATCH.with_borrow_mut(|s| search_or_dense(s, index, &canon, k, bm25, stats, ev))
+        }
     }
 }
 
@@ -169,30 +190,49 @@ fn search_or_exhaustive(
             *acc.entry(p.doc.0).or_insert(0.0) += scorer.score(p.tf, index.doc_len(p.doc));
         }
     }
-    let mut top = TopK::new(k.max(1));
+    let mut top = TopK::new(k);
     for (doc, score) in acc {
         top.push(doc, score as f32);
     }
     into_hits(top)
 }
 
-/// One query term's state inside the MaxScore evaluator.
-struct TermState<'a> {
-    /// Position in the canonical (deduplicated) term order.
-    canon: usize,
-    /// The term's statistics, settled once for the whole evaluation.
-    scorer: TermScorer,
-    /// Max over the list's block upper bounds: the term's score ceiling.
-    ub: f64,
-    cursor: PostingCursor<'a>,
+/// The dense evaluator's per-thread scratch (see module docs). Between
+/// evaluations every slot of `sum` is `0.0` and of `seen` is `false`,
+/// except after a panic, when `touched` names every slot that is not.
+#[derive(Default)]
+struct Scratch {
+    /// Partial scores by local doc id.
+    sum: Vec<f64>,
+    /// Whether the evaluation has touched a doc, even with a `0.0`.
+    seen: Vec<bool>,
+    /// The docs touched, in first-touch order.
+    touched: Vec<u32>,
+    /// One decoded block.
+    block: Vec<Posting>,
 }
 
-/// Document-at-a-time MaxScore: terms are kept sorted ascending by their
-/// score ceiling; a growing prefix (the *non-essential* terms) is proven
-/// unable to lift any document into the top-k on its own and is only ever
-/// probed via `next_geq`, never scanned. Candidates come from the
-/// essential suffix; bound checks discard them before full scoring.
-fn search_or_maxscore(
+impl Scratch {
+    /// Zero every slot `touched` names and forget them: on entry to an
+    /// evaluation and on its exit.
+    fn reset(&mut self) {
+        for &d in &self.touched {
+            self.sum[d as usize] = 0.0;
+            self.seen[d as usize] = false;
+        }
+        self.touched.clear();
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Term-at-a-time into the dense scratch: the hot path. It reads exactly
+/// the postings [`search_or_exhaustive`] reads, in the same order, and
+/// folds each document's sum the same way.
+fn search_or_dense(
+    s: &mut Scratch,
     index: &InvertedIndex,
     canon: &[TermId],
     k: usize,
@@ -200,113 +240,42 @@ fn search_or_maxscore(
     stats: &impl CollectionStats,
     ev: &mut EvalStats,
 ) -> Vec<SearchHit> {
-    let mut ts: Vec<TermState<'_>> = Vec::with_capacity(canon.len());
-    for (i, &t) in canon.iter().enumerate() {
+    s.reset();
+    let n = index.num_docs() as usize;
+    if s.sum.len() < n {
+        s.sum.resize(n, 0.0);
+        s.seen.resize(n, false);
+    }
+    let Scratch { sum, seen, touched, block } = s;
+    for &t in canon {
         let Some(list) = index.postings(t) else { continue };
-        if list.is_empty() {
-            continue;
-        }
+        ev.postings_scanned += u64::from(list.df());
+        ev.blocks_decoded += list.blocks().len() as u64;
         let scorer = bm25.term_scorer(stats, t);
-        let ub = list.blocks().iter().map(|b| scorer.block_upper_bound(b)).fold(0.0f64, f64::max);
-        ts.push(TermState { canon: i, scorer, ub, cursor: list.cursor() });
-    }
-    let mut top = TopK::new(k.max(1));
-    if ts.is_empty() {
-        return into_hits(top);
-    }
-    // Ascending by ceiling; canonical position tie-break keeps the sort
-    // deterministic (ub is non-NaN: BM25 of finite inputs).
-    ts.sort_by(|a, b| a.ub.partial_cmp(&b.ub).expect("non-NaN bound").then(a.canon.cmp(&b.canon)));
-    let n = ts.len();
-    // prefix_ub[i] = sum of the i smallest ceilings: the most the first
-    // i terms can jointly contribute to any document.
-    let mut prefix_ub = vec![0.0f64; n + 1];
-    for i in 0..n {
-        prefix_ub[i + 1] = prefix_ub[i] + ts[i].ub;
-    }
-    // Number of non-essential terms (prefix of `ts`); grows as the
-    // threshold rises, never shrinks (thresholds are monotone).
-    let mut ne = 0usize;
-    // Scratch: per-candidate (canonical position, contribution) pairs.
-    let mut parts: Vec<(usize, f64)> = Vec::with_capacity(n);
-    loop {
-        if let Some(thr) = top.threshold() {
-            // A term moves to the non-essential set when even a document
-            // matching *all* non-essential terms at their ceilings stays
-            // strictly below the threshold.
-            while ne < n && ((prefix_ub[ne + 1] * BOUND_INFLATE) as f32) < thr {
-                ne += 1;
+        for b in 0..list.blocks().len() {
+            block.clear();
+            // Corrupt data ends the list, as it ends `PostingList::iter`.
+            if list.decode_into(b, block).is_err() {
+                break;
             }
-            if ne == n {
-                break; // no unseen document can enter the top-k
-            }
-        }
-        // Next candidate: smallest current doc among essential cursors.
-        let mut cand: Option<DocId> = None;
-        for t in &ts[ne..] {
-            if t.cursor.valid() {
-                let d = t.cursor.doc();
-                cand = Some(cand.map_or(d, |c| c.min(d)));
-            }
-        }
-        let Some(cand) = cand else {
-            break; // essential lists exhausted; the rest is non-essential
-        };
-        let doc_len = index.doc_len(cand);
-        parts.clear();
-        // Essential contributions are already positioned on `cand`.
-        let mut actual = 0.0f64; // bound-check sum only, order-insensitive
-        for t in &ts[ne..] {
-            if t.cursor.valid() && t.cursor.doc() == cand {
-                let c = t.scorer.score(t.cursor.tf(), doc_len);
-                parts.push((t.canon, c));
-                actual += c;
-            }
-        }
-        // Probe non-essential terms from the largest ceiling down; stop
-        // as soon as the remaining ceilings cannot save the candidate.
-        let mut pruned = false;
-        let mut j = ne;
-        while j > 0 {
-            if let Some(thr) = top.threshold() {
-                if (((actual + prefix_ub[j]) * BOUND_INFLATE) as f32) < thr {
-                    pruned = true;
-                    break;
+            for p in block.iter() {
+                let d = p.doc.0 as usize;
+                if !seen[d] {
+                    touched.push(p.doc.0);
+                    seen[d] = true;
                 }
-            }
-            j -= 1;
-            let t = &mut ts[j];
-            if t.cursor.next_geq(cand) && t.cursor.doc() == cand {
-                let c = t.scorer.score(t.cursor.tf(), doc_len);
-                parts.push((t.canon, c));
-                actual += c;
-            }
-        }
-        if pruned {
-            ev.candidates_pruned += 1;
-        } else {
-            // Full score: canonical-order f64 fold (identical operation
-            // sequence to the exhaustive accumulator), f32 once.
-            parts.sort_unstable_by_key(|&(c, _)| c);
-            let mut score = 0.0f64;
-            for &(_, c) in &parts {
-                score += c;
-            }
-            top.push(cand.0, score as f32);
-        }
-        // Advance every essential cursor sitting on the candidate.
-        for t in &mut ts[ne..] {
-            if t.cursor.valid() && t.cursor.doc() == cand {
-                t.cursor.next();
+                sum[d] += scorer.score(p.tf, index.doc_len(p.doc));
             }
         }
     }
-    for t in &ts {
-        let s = t.cursor.stats();
-        ev.postings_scanned += s.postings_decoded;
-        ev.blocks_decoded += s.blocks_decoded;
-        ev.blocks_skipped += s.blocks_skipped;
+    let mut top = TopK::new(k);
+    for &d in touched.iter() {
+        let score = sum[d as usize] as f32;
+        if top.threshold().is_none_or(|thr| score >= thr) {
+            top.push(d, score);
+        }
     }
+    s.reset();
     into_hits(top)
 }
 
@@ -318,15 +287,17 @@ fn into_hits(top: TopK) -> Vec<SearchHit> {
 }
 
 /// The posting lists of a conjunction, shortest first, each with its
-/// canonical position and its scorer; `None` when the conjunction is
-/// empty or one of its terms has no postings (nothing can match).
+/// canonical position and its scorer; `None` when nothing can be
+/// returned: a top-0 request (no list is read), an empty conjunction, or
+/// a term with no postings.
 fn and_lists<'a>(
     index: &'a InvertedIndex,
     canon: &[TermId],
+    k: usize,
     bm25: &Bm25,
     stats: &impl CollectionStats,
 ) -> Option<Vec<(usize, TermScorer, &'a PostingList)>> {
-    if canon.is_empty() {
+    if k == 0 || canon.is_empty() {
         return None;
     }
     let mut lists = Vec::with_capacity(canon.len());
@@ -352,13 +323,13 @@ pub fn search_and(
     bm25: &Bm25,
     stats: &impl CollectionStats,
 ) -> Vec<SearchHit> {
-    let Some(lists) = and_lists(index, &dedup_terms(terms), bm25, stats) else {
+    let Some(lists) = and_lists(index, &dedup_terms(terms), k, bm25, stats) else {
         return Vec::new(); // a missing term empties the AND
     };
     let mut cursors: Vec<(usize, TermScorer, PostingCursor<'_>)> =
         lists.into_iter().map(|(c, s, l)| (c, s, l.cursor())).collect();
 
-    let mut top = TopK::new(k.max(1));
+    let mut top = TopK::new(k);
     let mut parts: Vec<(usize, f64)> = Vec::with_capacity(cursors.len());
     let mut cand = cursors[0].2.doc();
     'leapfrog: loop {
@@ -407,7 +378,7 @@ pub fn search_and_exhaustive(
     bm25: &Bm25,
     stats: &impl CollectionStats,
 ) -> Vec<SearchHit> {
-    let Some(lists) = and_lists(index, &dedup_terms(terms), bm25, stats) else {
+    let Some(lists) = and_lists(index, &dedup_terms(terms), k, bm25, stats) else {
         return Vec::new();
     };
 
@@ -440,7 +411,7 @@ pub fn search_and_exhaustive(
         });
     }
 
-    let mut top = TopK::new(k.max(1));
+    let mut top = TopK::new(k);
     for (d, parts) in &mut candidates {
         parts.sort_unstable_by_key(|&(c, _)| c);
         let mut score = 0.0f64;
@@ -476,7 +447,8 @@ mod tests {
         let mut e1 = EvalStats::default();
         let mut e2 = EvalStats::default();
         let a = search_or_with(EvalStrategy::Exhaustive, index, terms, k, &bm, index, &mut e1);
-        let b = search_or_with(EvalStrategy::MaxScore, index, terms, k, &bm, index, &mut e2);
+        let b = search_or_with(EvalStrategy::Dense, index, terms, k, &bm, index, &mut e2);
+        assert_eq!(e1, e2, "both evaluators read every posting");
         (a, b)
     }
 
@@ -511,7 +483,19 @@ mod tests {
     }
 
     #[test]
-    fn maxscore_matches_exhaustive_bitwise() {
+    fn top_0_reads_nothing() {
+        let i = idx();
+        let bm = Bm25::default();
+        let terms = [TermId(1), TermId(2)];
+        for strategy in [EvalStrategy::Exhaustive, EvalStrategy::Dense] {
+            let mut ev = EvalStats::default();
+            assert!(search_or_with(strategy, &i, &terms, 0, &bm, &i, &mut ev).is_empty());
+            assert_eq!(ev, EvalStats::default(), "{strategy:?} read a list");
+        }
+    }
+
+    #[test]
+    fn dense_matches_exhaustive_bitwise() {
         let i = idx();
         for k in 1..=6 {
             let (a, b) = or_both(&i, &[TermId(1), TermId(2), TermId(3)], k);
@@ -520,7 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn maxscore_handles_unknown_and_empty() {
+    fn dense_handles_unknown_and_empty() {
         let i = idx();
         let (a, b) = or_both(&i, &[TermId(99)], 5);
         assert_eq!(a, b);
@@ -540,33 +524,44 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn maxscore_prunes_on_larger_index() {
-        // Many docs containing a common term; a rare term distinguishes
-        // a handful. With k small, most common-only docs are prunable.
-        let mut corpus: Vec<Vec<(TermId, u32)>> = Vec::new();
-        for d in 0..4000u32 {
-            let mut doc = vec![(TermId(1), 1 + d % 2)];
-            if d % 397 == 0 {
-                doc.push((TermId(2), 3));
-            }
-            corpus.push(doc);
+    /// An index's statistics, except that asking for `df` of one term
+    /// panics: an evaluation reaching that term unwinds with the sums of
+    /// the terms before it still in the scratch.
+    struct PanicsOn<'a>(&'a InvertedIndex, TermId);
+
+    impl CollectionStats for PanicsOn<'_> {
+        fn num_docs(&self) -> u64 {
+            u64::from(self.0.num_docs())
         }
-        let i = build_index(&corpus);
-        let bm = Bm25::default();
-        let mut ex = EvalStats::default();
-        let mut ms = EvalStats::default();
+        fn df(&self, term: TermId) -> u64 {
+            assert_ne!(term, self.1, "statistics lost mid-evaluation");
+            u64::from(self.0.df(term))
+        }
+        fn avg_doc_len(&self) -> f64 {
+            self.0.avg_doc_len()
+        }
+    }
+
+    #[test]
+    fn dense_scratch_survives_a_panic_mid_evaluation() {
+        let corpus: Vec<Vec<(TermId, u32)>> =
+            (0..4000u32).map(|d| vec![(TermId(1), 1 + d % 2), (TermId(2), 1 + d % 3)]).collect();
+        let big = build_index(&corpus);
         let terms = [TermId(1), TermId(2)];
-        let a = search_or_with(EvalStrategy::Exhaustive, &i, &terms, 5, &bm, &i, &mut ex);
-        let b = search_or_with(EvalStrategy::MaxScore, &i, &terms, 5, &bm, &i, &mut ms);
-        assert_eq!(a, b, "pruning must not change results");
-        assert!(
-            ms.postings_scanned < ex.postings_scanned,
-            "maxscore must scan fewer postings: {} vs {}",
-            ms.postings_scanned,
-            ex.postings_scanned
-        );
-        assert!(ms.blocks_skipped > 0, "expected whole blocks to be skipped");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let (bm, stats) = (Bm25::default(), PanicsOn(&big, TermId(2)));
+            let mut ev = EvalStats::default();
+            search_or_with(EvalStrategy::Dense, &big, &terms, 5, &bm, &stats, &mut ev)
+        }));
+        assert!(unwound.is_err());
+        // What a pool worker that caught the panic is left with.
+        assert_eq!(SCRATCH.with_borrow(|s| s.touched.len()), 4000, "term 1's sums stay");
+        for index in [&big, &idx(), &big] {
+            for k in [1, 5, 50] {
+                let (a, b) = or_both(index, &terms, k);
+                assert_eq!(a, b, "k={k}");
+            }
+        }
     }
 
     #[test]
@@ -582,6 +577,19 @@ mod tests {
     fn and_with_missing_term_is_empty() {
         let i = idx();
         assert!(search_and(&i, &[TermId(1), TermId(99)], 10, &Bm25::default(), &i).is_empty());
+    }
+
+    #[test]
+    fn and_top_0_is_empty() {
+        let i = idx();
+        assert!(search_and(&i, &[TermId(1), TermId(2)], 0, &Bm25::default(), &i).is_empty());
+    }
+
+    #[test]
+    fn and_exhaustive_top_0_is_empty() {
+        let i = idx();
+        let hits = search_and_exhaustive(&i, &[TermId(1), TermId(2)], 0, &Bm25::default(), &i);
+        assert!(hits.is_empty());
     }
 
     #[test]

@@ -7,12 +7,14 @@ use dwr_text::postings::{Posting, PostingList, PostingListBuilder, BLOCK_LEN};
 use dwr_text::score::{Bm25, CollectionStats, GlobalStats};
 use dwr_text::search::{
     search_and, search_and_exhaustive, search_or, search_or_with, EvalStats, EvalStrategy,
+    SearchHit,
 };
 use dwr_text::token::{term_frequencies, tokenize};
 use dwr_text::topk::TopK;
-use dwr_text::{DocId, TermId};
+use dwr_text::{DocId, InvertedIndex, TermId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Strategy: a sorted, strictly ascending (doc, tf) posting vector.
 fn postings_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -31,6 +33,51 @@ fn corpus_strategy() -> impl Strategy<Value = Vec<Vec<(TermId, u32)>>> {
             .prop_map(|m| m.into_iter().map(|(t, tf)| (TermId(t), tf)).collect()),
         0..40,
     )
+}
+
+/// Strategy: a corpus of `docs` documents over 24 terms, where term 0 is
+/// in about three quarters of the documents and term 1 in about half.
+fn dense_corpus_strategy(docs: Range<usize>) -> impl Strategy<Value = Vec<Vec<(TermId, u32)>>> {
+    let doc = (prop::collection::btree_map(2u32..24, 1u32..5, 0..5), 0u32..4, 0u32..2);
+    prop::collection::vec(doc, docs).prop_map(|docs| {
+        docs.into_iter()
+            .map(|(rest, common, half)| {
+                let heads = [(0, common), (1, half)].into_iter().filter(|&(_, tf)| tf > 0);
+                heads.chain(rest).map(|(t, tf)| (TermId(t), tf)).collect()
+            })
+            .collect()
+    })
+}
+
+/// An index's statistics, except that the collection claims a single
+/// document: every term in two or more documents gets an idf of 0.
+struct OneDoc<'a>(&'a InvertedIndex);
+
+impl CollectionStats for OneDoc<'_> {
+    fn num_docs(&self) -> u64 {
+        1
+    }
+    fn df(&self, term: TermId) -> u64 {
+        u64::from(self.0.df(term))
+    }
+    fn avg_doc_len(&self) -> f64 {
+        self.0.avg_doc_len()
+    }
+}
+
+/// The exhaustive and the dense evaluator on one query: each one's hits
+/// and work counters.
+fn both_evaluators(
+    idx: &InvertedIndex,
+    terms: &[TermId],
+    k: usize,
+    stats: &impl CollectionStats,
+) -> [(Vec<SearchHit>, EvalStats); 2] {
+    let bm = Bm25::default();
+    [EvalStrategy::Exhaustive, EvalStrategy::Dense].map(|strategy| {
+        let mut ev = EvalStats::default();
+        (search_or_with(strategy, idx, terms, k, &bm, stats, &mut ev), ev)
+    })
 }
 
 /// Strategy: a strictly ascending (doc, tf) vector spanning several
@@ -118,11 +165,11 @@ fn stats_corpus(n: usize, df: usize, pad: &[u32]) -> Vec<Vec<(TermId, u32)>> {
         .collect()
 }
 
-/// Fixed-seed anchor: the hoist changes what a posting costs, not which
-/// postings MaxScore touches. The counters below are the ones the
-/// per-posting-statistics evaluator produced.
+/// Fixed-seed anchor: the dense evaluator reads exactly the postings the
+/// exhaustive reference reads — the count the reference has scanned on
+/// this fixture since before the scorer was hoisted — and prunes nothing.
 #[test]
-fn maxscore_work_counters_anchor() {
+fn dense_work_counters_anchor() {
     let mut rng = SimRng::new(20_070_415);
     let corpus: Vec<Vec<(TermId, u32)>> = (0..6000)
         .map(|_| {
@@ -137,7 +184,7 @@ fn maxscore_work_counters_anchor() {
         .collect();
     let idx = build_index(&corpus);
     let bm = Bm25::default();
-    let mut ms = EvalStats::default();
+    let mut dense = EvalStats::default();
     let mut ex = EvalStats::default();
     for q in 0..64u64 {
         let mut qrng = rng.fork(q);
@@ -145,19 +192,19 @@ fn maxscore_work_counters_anchor() {
             .map(|_| TermId((400.0 * qrng.f64().powi(2)) as u32))
             .collect();
         let a = search_or_with(EvalStrategy::Exhaustive, &idx, &terms, 10, &bm, &idx, &mut ex);
-        let b = search_or_with(EvalStrategy::MaxScore, &idx, &terms, 10, &bm, &idx, &mut ms);
+        let b = search_or_with(EvalStrategy::Dense, &idx, &terms, 10, &bm, &idx, &mut dense);
         assert_eq!(a, b, "query {q}: {terms:?}");
     }
+    assert_eq!(dense, ex);
     assert_eq!(
-        ms,
+        dense,
         EvalStats {
-            postings_scanned: 100_396,
-            blocks_decoded: 870,
-            blocks_skipped: 121,
-            candidates_pruned: 10_782,
+            postings_scanned: 117_529,
+            blocks_decoded: 1_008,
+            blocks_skipped: 0,
+            candidates_pruned: 0,
         }
     );
-    assert_eq!(ex.postings_scanned, 117_529);
 }
 
 proptest! {
@@ -448,12 +495,12 @@ proptest! {
         }
     }
 
-    /// Satellite: MaxScore-pruned and exhaustive `search_or` return
-    /// identical `(doc, score)` vectors — docs, f32 scores, and tie-break
-    /// order — over arbitrary indexes, term multisets (duplicates
-    /// included), and k, under local statistics.
+    /// The dense and exhaustive `search_or` return identical `(doc,
+    /// score)` vectors — docs, f32 scores, and tie-break order — and
+    /// identical work counters over arbitrary indexes, term multisets
+    /// (duplicates included), and k, under local statistics.
     #[test]
-    fn maxscore_equals_exhaustive_local_stats(
+    fn dense_equals_exhaustive_local_stats(
         corpus in corpus_strategy(),
         terms in prop::collection::vec(0u32..200, 0..6),
         k in 1usize..20,
@@ -462,20 +509,52 @@ proptest! {
         let terms: Vec<TermId> = terms.into_iter().map(TermId).collect();
         let bm = Bm25::default();
         let mut ex = EvalStats::default();
-        let mut ms = EvalStats::default();
+        let mut dense = EvalStats::default();
         let a = search_or_with(EvalStrategy::Exhaustive, &idx, &terms, k, &bm, &idx, &mut ex);
-        let b = search_or_with(EvalStrategy::MaxScore, &idx, &terms, k, &bm, &idx, &mut ms);
+        let b = search_or_with(EvalStrategy::Dense, &idx, &terms, k, &bm, &idx, &mut dense);
         prop_assert_eq!(a, b, "evaluators diverge on {:?} k={}", &terms, k);
-        prop_assert!(ms.postings_scanned <= ex.postings_scanned,
-            "pruned evaluator never scans more: {} vs {}",
-            ms.postings_scanned, ex.postings_scanned);
+        prop_assert_eq!(dense, ex);
+    }
+
+    /// The dense scratch carries nothing from one evaluation to the next:
+    /// a sequence of evaluations on one thread, over indexes whose sizes
+    /// go large → small → large, equals the exhaustive reference bit for
+    /// bit at every step. Queries repeat terms and include terms in most
+    /// documents, and each step picks a statistics source: local, global
+    /// over all three indexes, or one that claims a single document, so
+    /// every term in two or more documents has its idf floored to 0 and
+    /// whole candidate sets tie at 0.0.
+    #[test]
+    fn dense_equals_exhaustive_across_a_sequence(
+        large in dense_corpus_strategy(150..400),
+        small in dense_corpus_strategy(1..12),
+        large_again in dense_corpus_strategy(150..400),
+        steps in prop::collection::vec(
+            (prop::collection::vec(0u32..30, 0..6), 1usize..21, 0usize..3),
+            1..8,
+        ),
+    ) {
+        let indexes = [build_index(&large), build_index(&small), build_index(&large_again)];
+        for (terms, k, source) in steps {
+            let terms: Vec<TermId> = terms.into_iter().map(TermId).collect();
+            let global = GlobalStats::for_terms(&indexes.each_ref(), &terms);
+            for idx in &indexes {
+                let [ex, dense] = match source {
+                    0 => both_evaluators(idx, &terms, k, idx),
+                    1 => both_evaluators(idx, &terms, k, &global),
+                    _ => both_evaluators(idx, &terms, k, &OneDoc(idx)),
+                };
+                prop_assert_eq!(
+                    dense, ex, "{} docs, {:?} k={} source {}", idx.num_docs(), &terms, k, source
+                );
+            }
+        }
     }
 
     /// Same equivalence under aggregated `GlobalStats` (the two-round
-    /// broker protocol's statistics source): pruning bounds must be
-    /// computed against the *same* statistics evaluation uses.
+    /// broker protocol's statistics source).
     #[test]
-    fn maxscore_equals_exhaustive_global_stats(
+    fn dense_equals_exhaustive_global_stats(
         corpus_a in corpus_strategy(),
         corpus_b in corpus_strategy(),
         terms in prop::collection::vec(0u32..200, 0..6),
@@ -488,10 +567,11 @@ proptest! {
         let bm = Bm25::default();
         for idx in [&pa, &pb] {
             let mut ex = EvalStats::default();
-            let mut ms = EvalStats::default();
+            let mut dense = EvalStats::default();
             let a = search_or_with(EvalStrategy::Exhaustive, idx, &terms, k, &bm, &g, &mut ex);
-            let b = search_or_with(EvalStrategy::MaxScore, idx, &terms, k, &bm, &g, &mut ms);
+            let b = search_or_with(EvalStrategy::Dense, idx, &terms, k, &bm, &g, &mut dense);
             prop_assert_eq!(a, b, "evaluators diverge under global stats on {:?}", &terms);
+            prop_assert_eq!(dense, ex);
         }
     }
 

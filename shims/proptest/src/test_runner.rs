@@ -15,10 +15,13 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, or `PROPTEST_CASES` when set, which real proptest's
+    /// default also reads (a config built with `with_cases` ignores it).
     fn default() -> Self {
         // Real proptest defaults to 256; the shim trades a little
         // coverage for CI latency. Heavier suites override per-file.
-        ProptestConfig { cases: 64 }
+        let cases = std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok());
+        ProptestConfig { cases: cases.unwrap_or(64) }
     }
 }
 

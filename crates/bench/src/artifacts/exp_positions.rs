@@ -6,6 +6,10 @@
 //! because it includes both the position of terms and the partially
 //! resolved query."
 //!
+//! Asserted: positional bytes exceed plain bytes; no query has more
+//! phrase matches than AND matches; and every phrase answer equals a
+//! brute-force scan of the token streams.
+//!
 //! Run: `cargo run -p dwr-bench --release -- E13`
 
 use crate::{Ctx, Scale, SEED};
@@ -37,6 +41,7 @@ pub(crate) fn run(ctx: &Ctx) {
 
     let plain = build_index(&f.corpus);
     let positional = PositionalIndex::build(&docs);
+    assert!(positional.encoded_bytes() > plain.encoded_bytes(), "positions cost bytes");
     println!("index size (2k docs):");
     println!("  plain postings (doc+tf):   {:>9.1} KB", plain.encoded_bytes() as f64 / 1024.0);
     println!("  positional postings:       {:>9.1} KB", positional.encoded_bytes() as f64 / 1024.0);
@@ -71,6 +76,11 @@ pub(crate) fn run(ctx: &Ctx) {
             &dwr_text::score::Bm25::default(),
             &plain,
         );
+        assert!(ph.len() <= a.len(), "phrase {phrase:?} matches more than its AND");
+        let scanned: Vec<u32> = (0..docs.len() as u32)
+            .filter(|&d| docs[d as usize].windows(phrase.len()).any(|w| w == phrase))
+            .collect();
+        assert_eq!(ph.iter().map(|d| d.0).collect::<Vec<_>>(), scanned, "phrase {phrase:?}");
         and_docs += a.len() as u64;
         phrase_docs += ph.len() as u64;
         if !ph.is_empty() {

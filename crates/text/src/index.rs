@@ -1,5 +1,5 @@
 //! Inverted-index construction: counting-sort builds, round-robin splits,
-//! merges, parallel builds.
+//! merges.
 //!
 //! Section 4 frames indexing as "a 'sort' operation on a set of records
 //! representing term occurrences" and points at sort-based \[14\] and
@@ -13,10 +13,10 @@
 //! * [`InvertedIndex::split_round_robin`] — children of an index filtered
 //!   out of its lists, never re-read from documents;
 //! * [`merge_indexes`] — sub-indexes over consecutive doc-id ranges
-//!   appended into one, the primitive behind distributed construction;
-//! * [`parallel_build`] — chunks the corpus across threads (std scoped
-//!   threads) and merges, a faithful single-machine analogue of the
-//!   map-reduce build.
+//!   appended into one, the primitive behind distributed construction.
+//!
+//! The parallel build is `dwr-partition`'s: `PartitionedIndex` builds its
+//! shards on scoped workers.
 
 use crate::postings::{Arena, ArenaWriter, ListSpan, PostingList, BLOCK_LEN};
 use crate::{DocId, TermId};
@@ -294,23 +294,6 @@ pub fn merge_indexes(parts: &[InvertedIndex]) -> InvertedIndex {
     InvertedIndex::from_arena(arena.finish(), lists, doc_len)
 }
 
-/// Parallel build: split the corpus into `threads` contiguous chunks,
-/// build each on its own thread, then merge. The in-process analogue of
-/// the map-reduce construction of \[26\].
-pub fn parallel_build(corpus: &[Vec<(TermId, u32)>], threads: usize) -> InvertedIndex {
-    assert!(threads > 0);
-    if corpus.is_empty() {
-        return InvertedIndex::default();
-    }
-    let chunk = corpus.len().div_ceil(threads);
-    let parts: Vec<InvertedIndex> = std::thread::scope(|s| {
-        let handles: Vec<_> =
-            corpus.chunks(chunk).map(|c| s.spawn(move || build_index(c))).collect();
-        handles.into_iter().map(|h| h.join().expect("index worker panicked")).collect()
-    });
-    merge_indexes(&parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,21 +429,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_monolithic() {
-        let c: Vec<Vec<(TermId, u32)>> =
-            (0..97).map(|i| vec![(TermId(i % 13), 1 + i % 3), (TermId(100 + i % 7), 1)]).collect();
-        for threads in [1, 2, 3, 8] {
-            assert!(index_eq(&build_index(&c), &parallel_build(&c, threads)), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn empty_corpus() {
         let idx = build_index(&[]);
         assert_eq!(idx.num_docs(), 0);
         assert_eq!(idx.avg_doc_len(), 0.0);
-        let p = parallel_build(&[], 4);
-        assert_eq!(p.num_docs(), 0);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   block) in a block-max layout (per-block last-doc/max-tf/min-doc-len
 //!   metadata plus a block-skipping `next_geq` cursor), the
 //!   Lexicon/PostingList pair the paper describes;
-//! * [`index`] — sort-based and single-pass index builders, plus index
-//!   merging (the building blocks of Section 4's distributed construction
-//!   strategies) and a parallel builder;
+//! * [`index`] — the counting-sort index builder, round-robin splits and
+//!   index merging (the building blocks of Section 4's distributed
+//!   construction strategies);
 //! * [`score`] — BM25 with pluggable collection statistics, so the
 //!   "local vs. global statistics" experiments (Section 4, external
 //!   factors) can swap the statistics source under the same scorer;
@@ -23,7 +23,10 @@
 //!   with a hashed reference evaluator and a dense per-thread accumulator
 //!   returning bit-identical top-k;
 //! * [`positions`] — positional postings and phrase search (the
-//!   communication-heavy case of Section 5's pipelined evaluation);
+//!   communication-heavy case of Section 5's pipelined evaluation): a
+//!   posting list plus a position sidecar bit-packed by the postings' own
+//!   codec, re-admitted through one validating decoder, with phrase
+//!   candidates from the conjunctive cursor leapfrog;
 //! * [`dynamic`] — online index maintenance with geometric partitioning
 //!   \[15\] and lock-time accounting (Section 4's update problem);
 //! * [`langid`] — Cavnar–Trenkle n-gram language identification for the

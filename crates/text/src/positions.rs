@@ -6,13 +6,46 @@
 //! position of terms and the partially resolved query. In such a case,
 //! the position information needs to be compressed efficiently."
 //!
-//! Positions are stored per posting as delta+varint lists (the efficient
-//! compression the paper asks for); [`PositionalIndex::phrase_search`]
-//! intersects positional lists, and the encoded sizes feed the
-//! pipelined-engine communication experiment (E13).
+//! A positional list is a [`PostingList`] whose tf is the term's number
+//! of occurrences in the document, plus a **position sidecar** in the
+//! posting list's own codec: one section per block of [`BLOCK_LEN`]
+//! postings, holding the block's `Σ tf` positions doc by doc.
+//!
+//! ```text
+//! postings:  the posting format of crate::postings, unchanged
+//! positions: |w| Σ tf positions : w bits |w| ...
+//!             `------ block 0 ---------' `- block 1
+//! ```
+//!
+//! * a section is a width byte, `1..=32`, then its values packed
+//!   LSB-first by the postings' own packer and padded with zero bits to a
+//!   byte;
+//! * within a doc the first position is stored as is and each later one
+//!   as its gap − 1 (positions strictly ascend);
+//! * the width is never 0, so every position costs at least one bit: a
+//!   section of `n` bytes holds at most `8n` positions, which bounds what
+//!   the tfs of a re-admitted list can make
+//!   [`PositionalList::from_encoded`] decode or allocate.
+//!
+//! A [`PositionalIndex`] is the counting-sort [`crate::index`] build of
+//! its documents' term frequencies, whose lists each gain a sidecar.
+//! [`PositionalIndex::phrase_search`] takes its candidate documents from
+//! the conjunctive evaluator's cursor leapfrog and decodes only the
+//! sections of the blocks the candidates sit in. The encoded sizes feed
+//! the pipelined-engine communication experiment (E13).
 
-use crate::DocId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::index::{index_documents, IdMap};
+use crate::postings::{
+    pack, packed_len, padding_set, unpack, width_of, word_padded, DecodeError, Posting,
+    PostingCursor, PostingList, BLOCK_LEN,
+};
+use crate::search::leapfrog;
+use crate::token::term_frequencies;
+use crate::{DocId, TermId};
+use bytes::Bytes;
+use std::collections::BTreeSet;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// One positional posting: document plus the ascending token positions at
 /// which the term occurs.
@@ -24,167 +57,198 @@ pub struct PositionalPosting {
     pub positions: Vec<u32>,
 }
 
-fn put_varint(buf: &mut BytesMut, mut v: u32) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+/// Decode the section at byte `at` of `data`, the positions of the decoded
+/// posting block `block`, appending them to `out`; returns the offset just
+/// past the section. On error `out` is left as it was.
+fn decode_section(
+    data: &[u8],
+    at: usize,
+    block: &[Posting],
+    out: &mut Vec<u32>,
+) -> Result<usize, DecodeError> {
+    let width = u32::from(*data.get(at).ok_or(DecodeError::Truncated)?);
+    if !(1..=32).contains(&width) {
+        return Err(DecodeError::OutOfRange);
     }
+    // The tfs claim `n` positions of at least one bit each: check them
+    // against the bits present before trusting `n` with an allocation.
+    let n: u64 = block.iter().map(|p| u64::from(p.tf)).sum();
+    if n * u64::from(width) > (data.len() - at - 1) as u64 * 8 {
+        return Err(DecodeError::Truncated);
+    }
+    let (n, end) = (n as usize, at + 1 + packed_len(n as usize, width));
+    if padding_set(data, end, n, width) {
+        return Err(DecodeError::TrailingBytes);
+    }
+    let (start, mut short) = (out.len(), [0u8; 8]);
+    out.resize(start + n, 0);
+    unpack(word_padded(data, &mut short), at + 1, width, &mut out[start..], |slot, v| *slot = v);
+    // Each doc's values back to positions: a position is one past the
+    // previous one (the doc's first: 0) plus its value. u64, so an
+    // overflowing position shows in the doc's last instead of wrapping.
+    let mut rest = &mut out[start..];
+    for p in block {
+        let (doc, tail) = rest.split_at_mut(p.tf as usize);
+        let mut next = 0u64;
+        for slot in doc {
+            next += u64::from(*slot);
+            *slot = next as u32;
+            next += 1;
+        }
+        if next > 1 << 32 {
+            out.truncate(start);
+            return Err(DecodeError::NotAscending);
+        }
+        rest = tail;
+    }
+    Ok(end)
 }
 
-fn get_varint(buf: &mut impl Buf) -> u32 {
-    let mut v = 0u32;
-    let mut shift = 0;
-    loop {
-        let byte = buf.get_u8();
-        v |= u32::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return v;
-        }
-        shift += 7;
-        debug_assert!(shift < 35);
-    }
-}
-
-/// An immutable compressed positional posting list: per posting, the doc
-/// delta, the position count, and delta-encoded positions.
+/// An immutable positional list: a posting list of `(doc, occurrences)`
+/// and its position sidecar, with the byte offset of each block's section.
 #[derive(Debug, Clone, Default)]
 pub struct PositionalList {
-    data: Bytes,
-    df: u32,
+    postings: PostingList,
+    positions: Bytes,
+    sections: Arc<[usize]>,
 }
 
 impl PositionalList {
+    /// The list of `postings` whose positions are `positions`: each
+    /// posting's `tf` of them in turn, strictly ascending.
+    fn new(postings: PostingList, positions: &[u32]) -> Self {
+        let (mut buf, mut sections, mut all, mut values) = (vec![], vec![], vec![], vec![]);
+        postings.decode_all(&mut all);
+        let mut rest = positions;
+        for block in all.chunks(BLOCK_LEN) {
+            values.clear();
+            for p in block {
+                let (doc, tail) = rest.split_at(p.tf as usize);
+                values.push(doc[0]);
+                values.extend(doc.windows(2).map(|w| w[1] - w[0] - 1));
+                rest = tail;
+            }
+            sections.push(buf.len());
+            // At least one bit, even for a section of zeros (see module docs).
+            let width = width_of(values.iter().fold(0, |any, &v| any | v)).max(1);
+            buf.push(width as u8);
+            pack(&mut buf, &values, width);
+        }
+        PositionalList { postings, positions: Bytes::from(buf), sections: sections.into() }
+    }
+
     /// Document frequency.
     pub fn df(&self) -> u32 {
-        self.df
+        self.postings.df()
     }
 
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.df == 0
-    }
-
-    /// Encoded size in bytes — what shipping this list (or its slice)
-    /// between servers costs.
+    /// Encoded size in bytes, postings and positions — what shipping this
+    /// list between servers costs.
     pub fn encoded_bytes(&self) -> usize {
-        self.data.len()
+        self.postings.encoded_bytes() + self.positions.len()
+    }
+
+    /// The two encoded streams, postings then positions: what
+    /// [`PositionalList::from_encoded`] re-admits, with [`Self::df`].
+    pub fn encoded(&self) -> (Bytes, Bytes) {
+        (self.postings.encoded(), self.positions.clone())
     }
 
     /// Decode the full list.
     pub fn to_vec(&self) -> Vec<PositionalPosting> {
-        let mut buf = &self.data[..];
-        let mut out = Vec::with_capacity(self.df as usize);
-        let mut prev_doc = 0u32;
-        for _ in 0..self.df {
-            let delta = get_varint(&mut buf);
-            prev_doc = prev_doc.wrapping_add(delta);
-            let n = get_varint(&mut buf);
-            let mut positions = Vec::with_capacity(n as usize);
-            let mut prev_pos = 0u32;
-            for i in 0..n {
-                let pd = get_varint(&mut buf);
-                prev_pos = if i == 0 { pd } else { prev_pos + pd };
-                positions.push(prev_pos);
-            }
-            out.push(PositionalPosting { doc: DocId(prev_doc), positions });
+        let (mut cursor, mut reader) = (self.postings.cursor(), PositionReader::default());
+        let mut out = Vec::with_capacity(self.df() as usize);
+        while cursor.valid() {
+            let positions = reader.seek(self, &cursor).to_vec();
+            out.push(PositionalPosting { doc: cursor.doc(), positions });
+            cursor.next();
         }
         out
     }
-}
 
-/// Builder for a [`PositionalList`]; docs strictly ascending, positions
-/// strictly ascending within a doc.
-#[derive(Debug, Default)]
-pub struct PositionalListBuilder {
-    buf: BytesMut,
-    prev_doc: Option<u32>,
-    df: u32,
-}
-
-impl PositionalListBuilder {
-    /// Create an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one document's positions.
-    ///
-    /// # Panics
-    /// Panics on out-of-order docs, empty positions, or unsorted positions.
-    pub fn push(&mut self, doc: DocId, positions: &[u32]) {
-        assert!(!positions.is_empty(), "positional posting needs positions");
-        assert!(positions.windows(2).all(|w| w[0] < w[1]), "positions must be strictly ascending");
-        let delta = match self.prev_doc {
-            None => doc.0,
-            Some(prev) => {
-                assert!(doc.0 > prev, "docs must be strictly ascending");
-                doc.0 - prev
-            }
-        };
-        put_varint(&mut self.buf, delta);
-        put_varint(&mut self.buf, positions.len() as u32);
-        let mut prev = 0u32;
-        for (i, &p) in positions.iter().enumerate() {
-            put_varint(&mut self.buf, if i == 0 { p } else { p - prev });
-            prev = p;
+    /// Re-admit a list shipped as its two streams and `df`. The posting
+    /// stream goes through [`PostingList::from_encoded`]; the position
+    /// stream is fully validated by the readers' own section decoder,
+    /// against the same [`DecodeError`] set — a width of 0 or above 32
+    /// bits, a section cut short, a position past `u32::MAX`, and set
+    /// padding or bytes after the last section — before it is trusted.
+    pub fn from_encoded(postings: Bytes, df: u32, positions: Bytes) -> Result<Self, DecodeError> {
+        let postings = PostingList::from_encoded(postings, df)?;
+        let (mut block, mut scratch, mut sections, mut at) = (vec![], vec![], vec![], 0);
+        for b in 0..postings.blocks().len() {
+            block.clear();
+            scratch.clear();
+            postings.decode_into(b, &mut block)?;
+            sections.push(at);
+            at = decode_section(&positions, at, &block, &mut scratch)?;
         }
-        self.prev_doc = Some(doc.0);
-        self.df += 1;
+        if at != positions.len() {
+            return Err(DecodeError::TrailingBytes);
+        }
+        Ok(PositionalList { postings, positions, sections: sections.into() })
+    }
+}
+
+/// The positions of the posting a cursor is on, decoded one section at a
+/// time.
+#[derive(Default)]
+struct PositionReader {
+    /// The block whose section `decoded` holds.
+    section: Option<usize>,
+    decoded: Vec<u32>,
+    /// The current posting's range of `decoded`.
+    range: Range<usize>,
+}
+
+impl PositionReader {
+    /// Move to the posting `cursor`, a cursor over `list`'s postings, is
+    /// on, and return its positions.
+    fn seek(&mut self, list: &PositionalList, cursor: &PostingCursor<'_>) -> &[u32] {
+        let (b, block, pos) = cursor.block();
+        if self.section != Some(b) {
+            self.section = Some(b);
+            self.decoded.clear();
+            // A corrupt section decodes to nothing: every posting of its
+            // block reads as having no positions.
+            let _ = decode_section(&list.positions, list.sections[b], block, &mut self.decoded);
+        }
+        let from: usize = block[..pos].iter().map(|p| p.tf as usize).sum();
+        self.range = from..from + block[pos].tf as usize;
+        self.positions()
     }
 
-    /// Finish encoding.
-    pub fn finish(self) -> PositionalList {
-        PositionalList { data: self.buf.freeze(), df: self.df }
+    fn positions(&self) -> &[u32] {
+        self.decoded.get(self.range.clone()).unwrap_or_default()
     }
 }
 
 /// A positional index over token streams: term → positional list.
 #[derive(Debug, Default)]
 pub struct PositionalIndex {
-    lists: std::collections::HashMap<u32, PositionalList>,
-    num_docs: u32,
+    lists: IdMap<PositionalList>,
 }
 
 impl PositionalIndex {
-    /// Build from documents given as token-id sequences.
+    /// Build from documents given as token-id sequences: the postings by
+    /// the counting-sort index build of the documents' term frequencies,
+    /// the positions by sorting every occurrence on `(term, doc,
+    /// position)`, which leaves each term's positions in one run, doc by
+    /// doc.
     pub fn build(docs: &[Vec<u32>]) -> Self {
-        // Gather (term, doc, position) and encode per term.
-        let mut occurrences: std::collections::HashMap<u32, Vec<(u32, u32)>> =
-            std::collections::HashMap::new();
-        for (d, tokens) in docs.iter().enumerate() {
-            for (pos, &t) in tokens.iter().enumerate() {
-                occurrences.entry(t).or_default().push((d as u32, pos as u32));
-            }
-        }
-        let lists = occurrences
-            .into_iter()
-            .map(|(t, occ)| {
-                // occ is already sorted by (doc, pos) thanks to scan order.
-                let mut b = PositionalListBuilder::new();
-                let mut i = 0;
-                while i < occ.len() {
-                    let doc = occ[i].0;
-                    let mut positions = Vec::new();
-                    while i < occ.len() && occ[i].0 == doc {
-                        positions.push(occ[i].1);
-                        i += 1;
-                    }
-                    b.push(DocId(doc), &positions);
-                }
-                (t, b.finish())
-            })
+        let ids = |tokens: &Vec<u32>| tokens.iter().map(|&t| TermId(t)).collect::<Vec<_>>();
+        let tfs: Vec<_> = docs.iter().map(|tokens| term_frequencies(&ids(tokens))).collect();
+        let index = index_documents(tfs.iter().map(Vec::as_slice));
+        let mut occurrences: Vec<(u32, u32, u32)> = (0..)
+            .zip(docs)
+            .flat_map(|(d, tokens)| (0..).zip(tokens).map(move |(pos, &t)| (t, d, pos)))
             .collect();
-        PositionalIndex { lists, num_docs: docs.len() as u32 }
-    }
-
-    /// Number of indexed documents.
-    pub fn num_docs(&self) -> u32 {
-        self.num_docs
+        occurrences.sort_unstable();
+        let positions: Vec<u32> = occurrences.iter().map(|&(_, _, pos)| pos).collect();
+        let lists = index.terms().map(|(t, list)| {
+            let run = occurrences.partition_point(|&(u, _, _)| u < t.0);
+            (t.0, PositionalList::new(list.clone(), &positions[run..run + list.cf() as usize]))
+        });
+        PositionalIndex { lists: lists.collect() }
     }
 
     /// The positional list of a term.
@@ -197,50 +261,31 @@ impl PositionalIndex {
         self.lists.values().map(PositionalList::encoded_bytes).sum()
     }
 
-    /// Documents containing the exact phrase (consecutive positions).
+    /// Documents containing the exact phrase (consecutive positions), in
+    /// ascending order. Terms keep their phrase order and repeats.
     pub fn phrase_search(&self, phrase: &[u32]) -> Vec<DocId> {
-        if phrase.is_empty() {
-            return Vec::new();
-        }
-        let mut lists = Vec::with_capacity(phrase.len());
-        for &t in phrase {
-            match self.lists.get(&t) {
-                Some(l) => lists.push(l.to_vec()),
-                None => return Vec::new(),
-            }
-        }
-        // Intersect by doc, then check position chains.
+        // The phrase's distinct terms, shortest list first (the
+        // leapfrog's driver), and each phrase term's place among them.
+        let terms: BTreeSet<u32> = phrase.iter().copied().collect();
+        let lists: Option<Vec<_>> = terms.into_iter().map(|t| Some((t, self.list(t)?))).collect();
+        let Some(mut lists) = lists else { return Vec::new() };
+        lists.sort_by_key(|(_, l)| l.df());
+        let slots: Vec<usize> =
+            phrase.iter().filter_map(|&t| lists.iter().position(|&(u, _)| u == t)).collect();
+        let mut cursors: Vec<_> = lists.iter().map(|(_, l)| l.postings.cursor()).collect();
+        let mut readers: Vec<_> = lists.iter().map(|_| PositionReader::default()).collect();
         let mut out = Vec::new();
-        let first = &lists[0];
-        for p0 in first {
-            // All other terms must contain this doc.
-            let mut chains: Vec<&[u32]> = Vec::with_capacity(phrase.len());
-            chains.push(&p0.positions);
-            let mut ok = true;
-            for l in &lists[1..] {
-                match l.iter().find(|p| p.doc == p0.doc) {
-                    Some(p) => chains.push(&p.positions),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
+        leapfrog(&mut cursors, |doc, cursors| {
+            for ((reader, (_, list)), c) in readers.iter_mut().zip(&lists).zip(cursors) {
+                reader.seek(list, c);
             }
-            if !ok {
-                continue;
+            // A start whose `i`-th successor holds the phrase's `i`-th term.
+            let at = |i: usize| readers[slots[i]].positions();
+            let holds = |i: usize, start: u32| at(i).binary_search(&(start + i as u32)).is_ok();
+            if at(0).iter().any(|&start| (1..slots.len()).all(|i| holds(i, start))) {
+                out.push(doc);
             }
-            // Position chain: exists pos in chains[0] with pos+i in chains[i].
-            let found = chains[0].iter().any(|&start| {
-                chains
-                    .iter()
-                    .enumerate()
-                    .skip(1)
-                    .all(|(i, c)| c.binary_search(&(start + i as u32)).is_ok())
-            });
-            if found {
-                out.push(p0.doc);
-            }
-        }
+        });
         out
     }
 }
@@ -248,6 +293,7 @@ impl PositionalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postings::PostingListBuilder;
 
     fn docs() -> Vec<Vec<u32>> {
         vec![
@@ -261,20 +307,13 @@ mod tests {
 
     #[test]
     fn roundtrip_positions() {
-        let mut b = PositionalListBuilder::new();
-        b.push(DocId(0), &[0, 3, 7]);
-        b.push(DocId(5), &[2]);
-        let l = b.finish();
-        assert_eq!(l.df(), 2);
+        let idx = PositionalIndex::build(&docs());
+        let l = idx.list(1).expect("term 1 is indexed");
+        assert_eq!(l.df(), 3);
         let v = l.to_vec();
-        assert_eq!(v[0], PositionalPosting { doc: DocId(0), positions: vec![0, 3, 7] });
-        assert_eq!(v[1], PositionalPosting { doc: DocId(5), positions: vec![2] });
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn rejects_unsorted_positions() {
-        PositionalListBuilder::new().push(DocId(0), &[3, 1]);
+        assert_eq!(v[0], PositionalPosting { doc: DocId(0), positions: vec![0, 3] });
+        assert_eq!(v[1], PositionalPosting { doc: DocId(1), positions: vec![1] });
+        assert_eq!(v[2], PositionalPosting { doc: DocId(4), positions: vec![0] });
     }
 
     #[test]
@@ -333,5 +372,62 @@ mod tests {
             .collect();
         let plain = crate::index::build_index(&tf_docs);
         assert!(idx.encoded_bytes() > plain.encoded_bytes());
+    }
+
+    #[test]
+    fn sections_follow_the_posting_blocks() {
+        // Term 0 is in 300 documents, so its list is three blocks, and
+        // each gets a section; every reader agrees with the streams.
+        let docs: Vec<Vec<u32>> = (0..300u32).map(|d| vec![0, 1 + d % 3, 0, 0]).collect();
+        let idx = PositionalIndex::build(&docs);
+        let l = idx.list(0).expect("term 0 is indexed");
+        assert_eq!(l.sections.len(), 3);
+        let want: Vec<PositionalPosting> = (0..300)
+            .map(|d| PositionalPosting { doc: DocId(d), positions: vec![0, 2, 3] })
+            .collect();
+        assert_eq!(l.to_vec(), want);
+        let (postings, positions) = l.encoded();
+        assert_eq!(postings.len() + positions.len(), l.encoded_bytes());
+        let wire = PositionalList::from_encoded(postings, l.df(), positions).expect("valid");
+        assert_eq!(wire.to_vec(), want);
+    }
+
+    #[test]
+    fn from_encoded_validates_each_section() {
+        // Doc 0 with tf 2.
+        let mut b = PostingListBuilder::new();
+        b.push(DocId(0), 2);
+        let postings = b.finish().encoded();
+        let admit = |bytes: Vec<u8>| {
+            PositionalList::from_encoded(postings.clone(), 1, Bytes::from(bytes))
+                .map(|l| l.to_vec())
+        };
+        // Positions 3 and 5: 3 as is, then gap − 1 = 1, at 2 bits.
+        assert_eq!(admit(vec![2, 0b0111]).expect("valid")[0].positions, [3, 5]);
+        // Positions 5 and u32::MAX, at 32 bits.
+        let mut wide = vec![32, 5, 0, 0, 0];
+        wide.extend((u32::MAX - 6).to_le_bytes());
+        assert_eq!(admit(wide).expect("valid")[0].positions, [5, u32::MAX]);
+        assert_eq!(admit(vec![0, 0]).err(), Some(DecodeError::OutOfRange));
+        assert_eq!(admit(vec![33, 0]).err(), Some(DecodeError::OutOfRange));
+        assert_eq!(admit(vec![]).err(), Some(DecodeError::Truncated));
+        assert_eq!(admit(vec![9, 0xff]).err(), Some(DecodeError::Truncated));
+        assert_eq!(admit(vec![2, 0b1_0111]).err(), Some(DecodeError::TrailingBytes));
+        assert_eq!(admit(vec![2, 0b0111, 0]).err(), Some(DecodeError::TrailingBytes));
+        // u32::MAX, then one past it.
+        let mut wrapped = vec![32];
+        wrapped.extend(u32::MAX.to_le_bytes());
+        wrapped.extend([0; 4]);
+        assert_eq!(admit(wrapped).err(), Some(DecodeError::NotAscending));
+    }
+
+    #[test]
+    fn a_huge_wire_tf_is_truncated_without_allocating() {
+        // A posting that claims 2^31 occurrences, against a sidecar of
+        // five bytes: rejected before anything is sized by the claim.
+        let mut b = PostingListBuilder::new();
+        b.push(DocId(3), 1 << 31);
+        let err = PositionalList::from_encoded(b.finish().encoded(), 1, Bytes::from(vec![1; 5]));
+        assert_eq!(err.err(), Some(DecodeError::Truncated));
     }
 }

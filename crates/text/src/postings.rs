@@ -40,7 +40,9 @@
 //!
 //! One block decoder serves every reader — [`PostingCursor`],
 //! [`PostingIter`] and the validation in [`PostingList::from_encoded`] —
-//! so what validation admits is exactly what the readers decode.
+//! so what validation admits is exactly what the readers decode. Its
+//! packer and unpacker also carry the positional lists' position sidecar
+//! ([`crate::positions`]).
 //! [`PostingCursor`] is the skip-aware access path: `next_geq(target)`
 //! consults `last_doc` to hop over whole blocks without decoding them.
 //!
@@ -74,19 +76,22 @@ pub struct Posting {
     pub tf: u32,
 }
 
-/// Why an encoded posting stream failed to decode.
+/// Why an encoded posting stream (or a positional list's position
+/// sidecar, see [`crate::positions`]) failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// The stream ended inside a block header or its packed values (or
-    /// before `df` postings).
+    /// before `df` postings, or before a block's `Σ tf` positions).
     Truncated,
-    /// A block header declares a width above 32 bits, or a packed `tf − 1`
-    /// is `u32::MAX` (no `u32` tf is one more than that).
+    /// A block header declares a width above 32 bits (or a position block
+    /// a width of 0), or a packed `tf − 1` is `u32::MAX` (no `u32` tf is
+    /// one more than that).
     OutOfRange,
-    /// A doc id overflows `u32`: a block's gaps carry it past `u32::MAX`.
+    /// A doc id or a position overflows `u32`: a block's gaps carry it
+    /// past `u32::MAX`.
     NotAscending,
-    /// The stream continues past its `df`-th posting: bytes after the last
-    /// block, or set bits in the last block's padding.
+    /// The stream continues past its `df`-th posting (or a block's last
+    /// position): bytes after the last block, or set padding bits.
     TrailingBytes,
 }
 
@@ -104,37 +109,48 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Bytes that `n` values of `width` bits occupy once padded to a byte.
-fn packed_len(n: usize, width: u32) -> usize {
+pub(crate) fn packed_len(n: usize, width: u32) -> usize {
     (n * width as usize).div_ceil(8)
 }
 
 /// Bits needed for the largest of the values OR-ed into `any`.
-fn width_of(any: u32) -> u32 {
+pub(crate) fn width_of(any: u32) -> u32 {
     u32::BITS - any.leading_zeros()
 }
 
 /// Whether the padding after `n` values of `width` bits, in the byte
 /// before `section_end`, has a bit set.
-fn padding_set(data: &[u8], section_end: usize, n: usize, width: u32) -> bool {
+pub(crate) fn padding_set(data: &[u8], section_end: usize, n: usize, width: u32) -> bool {
     let used = (n * width as usize) % 8;
     used != 0 && data[section_end - 1] >> used != 0
 }
 
-/// Hands `f` each posting of `block` with the next of `block.len()`
-/// values of `width` bits, packed LSB-first from byte `at` of `data` (at
-/// least 8 bytes long).
+/// `data`, or, when it is shorter than the one word [`unpack`] reads at a
+/// time, a copy of it in `short`, zero-padded to that word.
 #[inline(always)]
-fn unpack(
+pub(crate) fn word_padded<'a>(data: &'a [u8], short: &'a mut [u8; 8]) -> &'a [u8] {
+    if data.len() >= 8 {
+        return data;
+    }
+    short[..data.len()].copy_from_slice(data);
+    short
+}
+
+/// Hands `f` each slot of `out` with the next of `out.len()` values of
+/// `width` bits, packed LSB-first from byte `at` of `data` (at least 8
+/// bytes long; see [`word_padded`]).
+#[inline(always)]
+pub(crate) fn unpack<T>(
     data: &[u8],
     at: usize,
     width: u32,
-    block: &mut [Posting],
-    f: impl FnMut(&mut Posting, u32),
+    out: &mut [T],
+    f: impl FnMut(&mut T, u32),
 ) {
     macro_rules! by_width {
         ($($w:literal)*) => {
             match width {
-                $($w => unpack_width::<$w>(data, at, block, f),)*
+                $($w => unpack_width::<$w, T>(data, at, out, f),)*
                 _ => unreachable!("block widths are checked against 32"),
             }
         };
@@ -149,11 +165,11 @@ fn unpack(
 /// partial group, or groups whose window would run past the end of `data`
 /// — are read one at a time, near the end from the last word of `data`.
 /// A zero-width section reads nothing.
-fn unpack_width<const W: usize>(
+fn unpack_width<const W: usize, T>(
     data: &[u8],
     at: usize,
-    block: &mut [Posting],
-    mut f: impl FnMut(&mut Posting, u32),
+    block: &mut [T],
+    mut f: impl FnMut(&mut T, u32),
 ) {
     if W == 0 {
         return block.iter_mut().for_each(|p| f(p, 0));
@@ -212,15 +228,8 @@ fn decode_block(
     if padding_set(data, tfs_at, n, gw) || padding_set(data, end, n, tw) {
         return Err(DecodeError::TrailingBytes);
     }
-    // A stream shorter than one word is read from a copy padded to one.
     let mut short = [0u8; 8];
-    let data = match data.len() {
-        0..8 => {
-            short[..data.len()].copy_from_slice(data);
-            &short[..]
-        }
-        _ => data,
-    };
+    let data = word_padded(data, &mut short);
     // Both passes write in place; tf 1 is what a zero-width tf section
     // holds, so that pass is skipped.
     let start = out.len();
@@ -555,9 +564,10 @@ impl<'a> PostingCursor<'a> {
         self.entries[self.pos].tf
     }
 
-    /// Metadata of the block the cursor is in.
-    pub fn block_meta(&self) -> &BlockMeta {
-        &self.blocks[self.block]
+    /// The decoded block the cursor is in: its index in the list, its
+    /// postings and the cursor's place among them.
+    pub(crate) fn block(&self) -> (usize, &[Posting], usize) {
+        (self.block, &self.entries, self.pos)
     }
 
     /// Advance one posting; `false` when the list is exhausted.
@@ -641,7 +651,7 @@ fn write_block(buf: &mut Vec<u8>, gaps: &[u32], tfs: &[u32]) {
 
 /// Append `values` bit-packed LSB-first at `width` bits each, padded with
 /// zero bits to a byte.
-fn pack(buf: &mut Vec<u8>, values: &[u32], width: u32) {
+pub(crate) fn pack(buf: &mut Vec<u8>, values: &[u32], width: u32) {
     let (mut acc, mut bits) = (0u64, 0u32);
     for &v in values {
         acc |= u64::from(v) << bits;

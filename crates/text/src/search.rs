@@ -312,10 +312,10 @@ fn and_lists<'a>(
 /// Boolean conjunctive (AND) evaluation: documents containing *all* query
 /// terms, scored and ranked.
 ///
-/// Skip-aware leapfrog: the cursors gallop to each other's positions via
-/// `next_geq`, so blocks with no common document are never decoded.
-/// Bit-identical to [`search_and_exhaustive`] (and to the scores
-/// [`search_or`] assigns full matches), pinned by tests.
+/// Skip-aware `leapfrog` intersection, which phrase search
+/// ([`crate::positions`]) shares. Bit-identical to
+/// [`search_and_exhaustive`] (and to the scores [`search_or`] assigns
+/// full matches), pinned by tests.
 pub fn search_and(
     index: &InvertedIndex,
     terms: &[TermId],
@@ -326,16 +326,35 @@ pub fn search_and(
     let Some(lists) = and_lists(index, &dedup_terms(terms), k, bm25, stats) else {
         return Vec::new(); // a missing term empties the AND
     };
-    let mut cursors: Vec<(usize, TermScorer, PostingCursor<'_>)> =
-        lists.into_iter().map(|(c, s, l)| (c, s, l.cursor())).collect();
-
+    let mut cursors: Vec<PostingCursor<'_>> = lists.iter().map(|&(_, _, l)| l.cursor()).collect();
     let mut top = TopK::new(k);
-    let mut parts: Vec<(usize, f64)> = Vec::with_capacity(cursors.len());
-    let mut cand = cursors[0].2.doc();
+    let mut parts: Vec<(usize, f64)> = Vec::with_capacity(lists.len());
+    leapfrog(&mut cursors, |doc, cursors| {
+        let doc_len = index.doc_len(doc);
+        parts.clear();
+        for (&(canon_pos, scorer, _), c) in lists.iter().zip(cursors) {
+            parts.push((canon_pos, scorer.score(c.tf(), doc_len)));
+        }
+        parts.sort_unstable_by_key(|&(c, _)| c);
+        top.push(doc.0, parts.iter().fold(0.0f64, |score, &(_, s)| score + s) as f32);
+    });
+    into_hits(top)
+}
+
+/// Leapfrog intersection: hands `on_match` each document every cursor
+/// holds, in ascending order, with every cursor on it. The first cursor
+/// drives (pass the shortest list first); the others gallop to it with
+/// `next_geq`, so blocks with no common document are never decoded.
+pub(crate) fn leapfrog<'a>(
+    cursors: &mut [PostingCursor<'a>],
+    mut on_match: impl FnMut(DocId, &[PostingCursor<'a>]),
+) {
+    let Some(driver) = cursors.first().filter(|c| c.valid()) else { return };
+    let mut cand = driver.doc();
     'leapfrog: loop {
         // One full pass with no overshoot ⇒ every cursor sits on `cand`.
         let mut agreed = true;
-        for (_, _, c) in &mut cursors {
+        for c in cursors.iter_mut() {
             if !c.next_geq(cand) {
                 break 'leapfrog;
             }
@@ -348,24 +367,13 @@ pub fn search_and(
         if !agreed {
             continue;
         }
-        let doc_len = index.doc_len(cand);
-        parts.clear();
-        for (canon_pos, scorer, c) in &cursors {
-            parts.push((*canon_pos, scorer.score(c.tf(), doc_len)));
-        }
-        parts.sort_unstable_by_key(|&(c, _)| c);
-        let mut score = 0.0f64;
-        for &(_, s) in &parts {
-            score += s;
-        }
-        top.push(cand.0, score as f32);
+        on_match(cand, cursors);
         // Advance the driver past the match; the others will gallop.
-        if !cursors[0].2.next() {
+        if !cursors[0].next() {
             break;
         }
-        cand = cursors[0].2.doc();
+        cand = cursors[0].doc();
     }
-    into_hits(top)
 }
 
 /// Decode-everything conjunctive reference: intersects via hash probes
@@ -414,11 +422,7 @@ pub fn search_and_exhaustive(
     let mut top = TopK::new(k);
     for (d, parts) in &mut candidates {
         parts.sort_unstable_by_key(|&(c, _)| c);
-        let mut score = 0.0f64;
-        for &(_, s) in parts.iter() {
-            score += s;
-        }
-        top.push(d.0, score as f32);
+        top.push(d.0, parts.iter().fold(0.0f64, |score, &(_, s)| score + s) as f32);
     }
     into_hits(top)
 }

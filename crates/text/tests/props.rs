@@ -3,6 +3,7 @@
 use bytes::Bytes;
 use dwr_sim::SimRng;
 use dwr_text::index::{build_index, merge_indexes};
+use dwr_text::positions::{PositionalIndex, PositionalList, PositionalPosting};
 use dwr_text::postings::{Posting, PostingList, PostingListBuilder, BLOCK_LEN};
 use dwr_text::score::{Bm25, CollectionStats, GlobalStats};
 use dwr_text::search::{
@@ -120,6 +121,42 @@ fn packed_size(postings: &[(u32, u32)]) -> usize {
             2 + (block.len() * bits(gap)).div_ceil(8) + (block.len() * bits(tf)).div_ceil(8)
         })
         .sum()
+}
+
+/// Strategy: token streams over a six-term vocabulary, empty documents
+/// included; with up to 300 documents, common terms' lists span several
+/// blocks. The first document may lead with a run of 300 or 70 000
+/// copies of term 6, which puts the positions after it at 9 or 17 bits.
+fn token_docs_strategy() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    let docs = prop::collection::vec(prop::collection::vec(0u32..6, 0..20), 0..300);
+    (docs, 0usize..3).prop_map(|(mut docs, lead)| {
+        if let Some(first) = docs.first_mut() {
+            first.splice(0..0, std::iter::repeat_n(6, [0, 300, 70_000][lead]));
+        }
+        docs
+    })
+}
+
+/// The positional list of `term`'s positions in `docs`, worked out by
+/// scanning the streams.
+fn positions_scan(docs: &[Vec<u32>], term: u32) -> Vec<PositionalPosting> {
+    let postings = docs.iter().enumerate().map(|(d, tokens)| {
+        let positions = (0..tokens.len() as u32).filter(|&p| tokens[p as usize] == term);
+        PositionalPosting { doc: DocId(d as u32), positions: positions.collect() }
+    });
+    postings.filter(|p| !p.positions.is_empty()).collect()
+}
+
+/// The reference phrase matcher: the documents with the phrase at
+/// consecutive token positions, by scanning every stream.
+fn phrase_scan(docs: &[Vec<u32>], phrase: &[u32]) -> Vec<DocId> {
+    if phrase.is_empty() {
+        return Vec::new();
+    }
+    (0..docs.len() as u32)
+        .filter(|&d| docs[d as usize].windows(phrase.len()).any(|w| w == phrase))
+        .map(DocId)
+        .collect()
 }
 
 /// A list's block ladder as `(last_doc, max_tf, min_doc_len)`: the
@@ -589,5 +626,101 @@ proptest! {
         let a = search_and(&idx, &terms, k, &bm, &idx);
         let b = search_and_exhaustive(&idx, &terms, k, &bm, &idx);
         prop_assert_eq!(a, b, "AND evaluators diverge on {:?} k={}", &terms, k);
+    }
+
+    /// Phrase search equals scanning the token streams, for phrases of
+    /// 0..5 terms that repeat terms or name one missing from the index,
+    /// and for a phrase cut from a document.
+    #[test]
+    fn phrase_search_equals_a_scan_of_the_streams(
+        docs in token_docs_strategy(),
+        phrase in prop::collection::vec(0u32..8, 0..5),
+        cut in (any::<u64>(), 1usize..6),
+    ) {
+        let idx = PositionalIndex::build(&docs);
+        prop_assert_eq!(idx.phrase_search(&phrase), phrase_scan(&docs, &phrase), "{:?}", &phrase);
+        let (at, len) = cut;
+        if let Some(doc) = docs.get((at % docs.len().max(1) as u64) as usize) {
+            let from = (at as usize / 7) % doc.len().max(1);
+            let window = &doc[from.min(doc.len())..(from + len).min(doc.len())];
+            prop_assert_eq!(idx.phrase_search(window), phrase_scan(&docs, window), "{:?}", window);
+        }
+    }
+
+    /// Every term's positional list decodes to the term's positions in
+    /// the streams, ships exactly the bytes it counts, and re-admits from
+    /// them as the same list.
+    #[test]
+    fn positional_lists_roundtrip(docs in token_docs_strategy()) {
+        let idx = PositionalIndex::build(&docs);
+        for term in 0..8u32 {
+            let want = positions_scan(&docs, term);
+            let Some(list) = idx.list(term) else {
+                prop_assert!(want.is_empty(), "term {} is missing", term);
+                continue;
+            };
+            prop_assert_eq!(list.to_vec(), want.clone(), "term {}", term);
+            let (postings, positions) = list.encoded();
+            prop_assert_eq!(postings.len() + positions.len(), list.encoded_bytes());
+            let wire = PositionalList::from_encoded(postings, list.df(), positions).expect("valid");
+            prop_assert_eq!(wire.to_vec(), want, "term {}", term);
+            prop_assert_eq!(wire.encoded_bytes(), list.encoded_bytes());
+        }
+    }
+
+    /// Adversarial re-admission: truncating, flipping a byte of or
+    /// appending bytes to either stream, or inflating one posting's tf,
+    /// is either rejected or admitted as a list that decodes consistently:
+    /// `df` ascending postings at most, each with exactly `tf` strictly
+    /// ascending positions, and no more positions than the position
+    /// stream has bits.
+    #[test]
+    fn corrupted_positional_list_errors_or_decodes_consistently(
+        docs in token_docs_strategy(),
+        term in 0u32..7,
+        damage in (0u8..4, 0u8..2, any::<u64>(), 1u32..256),
+    ) {
+        let idx = PositionalIndex::build(&docs);
+        let Some(list) = idx.list(term) else { return Ok(()) };
+        let (postings, positions) = list.encoded();
+        let input = PostingList::from_encoded(postings.clone(), list.df()).expect("valid").to_vec();
+        let mut streams = [postings.to_vec(), positions.to_vec()];
+        let (kind, which, at, mask) = damage;
+        let stream = &mut streams[which as usize];
+        let at = (at % stream.len().max(1) as u64) as usize;
+        match kind {
+            0 => stream.truncate(at),
+            1 => {
+                if let Some(byte) = stream.get_mut(at) {
+                    *byte ^= mask as u8;
+                }
+            }
+            2 => stream.extend(std::iter::repeat_n(mask as u8, 1 + at % 9)),
+            _ => {
+                // One posting claims up to 2^31 more occurrences.
+                let victim = at % input.len();
+                let mut b = PostingListBuilder::new();
+                for (i, p) in input.iter().enumerate() {
+                    b.push(p.doc, p.tf + if i == victim { mask << (at % 24) } else { 0 });
+                }
+                streams[0] = b.finish().encoded().to_vec();
+            }
+        }
+        let [postings, positions] = streams.map(Bytes::from);
+        let bits = positions.len() * 8;
+        if let Ok(bad) = PositionalList::from_encoded(postings.clone(), list.df(), positions) {
+            let decoded = bad.to_vec();
+            // The posting half the positions were admitted against.
+            let tfs = PostingList::from_encoded(postings, list.df()).expect("admitted").to_vec();
+            prop_assert!(decoded.len() <= list.df() as usize);
+            prop_assert_eq!(decoded.len(), tfs.len());
+            for (p, q) in decoded.iter().zip(&tfs) {
+                prop_assert_eq!(p.doc, q.doc);
+                prop_assert_eq!(p.positions.len(), q.tf as usize);
+                prop_assert!(p.positions.windows(2).all(|w| w[0] < w[1]));
+            }
+            prop_assert!(decoded.windows(2).all(|w| w[0].doc < w[1].doc));
+            prop_assert!(decoded.iter().map(|p| p.positions.len()).sum::<usize>() <= bits);
+        }
     }
 }

@@ -126,27 +126,18 @@ pub(crate) fn run(ctx: &Ctx) {
     }
 
     println!(
-        "{:<12} {:>6} {:>10} {:>12} {:>14} {:>12} {:>12} {:>10}",
-        "evaluator",
-        "batch",
-        "elapsed",
-        "queries/s",
-        "postings",
-        "blocks dec",
-        "blocks skip",
-        "pruned"
+        "{:<12} {:>6} {:>10} {:>12} {:>14} {:>12}",
+        "evaluator", "batch", "elapsed", "queries/s", "postings", "blocks dec"
     );
     for c in &cells {
         println!(
-            "{:<12} {:>6} {:>8.2}s {:>12.0} {:>14} {:>12} {:>12} {:>10}",
+            "{:<12} {:>6} {:>8.2}s {:>12.0} {:>14} {:>12}",
             strategy_name(c.strategy),
             c.batch,
             c.elapsed_s,
             c.qps,
             c.work.postings_scanned,
             c.work.blocks_decoded,
-            c.work.blocks_skipped,
-            c.work.candidates_pruned,
         );
     }
     println!(

@@ -17,9 +17,9 @@
 //! serve queries through one shared broker.
 //!
 //! A `(query, partition)` shard task has one evaluation path,
-//! [`ShardEval::task`]. Without a pool the coordinating thread calls it
+//! `ShardEval::task`. Without a pool the coordinating thread calls it
 //! in a plain loop, borrowing the query's terms. With a [`ScatterPool`]
-//! the batch is described **once** as a [`ShardPlan`] — one snapshot
+//! the batch is described **once** as a `ShardPlan` — one snapshot
 //! clone, one `Arc<[TermId]>` per query, a flat `(query, partition)`
 //! task list — handed to the pool in a single enqueue; a task is then
 //! just an index into that plan, claimed and run by a pool worker (never
@@ -180,24 +180,19 @@ struct BrokerCore {
 struct ScanCounters {
     postings_scanned: AtomicU64,
     blocks_decoded: AtomicU64,
-    blocks_skipped: AtomicU64,
-    candidates_pruned: AtomicU64,
 }
 
 impl ScanCounters {
     fn add(&self, ev: &EvalStats) {
         self.postings_scanned.fetch_add(ev.postings_scanned, Ordering::Relaxed);
         self.blocks_decoded.fetch_add(ev.blocks_decoded, Ordering::Relaxed);
-        self.blocks_skipped.fetch_add(ev.blocks_skipped, Ordering::Relaxed);
-        self.candidates_pruned.fetch_add(ev.candidates_pruned, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> EvalStats {
         EvalStats {
             postings_scanned: self.postings_scanned.load(Ordering::Relaxed),
             blocks_decoded: self.blocks_decoded.load(Ordering::Relaxed),
-            blocks_skipped: self.blocks_skipped.load(Ordering::Relaxed),
-            candidates_pruned: self.candidates_pruned.load(Ordering::Relaxed),
+            ..EvalStats::default()
         }
     }
 }

@@ -11,7 +11,7 @@
 //! * **Fixed pool, not per-query spawn.** Threads are created once and
 //!   reused.
 //! * **One shared batch per enqueue.** A caller hands the pool one
-//!   object describing *all* of its tasks ([`IndexedTasks`]: a count
+//!   object describing *all* of its tasks (`IndexedTasks`: a count
 //!   and "run task `i`"). Enqueueing it is one queue-lock acquisition
 //!   and one allocation whatever the task count; workers then *claim
 //!   task indices* from the batch's atomic counter (no per-task queue

@@ -151,7 +151,7 @@ impl InvertedIndex {
             list.decode_all(&mut buf);
             for p in &buf {
                 let doc = p.doc.0;
-                children[(doc % f) as usize].0.push(doc / f, p.tf, self.doc_len[doc as usize]);
+                children[(doc % f) as usize].0.push(doc / f, p.tf);
             }
             for (arena, lists) in &mut children {
                 let span = arena.end_list();
@@ -244,7 +244,7 @@ where
     let mut lists = Vec::with_capacity(terms.len());
     for ((&term, &n), &end) in terms.iter().zip(&df).zip(&next) {
         for &(d, tf) in &runs[end - n as usize..end] {
-            arena.push(d, tf, doc_len[d as usize]);
+            arena.push(d, tf);
         }
         lists.push((term, arena.end_list()));
     }
@@ -284,7 +284,7 @@ pub fn merge_indexes(parts: &[InvertedIndex]) -> InvertedIndex {
                 buf.clear();
                 list.decode_all(&mut buf);
                 for p in &buf {
-                    arena.push(p.doc.0 + offset, p.tf, later.doc_len[p.doc.0 as usize]);
+                    arena.push(p.doc.0 + offset, p.tf);
                 }
             }
             lists.push((term, arena.end_list()));
@@ -331,12 +331,15 @@ mod tests {
         }
     }
 
+    /// A list's block ladder as its `last_doc` skip keys (offsets are
+    /// positions in the list's arena, which differ between indexes).
+    fn ladder(l: &PostingList) -> Vec<u32> {
+        l.blocks().iter().map(|m| m.last_doc).collect()
+    }
+
     /// Bitwise equality: the same documents, and for every term the same
     /// encoded bytes, block ladder, df and cf.
     fn index_eq(a: &InvertedIndex, b: &InvertedIndex) -> bool {
-        let ladder = |l: &PostingList| -> Vec<(u32, u32, u32)> {
-            l.blocks().iter().map(|m| (m.last_doc, m.max_tf, m.min_doc_len)).collect()
-        };
         a.doc_len == b.doc_len
             && a.total_tokens == b.total_tokens
             && a.num_terms() == b.num_terms()
@@ -358,9 +361,6 @@ mod tests {
             assert_eq!(l.encoded_bytes(), l.encoded().len());
             let wire = PostingList::from_encoded(l.encoded(), l.df()).expect("a list re-admits");
             assert_eq!(wire.to_vec(), l.to_vec());
-            let ladder = |l: &PostingList| -> Vec<(u32, u32)> {
-                l.blocks().iter().map(|m| (m.last_doc, m.max_tf)).collect()
-            };
             assert_eq!(ladder(&wire), ladder(l));
             assert_eq!(*arena.get_or_insert(l.arena_bytes()), l.arena_bytes(), "one arena");
         }

@@ -9,9 +9,9 @@
 //!   errors"; our tokenizer never fails, it only emits fewer tokens);
 //! * [`postings`] — posting lists with term frequencies, bit-packed per
 //!   block of 128 (frame of reference: one gap width and one tf width per
-//!   block) in a block-max layout (per-block last-doc/max-tf/min-doc-len
-//!   metadata plus a block-skipping `next_geq` cursor), the
-//!   Lexicon/PostingList pair the paper describes;
+//!   block) with a per-block ladder of last-doc skip keys and a
+//!   block-skipping `next_geq` cursor, the Lexicon/PostingList pair the
+//!   paper describes;
 //! * [`index`] — the counting-sort index builder, round-robin splits and
 //!   index merging (the building blocks of Section 4's distributed
 //!   construction strategies);

@@ -1,4 +1,4 @@
-//! Compressed posting lists in a block-max, frame-of-reference layout.
+//! Compressed posting lists in a blocked, frame-of-reference layout.
 //!
 //! Each posting is a `(doc, tf)` pair, the minimal production layout the
 //! paper describes ("each element of a list, a posting, contains in its
@@ -14,7 +14,7 @@
 //! ```text
 //! data:   |gw tw| n × (gap−1) : gw bits | n × (tf−1) : tw bits |gw tw| ...
 //!          `---------------------- block 0 --------------------' `- block 1
-//! blocks: [ {offset, last_doc, max_tf, min_doc_len} , {...} , ... ]
+//! blocks: [ {last_doc, offset} , {...} , ... ]
 //! ```
 //!
 //! * a 2-byte header holds the two widths in bits, each `0..=32`;
@@ -31,12 +31,9 @@
 //!
 //! `offset` is the byte position of the block's header and `last_doc` the
 //! doc id of its final posting, so any block decodes independently (the
-//! gap base of block `b` is `blocks[b-1].last_doc`). `max_tf` and
-//! `min_doc_len` dominate every posting in the block for any scorer
-//! increasing in tf and decreasing in length, as BM25 is: the *block-max*
-//! metadata a pruning evaluator would bound a block's scores with. The
-//! ranked evaluators in [`crate::search`] read every posting instead (see
-//! DESIGN.md §8 for why pruning did not pay).
+//! gap base of block `b` is `blocks[b-1].last_doc`). The ladder holds
+//! no score bounds: the ranked evaluators in [`crate::search`] read every
+//! posting (see DESIGN.md §8 for why pruning did not pay).
 //!
 //! One block decoder serves every reader — [`PostingCursor`],
 //! [`PostingIter`] and the validation in [`PostingList::from_encoded`] —
@@ -256,24 +253,18 @@ fn decode_block(
     Ok(end)
 }
 
-/// Per-block metadata: everything a pruning evaluator needs to decide
-/// whether a block is worth decoding.
+/// One rung of the block ladder: where a block starts and the doc id it
+/// ends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Doc id of the block's last posting (skip key for `next_geq`).
     pub last_doc: u32,
-    /// Maximum term frequency within the block.
-    pub max_tf: u32,
-    /// Minimum token length over the block's documents; `0` when the
-    /// builder was not given lengths (the conservative, always-sound
-    /// default: BM25 is maximal at length 0).
-    pub min_doc_len: u32,
     /// Byte offset of the block's header in the arena's buffer.
     offset: u32,
 }
 
-/// An immutable compressed posting list with block-max metadata: a view
-/// of one list in an arena (see the [module docs](self)).
+/// An immutable compressed posting list: a view of one list in an arena
+/// (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
 pub struct PostingList {
     /// The arena's buffer and block ladder.
@@ -322,8 +313,8 @@ impl PostingList {
         }
     }
 
-    /// The block-max metadata ladder, one entry per [`BLOCK_LEN`]
-    /// postings (the last block may be partial).
+    /// The block ladder, one entry per [`BLOCK_LEN`] postings (the last
+    /// block may be partial).
     pub fn blocks(&self) -> &[BlockMeta] {
         let ListSpan { first, len, .. } = self.span;
         &self.ladder[first as usize..(first + len) as usize]
@@ -399,11 +390,10 @@ impl PostingList {
     /// width above 32 bits or a tf field that cannot be `tf − 1`, doc ids
     /// that overflow `u32`, and anything after the `df`-th posting surface
     /// as [`DecodeError`] instead of panicking or admitting a list a scan
-    /// would answer wrongly — and the block-max ladder is rebuilt locally
-    /// (document lengths are not on the wire, so `min_doc_len` is the
-    /// conservative `0`). A block of zero-width sections (consecutive
-    /// docs, every tf 1) stores no count of its own; there `df` alone says
-    /// how many postings it holds.
+    /// would answer wrongly — and the block ladder is rebuilt locally,
+    /// entry for entry the one the writer filed. A block of zero-width
+    /// sections (consecutive docs, every tf 1) stores no count of its own;
+    /// there `df` alone says how many postings it holds.
     pub fn from_encoded(data: Bytes, df: u32) -> Result<Self, DecodeError> {
         let total = df as usize;
         // Every block costs at least its header: bound the ladder by the
@@ -416,9 +406,8 @@ impl PostingList {
             let end =
                 decode_block(&data, offset, (total - first).min(BLOCK_LEN), prev, &mut block)?;
             let last_doc = block.last().expect("a decoded block is non-empty").doc.0;
-            let max_tf = block.iter().map(|p| p.tf).max().expect("a decoded block is non-empty");
             cf += block.iter().map(|p| u64::from(p.tf)).sum::<u64>();
-            blocks.push(BlockMeta { last_doc, max_tf, min_doc_len: 0, offset: offset as u32 });
+            blocks.push(BlockMeta { last_doc, offset: offset as u32 });
             prev = Some(last_doc);
             offset = end;
         }
@@ -482,8 +471,8 @@ impl Iterator for PostingIter<'_> {
 
 impl ExactSizeIterator for PostingIter<'_> {}
 
-/// Work counters a [`PostingCursor`] accumulates; the broker aggregates
-/// these into the queries/sec experiments (`exp_throughput`).
+/// A [`PostingCursor`]'s own work counters: what it decoded and what
+/// `next_geq` hopped over, as the skip tests read them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CursorStats {
     /// Postings decoded (block decodes count every posting in the block).
@@ -704,9 +693,7 @@ pub(crate) struct ArenaWriter {
     prev_doc: Option<u32>,
     df: u32,
     cf: u64,
-    /// The open block: its metadata (`offset` is set when it closes), its
-    /// posting count and its staged values.
-    meta: BlockMeta,
+    /// The open block: its posting count and its staged values.
     n: usize,
     gaps: [u32; BLOCK_LEN],
     tfs: [u32; BLOCK_LEN],
@@ -722,21 +709,19 @@ impl ArenaWriter {
             prev_doc: None,
             df: 0,
             cf: 0,
-            meta: BlockMeta { last_doc: 0, max_tf: 0, min_doc_len: 0, offset: 0 },
             n: 0,
             gaps: [0; BLOCK_LEN],
             tfs: [0; BLOCK_LEN],
         }
     }
 
-    /// Append a posting of document `doc`, `doc_len` tokens long, to the
-    /// open list.
+    /// Append a posting of document `doc` to the open list.
     ///
     /// # Panics
     /// Panics if `doc` is not strictly greater than the open list's
     /// previous doc, or if `tf == 0`.
     #[inline]
-    pub(crate) fn push(&mut self, doc: u32, tf: u32, doc_len: u32) {
+    pub(crate) fn push(&mut self, doc: u32, tf: u32) {
         assert!(tf > 0, "a posting must have at least one occurrence");
         let gap_minus_one = match self.prev_doc {
             None => doc,
@@ -745,14 +730,6 @@ impl ArenaWriter {
                 doc - prev - 1
             }
         };
-        let meta = &mut self.meta;
-        if self.n == 0 {
-            (meta.max_tf, meta.min_doc_len) = (tf, doc_len);
-        } else {
-            meta.max_tf = meta.max_tf.max(tf);
-            meta.min_doc_len = meta.min_doc_len.min(doc_len);
-        }
-        meta.last_doc = doc;
         self.gaps[self.n] = gap_minus_one;
         self.tfs[self.n] = tf - 1;
         self.n += 1;
@@ -764,11 +741,11 @@ impl ArenaWriter {
         }
     }
 
-    /// Pack the open block and file its metadata.
+    /// Pack the open block and file its ladder entry.
     fn close_block(&mut self) {
-        self.meta.offset = arena_offset(self.buf.len());
+        let last_doc = self.prev_doc.expect("an open block holds a posting");
+        self.ladder.push(BlockMeta { last_doc, offset: arena_offset(self.buf.len()) });
         write_block(&mut self.buf, &self.gaps[..self.n], &self.tfs[..self.n]);
-        self.ladder.push(self.meta);
         self.n = 0;
     }
 
@@ -815,11 +792,7 @@ impl Arena {
 
 /// Incremental encoder for one term's postings: an arena of one list.
 ///
-/// Documents must be appended in strictly ascending order. Block-max
-/// metadata is built as postings stream in;
-/// [`PostingListBuilder::push_with_len`] threads the document length
-/// through so blocks carry a tight `min_doc_len` (plain
-/// [`PostingListBuilder::push`] records the sound-but-loose `0`).
+/// Documents must be appended in strictly ascending order.
 #[derive(Debug)]
 pub struct PostingListBuilder {
     arena: ArenaWriter,
@@ -837,25 +810,20 @@ impl PostingListBuilder {
         Self::default()
     }
 
-    /// Append a posting with an unknown document length (block metadata
-    /// then records `min_doc_len = 0`, the loosest sound bound).
+    /// Append a posting.
     ///
     /// # Panics
     /// Panics if `doc` is not strictly greater than the previous doc, or if
     /// `tf == 0`.
     pub fn push(&mut self, doc: DocId, tf: u32) {
-        self.arena.push(doc.0, tf, 0);
+        self.arena.push(doc.0, tf);
     }
 
-    /// Append a posting whose document has `doc_len` tokens, tightening
-    /// the block's `min_doc_len` (and therefore its block-max score
-    /// bound).
-    ///
-    /// # Panics
-    /// Panics if `doc` is not strictly greater than the previous doc, or if
-    /// `tf == 0`.
-    pub fn push_with_len(&mut self, doc: DocId, tf: u32, doc_len: u32) {
-        self.arena.push(doc.0, tf, doc_len);
+    /// [`PostingListBuilder::push`], ignoring `doc_len`: kept only because
+    /// the benchmark package still calls it.
+    #[doc(hidden)]
+    pub fn push_with_len(&mut self, doc: DocId, tf: u32, _doc_len: u32) {
+        self.push(doc, tf);
     }
 
     /// Current number of postings.
@@ -973,7 +941,7 @@ mod tests {
             .iter()
             .map(|docs| {
                 for &d in docs.iter() {
-                    w.push(d, 1 + d % 4, 10 + d % 7);
+                    w.push(d, 1 + d % 4);
                 }
                 w.end_list()
             })
@@ -986,7 +954,7 @@ mod tests {
             let alone = {
                 let mut b = PostingListBuilder::new();
                 for &d in docs {
-                    b.push_with_len(DocId(d), 1 + d % 4, 10 + d % 7);
+                    b.push(DocId(d), 1 + d % 4);
                 }
                 b.finish()
             };
@@ -1020,7 +988,7 @@ mod tests {
         let docs: Vec<u32> = (0..1000u32).map(|i| i * 7 + i % 5).collect();
         let mut b = PostingListBuilder::new();
         for (i, &d) in docs.iter().enumerate() {
-            b.push_with_len(DocId(d), 1 + (i as u32 % 9), 10 + (i as u32 % 40));
+            b.push(DocId(d), 1 + (i as u32 % 9));
         }
         let l = b.finish();
         assert_eq!(l.blocks().len(), docs.len().div_ceil(BLOCK_LEN));
@@ -1028,27 +996,13 @@ mod tests {
         for (bi, meta) in l.blocks().iter().enumerate() {
             let lo = bi * BLOCK_LEN;
             let hi = (lo + l.block_len(bi)).min(decoded.len());
-            let chunk = &decoded[lo..hi];
-            assert_eq!(meta.last_doc, chunk.last().unwrap().doc.0);
-            assert_eq!(meta.max_tf, chunk.iter().map(|p| p.tf).max().unwrap());
-            assert!(chunk.iter().all(|p| p.tf <= meta.max_tf));
+            assert_eq!(meta.last_doc, decoded[hi - 1].doc.0);
         }
     }
 
     #[test]
-    fn min_doc_len_is_min_over_block() {
-        let mut b = PostingListBuilder::new();
-        b.push_with_len(DocId(0), 1, 30);
-        b.push_with_len(DocId(1), 1, 7);
-        b.push_with_len(DocId(2), 1, 12);
-        let l = b.finish();
-        assert_eq!(l.blocks()[0].min_doc_len, 7);
-    }
-
-    #[test]
-    fn plain_push_records_loose_zero_len() {
-        let l = list_of(&[1, 2, 3]);
-        assert_eq!(l.blocks()[0].min_doc_len, 0);
+    fn block_meta_is_a_skip_key_and_an_offset() {
+        assert_eq!(std::mem::size_of::<BlockMeta>(), 8);
     }
 
     // ----- cursor -----
@@ -1173,12 +1127,9 @@ mod tests {
         let wire = PostingList::from_encoded(l.data.clone(), l.df()).expect("valid stream");
         assert_eq!(wire.cf(), l.cf());
         assert_eq!(wire.to_vec(), l.to_vec());
-        assert_eq!(wire.blocks().len(), l.blocks().len());
-        for (a, b) in wire.blocks().iter().zip(l.blocks()) {
-            assert_eq!(a.last_doc, b.last_doc);
-            assert_eq!(a.max_tf, b.max_tf);
-            assert_eq!(a.min_doc_len, 0, "lengths are not on the wire");
-        }
+        // Everything the ladder holds is in the stream: re-admission files
+        // the writer's entries, offsets included.
+        assert_eq!(wire.blocks(), l.blocks());
     }
 
     #[test]

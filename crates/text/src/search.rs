@@ -92,11 +92,13 @@ pub struct EvalStats {
     pub postings_scanned: u64,
     /// Blocks decoded.
     pub blocks_decoded: u64,
-    /// Blocks hopped over without decoding (0: both evaluators decode
-    /// every block).
+    /// Always 0, written by nothing: kept only because the benchmark
+    /// package still reads it.
+    #[doc(hidden)]
     pub blocks_skipped: u64,
-    /// Candidate documents discarded by a bound check before full scoring
-    /// (0: neither evaluator bounds scores).
+    /// Always 0, written by nothing: kept only because the benchmark
+    /// package still reads it.
+    #[doc(hidden)]
     pub candidates_pruned: u64,
 }
 
@@ -105,8 +107,6 @@ impl EvalStats {
     pub fn merge(&mut self, other: &EvalStats) {
         self.postings_scanned += other.postings_scanned;
         self.blocks_decoded += other.blocks_decoded;
-        self.blocks_skipped += other.blocks_skipped;
-        self.candidates_pruned += other.candidates_pruned;
     }
 }
 

@@ -159,10 +159,10 @@ fn phrase_scan(docs: &[Vec<u32>], phrase: &[u32]) -> Vec<DocId> {
         .collect()
 }
 
-/// A list's block ladder as `(last_doc, max_tf, min_doc_len)`: the
-/// metadata a pruning evaluator reads, without the arena offsets.
-fn ladder(list: &PostingList) -> Vec<(u32, u32, u32)> {
-    list.blocks().iter().map(|m| (m.last_doc, m.max_tf, m.min_doc_len)).collect()
+/// A list's block ladder as its `last_doc` skip keys, without the arena
+/// offsets.
+fn ladder(list: &PostingList) -> Vec<u32> {
+    list.blocks().iter().map(|m| m.last_doc).collect()
 }
 
 /// BM25 exactly as the evaluators computed it per posting before the
@@ -204,7 +204,7 @@ fn stats_corpus(n: usize, df: usize, pad: &[u32]) -> Vec<Vec<(TermId, u32)>> {
 
 /// Fixed-seed anchor: the dense evaluator reads exactly the postings the
 /// exhaustive reference reads — the count the reference has scanned on
-/// this fixture since before the scorer was hoisted — and prunes nothing.
+/// this fixture since before the scorer was hoisted.
 #[test]
 fn dense_work_counters_anchor() {
     let mut rng = SimRng::new(20_070_415);
@@ -235,12 +235,7 @@ fn dense_work_counters_anchor() {
     assert_eq!(dense, ex);
     assert_eq!(
         dense,
-        EvalStats {
-            postings_scanned: 117_529,
-            blocks_decoded: 1_008,
-            blocks_skipped: 0,
-            candidates_pruned: 0,
-        }
+        EvalStats { postings_scanned: 117_529, blocks_decoded: 1_008, ..EvalStats::default() }
     );
 }
 
@@ -300,9 +295,9 @@ proptest! {
     }
 
     /// The counting-sort build equals a per-term reference written with
-    /// `PostingListBuilder::push_with_len`, bit for bit: every term's
-    /// encoded bytes, `(last_doc, max_tf, min_doc_len)` ladder, df and cf,
-    /// and the document lengths and token total.
+    /// `PostingListBuilder::push`, bit for bit: every term's encoded
+    /// bytes, `last_doc` ladder, df and cf, and the document lengths and
+    /// token total.
     #[test]
     fn build_equals_per_term_builders(corpus in corpus_strategy()) {
         let idx = build_index(&corpus);
@@ -311,7 +306,7 @@ proptest! {
         let mut reference: BTreeMap<u32, PostingListBuilder> = BTreeMap::new();
         for (d, doc) in corpus.iter().enumerate() {
             for &(t, tf) in doc {
-                reference.entry(t.0).or_default().push_with_len(DocId(d as u32), tf, doc_len[d]);
+                reference.entry(t.0).or_default().push(DocId(d as u32), tf);
             }
         }
         prop_assert_eq!(idx.num_docs() as usize, corpus.len());

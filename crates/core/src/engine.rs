@@ -6,7 +6,7 @@
 //! uses nothing else) and the integration substrate for cross-crate tests.
 
 use dwr_crawler::assign::ConsistentHashAssigner;
-use dwr_crawler::sim::{CrawlConfig, CrawlReport, DistributedCrawl};
+use dwr_crawler::sim::{CrawlConfig, CrawlReport, DistributedCrawl, SpanOutcome};
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner};
 use dwr_partition::parted::{corpus_from_web, Corpus, PartitionedIndex};
 use dwr_query::broker::GlobalHit;
@@ -120,24 +120,20 @@ impl SearchEngineLab {
         let web = generate_web(&cfg.web, cfg.seed);
         let content = ContentModel::small(cfg.web.num_topics);
 
-        // Crawl.
+        // Crawl, tracing every fetch so the index covers exactly what
+        // the crawler downloaded.
         let assigner = ConsistentHashAssigner::new(cfg.crawl.agents, 64);
-        let crawl_report = DistributedCrawl::new(&web, assigner, cfg.crawl.clone(), cfg.seed).run();
+        let crawl_cfg = CrawlConfig { record_trace: true, ..cfg.crawl.clone() };
+        let crawl_report = DistributedCrawl::new(&web, assigner, crawl_cfg, cfg.seed).run();
 
         // Corpus of *crawled* pages; uncrawled pages are empty docs.
-        // Re-run the crawl cheaply is not possible (report only), so we
-        // approximate coverage: the fetched count tells us how many pages
-        // made it; we index the full corpus when coverage is high. For
-        // faithful accounting we zero out a deterministic sample of
-        // (1 - coverage) pages.
+        let mut fetched = vec![false; web.num_pages()];
+        for span in crawl_report.trace.iter().filter(|s| s.outcome == SpanOutcome::Fetched) {
+            fetched[span.page.0 as usize] = true;
+        }
         let mut corpus = corpus_from_web(&web, &content, cfg.seed);
-        let missing = corpus.len() - crawl_report.fetched_pages.min(corpus.len() as u64) as usize;
-        if missing > 0 {
-            let mut rng = dwr_sim::SimRng::new(cfg.seed).fork_named("uncrawled");
-            let holes = rng.sample_indices(corpus.len(), missing);
-            for h in holes {
-                corpus[h].clear();
-            }
+        for (doc, _) in corpus.iter_mut().zip(&fetched).filter(|(_, &f)| !f) {
+            doc.clear();
         }
 
         // Partition + index.

@@ -145,7 +145,7 @@ pub fn taxonomy() -> Vec<TaxonomyEntry> {
             module: Indexing,
             issue: ExternalFactors,
             topics: vec!["Web growth", "Content change", "Global statistics"],
-            implemented_in: "dwr-webgraph::evolve, dwr-partition::stats",
+            implemented_in: "dwr-webgraph::evolve, dwr-query::broker",
         },
         TaxonomyEntry {
             module: Querying,

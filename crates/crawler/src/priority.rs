@@ -100,7 +100,7 @@ impl PriorityFrontier {
     /// `Frontier::next_fetch`).
     pub fn next_fetch(&mut self, now: SimTime) -> Result<(HostId, PageId), Option<SimTime>> {
         loop {
-            let Some(&Reverse((at, _, host_raw))) = self.ready.peek() else {
+            let Some(&Reverse((at, best, host_raw))) = self.ready.peek() else {
                 return Err(None);
             };
             let host = HostId(host_raw);
@@ -108,6 +108,16 @@ impl PriorityFrontier {
                 !self.busy.contains(&host) && self.queues.get(&host).is_some_and(|q| !q.is_empty());
             if !valid {
                 self.ready.pop();
+                continue;
+            }
+            // `offer` and `cite` push an entry whenever the host is idle,
+            // so one keyed before the host's last fetch can outlive it.
+            // While that fetch's politeness floor is still ahead, such an
+            // entry is re-keyed to the floor, never served early.
+            let floor = self.next_allowed.get(&host).copied().unwrap_or(0);
+            if at < floor && floor > now {
+                self.ready.pop();
+                self.ready.push(Reverse((floor, best, host_raw)));
                 continue;
             }
             if at > now {
@@ -272,6 +282,18 @@ mod tests {
         f.complete(H, 50);
         assert_eq!(f.next_fetch(50), Err(Some(150)));
         assert!(f.next_fetch(150).is_ok());
+    }
+
+    #[test]
+    fn an_entry_keyed_before_a_fetch_waits_for_its_floor() {
+        let mut f = PriorityFrontier::new(100);
+        // Both offers find the host idle, so each pushes a ready entry at 0.
+        f.offer(H, PageId(1), 0);
+        f.offer(H, PageId(2), 0);
+        assert_eq!(f.next_fetch(0), Ok((H, PageId(1))));
+        f.complete(H, 0);
+        assert_eq!(f.next_fetch(0), Err(Some(100)), "second page served before the floor");
+        assert_eq!(f.next_fetch(100), Ok((H, PageId(2))));
     }
 
     #[test]

@@ -1,13 +1,70 @@
 //! Property-based tests of crawler invariants: consistent-hash
-//! monotonicity and the frontier's politeness guarantees.
+//! monotonicity and both frontiers' politeness guarantees.
 
 use dwr_crawler::assign::{AgentId, ConsistentHashAssigner, HashAssigner, UrlAssigner};
 use dwr_crawler::frontier::Frontier;
-use dwr_sim::SECOND;
+use dwr_crawler::priority::PriorityFrontier;
+use dwr_sim::{SimTime, SECOND};
 use dwr_webgraph::generate::{generate_web, WebConfig};
 use dwr_webgraph::graph::{HostId, PageId};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use proptest::test_runner::TestCaseError;
+use std::collections::{HashMap, HashSet};
+
+/// The fetch contract both frontiers share.
+trait Politeness {
+    fn offer(&mut self, host: HostId, page: PageId, now: SimTime) -> bool;
+    fn next_fetch(&mut self, now: SimTime) -> Result<(HostId, PageId), Option<SimTime>>;
+    fn complete(&mut self, host: HostId, now: SimTime);
+}
+
+macro_rules! politeness {
+    ($($frontier:ty),*) => {$(
+        impl Politeness for $frontier {
+            fn offer(&mut self, host: HostId, page: PageId, now: SimTime) -> bool {
+                <$frontier>::offer(self, host, page, now)
+            }
+            fn next_fetch(&mut self, now: SimTime) -> Result<(HostId, PageId), Option<SimTime>> {
+                <$frontier>::next_fetch(self, now)
+            }
+            fn complete(&mut self, host: HostId, now: SimTime) {
+                <$frontier>::complete(self, host, now)
+            }
+        }
+    )*};
+}
+
+politeness!(Frontier, PriorityFrontier);
+
+/// Offer each `(host, page)` a quarter second apart, fetching everything
+/// allowed after each offer and completing it at once; fail on two
+/// concurrent fetches of one host or on two fetches closer than `delay`.
+fn replay_politely(
+    f: &mut impl Politeness,
+    delay: SimTime,
+    ops: &[(u32, u32)],
+) -> Result<(), TestCaseError> {
+    let mut now = 0;
+    let mut in_flight: HashSet<HostId> = HashSet::new();
+    let mut last_done: HashMap<HostId, SimTime> = HashMap::new();
+    for &(host, page) in ops {
+        f.offer(HostId(host), PageId(page), now);
+        now += SECOND / 4;
+        // Try to fetch as much as is allowed right now.
+        while let Ok((h, _)) = f.next_fetch(now) {
+            prop_assert!(!in_flight.contains(&h), "two concurrent fetches on {h:?}");
+            if let Some(&done) = last_done.get(&h) {
+                prop_assert!(now >= done + delay, "politeness violated on {h:?}");
+            }
+            in_flight.insert(h);
+            // Complete immediately at `now`.
+            f.complete(h, now);
+            in_flight.remove(&h);
+            last_done.insert(h, now);
+        }
+    }
+    Ok(())
+}
 
 fn tiny_web() -> dwr_webgraph::SyntheticWeb {
     let mut cfg = WebConfig::tiny();
@@ -72,31 +129,14 @@ proptest! {
 
     /// Frontier politeness: replaying an arbitrary offer/fetch/complete
     /// schedule never yields two concurrent fetches for one host, and
-    /// consecutive fetches of a host are separated by the politeness delay.
+    /// consecutive fetches of a host are separated by the politeness
+    /// delay — for both frontiers. The schedule re-offers pages, which
+    /// the priority frontier turns into citations.
     #[test]
     fn frontier_politeness_invariant(ops in prop::collection::vec((0u32..8, 0u32..50), 1..200)) {
         let delay = 2 * SECOND;
-        let mut f = Frontier::new(delay);
-        let mut now = 0u64;
-        let mut in_flight: HashSet<HostId> = HashSet::new();
-        let mut last_done: std::collections::HashMap<HostId, u64> = std::collections::HashMap::new();
-        for (host, page) in ops {
-            let host = HostId(host);
-            f.offer(host, PageId(page), now);
-            now += SECOND / 4;
-            // Try to fetch as much as is allowed right now.
-            while let Ok((h, _)) = f.next_fetch(now) {
-                prop_assert!(!in_flight.contains(&h), "two concurrent fetches on {h:?}");
-                if let Some(&done) = last_done.get(&h) {
-                    prop_assert!(now >= done + delay, "politeness violated on {h:?}");
-                }
-                in_flight.insert(h);
-                // Complete immediately at `now`.
-                f.complete(h, now);
-                in_flight.remove(&h);
-                last_done.insert(h, now);
-            }
-        }
+        replay_politely(&mut Frontier::new(delay), delay, &ops)?;
+        replay_politely(&mut PriorityFrontier::new(delay), delay, &ops)?;
     }
 
     /// The frontier never loses or duplicates work: offered distinct pages

@@ -36,7 +36,7 @@ impl Counter {
 }
 
 /// A float-valued cell supporting `set` and lock-free `add` (f64 bits in
-/// an atomic word, the same technique as the broker's busy-time cells).
+/// an atomic word).
 #[derive(Debug)]
 pub struct Gauge(AtomicU64);
 
@@ -59,14 +59,7 @@ impl Gauge {
 
     /// Accumulate into the value (CAS loop; lock-free).
     pub fn add(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.0.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        add_f64(&self.0, v);
     }
 
     /// Current value.

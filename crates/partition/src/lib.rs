@@ -16,15 +16,15 @@
 //! * [`select`] — collection selection: CORI \[24\] and the query-driven
 //!   selector, both behind one trait so E6 can compare them;
 //! * [`parted`] — the partitioned index structure shared with the query
-//!   crate (global↔local doc-id mapping, per-partition `InvertedIndex`);
-//! * [`stats`] — the two-round global-statistics broker protocol
-//!   (Section 4, external factors);
+//!   crate (global↔local doc-id mapping, per-partition `InvertedIndex`,
+//!   and the collection-wide statistics summed over its active shards
+//!   that the two-round broker protocol of Section 4 piggybacks);
 //! * [`quality`] — partition quality metrics: balance, recall@partitions,
 //!   never-recalled fraction;
 //! * [`repart`] — online repartitioning: the epoch-stamped
 //!   [`repart::PartitionMap`], crash-safe [`repart::RepartIndex`] splits
 //!   published by one atomic swap (pippin discipline: subdivide, never
-//!   mutate), corpus-wide split-invariant [`repart::CorpusStats`], and
+//!   mutate), corpus-wide statistics that splits never change, and
 //!   label-forked [`repart::SplitSchedule`]s for deterministic split
 //!   storms under live traffic.
 
@@ -33,11 +33,10 @@ pub mod parted;
 pub mod quality;
 pub mod repart;
 pub mod select;
-pub mod stats;
 pub mod term;
 
 pub use doc::DocPartitioner;
 pub use parted::{corpus_from_web, Corpus, PartitionedIndex};
-pub use repart::{CorpusStats, RepartIndex, SplitFate, SplitSchedule};
+pub use repart::{RepartIndex, SplitFate, SplitSchedule};
 pub use select::CollectionSelector;
 pub use term::TermPartitioner;

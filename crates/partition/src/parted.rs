@@ -17,6 +17,7 @@
 
 use crate::repart::{PartStatus, PartitionMap, SplitError, SPLIT_FANOUT};
 use dwr_text::index::{index_documents, InvertedIndex};
+use dwr_text::score::GlobalStats;
 use dwr_text::{DocId, TermId};
 use dwr_webgraph::content::ContentModel;
 use dwr_webgraph::SyntheticWeb;
@@ -313,16 +314,14 @@ impl PartitionedIndex {
         self.shards.iter().map(|s| s.num_docs()).collect()
     }
 
-    /// Sum of posting-list df of `term` over all partitions (= global df).
+    /// Collection-wide statistics: [`GlobalStats::sum`] over the shards.
     ///
     /// Closed parents and their active children would double-count, so
     /// the sum runs over active partitions only; on an epoch-0 index
-    /// that is all of them.
-    pub fn global_df(&self, term: TermId) -> u64 {
-        self.active_parts()
-            .into_iter()
-            .map(|p| u64::from(self.shards[p as usize].index.df(term)))
-            .sum()
+    /// that is all of them. The active shards partition the corpus, so
+    /// the result is the same at every epoch.
+    pub fn global_stats(&self) -> GlobalStats {
+        GlobalStats::sum(self.active_parts().into_iter().map(|p| self.part(p as usize)))
     }
 
     /// The epoch-stamped partition lifecycle map.
@@ -433,6 +432,7 @@ impl PartitionedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dwr_text::score::CollectionStats;
 
     fn corpus() -> Corpus {
         vec![
@@ -468,7 +468,7 @@ mod tests {
         // Term 1 appears in docs 0, 1 (part 0) and 4 (part 1).
         assert_eq!(pi.part(0).df(TermId(1)), 2);
         assert_eq!(pi.part(1).df(TermId(1)), 1);
-        assert_eq!(pi.global_df(TermId(1)), 3);
+        assert_eq!(pi.global_stats().df(TermId(1)), 3);
     }
 
     #[test]
@@ -562,8 +562,8 @@ mod tests {
         assert_eq!(next.active_parts(), vec![1, 2, 3]);
         next.validate_epoch().expect("split valid");
         // Every doc reachable exactly once via active partitions, and
-        // postings agree with the parent: same global df.
-        assert_eq!(next.global_df(TermId(1)), pi.global_df(TermId(1)));
+        // postings agree with the parent: same global statistics.
+        assert_eq!(next.global_stats(), pi.global_stats());
         // The parent index is untouched.
         assert_eq!(pi.epoch(), 0);
         assert_eq!(pi.active_parts(), vec![0, 1]);

@@ -33,14 +33,13 @@
 //! never queried), so a query racing a split answers each document
 //! exactly once: from the parent if it snapshotted before the publish,
 //! from exactly one child if after. Scoring uses corpus-wide
-//! [`CorpusStats`], which are invariant under splits (the corpus never
-//! changes), so the result set is *bit-identical* to a static oracle at
-//! either epoch.
+//! [`GlobalStats`], summed once from the shards at build time: they are
+//! invariant under splits (the corpus never changes), so the result set
+//! is *bit-identical* to a static oracle at either epoch.
 
 use crate::parted::{Corpus, PartitionedIndex};
 use dwr_sim::{SimRng, SimTime};
-use dwr_text::score::CollectionStats;
-use dwr_text::TermId;
+use dwr_text::score::GlobalStats;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -263,64 +262,9 @@ pub struct RepartStats {
     pub epoch: u64,
 }
 
-/// Corpus-wide collection statistics, computed once at build time.
-///
-/// Splits reshape the *layout*, never the corpus, so these statistics
-/// are identical at every epoch. Scoring against them makes a hit's
-/// BM25 score independent of which partition answered it — the
-/// keystone of the exactly-once bit-identity argument: a query racing a
-/// split scores every document exactly as a static oracle would.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CorpusStats {
-    num_docs: u64,
-    total_tokens: u64,
-    /// `df[term]` = documents containing the term.
-    df: Vec<u64>,
-}
-
-impl CorpusStats {
-    /// Sum the statistics of an index's active shards: a term's df is the
-    /// sum of its shard dfs and the token total the sum of the shards'.
-    /// The active shards partition the corpus, so these integer sums are
-    /// exactly what a pass over the corpus would count.
-    fn from_shards(index: &PartitionedIndex) -> Self {
-        let (mut df, mut total_tokens) = (Vec::new(), 0);
-        for p in index.active_parts() {
-            let part = index.part(p as usize);
-            total_tokens += part.total_tokens();
-            for (t, list) in part.terms() {
-                let t = t.0 as usize;
-                if t >= df.len() {
-                    df.resize(t + 1, 0);
-                }
-                df[t] += u64::from(list.df());
-            }
-        }
-        CorpusStats { num_docs: index.num_docs() as u64, total_tokens, df }
-    }
-}
-
-impl CollectionStats for CorpusStats {
-    fn num_docs(&self) -> u64 {
-        self.num_docs
-    }
-
-    fn df(&self, term: TermId) -> u64 {
-        self.df.get(term.0 as usize).copied().unwrap_or(0)
-    }
-
-    fn avg_doc_len(&self) -> f64 {
-        if self.num_docs == 0 {
-            0.0
-        } else {
-            self.total_tokens as f64 / self.num_docs as f64
-        }
-    }
-}
-
 /// A live, splittable partitioned index.
 ///
-/// Holds the corpus-wide [`CorpusStats`] and the current
+/// Holds the corpus-wide [`GlobalStats`] and the current
 /// [`PartitionedIndex`] behind a mutex whose critical sections are
 /// *short*: a reader clones the index out ([`snapshot`]); a split swaps
 /// a pre-built successor in. Child shards are built outside the lock
@@ -337,7 +281,7 @@ impl CollectionStats for CorpusStats {
 /// [`snapshot`]: RepartIndex::snapshot
 #[derive(Debug)]
 pub struct RepartIndex {
-    stats: Arc<CorpusStats>,
+    stats: Arc<GlobalStats>,
     capacity: usize,
     current: Mutex<PartitionedIndex>,
     split_lock: Mutex<()>,
@@ -349,8 +293,8 @@ pub struct RepartIndex {
 impl RepartIndex {
     /// Build the epoch-0 index with `k` initial partitions and room for
     /// `capacity` total shard slots. The corpus is dropped once the index
-    /// is built; the [`CorpusStats`] are summed from its shards, so the
-    /// corpus is read once.
+    /// is built; the [`GlobalStats`] are summed from its shards
+    /// ([`PartitionedIndex::global_stats`]), so the corpus is read once.
     ///
     /// # Panics
     /// Panics if `capacity < k`, or on the same degenerate inputs as
@@ -359,7 +303,7 @@ impl RepartIndex {
         assert!(capacity >= k, "capacity {capacity} below initial partition count {k}");
         let current = PartitionedIndex::build(&corpus, assignment, k);
         drop(corpus);
-        let stats = Arc::new(CorpusStats::from_shards(&current));
+        let stats = Arc::new(current.global_stats());
         RepartIndex {
             stats,
             capacity,
@@ -381,8 +325,10 @@ impl RepartIndex {
         lock_recovering(&self.current).num_docs()
     }
 
-    /// Shared ownership of the corpus-wide statistics.
-    pub fn corpus_stats(&self) -> Arc<CorpusStats> {
+    /// Shared ownership of the corpus-wide statistics. Splits never
+    /// change them: every snapshot's [`PartitionedIndex::global_stats`]
+    /// equals them.
+    pub fn corpus_stats(&self) -> Arc<GlobalStats> {
         Arc::clone(&self.stats)
     }
 
@@ -580,8 +526,8 @@ impl SplitSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwr_text::index::build_index;
-    use dwr_text::score::GlobalStats;
+    use dwr_text::score::CollectionStats;
+    use dwr_text::TermId;
 
     fn corpus(n: usize) -> Corpus {
         (0..n)
@@ -685,8 +631,9 @@ mod tests {
         assert_eq!(ri.split_target(), Some(1));
     }
 
-    /// A direct count of the corpus, the reference the shard sums answer to.
-    fn counted(corpus: &Corpus) -> CorpusStats {
+    /// A direct count of the corpus, the reference the shard sums answer
+    /// to: `(documents, tokens, df by term id)`.
+    fn counted(corpus: &Corpus) -> (u64, u64, Vec<u64>) {
         let (mut df, mut total_tokens) = (Vec::new(), 0);
         for &(t, tf) in corpus.iter().flatten() {
             let t = t.0 as usize;
@@ -696,7 +643,7 @@ mod tests {
             df[t] += 1;
             total_tokens += u64::from(tf);
         }
-        CorpusStats { num_docs: corpus.len() as u64, total_tokens, df }
+        (corpus.len() as u64, total_tokens, df)
     }
 
     #[test]
@@ -712,44 +659,25 @@ mod tests {
             (Vec::new(), Vec::new(), 3),
         ];
         for (c, assignment, k) in cases {
-            let want = counted(&c);
+            let (n, tokens, df) = counted(&c);
             let ri = RepartIndex::build(c, &assignment, k, k + 3 * SPLIT_FANOUT);
             let got = ri.corpus_stats();
-            assert_eq!(*got, want, "k={k}");
-            assert_eq!(got.avg_doc_len().to_bits(), want.avg_doc_len().to_bits());
-            for t in 0..want.df.len() as u32 + 2 {
-                assert_eq!(got.df(TermId(t)), want.df(TermId(t)), "df(term {t})");
+            assert_eq!(got.num_docs(), n, "k={k}");
+            let avg = if n == 0 { 0.0 } else { tokens as f64 / n as f64 };
+            assert_eq!(got.avg_doc_len().to_bits(), avg.to_bits(), "k={k}");
+            for t in 0..df.len() + 2 {
+                let want = df.get(t).copied().unwrap_or(0);
+                assert_eq!(got.df(TermId(t as u32)), want, "df(term {t})");
             }
-            // Splits reshape the shards, never the sums over the active ones.
+            // Splits reshape the shards, never the sums over the active
+            // ones: every epoch's snapshot sums to the build-time stats.
             while let Some(target) = ri.split_target() {
                 if ri.split(target, SplitFate::Commit).is_err() {
                     break;
                 }
+                assert_eq!(ri.snapshot().global_stats(), *got, "epoch {}, k={k}", ri.epoch());
             }
-            assert_eq!(CorpusStats::from_shards(&ri.snapshot()), want, "after splits, k={k}");
-            assert_eq!(*ri.corpus_stats(), want);
-        }
-    }
-
-    #[test]
-    fn corpus_stats_match_global_stats_at_every_epoch() {
-        let c = corpus(12);
-        let reference = build_index(&c);
-        let ri = RepartIndex::build(c, &round_robin(12, 2), 2, 8);
-        let cs = ri.corpus_stats();
-        assert_eq!(cs.num_docs(), 12);
-        assert_eq!(cs.avg_doc_len(), reference.avg_doc_len());
-        for _ in 0..2 {
-            let snap = ri.snapshot();
-            let shards: Vec<_> =
-                snap.active_parts().iter().map(|&p| snap.part(p as usize)).collect();
-            for t in 0..4u32 {
-                let gs = GlobalStats::for_terms(&shards, &[TermId(t)]);
-                assert_eq!(cs.df(TermId(t)), gs.df(TermId(t)), "df(term {t})");
-                assert_eq!(cs.num_docs(), gs.num_docs());
-            }
-            let target = ri.split_target().expect("splittable");
-            ri.split(target, SplitFate::Commit).expect("split");
+            assert_eq!(ri.snapshot().global_stats(), *got, "after splits, k={k}");
         }
     }
 

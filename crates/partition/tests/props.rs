@@ -4,13 +4,13 @@ use dwr_partition::doc::{
     DocPartitioner, KMeansPartitioner, RandomPartitioner, RoundRobinPartitioner,
 };
 use dwr_partition::parted::{Corpus, PartitionedIndex};
-use dwr_partition::repart::{CorpusStats, PartStatus, RepartIndex, SPLIT_FANOUT};
+use dwr_partition::repart::{PartStatus, RepartIndex, SPLIT_FANOUT};
 use dwr_partition::term::{
     BinPackingTermPartitioner, CoOccurrenceTermPartitioner, QueryWorkload, RandomTermPartitioner,
     TermPartitioner,
 };
 use dwr_text::index::{build_index, InvertedIndex};
-use dwr_text::score::{Bm25, CollectionStats};
+use dwr_text::score::{CollectionStats, GlobalStats};
 use dwr_text::{DocId, PostingList, TermId};
 use proptest::prelude::*;
 
@@ -89,10 +89,7 @@ proptest! {
         let assignment = RandomPartitioner { seed }.assign(&corpus, k);
         let pi = PartitionedIndex::build(&corpus, &assignment, k);
         prop_assert_eq!(pi.sizes().iter().sum::<usize>(), corpus.len());
-        let mono = build_index(&corpus);
-        for (t, list) in mono.terms() {
-            prop_assert_eq!(pi.global_df(t), u64::from(list.df()));
-        }
+        prop_assert_eq!(pi.global_stats(), GlobalStats::sum([&build_index(&corpus)]));
     }
 
     /// Shards are built on workers, yet each is bit for bit the index
@@ -229,49 +226,5 @@ proptest! {
         let packed = eval(&BinPackingTermPartitioner.assign(&idx, &workload, k));
         let random = eval(&RandomTermPartitioner.assign(&idx, &workload, k));
         prop_assert!(packed <= random + 1e-6, "packed={packed} random={random}");
-    }
-
-    /// The hoisted `TermScorer` is BM25's inline per-posting formula (the
-    /// one written out below), bit for bit, under the corpus-frozen
-    /// `CorpusStats` — `df = 0`, `df > n/2` and `avg < 1` included. The
-    /// other two statistics sources are covered by the same property in
-    /// `crates/text/tests/props.rs`.
-    #[test]
-    fn term_scorer_matches_inline_formula_under_corpus_stats(
-        shape in (1usize..48, 0usize..48, 1u32..9),
-        pad in prop::collection::vec(0u32..8, 48),
-        tf in 1u32..1000,
-        doc_len in 0u32..100_000,
-    ) {
-        let (n, df, thin) = shape;
-        // The first `df % (n + 1)` documents hold term 0 once; term 1 pads
-        // thinly enough that the average length can fall below 1.
-        let corpus: Corpus = (0..n)
-            .map(|i| {
-                let mut doc = Vec::new();
-                if i < df % (n + 1) {
-                    doc.push((TermId(0), 1));
-                }
-                if pad[i] / thin > 0 {
-                    doc.push((TermId(1), pad[i] / thin));
-                }
-                doc
-            })
-            .collect();
-        let stats = CorpusStats::clone(&RepartIndex::build(corpus, &vec![0; n], 1, 1).corpus_stats());
-        let bm = Bm25::default();
-        // Term 9 is in no document: df = 0.
-        for term in [TermId(0), TermId(1), TermId(9)] {
-            let n = stats.num_docs() as f64;
-            let df = stats.df(term) as f64;
-            let idf = (((n - df + 0.5) / (df + 0.5)) + 1.0).ln().max(0.0);
-            let avg = stats.avg_doc_len().max(1.0);
-            let tff = f64::from(tf);
-            let norm = bm.k1 * (1.0 - bm.b + bm.b * f64::from(doc_len) / avg);
-            let want = idf * tff * (bm.k1 + 1.0) / (tff + norm);
-            let scorer = bm.term_scorer(&stats, term);
-            prop_assert_eq!(scorer.score(tf, doc_len).to_bits(), want.to_bits());
-            prop_assert_eq!(bm.score(&stats, term, tf, doc_len).to_bits(), want.to_bits());
-        }
     }
 }

@@ -37,20 +37,32 @@
 //! admission and threads it through scatter and gather, so a query
 //! racing a split sees either the parent epoch or the child epoch in
 //! full — never a mixture — and therefore answers every document
-//! exactly once. Scoring uses the corpus-wide [`CorpusStats`] (splits
+//! exactly once. Scoring uses the corpus-wide [`GlobalStats`] (splits
 //! never change the corpus), making results bit-identical to a static
 //! oracle at any epoch. Accounting slots (`busy`, `part_sites`) are
 //! provisioned to the repart *capacity* up front, so the fixed-width
 //! atomic ledgers survive any number of splits.
+//!
+//! # Local and global statistics
+//!
+//! A broker over a static index scores each shard with its own *local*
+//! statistics — the one-round protocol of Section 4. Given
+//! [`DocBroker::with_global_stats`] it plays the two-round protocol
+//! instead: "in the first round the broker requests local statistics
+//! from each server, in the second round it requests results from each
+//! server, piggybacking the global statistics". The statistics are
+//! integer sums ([`PartitionedIndex::global_stats`]), so the second
+//! round restores the monolithic ranking bit for bit; E7 measures what
+//! the first round alone gives up.
 
 use crate::scatter::{task_label, IndexedTasks, ScatterPool};
-use dwr_obs::{Event, NoopRecorder, Recorder};
+use dwr_obs::{Event, Gauge, NoopRecorder, Recorder};
 use dwr_partition::parted::PartitionedIndex;
-use dwr_partition::repart::{CorpusStats, RepartIndex};
+use dwr_partition::repart::RepartIndex;
 use dwr_partition::select::CollectionSelector;
 use dwr_sim::net::{SiteId, Topology};
 use dwr_sim::SimTime;
-use dwr_text::score::Bm25;
+use dwr_text::score::{Bm25, GlobalStats};
 use dwr_text::search::{search_or_with, EvalStats, EvalStrategy};
 use dwr_text::topk::TopK;
 use dwr_text::TermId;
@@ -70,7 +82,7 @@ pub const US_PER_MERGE_HIT: f64 = 1.0;
 pub struct GlobalHit {
     /// Global document id.
     pub doc: u32,
-    /// BM25 score (local statistics).
+    /// BM25 score, under local or (`with_global_stats`) global statistics.
     pub score: f32,
 }
 
@@ -84,6 +96,9 @@ pub struct BrokeredResponse {
     /// Response latency: slowest merged partition (shard-side completion
     /// + round trip) plus merge time.
     pub latency: SimTime,
+    /// Hits the merged partitions returned, before the top-k cut: what
+    /// the broker received and paid [`US_PER_MERGE_HIT`] for each.
+    pub merged_hits: u64,
 }
 
 /// One served `(query, partition)`, priced **once** at dispatch: what
@@ -162,9 +177,8 @@ struct BrokerCore {
     /// How a shard task is evaluated: scoring parameters, evaluator
     /// strategy, corpus-wide statistics when set.
     shard_eval: ShardEval,
-    /// Accumulated busy time per partition server, µs (f64 bits in an
-    /// atomic cell).
-    busy: Vec<AtomicU64>,
+    /// Accumulated busy time per partition server, µs.
+    busy: Vec<Gauge>,
     /// Queries processed.
     queries: AtomicU64,
     /// Measured evaluator work, aggregated over all shards and queries.
@@ -229,7 +243,7 @@ struct ShardEval {
     /// be invariant across epochs) and on static oracles built to match
     /// them ([`DocBroker::with_global_stats`]); `None` scores with local
     /// per-shard statistics, the classic one-round protocol.
-    global_stats: Option<Arc<CorpusStats>>,
+    global_stats: Option<Arc<GlobalStats>>,
 }
 
 impl ShardEval {
@@ -318,7 +332,7 @@ impl DocBroker {
             live,
             topo,
             broker_site,
-            busy: part_sites.iter().map(|_| AtomicU64::new(0)).collect(),
+            busy: part_sites.iter().map(|_| Gauge::new()).collect(),
             part_sites,
             shard_eval: ShardEval::default(),
             queries: AtomicU64::new(0),
@@ -406,7 +420,7 @@ impl<R: Recorder> DocBroker<R> {
     /// match a live broker bit-for-bit: both score every document with
     /// the same epoch-invariant statistics, so partition layout cannot
     /// leak into scores.
-    pub fn with_global_stats(mut self, stats: Arc<CorpusStats>) -> Self {
+    pub fn with_global_stats(mut self, stats: Arc<GlobalStats>) -> Self {
         self.core.shard_eval.global_stats = Some(stats);
         self
     }
@@ -642,7 +656,7 @@ impl<R: Recorder> DocBroker<R> {
         let mut answered = 0usize;
         for (shard, (hits, ev)) in shards.iter().zip(per_shard) {
             let pu = shard.partition as usize;
-            self.add_busy(pu, shard.service);
+            self.core.busy[pu].add(shard.service);
             self.recorder.record(Event::ShardService {
                 qid: q.qid,
                 now,
@@ -684,25 +698,14 @@ impl<R: Recorder> DocBroker<R> {
                 .collect(),
             partitions_used: shards.len(),
             latency,
+            merged_hits,
         };
         (resp, answered)
     }
 
-    fn add_busy(&self, p: usize, amount: f64) {
-        let cell = &self.core.busy[p];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + amount).to_bits();
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
     /// Accumulated busy time per partition server (µs).
     pub fn busy_time(&self) -> Vec<f64> {
-        self.core.busy.iter().map(|b| f64::from_bits(b.load(Ordering::Relaxed))).collect()
+        self.core.busy.iter().map(Gauge::get).collect()
     }
 
     /// Busy time normalized by its mean — the Figure 2 y-axis (dashed line
@@ -765,6 +768,32 @@ mod tests {
         };
         let shards: Vec<Shard> = parts.iter().zip(completions).map(price).collect();
         b.scatter_gather_one(&snap, BatchQuery { terms, k, shards: &shards, qid: 0, deadline }, 0)
+    }
+
+    #[test]
+    fn local_statistics_diverge_on_skewed_partitions() {
+        // Term 7 is rare in partition 0 (one of ten documents) and in every
+        // document of partition 1, so its local idf differs wildly.
+        let corpus: Corpus = (0..20u32)
+            .map(|d| match d {
+                0 => vec![(TermId(7), 1), (TermId(8), 1)],
+                1..=9 => vec![(TermId(8), 2), (TermId(9), 1)],
+                _ => vec![(TermId(7), 2), (TermId(9), 1)],
+            })
+            .collect();
+        let assignment: Vec<u32> = (0..20).map(|d| u32::from(d >= 10)).collect();
+        let pi = PartitionedIndex::build(&corpus, &assignment, 2);
+        let terms = [TermId(7), TermId(8)];
+        let docs = |b: &DocBroker| -> Vec<u32> {
+            b.query(&terms, 10).hits.iter().map(|h| h.doc).collect()
+        };
+        let local = docs(&DocBroker::single_site(&pi));
+        let global =
+            docs(&DocBroker::single_site(&pi).with_global_stats(Arc::new(pi.global_stats())));
+        let top5: std::collections::HashSet<_> = local.iter().take(5).collect();
+        assert!(global.iter().take(5).any(|d| !top5.contains(d)), "{local:?} vs {global:?}");
+        // The second round's statistics restore the monolithic ranking.
+        assert_eq!(global, global_top_k(&corpus, &terms, 10));
     }
 
     #[test]

@@ -343,11 +343,6 @@ struct EngineCore<C: ResultCache> {
     shard_latency: Vec<Histogram>,
     /// The engine's simulated clock (µs), advanced by `advance_to`.
     clock: AtomicU64,
-    /// The live (splittable) index behind the broker, when the engine
-    /// was built with [`Self::new_live`]. Each query serves against one
-    /// epoch-consistent snapshot taken at admission, so a split landing
-    /// mid-query changes nothing for queries already in flight.
-    repart: Option<Arc<RepartIndex>>,
     /// Deterministic split storm applied by [`Self::advance_to`]; the
     /// cursor makes each scheduled split fire exactly once.
     splits: Option<(Arc<SplitSchedule>, Mutex<usize>)>,
@@ -368,7 +363,7 @@ pub fn query_key(terms: &[TermId]) -> u64 {
 impl<C: ResultCache> DistributedEngine<C> {
     /// Create an engine over `index` with `replicas` per partition.
     pub fn new(index: &PartitionedIndex, cache: C, replicas: usize) -> Self {
-        Self::assemble(DocBroker::single_site(index), None, cache, replicas)
+        Self::assemble(DocBroker::single_site(index), cache, replicas)
     }
 
     /// Create an engine over a **live** (splittable) index with
@@ -377,17 +372,12 @@ impl<C: ResultCache> DistributedEngine<C> {
     /// child partitions born from later splits dispatch onto replica
     /// groups that already exist — a split never resizes engine state.
     pub fn new_live(repart: &Arc<RepartIndex>, cache: C, replicas: usize) -> Self {
-        Self::assemble(DocBroker::live(repart), Some(Arc::clone(repart)), cache, replicas)
+        Self::assemble(DocBroker::live(repart), cache, replicas)
     }
 
     /// One replica group and latency instrument per broker accounting
     /// slot (the partition count, or the live index's capacity).
-    fn assemble(
-        broker: DocBroker,
-        repart: Option<Arc<RepartIndex>>,
-        cache: C,
-        replicas: usize,
-    ) -> Self {
+    fn assemble(broker: DocBroker, cache: C, replicas: usize) -> Self {
         let slots = broker.slots();
         let core = EngineCore {
             cache: ShardedCache::single(cache),
@@ -401,7 +391,6 @@ impl<C: ResultCache> DistributedEngine<C> {
             gather_deadline: None,
             shard_latency: (0..slots).map(|_| Histogram::new()).collect(),
             clock: AtomicU64::new(0),
-            repart,
             splits: None,
         };
         DistributedEngine { broker, core, recorder: NoopRecorder }
@@ -436,7 +425,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     ) -> Self {
         assert!(m >= 1);
         assert!(
-            self.core.repart.is_none(),
+            self.broker.live_index().is_none(),
             "collection selection requires a static partition layout \
              (selectors rank the partitions they were built from; a live \
              index retires those ids as it splits). Use with_router with \
@@ -473,16 +462,11 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// refuses (capacity, too few docs) are skipped silently.
     pub fn with_splits(mut self, schedule: Arc<SplitSchedule>) -> Self {
         assert!(
-            self.core.repart.is_some(),
+            self.broker.live_index().is_some(),
             "split schedules require a live index (DistributedEngine::new_live)"
         );
         self.core.splits = Some((schedule, Mutex::new(0)));
         self
-    }
-
-    /// The live index behind this engine, if any.
-    pub fn repart(&self) -> Option<&Arc<RepartIndex>> {
-        self.core.repart.as_ref()
     }
 
     /// Evaluate each query's partitions concurrently on a pool of
@@ -612,7 +596,8 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// replica group has no live replica at the split instant — a split
     /// needs a live builder.
     fn fire_due_splits(&self, t: SimTime) {
-        let (Some(repart), Some((schedule, cursor))) = (&self.core.repart, &self.core.splits)
+        let (Some(repart), Some((schedule, cursor))) =
+            (self.broker.live_index(), &self.core.splits)
         else {
             return;
         };

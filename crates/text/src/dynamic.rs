@@ -180,11 +180,10 @@ impl DynamicIndex {
     /// index bit-for-bit.
     pub fn search(&self, terms: &[TermId], k: usize) -> Vec<SearchHit> {
         use crate::topk::TopK;
-        // Gather global statistics over segments + a temp buffer index.
+        // Global statistics over segments + a temp buffer index.
         let buffer_index = build_index(&self.buffer);
-        let mut parts: Vec<&InvertedIndex> = self.segments.iter().map(|s| &s.index).collect();
-        parts.push(&buffer_index);
-        let stats = GlobalStats::for_terms(&parts, terms);
+        let segments = self.segments.iter().map(|s| &s.index);
+        let stats = GlobalStats::sum(segments.chain([&buffer_index]));
         let bm = crate::score::Bm25::default();
 
         let mut top = TopK::new(k.max(1));

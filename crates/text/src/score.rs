@@ -5,11 +5,13 @@
 //! as the collection frequency or the inverse document frequency of a
 //! term". The scorer therefore takes its statistics through the
 //! [`CollectionStats`] trait: an [`InvertedIndex`] provides *local*
-//! statistics, while [`GlobalStats`] aggregates several partitions —
+//! statistics, while [`GlobalStats::sum`] adds up several partitions —
 //! exactly the two configurations the paper's two-round broker protocol
-//! switches between. Experiment E7 measures the result-set divergence.
+//! switches between. It is the one aggregate: live brokers, the dynamic
+//! index and the global-statistics broker of experiment E7 (which
+//! measures the result-set divergence) all score against it.
 
-use crate::index::{IdMap, InvertedIndex};
+use crate::index::InvertedIndex;
 use crate::TermId;
 
 /// Source of the corpus-level statistics a ranking function needs.
@@ -34,37 +36,41 @@ impl CollectionStats for InvertedIndex {
     }
 }
 
-/// Aggregated ("global") statistics over several index partitions.
+/// Collection statistics summed over indexes of disjoint documents.
 ///
 /// This is what the broker assembles in the first round of the two-round
-/// protocol and piggybacks onto the second-round query messages.
-#[derive(Debug, Clone, Default)]
+/// protocol and piggybacks onto the second-round query messages, and
+/// what a live, splittable index scores against: every field is an
+/// integer sum, so any set of indexes that together hold a collection's
+/// documents exactly once yields the same statistics, bit for bit,
+/// whatever the layout.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GlobalStats {
     num_docs: u64,
     total_tokens: u64,
-    df: IdMap<u64>,
+    /// `df[term]` = documents containing the term.
+    df: Vec<u64>,
 }
 
 impl GlobalStats {
-    /// Aggregate the statistics of all partitions for the given query
-    /// terms only (that is all the broker requests over the wire).
-    pub fn for_terms(parts: &[&InvertedIndex], terms: &[TermId]) -> Self {
-        let mut df = IdMap::with_capacity_and_hasher(terms.len(), Default::default());
-        let mut num_docs = 0u64;
-        let mut total_tokens = 0u64;
-        for p in parts {
-            num_docs += u64::from(p.num_docs());
-            total_tokens += p.total_tokens();
-            for &t in terms {
-                *df.entry(t.0).or_insert(0) += u64::from(p.df(t));
+    /// Sum the statistics of `parts`, for every term: a term's df is the
+    /// sum of its dfs, the document and token counts the sums of theirs.
+    /// The parts must hold disjoint documents, or a document is counted
+    /// twice.
+    pub fn sum<'a>(parts: impl IntoIterator<Item = &'a InvertedIndex>) -> Self {
+        let mut g = GlobalStats::default();
+        for part in parts {
+            g.num_docs += u64::from(part.num_docs());
+            g.total_tokens += part.total_tokens();
+            for (t, list) in part.terms() {
+                let t = t.0 as usize;
+                if t >= g.df.len() {
+                    g.df.resize(t + 1, 0);
+                }
+                g.df[t] += u64::from(list.df());
             }
         }
-        GlobalStats { num_docs, total_tokens, df }
-    }
-
-    /// Wire size of the statistics payload in bytes (terms × (id + df)).
-    pub fn payload_bytes(&self) -> u64 {
-        16 + self.df.len() as u64 * 12
+        g
     }
 }
 
@@ -73,7 +79,7 @@ impl CollectionStats for GlobalStats {
         self.num_docs
     }
     fn df(&self, term: TermId) -> u64 {
-        self.df.get(&term.0).copied().unwrap_or(0)
+        self.df.get(term.0 as usize).copied().unwrap_or(0)
     }
     fn avg_doc_len(&self) -> f64 {
         if self.num_docs == 0 {
@@ -219,13 +225,14 @@ mod tests {
     fn global_stats_aggregate_partitions() {
         let p1 = build_index(&[vec![(TermId(1), 1)], vec![(TermId(2), 1)]]);
         let p2 = build_index(&[vec![(TermId(1), 3)], vec![(TermId(1), 1), (TermId(3), 1)]]);
-        let g = GlobalStats::for_terms(&[&p1, &p2], &[TermId(1), TermId(2), TermId(3)]);
+        let g = GlobalStats::sum([&p1, &p2]);
         assert_eq!(g.num_docs(), 4);
         assert_eq!(g.df(TermId(1)), 3);
         assert_eq!(g.df(TermId(2)), 1);
         assert_eq!(g.df(TermId(3)), 1);
         assert_eq!(g.df(TermId(9)), 0);
-        assert!(g.payload_bytes() > 0);
+        assert_eq!(g.avg_doc_len(), 7.0 / 4.0);
+        assert_eq!(GlobalStats::sum([]).avg_doc_len(), 0.0);
     }
 
     #[test]
@@ -236,7 +243,7 @@ mod tests {
         corpus.push(vec![(TermId(1), 10)]);
         let p = build_index(&corpus);
         assert_eq!((p.num_docs(), p.total_tokens()), (11, 60));
-        let g = GlobalStats::for_terms(&[&p], &[TermId(1)]);
+        let g = GlobalStats::sum([&p]);
         assert_eq!(g.avg_doc_len().to_bits(), p.avg_doc_len().to_bits());
         let bm = Bm25::default();
         assert_eq!(
@@ -260,7 +267,7 @@ mod tests {
             vec![(TermId(1), 1)],
             vec![(TermId(1), 1)],
         ]);
-        let g = GlobalStats::for_terms(&[&p1, &p2], &[TermId(1)]);
+        let g = GlobalStats::sum([&p1, &p2]);
         let bm = Bm25::default();
         let local_idf = bm.idf(&p1, TermId(1));
         let global_idf = bm.idf(&g, TermId(1));

@@ -390,8 +390,7 @@ proptest! {
 
     /// The hoisted scorer is the inline formula, bit for bit, under local
     /// and aggregated statistics — `df = 0`, `df > n/2` (idf floored at
-    /// 0) and `avg < 1` (clamped to 1) included. `CorpusStats` is covered
-    /// by the same property in `crates/partition/tests/props.rs`.
+    /// 0) and `avg < 1` (clamped to 1) included.
     #[test]
     fn term_scorer_matches_inline_formula(
         shape in (1usize..48, 0usize..48, 1u32..9, 0usize..48),
@@ -406,9 +405,10 @@ proptest! {
         let cut = cut.min(n);
         let (pa, pb) = (build_index(&corpus[..cut]), build_index(&corpus[cut..]));
         let bm = Bm25::default();
+        let g = GlobalStats::sum([&pa, &pb]);
+        prop_assert_eq!(&g, &GlobalStats::sum([&idx]));
         // Term 9 is in no document: df = 0.
         for term in [TermId(0), TermId(1), TermId(9)] {
-            let g = GlobalStats::for_terms(&[&pa, &pb], &[term]);
             prop_assert_eq!(g.avg_doc_len().to_bits(), idx.avg_doc_len().to_bits());
             let want = inline_bm25(&bm, &idx, term, tf, doc_len).to_bits();
             prop_assert_eq!(bm.term_scorer(&idx, term).score(tf, doc_len).to_bits(), want);
@@ -569,7 +569,7 @@ proptest! {
         let indexes = [build_index(&large), build_index(&small), build_index(&large_again)];
         for (terms, k, source) in steps {
             let terms: Vec<TermId> = terms.into_iter().map(TermId).collect();
-            let global = GlobalStats::for_terms(&indexes.each_ref(), &terms);
+            let global = GlobalStats::sum(&indexes);
             for idx in &indexes {
                 let [ex, dense] = match source {
                     0 => both_evaluators(idx, &terms, k, idx),
@@ -595,7 +595,7 @@ proptest! {
         let pa = build_index(&corpus_a);
         let pb = build_index(&corpus_b);
         let terms: Vec<TermId> = terms.into_iter().map(TermId).collect();
-        let g = GlobalStats::for_terms(&[&pa, &pb], &terms);
+        let g = GlobalStats::sum([&pa, &pb]);
         let bm = Bm25::default();
         for idx in [&pa, &pb] {
             let mut ex = EvalStats::default();

@@ -2,10 +2,12 @@
 //! query life cycle, exercised through the public API of the root package.
 
 use distributed_web_retrieval::core::{EngineConfig, SearchEngineLab};
-use distributed_web_retrieval::crawler::sim::CrawlConfig;
+use distributed_web_retrieval::crawler::assign::ConsistentHashAssigner;
+use distributed_web_retrieval::crawler::sim::{CrawlConfig, DistributedCrawl, SpanOutcome};
 use distributed_web_retrieval::sim::{HOUR, SECOND};
 use distributed_web_retrieval::text::TermId;
 use distributed_web_retrieval::webgraph::generate::WebConfig;
+use std::collections::HashSet;
 
 fn lab_cfg(seed: u64) -> EngineConfig {
     let mut web = WebConfig::tiny();
@@ -75,4 +77,33 @@ fn repeated_queries_hit_the_cache() {
     let lab = SearchEngineLab::build(lab_cfg(4));
     let report = lab.serve_stream();
     assert!(report.cache_hit_ratio > 0.05, "hit ratio {}", report.cache_hit_ratio);
+}
+
+#[test]
+fn the_index_holds_exactly_the_crawled_pages() {
+    // Restrictive robots.txt keeps a share of the web out of the crawl.
+    let mut cfg = lab_cfg(5);
+    cfg.crawl.robots_restrictive_fraction = 0.5;
+    cfg.crawl.robots_disallow_fraction = 0.5;
+    let lab = SearchEngineLab::build(cfg.clone());
+    let report = lab.crawl_report();
+    assert!(report.robots_skipped > 0 && report.coverage < 0.9, "coverage {}", report.coverage);
+
+    // The same crawl again, traced: the pages it actually downloaded.
+    let traced = CrawlConfig { record_trace: true, ..cfg.crawl.clone() };
+    let assigner = ConsistentHashAssigner::new(cfg.crawl.agents, 64);
+    let crawl = DistributedCrawl::new(lab.web(), assigner, traced, cfg.seed).run();
+    assert_eq!(crawl.fetched_pages, report.fetched_pages);
+    let fetched: HashSet<u32> = crawl
+        .trace
+        .iter()
+        .filter(|s| s.outcome == SpanOutcome::Fetched)
+        .map(|s| s.page.0)
+        .collect();
+    assert_eq!(fetched.len() as u64, report.fetched_pages);
+    for (doc, terms) in lab.corpus().iter().enumerate() {
+        if !terms.is_empty() {
+            assert!(fetched.contains(&(doc as u32)), "page {doc} is indexed but was never fetched");
+        }
+    }
 }

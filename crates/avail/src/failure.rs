@@ -1,10 +1,13 @@
-//! Two-state (up/down) renewal failure processes.
+//! Two-state (up/down) renewal failure processes, and the one outage
+//! timeline every tier reads.
 //!
 //! Time-to-failure is Weibull (shape < 1 captures the bursty outage
 //! behaviour of wide-area sites; shape = 1 is the memoryless baseline) and
 //! time-to-repair is exponential. The process materializes its down
-//! intervals over a horizon, which everything else (site availability,
-//! query-time failure injection) consumes.
+//! intervals over a horizon; a [`Timeline`] holds such a set, sorted and
+//! disjoint, and answers every interval question asked of it — whether a
+//! crawling agent, a query-processor replica or a whole site is down at an
+//! instant, fails inside a window, or how available it was.
 
 use dwr_sim::dist::{Exponential, Weibull};
 use dwr_sim::{SimRng, SimTime, HOUR};
@@ -24,21 +27,98 @@ impl DownInterval {
         self.end - self.start
     }
 
-    /// Whether the instant `t` falls inside the outage.
-    pub fn contains(&self, t: SimTime) -> bool {
-        self.start <= t && t < self.end
-    }
-
-    /// Whether the outage intersects the window `[lo, hi)`.
-    pub fn intersects(&self, lo: SimTime, hi: SimTime) -> bool {
-        self.start < hi && lo < self.end
-    }
-
     /// Overlap of this interval with the window `[lo, hi)`.
     pub fn overlap(&self, lo: SimTime, hi: SimTime) -> SimTime {
         let s = self.start.max(lo);
         let e = self.end.min(hi);
         e.saturating_sub(s)
+    }
+}
+
+/// The outages of one component — an agent, a replica, a site — over
+/// `[0, horizon)`: sorted, disjoint, non-empty down intervals. Instants
+/// outside every interval are up, and so is the repair instant itself.
+#[derive(Debug, Clone)]
+pub struct Timeline {
+    downs: Vec<DownInterval>,
+    horizon: SimTime,
+}
+
+impl Timeline {
+    /// A timeline from down intervals in any order (generated, hand-placed
+    /// or replayed). They are clipped to the horizon, empty ones are
+    /// dropped, and overlapping or touching ones are merged, so every
+    /// lookup answers for the union of the input.
+    pub fn new(mut downs: Vec<DownInterval>, horizon: SimTime) -> Self {
+        assert!(horizon > 0, "a timeline needs a non-empty horizon");
+        for iv in &mut downs {
+            iv.end = iv.end.min(horizon);
+        }
+        downs.retain(|iv| iv.start < iv.end);
+        downs.sort_unstable_by_key(|iv| iv.start);
+        let mut merged: Vec<DownInterval> = Vec::with_capacity(downs.len());
+        for iv in downs {
+            match merged.last_mut() {
+                Some(last) if iv.start <= last.end => last.end = last.end.max(iv.end),
+                _ => merged.push(iv),
+            }
+        }
+        Timeline { downs: merged, horizon }
+    }
+
+    /// A timeline that never goes down over `[0, horizon)`.
+    pub fn always_up(horizon: SimTime) -> Self {
+        Self::new(Vec::new(), horizon)
+    }
+
+    /// The down intervals (disjoint, ordered).
+    pub fn down_intervals(&self) -> &[DownInterval] {
+        &self.downs
+    }
+
+    /// The horizon the timeline covers.
+    pub fn horizon(&self) -> SimTime {
+        self.horizon
+    }
+
+    /// The first outage ending after `t`: the only one that can cover `t`
+    /// or intersect a window opening at `t`.
+    fn next_outage(&self, t: SimTime) -> Option<&DownInterval> {
+        self.downs.get(self.downs.partition_point(|iv| iv.end <= t))
+    }
+
+    /// Whether the instant `t` falls inside an outage.
+    pub fn is_down(&self, t: SimTime) -> bool {
+        self.next_outage(t).is_some_and(|iv| iv.start <= t)
+    }
+
+    /// Whether the instant `t` falls outside every outage.
+    pub fn is_up(&self, t: SimTime) -> bool {
+        !self.is_down(t)
+    }
+
+    /// Whether any outage intersects the window `[lo, hi)` — i.e. whether
+    /// work occupying the component for that window is lost, even when
+    /// the component was up as it started.
+    pub fn fails_during(&self, lo: SimTime, hi: SimTime) -> bool {
+        self.next_outage(lo).is_some_and(|iv| iv.start < hi)
+    }
+
+    /// Total downtime over the horizon.
+    pub fn downtime(&self) -> SimTime {
+        self.downs.iter().map(DownInterval::duration).sum()
+    }
+
+    /// Availability over the window `[lo, hi)`.
+    pub fn availability_in(&self, lo: SimTime, hi: SimTime) -> f64 {
+        assert!(hi > lo);
+        let down: u64 = self.downs.iter().map(|i| i.overlap(lo, hi)).sum();
+        1.0 - down as f64 / (hi - lo) as f64
+    }
+
+    /// Availability over the whole horizon.
+    pub fn availability(&self) -> f64 {
+        self.availability_in(0, self.horizon)
     }
 }
 
@@ -198,18 +278,77 @@ mod tests {
         assert!((mean / DAY as f64 - 10.0).abs() < 1.0, "mean gap {} days", mean / DAY as f64);
     }
 
+    fn iv(start: SimTime, end: SimTime) -> DownInterval {
+        DownInterval { start, end }
+    }
+
     #[test]
-    fn contains_and_intersects() {
-        let iv = DownInterval { start: 10, end: 20 };
-        assert!(!iv.contains(9));
-        assert!(iv.contains(10));
-        assert!(iv.contains(19));
-        assert!(!iv.contains(20), "closed-open: repair instant is up");
-        assert!(iv.intersects(0, 11));
-        assert!(iv.intersects(19, 30));
-        assert!(iv.intersects(12, 13));
-        assert!(!iv.intersects(0, 10), "window ends as outage starts");
-        assert!(!iv.intersects(20, 30), "window starts at repair");
+    fn timeline_lookups_are_closed_open() {
+        let tl = Timeline::new(vec![iv(10, 20), iv(40, 50)], 100);
+        assert!(tl.is_up(9) && tl.is_down(10) && tl.is_down(19));
+        assert!(tl.is_up(20), "closed-open: the repair instant is up");
+        assert!(tl.is_up(30) && tl.is_down(45) && tl.is_up(99));
+        assert_eq!(tl.downtime(), 20);
+        assert!((tl.availability() - 0.8).abs() < 1e-12);
+        // Window availabilities add up to the whole horizon's.
+        let halves = tl.availability_in(0, 50) + tl.availability_in(50, 100);
+        assert!((halves / 2.0 - tl.availability()).abs() < 1e-12);
+
+        let up = Timeline::always_up(100);
+        assert!(up.is_up(0) && up.is_up(99));
+        assert!(!up.fails_during(0, 100));
+        assert_eq!((up.downtime(), up.availability()), (0, 1.0));
+    }
+
+    #[test]
+    fn timeline_fails_during_any_intersecting_window() {
+        let tl = Timeline::new(vec![iv(100, 200), iv(500, 600)], 1000);
+        assert!(tl.fails_during(90, 110), "outage starts inside the window");
+        assert!(tl.fails_during(150, 160), "window entirely inside the outage");
+        assert!(tl.fails_during(190, 260), "window starts inside the outage");
+        assert!(tl.fails_during(0, 1000), "window spans both outages");
+        assert!(!tl.fails_during(0, 100), "window closes as the outage starts");
+        assert!(!tl.fails_during(200, 300), "window opens at repair");
+        assert!(!tl.fails_during(300, 500), "window between outages");
+        assert!(!tl.fails_during(600, 1000), "nothing after the last repair");
+    }
+
+    #[test]
+    fn timeline_normalises_hand_placed_input() {
+        // Unsorted, overlapping, touching, empty and horizon-crossing.
+        let tl = Timeline::new(
+            vec![iv(50, 60), iv(10, 20), iv(15, 25), iv(25, 30), iv(40, 40), iv(90, 300)],
+            100,
+        );
+        assert_eq!(tl.down_intervals(), &[iv(10, 30), iv(50, 60), iv(90, 100)]);
+        assert!(tl.is_up(9) && tl.is_down(10) && tl.is_down(24) && tl.is_down(29));
+        assert!(tl.is_up(30) && tl.is_up(40) && tl.is_down(55) && tl.is_down(99));
+        assert!(tl.fails_during(28, 29) && !tl.fails_during(30, 50));
+        assert_eq!(tl.downtime(), 40);
+        // Generated intervals are already normal: the identity.
+        let gen = UpDownProcess::birn_like().down_intervals(365 * DAY, &mut SimRng::new(1));
+        assert_eq!(Timeline::new(gen.clone(), 365 * DAY).down_intervals(), &gen[..]);
+    }
+
+    #[test]
+    fn timeline_agrees_with_its_intervals() {
+        let horizon = 90 * DAY;
+        let tl = Timeline::new(
+            UpDownProcess::exponential(5 * DAY, DAY).down_intervals(horizon, &mut SimRng::new(5)),
+            horizon,
+        );
+        assert!(!tl.down_intervals().is_empty());
+        for d in tl.down_intervals() {
+            assert!(tl.is_up(d.start - 1) && tl.is_down(d.start));
+            assert!(tl.is_down(d.end - 1) && (d.end == horizon || tl.is_up(d.end)));
+            assert!(tl.fails_during(d.start - 1, d.start + 1) && !tl.fails_during(d.end, d.end));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty horizon")]
+    fn timeline_rejects_an_empty_horizon() {
+        Timeline::new(vec![iv(0, 1)], 0);
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! provides two-state renewal processes calibrated to that anchor, and
 //! [`monthly`] regenerates the figure's histogram from them.
 //!
+//! Every tier's outages — crawling agents, query-processor replicas, whole
+//! sites — are one [`Timeline`]: sorted, disjoint down intervals over a
+//! horizon, with the interval lookups in one place.
+//!
 //! [`site`] models multi-server sites (a site is down when a network
 //! partition cuts it off or all its servers are down), [`quorum`] computes
 //! coterie availability (majority, read-one/write-all), and [`placement`]
@@ -20,6 +24,6 @@ pub mod placement;
 pub mod quorum;
 pub mod site;
 
-pub use failure::UpDownProcess;
+pub use failure::{Timeline, UpDownProcess};
 pub use monthly::{availability_histogram, monthly_availability};
-pub use site::{Site, SiteConfig};
+pub use site::SiteConfig;

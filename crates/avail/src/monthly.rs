@@ -6,7 +6,7 @@
 //! 100%") counts sites with at least one outage in a month — on average 10
 //! of BIRN's 16 sites.
 
-use crate::site::{Site, SiteConfig};
+use crate::site::SiteConfig;
 use dwr_sim::{SimRng, SimTime, DAY};
 
 /// Per-site, per-month availabilities: `result[site][month]`.
@@ -20,7 +20,7 @@ pub fn monthly_availability(configs: &[SiteConfig], months: usize, seed: u64) ->
         .enumerate()
         .map(|(i, cfg)| {
             let mut rng = root.fork(i as u64);
-            let site = Site::simulate(cfg, horizon, &mut rng);
+            let site = cfg.simulate(horizon, &mut rng);
             (0..months)
                 .map(|m| site.availability_in(m as u64 * month, (m as u64 + 1) * month))
                 .collect()

@@ -3,11 +3,13 @@
 //! "We say that a site is unavailable if it is not possible to reach any
 //! of the servers of this site, either because of a network partition or
 //! because all servers have failed" (Section 5, discussing Figure 5). A
-//! [`Site`] therefore combines one network-partition process with per-server
-//! failure processes; its down intervals are the union of partition
-//! intervals and the intersection of all server down intervals.
+//! [`SiteConfig`] therefore combines one network-partition process with
+//! per-server failure processes, and [`SiteConfig::simulate`] materializes
+//! the site as one [`Timeline`]: the union of partition intervals and the
+//! intersection of all server down intervals. Every question about the
+//! site's outages is then a `Timeline` lookup.
 
-use crate::failure::{DownInterval, UpDownProcess};
+use crate::failure::{DownInterval, Timeline, UpDownProcess};
 use dwr_sim::{SimRng, SimTime, HOUR};
 
 /// Configuration of one site.
@@ -31,44 +33,17 @@ impl SiteConfig {
             server: UpDownProcess::exponential(60 * 24 * HOUR, 12 * HOUR),
         }
     }
-}
 
-/// A materialized site timeline over a horizon.
-#[derive(Debug, Clone)]
-pub struct Site {
-    downs: Vec<DownInterval>,
-    horizon: SimTime,
-}
-
-impl Site {
-    /// A site that never goes down over `[0, horizon)`.
-    pub fn always_up(horizon: SimTime) -> Self {
-        assert!(horizon > 0);
-        Site { downs: Vec::new(), horizon }
-    }
-
-    /// Build a site timeline from hand-placed down intervals (tests,
-    /// replayed traces). Intervals may arrive unsorted or overlapping;
-    /// they are normalized to the disjoint ordered form, clipped to the
-    /// horizon, and empty intervals are dropped.
-    pub fn from_down_intervals(mut downs: Vec<DownInterval>, horizon: SimTime) -> Self {
-        assert!(horizon > 0);
-        for iv in &mut downs {
-            iv.end = iv.end.min(horizon);
-        }
-        downs.retain(|iv| iv.start < iv.end);
-        downs.sort_unstable_by_key(|iv| iv.start);
-        Site { downs: union(&downs), horizon }
-    }
-
-    /// Simulate the site's unavailability over `[0, horizon)`.
-    pub fn simulate(cfg: &SiteConfig, horizon: SimTime, rng: &mut SimRng) -> Self {
-        assert!(cfg.servers > 0);
-        let mut downs = cfg.network.down_intervals(horizon, rng);
+    /// Simulate the site's unavailability over `[0, horizon)`: the union
+    /// of the network's outages and the instants when every server is
+    /// down at once.
+    pub fn simulate(&self, horizon: SimTime, rng: &mut SimRng) -> Timeline {
+        assert!(self.servers > 0);
+        let mut downs = self.network.down_intervals(horizon, rng);
         // All-servers-down intervals: intersect the servers' down sets.
         let mut all_down: Option<Vec<DownInterval>> = None;
-        for _ in 0..cfg.servers {
-            let d = cfg.server.down_intervals(horizon, rng);
+        for _ in 0..self.servers {
+            let d = self.server.down_intervals(horizon, rng);
             all_down = Some(match all_down {
                 None => d,
                 Some(acc) => intersect(&acc, &d),
@@ -78,68 +53,8 @@ impl Site {
             }
         }
         downs.extend(all_down.unwrap_or_default());
-        downs.sort_unstable_by_key(|i| i.start);
-        Site { downs: union(&downs), horizon }
+        Timeline::new(downs, horizon)
     }
-
-    /// The site's down intervals (disjoint, ordered).
-    pub fn down_intervals(&self) -> &[DownInterval] {
-        &self.downs
-    }
-
-    /// Whether the site is up at time `t`.
-    pub fn is_up(&self, t: SimTime) -> bool {
-        // Binary search over ordered disjoint intervals.
-        self.downs
-            .binary_search_by(|iv| {
-                if iv.end <= t {
-                    std::cmp::Ordering::Less
-                } else if iv.start > t {
-                    std::cmp::Ordering::Greater
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_err()
-    }
-
-    /// Whether any outage intersects the window `[lo, hi)` — i.e. whether
-    /// a query occupying the site for that window would be lost to a
-    /// whole-site failure, even if the site was up at dispatch time.
-    pub fn fails_during(&self, lo: SimTime, hi: SimTime) -> bool {
-        // First interval ending after `lo` is the only candidate.
-        let idx = self.downs.partition_point(|iv| iv.end <= lo);
-        self.downs.get(idx).is_some_and(|iv| iv.intersects(lo, hi))
-    }
-
-    /// Availability over the window `[lo, hi)`.
-    pub fn availability_in(&self, lo: SimTime, hi: SimTime) -> f64 {
-        assert!(hi > lo);
-        let down: u64 = self.downs.iter().map(|i| i.overlap(lo, hi)).sum();
-        1.0 - down as f64 / (hi - lo) as f64
-    }
-
-    /// Availability over the whole simulated horizon.
-    pub fn availability(&self) -> f64 {
-        self.availability_in(0, self.horizon)
-    }
-
-    /// The simulated horizon.
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-}
-
-/// Union of possibly overlapping intervals sorted by start.
-fn union(sorted: &[DownInterval]) -> Vec<DownInterval> {
-    let mut out: Vec<DownInterval> = Vec::with_capacity(sorted.len());
-    for &iv in sorted {
-        match out.last_mut() {
-            Some(last) if iv.start <= last.end => last.end = last.end.max(iv.end),
-            _ => out.push(iv),
-        }
-    }
-    out
 }
 
 /// Intersection of two disjoint, ordered interval sets.
@@ -167,21 +82,6 @@ mod tests {
     use dwr_sim::DAY;
 
     #[test]
-    fn union_merges_overlaps() {
-        let ivs = [
-            DownInterval { start: 0, end: 10 },
-            DownInterval { start: 5, end: 15 },
-            DownInterval { start: 20, end: 25 },
-            DownInterval { start: 25, end: 30 },
-        ];
-        let u = union(&ivs);
-        assert_eq!(
-            u,
-            vec![DownInterval { start: 0, end: 15 }, DownInterval { start: 20, end: 30 }]
-        );
-    }
-
-    #[test]
     fn intersect_basic() {
         let a = [DownInterval { start: 0, end: 10 }, DownInterval { start: 20, end: 30 }];
         let b = [DownInterval { start: 5, end: 25 }];
@@ -199,22 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn is_up_consistent_with_intervals() {
-        let cfg = SiteConfig::birn_like(2);
-        let mut rng = SimRng::new(5);
-        let site = Site::simulate(&cfg, 90 * DAY, &mut rng);
-        for iv in site.down_intervals() {
-            assert!(!site.is_up(iv.start));
-            assert!(!site.is_up(iv.end - 1));
-            if iv.start > 0 {
-                // The instant before an outage begins is up unless it
-                // belongs to the previous interval.
-            }
-        }
-        assert!(site.is_up(0) || !site.down_intervals().is_empty());
-    }
-
-    #[test]
     fn more_servers_higher_availability() {
         let horizon = 400 * DAY;
         // Make server failures dominant so redundancy matters.
@@ -227,7 +111,7 @@ mod tests {
             let mut acc = 0.0;
             for s in 0..20u64 {
                 let mut rng = SimRng::new(seed + s);
-                acc += Site::simulate(cfg, horizon, &mut rng).availability();
+                acc += cfg.simulate(horizon, &mut rng).availability();
             }
             acc / 20.0
         };
@@ -237,57 +121,5 @@ mod tests {
         assert!(a2 > a1, "a1={a1} a2={a2}");
         assert!(a3 > a2, "a2={a2} a3={a3}");
         assert!(a3 > 0.99);
-    }
-
-    #[test]
-    fn always_up_and_hand_built_traces() {
-        let up = Site::always_up(100);
-        assert!(up.is_up(0) && up.is_up(99));
-        assert!(!up.fails_during(0, 100));
-        assert_eq!(up.availability(), 1.0);
-
-        // Unsorted, overlapping, horizon-crossing input is normalized.
-        let s = Site::from_down_intervals(
-            vec![
-                DownInterval { start: 50, end: 60 },
-                DownInterval { start: 10, end: 20 },
-                DownInterval { start: 15, end: 25 },
-                DownInterval { start: 90, end: 300 },
-            ],
-            100,
-        );
-        assert_eq!(
-            s.down_intervals(),
-            &[
-                DownInterval { start: 10, end: 25 },
-                DownInterval { start: 50, end: 60 },
-                DownInterval { start: 90, end: 100 },
-            ]
-        );
-        assert!(s.is_up(9) && !s.is_up(10) && !s.is_up(24) && s.is_up(25));
-    }
-
-    #[test]
-    fn fails_during_detects_mid_window_outage() {
-        let s = Site::from_down_intervals(vec![DownInterval { start: 100, end: 200 }], 1000);
-        assert!(s.fails_during(90, 110), "outage starts inside the window");
-        assert!(s.fails_during(150, 160), "window entirely inside the outage");
-        assert!(s.fails_during(190, 260), "window starts inside the outage");
-        assert!(!s.fails_during(0, 100), "window closes as the outage starts");
-        assert!(!s.fails_during(200, 300), "window opens at repair");
-        assert!(!s.fails_during(300, 1000), "nothing after repair");
-    }
-
-    #[test]
-    fn availability_window_bounds() {
-        let cfg = SiteConfig::birn_like(1);
-        let mut rng = SimRng::new(6);
-        let site = Site::simulate(&cfg, 60 * DAY, &mut rng);
-        let a = site.availability();
-        assert!((0.0..=1.0).contains(&a));
-        // Month windows are consistent with the whole-horizon number.
-        let a0 = site.availability_in(0, 30 * DAY);
-        let a1 = site.availability_in(30 * DAY, 60 * DAY);
-        assert!(((a0 + a1) / 2.0 - a).abs() < 1e-9);
     }
 }

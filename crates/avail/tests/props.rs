@@ -1,8 +1,8 @@
 //! Property-based tests of dependability invariants.
 
-use dwr_avail::failure::UpDownProcess;
+use dwr_avail::failure::{DownInterval, Timeline, UpDownProcess};
 use dwr_avail::quorum::{at_least_k_of_n, majority, read_one, write_all};
-use dwr_avail::site::{Site, SiteConfig};
+use dwr_avail::site::SiteConfig;
 use dwr_sim::{SimRng, DAY, HOUR};
 use proptest::prelude::*;
 
@@ -78,7 +78,7 @@ proptest! {
     fn site_availability_consistent(seed in any::<u64>(), servers in 1usize..4) {
         let cfg = SiteConfig::birn_like(servers);
         let mut rng = SimRng::new(seed);
-        let site = Site::simulate(&cfg, 120 * DAY, &mut rng);
+        let site = cfg.simulate(120 * DAY, &mut rng);
         let a = site.availability();
         prop_assert!((0.0..=1.0).contains(&a));
         for iv in site.down_intervals().iter().take(5) {
@@ -86,6 +86,29 @@ proptest! {
             prop_assert!(!site.is_up(iv.end - 1));
             prop_assert!(site.is_up(iv.end));
         }
+    }
+
+    /// A timeline built from arbitrary hand-placed intervals — unsorted,
+    /// overlapping, empty, past the horizon — answers every lookup the
+    /// way a scan of the raw input, clipped to the horizon, does.
+    #[test]
+    fn timeline_equals_a_scan_of_its_input(
+        raw in prop::collection::vec((0u64..120, 0u64..40), 0..12),
+        horizon in 1u64..100,
+    ) {
+        let ivs: Vec<DownInterval> =
+            raw.iter().map(|&(start, len)| DownInterval { start, end: start + len }).collect();
+        let tl = Timeline::new(ivs.clone(), horizon);
+        let down = |t: u64| t < horizon && ivs.iter().any(|iv| iv.start <= t && t < iv.end);
+        for t in 0..horizon + 5 {
+            prop_assert_eq!(tl.is_down(t), down(t), "is_down({})", t);
+            for hi in t + 1..t + 8 {
+                prop_assert_eq!(tl.fails_during(t, hi), (t..hi).any(down), "[{}, {})", t, hi);
+            }
+        }
+        prop_assert_eq!(tl.downtime(), (0..horizon).filter(|&t| down(t)).count() as u64);
+        let disjoint = tl.down_intervals().windows(2).all(|w| w[0].end < w[1].start);
+        prop_assert!(disjoint, "{:?}", tl.down_intervals());
     }
 
     /// Steady-state availability formula stays in (0, 1).

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use crate::{Ctx, Scale, SEED};
-use dwr_avail::UpDownProcess;
+use dwr_avail::{Timeline, UpDownProcess};
 use dwr_partition::select::CoriSelector;
 use dwr_query::cache::LruCache;
 use dwr_query::engine::DistributedEngine;
@@ -66,7 +66,7 @@ pub(crate) fn run(ctx: &Ctx) {
         ));
         let mean_down = (0..PARTITIONS)
             .flat_map(|p| (0..replicas).map(move |r| (p, r)))
-            .map(|(p, r)| schedule.downtime(p, r) as f64 / horizon as f64)
+            .map(|(p, r)| schedule.timeline(p, r).map_or(0, Timeline::downtime) as f64 / horizon as f64)
             .sum::<f64>()
             / (PARTITIONS * replicas) as f64;
         let engine = DistributedEngine::new(&pi, LruCache::new(256), replicas)
@@ -129,7 +129,7 @@ pub(crate) fn run(ctx: &Ctx) {
         let mut term = 100_000u32; // distinct probe terms: the cache never answers
         for p in 0..PARTITIONS {
             for r in 0..replicas {
-                for outage in schedule.intervals(p, r) {
+                for outage in schedule.timeline(p, r).map_or(&[][..], Timeline::down_intervals) {
                     let t = outage.start.saturating_sub(50);
                     if schedule.is_down(p, r, t) {
                         continue; // already inside an earlier outage

@@ -17,8 +17,7 @@
 //! (`--smoke` divides arrival rate and capacity by 10, so ρ is unchanged).
 
 use crate::{site_tier, Ctx, SEED};
-use dwr_avail::failure::DownInterval;
-use dwr_avail::site::Site;
+use dwr_avail::failure::{DownInterval, Timeline};
 use dwr_partition::doc::{DocPartitioner, RoundRobinPartitioner};
 use dwr_partition::parted::{Corpus, PartitionedIndex};
 use dwr_query::cache::LruCache;
@@ -61,7 +60,7 @@ fn serve_day(
     pi: &PartitionedIndex,
     capacity_qps: f64,
     shed_threshold: f64,
-    outages: &[Site],
+    outages: &[Timeline],
 ) -> Day {
     let cfg = MultiSiteConfig { shed_threshold, util_window: HOUR, ..MultiSiteConfig::default() };
     let engine = site_tier(outages.to_vec(), capacity_qps, cfg, || {
@@ -153,7 +152,7 @@ pub(crate) fn run(ctx: &Ctx) {
     let corpus: Corpus =
         (0..24u32).map(|d| vec![(TermId(d % 5), 2), (TermId(50 + d % 3), 1)]).collect();
     let pi = PartitionedIndex::build(&corpus, &RoundRobinPartitioner.assign(&corpus, 4), 4);
-    let always_up: Vec<Site> = (0..SITES).map(|_| Site::always_up(DAY)).collect();
+    let always_up: Vec<Timeline> = (0..SITES).map(|_| Timeline::always_up(DAY)).collect();
 
     let near = serve_day(&arrivals, &pi, capacity_qps, f64::INFINITY, &always_up);
     let aware = serve_day(&arrivals, &pi, capacity_qps, OFFLOAD_AT, &always_up);
@@ -197,7 +196,7 @@ pub(crate) fn run(ctx: &Ctx) {
     println!("\n(c) with a 6-hour outage of site 0 (nearest routing):");
     let mut traces = always_up;
     traces[0] =
-        Site::from_down_intervals(vec![DownInterval { start: 8 * HOUR, end: 14 * HOUR }], DAY);
+        Timeline::new(vec![DownInterval { start: 8 * HOUR, end: 14 * HOUR }], DAY);
     let outage = serve_day(&arrivals, &pi, capacity_qps, f64::INFINITY, &traces);
     println!(
         "  rerouted {} queries; peak surviving-site utilization {:.0}%; {} unserved",

@@ -32,8 +32,7 @@
 //! Run: `cargo run -p dwr-bench --release -- E30 [--smoke]`
 
 use crate::{replay_training, site_tier, Ctx, Scale, SEED};
-use dwr_avail::failure::DownInterval;
-use dwr_avail::site::Site;
+use dwr_avail::failure::{DownInterval, Timeline};
 use dwr_obs::recorder::{ObsConfig, ObsRecorder};
 use dwr_partition::doc::{DocPartitioner, KMeansPartitioner, TrainingResults};
 use dwr_partition::parted::PartitionedIndex;
@@ -337,8 +336,8 @@ pub(crate) fn run(ctx: &Ctx) {
     // failover. Site 0 is dark; its queries fail over to site 1 and are
     // still answered honestly routed.
     let n_ms = 200usize;
-    let dark = Site::from_down_intervals(vec![DownInterval { start: 0, end: HORIZON }], HORIZON);
-    let tier = site_tier(vec![dark, Site::always_up(HORIZON)], 1e9, MultiSiteConfig::default(), || {
+    let dark = Timeline::new(vec![DownInterval { start: 0, end: HORIZON }], HORIZON);
+    let tier = site_tier(vec![dark, Timeline::always_up(HORIZON)], 1e9, MultiSiteConfig::default(), || {
         DistributedEngine::new(&pi, LruCache::new(1), 1)
             .with_router(Arc::new(ShardRouter::query_driven(training.clone(), w)))
     });

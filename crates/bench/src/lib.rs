@@ -9,8 +9,8 @@
 //! several artifacts build alike, so one run builds it once. The
 //! criterion benches use the same [`Fixture`].
 
-use dwr_avail::site::{Site, SiteConfig};
-use dwr_avail::UpDownProcess;
+use dwr_avail::site::SiteConfig;
+use dwr_avail::{Timeline, UpDownProcess};
 use dwr_crawler::sim::CrawlConfig;
 use dwr_obs::Recorder;
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner, TrainingResults};
@@ -165,7 +165,7 @@ pub(crate) fn replay_training(
 /// (network-partition dominated) but accelerated, MTBF 3 d / MTTR 8 h,
 /// so a site is down ~10% of the time instead of the calibrated ~1%.
 /// The traces of `n` sites are a prefix of those of `n + 1`.
-pub(crate) fn accelerated_site_traces(sites: usize) -> Vec<Site> {
+pub(crate) fn accelerated_site_traces(sites: usize) -> Vec<Timeline> {
     let cfg = SiteConfig {
         servers: 2,
         network: UpDownProcess::exponential(3 * DAY, 8 * HOUR),
@@ -177,7 +177,7 @@ pub(crate) fn accelerated_site_traces(sites: usize) -> Vec<Site> {
 /// A tier of one site per outage trace on a WAN ring: site `s` serves
 /// region `s` at `capacity_qps` on its own stack from `engine`.
 pub(crate) fn site_tier<C: ResultCache, R: Recorder + Clone>(
-    traces: Vec<Site>,
+    traces: Vec<Timeline>,
     capacity_qps: f64,
     cfg: MultiSiteConfig,
     mut engine: impl FnMut() -> DistributedEngine<C, R>,

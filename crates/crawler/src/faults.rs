@@ -5,10 +5,10 @@
 //! consistent hashing scheme of UbiCrawler \[6\] exists precisely so
 //! that new agents enter the crawling system without re-hashing all the
 //! server names." That claim is only testable if agents actually come
-//! and go. An [`AgentSchedule`] materializes one [`DownInterval`]
-//! sequence per agent from an [`UpDownProcess`] renewal model — the
-//! crawl-tier mirror of `dwr-query::faults::FaultSchedule` — and
-//! [`DistributedCrawl`](crate::sim::DistributedCrawl) consumes its
+//! and go. An [`AgentSchedule`] is one [`Timeline`] per agent, drawn
+//! from an [`UpDownProcess`] renewal model — the crawl-tier mirror of
+//! `dwr-query::faults::FaultSchedule`, over the same `Timeline` type —
+//! and [`DistributedCrawl`](crate::sim::DistributedCrawl) consumes its
 //! [`transitions`](AgentSchedule::transitions) as crash and recovery
 //! events in the simulation's event loop: on each pool change the live
 //! `UrlAssigner` is updated, affected hosts are re-routed, and the
@@ -22,7 +22,7 @@
 //! comparable row to row.
 
 use crate::assign::AgentId;
-use dwr_avail::failure::{DownInterval, UpDownProcess};
+use dwr_avail::failure::{DownInterval, Timeline, UpDownProcess};
 use dwr_sim::{SimRng, SimTime};
 
 /// One membership event of a churn schedule.
@@ -36,20 +36,17 @@ pub struct Transition {
     pub down: bool,
 }
 
-/// Per-agent outage intervals over a fixed horizon — the crawl tier's
-/// churn script.
+/// Per-agent outage timelines — the crawl tier's churn script.
 #[derive(Debug, Clone)]
 pub struct AgentSchedule {
-    horizon: SimTime,
-    /// `outages[agent]`: sorted, non-overlapping down intervals.
-    outages: Vec<Vec<DownInterval>>,
+    /// `outages[agent]`.
+    outages: Vec<Timeline>,
 }
 
 impl AgentSchedule {
     /// Materialize a schedule of `agents` independent up-down processes
     /// over `[0, horizon)`.
     pub fn generate(agents: usize, process: &UpDownProcess, horizon: SimTime, seed: u64) -> Self {
-        assert!(horizon > 0);
         let root = SimRng::new(seed);
         let outages = (0..agents)
             .map(|a| {
@@ -57,18 +54,19 @@ impl AgentSchedule {
                 // schedule's dimensions (same trick as the query tier's
                 // FaultSchedule and site_outage_traces).
                 let mut rng = root.fork(0xC8A4_0000 | a as u64);
-                process.down_intervals(horizon, &mut rng)
+                Timeline::new(process.down_intervals(horizon, &mut rng), horizon)
             })
             .collect();
-        AgentSchedule { horizon, outages }
+        AgentSchedule { outages }
     }
 
     /// Build a schedule from hand-placed intervals (tests, replayed
-    /// traces). `outages[a]` must be sorted and non-overlapping.
+    /// traces), `outages[a]` in any order: each agent's intervals are
+    /// normalised into its [`Timeline`].
     pub fn from_intervals(outages: Vec<Vec<DownInterval>>, horizon: SimTime) -> Self {
-        assert!(horizon > 0);
-        debug_assert!(outages.iter().all(|ivs| ivs.windows(2).all(|w| w[0].end <= w[1].start)));
-        AgentSchedule { horizon, outages }
+        AgentSchedule {
+            outages: outages.into_iter().map(|ivs| Timeline::new(ivs, horizon)).collect(),
+        }
     }
 
     /// The scripted single-crash scenario: `agent` dies at `at` and
@@ -77,67 +75,46 @@ impl AgentSchedule {
         let horizon = SimTime::MAX;
         let outages = (0..agents as u32)
             .map(|a| {
-                if a == agent.0 {
+                let downs = if a == agent.0 {
                     vec![DownInterval { start: at, end: horizon }]
                 } else {
                     Vec::new()
-                }
+                };
+                Timeline::new(downs, horizon)
             })
             .collect();
-        AgentSchedule { horizon, outages }
+        AgentSchedule { outages }
     }
 
-    /// The schedule's time horizon.
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
-    /// Number of agents covered.
-    pub fn num_agents(&self) -> usize {
-        self.outages.len()
-    }
-
-    /// The sorted outage intervals of agent `a` (empty for agents
-    /// outside the schedule).
-    pub fn intervals(&self, a: usize) -> &[DownInterval] {
-        self.outages.get(a).map_or(&[], Vec::as_slice)
+    /// The outage timeline of agent `a`, or `None` for an agent outside
+    /// the schedule.
+    pub fn timeline(&self, a: usize) -> Option<&Timeline> {
+        self.outages.get(a)
     }
 
     /// Whether agent `a` is down at instant `t`. Agents outside the
     /// schedule are always up.
     pub fn is_down(&self, a: usize, t: SimTime) -> bool {
-        let ivs = self.intervals(a);
-        let idx = ivs.partition_point(|iv| iv.start <= t);
-        idx > 0 && ivs[idx - 1].contains(t)
-    }
-
-    /// Total downtime of agent `a` over the horizon.
-    pub fn downtime(&self, a: usize) -> SimTime {
-        self.intervals(a).iter().map(DownInterval::duration).sum()
+        self.timeline(a).is_some_and(|tl| tl.is_down(t))
     }
 
     /// Every membership event in time order. Crashes sort before
     /// recoveries at equal instants, so the concurrent-liveness count
-    /// computed by sweeping this list is conservative.
+    /// computed by sweeping this list is conservative. A repair at the
+    /// horizon never fires.
     pub fn transitions(&self) -> Vec<Transition> {
         let mut out = Vec::new();
-        for (a, ivs) in self.outages.iter().enumerate() {
+        for (a, tl) in self.outages.iter().enumerate() {
             let agent = AgentId(a as u32);
-            for iv in ivs {
+            for iv in tl.down_intervals() {
                 out.push(Transition { at: iv.start, agent, down: true });
-                if iv.end < self.horizon {
+                if iv.end < tl.horizon() {
                     out.push(Transition { at: iv.end, agent, down: false });
                 }
             }
         }
         out.sort_unstable_by_key(|t| (t.at, !t.down, t.agent));
         out
-    }
-
-    /// Number of membership events (crashes + recoveries) the schedule
-    /// scripts.
-    pub fn membership_changes(&self) -> u64 {
-        self.transitions().len() as u64
     }
 
     /// The minimum number of concurrently live agents over the whole
@@ -172,16 +149,12 @@ mod tests {
     }
 
     #[test]
-    fn is_down_follows_intervals() {
-        let s = AgentSchedule::from_intervals(vec![vec![iv(10, 20), iv(40, 50)], vec![]], 100);
-        assert!(!s.is_down(0, 9));
-        assert!(s.is_down(0, 10));
-        assert!(s.is_down(0, 19));
-        assert!(!s.is_down(0, 20));
-        assert!(s.is_down(0, 45));
-        assert!(!s.is_down(1, 45), "agent with no outages is up");
-        assert!(!s.is_down(7, 45), "agent outside the schedule is up");
-        assert_eq!(s.downtime(0), 20);
+    fn outside_the_schedule_is_always_up() {
+        let s = AgentSchedule::from_intervals(vec![vec![iv(10, 20)], vec![]], 100);
+        assert!(s.is_down(0, 15));
+        assert!(!s.is_down(1, 15), "agent with no outages is up");
+        assert!(!s.is_down(7, 15), "agent outside the schedule is up");
+        assert!(s.timeline(7).is_none());
     }
 
     #[test]
@@ -199,7 +172,6 @@ mod tests {
         // At t=20 the crash of agent 1 sorts before the recovery of 0.
         let at20: Vec<bool> = ts.iter().filter(|t| t.at == 20).map(|t| t.down).collect();
         assert_eq!(at20, vec![true, false]);
-        assert_eq!(s.membership_changes(), 5);
     }
 
     #[test]
@@ -214,6 +186,34 @@ mod tests {
         assert_eq!(s.min_live(2), 1);
     }
 
+    /// Hand-placed input in any order answers for its normalised union:
+    /// one crash and one recovery per merged outage, and the liveness
+    /// sweep sees the merged outage, not the raw pieces.
+    #[test]
+    fn from_intervals_normalises_unsorted_overlapping_input() {
+        let s = AgentSchedule::from_intervals(
+            vec![vec![iv(40, 50), iv(10, 30), iv(20, 45)], vec![iv(35, 38), iv(60, 70)]],
+            100,
+        );
+        for t in 0..100 {
+            assert_eq!(s.is_down(0, t), (10..50).contains(&t), "agent 0 at {t}");
+        }
+        let t = |at, agent, down| Transition { at, agent: AgentId(agent), down };
+        assert_eq!(
+            s.transitions(),
+            vec![
+                t(10, 0, true),
+                t(35, 1, true),
+                t(38, 1, false),
+                t(50, 0, false),
+                t(60, 1, true),
+                t(70, 1, false),
+            ]
+        );
+        assert_eq!(s.min_live(2), 0, "both agents are down over [35, 38)");
+        assert_eq!(s.min_live(3), 1);
+    }
+
     #[test]
     fn generate_is_deterministic_and_dimension_stable() {
         let p = UpDownProcess::exponential(10 * MINUTE, 2 * MINUTE);
@@ -221,18 +221,22 @@ mod tests {
         let a = AgentSchedule::generate(4, &p, horizon, 42);
         let b = AgentSchedule::generate(4, &p, horizon, 42);
         let wider = AgentSchedule::generate(6, &p, horizon, 42);
+        let ivs = |s: &AgentSchedule, agent| s.timeline(agent).unwrap().down_intervals().to_vec();
         for agent in 0..4 {
-            assert_eq!(a.intervals(agent), b.intervals(agent), "same seed, same schedule");
+            // The fork label is `0xC8A4_0000 | a`.
+            let mut rng = SimRng::new(42).fork(0xC8A4_0000 | agent as u64);
+            assert_eq!(ivs(&a, agent), p.down_intervals(horizon, &mut rng), "fork label");
+            assert_eq!(ivs(&a, agent), ivs(&b, agent), "same seed, same schedule");
             assert_eq!(
-                a.intervals(agent),
-                wider.intervals(agent),
+                ivs(&a, agent),
+                ivs(&wider, agent),
                 "adding agents must not perturb existing streams"
             );
         }
-        assert_ne!(a.intervals(0), a.intervals(1), "streams are independent");
+        assert_ne!(ivs(&a, 0), ivs(&a, 1), "streams are independent");
         assert_ne!(
-            AgentSchedule::generate(4, &p, horizon, 43).intervals(0),
-            a.intervals(0),
+            ivs(&AgentSchedule::generate(4, &p, horizon, 43), 0),
+            ivs(&a, 0),
             "seed matters"
         );
     }
@@ -244,7 +248,7 @@ mod tests {
         assert!(s.is_down(2, 30 * SECOND));
         assert!(s.is_down(2, SimTime::MAX - 1), "never recovers");
         for a in [0usize, 1, 3] {
-            assert!(s.intervals(a).is_empty());
+            assert!(s.timeline(a).unwrap().down_intervals().is_empty());
         }
         let ts = s.transitions();
         assert_eq!(ts.len(), 1, "one crash, no recovery");

@@ -16,6 +16,7 @@
 //! top `k` is a prefix of it ([`CachedResults::answers`]).
 
 use crate::broker::GlobalHit;
+use crate::lock_recovering;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
@@ -320,57 +321,34 @@ impl ResultCache for SdcCache {
     }
 }
 
-/// A thread-safe wrapper over any [`ResultCache`] policy: entries are
-/// spread over `n` independently-locked shards by key, so `get`/`put`
-/// take `&self` and concurrent lookups on different shards never
-/// contend.
+/// A thread-safe wrapper over any [`ResultCache`] policy: the policy
+/// behind one mutex, so `get`/`put` take `&self` and the wrapped policy's
+/// eviction behaviour is preserved exactly.
 ///
-/// With a single shard the wrapper degenerates to "the policy behind one
-/// mutex", which preserves the exact eviction behaviour of the wrapped
-/// policy — the configuration the deterministic engines use. More shards
-/// trade global recency/frequency ordering (each shard evicts locally)
-/// for lock spreading under concurrent load.
+/// The lock is taken with poison recovery throughout: cache state is
+/// valid after any interrupted get/put (worst case a stale recency
+/// index), so one panicking client must not wedge every other thread.
 #[derive(Debug)]
 pub struct ShardedCache<C> {
-    // Locked with poison recovery throughout: cache state is valid after
-    // any interrupted get/put (worst case a stale recency index), so one
-    // panicking client must not wedge every other thread.
-    shards: Vec<Mutex<C>>,
+    cache: Mutex<C>,
 }
 
 impl<C: ResultCache> ShardedCache<C> {
-    /// Wrap one cache instance in a single shard (policy-exact).
+    /// Wrap one cache instance.
     pub fn single(cache: C) -> Self {
-        ShardedCache { shards: vec![Mutex::new(cache)] }
-    }
-
-    /// Build from pre-constructed per-shard caches (each typically sized
-    /// `capacity / n`).
-    pub fn from_shards(shards: Vec<C>) -> Self {
-        assert!(!shards.is_empty(), "at least one cache shard");
-        ShardedCache { shards: shards.into_iter().map(Mutex::new).collect() }
-    }
-
-    fn shard_for(&self, key: u64) -> &Mutex<C> {
-        // The engine's query keys are already well-mixed (FNV over sorted
-        // terms), so modulo is an adequate spread.
-        &self.shards[(key % self.shards.len() as u64) as usize]
+        ShardedCache { cache: Mutex::new(cache) }
     }
 
     /// Look up a query at whatever depth it was answered (a lookup at
     /// `k = 0`), returning an owned copy of the entry.
     pub fn get(&self, key: u64) -> Option<CachedResults> {
-        self.shard_for(key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(key, 0)
-            .cloned()
+        lock_recovering(&self.cache).get(key, 0).cloned()
     }
 
     /// The top `k` hits of a query from the cache — the first `k` of an
     /// entry that [answers](CachedResults::answers) `k` — announcing the
     /// lookup (hit or miss) to `recorder`: one
-    /// [`dwr_obs::Event::CacheLookup`] per call, after the shard lock is
+    /// [`dwr_obs::Event::CacheLookup`] per call, after the lock is
     /// released.
     pub fn get_recorded<R: dwr_obs::Recorder + ?Sized>(
         &self,
@@ -379,10 +357,7 @@ impl<C: ResultCache> ShardedCache<C> {
         recorder: &R,
         now: dwr_sim::SimTime,
     ) -> Option<Vec<GlobalHit>> {
-        let hit = self
-            .shard_for(key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        let hit = lock_recovering(&self.cache)
             .get(key, k)
             .map(|entry| entry.hits[..k.min(entry.hits.len())].to_vec());
         recorder.record(dwr_obs::Event::CacheLookup { qid: key, now, hit: hit.is_some() });
@@ -391,45 +366,27 @@ impl<C: ResultCache> ShardedCache<C> {
 
     /// Insert a result, replacing the key's entry.
     pub fn put(&self, key: u64, value: impl Into<CachedResults>) {
-        self.shard_for(key)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .put(key, value.into());
+        lock_recovering(&self.cache).put(key, value.into());
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Counters summed over shards.
+    /// The wrapped policy's counters.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for s in &self.shards {
-            let s = s.lock().unwrap_or_else(std::sync::PoisonError::into_inner).stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-        }
-        total
+        lock_recovering(&self.cache).stats()
     }
 
-    /// Resident entries summed over shards.
+    /// Resident entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len())
-            .sum()
+        lock_recovering(&self.cache).len()
     }
 
-    /// Whether every shard is empty.
+    /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Policy name of the wrapped cache.
     pub fn name(&self) -> &'static str {
-        self.shards[0].lock().unwrap_or_else(std::sync::PoisonError::into_inner).name()
+        lock_recovering(&self.cache).name()
     }
 }
 
@@ -635,21 +592,8 @@ mod tests {
         assert_eq!(sharded.name(), "LRU");
     }
 
-    #[test]
-    fn sharded_get_put_through_shared_reference() {
-        let c = ShardedCache::from_shards(vec![LruCache::new(4), LruCache::new(4)]);
-        assert_eq!(c.num_shards(), 2);
-        for k in 0..8u64 {
-            c.put(k, value(k as u32));
-        }
-        for k in 0..8u64 {
-            assert!(c.get(k).is_some(), "key {k} resident");
-        }
-        assert_eq!(c.len(), 8);
-    }
-
     /// An LRU whose `get` panics on one key — simulates a client thread
-    /// dying while it holds a shard lock.
+    /// dying while it holds the cache lock.
     struct BombCache {
         inner: LruCache,
         bomb: u64,
@@ -679,7 +623,7 @@ mod tests {
         use std::sync::Arc;
         let c = Arc::new(ShardedCache::single(BombCache { inner: LruCache::new(8), bomb: 77 }));
         c.put(1, value(1));
-        // One client panics while holding the (only) shard lock.
+        // One client panics while holding the cache lock.
         let poisoner = Arc::clone(&c);
         std::thread::spawn(move || poisoner.get(77))
             .join()
@@ -701,15 +645,9 @@ mod tests {
     #[test]
     fn sharded_cache_is_usable_from_threads() {
         use std::sync::Arc;
-        // Each shard receives 100 of the 400 keys: room for all of them,
-        // so no thread's puts can evict a key between another's put and
-        // get.
-        let c = Arc::new(ShardedCache::from_shards(vec![
-            LruCache::new(128),
-            LruCache::new(128),
-            LruCache::new(128),
-            LruCache::new(128),
-        ]));
+        // Room for all 400 keys, so no thread's puts can evict a key
+        // between another's put and get.
+        let c = Arc::new(ShardedCache::single(LruCache::new(512)));
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let c = Arc::clone(&c);
@@ -724,5 +662,6 @@ mod tests {
         });
         let stats = c.stats();
         assert_eq!(stats.hits, 400);
+        assert_eq!(c.len(), 400);
     }
 }

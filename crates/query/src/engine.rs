@@ -22,7 +22,7 @@
 //! * the [`DocBroker`] owns an `Arc`-backed clone of the partitioned
 //!   index and is itself shareable;
 //! * the result cache sits behind a [`ShardedCache`] (policy state under
-//!   per-shard mutexes);
+//!   one mutex);
 //! * replica groups are per-partition mutexes (their round-robin cursors
 //!   mutate on dispatch);
 //! * counters are atomics, snapshot by [`DistributedEngine::stats`].
@@ -1007,7 +1007,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             ..OneDispatch::default()
         };
         let Some(h) = launch else { return unhedged() };
-        let Some(second) = group.peek_excluding(first) else { return unhedged() };
+        let Some(second) = group.peek(Some(first)) else { return unhedged() };
         let c2 = self.drawn_cost(service, pu, second, qid);
         // Budget the hedge at the retry replica's own drawn cost from its
         // own launch offset. (Historically this check was `2 * svc <= d`,
@@ -1016,8 +1016,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         if self.core.deadline.is_some_and(|d| h + c2 > d) {
             return unhedged();
         }
-        let dispatched = group.dispatch_excluding(first);
-        debug_assert_eq!(dispatched, Some(second), "peek and dispatch agree on the candidate");
+        group.commit(second);
         self.recorder.record(Event::Hedge { qid, now, partition: p, extra_us: c2 as f64 });
         let dead2 = self.fails_during(pu, second, now + h, now + h + c2);
         let hedged = OneDispatch { hedges: 1, ..OneDispatch::default() };
@@ -1753,7 +1752,7 @@ mod tests {
     }
 
     /// An LRU whose `get` panics on one key: a client thread dies while
-    /// holding the cache shard lock, and the engine must keep serving
+    /// holding the cache lock, and the engine must keep serving
     /// every other client.
     struct BombCache {
         inner: LruCache,

@@ -3,8 +3,8 @@
 //!
 //! Section 5's dependability argument ("upon query processor failures,
 //! the system returns cached results") is only testable if the query
-//! path actually experiences failures. A [`FaultSchedule`] materializes
-//! one [`DownInterval`] sequence per *(partition, replica)* pair from an
+//! path actually experiences failures. A [`FaultSchedule`] is a grid of
+//! [`Timeline`]s, one per *(partition, replica)* pair, drawn from an
 //! [`UpDownProcess`] renewal model, and the engine consumes it two ways:
 //!
 //! * [`DistributedEngine::advance_to`](crate::engine::DistributedEngine::advance_to)
@@ -16,32 +16,34 @@
 //!   hedged retry on another live replica before the partition is
 //!   dropped as degraded.
 //!
+//! Every interval question is the pair's `Timeline`'s; the schedule adds
+//! only its dimensions and the rule that a pair outside them is always up.
 //! Schedules are deterministic: the intervals of pair *(p, r)* depend
 //! only on the seed, the process parameters, and the labels `p` and `r`
 //! — never on how many other pairs exist. A schedule generated for
 //! `r + 1` replicas is therefore the `r`-replica schedule plus one extra
 //! independent replica per partition, which is what makes the
 //! replication-factor sweep of `exp_failover` comparable across rows.
-
+//!
 //! The site tier consumes the same renewal machinery one level up:
-//! [`site_outage_traces`] materializes one whole-site
-//! [`dwr_avail::site::Site`] timeline per site, label-forked per site
-//! index so that adding an `r+1`-th site never perturbs the first `r`
-//! traces — the property that makes `exp_site_failover`'s
-//! site-replication sweep comparable across rows (a query that failed
-//! with `r` sites can only be rescued, never newly lost, by site `r+1`).
+//! [`site_outage_traces`] materializes one whole-site `Timeline` per
+//! site, label-forked per site index so that adding an `r+1`-th site
+//! never perturbs the first `r` traces — the property that makes
+//! `exp_site_failover`'s site-replication sweep comparable across rows
+//! (a query that failed with `r` sites can only be rescued, never newly
+//! lost, by site `r+1`).
 
-use dwr_avail::failure::{DownInterval, UpDownProcess};
-use dwr_avail::site::{Site, SiteConfig};
+use dwr_avail::failure::{DownInterval, Timeline, UpDownProcess};
+use dwr_avail::site::SiteConfig;
 use dwr_sim::{SimRng, SimTime};
 
-/// Per-replica outage intervals over a fixed horizon, indexed by
+/// Per-replica outage timelines over a fixed horizon, indexed by
 /// partition and replica.
 #[derive(Debug, Clone)]
 pub struct FaultSchedule {
     horizon: SimTime,
-    /// `outages[partition][replica]`: sorted, non-overlapping intervals.
-    outages: Vec<Vec<Vec<DownInterval>>>,
+    /// `outages[partition][replica]`.
+    outages: Vec<Vec<Timeline>>,
 }
 
 impl FaultSchedule {
@@ -54,7 +56,6 @@ impl FaultSchedule {
         horizon: SimTime,
         seed: u64,
     ) -> Self {
-        assert!(horizon > 0);
         let root = SimRng::new(seed);
         let outages = (0..partitions)
             .map(|p| {
@@ -63,7 +64,7 @@ impl FaultSchedule {
                         // Label-forked: the (p, r) stream is independent
                         // of the schedule's dimensions.
                         let mut rng = root.fork(((p as u64) << 24) | r as u64);
-                        process.down_intervals(horizon, &mut rng)
+                        Timeline::new(process.down_intervals(horizon, &mut rng), horizon)
                     })
                     .collect()
             })
@@ -72,12 +73,13 @@ impl FaultSchedule {
     }
 
     /// Build a schedule from hand-placed intervals (tests, replayed
-    /// traces). `outages[p][r]` must be sorted and non-overlapping.
+    /// traces), `outages[p][r]` in any order: each pair's intervals are
+    /// normalised into its [`Timeline`].
     pub fn from_intervals(outages: Vec<Vec<Vec<DownInterval>>>, horizon: SimTime) -> Self {
-        debug_assert!(outages
-            .iter()
-            .flatten()
-            .all(|ivs| ivs.windows(2).all(|w| w[0].end <= w[1].start)));
+        let outages = outages
+            .into_iter()
+            .map(|group| group.into_iter().map(|ivs| Timeline::new(ivs, horizon)).collect())
+            .collect();
         FaultSchedule { horizon, outages }
     }
 
@@ -97,35 +99,25 @@ impl FaultSchedule {
         self.outages.get(p).map_or(0, Vec::len)
     }
 
-    /// The sorted outage intervals of replica `r` of partition `p`
-    /// (empty for pairs outside the schedule). Exposed so experiments can
-    /// align probe queries with outage boundaries.
-    pub fn intervals(&self, p: usize, r: usize) -> &[DownInterval] {
-        self.outages.get(p).and_then(|g| g.get(r)).map_or(&[], Vec::as_slice)
+    /// The outage timeline of replica `r` of partition `p`, or `None`
+    /// for a pair outside the schedule. Exposed so experiments can align
+    /// probe queries with outage boundaries.
+    pub fn timeline(&self, p: usize, r: usize) -> Option<&Timeline> {
+        self.outages.get(p)?.get(r)
     }
 
     /// Whether replica `r` of partition `p` is down at instant `t`.
     /// Pairs outside the schedule are always up.
     pub fn is_down(&self, p: usize, r: usize, t: SimTime) -> bool {
-        let ivs = self.intervals(p, r);
-        // Last interval starting at or before t, if any, decides.
-        let idx = ivs.partition_point(|iv| iv.start <= t);
-        idx > 0 && ivs[idx - 1].contains(t)
+        self.timeline(p, r).is_some_and(|tl| tl.is_down(t))
     }
 
     /// Whether replica `r` of partition `p` suffers any outage
     /// intersecting the window `[lo, hi)` — i.e. whether a query
-    /// occupying the replica for that window would be lost.
+    /// occupying the replica for that window would be lost. Pairs outside
+    /// the schedule never fail.
     pub fn fails_during(&self, p: usize, r: usize, lo: SimTime, hi: SimTime) -> bool {
-        let ivs = self.intervals(p, r);
-        // First interval ending after lo is the only candidate.
-        let idx = ivs.partition_point(|iv| iv.end <= lo);
-        ivs.get(idx).is_some_and(|iv| iv.intersects(lo, hi))
-    }
-
-    /// Total downtime of replica `r` of partition `p` over the horizon.
-    pub fn downtime(&self, p: usize, r: usize) -> SimTime {
-        self.intervals(p, r).iter().map(DownInterval::duration).sum()
+        self.timeline(p, r).is_some_and(|tl| tl.fails_during(lo, hi))
     }
 }
 
@@ -143,13 +135,12 @@ pub fn site_outage_traces(
     cfg: &SiteConfig,
     horizon: SimTime,
     seed: u64,
-) -> Vec<Site> {
-    assert!(horizon > 0);
+) -> Vec<Timeline> {
     let root = SimRng::new(seed);
     (0..n_sites)
         .map(|s| {
             let mut rng = root.fork(0x517E_0000 | s as u64);
-            Site::simulate(cfg, horizon, &mut rng)
+            cfg.simulate(horizon, &mut rng)
         })
         .collect()
 }
@@ -164,29 +155,33 @@ mod tests {
     }
 
     #[test]
-    fn is_down_follows_intervals() {
-        let s =
-            FaultSchedule::from_intervals(vec![vec![vec![iv(10, 20), iv(40, 50)], vec![]]], 100);
-        assert!(!s.is_down(0, 0, 9));
-        assert!(s.is_down(0, 0, 10));
-        assert!(s.is_down(0, 0, 19));
-        assert!(!s.is_down(0, 0, 20));
-        assert!(!s.is_down(0, 0, 30));
-        assert!(s.is_down(0, 0, 45));
-        assert!(!s.is_down(0, 1, 45), "replica with no outages is up");
-        assert!(!s.is_down(7, 0, 45), "partition outside the schedule is up");
-        assert!(!s.is_down(0, 9, 45), "replica outside the schedule is up");
+    fn outside_the_schedule_is_always_up() {
+        let s = FaultSchedule::from_intervals(vec![vec![vec![iv(10, 20)], vec![]]], 100);
+        assert_eq!((s.num_partitions(), s.num_replicas(0), s.num_replicas(7)), (1, 2, 0));
+        assert!(s.is_down(0, 0, 15) && s.fails_during(0, 0, 0, 11));
+        assert!(!s.is_down(0, 1, 15), "replica with no outages is up");
+        assert!(!s.is_down(7, 0, 15), "partition outside the schedule is up");
+        assert!(!s.is_down(0, 9, 15), "replica outside the schedule is up");
+        assert!(!s.fails_during(3, 1, 0, 100), "outside the schedule never fails");
+        assert!(s.timeline(0, 9).is_none());
     }
 
+    /// Hand-placed input in any order answers for its normalised union:
+    /// a release build must not silently misread unsorted intervals.
     #[test]
-    fn fails_during_detects_mid_query_death() {
-        let s = FaultSchedule::from_intervals(vec![vec![vec![iv(100, 200)]]], 1000);
-        assert!(s.fails_during(0, 0, 90, 110), "outage starts inside the query");
-        assert!(s.fails_during(0, 0, 150, 160), "query entirely inside the outage");
-        assert!(s.fails_during(0, 0, 190, 260), "query starts inside the outage");
-        assert!(!s.fails_during(0, 0, 0, 100), "query completes as the outage starts");
-        assert!(!s.fails_during(0, 0, 200, 300), "query starts at repair");
-        assert!(!s.fails_during(3, 1, 0, 1000), "outside the schedule never fails");
+    fn from_intervals_normalises_unsorted_overlapping_input() {
+        let s = FaultSchedule::from_intervals(
+            vec![vec![vec![iv(40, 50), iv(10, 20), iv(15, 30), iv(45, 60)]]],
+            100,
+        );
+        assert_eq!(s.timeline(0, 0).unwrap().down_intervals(), &[iv(10, 30), iv(40, 60)]);
+        for t in 0..100 {
+            let down = (10..30).contains(&t) || (40..60).contains(&t);
+            assert_eq!(s.is_down(0, 0, t), down, "is_down at {t}");
+        }
+        assert!(s.fails_during(0, 0, 25, 26), "inside the overlap of two inputs");
+        assert!(s.fails_during(0, 0, 55, 70), "inside the later overlap");
+        assert!(!s.fails_during(0, 0, 30, 40) && !s.fails_during(0, 0, 60, 100));
     }
 
     #[test]
@@ -196,17 +191,22 @@ mod tests {
         let a = FaultSchedule::generate(4, 2, &p, horizon, 42);
         let b = FaultSchedule::generate(4, 2, &p, horizon, 42);
         let wider = FaultSchedule::generate(4, 3, &p, horizon, 42);
+        let ivs =
+            |s: &FaultSchedule, part, r| s.timeline(part, r).unwrap().down_intervals().to_vec();
         for part in 0..4 {
             for r in 0..2 {
-                assert_eq!(a.intervals(part, r), b.intervals(part, r), "same seed, same schedule");
+                // The fork label is `(p << 24) | r`.
+                let mut rng = SimRng::new(42).fork(((part as u64) << 24) | r as u64);
+                assert_eq!(ivs(&a, part, r), p.down_intervals(horizon, &mut rng), "fork label");
+                assert_eq!(ivs(&a, part, r), ivs(&b, part, r), "same seed, same schedule");
                 assert_eq!(
-                    a.intervals(part, r),
-                    wider.intervals(part, r),
+                    ivs(&a, part, r),
+                    ivs(&wider, part, r),
                     "adding replicas must not perturb existing streams"
                 );
             }
         }
-        assert_ne!(a.intervals(0, 0), a.intervals(0, 1), "streams are independent");
+        assert_ne!(ivs(&a, 0, 0), ivs(&a, 0, 1), "streams are independent");
     }
 
     #[test]
@@ -236,7 +236,7 @@ mod tests {
         let p = UpDownProcess::exponential(10 * DAY, DAY);
         let horizon = 2_000 * DAY;
         let s = FaultSchedule::generate(1, 1, &p, horizon, 7);
-        let measured = 1.0 - s.downtime(0, 0) as f64 / horizon as f64;
+        let measured = s.timeline(0, 0).unwrap().availability();
         assert!((measured - p.steady_state_availability()).abs() < 0.02, "measured={measured}");
     }
 }

@@ -24,7 +24,7 @@
 //!   live repartitioning), and retrains profiles on topic drift;
 //! * [`multisite`] — the site tier: a [`multisite::MultiSiteEngine`]
 //!   owns one fault-injected engine per site plus a WAN topology, drives
-//!   per-site liveness from `dwr_avail::site::Site` outage traces, and
+//!   per-site liveness from `dwr_avail::failure::Timeline` outage traces, and
 //!   serves queries end-to-end with geographic (DNS-style) nearest-live
 //!   routing, load-aware offloading across time zones \[33\] by admission
 //!   quota, budgeted WAN failover, and explicit load shedding;

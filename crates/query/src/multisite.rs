@@ -3,16 +3,15 @@
 //! Section 5's site tier, served end to end: a
 //! [`MultiSiteEngine`] owns one (possibly fault-injected)
 //! [`DistributedEngine`] per site plus a WAN [`Topology`], and each
-//! site's up/down state comes from a materialized
-//! [`dwr_avail::site::Site`] timeline ("we say that a site is
-//! unavailable if it is not possible to reach any of the servers of this
-//! site"). Queries are routed to the nearest *live* site — the paper's
+//! site's up/down state comes from a materialized outage [`Timeline`]
+//! ("we say that a site is unavailable if it is not possible to reach any
+//! of the servers of this site"). Queries are routed to the nearest *live* site — the paper's
 //! DNS-redirection picture — and the engine keeps answering, possibly
 //! degraded, through whole-site outages:
 //!
 //! * **Failover.** When an attempt is lost — the chosen site's backend
 //!   returns [`Served::Failed`], the site dies mid-flight
-//!   ([`Site::fails_during`] over the attempt's WAN + service window), or
+//!   ([`Timeline::fails_during`] over the attempt's WAN + service window), or
 //!   the response would land after the per-query deadline — the query
 //!   fails over to the next-nearest live site. Every lost attempt
 //!   charges a doubling backoff against the deadline, and the number of
@@ -42,7 +41,7 @@ use crate::broker::GlobalHit;
 use crate::cache::ResultCache;
 use crate::engine::{query_key, DistributedEngine, Served};
 use crate::lock_recovering;
-use dwr_avail::site::Site;
+use dwr_avail::failure::Timeline;
 use dwr_obs::{Event, NoopRecorder, Recorder, SiteOutcome};
 use dwr_sim::net::{SiteId, Topology};
 use dwr_sim::{SimTime, MILLISECOND, MINUTE, SECOND};
@@ -100,7 +99,7 @@ pub struct SiteEngineSpec<C: ResultCache, R: Recorder = NoopRecorder> {
     /// recorder instance (share an `Arc<ObsRecorder>`).
     pub engine: DistributedEngine<C, R>,
     /// The site's whole-site outage timeline.
-    pub outages: Site,
+    pub outages: Timeline,
 }
 
 /// Admission-control state: queries admitted in the current window.
@@ -114,7 +113,7 @@ struct SiteNode<C: ResultCache, R: Recorder> {
     region: u16,
     capacity_qps: f64,
     engine: DistributedEngine<C, R>,
-    outages: Site,
+    outages: Timeline,
     window: Mutex<UtilWindow>,
 }
 
@@ -533,7 +532,10 @@ mod tests {
     }
 
     /// Three sites on a geo ring, all up unless a trace says otherwise.
-    fn engine_with_traces(traces: Vec<Site>, cfg: MultiSiteConfig) -> MultiSiteEngine<LruCache> {
+    fn engine_with_traces(
+        traces: Vec<Timeline>,
+        cfg: MultiSiteConfig,
+    ) -> MultiSiteEngine<LruCache> {
         let pi = index();
         let sites = traces
             .into_iter()
@@ -548,8 +550,8 @@ mod tests {
         MultiSiteEngine::new(sites, Topology::geo_ring(3), cfg)
     }
 
-    fn all_up() -> Vec<Site> {
-        (0..3).map(|_| Site::always_up(DAY)).collect()
+    fn all_up() -> Vec<Timeline> {
+        (0..3).map(|_| Timeline::always_up(DAY)).collect()
     }
 
     #[test]
@@ -575,7 +577,7 @@ mod tests {
                 capacity_qps: 100.0,
                 engine: DistributedEngine::new(&pi, LruCache::new(16), 1)
                     .with_router(Arc::new(ShardRouter::cori(2))),
-                outages: Site::always_up(DAY),
+                outages: Timeline::always_up(DAY),
             })
             .collect();
         let e = MultiSiteEngine::new(sites, Topology::geo_ring(3), MultiSiteConfig::default());
@@ -591,7 +593,7 @@ mod tests {
     #[test]
     fn dead_local_site_fails_over_to_nearest_live() {
         let mut traces = all_up();
-        traces[0] = Site::from_down_intervals(vec![iv(0, DAY)], DAY);
+        traces[0] = Timeline::new(vec![iv(0, DAY)], DAY);
         let e = engine_with_traces(traces, MultiSiteConfig::default());
         let r = e.query(0, &[TermId(1)], 10);
         assert_eq!(r.served, Served::Full);
@@ -608,7 +610,7 @@ mod tests {
 
     #[test]
     fn all_sites_down_is_the_only_failed_outcome() {
-        let traces = (0..3).map(|_| Site::from_down_intervals(vec![iv(0, DAY)], DAY)).collect();
+        let traces = (0..3).map(|_| Timeline::new(vec![iv(0, DAY)], DAY)).collect();
         let e = engine_with_traces(traces, MultiSiteConfig::default());
         let r = e.query(0, &[TermId(1)], 10);
         assert_eq!(r.served, Served::Failed);
@@ -623,7 +625,7 @@ mod tests {
         // real service window — so the attempt is lost and the query
         // fails over to site 1, charged one backoff.
         let mut traces = all_up();
-        traces[0] = Site::from_down_intervals(vec![iv(1, HOUR)], DAY);
+        traces[0] = Timeline::new(vec![iv(1, HOUR)], DAY);
         let cfg = MultiSiteConfig::default();
         let e = engine_with_traces(traces, cfg);
         let r = e.query(0, &[TermId(1)], 10);
@@ -643,7 +645,7 @@ mod tests {
         // within a 1 µs deadline. Live capacity exists → Shed, not
         // Failed.
         let mut traces = all_up();
-        traces[0] = Site::from_down_intervals(vec![iv(0, DAY)], DAY);
+        traces[0] = Timeline::new(vec![iv(0, DAY)], DAY);
         let cfg = MultiSiteConfig { deadline: 1, ..MultiSiteConfig::default() };
         let e = engine_with_traces(traces, cfg);
         let r = e.query(0, &[TermId(1)], 10);
@@ -658,7 +660,7 @@ mod tests {
         // Every site dies right after dispatch: each attempt is lost
         // mid-flight. The cascade must stop at max_attempts and land in
         // shed_deadline.
-        let traces = (0..3).map(|_| Site::from_down_intervals(vec![iv(1, DAY)], DAY)).collect();
+        let traces = (0..3).map(|_| Timeline::new(vec![iv(1, DAY)], DAY)).collect();
         let cfg = MultiSiteConfig { max_attempts: 2, ..MultiSiteConfig::default() };
         let e = engine_with_traces(traces, cfg);
         let r = e.query(0, &[TermId(1)], 10);
@@ -677,7 +679,7 @@ mod tests {
                 region: s as u16,
                 capacity_qps: 2.0,
                 engine: DistributedEngine::new(&pi, LruCache::new(16), 1),
-                outages: Site::always_up(DAY),
+                outages: Timeline::always_up(DAY),
             })
             .collect();
         let cfg = MultiSiteConfig {
@@ -734,7 +736,7 @@ mod tests {
                 region: s as u16,
                 capacity_qps: 0.01,
                 engine: DistributedEngine::new(&pi, LruCache::new(16), 1),
-                outages: Site::always_up(DAY),
+                outages: Timeline::always_up(DAY),
             })
             .collect();
         let e = MultiSiteEngine::new(sites, Topology::geo_ring(3), cfg);
@@ -753,7 +755,7 @@ mod tests {
     fn outcomes_are_deterministic_given_the_same_traces() {
         let run = || {
             let mut traces = all_up();
-            traces[1] = Site::from_down_intervals(vec![iv(HOUR, 5 * HOUR)], DAY);
+            traces[1] = Timeline::new(vec![iv(HOUR, 5 * HOUR)], DAY);
             let e = engine_with_traces(traces, MultiSiteConfig::default());
             let mut hits = Vec::new();
             for i in 0..100u64 {

@@ -56,45 +56,30 @@ impl ReplicaGroup {
         self.alive_count() > 0
     }
 
-    /// Dispatch one query: returns the chosen live replica (round-robin
-    /// over live members), or `None` when the whole group is down.
+    /// The live replica the round-robin cursor reaches first, skipping
+    /// `avoid` (the hedged-retry path, where that replica failed
+    /// mid-query and retrying on it would just fail again), or `None`
+    /// when no such replica is live. Choosing charges nothing: the hedging
+    /// policies need the candidate's identity first — its drawn service
+    /// cost decides whether the hedge fits the deadline — and only then
+    /// [`commit`](Self::commit) the dispatch.
+    pub fn peek(&self, avoid: Option<usize>) -> Option<usize> {
+        let n = self.alive.len();
+        (0..n).map(|probe| (self.next + probe) % n).find(|&c| Some(c) != avoid && self.alive[c])
+    }
+
+    /// Charge one dispatch to `replica` and move the cursor past it.
+    pub fn commit(&mut self, replica: usize) {
+        self.next = (replica + 1) % self.alive.len();
+        self.dispatched[replica] += 1;
+    }
+
+    /// Dispatch one query: the [`peek`](Self::peek)ed live replica,
+    /// committed, or `None` when the whole group is down.
     pub fn dispatch(&mut self) -> Option<usize> {
-        let n = self.alive.len();
-        for probe in 0..n {
-            let candidate = (self.next + probe) % n;
-            if self.alive[candidate] {
-                self.next = (candidate + 1) % n;
-                self.dispatched[candidate] += 1;
-                return Some(candidate);
-            }
-        }
-        None
-    }
-
-    /// Dispatch one query like [`Self::dispatch`], but never to `avoid`
-    /// — the hedged-retry path, where the first replica failed mid-query
-    /// and retrying on it would just fail again.
-    pub fn dispatch_excluding(&mut self, avoid: usize) -> Option<usize> {
-        let n = self.alive.len();
-        for probe in 0..n {
-            let candidate = (self.next + probe) % n;
-            if candidate != avoid && self.alive[candidate] {
-                self.next = (candidate + 1) % n;
-                self.dispatched[candidate] += 1;
-                return Some(candidate);
-            }
-        }
-        None
-    }
-
-    /// The replica [`Self::dispatch_excluding`] *would* pick, without
-    /// advancing the cursor or charging a dispatch. The hedging policies
-    /// need the candidate's identity first — its drawn service cost decides
-    /// whether the hedge fits the deadline — and only then commit the
-    /// dispatch, so peek and dispatch must agree on the choice.
-    pub fn peek_excluding(&self, avoid: usize) -> Option<usize> {
-        let n = self.alive.len();
-        (0..n).map(|probe| (self.next + probe) % n).find(|&c| c != avoid && self.alive[c])
+        let chosen = self.peek(None)?;
+        self.commit(chosen);
+        Some(chosen)
     }
 
     /// Queries dispatched per replica.
@@ -260,17 +245,18 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_excluding_avoids_the_failed_replica() {
+    fn peek_avoiding_skips_the_failed_replica() {
         let mut g = ReplicaGroup::new(3);
         for _ in 0..30 {
-            let r = g.dispatch_excluding(1).expect("others alive");
+            let r = g.peek(Some(1)).expect("others alive");
             assert_ne!(r, 1);
+            g.commit(r);
         }
         assert_eq!(g.dispatched()[1], 0);
         // With only the excluded replica alive there is no hedge target.
         g.set_alive(0, false);
         g.set_alive(2, false);
-        assert_eq!(g.dispatch_excluding(1), None);
+        assert_eq!(g.peek(Some(1)), None);
         assert_eq!(g.dispatch(), Some(1), "plain dispatch still reaches it");
     }
 
@@ -347,20 +333,26 @@ mod tests {
     }
 
     #[test]
-    fn peek_excluding_matches_dispatch_excluding() {
+    fn peek_charges_nothing_and_commit_follows_round_robin() {
         let mut g = ReplicaGroup::new(3);
         g.set_alive(1, false);
-        for avoid in [0usize, 1, 2] {
+        for avoid in [None, Some(0), Some(1), Some(2)] {
             for _ in 0..7 {
-                let peeked = g.peek_excluding(avoid);
-                assert_eq!(g.dispatch_excluding(avoid), peeked);
+                let peeked = g.peek(avoid);
+                assert_eq!(g.peek(avoid), peeked, "peeking twice moves nothing");
+                if let Some(r) = peeked {
+                    g.commit(r);
+                }
                 g.dispatch(); // shuffle the cursor between probes
             }
         }
         // Peek charges nothing: a fresh group shows zero dispatches.
-        let g = ReplicaGroup::new(2);
-        assert_eq!(g.peek_excluding(0), Some(1));
+        let mut g = ReplicaGroup::new(2);
+        assert_eq!(g.peek(Some(0)), Some(1));
         assert_eq!(g.dispatched(), &[0, 0]);
+        // A commit moves the cursor past the committed replica.
+        g.commit(1);
+        assert_eq!((g.peek(None), g.dispatched()), (Some(0), &[0, 1][..]));
     }
 
     #[test]

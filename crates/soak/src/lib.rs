@@ -38,8 +38,8 @@
 //! map, and the live `crawl.*` / `repart.*` / `route.*` / `site.*`
 //! instruments equal to the offline stats bitwise.
 
-use dwr_avail::failure::UpDownProcess;
-use dwr_avail::site::{Site, SiteConfig};
+use dwr_avail::failure::{Timeline, UpDownProcess};
+use dwr_avail::site::SiteConfig;
 use dwr_crawler::assign::ConsistentHashAssigner;
 use dwr_crawler::faults::AgentSchedule;
 use dwr_crawler::sim::{CrawlConfig, CrawlFaultStats, DistributedCrawl, FetchSpan, SpanOutcome};
@@ -563,7 +563,7 @@ impl SoakScenario {
         let stragglers = cfg
             .stragglers
             .then(|| Arc::new(StragglerModel::drawn(cfg.seed ^ 0x7A11_50A7, TailParams::mild())));
-        let outage_traces: Vec<Site> = if cfg.site_outages {
+        let outage_traces: Vec<Timeline> = if cfg.site_outages {
             // birn_like outages come about once a month — invisible in a
             // half-day soak. `scaled` accelerates the event rate while
             // preserving steady-state availability, so a 12 h horizon
@@ -573,7 +573,7 @@ impl SoakScenario {
             site_cfg.server = site_cfg.server.scaled(1.0 / 48.0);
             site_outage_traces(cfg.sites, &site_cfg, cfg.serve_horizon, cfg.seed ^ 0x517E_50A7)
         } else {
-            (0..cfg.sites).map(|_| Site::always_up(cfg.serve_horizon)).collect()
+            (0..cfg.sites).map(|_| Timeline::always_up(cfg.serve_horizon)).collect()
         };
 
         let sites: Vec<SiteEngineSpec<LruCache, Arc<ObsRecorder>>> = outage_traces

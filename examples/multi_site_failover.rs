@@ -5,11 +5,11 @@
 //! cargo run --example multi_site_failover --release
 //! ```
 
-use distributed_web_retrieval::avail::failure::DownInterval;
+use distributed_web_retrieval::avail::failure::{DownInterval, Timeline};
 use distributed_web_retrieval::avail::monthly::{
     availability_histogram, figure5_thresholds, monthly_availability,
 };
-use distributed_web_retrieval::avail::site::{Site, SiteConfig};
+use distributed_web_retrieval::avail::site::SiteConfig;
 use distributed_web_retrieval::partition::doc::{DocPartitioner, RoundRobinPartitioner};
 use distributed_web_retrieval::partition::parted::{Corpus, PartitionedIndex};
 use distributed_web_retrieval::query::cache::LruCache;
@@ -25,7 +25,11 @@ use distributed_web_retrieval::text::TermId;
 
 /// Three sites in three time zones, one small engine per site over the
 /// same index, each serving 1 query/second at full utilization.
-fn tier(pi: &PartitionedIndex, traces: &[Site], cfg: MultiSiteConfig) -> MultiSiteEngine<LruCache> {
+fn tier(
+    pi: &PartitionedIndex,
+    traces: &[Timeline],
+    cfg: MultiSiteConfig,
+) -> MultiSiteEngine<LruCache> {
     let sites = traces
         .iter()
         .enumerate()
@@ -52,7 +56,7 @@ fn main() {
         .collect();
     let arrivals = generate_arrivals(&profiles, DAY, seed);
     println!("one day, {} queries across 3 regions", arrivals.len());
-    let always_up: Vec<Site> = (0..3).map(|_| Site::always_up(DAY)).collect();
+    let always_up: Vec<Timeline> = (0..3).map(|_| Timeline::always_up(DAY)).collect();
     let hourly = MultiSiteConfig { util_window: HOUR, ..MultiSiteConfig::default() };
     for (name, shed_threshold) in [("nearest", f64::INFINITY), ("load-aware", 0.65)] {
         let engine = tier(&pi, &always_up, MultiSiteConfig { shed_threshold, ..hourly });
@@ -79,8 +83,7 @@ fn main() {
     // Site 0's queries fail over to the ring neighbours while its trace
     // says "down".
     let mut traces = always_up;
-    traces[0] =
-        Site::from_down_intervals(vec![DownInterval { start: 9 * HOUR, end: 15 * HOUR }], DAY);
+    traces[0] = Timeline::new(vec![DownInterval { start: 9 * HOUR, end: 15 * HOUR }], DAY);
     let engine = tier(&pi, &traces, MultiSiteConfig::default());
     let n = 600u64;
     for i in 0..n {

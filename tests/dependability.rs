@@ -2,7 +2,7 @@
 //! replicas, whole sites — and the system's mitigation machinery.
 
 use distributed_web_retrieval::avail::failure::UpDownProcess;
-use distributed_web_retrieval::avail::site::{Site, SiteConfig};
+use distributed_web_retrieval::avail::site::SiteConfig;
 use distributed_web_retrieval::crawler::assign::{AgentId, ConsistentHashAssigner};
 use distributed_web_retrieval::crawler::sim::{CrawlConfig, DistributedCrawl};
 use distributed_web_retrieval::crawler::AgentSchedule;
@@ -79,7 +79,7 @@ fn site_availability_feeds_query_routing_shape() {
         server: UpDownProcess::exponential(40 * DAY, DAY / 2),
     };
     let mut rng = SimRng::new(SEED);
-    let site = Site::simulate(&cfg, 365 * DAY, &mut rng);
+    let site = cfg.simulate(365 * DAY, &mut rng);
     let a = site.availability();
     assert!(a > 0.9 && a < 1.0, "availability {a}");
     // Point queries agree with interval accounting.

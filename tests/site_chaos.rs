@@ -17,8 +17,8 @@
 //! The four `site_chaos_fixed_seed_*` tests are the deterministic
 //! anchors CI runs; the proptest blocks widen the net locally.
 
-use dwr_avail::failure::UpDownProcess;
-use dwr_avail::site::{Site, SiteConfig};
+use dwr_avail::failure::{Timeline, UpDownProcess};
+use dwr_avail::site::SiteConfig;
 use dwr_partition::parted::PartitionedIndex;
 use dwr_query::cache::LruCache;
 use dwr_query::engine::{DistributedEngine, Served};
@@ -37,7 +37,7 @@ use support::build_index;
 /// with its own inner fault schedule, on a geo ring.
 fn build_tier(
     pi: &PartitionedIndex,
-    traces: Vec<Site>,
+    traces: Vec<Timeline>,
     horizon: SimTime,
     inner_threads: usize,
     cfg: MultiSiteConfig,
@@ -188,13 +188,13 @@ proptest! {
         let process = UpDownProcess::exponential(mtbf_hours * HOUR, mttr_hours * HOUR);
         let live = (live_pick % n_sites as u64) as usize;
         let root = SimRng::new(seed);
-        let traces: Vec<Site> = (0..n_sites)
+        let traces: Vec<Timeline> = (0..n_sites)
             .map(|s| {
                 if s == live {
-                    Site::always_up(horizon)
+                    Timeline::always_up(horizon)
                 } else {
                     let mut rng = root.fork(s as u64);
-                    Site::from_down_intervals(process.down_intervals(horizon, &mut rng), horizon)
+                    Timeline::new(process.down_intervals(horizon, &mut rng), horizon)
                 }
             })
             .collect();

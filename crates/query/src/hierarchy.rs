@@ -30,14 +30,16 @@ pub struct MergeOutcome {
     pub coordinators: usize,
 }
 
+/// Merge `lists` into their top `k` (none at `k = 0`), and the CPU the
+/// coordinator pays to receive them.
 fn merge_lists(lists: &[Vec<GlobalHit>], k: usize) -> (Vec<GlobalHit>, u64) {
-    let mut top = TopK::new(k.max(1));
-    let mut cpu = 0u64;
-    for l in lists {
-        cpu += l.len() as u64 * US_PER_MERGE_HIT as u64;
-        for h in l {
-            top.push(h.doc, h.score);
-        }
+    let cpu: u64 = lists.iter().map(|l| l.len() as u64 * US_PER_MERGE_HIT as u64).sum();
+    if k == 0 {
+        return (Vec::new(), cpu);
+    }
+    let mut top = TopK::new(k);
+    for h in lists.iter().flatten() {
+        top.push(h.doc, h.score);
     }
     let hits =
         top.into_sorted_vec().into_iter().map(|(doc, score)| GlobalHit { doc, score }).collect();
@@ -178,6 +180,16 @@ mod tests {
         let tree = tree_merge(&parts, 10, 2, Link::lan());
         assert_eq!(flat.hits, tree.hits);
         assert_eq!(tree.coordinators, 1, "just the root");
+    }
+
+    #[test]
+    fn top_zero_merges_to_nothing() {
+        let parts = partitions(16, 10);
+        assert!(flat_merge(&parts, 0, Link::lan()).hits.is_empty());
+        for fanout in [2, 4] {
+            assert!(tree_merge(&parts, 0, fanout, Link::lan()).hits.is_empty(), "fanout {fanout}");
+        }
+        assert!(tree_merge(&parts[..1], 0, 2, Link::lan()).hits.is_empty(), "one partition");
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! right panel; the bin-packing and co-occurrence partitioners of
 //! `dwr-partition` exist to fight exactly this.
 
-use dwr_sim::net::{SiteId, Topology};
+use dwr_sim::net::Link;
 use dwr_sim::SimTime;
 use dwr_text::index::InvertedIndex;
 use dwr_text::score::Bm25;
-use dwr_text::topk::TopK;
+use dwr_text::search::{search_or_pipelined, EvalStats};
 use dwr_text::TermId;
 use std::collections::HashMap;
 
@@ -42,116 +42,71 @@ pub struct PipelinedResponse {
     pub forwarded_bytes: u64,
 }
 
-/// A term-partitioned engine with pipelined routing.
+/// A term-partitioned engine with pipelined routing, its servers on one
+/// LAN. Scoring is `dwr-text`'s dense evaluator run stage by stage
+/// ([`search_or_pipelined`]); this engine only routes and prices.
 pub struct PipelinedTermEngine<'a> {
     index: &'a InvertedIndex,
     /// term -> server.
     assignment: HashMap<u32, u32>,
-    servers: usize,
-    topo: Topology,
-    server_sites: Vec<SiteId>,
     bm25: Bm25,
     busy: Vec<f64>,
-    queries: u64,
 }
 
 impl<'a> PipelinedTermEngine<'a> {
     /// Create the engine. `assignment` maps every query-relevant term to a
     /// server in `0..servers`.
-    pub fn new(
-        index: &'a InvertedIndex,
-        assignment: HashMap<u32, u32>,
-        servers: usize,
-        topo: Topology,
-        server_sites: Vec<SiteId>,
-    ) -> Self {
-        assert!(servers > 0);
-        assert_eq!(server_sites.len(), servers);
-        assert!(assignment.values().all(|&s| (s as usize) < servers));
-        PipelinedTermEngine {
-            index,
-            assignment,
-            servers,
-            topo,
-            server_sites,
-            bm25: Bm25::default(),
-            busy: vec![0.0; servers],
-            queries: 0,
-        }
-    }
-
-    /// Single-site convenience constructor.
     pub fn single_site(
         index: &'a InvertedIndex,
         assignment: HashMap<u32, u32>,
         servers: usize,
     ) -> Self {
-        let sites = vec![SiteId(0); servers];
-        Self::new(index, assignment, servers, Topology::single_site(), sites)
+        assert!(servers > 0);
+        assert!(assignment.values().all(|&s| (s as usize) < servers));
+        PipelinedTermEngine { index, assignment, bm25: Bm25::default(), busy: vec![0.0; servers] }
     }
 
-    /// Evaluate a query through the pipeline.
+    /// Evaluate a query through the pipeline. Its distinct terms are
+    /// grouped by owning server, visited in ascending server order (the
+    /// pipeline order); terms no server owns are skipped. A top-0 request
+    /// visits no server.
     pub fn query(&mut self, terms: &[TermId], k: usize) -> PipelinedResponse {
-        self.queries += 1;
-        // Group the query's terms by owning server; visit servers in
-        // ascending id order (the pipeline order).
-        let mut by_server: HashMap<u32, Vec<TermId>> = HashMap::new();
-        for &t in terms {
-            if let Some(&s) = self.assignment.get(&t.0) {
-                by_server.entry(s).or_default().push(t);
-            }
-        }
-        let mut route: Vec<u32> = by_server.keys().copied().collect();
-        route.sort_unstable();
-
-        let mut accumulators: HashMap<u32, f32> = HashMap::new();
-        let mut latency: SimTime = 0;
-        let mut forwarded = 0u64;
-        let mut prev_site: Option<SiteId> = None;
-
-        for &server in &route {
-            let server_terms = &by_server[&server];
-            // Stage service time: postings scanned here plus the cost of
-            // receiving and merging the forwarded accumulator set.
-            let postings: u64 = server_terms.iter().map(|&t| u64::from(self.index.df(t))).sum();
-            let merge_in = if prev_site.is_some() {
-                accumulators.len() as f64 * US_PER_ACCUMULATOR
-            } else {
-                0.0
-            };
-            let service = US_PER_QUERY_FIXED + postings as f64 * US_PER_POSTING + merge_in;
-            self.busy[server as usize] += service;
-            latency += service as SimTime;
-            // Inter-stage hop carrying the accumulator set.
-            let site = self.server_sites[server as usize];
-            if let Some(prev) = prev_site {
-                let payload = accumulators.len() as u64 * BYTES_PER_ACCUMULATOR;
-                forwarded += payload;
-                latency += self.topo.transfer_time(prev, site, 64 + payload);
-            }
-            prev_site = Some(site);
-            // Merge this server's postings into the accumulators.
-            for &t in server_terms {
-                if let Some(list) = self.index.postings(t) {
-                    let scorer = self.bm25.term_scorer(self.index, t);
-                    for p in list.iter() {
-                        let s = scorer.score(p.tf, self.index.doc_len(p.doc)) as f32;
-                        *accumulators.entry(p.doc.0).or_insert(0.0) += s;
-                    }
+        let mut ordered: Vec<TermId> = Vec::with_capacity(terms.len());
+        if k > 0 {
+            for &t in terms {
+                if self.assignment.contains_key(&t.0) && !ordered.contains(&t) {
+                    ordered.push(t);
                 }
             }
         }
+        let server = |t: &TermId| self.assignment[&t.0];
+        ordered.sort_by_key(server); // stable: query order within a server
+        let stages: Vec<&[TermId]> = ordered.chunk_by(|a, b| server(a) == server(b)).collect();
+        let route: Vec<u32> = stages.iter().map(|stage| server(&stage[0])).collect();
 
-        let mut top = TopK::new(k.max(1));
-        for (doc, score) in accumulators {
-            top.push(doc, score);
+        let mut ev = EvalStats::default();
+        let (hits, sizes) =
+            search_or_pipelined(self.index, &stages, k, &self.bm25, self.index, &mut ev);
+
+        // Stage `i` scans its own postings and, past the first, receives
+        // and merges the accumulator set stage `i - 1` forwards.
+        let mut latency: SimTime = 0;
+        let mut forwarded = 0u64;
+        for (i, (&server, stage)) in route.iter().zip(&stages).enumerate() {
+            let postings: u64 = stage.iter().map(|&t| u64::from(self.index.df(t))).sum();
+            let received = if i > 0 { sizes[i - 1] as u64 } else { 0 };
+            let merge_in = received as f64 * US_PER_ACCUMULATOR;
+            let service = US_PER_QUERY_FIXED + postings as f64 * US_PER_POSTING + merge_in;
+            self.busy[server as usize] += service;
+            latency += service as SimTime;
+            if i > 0 {
+                let payload = received * BYTES_PER_ACCUMULATOR;
+                forwarded += payload;
+                latency += Link::lan().transfer_time(64 + payload);
+            }
         }
         PipelinedResponse {
-            hits: top
-                .into_sorted_vec()
-                .into_iter()
-                .map(|(doc, score)| GlobalHit { doc, score })
-                .collect(),
+            hits: hits.into_iter().map(|h| GlobalHit { doc: h.doc.0, score: h.score }).collect(),
             route,
             latency,
             forwarded_bytes: forwarded,
@@ -165,16 +120,11 @@ impl<'a> PipelinedTermEngine<'a> {
 
     /// Busy time normalized by its mean — Figure 2's y-axis.
     pub fn busy_load_normalized(&self) -> Vec<f64> {
-        let mean = self.busy.iter().sum::<f64>() / self.servers as f64;
+        let mean = self.busy.iter().sum::<f64>() / self.busy.len() as f64;
         if mean <= 0.0 {
-            return vec![0.0; self.servers];
+            return vec![0.0; self.busy.len()];
         }
         self.busy.iter().map(|&b| b / mean).collect()
-    }
-
-    /// Queries processed so far.
-    pub fn queries_processed(&self) -> u64 {
-        self.queries
     }
 }
 
@@ -215,6 +165,29 @@ mod tests {
             .map(|h| h.doc.0)
             .collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn top_zero_returns_nothing() {
+        let idx = index();
+        let mut eng = PipelinedTermEngine::single_site(&idx, spread_assignment(4), 4);
+        let r = eng.query(&[TermId(1), TermId(2)], 0);
+        assert!(r.hits.is_empty());
+        assert!(r.route.is_empty(), "a top-0 request visits no server");
+        assert_eq!((r.latency, r.forwarded_bytes), (0, 0));
+        assert!(eng.busy_time().iter().all(|&b| b == 0.0));
+    }
+
+    #[test]
+    fn repeated_term_scores_once() {
+        let idx = index();
+        let mut eng = PipelinedTermEngine::single_site(&idx, spread_assignment(4), 4);
+        let bits = |r: PipelinedResponse| -> Vec<(u32, u32)> {
+            r.hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
+        };
+        let twice = bits(eng.query(&[TermId(1), TermId(1), TermId(0)], 10));
+        let once = bits(eng.query(&[TermId(1), TermId(0)], 10));
+        assert_eq!(twice, once);
     }
 
     #[test]

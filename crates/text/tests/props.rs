@@ -7,14 +7,15 @@ use dwr_text::positions::{PositionalIndex, PositionalList, PositionalPosting};
 use dwr_text::postings::{Posting, PostingList, PostingListBuilder, BLOCK_LEN};
 use dwr_text::score::{Bm25, CollectionStats, GlobalStats};
 use dwr_text::search::{
-    search_and, search_and_exhaustive, search_or, search_or_with, EvalStats, EvalStrategy,
-    SearchHit,
+    search_and, search_and_exhaustive, search_or, search_or_pipelined, search_or_with, EvalStats,
+    EvalStrategy,
 };
 use dwr_text::token::{term_frequencies, tokenize};
 use dwr_text::topk::TopK;
 use dwr_text::{DocId, InvertedIndex, TermId};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use proptest::test_runner::TestCaseError;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// Strategy: a sorted, strictly ascending (doc, tf) posting vector.
@@ -66,19 +67,54 @@ impl CollectionStats for OneDoc<'_> {
     }
 }
 
-/// The exhaustive and the dense evaluator on one query: each one's hits
-/// and work counters.
-fn both_evaluators(
+/// Every ranked-OR evaluation of one query against the exhaustive
+/// reference: the dense evaluator, and the dense evaluator run in stages
+/// (`search_or_pipelined`) over the deduplicated query cut at `cuts`
+/// (each taken modulo its length + 1). Both must equal the reference's
+/// hits and work counters bit for bit, and each stage's forwarded size a
+/// brute-force count of the distinct docs the stages so far touch — none
+/// at `k = 0`, where no list is read.
+fn check_evaluators(
     idx: &InvertedIndex,
     terms: &[TermId],
+    cuts: &[usize],
     k: usize,
     stats: &impl CollectionStats,
-) -> [(Vec<SearchHit>, EvalStats); 2] {
+) -> Result<(), TestCaseError> {
     let bm = Bm25::default();
-    [EvalStrategy::Exhaustive, EvalStrategy::Dense].map(|strategy| {
+    let [ex, dense] = [EvalStrategy::Exhaustive, EvalStrategy::Dense].map(|strategy| {
         let mut ev = EvalStats::default();
         (search_or_with(strategy, idx, terms, k, &bm, stats, &mut ev), ev)
-    })
+    });
+    let n = idx.num_docs();
+    prop_assert_eq!(&dense, &ex, "dense diverges on {:?} k={} ({} docs)", terms, k, n);
+
+    let mut canon: Vec<TermId> = Vec::new();
+    for &t in terms {
+        if !canon.contains(&t) {
+            canon.push(t);
+        }
+    }
+    let mut at: Vec<usize> = cuts.iter().map(|&c| c % (canon.len() + 1)).collect();
+    at.extend([0, canon.len()]);
+    at.sort_unstable();
+    let stages: Vec<&[TermId]> = at.windows(2).map(|w| &canon[w[0]..w[1]]).collect();
+    let mut ev = EvalStats::default();
+    let (hits, forwarded) = search_or_pipelined(idx, &stages, k, &bm, stats, &mut ev);
+    prop_assert_eq!((hits, ev), ex, "stages {:?} diverge, k={} ({} docs)", &stages, k, n);
+
+    let mut touched = BTreeSet::new();
+    let mut want = Vec::new();
+    if k > 0 {
+        for stage in &stages {
+            for list in stage.iter().filter_map(|&t| idx.postings(t)) {
+                touched.extend(list.iter().map(|p| p.doc));
+            }
+            want.push(touched.len());
+        }
+    }
+    prop_assert_eq!(forwarded, want, "forwarded sizes for stages {:?}", &stages);
+    Ok(())
 }
 
 /// Strategy: a strictly ascending (doc, tf) vector spanning several
@@ -530,28 +566,24 @@ proptest! {
     /// The dense and exhaustive `search_or` return identical `(doc,
     /// score)` vectors — docs, f32 scores, and tie-break order — and
     /// identical work counters over arbitrary indexes, term multisets
-    /// (duplicates included), and k, under local statistics.
+    /// (duplicates included), and k (0 included), under local statistics;
+    /// so does the dense loop run in stages, for any split of the query.
     #[test]
     fn dense_equals_exhaustive_local_stats(
         corpus in corpus_strategy(),
         terms in prop::collection::vec(0u32..200, 0..6),
-        k in 1usize..20,
+        cuts in prop::collection::vec(0usize..7, 0..4),
+        k in 0usize..20,
     ) {
         let idx = build_index(&corpus);
         let terms: Vec<TermId> = terms.into_iter().map(TermId).collect();
-        let bm = Bm25::default();
-        let mut ex = EvalStats::default();
-        let mut dense = EvalStats::default();
-        let a = search_or_with(EvalStrategy::Exhaustive, &idx, &terms, k, &bm, &idx, &mut ex);
-        let b = search_or_with(EvalStrategy::Dense, &idx, &terms, k, &bm, &idx, &mut dense);
-        prop_assert_eq!(a, b, "evaluators diverge on {:?} k={}", &terms, k);
-        prop_assert_eq!(dense, ex);
+        check_evaluators(&idx, &terms, &cuts, k, &idx)?;
     }
 
     /// The dense scratch carries nothing from one evaluation to the next:
     /// a sequence of evaluations on one thread, over indexes whose sizes
-    /// go large → small → large, equals the exhaustive reference bit for
-    /// bit at every step. Queries repeat terms and include terms in most
+    /// go large → small → large, whole and in stages, equals the exhaustive
+    /// reference bit for bit at every step. Queries repeat terms and include terms in most
     /// documents, and each step picks a statistics source: local, global
     /// over all three indexes, or one that claims a single document, so
     /// every term in two or more documents has its idf floored to 0 and
@@ -562,23 +594,25 @@ proptest! {
         small in dense_corpus_strategy(1..12),
         large_again in dense_corpus_strategy(150..400),
         steps in prop::collection::vec(
-            (prop::collection::vec(0u32..30, 0..6), 1usize..21, 0usize..3),
+            (
+                prop::collection::vec(0u32..30, 0..6),
+                prop::collection::vec(0usize..7, 0..4),
+                0usize..21,
+                0usize..3,
+            ),
             1..8,
         ),
     ) {
         let indexes = [build_index(&large), build_index(&small), build_index(&large_again)];
-        for (terms, k, source) in steps {
+        for (terms, cuts, k, source) in steps {
             let terms: Vec<TermId> = terms.into_iter().map(TermId).collect();
             let global = GlobalStats::sum(&indexes);
             for idx in &indexes {
-                let [ex, dense] = match source {
-                    0 => both_evaluators(idx, &terms, k, idx),
-                    1 => both_evaluators(idx, &terms, k, &global),
-                    _ => both_evaluators(idx, &terms, k, &OneDoc(idx)),
-                };
-                prop_assert_eq!(
-                    dense, ex, "{} docs, {:?} k={} source {}", idx.num_docs(), &terms, k, source
-                );
+                match source {
+                    0 => check_evaluators(idx, &terms, &cuts, k, idx)?,
+                    1 => check_evaluators(idx, &terms, &cuts, k, &global)?,
+                    _ => check_evaluators(idx, &terms, &cuts, k, &OneDoc(idx))?,
+                }
             }
         }
     }
@@ -590,20 +624,15 @@ proptest! {
         corpus_a in corpus_strategy(),
         corpus_b in corpus_strategy(),
         terms in prop::collection::vec(0u32..200, 0..6),
-        k in 1usize..20,
+        cuts in prop::collection::vec(0usize..7, 0..4),
+        k in 0usize..20,
     ) {
         let pa = build_index(&corpus_a);
         let pb = build_index(&corpus_b);
         let terms: Vec<TermId> = terms.into_iter().map(TermId).collect();
         let g = GlobalStats::sum([&pa, &pb]);
-        let bm = Bm25::default();
         for idx in [&pa, &pb] {
-            let mut ex = EvalStats::default();
-            let mut dense = EvalStats::default();
-            let a = search_or_with(EvalStrategy::Exhaustive, idx, &terms, k, &bm, &g, &mut ex);
-            let b = search_or_with(EvalStrategy::Dense, idx, &terms, k, &bm, &g, &mut dense);
-            prop_assert_eq!(a, b, "evaluators diverge under global stats on {:?}", &terms);
-            prop_assert_eq!(dense, ex);
+            check_evaluators(idx, &terms, &cuts, k, &g)?;
         }
     }
 

@@ -79,17 +79,25 @@ fn doc_broker_closely_tracks_monolithic_result_sets() {
 
 #[test]
 fn pipelined_term_engine_matches_monolithic_exactly() {
+    // The pipeline folds each document's score in pipeline order — terms
+    // grouped by owning server, servers ascending — so the monolithic
+    // reference over the same order agrees score for score, bit for bit.
     let s = setup();
     let reference = build_index(&s.corpus);
     let workload = QueryWorkload { queries: s.queries.iter().map(|q| (q.clone(), 1.0)).collect() };
     let assignment = BinPackingTermPartitioner.assign(&reference, &workload, K);
-    let mut eng = PipelinedTermEngine::single_site(&reference, assignment, K);
+    let mut eng = PipelinedTermEngine::single_site(&reference, assignment.clone(), K);
     for q in &s.queries {
-        let got: Vec<u32> = eng.query(q, 10).hits.iter().map(|h| h.doc).collect();
-        let want: Vec<u32> = search_or(&reference, q, 10, &Bm25::default(), &reference)
-            .into_iter()
-            .map(|h| h.doc.0)
-            .collect();
+        let got: Vec<(u32, u32)> =
+            eng.query(q, 10).hits.iter().map(|h| (h.doc, h.score.to_bits())).collect();
+        let mut pipeline_order: Vec<TermId> =
+            q.iter().copied().filter(|t| assignment.contains_key(&t.0)).collect();
+        pipeline_order.sort_by_key(|t| assignment[&t.0]);
+        let want: Vec<(u32, u32)> =
+            search_or(&reference, &pipeline_order, 10, &Bm25::default(), &reference)
+                .into_iter()
+                .map(|h| (h.doc.0, h.score.to_bits()))
+                .collect();
         assert_eq!(got, want, "query {q:?}");
     }
 }

@@ -9,9 +9,9 @@ use dwr_partition::term::{
     BinPackingTermPartitioner, CoOccurrenceTermPartitioner, QueryWorkload, RandomTermPartitioner,
     TermPartitioner,
 };
-use dwr_text::index::{build_index, InvertedIndex};
+use dwr_text::index::build_index;
 use dwr_text::score::{CollectionStats, GlobalStats};
-use dwr_text::{DocId, PostingList, TermId};
+use dwr_text::{DocId, TermId};
 use proptest::prelude::*;
 
 /// A document: up to 12 distinct terms below 100, each with tf 1..4.
@@ -38,30 +38,6 @@ fn assigned_corpus_strategy() -> impl Strategy<Value = (Corpus, Vec<u32>, usize)
             let assignment = raw[..corpus.len()].iter().map(|&r| spread(r)).collect();
             (corpus, assignment, k)
         })
-}
-
-/// The first difference between two indexes, compared bit for bit:
-/// document lengths, token total, the term set, and per term the encoded
-/// bytes, `last_doc` ladder, df and cf.
-fn index_diff(a: &InvertedIndex, b: &InvertedIndex) -> Option<String> {
-    let lens = |i: &InvertedIndex| -> Vec<u32> {
-        (0..i.num_docs()).map(|d| i.doc_len(DocId(d))).collect()
-    };
-    let ladder = |l: &PostingList| -> Vec<u32> { l.blocks().iter().map(|m| m.last_doc).collect() };
-    if lens(a) != lens(b) || a.total_tokens() != b.total_tokens() {
-        return Some("document lengths".into());
-    }
-    if a.num_terms() != b.num_terms() {
-        return Some(format!("{} terms against {}", a.num_terms(), b.num_terms()));
-    }
-    a.terms().find_map(|(t, l)| {
-        let same = b.postings(t).is_some_and(|lb| {
-            l.encoded()[..] == lb.encoded()[..]
-                && ladder(l) == ladder(lb)
-                && (l.df(), l.cf()) == (lb.df(), lb.cf())
-        });
-        (!same).then(|| format!("term {}", t.0))
-    })
 }
 
 proptest! {
@@ -92,9 +68,10 @@ proptest! {
         prop_assert_eq!(pi.global_stats(), GlobalStats::sum([&build_index(&corpus)]));
     }
 
-    /// Shards are built on workers, yet each is bit for bit the index
-    /// `build_index` gives its own documents in local order, and maps its
-    /// local ids to those documents' global ids.
+    /// Shards are built on workers, yet each is byte for byte the index
+    /// `build_index` gives its own documents in local order (arena,
+    /// directory and document lengths), and maps its local ids to those
+    /// documents' global ids.
     #[test]
     fn shard_builds_equal_building_each_shards_documents(
         (corpus, assignment, k) in assigned_corpus_strategy(),
@@ -108,8 +85,7 @@ proptest! {
                 (0..shard.num_docs() as u32).map(|l| shard.to_global(DocId(l))).collect();
             prop_assert_eq!(&global_of, &globals, "global ids of shard {}", p);
             let docs: Corpus = globals.iter().map(|&g| corpus[g as usize].clone()).collect();
-            let diff = index_diff(shard.index(), &build_index(&docs));
-            prop_assert!(diff.is_none(), "shard {}: {:?}", p, diff);
+            prop_assert_eq!(shard.index(), &build_index(&docs), "shard {}", p);
         }
     }
 
@@ -137,8 +113,9 @@ proptest! {
 
     /// A split filters its parent's posting lists, and that is a rebuild:
     /// after each of three successive splits of the largest active shard,
-    /// both children are bit for bit the index `build_index` gives their
-    /// documents, and the map validates.
+    /// both children are byte for byte the index `build_index` gives their
+    /// documents — the whole arena, term directory and document lengths —
+    /// and the map validates.
     #[test]
     fn split_children_equal_building_their_documents(
         corpus in corpus_strategy(),
@@ -168,8 +145,7 @@ proptest! {
                 let docs: Corpus = (0..shard.num_docs() as u32)
                     .map(|l| corpus[shard.to_global(DocId(l)) as usize].clone())
                     .collect();
-                let diff = index_diff(shard.index(), &build_index(&docs));
-                prop_assert!(diff.is_none(), "child {} of {}: {:?}", c, parent, diff);
+                prop_assert_eq!(shard.index(), &build_index(&docs), "child {} of {}", c, parent);
             }
         }
     }

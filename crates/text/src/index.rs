@@ -6,7 +6,7 @@
 //! single-pass \[15\] construction, pipelined distributed builds \[25\], and
 //! map-reduce \[26\]. This module provides the local building blocks, all
 //! of which write an index's lists back to back into one arena (see
-//! [`crate::postings`]):
+//! [`crate::postings`]), in ascending term id:
 //!
 //! * [`build_index`] / [`index_documents`] — a counting sort of the
 //!   postings on term, then one encode pass;
@@ -15,17 +15,20 @@
 //! * [`merge_indexes`] — sub-indexes over consecutive doc-id ranges
 //!   appended into one, the primitive behind distributed construction.
 //!
+//! One order means one image: a split child, and a merge of consecutive
+//! chunks, equal [`build_index`] of their documents byte for byte, arena
+//! and directory included (`InvertedIndex`'s `==`).
+//!
 //! The parallel build is `dwr-partition`'s: `PartitionedIndex` builds its
 //! shards on scoped workers.
 
-use crate::postings::{Arena, ArenaWriter, ListSpan, PostingList, BLOCK_LEN};
+use crate::postings::{Arena, ArenaWriter, ListEntry, ListView, BLOCK_LEN};
 use crate::{DocId, TermId};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Hasher for the crate's `u32`-keyed tables (term ids, doc ids): one
-/// multiply and one xor-shift per key instead of SipHash, whose cost was
-/// most of every posting's term-table lookup on the write side. Ids are
+/// Hasher for the crate's `u32`-keyed tables (doc ids, term ids): one
+/// multiply and one xor-shift per key instead of SipHash. Ids are
 /// arbitrary `u32`s, so the multiply carries every bit upward and the
 /// xor-shift folds the high half back into the low bits the table indexes
 /// by. The ids are assigned by this program (lexicon, document order), not
@@ -55,9 +58,19 @@ impl Hasher for IdHasher {
 pub(crate) type IdMap<V> = HashMap<u32, V, BuildHasherDefault<IdHasher>>;
 
 /// An immutable inverted index over documents `0..num_docs`.
-#[derive(Debug, Default, Clone)]
+///
+/// Its lists sit in one arena in ascending term id, and a flat term
+/// directory indexed by term id says where: [`TermId`]s are dense lexicon
+/// ranks, so the directory has one 16-byte entry per id up to the largest
+/// indexed one, and looking a term up is one bounds-checked load. Two
+/// indexes are `==` when their arenas, directories and document lengths
+/// are, byte for byte.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct InvertedIndex {
-    postings: IdMap<PostingList>,
+    arena: Arena,
+    /// `dir[t]`: where term `t`'s list sits in `arena`; the zero entry
+    /// when `t` has no posting. The last entry is a present term's.
+    dir: Vec<ListEntry>,
     doc_len: Vec<u32>,
     total_tokens: u64,
 }
@@ -70,7 +83,7 @@ impl InvertedIndex {
 
     /// Number of distinct terms with a non-empty posting list.
     pub fn num_terms(&self) -> usize {
-        self.postings.len()
+        self.dir.iter().filter(|e| e.df > 0).count()
     }
 
     /// Token length of a document.
@@ -92,39 +105,50 @@ impl InvertedIndex {
         }
     }
 
-    /// The posting list of a term, if present.
-    pub fn postings(&self, term: TermId) -> Option<&PostingList> {
-        self.postings.get(&term.0)
+    /// The posting list of a term, if present (never an empty list): one
+    /// bounds-checked load of the directory, and a view that takes no
+    /// reference count.
+    #[inline]
+    pub fn postings(&self, term: TermId) -> Option<ListView<'_>> {
+        let entry = *self.dir.get(term.0 as usize)?;
+        (entry.df > 0).then(|| self.arena.view(entry))
     }
 
     /// Document frequency of a term (0 when absent).
+    #[inline]
     pub fn df(&self, term: TermId) -> u32 {
-        self.postings.get(&term.0).map_or(0, PostingList::df)
+        self.dir.get(term.0 as usize).map_or(0, |e| e.df)
     }
 
-    /// Collection frequency of a term (0 when absent).
+    /// Collection frequency of a term (0 when absent). The directory does
+    /// not hold it: this decodes the list.
     pub fn cf(&self, term: TermId) -> u64 {
-        self.postings.get(&term.0).map_or(0, PostingList::cf)
+        self.postings(term).map_or(0, |l| l.cf())
     }
 
-    /// Iterate over `(term, posting list)` pairs in unspecified order.
-    pub fn terms(&self) -> impl Iterator<Item = (TermId, &PostingList)> {
-        self.postings.iter().map(|(&t, l)| (TermId(t), l))
+    /// Iterate over `(term, posting list)` pairs in ascending term id.
+    pub fn terms(&self) -> impl Iterator<Item = (TermId, ListView<'_>)> {
+        (0..)
+            .zip(&self.dir)
+            .filter(|(_, e)| e.df > 0)
+            .map(|(t, &e)| (TermId(t), self.arena.view(e)))
     }
 
-    /// Total encoded size of all posting lists, in bytes.
+    /// Total encoded size of all posting lists, in bytes: the arena's.
     pub fn encoded_bytes(&self) -> usize {
-        self.postings.values().map(PostingList::encoded_bytes).sum()
+        self.arena.len()
     }
 
-    /// Assemble an index from its frozen arena, the `(term, list)` spans
-    /// written into it and the document lengths. The term table is built
-    /// once, at its final size.
-    fn from_arena(arena: Arena, lists: Vec<(u32, ListSpan)>, doc_len: Vec<u32>) -> Self {
-        let mut postings = IdMap::with_capacity_and_hasher(lists.len(), Default::default());
-        postings.extend(lists.into_iter().map(|(term, span)| (term, arena.list(span))));
+    /// Assemble an index from its frozen arena, its directory and the
+    /// document lengths. The directory loses its trailing absent terms,
+    /// so equal lists make equal directories whatever the writer was
+    /// sized for.
+    fn from_arena(arena: Arena, mut dir: Vec<ListEntry>, doc_len: Vec<u32>) -> Self {
+        while dir.last().is_some_and(|e| e.df == 0) {
+            dir.pop();
+        }
         let total_tokens = doc_len.iter().map(|&len| u64::from(len)).sum();
-        InvertedIndex { postings, doc_len, total_tokens }
+        InvertedIndex { arena, dir, doc_len, total_tokens }
     }
 
     /// Split the index round-robin into `fanout` children: child `c`
@@ -134,38 +158,38 @@ impl InvertedIndex {
     /// `doc / fanout` as the new id, and each document keeps its length:
     /// every child is, byte for byte, the index [`build_index`] gives its
     /// documents, yet no document is read. Each parent list is decoded
-    /// once and streamed into the children's arenas; a term a child has
-    /// no document of is not in that child.
+    /// once, in ascending term id, and streamed into the children's
+    /// arenas; a term a child has no document of is not in that child.
     ///
     /// # Panics
     /// Panics if `fanout == 0`.
     pub fn split_round_robin(&self, fanout: usize) -> Vec<InvertedIndex> {
         assert!(fanout > 0, "a split needs at least one child");
         let (f, bytes) = (fanout as u32, self.encoded_bytes() / fanout);
-        let mut children: Vec<(ArenaWriter, Vec<(u32, ListSpan)>)> = (0..fanout)
-            .map(|_| (ArenaWriter::with_capacity(bytes, 0), Vec::with_capacity(self.num_terms())))
+        let mut children: Vec<(ArenaWriter, Vec<ListEntry>)> = (0..fanout)
+            .map(|_| {
+                let dir = vec![ListEntry::default(); self.dir.len()];
+                (ArenaWriter::with_capacity(bytes, 0), dir)
+            })
             .collect();
         let mut buf = Vec::new();
-        for (&term, list) in &self.postings {
+        for (term, list) in self.terms() {
             buf.clear();
             list.decode_all(&mut buf);
             for p in &buf {
                 let doc = p.doc.0;
                 children[(doc % f) as usize].0.push(doc / f, p.tf);
             }
-            for (arena, lists) in &mut children {
-                let span = arena.end_list();
-                if !span.is_empty() {
-                    lists.push((term, span));
-                }
+            for (arena, dir) in &mut children {
+                dir[term.0 as usize] = arena.end_list();
             }
         }
         children
             .into_iter()
             .enumerate()
-            .map(|(c, (arena, lists))| {
+            .map(|(c, (arena, dir))| {
                 let doc_len = self.doc_len.iter().skip(c).step_by(fanout).copied().collect();
-                InvertedIndex::from_arena(arena.finish(), lists, doc_len)
+                InvertedIndex::from_arena(arena.finish(), dir, doc_len)
             })
             .collect()
     }
@@ -178,15 +202,18 @@ pub fn build_index(corpus: &[Vec<(TermId, u32)>]) -> InvertedIndex {
 
 /// Build an index over documents `0..n`, given in id order as `(term, tf)`
 /// vectors whose terms are unique within each document (in any order).
-/// The documents are borrowed, and read three times through clones of
-/// the iterator.
+/// The documents are borrowed, and read twice through clones of the
+/// iterator.
 ///
-/// Indexing is the "sort" of Section 4, done as a counting sort on term:
-/// 1. map each term to a dense slot, count its df, sum each document's
-///    length and record every posting's slot;
-/// 2. scatter the `(doc, tf)` pairs into one flat array at per-slot
-///    offsets, which leaves each slot's run in ascending doc order;
-/// 3. encode the runs one after another into one arena.
+/// Indexing is the "sort" of Section 4, done as a counting sort on term.
+/// Term ids are dense (see [`TermId`]), so they index the counts
+/// directly:
+/// 1. count each term's df and sum each document's length;
+/// 2. scatter the `(doc, tf)` pairs into one flat array at per-term
+///    offsets, in ascending term id, which leaves each term's run in
+///    ascending doc order;
+/// 3. encode the runs one after another into one arena, filling the term
+///    directory as they close.
 ///
 /// # Panics
 /// Panics if a tf is 0 ("at least one occurrence") or a document repeats
@@ -197,28 +224,24 @@ where
     I::IntoIter: Clone,
 {
     let docs = docs.into_iter();
-    let total: usize = docs.clone().map(<[_]>::len).sum();
-    // Pass 1: slots, df, lengths.
-    let mut slot_of: IdMap<u32> = IdMap::default();
-    let (mut terms, mut df) = (Vec::new(), Vec::<u32>::new());
-    let mut slots = Vec::with_capacity(total);
+    // Pass 1: df by term id, lengths.
+    let mut df = Vec::<u32>::new();
     let mut doc_len = Vec::with_capacity(docs.size_hint().0);
+    let mut total = 0;
     for doc in docs.clone() {
         let mut len = 0u64;
         for &(t, tf) in doc {
-            let slot = *slot_of.entry(t.0).or_insert_with(|| {
-                terms.push(t.0);
-                df.push(0);
-                (terms.len() - 1) as u32
-            });
-            df[slot as usize] += 1;
-            slots.push(slot);
+            let t = t.0 as usize;
+            if t >= df.len() {
+                df.resize(t + 1, 0);
+            }
+            df[t] += 1;
             len += u64::from(tf);
         }
+        total += doc.len();
         doc_len.push(len as u32);
     }
-    drop(slot_of);
-    // Pass 2: scatter. `next[s]` walks slot `s`'s run and ends one past it.
+    // Pass 2: scatter. `next[t]` walks term `t`'s run and ends one past it.
     let mut next: Vec<usize> = df
         .iter()
         .scan(0, |at, &n| {
@@ -228,38 +251,39 @@ where
         })
         .collect();
     let mut runs = vec![(0u32, 0u32); total];
-    let mut at = 0;
     for (d, doc) in docs.enumerate() {
-        for (&(_, tf), &slot) in doc.iter().zip(&slots[at..at + doc.len()]) {
-            let pos = &mut next[slot as usize];
+        for &(t, tf) in doc {
+            let pos = &mut next[t.0 as usize];
             runs[*pos] = (d as u32, tf);
             *pos += 1;
         }
-        at += doc.len();
     }
-    drop(slots);
     // Pass 3: encode.
     let blocks = df.iter().map(|&n| (n as usize).div_ceil(BLOCK_LEN)).sum();
     let mut arena = ArenaWriter::with_capacity(total + total / 2 + 2 * blocks, blocks);
-    let mut lists = Vec::with_capacity(terms.len());
-    for ((&term, &n), &end) in terms.iter().zip(&df).zip(&next) {
-        for &(d, tf) in &runs[end - n as usize..end] {
-            arena.push(d, tf);
-        }
-        lists.push((term, arena.end_list()));
-    }
+    let dir = df
+        .iter()
+        .zip(&next)
+        .map(|(&n, &end)| {
+            for &(d, tf) in &runs[end - n as usize..end] {
+                arena.push(d, tf);
+            }
+            arena.end_list()
+        })
+        .collect();
     drop(runs);
-    InvertedIndex::from_arena(arena.finish(), lists, doc_len)
+    InvertedIndex::from_arena(arena.finish(), dir, doc_len)
 }
 
 /// Merge sub-indexes built over consecutive corpus chunks into one index.
 ///
 /// `parts[i]` must cover documents `[offsets[i], offsets[i] + parts[i].num_docs())`
 /// of the final id space, with offsets ascending and contiguous. Each
-/// term's list is its parts' lists appended in part order, shifted by
-/// each part's offset, into one arena: they are re-encoded rather than
-/// copied, because every block but a list's last holds exactly
-/// [`BLOCK_LEN`] postings.
+/// term's list, in ascending term id, is its parts' lists appended in
+/// part order, shifted by each part's offset, into one arena: they are
+/// re-encoded rather than copied, because every block but a list's last
+/// holds exactly [`BLOCK_LEN`] postings. The merge is byte for byte
+/// [`build_index`] of the whole corpus.
 pub fn merge_indexes(parts: &[InvertedIndex]) -> InvertedIndex {
     let offsets: Vec<u32> = parts
         .iter()
@@ -270,33 +294,30 @@ pub fn merge_indexes(parts: &[InvertedIndex]) -> InvertedIndex {
         })
         .collect();
     let bytes = parts.iter().map(InvertedIndex::encoded_bytes).sum();
+    let terms = parts.iter().map(|part| part.dir.len()).max().unwrap_or(0);
     let mut arena = ArenaWriter::with_capacity(bytes, 0);
-    let mut lists = Vec::new();
     let mut buf = Vec::new();
-    for (i, part) in parts.iter().enumerate() {
-        for &term in part.postings.keys() {
-            // Written with the first part that holds it.
-            if parts[..i].iter().any(|earlier| earlier.postings.contains_key(&term)) {
-                continue;
-            }
-            for (later, &offset) in parts[i..].iter().zip(&offsets[i..]) {
-                let Some(list) = later.postings.get(&term) else { continue };
+    let dir = (0..terms as u32)
+        .map(|t| {
+            for (part, &offset) in parts.iter().zip(&offsets) {
+                let Some(list) = part.postings(TermId(t)) else { continue };
                 buf.clear();
                 list.decode_all(&mut buf);
                 for p in &buf {
                     arena.push(p.doc.0 + offset, p.tf);
                 }
             }
-            lists.push((term, arena.end_list()));
-        }
-    }
+            arena.end_list()
+        })
+        .collect();
     let doc_len = parts.iter().flat_map(|part| part.doc_len.iter().copied()).collect();
-    InvertedIndex::from_arena(arena.finish(), lists, doc_len)
+    InvertedIndex::from_arena(arena.finish(), dir, doc_len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postings::PostingList;
 
     fn corpus() -> Vec<Vec<(TermId, u32)>> {
         vec![
@@ -313,6 +334,8 @@ mod tests {
         let idx = build_index(&corpus());
         assert_eq!(idx.num_docs(), 5);
         assert_eq!(idx.num_terms(), 4);
+        // First appearance is 1, 3, 2, 9; every writer goes by id.
+        assert_eq!(idx.terms().map(|(t, _)| t.0).collect::<Vec<_>>(), [1, 2, 3, 9]);
         assert_eq!(idx.df(TermId(1)), 2);
         assert_eq!(idx.cf(TermId(1)), 3);
         assert_eq!(idx.df(TermId(3)), 3);
@@ -331,40 +354,22 @@ mod tests {
         }
     }
 
-    /// A list's block ladder as its `last_doc` skip keys (offsets are
-    /// positions in the list's arena, which differ between indexes).
-    fn ladder(l: &PostingList) -> Vec<u32> {
-        l.blocks().iter().map(|m| m.last_doc).collect()
-    }
-
-    /// Bitwise equality: the same documents, and for every term the same
-    /// encoded bytes, block ladder, df and cf.
-    fn index_eq(a: &InvertedIndex, b: &InvertedIndex) -> bool {
-        a.doc_len == b.doc_len
-            && a.total_tokens == b.total_tokens
-            && a.num_terms() == b.num_terms()
-            && a.terms().all(|(t, l)| {
-                b.postings(t).is_some_and(|lb| {
-                    l.encoded()[..] == lb.encoded()[..]
-                        && ladder(l) == ladder(lb)
-                        && (l.df(), l.cf()) == (lb.df(), lb.cf())
-                })
-            })
-    }
-
     /// Every list ships exactly the bytes it counts and re-admits as the
-    /// same list, and the lists of the index share one arena whose every
-    /// byte they count.
+    /// same list with the same `last_doc` skip keys, and the lists, back
+    /// to back in ascending term id, count every byte of the arena.
     fn assert_honest(idx: &InvertedIndex) {
-        let mut arena = None;
+        let keys = |l: ListView<'_>| l.blocks().iter().map(|m| m.last_doc).collect::<Vec<_>>();
+        let (mut end, mut total) = (None, 0);
         for (_, l) in idx.terms() {
-            assert_eq!(l.encoded_bytes(), l.encoded().len());
-            let wire = PostingList::from_encoded(l.encoded(), l.df()).expect("a list re-admits");
-            assert_eq!(wire.to_vec(), l.to_vec());
-            assert_eq!(ladder(&wire), ladder(l));
-            assert_eq!(*arena.get_or_insert(l.arena_bytes()), l.arena_bytes(), "one arena");
+            let bytes = l.encoded().as_ptr_range();
+            assert!(end.is_none_or(|e| e == bytes.start), "lists sit back to back");
+            (end, total) = (Some(bytes.end), total + l.encoded_bytes());
+            let wire = PostingList::from_encoded(l.encoded().to_vec().into(), l.df())
+                .expect("a list re-admits");
+            assert_eq!(wire.view().to_vec(), l.to_vec());
+            assert_eq!(keys(wire.view()), keys(l));
         }
-        assert_eq!(idx.encoded_bytes(), arena.unwrap_or(0));
+        assert_eq!(total, idx.encoded_bytes());
     }
 
     #[test]
@@ -402,7 +407,7 @@ mod tests {
             assert_eq!(children.len(), fanout);
             for (k, child) in children.iter().enumerate() {
                 let docs: Vec<_> = c.iter().skip(k).step_by(fanout).cloned().collect();
-                assert!(index_eq(child, &build_index(&docs)), "fanout {fanout}, child {k}");
+                assert_eq!(child, &build_index(&docs), "fanout {fanout}, child {k}");
             }
         }
     }
@@ -424,8 +429,7 @@ mod tests {
         let c = corpus();
         let p1 = build_index(&c[..2]);
         let p2 = build_index(&c[2..]);
-        let merged = merge_indexes(&[p1, p2]);
-        assert!(index_eq(&build_index(&c), &merged));
+        assert_eq!(merge_indexes(&[p1, p2]), build_index(&c));
     }
 
     #[test]
@@ -451,6 +455,6 @@ mod tests {
     #[test]
     fn merge_of_empty_parts() {
         let merged = merge_indexes(&[build_index(&[]), build_index(&corpus())]);
-        assert!(index_eq(&merged, &build_index(&corpus())));
+        assert_eq!(merged, build_index(&corpus()));
     }
 }

@@ -12,7 +12,8 @@
 //!   block) with a per-block ladder of last-doc skip keys and a
 //!   block-skipping `next_geq` cursor, the Lexicon/PostingList pair the
 //!   paper describes;
-//! * [`index`] — the counting-sort index builder, round-robin splits and
+//! * [`index`] — one arena of lists per index behind a flat term
+//!   directory, the counting-sort index builder, round-robin splits and
 //!   index merging (the building blocks of Section 4's distributed
 //!   construction strategies);
 //! * [`score`] — BM25 with pluggable collection statistics, so the
@@ -49,11 +50,20 @@ pub struct DocId(pub u32);
 /// Identifier of a term. Layout-compatible with
 /// `dwr_webgraph::content::TermId`; kept separate so this crate stands
 /// alone as an IR library.
+///
+/// Ids are dense lexicon ranks ([`token::Lexicon`] hands them out from 0),
+/// and the crate relies on it: an index's term directory and
+/// [`GlobalStats::sum`]'s df table are both flat arrays sized by the
+/// largest id they hold, so a corpus of a few ids near `u32::MAX` would
+/// cost gigabytes. Looking up an id past the largest is fine, and
+/// answers "absent".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
 pub use index::InvertedIndex;
-pub use postings::{BlockMeta, CursorStats, DecodeError, PostingCursor, PostingList, BLOCK_LEN};
+pub use postings::{
+    BlockMeta, CursorStats, DecodeError, ListView, PostingCursor, PostingList, BLOCK_LEN,
+};
 pub use score::{Bm25, CollectionStats, GlobalStats, TermScorer};
 pub use search::{
     search_and, search_and_exhaustive, search_or, search_or_with, EvalStats, EvalStrategy,

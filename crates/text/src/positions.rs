@@ -118,7 +118,7 @@ impl PositionalList {
     /// posting's `tf` of them in turn, strictly ascending.
     fn new(postings: PostingList, positions: &[u32]) -> Self {
         let (mut buf, mut sections, mut all, mut values) = (vec![], vec![], vec![], vec![]);
-        postings.decode_all(&mut all);
+        postings.view().decode_all(&mut all);
         let mut rest = positions;
         for block in all.chunks(BLOCK_LEN) {
             values.clear();
@@ -139,13 +139,13 @@ impl PositionalList {
 
     /// Document frequency.
     pub fn df(&self) -> u32 {
-        self.postings.df()
+        self.postings.view().df()
     }
 
     /// Encoded size in bytes, postings and positions — what shipping this
     /// list between servers costs.
     pub fn encoded_bytes(&self) -> usize {
-        self.postings.encoded_bytes() + self.positions.len()
+        self.postings.view().encoded_bytes() + self.positions.len()
     }
 
     /// The two encoded streams, postings then positions: what
@@ -156,7 +156,7 @@ impl PositionalList {
 
     /// Decode the full list.
     pub fn to_vec(&self) -> Vec<PositionalPosting> {
-        let (mut cursor, mut reader) = (self.postings.cursor(), PositionReader::default());
+        let (mut cursor, mut reader) = (self.postings.view().cursor(), PositionReader::default());
         let mut out = Vec::with_capacity(self.df() as usize);
         while cursor.valid() {
             let positions = reader.seek(self, &cursor).to_vec();
@@ -175,10 +175,13 @@ impl PositionalList {
     pub fn from_encoded(postings: Bytes, df: u32, positions: Bytes) -> Result<Self, DecodeError> {
         let postings = PostingList::from_encoded(postings, df)?;
         let (mut block, mut scratch, mut sections, mut at) = (vec![], vec![], vec![], 0);
-        for b in 0..postings.blocks().len() {
+        let mut blocks = postings.view().stream();
+        loop {
             block.clear();
+            if !blocks.append_next(&mut block)? {
+                break;
+            }
             scratch.clear();
-            postings.decode_into(b, &mut block)?;
             sections.push(at);
             at = decode_section(&positions, at, &block, &mut scratch)?;
         }
@@ -246,7 +249,10 @@ impl PositionalIndex {
         let positions: Vec<u32> = occurrences.iter().map(|&(_, _, pos)| pos).collect();
         let lists = index.terms().map(|(t, list)| {
             let run = occurrences.partition_point(|&(u, _, _)| u < t.0);
-            (t.0, PositionalList::new(list.clone(), &positions[run..run + list.cf() as usize]))
+            // The list leaves the index's arena for one of its own.
+            let own = PostingList::from_encoded(list.encoded().to_vec().into(), list.df())
+                .expect("an index's own list re-admits");
+            (t.0, PositionalList::new(own, &positions[run..run + list.cf() as usize]))
         });
         PositionalIndex { lists: lists.collect() }
     }
@@ -272,7 +278,7 @@ impl PositionalIndex {
         lists.sort_by_key(|(_, l)| l.df());
         let slots: Vec<usize> =
             phrase.iter().filter_map(|&t| lists.iter().position(|&(u, _)| u == t)).collect();
-        let mut cursors: Vec<_> = lists.iter().map(|(_, l)| l.postings.cursor()).collect();
+        let mut cursors: Vec<_> = lists.iter().map(|(_, l)| l.postings.view().cursor()).collect();
         let mut readers: Vec<_> = lists.iter().map(|_| PositionReader::default()).collect();
         let mut out = Vec::new();
         leapfrog(&mut cursors, |doc, cursors| {

@@ -26,7 +26,7 @@
 //!
 //! A dense block whose postings all have tf 1 therefore costs its two
 //! header bytes. Every byte of the format, headers included, is in `data`
-//! and counted by [`PostingList::encoded_bytes`]; the `blocks` sidecar
+//! and counted by [`ListView::encoded_bytes`]; the `blocks` sidecar
 //! holds only what [`PostingList::from_encoded`] rebuilds from `data`.
 //!
 //! `offset` is the byte position of the block's header and `last_doc` the
@@ -36,8 +36,10 @@
 //! posting (see DESIGN.md §8 for why pruning did not pay).
 //!
 //! One block decoder serves every reader — [`PostingCursor`],
-//! [`PostingIter`] and the validation in [`PostingList::from_encoded`] —
-//! so what validation admits is exactly what the readers decode. Its
+//! [`PostingIter`], the evaluators and the validation in
+//! [`PostingList::from_encoded`] — so what validation admits is exactly
+//! what the readers decode. A reader that decodes every block takes each
+//! from where the one before it ended, without touching the ladder. Its
 //! packer and unpacker also carry the positional lists' position sidecar
 //! ([`crate::positions`]).
 //! [`PostingCursor`] is the skip-aware access path: `next_geq(target)`
@@ -45,15 +47,20 @@
 //!
 //! # Arenas
 //!
-//! A [`PostingList`] is a view into an **arena**: lists written back to
-//! back into one shared byte buffer and one shared block ladder, so a
-//! whole index is two allocations rather than three per term. One writer
-//! fills every arena — the crate-private `ArenaWriter`, which index
-//! builds, splits and merges drive one list at a time, and which
+//! Lists live in an **arena**: written back to back into one byte buffer
+//! and one block ladder, so a whole index is three allocations — its
+//! bytes, its ladder and its term directory — rather than three per term.
+//! One writer fills every arena — the crate-private `ArenaWriter`, which
+//! index builds, splits and merges drive one list at a time, and which
 //! [`PostingListBuilder`] wraps as an arena of one list. A list's bytes
-//! are the contiguous range from its first block's `offset` to its end,
-//! exactly what [`PostingList::encoded`] returns and
-//! [`PostingList::encoded_bytes`] counts.
+//! are the contiguous range from its start to its end, exactly what
+//! [`ListView::encoded`] returns and [`ListView::encoded_bytes`] counts.
+//!
+//! Every read goes through a [`ListView`]: a borrowed, `Copy` view of one
+//! list in its arena. An index hands one out per term from its directory
+//! (see [`crate::index`]); a [`PostingList`], the list that stands alone
+//! after [`PostingList::from_encoded`] or [`PostingListBuilder::finish`],
+//! owns its arena of one and lends the same view.
 
 use crate::DocId;
 use bytes::Bytes;
@@ -263,98 +270,88 @@ pub struct BlockMeta {
     offset: u32,
 }
 
-/// An immutable compressed posting list: a view of one list in an arena
-/// (see the [module docs](self)).
-#[derive(Debug, Clone, Default)]
-pub struct PostingList {
-    /// The arena's buffer and block ladder.
-    data: Bytes,
-    ladder: Arc<[BlockMeta]>,
-    /// Where in them this list sits.
-    span: ListSpan,
+/// A borrowed, `Copy` view of one posting list in an arena (see the
+/// [module docs](self)): what an index hands out per term, and what every
+/// reader — [`PostingIter`], [`PostingCursor`] and the evaluators in
+/// [`crate::search`] — decodes through. Taking one touches no reference
+/// count.
+#[derive(Debug, Clone, Copy)]
+pub struct ListView<'a> {
+    /// The arena's bytes up to this list's end, so no block can read past
+    /// its own list.
+    data: &'a [u8],
+    /// This list's rungs of the arena's ladder.
+    blocks: &'a [BlockMeta],
+    /// Byte position of the list's first block.
+    start: u32,
+    /// Document frequency (number of postings).
+    df: u32,
 }
 
-impl PostingList {
+impl<'a> ListView<'a> {
     /// Document frequency: number of documents in the list.
     pub fn df(&self) -> u32 {
-        self.span.df
+        self.df
     }
 
-    /// Collection frequency: total occurrences across documents.
+    /// Collection frequency: total occurrences across documents. Not
+    /// stored: this decodes the list.
     pub fn cf(&self) -> u64 {
-        self.span.cf
+        self.iter().map(|p| u64::from(p.tf)).sum()
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.span.is_empty()
-    }
-
-    /// Byte position of the list's first block in its arena.
-    fn start(&self) -> usize {
-        self.blocks().first().map_or(self.span.end, |b| b.offset) as usize
+        self.df == 0
     }
 
     /// Encoded size in bytes (what a broker would ship over the network).
     pub fn encoded_bytes(&self) -> usize {
-        self.span.end as usize - self.start()
+        self.encoded().len()
     }
 
-    /// The encoded byte stream itself: this list's range of its arena,
-    /// shared when the list is the whole arena and copied otherwise. Feed
-    /// it back through [`PostingList::from_encoded`] to re-admit it after
-    /// a network hop.
-    pub fn encoded(&self) -> Bytes {
-        let (start, end) = (self.start(), self.span.end as usize);
-        if start == 0 && end == self.data.len() {
-            self.data.clone()
-        } else {
-            Bytes::from(self.data[start..end].to_vec())
-        }
+    /// The encoded byte stream itself: this list's range of its arena.
+    /// Feed it back through [`PostingList::from_encoded`] to re-admit it
+    /// after a network hop.
+    pub fn encoded(&self) -> &'a [u8] {
+        &self.data[self.start as usize..]
     }
 
     /// The block ladder, one entry per [`BLOCK_LEN`] postings (the last
     /// block may be partial).
-    pub fn blocks(&self) -> &[BlockMeta] {
-        let ListSpan { first, len, .. } = self.span;
-        &self.ladder[first as usize..(first + len) as usize]
+    pub fn blocks(&self) -> &'a [BlockMeta] {
+        self.blocks
     }
 
     /// Number of postings in block `b` (all blocks are full except
     /// possibly the last).
     pub fn block_len(&self, b: usize) -> usize {
-        let len = self.span.len as usize;
-        debug_assert!(b < len);
-        if b + 1 == len {
-            self.span.df as usize - b * BLOCK_LEN
-        } else {
-            BLOCK_LEN
-        }
+        debug_assert!(b < self.blocks.len());
+        (self.df as usize - b * BLOCK_LEN).min(BLOCK_LEN)
     }
 
     /// Decode block `b`, appending its postings to `out` (nothing on
-    /// corrupt data). The decoder sees the arena up to this list's end,
-    /// so a block cannot read past its own list.
+    /// corrupt data). Block 0 starts at the list's start and decodes
+    /// without reading the ladder.
     pub(crate) fn decode_into(&self, b: usize, out: &mut Vec<Posting>) -> Result<(), DecodeError> {
-        let blocks = self.blocks();
-        let prev = b.checked_sub(1).map(|p| blocks[p].last_doc);
-        let data = &self.data[..self.span.end as usize];
-        decode_block(data, blocks[b].offset as usize, self.block_len(b), prev, out).map(drop)
+        let (offset, prev) = match b.checked_sub(1) {
+            None => (self.start, None),
+            Some(p) => (self.blocks[b].offset, Some(self.blocks[p].last_doc)),
+        };
+        decode_block(self.data, offset as usize, self.block_len(b), prev, out).map(drop)
     }
 
-    /// Length of the arena the list lives in.
-    #[cfg(test)]
-    pub(crate) fn arena_bytes(&self) -> usize {
-        self.data.len()
+    /// The list's blocks in order, for the readers that decode them all.
+    pub(crate) fn stream(&self) -> BlockStream<'a> {
+        BlockStream { data: self.data, at: self.start as usize, prev: None, left: self.df as usize }
     }
 
     /// Decode the whole list, appending it to `out`: the one read the
     /// write side makes of an index's own lists, which its writers
     /// produced and which therefore decode.
     pub(crate) fn decode_all(&self, out: &mut Vec<Posting>) {
-        for b in 0..self.span.len as usize {
-            self.decode_into(b, out).expect("an index's own list decodes");
-        }
+        let mut blocks = self.stream();
+        while blocks.append_next(out).expect("an index's own list decodes") {}
     }
 
     /// Iterate over the decoded postings in ascending doc order.
@@ -362,13 +359,12 @@ impl PostingList {
     /// On corrupt data the iterator stops early; [`PostingIter::error`]
     /// reports why. Lists built by [`PostingListBuilder`] or admitted via
     /// [`PostingList::from_encoded`] never trip this.
-    pub fn iter(&self) -> PostingIter<'_> {
+    pub fn iter(&self) -> PostingIter<'a> {
         PostingIter {
-            list: self,
-            block: 0,
+            blocks: self.stream(),
             buf: Vec::new(),
             pos: 0,
-            remaining: self.span.df,
+            remaining: self.df,
             error: None,
         }
     }
@@ -380,8 +376,60 @@ impl PostingList {
 
     /// A block-skipping cursor positioned on the first posting (invalid
     /// for an empty list).
-    pub fn cursor(&self) -> PostingCursor<'_> {
-        PostingCursor::new(self)
+    pub fn cursor(&self) -> PostingCursor<'a> {
+        PostingCursor::new(*self)
+    }
+}
+
+/// A list's blocks decoded front to back, each from where the one before
+/// it ended and with that block's last doc as its gap base: a sequential
+/// read never touches the ladder.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockStream<'a> {
+    data: &'a [u8],
+    /// Byte position of the next block's header.
+    at: usize,
+    /// The last doc decoded so far.
+    prev: Option<u32>,
+    /// Postings not yet decoded.
+    left: usize,
+}
+
+impl BlockStream<'_> {
+    /// Decode the next block, appending its postings to `out`;
+    /// `Ok(false)` when the list is done.
+    pub(crate) fn append_next(&mut self, out: &mut Vec<Posting>) -> Result<bool, DecodeError> {
+        if self.left == 0 {
+            return Ok(false);
+        }
+        let n = self.left.min(BLOCK_LEN);
+        self.at = decode_block(self.data, self.at, n, self.prev, out)?;
+        self.prev = out.last().map(|p| p.doc.0);
+        self.left -= n;
+        Ok(true)
+    }
+}
+
+/// A posting list that stands alone: an arena of one list, whose bytes
+/// and ladder it owns, read through its [`ListView`]. It is what
+/// [`PostingListBuilder`] finishes and [`PostingList::from_encoded`]
+/// admits; an index's lists are views into the index's arena instead.
+#[derive(Debug, Clone, Default)]
+pub struct PostingList {
+    data: Bytes,
+    ladder: Arc<[BlockMeta]>,
+    df: u32,
+}
+
+impl PostingList {
+    /// The list, to read.
+    pub fn view(&self) -> ListView<'_> {
+        ListView { data: &self.data, blocks: &self.ladder, start: 0, df: self.df }
+    }
+
+    /// The encoded byte stream, shared: the whole of the list's own arena.
+    pub fn encoded(&self) -> Bytes {
+        self.data.clone()
     }
 
     /// Re-admit a wire-encoded stream of exactly `df` postings (the
@@ -398,34 +446,29 @@ impl PostingList {
         let total = df as usize;
         // Every block costs at least its header: bound the ladder by the
         // stream before trusting `df` with an allocation.
-        let mut blocks = Vec::with_capacity(total.div_ceil(BLOCK_LEN).min(data.len() / 2));
+        let mut ladder = Vec::with_capacity(total.div_ceil(BLOCK_LEN).min(data.len() / 2));
         let mut block = Vec::with_capacity(total.min(BLOCK_LEN));
-        let (mut offset, mut cf, mut prev) = (0usize, 0u64, None);
-        for first in (0..total).step_by(BLOCK_LEN) {
+        let mut blocks = BlockStream { data: &data, at: 0, prev: None, left: total };
+        loop {
+            let offset = arena_offset(blocks.at);
             block.clear();
-            let end =
-                decode_block(&data, offset, (total - first).min(BLOCK_LEN), prev, &mut block)?;
-            let last_doc = block.last().expect("a decoded block is non-empty").doc.0;
-            cf += block.iter().map(|p| u64::from(p.tf)).sum::<u64>();
-            blocks.push(BlockMeta { last_doc, offset: offset as u32 });
-            prev = Some(last_doc);
-            offset = end;
+            if !blocks.append_next(&mut block)? {
+                break;
+            }
+            let last_doc = blocks.prev.expect("a decoded block is non-empty");
+            ladder.push(BlockMeta { last_doc, offset });
         }
-        if offset != data.len() {
+        if blocks.at != data.len() {
             return Err(DecodeError::TrailingBytes);
         }
-        // An arena of one list.
-        let span = ListSpan { first: 0, len: blocks.len() as u32, end: offset as u32, df, cf };
-        Ok(PostingList { data, ladder: blocks.into(), span })
+        Ok(PostingList { data, ladder: ladder.into(), df })
     }
 }
 
-/// Decoding iterator over a [`PostingList`], one block at a time.
+/// Decoding iterator over a [`ListView`], one block at a time.
 #[derive(Debug)]
 pub struct PostingIter<'a> {
-    list: &'a PostingList,
-    /// Next block to decode.
-    block: usize,
+    blocks: BlockStream<'a>,
     /// Decoded postings of the current block.
     buf: Vec<Posting>,
     /// Position within `buf`.
@@ -451,12 +494,11 @@ impl Iterator for PostingIter<'_> {
         if self.pos == self.buf.len() {
             self.buf.clear();
             self.pos = 0;
-            if let Err(e) = self.list.decode_into(self.block, &mut self.buf) {
-                self.error = Some(e);
+            if let done @ (Ok(false) | Err(_)) = self.blocks.append_next(&mut self.buf) {
+                self.error = done.err();
                 self.remaining = 0;
                 return None;
             }
-            self.block += 1;
         }
         let p = self.buf[self.pos];
         self.pos += 1;
@@ -491,9 +533,7 @@ pub struct CursorStats {
 /// with `doc >= target`, decoding only the destination block.
 #[derive(Debug)]
 pub struct PostingCursor<'a> {
-    list: &'a PostingList,
-    /// The list's block ladder.
-    blocks: &'a [BlockMeta],
+    list: ListView<'a>,
     /// Index of the decoded block.
     block: usize,
     /// Decoded postings of the current block.
@@ -505,10 +545,9 @@ pub struct PostingCursor<'a> {
 }
 
 impl<'a> PostingCursor<'a> {
-    fn new(list: &'a PostingList) -> Self {
+    fn new(list: ListView<'a>) -> Self {
         let mut c = PostingCursor {
             list,
-            blocks: list.blocks(),
             block: 0,
             entries: Vec::new(),
             pos: 0,
@@ -573,7 +612,7 @@ impl<'a> PostingCursor<'a> {
         if self.pos < self.entries.len() {
             return true;
         }
-        if self.block + 1 < self.blocks.len() {
+        if self.block + 1 < self.list.blocks.len() {
             self.load_block(self.block + 1);
             !self.exhausted
         } else {
@@ -592,7 +631,7 @@ impl<'a> PostingCursor<'a> {
         if self.entries[self.pos].doc >= target {
             return true;
         }
-        let blocks = self.blocks;
+        let blocks = self.list.blocks;
         if blocks[self.block].last_doc < target.0 {
             // Hop along the metadata ladder; blocks strictly between the
             // current one and the destination are never decoded.
@@ -654,27 +693,19 @@ pub(crate) fn pack(buf: &mut Vec<u8>, values: &[u32], width: u32) {
     buf.extend_from_slice(&acc.to_le_bytes()[..bits.div_ceil(8) as usize]);
 }
 
-/// Where one list sits in its arena, and its two counts: what
-/// [`ArenaWriter::end_list`] hands back and [`Arena::list`] turns into a
-/// [`PostingList`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ListSpan {
-    /// The list's first block in the ladder, and its block count.
-    first: u32,
-    len: u32,
-    /// One past the list's last byte in the buffer.
+/// Where one list sits in its arena: one entry of an index's term
+/// directory, 16 bytes. The block count is `df` over [`BLOCK_LEN`],
+/// rounded up. An empty list is the zero entry, which is also what the
+/// directory holds for an absent term.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ListEntry {
+    /// Byte position of the list's first block, and one past its last byte.
+    start: u32,
     end: u32,
+    /// The list's first block in the ladder.
+    first: u32,
     /// Document frequency (number of postings).
-    df: u32,
-    /// Collection frequency (sum of tf over postings).
-    cf: u64,
-}
-
-impl ListSpan {
-    /// Whether the list holds no posting.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.df == 0
-    }
+    pub(crate) df: u32,
 }
 
 /// The one posting-list writer: lists encoded back to back, one at a
@@ -688,11 +719,12 @@ impl ListSpan {
 pub(crate) struct ArenaWriter {
     buf: Vec<u8>,
     ladder: Vec<BlockMeta>,
-    /// The open list: its first block in `ladder`, last doc, df and cf.
-    first: usize,
+    /// The open list: its first byte, first block in `ladder`, last doc
+    /// and df.
+    start: u32,
+    first: u32,
     prev_doc: Option<u32>,
     df: u32,
-    cf: u64,
     /// The open block: its posting count and its staged values.
     n: usize,
     gaps: [u32; BLOCK_LEN],
@@ -705,10 +737,10 @@ impl ArenaWriter {
         ArenaWriter {
             buf: Vec::with_capacity(bytes),
             ladder: Vec::with_capacity(blocks),
+            start: 0,
             first: 0,
             prev_doc: None,
             df: 0,
-            cf: 0,
             n: 0,
             gaps: [0; BLOCK_LEN],
             tfs: [0; BLOCK_LEN],
@@ -735,7 +767,6 @@ impl ArenaWriter {
         self.n += 1;
         self.prev_doc = Some(doc);
         self.df += 1;
-        self.cf += u64::from(tf);
         if self.n == BLOCK_LEN {
             self.close_block();
         }
@@ -749,25 +780,26 @@ impl ArenaWriter {
         self.n = 0;
     }
 
-    /// Close the open list (possibly empty) and open the next.
-    pub(crate) fn end_list(&mut self) -> ListSpan {
+    /// Close the open list and open the next. An empty list's entry is
+    /// the zero entry.
+    pub(crate) fn end_list(&mut self) -> ListEntry {
+        if self.df == 0 {
+            return ListEntry::default();
+        }
         if self.n > 0 {
             self.close_block();
         }
-        let span = ListSpan {
-            first: self.first as u32,
-            len: (self.ladder.len() - self.first) as u32,
-            end: arena_offset(self.buf.len()),
-            df: self.df,
-            cf: self.cf,
-        };
-        (self.first, self.prev_doc, self.df, self.cf) = (self.ladder.len(), None, 0, 0);
-        span
+        let end = arena_offset(self.buf.len());
+        let entry = ListEntry { start: self.start, end, first: self.first, df: self.df };
+        // Every block takes at least two of the arena's bytes, so the
+        // ladder's length fits in `u32` when the arena's does.
+        (self.start, self.first, self.prev_doc, self.df) = (end, self.ladder.len() as u32, None, 0);
+        entry
     }
 
-    /// Freeze the written lists into their shared arena.
+    /// Freeze the written lists into their arena.
     pub(crate) fn finish(self) -> Arena {
-        Arena { data: Bytes::from(self.buf), ladder: self.ladder.into() }
+        Arena { data: self.buf, ladder: self.ladder }
     }
 }
 
@@ -777,16 +809,24 @@ fn arena_offset(at: usize) -> u32 {
 }
 
 /// A frozen arena: the buffer and ladder its lists share.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Arena {
-    data: Bytes,
-    ladder: Arc<[BlockMeta]>,
+    data: Vec<u8>,
+    ladder: Vec<BlockMeta>,
 }
 
 impl Arena {
-    /// The list `span` describes, as a view of this arena.
-    pub(crate) fn list(&self, span: ListSpan) -> PostingList {
-        PostingList { data: self.data.clone(), ladder: Arc::clone(&self.ladder), span }
+    /// The list `entry` describes, as a view of this arena.
+    #[inline]
+    pub(crate) fn view(&self, entry: ListEntry) -> ListView<'_> {
+        let ListEntry { start, end, first, df } = entry;
+        let blocks = first as usize..(first + df.div_ceil(BLOCK_LEN as u32)) as usize;
+        ListView { data: &self.data[..end as usize], blocks: &self.ladder[blocks], start, df }
+    }
+
+    /// Bytes in the arena: every list's, and nothing else.
+    pub(crate) fn len(&self) -> usize {
+        self.data.len()
     }
 }
 
@@ -833,8 +873,9 @@ impl PostingListBuilder {
 
     /// Finish encoding.
     pub fn finish(mut self) -> PostingList {
-        let span = self.arena.end_list();
-        self.arena.finish().list(span)
+        let df = self.arena.end_list().df;
+        let Arena { data, ladder } = self.arena.finish();
+        PostingList { data: Bytes::from(data), ladder: ladder.into(), df }
     }
 }
 
@@ -847,7 +888,7 @@ mod tests {
         for &(d, tf) in postings {
             b.push(DocId(d), tf);
         }
-        b.finish().to_vec()
+        b.finish().view().to_vec()
     }
 
     fn list_of(docs: &[u32]) -> PostingList {
@@ -860,7 +901,8 @@ mod tests {
 
     #[test]
     fn empty_list() {
-        let l = PostingListBuilder::new().finish();
+        let list = PostingListBuilder::new().finish();
+        let l = list.view();
         assert!(l.is_empty());
         assert_eq!(l.df(), 0);
         assert_eq!(l.to_vec(), vec![]);
@@ -891,7 +933,8 @@ mod tests {
         let mut b = PostingListBuilder::new();
         b.push(DocId(1), 2);
         b.push(DocId(9), 5);
-        let l = b.finish();
+        let list = b.finish();
+        let l = list.view();
         assert_eq!(l.df(), 2);
         assert_eq!(l.cf(), 7);
     }
@@ -910,7 +953,8 @@ mod tests {
         for d in 0..10_000u32 {
             b.push(DocId(d), 1);
         }
-        let l = b.finish();
+        let list = b.finish();
+        let l = list.view();
         // Naive layout would be 8 bytes/posting; gaps of 1 with tf 1 pack
         // into zero-width sections, leaving 79 blocks × 2 header bytes.
         assert_eq!(l.blocks().len(), 79);
@@ -937,7 +981,7 @@ mod tests {
         // its own blocks, counts its own bytes and ships only its range.
         let lists: [&[u32]; 3] = [&[0, 2, 9], &[], &[1, 300, 301, 70_000]];
         let mut w = ArenaWriter::with_capacity(0, 0);
-        let spans: Vec<ListSpan> = lists
+        let entries: Vec<ListEntry> = lists
             .iter()
             .map(|docs| {
                 for &d in docs.iter() {
@@ -946,10 +990,10 @@ mod tests {
                 w.end_list()
             })
             .collect();
-        assert!(spans[1].is_empty() && !spans[0].is_empty());
+        assert!(entries[1] == ListEntry::default() && entries[0].df > 0);
         let arena = w.finish();
-        let views: Vec<PostingList> = spans.iter().map(|&s| arena.list(s)).collect();
-        assert_eq!(views.iter().map(PostingList::encoded_bytes).sum::<usize>(), arena.data.len());
+        let views: Vec<ListView<'_>> = entries.iter().map(|&e| arena.view(e)).collect();
+        assert_eq!(views.iter().map(ListView::encoded_bytes).sum::<usize>(), arena.len());
         for (view, docs) in views.iter().zip(lists) {
             let alone = {
                 let mut b = PostingListBuilder::new();
@@ -958,10 +1002,11 @@ mod tests {
                 }
                 b.finish()
             };
+            let alone = alone.view();
             assert_eq!(view.to_vec(), alone.to_vec());
             assert_eq!((view.df(), view.cf()), (alone.df(), alone.cf()));
             assert_eq!(view.blocks().len(), alone.blocks().len());
-            assert_eq!(&view.encoded()[..], &alone.encoded()[..]);
+            assert_eq!(view.encoded(), alone.encoded());
             assert_eq!(view.encoded_bytes(), view.encoded().len());
             let mut c = view.cursor();
             assert!(c.next_geq(DocId(2)) == docs.iter().any(|&d| d >= 2));
@@ -974,7 +1019,8 @@ mod tests {
         for d in [1u32, 4, 9] {
             b.push(DocId(d), 1);
         }
-        let l = b.finish();
+        let list = b.finish();
+        let l = list.view();
         let mut it = l.iter();
         assert_eq!(it.len(), 3);
         it.next();
@@ -990,7 +1036,8 @@ mod tests {
         for (i, &d) in docs.iter().enumerate() {
             b.push(DocId(d), 1 + (i as u32 % 9));
         }
-        let l = b.finish();
+        let list = b.finish();
+        let l = list.view();
         assert_eq!(l.blocks().len(), docs.len().div_ceil(BLOCK_LEN));
         let decoded = l.to_vec();
         for (bi, meta) in l.blocks().iter().enumerate() {
@@ -1005,12 +1052,18 @@ mod tests {
         assert_eq!(std::mem::size_of::<BlockMeta>(), 8);
     }
 
+    #[test]
+    fn a_directory_entry_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<ListEntry>(), 16);
+    }
+
     // ----- cursor -----
 
     #[test]
     fn cursor_walks_whole_list() {
         let docs: Vec<u32> = (0..777u32).map(|i| i * 3).collect();
-        let l = list_of(&docs);
+        let list = list_of(&docs);
+        let l = list.view();
         let mut c = l.cursor();
         let mut got = Vec::new();
         while c.valid() {
@@ -1025,7 +1078,8 @@ mod tests {
 
     #[test]
     fn next_geq_finds_first_at_or_after() {
-        let l = list_of(&[2, 5, 9, 14, 20, 33, 47]);
+        let list = list_of(&[2, 5, 9, 14, 20, 33, 47]);
+        let l = list.view();
         let mut c = l.cursor();
         assert!(c.next_geq(DocId(0)));
         assert_eq!(c.doc(), DocId(2));
@@ -1040,7 +1094,8 @@ mod tests {
     #[test]
     fn next_geq_skips_whole_blocks_without_decoding() {
         let docs: Vec<u32> = (0..10 * BLOCK_LEN as u32).collect();
-        let l = list_of(&docs);
+        let list = list_of(&docs);
+        let l = list.view();
         let mut c = l.cursor();
         // Jump straight into the last block: 8 interior blocks skipped.
         assert!(c.next_geq(DocId(9 * BLOCK_LEN as u32 + 3)));
@@ -1053,7 +1108,8 @@ mod tests {
 
     #[test]
     fn next_geq_never_moves_backwards() {
-        let l = list_of(&[2, 5, 9, 14]);
+        let list = list_of(&[2, 5, 9, 14]);
+        let l = list.view();
         let mut c = l.cursor();
         assert!(c.next_geq(DocId(9)));
         assert_eq!(c.doc(), DocId(9));
@@ -1068,16 +1124,16 @@ mod tests {
         let good = list_of(&[10, 20, 30, 40]);
         // Chop the tail off the valid encoding: decoding must stop with
         // Truncated (in release builds too), never loop or panic.
-        let cut = good.encoded_bytes() - 1;
+        let cut = good.data.len() - 1;
         let bad = Bytes::from(good.data[..cut].to_vec());
-        let err = PostingList::from_encoded(bad, good.df()).unwrap_err();
+        let err = PostingList::from_encoded(bad, good.df).unwrap_err();
         assert_eq!(err, DecodeError::Truncated);
     }
 
     #[test]
     fn df_larger_than_stream_is_truncated() {
         let good = list_of(&[1, 2]);
-        let err = PostingList::from_encoded(good.data.clone(), good.df() + 5).unwrap_err();
+        let err = PostingList::from_encoded(good.data.clone(), good.df + 5).unwrap_err();
         assert_eq!(err, DecodeError::Truncated);
     }
 
@@ -1100,7 +1156,7 @@ mod tests {
         let good = list_of(&[10, 20, 40]);
         let mut bytes = good.encoded().to_vec();
         bytes.extend([0xff, 0xff]);
-        let err = PostingList::from_encoded(Bytes::from(bytes), good.df()).unwrap_err();
+        let err = PostingList::from_encoded(Bytes::from(bytes), good.df).unwrap_err();
         assert_eq!(err, DecodeError::TrailingBytes);
         // An empty list is an empty stream.
         let err = PostingList::from_encoded(Bytes::from(vec![0, 0]), 0).unwrap_err();
@@ -1111,9 +1167,8 @@ mod tests {
     #[test]
     fn iterator_stops_cleanly_on_corrupt_payload() {
         let good = list_of(&[100, 200, 300]);
-        let cut = good.encoded_bytes() - 1;
-        let span = ListSpan { end: cut as u32, ..good.span };
-        let corrupt = PostingList { data: Bytes::from(good.data[..cut].to_vec()), span, ..good };
+        let cut = good.data.len() - 1;
+        let corrupt = ListView { data: &good.data[..cut], ..good.view() };
         let mut it = corrupt.iter();
         let n = it.by_ref().count();
         assert!(n < 3, "the damaged posting is not produced");
@@ -1124,7 +1179,8 @@ mod tests {
     fn from_encoded_roundtrips_valid_streams() {
         let docs: Vec<u32> = (0..300u32).map(|i| i * 11).collect();
         let l = list_of(&docs);
-        let wire = PostingList::from_encoded(l.data.clone(), l.df()).expect("valid stream");
+        let wire = PostingList::from_encoded(l.data.clone(), l.df).expect("valid stream");
+        let (wire, l) = (wire.view(), l.view());
         assert_eq!(wire.cf(), l.cf());
         assert_eq!(wire.to_vec(), l.to_vec());
         // Everything the ladder holds is in the stream: re-admission files
@@ -1142,7 +1198,7 @@ mod tests {
         let mut full = vec![32, 0];
         full.extend((u32::MAX - 127).to_le_bytes());
         full.extend([0; 4 * (BLOCK_LEN - 1)]);
-        assert_eq!(admit(full.clone(), BLOCK_LEN as u32).expect("ascending").df(), 128);
+        assert_eq!(admit(full.clone(), BLOCK_LEN as u32).expect("ascending").df, 128);
         full.extend([0, 0]);
         assert_eq!(admit(full, BLOCK_LEN as u32 + 1).err(), Some(DecodeError::NotAscending));
         // Widths above 32 bits, in either header byte.
@@ -1157,7 +1213,7 @@ mod tests {
         // A first posting at doc 0 is a gap of 1 from the virtual −1, and a
         // zero-width block of two is docs 0 and 1: valid.
         let docs: Vec<u32> =
-            admit(vec![0, 0], 2).expect("ascending").iter().map(|p| p.doc.0).collect();
+            admit(vec![0, 0], 2).expect("ascending").view().iter().map(|p| p.doc.0).collect();
         assert_eq!(docs, [0, 1]);
     }
 
@@ -1166,10 +1222,10 @@ mod tests {
         let mut b = PostingListBuilder::new();
         b.push(DocId(u32::MAX), 1);
         let l = b.finish();
-        assert_eq!(l.encoded_bytes(), 2 + 4);
-        assert_eq!(l.to_vec()[0].doc, DocId(u32::MAX));
-        let wire = PostingList::from_encoded(l.data.clone(), 1).expect("valid");
-        assert_eq!(wire.to_vec()[0].doc, DocId(u32::MAX));
+        assert_eq!(l.view().encoded_bytes(), 2 + 4);
+        assert_eq!(l.view().to_vec()[0].doc, DocId(u32::MAX));
+        let wire = PostingList::from_encoded(l.encoded(), 1).expect("valid");
+        assert_eq!(wire.view().to_vec()[0].doc, DocId(u32::MAX));
     }
 
     #[test]
@@ -1197,7 +1253,8 @@ mod tests {
                 for &(d, tf) in &postings {
                     b.push(DocId(d), tf);
                 }
-                let l = b.finish();
+                let list = b.finish();
+                let l = list.view();
                 let as_pairs = |v: Vec<Posting>| -> Vec<(u32, u32)> {
                     v.into_iter().map(|p| (p.doc.0, p.tf)).collect()
                 };
@@ -1209,8 +1266,8 @@ mod tests {
                     c.next();
                 }
                 assert_eq!(walked, postings, "cursor, width {width}, {n} postings");
-                let wire = PostingList::from_encoded(l.encoded(), l.df()).expect("valid");
-                assert_eq!(as_pairs(wire.to_vec()), postings, "wire, width {width}");
+                let wire = PostingList::from_encoded(list.encoded(), l.df()).expect("valid");
+                assert_eq!(as_pairs(wire.view().to_vec()), postings, "wire, width {width}");
             }
         }
     }
@@ -1221,7 +1278,8 @@ mod tests {
         // with a gap that needs all 32 bits, which widens every gap in it.
         let mut docs: Vec<u32> = (0..BLOCK_LEN as u32).collect();
         docs.extend([u32::MAX - 9, u32::MAX - 8, u32::MAX]);
-        let l = list_of(&docs);
+        let list = list_of(&docs);
+        let l = list.view();
         assert_eq!(l.blocks().len(), 2);
         let block0 = 2 + BLOCK_LEN * 2 / 8;
         let block1 = 2 + 3 * 32 / 8 + 1;
@@ -1238,7 +1296,7 @@ mod tests {
         let mut c = l.cursor();
         assert!(c.next_geq(DocId(u32::MAX - 8)));
         assert_eq!((c.doc(), c.tf()), (DocId(u32::MAX - 8), 1 + (u32::MAX - 8) % 3));
-        let wire = PostingList::from_encoded(l.encoded(), l.df()).expect("valid");
-        assert_eq!(wire.to_vec(), l.to_vec());
+        let wire = PostingList::from_encoded(list.encoded(), l.df()).expect("valid");
+        assert_eq!(wire.view().to_vec(), l.to_vec());
     }
 }

@@ -54,7 +54,7 @@
 //! and keeps its worker) cannot leave stale sums for the next.
 
 use crate::index::{IdMap, InvertedIndex};
-use crate::postings::{Posting, PostingCursor, PostingList};
+use crate::postings::{ListView, Posting, PostingCursor};
 use crate::score::{Bm25, CollectionStats, TermScorer};
 use crate::topk::TopK;
 use crate::{DocId, TermId};
@@ -311,10 +311,11 @@ fn accumulate(
         ev.postings_scanned += u64::from(list.df());
         ev.blocks_decoded += list.blocks().len() as u64;
         let scorer = bm25.term_scorer(stats, t);
-        for b in 0..list.blocks().len() {
+        let mut blocks = list.stream();
+        loop {
             block.clear();
-            // Corrupt data ends the list, as it ends `PostingList::iter`.
-            if list.decode_into(b, block).is_err() {
+            // Corrupt data ends the list, as it ends `ListView::iter`.
+            if blocks.append_next(block) != Ok(true) {
                 break;
             }
             for p in block.iter() {
@@ -346,13 +347,13 @@ fn and_lists<'a>(
     k: usize,
     bm25: &Bm25,
     stats: &impl CollectionStats,
-) -> Option<Vec<(usize, TermScorer, &'a PostingList)>> {
+) -> Option<Vec<(usize, TermScorer, ListView<'a>)>> {
     if k == 0 || canon.is_empty() {
         return None;
     }
     let mut lists = Vec::with_capacity(canon.len());
     for (i, &t) in canon.iter().enumerate() {
-        let list = index.postings(t).filter(|l| !l.is_empty())?;
+        let list = index.postings(t)?;
         lists.push((i, bm25.term_scorer(stats, t), list));
     }
     lists.sort_by_key(|&(_, _, l)| l.df());

@@ -4,7 +4,7 @@ use bytes::Bytes;
 use dwr_sim::SimRng;
 use dwr_text::index::{build_index, merge_indexes};
 use dwr_text::positions::{PositionalIndex, PositionalList, PositionalPosting};
-use dwr_text::postings::{Posting, PostingList, PostingListBuilder, BLOCK_LEN};
+use dwr_text::postings::{ListView, Posting, PostingList, PostingListBuilder, BLOCK_LEN};
 use dwr_text::score::{Bm25, CollectionStats, GlobalStats};
 use dwr_text::search::{
     search_and, search_and_exhaustive, search_or, search_or_pipelined, search_or_with, EvalStats,
@@ -46,6 +46,28 @@ fn dense_corpus_strategy(docs: Range<usize>) -> impl Strategy<Value = Vec<Vec<(T
             .map(|(rest, common, half)| {
                 let heads = [(0, common), (1, half)].into_iter().filter(|&(_, tf)| tf > 0);
                 heads.chain(rest).map(|(t, tf)| (TermId(t), tf)).collect()
+            })
+            .collect()
+    })
+}
+
+/// Strategy: corpora for the term directory — dense ids below 40 beside
+/// a sparse band of ids 19 997..20 005 (`TermId(20_001)` among them),
+/// empty documents and the empty corpus, and in about half the corpora
+/// one term (id 7) in every document.
+fn directory_corpus_strategy() -> impl Strategy<Value = Vec<Vec<(TermId, u32)>>> {
+    let doc = prop::collection::btree_map(0u32..48, 1u32..4, 0..6);
+    (prop::collection::vec(doc, 0..30), 0u8..2).prop_map(|(docs, everywhere)| {
+        docs.into_iter()
+            .map(|doc| {
+                let mut doc: BTreeMap<u32, u32> = doc
+                    .into_iter()
+                    .map(|(t, tf)| (if t < 40 { t } else { 19_957 + t }, tf))
+                    .collect();
+                if everywhere == 1 {
+                    doc.entry(7).or_insert(1);
+                }
+                doc.into_iter().map(|(t, tf)| (TermId(t), tf)).collect()
             })
             .collect()
     })
@@ -197,7 +219,7 @@ fn phrase_scan(docs: &[Vec<u32>], phrase: &[u32]) -> Vec<DocId> {
 
 /// A list's block ladder as its `last_doc` skip keys, without the arena
 /// offsets.
-fn ladder(list: &PostingList) -> Vec<u32> {
+fn ladder(list: ListView<'_>) -> Vec<u32> {
     list.blocks().iter().map(|m| m.last_doc).collect()
 }
 
@@ -285,6 +307,7 @@ proptest! {
             b.push(DocId(d), tf);
         }
         let list = b.finish();
+        let list = list.view();
         prop_assert_eq!(list.df() as usize, postings.len());
         prop_assert_eq!(list.cf(), postings.iter().map(|&(_, tf)| u64::from(tf)).sum::<u64>());
         let decoded: Vec<(u32, u32)> = list.iter().map(|p| (p.doc.0, p.tf)).collect();
@@ -304,7 +327,7 @@ proptest! {
             for &(d, tf) in &postings {
                 b.push(DocId(d), tf);
             }
-            prop_assert_eq!(b.finish().encoded_bytes(), packed_size(&postings));
+            prop_assert_eq!(b.finish().view().encoded_bytes(), packed_size(&postings));
         }
     }
 
@@ -353,28 +376,52 @@ proptest! {
         prop_assert_eq!(idx.num_terms(), reference.len());
         for (t, b) in reference {
             let want = b.finish();
+            let want = want.view();
             let got = idx.postings(TermId(t)).expect("every reference term is indexed");
-            prop_assert_eq!(&got.encoded()[..], &want.encoded()[..], "term {}", t);
-            prop_assert_eq!(ladder(got), ladder(&want), "term {}", t);
+            prop_assert_eq!(got.encoded(), want.encoded(), "term {}", t);
+            prop_assert_eq!(ladder(got), ladder(want), "term {}", t);
             prop_assert_eq!((got.df(), got.cf()), (want.df(), want.cf()), "term {}", t);
         }
     }
 
-    /// Merging chunked sub-indexes reproduces the monolithic index.
+    /// Merging sub-indexes of consecutive chunks reproduces the monolithic
+    /// index byte for byte, arena and directory included: appended lists
+    /// are re-blocked, and every writer writes in ascending term id.
     #[test]
-    fn merge_equals_monolithic(corpus in corpus_strategy(), cut in 0usize..40) {
-        let cut = cut.min(corpus.len());
-        let merged = merge_indexes(&[build_index(&corpus[..cut]), build_index(&corpus[cut..])]);
-        let mono = build_index(&corpus);
-        prop_assert_eq!(merged.num_docs(), mono.num_docs());
-        prop_assert_eq!(merged.num_terms(), mono.num_terms());
-        for (t, list) in mono.terms() {
-            let other = merged.postings(t).expect("term present");
-            prop_assert_eq!(list.to_vec(), other.to_vec());
-            // Appended lists are re-blocked: the same bytes as a build.
-            prop_assert_eq!(&list.encoded()[..], &other.encoded()[..]);
-            prop_assert_eq!(ladder(list), ladder(other));
+    fn merge_equals_monolithic(corpus in corpus_strategy(), cuts in (0usize..40, 0usize..40)) {
+        let (a, b) = (cuts.0.min(cuts.1).min(corpus.len()), cuts.0.max(cuts.1).min(corpus.len()));
+        let chunks = [&corpus[..a], &corpus[a..b], &corpus[b..]];
+        let merged = merge_indexes(&chunks.map(build_index));
+        prop_assert_eq!(merged, build_index(&corpus), "cut at {} and {}", a, b);
+    }
+
+    /// The term directory against a brute-force scan of the corpus: for
+    /// every id up to one past the largest, and for `u32::MAX`, `df`, `cf`
+    /// and the decoded list equal the scan's (an absent id gives `None`
+    /// and 0s); `terms()` yields each present id once, in ascending order;
+    /// and the lists' bytes add up to the arena's.
+    #[test]
+    fn directory_equals_a_scan_of_the_corpus(corpus in directory_corpus_strategy()) {
+        let idx = build_index(&corpus);
+        let mut scan: BTreeMap<u32, Vec<Posting>> = BTreeMap::new();
+        for (d, doc) in (0..).zip(&corpus) {
+            for &(t, tf) in doc {
+                scan.entry(t.0).or_default().push(Posting { doc: DocId(d), tf });
+            }
         }
+        let max = scan.keys().next_back().copied().unwrap_or(0);
+        for t in (0..=max + 1).chain([u32::MAX]) {
+            let want = scan.get(&t);
+            let cf = want.map_or(0, |w| w.iter().map(|p| u64::from(p.tf)).sum());
+            prop_assert_eq!(idx.postings(TermId(t)).map(|l| l.to_vec()), want.cloned(), "term {}", t);
+            prop_assert_eq!(idx.df(TermId(t)) as usize, want.map_or(0, Vec::len), "df {}", t);
+            prop_assert_eq!(idx.cf(TermId(t)), cf, "cf {}", t);
+        }
+        let ids: Vec<u32> = idx.terms().map(|(t, _)| t.0).collect();
+        prop_assert_eq!(ids, scan.keys().copied().collect::<Vec<_>>());
+        prop_assert_eq!(idx.num_terms(), scan.len());
+        let bytes: usize = idx.terms().map(|(_, l)| l.encoded_bytes()).sum();
+        prop_assert_eq!(idx.encoded_bytes(), bytes);
     }
 
     /// The tokenizer is total and only emits tokens of length >= 2 without
@@ -468,7 +515,8 @@ proptest! {
         for &(d, tf) in &postings {
             b.push(DocId(d), tf);
         }
-        let list = b.finish();
+        let owned = b.finish();
+        let list = owned.view();
         let mut bytes = list.encoded().to_vec();
         prop_assume!(!bytes.is_empty());
         let (flip, at, mask) = damage;
@@ -481,6 +529,7 @@ proptest! {
         let df = list.df() as usize;
         // Err(DecodeError) is the other acceptable outcome.
         if let Ok(bad) = PostingList::from_encoded(Bytes::from(bytes), list.df()) {
+            let bad = bad.view();
             let via_iter: Vec<Posting> = bad.iter().collect();
             prop_assert!(via_iter.len() <= df);
             let mut walked = Vec::with_capacity(df);
@@ -516,7 +565,8 @@ proptest! {
         for &(d, tf) in &postings {
             b.push(DocId(d), tf);
         }
-        let list = b.finish();
+        let owned = b.finish();
+        let list = owned.view();
         let mut via_cursor = Vec::with_capacity(postings.len());
         let mut c = list.cursor();
         while c.valid() {
@@ -527,12 +577,11 @@ proptest! {
         prop_assert_eq!(&via_cursor, &via_iter);
         // Wire roundtrip: re-admitting the same bytes reproduces the
         // postings and the block ladder's skip keys.
-        let wire = PostingList::from_encoded(list.encoded(), list.df()).expect("valid stream");
+        let wire = PostingList::from_encoded(owned.encoded(), list.df()).expect("valid stream");
+        let wire = wire.view();
         prop_assert_eq!(wire.to_vec(), list.to_vec());
         prop_assert_eq!(wire.cf(), list.cf());
-        let wire_keys: Vec<u32> = wire.blocks().iter().map(|m| m.last_doc).collect();
-        let own_keys: Vec<u32> = list.blocks().iter().map(|m| m.last_doc).collect();
-        prop_assert_eq!(wire_keys, own_keys);
+        prop_assert_eq!(ladder(wire), ladder(list));
     }
 
     /// `next_geq` lands on exactly the posting a linear scan would find,
@@ -547,6 +596,7 @@ proptest! {
             b.push(DocId(d), tf);
         }
         let list = b.finish();
+        let list = list.view();
         let docs: Vec<u32> = postings.iter().map(|&(d, _)| d).collect();
         let mut c = list.cursor();
         let mut floor = 0u32; // cursors never move backwards
@@ -707,7 +757,8 @@ proptest! {
         let idx = PositionalIndex::build(&docs);
         let Some(list) = idx.list(term) else { return Ok(()) };
         let (postings, positions) = list.encoded();
-        let input = PostingList::from_encoded(postings.clone(), list.df()).expect("valid").to_vec();
+        let input = PostingList::from_encoded(postings.clone(), list.df()).expect("valid");
+        let input = input.view().to_vec();
         let mut streams = [postings.to_vec(), positions.to_vec()];
         let (kind, which, at, mask) = damage;
         let stream = &mut streams[which as usize];
@@ -735,7 +786,8 @@ proptest! {
         if let Ok(bad) = PositionalList::from_encoded(postings.clone(), list.df(), positions) {
             let decoded = bad.to_vec();
             // The posting half the positions were admitted against.
-            let tfs = PostingList::from_encoded(postings, list.df()).expect("admitted").to_vec();
+            let tfs = PostingList::from_encoded(postings, list.df()).expect("admitted");
+            let tfs = tfs.view().to_vec();
             prop_assert!(decoded.len() <= list.df() as usize);
             prop_assert_eq!(decoded.len(), tfs.len());
             for (p, q) in decoded.iter().zip(&tfs) {

@@ -25,8 +25,11 @@
 //!   connection per server* plus a minimum delay between accesses.
 //! * **Re-crawling** ([`recrawl`]) — freshness-driven revisit scheduling
 //!   against the web's change process, with server cooperation and growth.
-//! * **Prioritization** ([`priority`]) — citation-count frontier ordering
-//!   ("prioritize high-quality objects"; Section 6's open problem).
+//! * **Prioritization** ([`frontier`], [`priority`]) — one frontier whose
+//!   per-host queues run in discovery order or most-cited first
+//!   ([`frontier::QueueOrder`], chosen by [`CrawlConfig::order`]; "prioritize
+//!   high-quality objects", Section 6's open problem), and E22's
+//!   measurement of what citation order buys on the simulated crawl.
 
 pub mod assign;
 pub mod exchange;

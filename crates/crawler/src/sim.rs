@@ -33,7 +33,7 @@
 use crate::assign::{AgentId, UrlAssigner};
 use crate::exchange::{ExchangeBuffers, ExchangeStats};
 use crate::faults::{AgentSchedule, Transition};
-use crate::frontier::Frontier;
+use crate::frontier::{Frontier, QueueOrder};
 use dwr_obs::{Event as ObsEvent, NoopRecorder, Recorder};
 use dwr_sim::event::{EventQueue, SimTime};
 use dwr_sim::net::Link;
@@ -55,6 +55,9 @@ pub struct CrawlConfig {
     pub connections_per_agent: usize,
     /// Minimum delay between accesses to one host.
     pub politeness_delay: SimTime,
+    /// Order of each host's queue: discovery order by default, most-cited
+    /// first for a prioritised crawl (E22).
+    pub order: QueueOrder,
     /// URL-exchange batch size.
     pub batch_size: usize,
     /// Seed every agent with the `k` most-cited URLs (0 disables
@@ -98,6 +101,7 @@ impl Default for CrawlConfig {
             agents: 4,
             connections_per_agent: 16,
             politeness_delay: 2 * SECOND,
+            order: QueueOrder::Fifo,
             batch_size: 50,
             most_cited_seed: 0,
             link: Link::wan(),
@@ -422,7 +426,7 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
         let base = self.rng.fork(i as u64).fork_named("dns");
         let dns_rng = if epoch == 0 { base } else { base.fork(u64::from(epoch)) };
         AgentState {
-            frontier: Frontier::new(self.cfg.politeness_delay),
+            frontier: Frontier::new(self.cfg.politeness_delay, self.cfg.order),
             exchange: ExchangeBuffers::new(self.cfg.batch_size, self.known.clone()),
             dns: DnsCache::new(DnsServer::typical(dns_rng), 3_600 * SECOND, 10_000),
             idle_slots: self.cfg.connections_per_agent,

@@ -1,9 +1,9 @@
 //! Property-based tests of crawler invariants: consistent-hash
-//! monotonicity and both frontiers' politeness guarantees.
+//! monotonicity and the frontier's politeness guarantees in either queue
+//! order.
 
 use dwr_crawler::assign::{AgentId, ConsistentHashAssigner, HashAssigner, UrlAssigner};
-use dwr_crawler::frontier::Frontier;
-use dwr_crawler::priority::PriorityFrontier;
+use dwr_crawler::frontier::{Frontier, QueueOrder};
 use dwr_sim::{SimTime, SECOND};
 use dwr_webgraph::generate::{generate_web, WebConfig};
 use dwr_webgraph::graph::{HostId, PageId};
@@ -11,36 +11,16 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::{HashMap, HashSet};
 
-/// The fetch contract both frontiers share.
-trait Politeness {
-    fn offer(&mut self, host: HostId, page: PageId, now: SimTime) -> bool;
-    fn next_fetch(&mut self, now: SimTime) -> Result<(HostId, PageId), Option<SimTime>>;
-    fn complete(&mut self, host: HostId, now: SimTime);
+/// Either queue order, drawn.
+fn queue_order() -> impl Strategy<Value = QueueOrder> {
+    any::<bool>().prop_map(|cited| if cited { QueueOrder::Citations } else { QueueOrder::Fifo })
 }
-
-macro_rules! politeness {
-    ($($frontier:ty),*) => {$(
-        impl Politeness for $frontier {
-            fn offer(&mut self, host: HostId, page: PageId, now: SimTime) -> bool {
-                <$frontier>::offer(self, host, page, now)
-            }
-            fn next_fetch(&mut self, now: SimTime) -> Result<(HostId, PageId), Option<SimTime>> {
-                <$frontier>::next_fetch(self, now)
-            }
-            fn complete(&mut self, host: HostId, now: SimTime) {
-                <$frontier>::complete(self, host, now)
-            }
-        }
-    )*};
-}
-
-politeness!(Frontier, PriorityFrontier);
 
 /// Offer each `(host, page)` a quarter second apart, fetching everything
 /// allowed after each offer and completing it at once; fail on two
 /// concurrent fetches of one host or on two fetches closer than `delay`.
 fn replay_politely(
-    f: &mut impl Politeness,
+    f: &mut Frontier,
     delay: SimTime,
     ops: &[(u32, u32)],
 ) -> Result<(), TestCaseError> {
@@ -130,25 +110,36 @@ proptest! {
     /// Frontier politeness: replaying an arbitrary offer/fetch/complete
     /// schedule never yields two concurrent fetches for one host, and
     /// consecutive fetches of a host are separated by the politeness
-    /// delay — for both frontiers. The schedule re-offers pages, which
-    /// the priority frontier turns into citations.
+    /// delay, in either queue order. The schedule re-offers pages, which
+    /// citation order turns into citations.
     #[test]
-    fn frontier_politeness_invariant(ops in prop::collection::vec((0u32..8, 0u32..50), 1..200)) {
+    fn frontier_politeness_invariant(
+        ops in prop::collection::vec((0u32..8, 0u32..50), 1..200),
+        order in queue_order(),
+    ) {
         let delay = 2 * SECOND;
-        replay_politely(&mut Frontier::new(delay), delay, &ops)?;
-        replay_politely(&mut PriorityFrontier::new(delay), delay, &ops)?;
+        replay_politely(&mut Frontier::new(delay, order), delay, &ops)?;
     }
 
     /// The frontier never loses or duplicates work: offered distinct pages
-    /// = fetched + still pending.
+    /// = fetched + still pending, in either queue order, re-offers
+    /// (citations) included.
     #[test]
-    fn frontier_conserves_work(pages in prop::collection::btree_set((0u32..8, 0u32..1000), 0..100)) {
-        let mut f = Frontier::new(0);
+    fn frontier_conserves_work(
+        pages in prop::collection::btree_set((0u32..8, 0u32..1000), 0..100),
+        cites in prop::collection::vec(0usize..100, 0..100),
+        order in queue_order(),
+    ) {
+        let pages: Vec<(u32, u32)> = pages.into_iter().collect();
+        let mut f = Frontier::new(0, order);
         let mut offered = 0usize;
         for &(h, p) in &pages {
             if f.offer(HostId(h), PageId(p), 0) {
                 offered += 1;
             }
+        }
+        for &(h, p) in cites.iter().filter_map(|&i| pages.get(i)) {
+            prop_assert!(!f.offer(HostId(h), PageId(p), 0), "a re-offer is never fresh");
         }
         let mut fetched = 0usize;
         let mut now = 0;

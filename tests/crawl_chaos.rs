@@ -17,11 +17,17 @@
 //!    crawl, byte for byte, fault accounting included.
 //!
 //! The `crawl_chaos_fixed_seed_*` tests are the deterministic anchors CI
-//! runs; the proptest blocks widen the net locally.
+//! runs; the proptest blocks widen the net locally. The properties draw
+//! the frontier's queue order (FIFO or citations) with the schedule, so
+//! citation order is tested through crash handoffs too.
 
 use distributed_web_retrieval::avail::failure::UpDownProcess;
 use distributed_web_retrieval::crawler::assign::{ConsistentHashAssigner, HashAssigner};
-use distributed_web_retrieval::crawler::sim::{CrawlConfig, CrawlReport, DistributedCrawl};
+use distributed_web_retrieval::crawler::frontier::QueueOrder;
+use distributed_web_retrieval::crawler::priority::ordering_crawl;
+use distributed_web_retrieval::crawler::sim::{
+    CrawlConfig, CrawlReport, DistributedCrawl, SpanOutcome,
+};
 use distributed_web_retrieval::crawler::AgentSchedule;
 use distributed_web_retrieval::sim::{SimTime, MINUTE, SECOND};
 use distributed_web_retrieval::webgraph::generate::{generate_web, WebConfig};
@@ -52,9 +58,20 @@ fn chaos_cfg() -> CrawlConfig {
     }
 }
 
-fn run(web: &SyntheticWeb, faults: Option<AgentSchedule>, seed: u64) -> CrawlReport {
+/// Either queue order, drawn.
+fn queue_order() -> impl Strategy<Value = QueueOrder> {
+    any::<bool>().prop_map(|cited| if cited { QueueOrder::Citations } else { QueueOrder::Fifo })
+}
+
+fn run(
+    web: &SyntheticWeb,
+    faults: Option<AgentSchedule>,
+    order: QueueOrder,
+    seed: u64,
+) -> CrawlReport {
     let mut cfg = chaos_cfg();
     cfg.faults = faults;
+    cfg.order = order;
     DistributedCrawl::new(web, ConsistentHashAssigner::new(AGENTS, 64), cfg, seed).run()
 }
 
@@ -86,7 +103,7 @@ fn assert_politeness(r: &CrawlReport, delay: SimTime) {
 /// frontier handoffs — coverage, politeness, and accounting all checked.
 fn crawl_chaos_run(seed: u64) {
     let web = chaos_web(seed);
-    let baseline = run(&web, None, seed);
+    let baseline = run(&web, None, QueueOrder::Fifo, seed);
     assert!(baseline.coverage > 0.9, "baseline must crawl the web: {}", baseline.coverage);
 
     let process = UpDownProcess::exponential(
@@ -95,7 +112,7 @@ fn crawl_chaos_run(seed: u64) {
     );
     let horizon = 4 * baseline.makespan;
     let schedule = AgentSchedule::generate(AGENTS as usize, &process, horizon, seed);
-    let r = run(&web, Some(schedule), seed);
+    let r = run(&web, Some(schedule), QueueOrder::Fifo, seed);
     let f = r.faults;
     assert!(f.crashes >= 1, "the schedule must actually crash something: {f:?}");
     assert!(f.hosts_moved > 0, "crashes must move hosts: {f:?}");
@@ -108,11 +125,8 @@ fn crawl_chaos_run(seed: u64) {
     assert_politeness(&r, chaos_cfg().politeness_delay);
     // Lost-work accounting closes: every crash-lost fetch is a
     // LostInCrash span, and refetches never exceed what was lost.
-    let lost_spans = r
-        .trace
-        .iter()
-        .filter(|s| s.outcome == distributed_web_retrieval::crawler::sim::SpanOutcome::LostInCrash)
-        .count() as u64;
+    let lost_spans =
+        r.trace.iter().filter(|s| s.outcome == SpanOutcome::LostInCrash).count() as u64;
     assert_eq!(lost_spans, f.lost_inflight);
     assert!(f.refetches <= f.lost_inflight);
 }
@@ -140,8 +154,8 @@ fn crawl_chaos_is_deterministic_given_a_seed() {
     let web = chaos_web(99);
     let process = UpDownProcess::exponential(2 * MINUTE, 30 * SECOND);
     let schedule = AgentSchedule::generate(AGENTS as usize, &process, 30 * MINUTE, 99);
-    let once = run(&web, Some(schedule.clone()), 99);
-    let twice = run(&web, Some(schedule), 99);
+    let once = run(&web, Some(schedule.clone()), QueueOrder::Fifo, 99);
+    let twice = run(&web, Some(schedule), QueueOrder::Fifo, 99);
     assert_eq!(once.fetched_pages, twice.fetched_pages);
     assert_eq!(once.makespan, twice.makespan);
     assert_eq!(once.faults, twice.faults);
@@ -154,8 +168,29 @@ fn crawl_chaos_is_deterministic_given_a_seed() {
         30 * MINUTE,
         100,
     );
-    let third = run(&web, Some(other), 99);
+    let third = run(&web, Some(other), QueueOrder::Fifo, 99);
     assert_ne!(once.faults, third.faults, "a different schedule churns differently");
+}
+
+/// E22's crawls, FIFO and citation order, are polite by the same
+/// checker and fetch the same pages.
+#[test]
+fn ordering_crawls_are_polite_and_cover_the_same_pages() {
+    let web = chaos_web(22);
+    let fetched = |r: &CrawlReport| {
+        let mut pages: Vec<_> =
+            r.trace.iter().filter(|s| s.outcome == SpanOutcome::Fetched).map(|s| s.page).collect();
+        pages.sort_unstable();
+        pages
+    };
+    let fifo = ordering_crawl(&web, QueueOrder::Fifo, 8);
+    let cited = ordering_crawl(&web, QueueOrder::Citations, 8);
+    for r in [&fifo, &cited] {
+        assert_politeness(r, SECOND / 2);
+    }
+    assert!(fifo.coverage > 0.9, "the crawl must reach the web: {}", fifo.coverage);
+    assert_eq!(fetched(&fifo), fetched(&cited));
+    assert_ne!(fifo.trace, cited.trace, "the order must change the crawl");
 }
 
 proptest! {
@@ -169,15 +204,16 @@ proptest! {
         mtbf_min in 1u64..8,
         mttr_min in 1u64..4,
         seed in any::<u64>(),
+        order in queue_order(),
     ) {
         let web = chaos_web(7);
-        let baseline = run(&web, None, 7);
+        let baseline = run(&web, None, order, 7);
         let process =
             UpDownProcess::exponential(mtbf_min * MINUTE, mttr_min * MINUTE);
         let horizon = 2 * baseline.makespan;
         let schedule = AgentSchedule::generate(AGENTS as usize, &process, horizon, seed);
         prop_assume!(schedule.min_live(AGENTS as usize) >= 1);
-        let r = run(&web, Some(schedule), 7);
+        let r = run(&web, Some(schedule), order, 7);
         prop_assert!(
             r.coverage > baseline.coverage - 0.1,
             "coverage {} vs baseline {} (faults {:?})",
@@ -187,14 +223,16 @@ proptest! {
         );
     }
 
-    /// Property 2 at random churn rates and either assignment policy: the
-    /// politeness invariant holds in every trace, handoffs included.
+    /// Property 2 at random churn rates, either assignment policy and
+    /// either queue order: the politeness invariant holds in every trace,
+    /// handoffs included.
     #[test]
     fn politeness_survives_handoffs(
         mtbf_min in 1u64..6,
         mttr_min in 1u64..4,
         use_modulo in any::<bool>(),
         seed in any::<u64>(),
+        order in queue_order(),
     ) {
         let web = chaos_web(11);
         let process =
@@ -203,6 +241,7 @@ proptest! {
             AgentSchedule::generate(AGENTS as usize, &process, 40 * MINUTE, seed);
         let mut cfg = chaos_cfg();
         cfg.faults = Some(schedule);
+        cfg.order = order;
         let r = if use_modulo {
             DistributedCrawl::new(&web, HashAssigner::new(AGENTS), cfg, 11).run()
         } else {

@@ -8,8 +8,8 @@
 //! in-degree of pages" (Section 3).
 
 use crate::assign::AgentId;
+use dwr_sim::hash::{IdMap, IdSet};
 use dwr_webgraph::graph::PageId;
-use std::collections::{HashMap, HashSet};
 
 /// Wire-size model: bytes per URL in an exchange message.
 pub const BYTES_PER_URL: u64 = 64;
@@ -19,10 +19,10 @@ pub const BYTES_PER_MESSAGE: u64 = 128;
 /// Outgoing URL buffers of one agent, one per destination.
 #[derive(Debug)]
 pub struct ExchangeBuffers {
-    buffers: HashMap<AgentId, Vec<PageId>>,
+    buffers: IdMap<AgentId, Vec<PageId>>,
     batch_size: usize,
     /// URLs every agent already knows (most-cited seeding) — never sent.
-    known: HashSet<PageId>,
+    known: IdSet<PageId>,
     stats: ExchangeStats,
 }
 
@@ -44,10 +44,10 @@ pub struct ExchangeStats {
 impl ExchangeBuffers {
     /// Create buffers that flush a destination after `batch_size` URLs.
     /// `known` is the shared most-cited set (may be empty).
-    pub fn new(batch_size: usize, known: HashSet<PageId>) -> Self {
+    pub fn new(batch_size: usize, known: IdSet<PageId>) -> Self {
         assert!(batch_size > 0);
         ExchangeBuffers {
-            buffers: HashMap::new(),
+            buffers: IdMap::default(),
             batch_size,
             known,
             stats: ExchangeStats::default(),
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn batches_at_threshold() {
-        let mut x = ExchangeBuffers::new(3, HashSet::new());
+        let mut x = ExchangeBuffers::new(3, IdSet::default());
         assert!(x.offer(A1, PageId(1)).is_none());
         assert!(x.offer(A1, PageId(2)).is_none());
         let batch = x.offer(A1, PageId(3)).expect("full batch");
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn destinations_buffer_independently() {
-        let mut x = ExchangeBuffers::new(2, HashSet::new());
+        let mut x = ExchangeBuffers::new(2, IdSet::default());
         assert!(x.offer(A1, PageId(1)).is_none());
         assert!(x.offer(A2, PageId(2)).is_none());
         assert!(x.offer(A1, PageId(3)).is_some());
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn suppression_blocks_known_urls() {
-        let known: HashSet<PageId> = [PageId(7), PageId(8)].into_iter().collect();
+        let known: IdSet<PageId> = [PageId(7), PageId(8)].into_iter().collect();
         let mut x = ExchangeBuffers::new(10, known);
         assert!(x.offer(A1, PageId(7)).is_none());
         assert!(x.offer(A1, PageId(8)).is_none());
@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn flush_all_deterministic_order() {
-        let mut x = ExchangeBuffers::new(100, HashSet::new());
+        let mut x = ExchangeBuffers::new(100, IdSet::default());
         x.offer(A2, PageId(1));
         x.offer(A1, PageId(2));
         let all = x.flush_all();
@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn bytes_account_message_overhead() {
-        let mut x = ExchangeBuffers::new(2, HashSet::new());
+        let mut x = ExchangeBuffers::new(2, IdSet::default());
         x.offer(A1, PageId(1));
         x.offer(A1, PageId(2));
         assert_eq!(x.stats().bytes, BYTES_PER_MESSAGE + 2 * BYTES_PER_URL);
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn recall_all_empties_every_buffer_in_order() {
-        let mut x = ExchangeBuffers::new(10, HashSet::new());
+        let mut x = ExchangeBuffers::new(10, IdSet::default());
         x.offer(A2, PageId(1));
         x.offer(A1, PageId(2));
         let all = x.recall_all();
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn recall_returns_undelivered() {
-        let mut x = ExchangeBuffers::new(10, HashSet::new());
+        let mut x = ExchangeBuffers::new(10, IdSet::default());
         x.offer(A1, PageId(1));
         x.offer(A1, PageId(2));
         let recalled = x.recall(A1);

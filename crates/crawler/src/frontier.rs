@@ -14,10 +14,11 @@
 //! its open problem of prioritizing the frontier "under a dynamic
 //! scenario" (Section 6). The politeness machinery is the same for both.
 
+use dwr_sim::hash::{IdMap, IdSet};
 use dwr_sim::SimTime;
 use dwr_webgraph::graph::{HostId, PageId};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// The order in which one host's queued pages are fetched.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,7 +45,7 @@ struct CitedQueue {
     /// Queued pages keyed (citations descending, page id).
     ranked: BTreeSet<(Reverse<u32>, PageId)>,
     /// Citation count of each queued page: its current key.
-    counts: HashMap<PageId, u32>,
+    counts: IdMap<PageId, u32>,
 }
 
 impl HostQueue {
@@ -108,16 +109,16 @@ impl HostQueue {
 #[derive(Debug)]
 pub struct Frontier {
     /// Per-host queue of pages to fetch.
-    queues: HashMap<HostId, HostQueue>,
+    queues: IdMap<HostId, HostQueue>,
     /// Hosts with pending pages, keyed by next-eligible time. A host is in
     /// the heap iff it has pages and is not busy.
     ready: BinaryHeap<Reverse<(SimTime, HostId)>>,
     /// Hosts currently fetching (politeness: at most one connection).
-    busy: HashSet<HostId>,
+    busy: IdSet<HostId>,
     /// Earliest next access per host.
-    next_allowed: HashMap<HostId, SimTime>,
+    next_allowed: IdMap<HostId, SimTime>,
     /// Pages ever enqueued (URL-seen test).
-    seen: HashSet<PageId>,
+    seen: IdSet<PageId>,
     /// Minimum delay between accesses to one host.
     politeness_delay: SimTime,
     order: QueueOrder,
@@ -129,11 +130,11 @@ impl Frontier {
     /// "several seconds") and per-host queue order.
     pub fn new(politeness_delay: SimTime, order: QueueOrder) -> Self {
         Frontier {
-            queues: HashMap::new(),
+            queues: IdMap::default(),
             ready: BinaryHeap::new(),
-            busy: HashSet::new(),
-            next_allowed: HashMap::new(),
-            seen: HashSet::new(),
+            busy: IdSet::default(),
+            next_allowed: IdMap::default(),
+            seen: IdSet::default(),
             politeness_delay,
             order,
             pending: 0,

@@ -13,6 +13,8 @@
 //!
 //! On every pool change the live assigner is updated
 //! (`remove_agent`/`add_agent`) and ownership is diffed host by host.
+//! Between changes the simulator reads owners from a per-host table it
+//! refills at each one, not from the assigner.
 //! For each host whose owner changed, the old owner's per-host queue and
 //! politeness clock (`next_allowed`) migrate to the new owner in one
 //! *handoff batch*, so ownership transfer can never violate the
@@ -36,6 +38,7 @@ use crate::faults::{AgentSchedule, Transition};
 use crate::frontier::{Frontier, QueueOrder};
 use dwr_obs::{Event as ObsEvent, NoopRecorder, Recorder};
 use dwr_sim::event::{EventQueue, SimTime};
+use dwr_sim::hash::{IdMap, IdSet};
 use dwr_sim::net::Link;
 use dwr_sim::{SimRng, SECOND};
 use dwr_webgraph::dns::{DnsCache, DnsServer, DnsStats};
@@ -43,7 +46,7 @@ use dwr_webgraph::graph::{HostId, PageId};
 use dwr_webgraph::qos::{FetchOutcome, QosConfig, QosModel};
 use dwr_webgraph::sitemap::{RobotsPolicy, SitemapIndex};
 use dwr_webgraph::SyntheticWeb;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Crawl parameters.
 #[derive(Debug, Clone)]
@@ -320,7 +323,7 @@ impl<'w, A: UrlAssigner, R: Recorder> DistributedCrawl<'w, A, R> {
             self.cfg.qos,
             self.rng.fork_named("qos").next_u64(),
         );
-        let known: HashSet<PageId> =
+        let known: IdSet<PageId> =
             self.web.most_cited(self.cfg.most_cited_seed).into_iter().collect();
         let robots = RobotsPolicy::generate(
             self.web,
@@ -349,11 +352,12 @@ impl<'w, A: UrlAssigner, R: Recorder> DistributedCrawl<'w, A, R> {
             queue: EventQueue::new(),
             link_rng,
             transitions,
-            fetched: HashSet::new(),
-            retry_count: HashMap::new(),
-            sitemap_served: HashSet::new(),
-            fetching: HashMap::new(),
-            lost_pages: HashSet::new(),
+            owners: Vec::new(),
+            fetched: IdSet::default(),
+            retry_count: IdMap::default(),
+            sitemap_served: IdSet::default(),
+            fetching: IdMap::default(),
+            lost_pages: IdSet::default(),
             trace: Vec::new(),
             fstats: CrawlFaultStats::default(),
             retired_exchange: ExchangeStats::default(),
@@ -370,6 +374,7 @@ impl<'w, A: UrlAssigner, R: Recorder> DistributedCrawl<'w, A, R> {
             makespan: 0,
         };
         sim.agents = (0..n).map(|i| sim.make_agent(i, 0)).collect();
+        sim.refill_owners();
         sim.run()
     }
 }
@@ -385,20 +390,24 @@ struct Sim<'w, A: UrlAssigner, R: Recorder> {
     qos: QosModel,
     robots: RobotsPolicy,
     sitemaps: SitemapIndex,
-    known: HashSet<PageId>,
+    known: IdSet<PageId>,
     agents: Vec<AgentState>,
     queue: EventQueue<Event>,
     link_rng: SimRng,
     transitions: Vec<Transition>,
-    fetched: HashSet<PageId>,
-    retry_count: HashMap<PageId, u32>,
-    sitemap_served: HashSet<HostId>,
+    /// Owner of every host under the current assignment, by host id. The
+    /// assignment changes only when a membership change succeeds, and
+    /// the table is refilled right then, so every other read is a load.
+    owners: Vec<AgentId>,
+    fetched: IdSet<PageId>,
+    retry_count: IdMap<PageId, u32>,
+    sitemap_served: IdSet<HostId>,
     /// Host → agent with the host's one allowed connection currently
     /// open. The global politeness arbiter across ownership transfers.
-    fetching: HashMap<HostId, u32>,
+    fetching: IdMap<HostId, u32>,
     /// Pages whose in-flight fetch a crash destroyed; a later successful
     /// fetch counts as a refetch (crash-induced rework).
-    lost_pages: HashSet<PageId>,
+    lost_pages: IdSet<PageId>,
     trace: Vec<FetchSpan>,
     fstats: CrawlFaultStats,
     /// Stats of incarnations retired by recovery rebuilds.
@@ -457,10 +466,19 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
         self.queue.schedule_at(now + lat, Event::Deliver { urls: batch });
     }
 
-    /// Owner of every host under the current assignment, in
-    /// `web.host_ids()` order — diffed around membership changes.
-    fn owners_snapshot(&self) -> Vec<AgentId> {
-        self.web.host_ids().map(|h| self.assigner.agent_for(h, self.web)).collect()
+    /// Refill the owner table from the assigner, returning the table it
+    /// replaces: the owners a membership change diffs against.
+    fn refill_owners(&mut self) -> Vec<AgentId> {
+        let owners = self.web.host_ids().map(|h| self.assigner.agent_for(h, self.web)).collect();
+        std::mem::replace(&mut self.owners, owners)
+    }
+
+    /// Owner of `host` under the current assignment, read from the owner
+    /// table.
+    fn owner_of(&self, host: HostId) -> AgentId {
+        let owner = self.owners[host.0 as usize];
+        debug_assert_eq!(owner, self.assigner.agent_for(host, self.web), "stale owner table");
+        owner
     }
 
     fn run(mut self) -> CrawlReport {
@@ -478,7 +496,7 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
                 continue;
             }
             let host = self.web.page(p).host;
-            let owner = self.assigner.agent_for(host, self.web);
+            let owner = self.owner_of(host);
             if self.agents[owner.0 as usize].frontier.offer(host, p, 0) {
                 self.outstanding += 1;
             }
@@ -682,7 +700,7 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
                         continue;
                     }
                     let t_host = self.web.page(target).host;
-                    let owner = self.assigner.agent_for(t_host, self.web);
+                    let owner = self.owner_of(t_host);
                     if owner.0 == agent {
                         if self.agents[agent as usize].frontier.offer(t_host, target, now) {
                             self.outstanding += 1;
@@ -728,7 +746,7 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
         // remaining queue now that the connection closed. The politeness
         // clock this agent just set travels along, so the new owner can
         // never contact the host early.
-        let owner = self.assigner.agent_for(host, self.web);
+        let owner = self.owner_of(host);
         if owner.0 != agent {
             let (pages, na) = self.agents[agent as usize].frontier.extract_host(host);
             let offered = pages.len();
@@ -755,7 +773,7 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
     fn route_urls(&mut self, now: SimTime, urls: Vec<PageId>) {
         for url in urls {
             let host = self.web.page(url).host;
-            let owner = self.assigner.agent_for(host, self.web);
+            let owner = self.owner_of(host);
             if self.agents[owner.0 as usize].frontier.offer(host, url, now) {
                 self.wake(owner.0, now);
             } else {
@@ -798,7 +816,6 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
         if self.agents[agent as usize].dead {
             return;
         }
-        let before = self.owners_snapshot();
         if !self.assigner.remove_agent(AgentId(agent)) {
             // Refused: removing the last live agent (or one the assigner
             // does not know). The agent survives — a crawl with every
@@ -806,6 +823,7 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
             self.fstats.crashes_suppressed += 1;
             return;
         }
+        let before = self.refill_owners();
         self.fstats.crashes += 1;
 
         // The crash destroys in-flight fetches: charge them as lost work
@@ -845,7 +863,7 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
             if pages.is_empty() {
                 continue;
             }
-            let owner = self.assigner.agent_for(h, self.web);
+            let owner = self.owner_of(h);
             let lost = lost_by_host.remove(&h).unwrap_or_default();
             let mut floor = na;
             if !lost.is_empty() {
@@ -885,7 +903,7 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
         let remaining: Vec<(HostId, Vec<PageId>)> =
             std::mem::take(&mut lost_by_host).into_iter().collect();
         for (h, pages) in remaining {
-            let owner = self.assigner.agent_for(h, self.web);
+            let owner = self.owner_of(h);
             let floor = now + self.cfg.politeness_delay;
             let offered = pages.len();
             let o = &mut self.agents[owner.0 as usize];
@@ -942,9 +960,9 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
         fresh.fetches = fetches; // per-agent totals span incarnations
         self.agents[agent as usize] = fresh;
 
-        let before = self.owners_snapshot();
         let added = self.assigner.add_agent(AgentId(agent));
         debug_assert!(added, "recovering an agent the assigner already has");
+        let before = self.refill_owners();
         self.recorder.record(ObsEvent::CrawlRecover { agent, now });
 
         let mut lost_by_host = BTreeMap::new();
@@ -976,10 +994,9 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
     ) -> (u64, BTreeMap<u32, (u64, u64)>) {
         let mut moved = 0u64;
         let mut batches: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-        let hosts: Vec<HostId> = self.web.host_ids().collect();
-        for (idx, &h) in hosts.iter().enumerate() {
-            let old = before[idx];
-            let new = self.assigner.agent_for(h, self.web);
+        for (idx, &old) in before.iter().enumerate() {
+            let h = HostId(idx as u32);
+            let new = self.owner_of(h);
             if new == old {
                 continue;
             }

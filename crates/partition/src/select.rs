@@ -28,15 +28,17 @@ pub trait CollectionSelector {
 /// `I = ln((|C| + 0.5)/cf_t) / ln(|C| + 1)`,
 /// `belief = b + (1-b)·T·I` with `b = 0.4`,
 /// and the collection score is the mean belief over query terms.
+///
+/// The collections are every shard slot of the snapshot it was built
+/// from, closed split parents included. It keeps that snapshot (an `Arc`
+/// clone) and reads `df_i` from each slot's term directory, one load per
+/// (slot, term); `cf_t` and `I` are computed once per query term.
 #[derive(Debug)]
 pub struct CoriSelector {
-    /// Per-collection df per term.
-    df: Vec<HashMap<u32, u64>>,
+    index: PartitionedIndex,
     /// Per-collection total term count (cw).
     cw: Vec<f64>,
     avg_cw: f64,
-    /// Number of collections containing each term (cf).
-    cf: HashMap<u32, u32>,
     b: f64,
 }
 
@@ -44,49 +46,42 @@ impl CoriSelector {
     /// Build the CORI statistics from a partitioned index.
     pub fn from_partitions(pi: &PartitionedIndex) -> Self {
         let k = pi.num_partitions();
-        let mut df: Vec<HashMap<u32, u64>> = Vec::with_capacity(k);
-        let mut cw = Vec::with_capacity(k);
-        let mut cf: HashMap<u32, u32> = HashMap::new();
-        for p in 0..k {
-            let idx = pi.part(p);
-            let mut local = HashMap::with_capacity(idx.num_terms());
-            for (t, list) in idx.terms() {
-                local.insert(t.0, u64::from(list.df()));
-                *cf.entry(t.0).or_insert(0) += 1;
-            }
-            cw.push(idx.avg_doc_len() * f64::from(idx.num_docs()));
-            df.push(local);
-        }
+        let cw: Vec<f64> = (0..k)
+            .map(|p| {
+                let idx = pi.part(p);
+                idx.avg_doc_len() * f64::from(idx.num_docs())
+            })
+            .collect();
         let avg_cw = (cw.iter().sum::<f64>() / k as f64).max(1.0);
-        CoriSelector { df, cw, avg_cw, cf, b: 0.4 }
-    }
-
-    fn belief(&self, c: usize, term: TermId) -> f64 {
-        let df = self.df[c].get(&term.0).copied().unwrap_or(0) as f64;
-        let num_collections = self.df.len() as f64;
-        let cf = self.cf.get(&term.0).copied().unwrap_or(0) as f64;
-        if cf == 0.0 {
-            return self.b;
-        }
-        let t = df / (df + 50.0 + 150.0 * self.cw[c] / self.avg_cw);
-        let i = ((num_collections + 0.5) / cf).ln() / (num_collections + 1.0).ln();
-        self.b + (1.0 - self.b) * t * i
+        CoriSelector { index: pi.clone(), cw, avg_cw, b: 0.4 }
     }
 }
 
 impl CollectionSelector for CoriSelector {
     fn rank(&self, terms: &[TermId]) -> Vec<(u32, f64)> {
-        let k = self.df.len();
-        let mut scores: Vec<(u32, f64)> = (0..k)
-            .map(|c| {
-                let s = if terms.is_empty() {
-                    0.0
-                } else {
-                    terms.iter().map(|&t| self.belief(c, t)).sum::<f64>() / terms.len() as f64
-                };
-                (c as u32, s)
-            })
-            .collect();
+        let k = self.cw.len();
+        let num_collections = k as f64;
+        let mut scores: Vec<(u32, f64)> = (0..k).map(|c| (c as u32, 0.0)).collect();
+        for &term in terms {
+            let cf = (0..k).filter(|&c| self.index.part(c).df(term) > 0).count() as f64;
+            if cf == 0.0 {
+                for s in &mut scores {
+                    s.1 += self.b;
+                }
+                continue;
+            }
+            let i = ((num_collections + 0.5) / cf).ln() / (num_collections + 1.0).ln();
+            for (c, s) in scores.iter_mut().enumerate() {
+                let df = f64::from(self.index.part(c).df(term));
+                let t = df / (df + 50.0 + 150.0 * self.cw[c] / self.avg_cw);
+                s.1 += self.b + (1.0 - self.b) * t * i;
+            }
+        }
+        if !terms.is_empty() {
+            for s in &mut scores {
+                s.1 /= terms.len() as f64;
+            }
+        }
         sort_ranked(&mut scores);
         scores
     }

@@ -4,7 +4,8 @@ use dwr_partition::doc::{
     DocPartitioner, KMeansPartitioner, RandomPartitioner, RoundRobinPartitioner,
 };
 use dwr_partition::parted::{Corpus, PartitionedIndex};
-use dwr_partition::repart::{PartStatus, RepartIndex, SPLIT_FANOUT};
+use dwr_partition::repart::{PartStatus, RepartIndex, SplitFate, SPLIT_FANOUT};
+use dwr_partition::select::{CollectionSelector, CoriSelector};
 use dwr_partition::term::{
     BinPackingTermPartitioner, CoOccurrenceTermPartitioner, QueryWorkload, RandomTermPartitioner,
     TermPartitioner,
@@ -13,6 +14,7 @@ use dwr_text::index::build_index;
 use dwr_text::score::{CollectionStats, GlobalStats};
 use dwr_text::{DocId, TermId};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// A document: up to 12 distinct terms below 100, each with tf 1..4.
 fn doc_strategy() -> impl Strategy<Value = Vec<(TermId, u32)>> {
@@ -38,6 +40,64 @@ fn assigned_corpus_strategy() -> impl Strategy<Value = (Corpus, Vec<u32>, usize)
             let assignment = raw[..corpus.len()].iter().map(|&r| spread(r)).collect();
             (corpus, assignment, k)
         })
+}
+
+/// CORI as it was first written, a reference for [`CoriSelector`]: each
+/// slot's df copied into a hash table, and `cf` counted into another.
+/// Every slot is a collection, closed split parents included.
+struct TableCori {
+    df: Vec<HashMap<u32, u64>>,
+    cw: Vec<f64>,
+    avg_cw: f64,
+    cf: HashMap<u32, u32>,
+}
+
+impl TableCori {
+    fn new(pi: &PartitionedIndex) -> Self {
+        let k = pi.num_partitions();
+        let (mut df, mut cw, mut cf) = (Vec::new(), Vec::new(), HashMap::new());
+        for p in 0..k {
+            let idx = pi.part(p);
+            let mut local = HashMap::new();
+            for (t, list) in idx.terms() {
+                local.insert(t.0, u64::from(list.df()));
+                *cf.entry(t.0).or_insert(0) += 1;
+            }
+            cw.push(idx.avg_doc_len() * f64::from(idx.num_docs()));
+            df.push(local);
+        }
+        let avg_cw = (cw.iter().sum::<f64>() / k as f64).max(1.0);
+        TableCori { df, cw, avg_cw, cf }
+    }
+
+    fn belief(&self, c: usize, term: TermId) -> f64 {
+        let b = 0.4;
+        let df = self.df[c].get(&term.0).copied().unwrap_or(0) as f64;
+        let num_collections = self.df.len() as f64;
+        let cf = self.cf.get(&term.0).copied().unwrap_or(0) as f64;
+        if cf == 0.0 {
+            return b;
+        }
+        let t = df / (df + 50.0 + 150.0 * self.cw[c] / self.avg_cw);
+        let i = ((num_collections + 0.5) / cf).ln() / (num_collections + 1.0).ln();
+        b + (1.0 - b) * t * i
+    }
+
+    /// Every slot with its score, best first, ties by lower slot id.
+    fn rank(&self, terms: &[TermId]) -> Vec<(u32, u64)> {
+        let mut scores: Vec<(u32, f64)> = (0..self.df.len())
+            .map(|c| {
+                let s = if terms.is_empty() {
+                    0.0
+                } else {
+                    terms.iter().map(|&t| self.belief(c, t)).sum::<f64>() / terms.len() as f64
+                };
+                (c as u32, s)
+            })
+            .collect();
+        scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        scores.into_iter().map(|(c, s)| (c, s.to_bits())).collect()
+    }
 }
 
 proptest! {
@@ -202,5 +262,38 @@ proptest! {
         let packed = eval(&BinPackingTermPartitioner.assign(&idx, &workload, k));
         let random = eval(&RandomTermPartitioner.assign(&idx, &workload, k));
         prop_assert!(packed <= random + 1e-6, "packed={packed} random={random}");
+    }
+
+    /// CORI read from the term directories ranks every slot in the order,
+    /// and with the score bits, of the table-built reference: on random
+    /// layouts (empty and skewed shards included), and on a live index
+    /// after up to three committed splits, whose closed parents stay
+    /// collections. The queries mix indexed terms, terms absent from
+    /// every slot (ids 100 and up, `cf = 0`), a repeated term and the
+    /// empty query.
+    #[test]
+    fn cori_equals_the_table_built_reference(
+        (corpus, assignment, k) in assigned_corpus_strategy(),
+        splits in 0usize..4,
+        queries in prop::collection::vec(prop::collection::vec(0u32..110, 1..6), 1..8),
+    ) {
+        let live = RepartIndex::build(corpus, &assignment, k, k + splits * SPLIT_FANOUT);
+        for _ in 0..splits {
+            let Some(parent) = live.split_target() else { break };
+            live.split(parent, SplitFate::Commit).expect("room was provisioned");
+        }
+        let snap = live.snapshot();
+        let (cori, reference) = (CoriSelector::from_partitions(&snap), TableCori::new(&snap));
+        let mut asked: Vec<Vec<TermId>> = vec![Vec::new(), vec![TermId(u32::MAX)]];
+        for q in &queries {
+            let terms: Vec<TermId> = q.iter().map(|&t| TermId(t)).collect();
+            asked.push([&terms[..], &terms[..1]].concat());
+            asked.push(terms);
+        }
+        for terms in &asked {
+            let got: Vec<(u32, u64)> =
+                cori.rank(terms).into_iter().map(|(c, s)| (c, s.to_bits())).collect();
+            prop_assert_eq!(got, reference.rank(terms), "query {:?}, epoch {}", terms, snap.epoch());
+        }
     }
 }

@@ -350,17 +350,22 @@ impl ShardRouter {
         snap: &PartitionedIndex,
         terms: &[TermId],
     ) -> RouteDecision {
+        let slots = snap.num_partitions();
         let mut ranked: Vec<u32> = selector
             .rank(terms)
             .into_iter()
             .map(|(p, _)| p)
-            .filter(|&p| (p as usize) < snap.num_partitions() && snap.is_active(p))
+            .filter(|&p| (p as usize) < slots && snap.is_active(p))
             .collect();
         // Defensive: a selector that failed to rank some active
-        // partition must not make it unreachable — append stragglers so
-        // the cascade can always reach full coverage.
-        for p in snap.active_parts() {
-            if !ranked.contains(&p) {
+        // partition must not make it unreachable — append stragglers, in
+        // ascending id, so the cascade can always reach full coverage.
+        let mut listed = vec![false; slots];
+        for &p in &ranked {
+            listed[p as usize] = true;
+        }
+        for p in 0..slots as u32 {
+            if snap.is_active(p) && !listed[p as usize] {
                 ranked.push(p);
             }
         }

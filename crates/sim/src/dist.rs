@@ -130,15 +130,6 @@ impl Zipf {
             }
         }
     }
-
-    /// Exact probability mass of rank `k` (computed with the normalizing
-    /// constant; O(n) the first time it matters — only used in tests and
-    /// small analytic settings).
-    pub fn pmf(&self, k: u64) -> f64 {
-        assert!(k >= 1 && k <= self.n);
-        let z: f64 = (1..=self.n).map(|i| (i as f64).powf(-self.s)).sum();
-        (k as f64).powf(-self.s) / z
-    }
 }
 
 /// Exponential distribution with rate `lambda` (mean `1/lambda`).
@@ -396,6 +387,12 @@ mod tests {
         assert!((p - 0.102).abs() < 0.01, "p(1)={p}");
     }
 
+    /// Exact probability mass of rank `k`, by the normalizing constant.
+    fn pmf(z: &Zipf, k: u64) -> f64 {
+        let norm: f64 = (1..=z.n).map(|i| (i as f64).powf(-z.s)).sum();
+        (k as f64).powf(-z.s) / norm
+    }
+
     #[test]
     fn zipf_matches_pmf_for_small_universe() {
         let z = Zipf::new(5, 1.2);
@@ -407,7 +404,7 @@ mod tests {
         }
         for k in 1..=5u64 {
             let emp = counts[(k - 1) as usize] as f64 / n as f64;
-            let want = z.pmf(k);
+            let want = pmf(&z, k);
             assert!((emp - want).abs() < 0.01, "k={k} emp={emp} want={want}");
         }
     }

@@ -87,11 +87,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Reverse(Scheduled { time: at, seq, payload }));
     }
 
-    /// Schedule `payload` at `delay` microseconds after the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        self.schedule_at(self.now + delay, payload);
-    }
-
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|Reverse(s)| {
@@ -100,31 +95,9 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.time)
-    }
-
     /// Drain and drop all pending events (clock is unchanged).
     pub fn clear(&mut self) {
         self.heap.clear();
-    }
-}
-
-/// Convenience driver: pops events until the queue empties or `horizon` is
-/// reached, invoking `handler(now, event, queue)` for each. The handler may
-/// schedule further events.
-pub fn run_until<E>(
-    queue: &mut EventQueue<E>,
-    horizon: SimTime,
-    mut handler: impl FnMut(SimTime, E, &mut EventQueue<E>),
-) {
-    while let Some(&Reverse(Scheduled { time, .. })) = queue.heap.peek() {
-        if time > horizon {
-            break;
-        }
-        let (now, ev) = queue.pop().expect("peeked event exists");
-        handler(now, ev, queue);
     }
 }
 
@@ -159,12 +132,12 @@ mod tests {
     #[test]
     fn clock_advances_with_pop() {
         let mut q = EventQueue::new();
-        q.schedule_in(100, ());
+        q.schedule_at(100, ());
         assert_eq!(q.now(), 0);
         q.pop();
         assert_eq!(q.now(), 100);
-        q.schedule_in(50, ());
-        assert_eq!(q.peek_time(), Some(150));
+        q.schedule_at(150, ());
+        assert_eq!(q.pop(), Some((150, ())));
     }
 
     #[test]
@@ -174,35 +147,6 @@ mod tests {
         q.schedule_at(100, ());
         q.pop();
         q.schedule_at(50, ());
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut q = EventQueue::new();
-        for t in [10u64, 20, 30, 40] {
-            q.schedule_at(t, t);
-        }
-        let mut seen = Vec::new();
-        run_until(&mut q, 25, |now, ev, _| {
-            seen.push((now, ev));
-        });
-        assert_eq!(seen, vec![(10, 10), (20, 20)]);
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn handler_can_reschedule() {
-        let mut q = EventQueue::new();
-        q.schedule_at(1, 0u32);
-        let mut count = 0;
-        run_until(&mut q, 100, |_, gen, q| {
-            count += 1;
-            if gen < 5 {
-                q.schedule_in(10, gen + 1);
-            }
-        });
-        assert_eq!(count, 6);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!   clock and stable FIFO tie-breaking.
 //! * [`net`] — latency/bandwidth models for LAN and WAN links between
 //!   simulated sites (Section 5 of the paper).
+//! * [`hash`] — the cheap hasher every crate's id-keyed tables share.
 //!
 //! The kernel is intentionally free of wall-clock time and global state:
 //! identical seeds produce identical traces, which the test suites of the
@@ -22,6 +23,7 @@
 
 pub mod dist;
 pub mod event;
+pub mod hash;
 pub mod net;
 pub mod rng;
 pub mod stats;

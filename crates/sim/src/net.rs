@@ -40,7 +40,7 @@ impl Link {
     }
 
     /// A trans-oceanic WAN link: 150 ms latency, 50 MB/s.
-    pub fn wan_far() -> Self {
+    fn wan_far() -> Self {
         Link { latency_us: 150 * MILLISECOND, bandwidth_bps: 50_000_000, jitter: 0.3 }
     }
 
@@ -110,7 +110,7 @@ impl Topology {
     }
 
     /// Replace the link between two distinct sites.
-    pub fn set_link(&mut self, a: SiteId, b: SiteId, link: Link) {
+    fn set_link(&mut self, a: SiteId, b: SiteId, link: Link) {
         assert_ne!(a, b, "use the intra-site link for a == b");
         let idx = self.pair_index(a, b);
         self.inter[idx] = link;

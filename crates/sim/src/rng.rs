@@ -128,12 +128,6 @@ impl SimRng {
         lo + self.below(hi - lo + 1)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.f64()
-    }
-
     /// Bernoulli draw with success probability `p`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {

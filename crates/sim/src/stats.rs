@@ -59,7 +59,7 @@ impl Streaming {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -226,12 +226,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.below + self.above + self.buckets.iter().sum::<u64>()
     }
-
-    /// The value range covered by bucket `i` as `(start, end)`.
-    pub fn bucket_range(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.buckets.len() as f64;
-        (self.lo + i as f64 * w, self.lo + (i + 1) as f64 * w)
-    }
 }
 
 /// Number of buckets in the shared log-bucketed percentile layout
@@ -264,18 +258,9 @@ pub fn log_bucket_index(x: f64) -> usize {
     }
 }
 
-/// Lower edge of bucket `i` (bucket 0 opens at 0).
-pub fn log_bucket_lo(i: usize) -> f64 {
-    if i == 0 {
-        0.0
-    } else {
-        (i as f64 / LOG_SUB + LOG_MIN_EXP).exp2()
-    }
-}
-
 /// Upper edge of bucket `i` (the last bucket is unbounded in `record`,
 /// but reports use this nominal edge).
-pub fn log_bucket_hi(i: usize) -> f64 {
+fn log_bucket_hi(i: usize) -> f64 {
     ((i as f64 + 1.0) / LOG_SUB + LOG_MIN_EXP).exp2()
 }
 
@@ -553,8 +538,8 @@ mod tests {
         assert_eq!(h.below(), 1);
         assert_eq!(h.above(), 2);
         assert_eq!(h.total(), 8);
-        assert_eq!(h.bucket_range(0), (0.0, 2.0));
-        assert_eq!(h.bucket_range(4), (8.0, 10.0));
+        // Five 2-wide buckets over [0, 10).
+        assert_eq!(h.buckets(), &[2, 2, 0, 0, 1]);
     }
 
     #[test]
@@ -595,6 +580,15 @@ mod tests {
     #[should_panic]
     fn imbalance_rejects_empty() {
         Imbalance::of(&[]);
+    }
+
+    /// Lower edge of bucket `i` (bucket 0 opens at 0).
+    fn log_bucket_lo(i: usize) -> f64 {
+        if i == 0 {
+            0.0
+        } else {
+            (i as f64 / LOG_SUB + LOG_MIN_EXP).exp2()
+        }
     }
 
     #[test]

@@ -24,38 +24,6 @@
 
 use crate::postings::{Arena, ArenaWriter, ListEntry, ListView, BLOCK_LEN};
 use crate::{DocId, TermId};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Hasher for the crate's `u32`-keyed tables (doc ids, term ids): one
-/// multiply and one xor-shift per key instead of SipHash. Ids are
-/// arbitrary `u32`s, so the multiply carries every bit upward and the
-/// xor-shift folds the high half back into the low bits the table indexes
-/// by. The ids are assigned by this program (lexicon, document order), not
-/// chosen by whoever sends a query, so SipHash's resistance to crafted
-/// collisions buys nothing here.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(u32::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        let x = (self.0 ^ u64::from(id)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = x ^ (x >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A table keyed by `u32` ids, hashed with [`IdHasher`].
-pub(crate) type IdMap<V> = HashMap<u32, V, BuildHasherDefault<IdHasher>>;
 
 /// An immutable inverted index over documents `0..num_docs`.
 ///
@@ -437,19 +405,6 @@ mod tests {
         let idx = build_index(&[]);
         assert_eq!(idx.num_docs(), 0);
         assert_eq!(idx.avg_doc_len(), 0.0);
-    }
-
-    #[test]
-    fn id_hasher_spreads_ids_that_share_their_low_bits() {
-        use std::hash::BuildHasher;
-        // A 64-bucket table indexes by the hash's low 6 bits: an identity
-        // hash would pile all 32 ids below into one bucket.
-        let build = BuildHasherDefault::<IdHasher>::default();
-        for low in [0, 0xbeef, 0xffff] {
-            let buckets: std::collections::BTreeSet<u64> =
-                (0..32u32).map(|high| build.hash_one(high << 16 | low) & 63).collect();
-            assert_eq!(buckets.len(), 32, "low bits {low:#x}");
-        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! sections of the blocks the candidates sit in. The encoded sizes feed
 //! the pipelined-engine communication experiment (E13).
 
-use crate::index::{index_documents, IdMap};
+use crate::index::index_documents;
 use crate::postings::{
     pack, packed_len, padding_set, unpack, width_of, word_padded, DecodeError, Posting,
     PostingCursor, PostingList, BLOCK_LEN,
@@ -43,6 +43,7 @@ use crate::search::leapfrog;
 use crate::token::term_frequencies;
 use crate::{DocId, TermId};
 use bytes::Bytes;
+use dwr_sim::hash::IdMap;
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
@@ -228,7 +229,7 @@ impl PositionReader {
 /// A positional index over token streams: term → positional list.
 #[derive(Debug, Default)]
 pub struct PositionalIndex {
-    lists: IdMap<PositionalList>,
+    lists: IdMap<u32, PositionalList>,
 }
 
 impl PositionalIndex {

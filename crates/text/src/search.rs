@@ -53,11 +53,12 @@
 //! panic that unwinds out of one evaluation (the scatter pool catches it
 //! and keeps its worker) cannot leave stale sums for the next.
 
-use crate::index::{IdMap, InvertedIndex};
+use crate::index::InvertedIndex;
 use crate::postings::{ListView, Posting, PostingCursor};
 use crate::score::{Bm25, CollectionStats, TermScorer};
 use crate::topk::TopK;
 use crate::{DocId, TermId};
+use dwr_sim::hash::IdMap;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -208,7 +209,8 @@ fn search_or_exhaustive(
     let cap: usize = canon.iter().map(|&t| index.df(t) as usize).sum();
     // f64 accumulators; terms are walked in canonical order, so each
     // document's sum is the canonical fold (see module docs).
-    let mut acc: IdMap<f64> = IdMap::with_capacity_and_hasher(cap.min(1 << 20), Default::default());
+    let mut acc: IdMap<u32, f64> =
+        IdMap::with_capacity_and_hasher(cap.min(1 << 20), Default::default());
     for &t in canon {
         let Some(list) = index.postings(t) else { continue };
         ev.postings_scanned += u64::from(list.df());

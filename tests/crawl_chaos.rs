@@ -22,7 +22,9 @@
 //! citation order is tested through crash handoffs too.
 
 use distributed_web_retrieval::avail::failure::UpDownProcess;
-use distributed_web_retrieval::crawler::assign::{ConsistentHashAssigner, HashAssigner};
+use distributed_web_retrieval::crawler::assign::{
+    ConsistentHashAssigner, GeoAssigner, HashAssigner, UrlAssigner,
+};
 use distributed_web_retrieval::crawler::frontier::QueueOrder;
 use distributed_web_retrieval::crawler::priority::ordering_crawl;
 use distributed_web_retrieval::crawler::sim::{
@@ -170,6 +172,55 @@ fn crawl_chaos_is_deterministic_given_a_seed() {
     );
     let third = run(&web, Some(other), QueueOrder::Fifo, 99);
     assert_ne!(once.faults, third.faults, "a different schedule churns differently");
+}
+
+/// The simulator reads each host's owner from a table it refills after
+/// every membership change, and debug builds check each read against
+/// the assigner itself. One churned crawl per assignment policy drives
+/// those reads through crashes and recoveries; the crawl must stay
+/// polite and cover what the calm crawl covers.
+fn owner_table_under_churn<A: UrlAssigner>(assigner: impl Fn() -> A, cfg: CrawlConfig, seed: u64) {
+    let web = chaos_web(seed);
+    let baseline = DistributedCrawl::new(&web, assigner(), cfg.clone(), seed).run();
+    let process = UpDownProcess::exponential(
+        baseline.makespan.max(MINUTE) / 4,
+        baseline.makespan.max(MINUTE) / 16,
+    );
+    let schedule = AgentSchedule::generate(AGENTS as usize, &process, 4 * baseline.makespan, seed);
+    let r = DistributedCrawl::new(
+        &web,
+        assigner(),
+        CrawlConfig { faults: Some(schedule), ..cfg },
+        seed,
+    )
+    .run();
+    let f = r.faults;
+    assert!(f.crashes >= 1 && f.recoveries >= 1, "the schedule must churn both ways: {f:?}");
+    assert!(f.hosts_moved > 0, "churn must move hosts: {f:?}");
+    assert!(
+        r.coverage > baseline.coverage - 0.1,
+        "churn cost too much coverage: {} vs {}",
+        r.coverage,
+        baseline.coverage
+    );
+    assert_politeness(&r, chaos_cfg().politeness_delay);
+}
+
+#[test]
+fn owner_table_follows_a_modulo_assigner_under_churn() {
+    owner_table_under_churn(|| HashAssigner::new(AGENTS), chaos_cfg(), 41);
+}
+
+#[test]
+fn owner_table_follows_a_consistent_hash_assigner_under_churn() {
+    owner_table_under_churn(|| ConsistentHashAssigner::new(AGENTS, 64), chaos_cfg(), 42);
+}
+
+#[test]
+fn owner_table_follows_a_geographic_assigner_under_churn() {
+    let regions = vec![0, 0, 1, 1];
+    let cfg = CrawlConfig { agent_regions: regions.clone(), ..chaos_cfg() };
+    owner_table_under_churn(|| GeoAssigner::new(&regions), cfg, 43);
 }
 
 /// E22's crawls, FIFO and citation order, are polite by the same

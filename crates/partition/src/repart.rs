@@ -33,7 +33,7 @@
 //! never queried), so a query racing a split answers each document
 //! exactly once: from the parent if it snapshotted before the publish,
 //! from exactly one child if after. Scoring uses corpus-wide
-//! [`GlobalStats`], summed once from the shards at build time: they are
+//! [`GlobalStats`], summed once from the shards on first use: they are
 //! invariant under splits (the corpus never changes), so the result set
 //! is *bit-identical* to a static oracle at either epoch.
 
@@ -42,7 +42,7 @@ use dwr_sim::{SimRng, SimTime};
 use dwr_text::score::GlobalStats;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Children created per split. Two-way splits keep the family tree
 /// binary and the balance bound trivial (children differ by ≤ 1 doc).
@@ -262,7 +262,9 @@ pub struct RepartStats {
     pub epoch: u64,
 }
 
-/// A live, splittable partitioned index.
+/// A partitioned index that may split while it serves — the one index
+/// handle of the serving path. Provisioned with no room beyond its
+/// partition count, it is a fixed layout that nothing splits.
 ///
 /// Holds the corpus-wide [`GlobalStats`] and the current
 /// [`PartitionedIndex`] behind a mutex whose critical sections are
@@ -281,7 +283,9 @@ pub struct RepartStats {
 /// [`snapshot`]: RepartIndex::snapshot
 #[derive(Debug)]
 pub struct RepartIndex {
-    stats: Arc<GlobalStats>,
+    /// Summed on first use, so an index served with local statistics
+    /// never pays for them.
+    stats: OnceLock<Arc<GlobalStats>>,
     capacity: usize,
     current: Mutex<PartitionedIndex>,
     split_lock: Mutex<()>,
@@ -291,28 +295,41 @@ pub struct RepartIndex {
 }
 
 impl RepartIndex {
-    /// Build the epoch-0 index with `k` initial partitions and room for
-    /// `capacity` total shard slots. The corpus is dropped once the index
-    /// is built; the [`GlobalStats`] are summed from its shards
-    /// ([`PartitionedIndex::global_stats`]), so the corpus is read once.
+    /// Serve `index` — a snapshot at any epoch — with room for `capacity`
+    /// total shard slots. `capacity == index.num_partitions()` leaves no
+    /// room to split: the index is a fixed layout that only ever serves
+    /// that snapshot. The [`GlobalStats`] are summed from the active
+    /// shards ([`PartitionedIndex::global_stats`]) on the first
+    /// [`Self::corpus_stats`] call.
     ///
     /// # Panics
-    /// Panics if `capacity < k`, or on the same degenerate inputs as
-    /// [`PartitionedIndex::build`].
-    pub fn build(corpus: Corpus, assignment: &[u32], k: usize, capacity: usize) -> Self {
-        assert!(capacity >= k, "capacity {capacity} below initial partition count {k}");
-        let current = PartitionedIndex::build(&corpus, assignment, k);
-        drop(corpus);
-        let stats = Arc::new(current.global_stats());
+    /// Panics if `capacity` is below the index's partition count.
+    pub fn new(index: PartitionedIndex, capacity: usize) -> Self {
+        let slots = index.num_partitions();
+        assert!(capacity >= slots, "capacity {capacity} below partition count {slots}");
         RepartIndex {
-            stats,
+            stats: OnceLock::new(),
             capacity,
-            current: Mutex::new(current),
+            current: Mutex::new(index),
             split_lock: Mutex::new(()),
             splits_committed: AtomicU64::new(0),
             splits_aborted: AtomicU64::new(0),
             children_created: AtomicU64::new(0),
         }
+    }
+
+    /// Build the epoch-0 index with `k` initial partitions and room for
+    /// `capacity` total shard slots ([`Self::new`] over
+    /// [`PartitionedIndex::build`]). The corpus is dropped once the index
+    /// is built, so it is read once.
+    ///
+    /// # Panics
+    /// Panics on the same degenerate inputs as [`PartitionedIndex::build`],
+    /// or if `capacity < k`.
+    pub fn build(corpus: Corpus, assignment: &[u32], k: usize, capacity: usize) -> Self {
+        let index = PartitionedIndex::build(&corpus, assignment, k);
+        drop(corpus);
+        Self::new(index, capacity)
     }
 
     /// Provisioned shard-slot ceiling.
@@ -325,11 +342,12 @@ impl RepartIndex {
         lock_recovering(&self.current).num_docs()
     }
 
-    /// Shared ownership of the corpus-wide statistics. Splits never
-    /// change them: every snapshot's [`PartitionedIndex::global_stats`]
-    /// equals them.
+    /// Shared ownership of the corpus-wide statistics, summed on the
+    /// first call from whatever epoch is current. Splits never change
+    /// them: every snapshot's [`PartitionedIndex::global_stats`] equals
+    /// them, so the epoch they were summed at does not matter.
     pub fn corpus_stats(&self) -> Arc<GlobalStats> {
-        Arc::clone(&self.stats)
+        Arc::clone(self.stats.get_or_init(|| Arc::new(self.snapshot().global_stats())))
     }
 
     /// The current live index: one short lock, then a cheap clone

@@ -5,16 +5,18 @@
 //! ranked results (...) the response time in a document partitioned system
 //! depends on the response time of its slowest component" (Section 5).
 //!
-//! The broker scatter-gathers over a [`PartitionedIndex`], optionally
-//! restricted to the top-`m` partitions of a collection selector, and
-//! accounts per-server *busy time* — the quantity Figure 2 plots.
+//! The broker scatter-gathers over the partitions of a [`RepartIndex`],
+//! optionally restricted to an explicit partition set (the top-`m` of a
+//! collection selector), and accounts per-server *busy time* — the
+//! quantity Figure 2 plots. Every partition server shares the broker's
+//! LAN ([`Link::lan`]); WAN placement is the multi-site tier's job.
 //!
 //! # Concurrency
 //!
-//! The broker is an immutable core plus atomic counters: it owns a cheap
-//! clone of the `Arc`-sharded index, every query method takes `&self`,
-//! and the whole type is `Send + Sync`, so any number of threads can
-//! serve queries through one shared broker.
+//! The broker is an immutable core plus atomic counters: it shares the
+//! index through an `Arc`, every query method takes `&self`, and the
+//! whole type is `Send + Sync`, so any number of threads can serve
+//! queries through one shared broker.
 //!
 //! A `(query, partition)` shard task has one evaluation path,
 //! `ShardEval::task`. Without a pool the coordinating thread calls it
@@ -29,23 +31,24 @@
 //! merged hits, busy-time accounting, and the simulated latency model
 //! are bit-for-bit identical whoever evaluated the shards.
 //!
-//! # Live (splittable) indexes
+//! # One index mode
 //!
-//! A broker built with [`DocBroker::live`] serves a
-//! [`RepartIndex`] that may split partitions while queries are in
-//! flight. Every query takes **one** epoch-consistent snapshot at
-//! admission and threads it through scatter and gather, so a query
-//! racing a split sees either the parent epoch or the child epoch in
-//! full — never a mixture — and therefore answers every document
-//! exactly once. Scoring uses the corpus-wide [`GlobalStats`] (splits
-//! never change the corpus), making results bit-identical to a static
-//! oracle at any epoch. Accounting slots (`busy`, `part_sites`) are
-//! provisioned to the repart *capacity* up front, so the fixed-width
-//! atomic ledgers survive any number of splits.
+//! Every broker serves a [`RepartIndex`]. One built with
+//! [`DocBroker::single_site`] wraps a fixed layout whose capacity equals
+//! its partition count, so nothing ever splits it; one built with
+//! [`DocBroker::live`] shares an index that may split partitions while
+//! queries are in flight. Either way every query takes **one**
+//! epoch-consistent snapshot at admission (a short lock and a cheap
+//! clone) and threads it through scatter and gather, so a query racing
+//! a split sees either the parent epoch or the child epoch in full —
+//! never a mixture — and therefore answers every document exactly once.
+//! The busy ledger is provisioned to the index's *capacity* up front, so
+//! its fixed-width atomic slots survive any number of splits.
 //!
 //! # Local and global statistics
 //!
-//! A broker over a static index scores each shard with its own *local*
+//! The two constructors differ only in scoring statistics.
+//! [`DocBroker::single_site`] scores each shard with its own *local*
 //! statistics — the one-round protocol of Section 4. Given
 //! [`DocBroker::with_global_stats`] it plays the two-round protocol
 //! instead: "in the first round the broker requests local statistics
@@ -53,14 +56,16 @@
 //! server, piggybacking the global statistics". The statistics are
 //! integer sums ([`PartitionedIndex::global_stats`]), so the second
 //! round restores the monolithic ranking bit for bit; E7 measures what
-//! the first round alone gives up.
+//! the first round alone gives up. [`DocBroker::live`] always scores
+//! with the index's corpus-wide statistics, which splits never change,
+//! so its results are bit-identical to a global-statistics oracle at
+//! any epoch.
 
 use crate::scatter::{task_label, IndexedTasks, ScatterPool};
 use dwr_obs::{Event, Gauge, NoopRecorder, Recorder};
 use dwr_partition::parted::PartitionedIndex;
 use dwr_partition::repart::RepartIndex;
-use dwr_partition::select::CollectionSelector;
-use dwr_sim::net::{SiteId, Topology};
+use dwr_sim::net::Link;
 use dwr_sim::SimTime;
 use dwr_text::score::{Bm25, GlobalStats};
 use dwr_text::search::{search_or_with, EvalStats, EvalStrategy};
@@ -147,8 +152,8 @@ pub(crate) struct BatchQuery<'a> {
 }
 
 /// The document-partition broker: an immutable shared core (index,
-/// topology, scoring parameters) plus atomic accounting. `Send + Sync`;
-/// all query methods take `&self`.
+/// scoring parameters) plus atomic accounting. `Send + Sync`; all query
+/// methods take `&self`.
 ///
 /// Generic over an observability [`Recorder`]; the default
 /// [`NoopRecorder`] is a zero-sized type whose events compile away, so
@@ -165,19 +170,13 @@ pub struct DocBroker<R: Recorder = NoopRecorder> {
 /// type, so swapping recorders moves it whole.
 #[derive(Debug)]
 struct BrokerCore {
-    /// The static index (epoch-0 snapshot for live brokers; query paths
-    /// on a live broker always re-snapshot from `live`).
-    index: PartitionedIndex,
-    /// The live, splittable index, when this broker serves one.
-    live: Option<Arc<RepartIndex>>,
-    topo: Topology,
-    broker_site: SiteId,
-    /// Site of each partition server.
-    part_sites: Vec<SiteId>,
+    /// The served index; every query snapshots its current epoch.
+    index: Arc<RepartIndex>,
     /// How a shard task is evaluated: scoring parameters, evaluator
     /// strategy, corpus-wide statistics when set.
     shard_eval: ShardEval,
-    /// Accumulated busy time per partition server, µs.
+    /// Accumulated busy time per partition slot (one per unit of the
+    /// index's capacity), µs.
     busy: Vec<Gauge>,
     /// Queries processed.
     queries: AtomicU64,
@@ -240,8 +239,8 @@ struct ShardEval {
     /// default; both strategies return bit-identical hits).
     strategy: EvalStrategy,
     /// Corpus-wide scoring statistics. Set on live brokers (scores must
-    /// be invariant across epochs) and on static oracles built to match
-    /// them ([`DocBroker::with_global_stats`]); `None` scores with local
+    /// be invariant across epochs) and on oracles built to match them
+    /// ([`DocBroker::with_global_stats`]); `None` scores with local
     /// per-shard statistics, the classic one-round protocol.
     global_stats: Option<Arc<GlobalStats>>,
 }
@@ -297,43 +296,11 @@ impl IndexedTasks for ShardPlan {
 }
 
 impl DocBroker {
-    /// Create a broker over `index`. `part_sites[p]` locates partition `p`.
-    ///
-    /// The broker keeps its own (cheap, `Arc`-backed) clone of the
-    /// partitioned index, so it owns everything it needs to serve
-    /// queries and carries no borrow of the build-side structures.
-    /// # Panics
-    /// Panics on a zero-partition index (its gather would divide by
-    /// zero when normalizing busy load) or when `part_sites` does not
-    /// name a site per partition. `PartitionedIndex::try_build` already
-    /// refuses to construct a zero-partition index, so this guard is
-    /// the broker restating its own invariant.
-    pub fn new(
-        index: &PartitionedIndex,
-        topo: Topology,
-        broker_site: SiteId,
-        part_sites: Vec<SiteId>,
-    ) -> Self {
-        assert!(index.num_partitions() > 0, "zero-partition index");
-        assert_eq!(part_sites.len(), index.num_partitions(), "one site per partition");
-        Self::assemble(index.clone(), None, topo, broker_site, part_sites)
-    }
-
-    /// One accounting slot per located partition server.
-    fn assemble(
-        index: PartitionedIndex,
-        live: Option<Arc<RepartIndex>>,
-        topo: Topology,
-        broker_site: SiteId,
-        part_sites: Vec<SiteId>,
-    ) -> Self {
+    /// One accounting slot per unit of the index's capacity.
+    fn assemble(index: Arc<RepartIndex>) -> Self {
         let core = BrokerCore {
+            busy: (0..index.capacity()).map(|_| Gauge::new()).collect(),
             index,
-            live,
-            topo,
-            broker_site,
-            busy: part_sites.iter().map(|_| Gauge::new()).collect(),
-            part_sites,
             shard_eval: ShardEval::default(),
             queries: AtomicU64::new(0),
             scan: ScanCounters::default(),
@@ -342,24 +309,21 @@ impl DocBroker {
         DocBroker { core, recorder: NoopRecorder }
     }
 
-    /// Single-site convenience constructor (everything on one LAN).
+    /// A broker over a fixed layout, scoring each shard with its local
+    /// statistics. The layout is wrapped as a [`RepartIndex`] whose
+    /// capacity is its partition count, so nothing can split it; the
+    /// broker keeps its own cheap, `Arc`-backed clone and carries no
+    /// borrow of the build-side structures.
     pub fn single_site(index: &PartitionedIndex) -> Self {
-        let sites = vec![SiteId(0); index.num_partitions()];
-        Self::new(index, Topology::single_site(), SiteId(0), sites)
+        Self::assemble(Arc::new(RepartIndex::new(index.clone(), index.num_partitions())))
     }
 
-    /// A single-site broker over a **live, splittable** index. Every
-    /// query snapshots the current epoch at admission; accounting slots
-    /// are provisioned to `repart.capacity()` so the fixed-width atomic
-    /// ledgers survive any number of splits. Scoring uses the corpus-
-    /// wide statistics, which splits never change — results stay
-    /// bit-identical to a static oracle at any epoch (pair the oracle
-    /// with [`Self::with_global_stats`]).
+    /// A broker over a **live, splittable** index, sharing it. Scoring
+    /// uses the corpus-wide statistics, which splits never change —
+    /// results stay bit-identical to an oracle over any epoch's snapshot
+    /// paired with [`Self::with_global_stats`].
     pub fn live(repart: &Arc<RepartIndex>) -> Self {
-        let sites = vec![SiteId(0); repart.capacity()];
-        let live = Some(Arc::clone(repart));
-        Self::assemble(repart.snapshot(), live, Topology::single_site(), SiteId(0), sites)
-            .with_global_stats(repart.corpus_stats())
+        Self::assemble(Arc::clone(repart)).with_global_stats(repart.corpus_stats())
     }
 }
 
@@ -380,11 +344,6 @@ impl<R: Recorder> DocBroker<R> {
         self
     }
 
-    /// The evaluator strategy in force.
-    pub fn strategy(&self) -> EvalStrategy {
-        self.core.shard_eval.strategy
-    }
-
     /// Measured evaluator work accumulated so far, over all shards and
     /// queries.
     pub fn eval_stats(&self) -> EvalStats {
@@ -399,14 +358,8 @@ impl<R: Recorder> DocBroker<R> {
     /// Evaluate shards concurrently on a dedicated pool of `threads`
     /// workers. Results (hits, busy time, simulated latency) are
     /// bit-for-bit identical to the sequential path.
-    pub fn parallel(self, threads: usize) -> Self {
-        self.with_pool(Arc::new(ScatterPool::new(threads)))
-    }
-
-    /// Evaluate shards concurrently on an existing (possibly shared)
-    /// pool.
-    pub fn with_pool(mut self, pool: Arc<ScatterPool>) -> Self {
-        self.core.pool = Some(pool);
+    pub fn parallel(mut self, threads: usize) -> Self {
+        self.core.pool = Some(Arc::new(ScatterPool::new(threads)));
         self
     }
 
@@ -425,36 +378,28 @@ impl<R: Recorder> DocBroker<R> {
         self
     }
 
-    /// The epoch-consistent index for one query: the current live
-    /// snapshot, or the static index. One short lock on the live path;
-    /// a cheap `Arc` clone either way.
+    /// The epoch-consistent index for one query: the current snapshot,
+    /// one short lock and a cheap `Arc` clone.
     pub fn snapshot(&self) -> PartitionedIndex {
-        match &self.core.live {
-            Some(r) => r.snapshot(),
-            None => self.core.index.clone(),
-        }
+        self.core.index.snapshot()
     }
 
-    /// The live index behind this broker, if any.
-    pub fn live_index(&self) -> Option<&Arc<RepartIndex>> {
-        self.core.live.as_ref()
+    /// The index this broker serves.
+    pub(crate) fn index(&self) -> &Arc<RepartIndex> {
+        &self.core.index
     }
 
-    /// Provisioned accounting slots (= capacity for live brokers,
-    /// partition count for static ones).
+    /// Provisioned accounting slots: the index's capacity.
     pub fn slots(&self) -> usize {
         self.core.busy.len()
     }
 
-    /// The service time partition `p` spends on `terms`: posting volume
-    /// touched plus fixed overhead. Live brokers snapshot the current
-    /// epoch; engines holding a per-query snapshot should prefer
+    /// The service time partition `p` spends on `terms` at the current
+    /// epoch: posting volume touched plus fixed overhead. Engines
+    /// holding a per-query snapshot should prefer
     /// [`Self::service_time_in`].
     pub fn service_time(&self, p: usize, terms: &[TermId]) -> f64 {
-        match &self.core.live {
-            Some(r) => self.service_time_in(&r.snapshot(), p, terms),
-            None => self.service_time_in(&self.core.index, p, terms),
-        }
+        self.service_time_in(&self.snapshot(), p, terms)
     }
 
     /// As [`Self::service_time`], against an explicit epoch snapshot.
@@ -468,18 +413,6 @@ impl<R: Recorder> DocBroker<R> {
     pub fn query(&self, terms: &[TermId], k: usize) -> BrokeredResponse {
         let snap = self.snapshot();
         self.query_in(&snap, terms, k, &snap.active_parts())
-    }
-
-    /// Evaluate a query over the top-`m` partitions of `selector`.
-    pub fn query_with_selection(
-        &self,
-        terms: &[TermId],
-        k: usize,
-        selector: &dyn CollectionSelector,
-        m: usize,
-    ) -> BrokeredResponse {
-        let chosen: Vec<u32> = selector.rank(terms).into_iter().take(m).map(|(p, _)| p).collect();
-        self.query_selected(terms, k, &chosen)
     }
 
     /// Evaluate a query over an explicit partition set.
@@ -636,11 +569,12 @@ impl<R: Recorder> DocBroker<R> {
     /// broker-wide [`ScanCounters`].
     ///
     /// One arithmetic, whoever priced the shards: the response waits for
-    /// the slowest merged `completion + rtt`, and the deadline — when
-    /// there is one — drops later shards from the merge. Busy time, the
-    /// `ShardService` event, and scan counters are still charged for
-    /// them, because the server did the work whether or not the broker
-    /// waited for the answer.
+    /// the slowest merged `completion + rtt`, where `rtt` is a LAN round
+    /// trip of a 64-byte request and 12 bytes per returned hit; the
+    /// deadline — when there is one — drops later shards from the
+    /// merge. Busy time, the `ShardService` event, and scan counters are
+    /// still charged for them, because the server did the work whether
+    /// or not the broker waited for the answer.
     fn gather(
         &self,
         q: &BatchQuery<'_>,
@@ -654,9 +588,9 @@ impl<R: Recorder> DocBroker<R> {
         let mut slowest: SimTime = 0;
         let mut merged_hits = 0u64;
         let mut answered = 0usize;
+        let lan = Link::lan();
         for (shard, (hits, ev)) in shards.iter().zip(per_shard) {
-            let pu = shard.partition as usize;
-            self.core.busy[pu].add(shard.service);
+            self.core.busy[shard.partition as usize].add(shard.service);
             self.recorder.record(Event::ShardService {
                 qid: q.qid,
                 now,
@@ -669,8 +603,7 @@ impl<R: Recorder> DocBroker<R> {
             }
             answered += 1;
             merged_hits += hits.len() as u64;
-            let site = self.core.part_sites[pu];
-            let rtt = self.core.topo.rtt(self.core.broker_site, site, 64, hits.len() as u64 * 12);
+            let rtt = lan.transfer_time(64) + lan.transfer_time(hits.len() as u64 * 12);
             slowest = slowest.max(shard.completion + rtt);
             for &(doc, score) in hits {
                 top.push(doc, score);
@@ -713,8 +646,8 @@ impl<R: Recorder> DocBroker<R> {
     pub fn busy_load_normalized(&self) -> Vec<f64> {
         let busy = self.busy_time();
         if busy.is_empty() {
-            // Unreachable through the constructors (a zero-partition
-            // index is rejected), but a division by zero here would
+            // Unreachable through the constructors (no zero-partition
+            // index can be built), but a division by zero here would
             // poison every downstream load statistic with NaN.
             return Vec::new();
         }
@@ -827,26 +760,16 @@ mod tests {
     #[test]
     fn selection_reduces_partitions_and_latency() {
         let (_, pi) = parted(4);
-        let sel = dwr_partition::select::CoriSelector::from_partitions(&pi);
+        use dwr_partition::select::{CollectionSelector, CoriSelector};
+        let sel = CoriSelector::from_partitions(&pi);
         let broker = DocBroker::single_site(&pi);
         let terms = [TermId(1)];
         let full = broker.query(&terms, 10);
-        let selective = broker.query_with_selection(&terms, 10, &sel, 2);
+        let top2: Vec<u32> = sel.rank(&terms).into_iter().take(2).map(|(p, _)| p).collect();
+        let selective = broker.query_selected(&terms, 10, &top2);
         assert_eq!(full.partitions_used, 4);
         assert_eq!(selective.partitions_used, 2);
         assert!(selective.hits.len() <= full.hits.len() || !full.hits.is_empty());
-    }
-
-    #[test]
-    fn latency_includes_network() {
-        let (_, pi) = parted(2);
-        let lan_broker = DocBroker::single_site(&pi);
-        let wan_topo = Topology::geo_ring(3);
-        let wan_broker = DocBroker::new(&pi, wan_topo, SiteId(0), vec![SiteId(1), SiteId(2)]);
-        let terms = [TermId(2)];
-        let l = lan_broker.query(&terms, 10).latency;
-        let w = wan_broker.query(&terms, 10).latency;
-        assert!(w > l, "wan={w} lan={l}");
     }
 
     #[test]
@@ -895,8 +818,8 @@ mod tests {
         let (_, pi) = parted(4);
         let ex = DocBroker::single_site(&pi).with_strategy(EvalStrategy::Exhaustive);
         let dense = DocBroker::single_site(&pi).with_strategy(EvalStrategy::Dense);
-        assert_eq!(ex.strategy(), EvalStrategy::Exhaustive);
-        assert_eq!(dense.strategy(), EvalStrategy::Dense);
+        assert_eq!(ex.core.shard_eval.strategy, EvalStrategy::Exhaustive);
+        assert_eq!(dense.core.shard_eval.strategy, EvalStrategy::Dense);
         for q in 0..60u32 {
             let terms = [TermId(q % 7), TermId(100 + q % 5)];
             let a = ex.query(&terms, 3);
@@ -958,22 +881,20 @@ mod tests {
     }
 
     /// The one gather arithmetic, from public APIs: a standalone query
-    /// waits for the slowest `ceil(service) + rtt`, then merges.
+    /// waits for the slowest `ceil(service) + rtt` over the LAN, then
+    /// merges.
     #[test]
     fn latency_is_slowest_plain_completion_plus_transit_plus_merge() {
         let (_, pi) = parted(2);
-        let topo = Topology::geo_ring(3);
-        let sites = vec![SiteId(1), SiteId(2)];
-        let b = DocBroker::new(&pi, topo.clone(), SiteId(0), sites.clone());
+        let b = DocBroker::single_site(&pi);
+        let lan = Link::lan();
+        let rtt = |hits: u64| lan.transfer_time(64) + lan.transfer_time(hits * 12);
         let terms = [TermId(1), TermId(100)];
         // k exceeds the corpus: the response carries every shard's hits.
         let r = b.query(&terms, 40);
+        let hits_of = |p: u32| r.hits.iter().filter(|h| h.doc % 2 == p).count() as u64;
         let slowest = (0..2u32)
-            .map(|p| {
-                let hits = r.hits.iter().filter(|h| h.doc % 2 == p).count() as u64;
-                let rtt = topo.rtt(SiteId(0), sites[p as usize], 64, hits * 12);
-                b.service_time(p as usize, &terms).ceil() as SimTime + rtt
-            })
+            .map(|p| b.service_time(p as usize, &terms).ceil() as SimTime + rtt(hits_of(p)))
             .max()
             .expect("two partitions");
         let merge = (r.hits.len() as f64 * US_PER_MERGE_HIT) as SimTime;
@@ -982,10 +903,7 @@ mod tests {
         let (d, answered) = drawn(&b, &terms, 40, &[0, 1], &[7_000, 9_000], None);
         assert_eq!(answered, 2, "no deadline: every partition answers");
         assert_eq!(d.hits, r.hits);
-        let hits1 = r.hits.iter().filter(|h| h.doc % 2 == 1).count() as u64;
-        let slow = 9_000 + topo.rtt(SiteId(0), SiteId(2), 64, hits1 * 12);
-        let hits0 = r.hits.len() as u64 - hits1;
-        let fast = 7_000 + topo.rtt(SiteId(0), SiteId(1), 64, hits0 * 12);
+        let (fast, slow) = (7_000 + rtt(hits_of(0)), 9_000 + rtt(hits_of(1)));
         assert_eq!(d.latency, slow.max(fast) + merge);
     }
 

@@ -271,11 +271,6 @@ impl SdcCache {
         let static_map = training_keys.iter().take(static_cap).map(|&k| (k, None)).collect();
         SdcCache { static_map, dynamic: LruCache::new(dynamic_cap), stats: CacheStats::default() }
     }
-
-    /// Number of slots in the static section.
-    pub fn static_len(&self) -> usize {
-        self.static_map.len()
-    }
 }
 
 impl ResultCache for SdcCache {
@@ -440,7 +435,7 @@ mod tests {
     fn sdc_static_entries_never_evicted() {
         let training = [100u64, 101, 102];
         let mut c = SdcCache::new(4, 0.5, &training);
-        assert_eq!(c.static_len(), 2);
+        assert_eq!(c.static_map.len(), 2, "min(4 * 0.5, 3 training keys) static slots");
         c.put(100, value(1));
         // Flood the dynamic half.
         for k in 0..50u64 {

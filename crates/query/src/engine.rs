@@ -19,8 +19,8 @@
 //! accounting, so every serving method takes `&self` and the whole type
 //! is `Send + Sync`:
 //!
-//! * the [`DocBroker`] owns an `Arc`-backed clone of the partitioned
-//!   index and is itself shareable;
+//! * the [`DocBroker`] shares the index (a [`RepartIndex`]) through an
+//!   `Arc` and is itself shareable;
 //! * the result cache sits behind a [`ShardedCache`] (policy state under
 //!   one mutex);
 //! * replica groups are per-partition mutexes (their round-robin cursors
@@ -85,6 +85,7 @@ use dwr_partition::select::CollectionSelector;
 use dwr_sim::SimTime;
 use dwr_text::search::EvalStrategy;
 use dwr_text::TermId;
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -301,7 +302,7 @@ struct OneDispatch {
 /// partition before its trigger engages (it hedges on death until then).
 const MIN_TRIGGER_SAMPLES: u64 = 16;
 
-/// The engine. Owns its broker (which owns an `Arc`-backed index clone),
+/// The engine. Owns its broker (which shares the index through an `Arc`),
 /// cache, and replica state; `Send + Sync`, all methods `&self`.
 ///
 /// Generic over an observability [`Recorder`] (default: the zero-sized
@@ -361,7 +362,9 @@ pub fn query_key(terms: &[TermId]) -> u64 {
 }
 
 impl<C: ResultCache> DistributedEngine<C> {
-    /// Create an engine over `index` with `replicas` per partition.
+    /// Create an engine over the fixed layout `index` with `replicas`
+    /// per partition, scoring with local statistics
+    /// ([`DocBroker::single_site`]).
     pub fn new(index: &PartitionedIndex, cache: C, replicas: usize) -> Self {
         Self::assemble(DocBroker::single_site(index), cache, replicas)
     }
@@ -376,7 +379,7 @@ impl<C: ResultCache> DistributedEngine<C> {
     }
 
     /// One replica group and latency instrument per broker accounting
-    /// slot (the partition count, or the live index's capacity).
+    /// slot (the index's capacity).
     fn assemble(broker: DocBroker, cache: C, replicas: usize) -> Self {
         let slots = broker.slots();
         let core = EngineCore {
@@ -425,12 +428,12 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     ) -> Self {
         assert!(m >= 1);
         assert!(
-            self.broker.live_index().is_none(),
+            !self.splittable(),
             "collection selection requires a static partition layout \
-             (selectors rank the partitions they were built from; a live \
-             index retires those ids as it splits). Use with_router with \
-             an epoch-rebuilding source (ShardRouter::cori / \
-             ShardRouter::query_driven) on a live index instead."
+             (selectors rank the partitions they were built from; an index \
+             with room to split retires those ids as it splits). Use \
+             with_router with an epoch-rebuilding source (ShardRouter::cori \
+             / ShardRouter::query_driven) on a splittable index instead."
         );
         self.with_router(Arc::new(ShardRouter::fixed(selector, m)))
     }
@@ -462,8 +465,9 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// refuses (capacity, too few docs) are skipped silently.
     pub fn with_splits(mut self, schedule: Arc<SplitSchedule>) -> Self {
         assert!(
-            self.broker.live_index().is_some(),
-            "split schedules require a live index (DistributedEngine::new_live)"
+            self.splittable(),
+            "split schedules require a live index with room to split \
+             (DistributedEngine::new_live over a capacity above its partition count)"
         );
         self.core.splits = Some((schedule, Mutex::new(0)));
         self
@@ -524,11 +528,6 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         }
         self.core.policy = policy;
         self
-    }
-
-    /// The hedging policy in force.
-    pub fn hedge_policy(&self) -> HedgePolicy {
-        self.core.policy
     }
 
     /// Attach a per-(partition, replica, query) latency model: every
@@ -596,11 +595,8 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// replica group has no live replica at the split instant — a split
     /// needs a live builder.
     fn fire_due_splits(&self, t: SimTime) {
-        let (Some(repart), Some((schedule, cursor))) =
-            (self.broker.live_index(), &self.core.splits)
-        else {
-            return;
-        };
+        let Some((schedule, cursor)) = &self.core.splits else { return };
+        let repart = self.broker.index();
         let mut cur = lock_recovering(cursor);
         while let Some(ev) = schedule.events().get(*cur) {
             if ev.at > t {
@@ -631,6 +627,14 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
                 Err(_) => {}
             }
         }
+    }
+
+    /// Whether the served index has room to split: the one fact that
+    /// separates a layout a selector can be built against from one a
+    /// split schedule can reshape.
+    fn splittable(&self) -> bool {
+        let index = self.broker.index();
+        index.capacity() > index.snapshot().num_partitions()
     }
 
     /// Whether any replica of partition `p`'s group is live at `at`
@@ -729,9 +733,11 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// broker batch, resolution in query order.
     ///
     /// Every query of the call is served against one epoch-consistent
-    /// snapshot taken here, threaded through choose, dispatch, and
-    /// evaluation, so a split committing mid-call cannot tear the
-    /// partition set.
+    /// snapshot, threaded through choose, dispatch, and evaluation, so a
+    /// split committing mid-call cannot tear the partition set. It is
+    /// taken at the call's first read of the index (a cache miss, or a
+    /// stale-ok reachability check), so a call its cache answers whole
+    /// never takes the index lock.
     fn answer<Q: AsRef<[TermId]>>(
         &self,
         queries: &[Q],
@@ -739,7 +745,8 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         stale_ok: bool,
     ) -> Vec<EngineResponse> {
         let now = self.now();
-        let snap = self.broker.snapshot();
+        let snap_cell = OnceCell::new();
+        let snap = || snap_cell.get_or_init(|| self.broker.snapshot());
         let mut out: Vec<Option<EngineResponse>> = Vec::with_capacity(queries.len());
         let mut staged: Vec<Staged<'_>> = Vec::new();
         // Staged entries before this index have been evaluated.
@@ -766,20 +773,20 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             }
             if let Some(hit) = self.core.cache.get_recorded(key, k, &self.recorder, now) {
                 let backend_down = stale_ok
-                    && !self.reachable(&snap, terms).iter().any(|&p| self.group_available(p));
+                    && !self.reachable(snap(), terms).iter().any(|&p| self.group_available(p));
                 let served = if backend_down { Served::StaleFromCache } else { Served::CacheHit };
                 out.push(Some(self.respond(key, now, hit, served, None)));
                 continue;
             }
             out.push(None);
-            let mut cascade = self.begin(&snap, pos, key, terms, now);
+            let mut cascade = self.begin(snap(), pos, key, terms, now);
             if cascade.decision.tranches.len() > 1 {
                 // Later tranches dispatch only once earlier rounds have
                 // answered, and the next query's dispatch must see the
                 // replica cursors they leave behind: run the cascade to
                 // completion now (with whatever else is staged).
                 let earlier = staged[evaluated..].iter_mut().filter_map(Staged::cold);
-                self.evaluate(&snap, k, now, earlier.chain([&mut cascade]));
+                self.evaluate(snap(), k, now, earlier.chain([&mut cascade]));
                 evaluated = staged.len() + 1;
             }
             // A repeat of a miss that will not be cached (nothing served,
@@ -790,7 +797,10 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             }
             staged.push(Staged::Cold(cascade));
         }
-        self.evaluate(&snap, k, now, staged[evaluated..].iter_mut().filter_map(Staged::cold));
+        // An unset snapshot means no miss was admitted: nothing is staged.
+        if let Some(snap) = snap_cell.get() {
+            self.evaluate(snap, k, now, staged[evaluated..].iter_mut().filter_map(Staged::cold));
+        }
         // Resolution, in query order: cache fills and repeat lookups
         // interleave exactly as in the loop form.
         for s in staged {
@@ -802,8 +812,8 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
                         // Evicted while the batch was in flight: an
                         // ordinary miss, late (the documented divergence).
                         None => {
-                            let mut c = self.begin(&snap, pos, key, terms, now);
-                            self.evaluate(&snap, k, now, std::iter::once(&mut c));
+                            let mut c = self.begin(snap(), pos, key, terms, now);
+                            self.evaluate(snap(), k, now, std::iter::once(&mut c));
                             self.resolve(k, now, c)
                         }
                     };
@@ -2025,6 +2035,33 @@ mod tests {
         let sel = dwr_partition::select::CoriSelector::from_partitions(&repart.snapshot());
         let _ = DistributedEngine::new_live(&repart, LruCache::new(16), 1)
             .with_selection(Arc::new(sel), 1);
+    }
+
+    /// An index with no room to split is a fixed layout, whichever
+    /// constructor served it: selection accepts it and answers exactly as
+    /// over the same layout with the same corpus-wide statistics.
+    #[test]
+    fn selection_accepts_an_index_with_no_room_to_split() {
+        let repart = live_setup(4, 4);
+        let pi = repart.snapshot();
+        let sel: Arc<dyn CollectionSelector + Send + Sync> =
+            Arc::new(dwr_partition::select::CoriSelector::from_partitions(&pi));
+        let live = DistributedEngine::new_live(&repart, LruCache::new(16), 2)
+            .with_selection(Arc::clone(&sel), 2);
+        let fixed = DistributedEngine::assemble(
+            DocBroker::single_site(&pi).with_global_stats(repart.corpus_stats()),
+            LruCache::new(16),
+            2,
+        )
+        .with_selection(sel, 2);
+        for q in 0..40u32 {
+            let terms = [TermId(q % 5), TermId(50 + q % 3)];
+            let (a, b) = (live.query_full(&terms, 5), fixed.query_full(&terms, 5));
+            assert_eq!((a.hits, a.served, a.latency), (b.hits, b.served, b.latency), "query {q}");
+        }
+        assert_eq!(live.stats(), fixed.stats());
+        assert_eq!(live.broker().busy_time(), fixed.broker().busy_time());
+        assert_eq!(live.dispatch_counts(), fixed.dispatch_counts());
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl UserProfile {
     }
 
     /// The boost for a topic (1.0 when unknown).
-    pub fn boost(&self, topic: u16) -> f32 {
+    fn boost(&self, topic: u16) -> f32 {
         self.topic_boost.get(&topic).copied().unwrap_or(1.0)
     }
 }

@@ -34,7 +34,7 @@ impl ReplicaGroup {
     }
 
     /// Number of live replicas.
-    pub fn alive_count(&self) -> usize {
+    fn alive_count(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
     }
 
@@ -121,11 +121,6 @@ impl PrimaryBackupStore {
     /// Index of the current primary.
     pub fn primary(&self) -> usize {
         self.primary
-    }
-
-    /// Live replica count.
-    pub fn alive_count(&self) -> usize {
-        self.replicas.iter().filter(|r| r.is_some()).count()
     }
 
     /// Write `key = value` for a user profile; returns the ack, or `None`

@@ -165,14 +165,6 @@ impl ScatterPool {
         ScatterPool { shared, workers }
     }
 
-    /// A pool sized to the machine (`available_parallelism`, capped at
-    /// `cap`). `cap == 0` is treated as a cap of 1, so the result always
-    /// has at least one worker.
-    pub fn with_default_size(cap: usize) -> Self {
-        let n = std::thread::available_parallelism().map_or(2, usize::from);
-        Self::new(n.min(cap.max(1)))
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()
@@ -543,13 +535,6 @@ mod tests {
         }));
         assert!(r.is_err());
         assert_eq!(pool.scatter(vec![|| 7]), vec![7]);
-    }
-
-    #[test]
-    fn with_default_size_zero_cap_is_well_defined() {
-        let pool = ScatterPool::with_default_size(0);
-        assert_eq!(pool.threads(), 1, "cap 0 clamps to one worker");
-        assert_eq!(pool.scatter(vec![|| 1, || 2]), vec![1, 2]);
     }
 
     #[test]

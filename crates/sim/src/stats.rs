@@ -1,92 +1,11 @@
 //! Measurement primitives shared by every experiment harness.
 //!
-//! Besides the usual streaming moments and percentile summaries, this module
+//! Besides exact and log-bucketed percentile summaries, this module
 //! provides the *imbalance* measures the paper's Section 4 revolves around:
 //! when homogeneous servers are unevenly loaded, "the capacity of the busiest
 //! server limits the total capacity of the system", so we report
 //! max-to-average ratios, coefficients of variation, and Gini coefficients
 //! for per-server load vectors.
-
-/// Streaming mean/variance/min/max via Welford's algorithm.
-///
-/// Numerically stable for long runs; O(1) memory.
-#[derive(Debug, Clone, Default)]
-pub struct Streaming {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Streaming {
-    /// Create an empty accumulator.
-    pub fn new() -> Self {
-        Streaming { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Coefficient of variation (`std_dev / mean`; 0 if the mean is 0).
-    pub fn cv(&self) -> f64 {
-        if self.mean().abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.std_dev() / self.mean()
-        }
-    }
-
-    /// Smallest observation (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-}
 
 /// Retains all samples; computes exact percentiles on demand.
 ///
@@ -174,57 +93,6 @@ impl Samples {
         }
         self.ensure_sorted();
         *self.data.last().expect("non-empty")
-    }
-}
-
-/// Fixed-width histogram over `[lo, hi)` with out-of-range counters.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    below: u64,
-    above: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `nbuckets` equal-width buckets over `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, nbuckets: usize) -> Self {
-        assert!(hi > lo && nbuckets > 0);
-        Histogram { lo, hi, buckets: vec![0; nbuckets], below: 0, above: 0 }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.below += 1;
-        } else if x >= self.hi {
-            self.above += 1;
-        } else {
-            let i = ((x - self.lo) / (self.hi - self.lo) * self.buckets.len() as f64) as usize;
-            let last = self.buckets.len() - 1;
-            self.buckets[i.min(last)] += 1;
-        }
-    }
-
-    /// Bucket counts (excluding out-of-range).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Count of observations below `lo`.
-    pub fn below(&self) -> u64 {
-        self.below
-    }
-
-    /// Count of observations at or above `hi`.
-    pub fn above(&self) -> u64 {
-        self.above
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> u64 {
-        self.below + self.above + self.buckets.iter().sum::<u64>()
     }
 }
 
@@ -466,28 +334,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn streaming_moments() {
-        let mut s = Streaming::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn streaming_empty_is_safe() {
-        let s = Streaming::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.cv(), 0.0);
-    }
-
-    #[test]
     fn percentiles_interpolate() {
         let mut s = Samples::new();
         for x in 1..=100 {
@@ -527,28 +373,6 @@ mod tests {
         assert_eq!(s.percentile(0.0), 1.0);
         assert!((s.median() - 2.5).abs() < 1e-9, "finite samples interpolate normally");
         assert!(s.max().is_nan(), "the NaN is visible at the top, not hidden");
-    }
-
-    #[test]
-    fn histogram_buckets_and_ranges() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 2.5, 3.5, 9.9, -1.0, 10.0, 11.0] {
-            h.record(x);
-        }
-        assert_eq!(h.below(), 1);
-        assert_eq!(h.above(), 2);
-        assert_eq!(h.total(), 8);
-        // Five 2-wide buckets over [0, 10).
-        assert_eq!(h.buckets(), &[2, 2, 0, 0, 1]);
-    }
-
-    #[test]
-    fn histogram_bucket_contents() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 2.5, 3.5, 9.9] {
-            h.record(x);
-        }
-        assert_eq!(h.buckets(), &[2, 2, 0, 0, 1]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use distributed_web_retrieval::partition::doc::{DocPartitioner, RandomPartitione
 use distributed_web_retrieval::partition::parted::{corpus_from_web, PartitionedIndex};
 use distributed_web_retrieval::partition::quality::{global_top_k, size_balance};
 use distributed_web_retrieval::partition::repart::{RepartIndex, SplitFate};
-use distributed_web_retrieval::partition::select::CoriSelector;
+use distributed_web_retrieval::partition::select::{CollectionSelector, CoriSelector};
 use distributed_web_retrieval::partition::term::{
     BinPackingTermPartitioner, QueryWorkload, TermPartitioner,
 };
@@ -204,7 +204,8 @@ fn cori_selection_prunes_work_without_losing_everything() {
     let broker = DocBroker::single_site(&pi);
     for q in &s.queries {
         let full = broker.query(q, 10);
-        let pruned = broker.query_with_selection(q, 10, &cori, 2);
+        let top2: Vec<u32> = cori.rank(q).into_iter().take(2).map(|(p, _)| p).collect();
+        let pruned = broker.query_selected(q, 10, &top2);
         assert_eq!(pruned.partitions_used, 2);
         if !full.hits.is_empty() {
             // Random partitions spread answers, so half the partitions

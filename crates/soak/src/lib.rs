@@ -1,4 +1,4 @@
-//! # dwr-soak — the full-system soak scenario
+//! # dwr-soak — the crawl-to-index pipeline, the end-to-end lab and the full-system soak
 //!
 //! Every chaos suite in the workspace exercises exactly one tier at a
 //! time: replica churn (`chaos.rs`), site failover (`site_chaos.rs`),
@@ -28,6 +28,10 @@
 //!    [`ObsRecorder`] (built from [`ObsConfig::full_system`])
 //!    instrumenting every tier into a single registry.
 //!
+//! Tiers 1 and 2 start from the one crawl-to-index [`Pipeline`], which
+//! the end-to-end [`SearchEngineLab`] builds from too: one crawl, one
+//! fetched corpus, one doc-id rule.
+//!
 //! The run returns a [`SoakReport`] carrying the full crawl trace, the
 //! refresh ledger, every query outcome, periodic window snapshots, and
 //! the final instrument snapshot. [`SoakInvariants::check`] then
@@ -38,14 +42,18 @@
 //! map, and the live `crawl.*` / `repart.*` / `route.*` / `site.*`
 //! instruments equal to the offline stats bitwise.
 
+mod lab;
+mod pipeline;
+
+pub use lab::{EngineConfig, EngineReport, SearchEngineLab, StreamOptions};
+pub use pipeline::Pipeline;
+
 use dwr_avail::failure::{Timeline, UpDownProcess};
 use dwr_avail::site::SiteConfig;
 use dwr_crawler::assign::ConsistentHashAssigner;
 use dwr_crawler::faults::AgentSchedule;
-use dwr_crawler::sim::{CrawlConfig, CrawlFaultStats, DistributedCrawl, FetchSpan, SpanOutcome};
+use dwr_crawler::sim::{CrawlConfig, CrawlFaultStats, DistributedCrawl, FetchSpan};
 use dwr_obs::{ObsConfig, ObsRecorder, Snapshot};
-use dwr_partition::doc::{DocPartitioner, RandomPartitioner};
-use dwr_partition::parted::{corpus_from_web, Corpus};
 use dwr_partition::repart::{RepartIndex, RepartStats, SplitSchedule};
 use dwr_query::broker::{DocBroker, GlobalHit};
 use dwr_query::cache::LruCache;
@@ -55,12 +63,10 @@ use dwr_query::multisite::{MultiSiteConfig, MultiSiteEngine, MultiSiteStats, Sit
 use dwr_query::route::{RouterStats, ShardRouter};
 use dwr_query::straggler::{StragglerModel, TailParams};
 use dwr_querylog::arrival::{generate_arrivals, DiurnalProfile};
-use dwr_querylog::model::QueryModel;
 use dwr_sim::net::Topology;
 use dwr_sim::{SimRng, SimTime, HOUR, MINUTE, SECOND};
 use dwr_text::TermId;
-use dwr_webgraph::content::ContentModel;
-use dwr_webgraph::generate::{generate_web, WebConfig};
+use dwr_webgraph::generate::WebConfig;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -430,72 +436,42 @@ impl SoakScenario {
         let capacity = cfg.capacity();
 
         // --- Phase 1: the web and the crawl tier. ---
-        let mut web_cfg = WebConfig::tiny();
-        web_cfg.num_pages = cfg.pages;
-        web_cfg.num_hosts = cfg.hosts;
-        let web = generate_web(&web_cfg, cfg.seed);
-        let content = ContentModel::small(web_cfg.num_topics);
-
-        let base_cfg = CrawlConfig {
-            agents: cfg.agents,
-            connections_per_agent: 8,
-            politeness_delay: cfg.politeness_delay,
-            most_cited_seed: 50,
-            record_trace: true,
-            ..CrawlConfig::default()
-        };
-        // Churn-free calibration crawl: sets the scale of the agent
-        // up/down process and the crawl-tier baseline numbers.
-        let baseline = DistributedCrawl::new(
-            &web,
-            ConsistentHashAssigner::new(cfg.agents, 64),
-            base_cfg.clone(),
-            cfg.seed,
-        )
-        .run();
-
         // One registry for every tier: the crawl, every site engine,
         // the split publisher, and the router all record here.
         let recorder = Arc::new(ObsRecorder::new(ObsConfig::full_system(capacity, cfg.sites)));
-
-        let mut churn_cfg = base_cfg;
-        if cfg.crawl_churn {
-            let up = (baseline.makespan / 3).max(1);
-            let down = (baseline.makespan / 10).max(1);
-            let process = UpDownProcess::exponential(up, down);
-            churn_cfg.faults = Some(AgentSchedule::generate(
-                cfg.agents as usize,
-                &process,
-                (4 * baseline.makespan).max(1),
-                cfg.seed ^ 0x50A7_C4A4,
-            ));
-        }
-        let crawl = DistributedCrawl::new(
-            &web,
-            ConsistentHashAssigner::new(cfg.agents, 64),
-            churn_cfg,
-            cfg.seed,
-        )
-        .with_obs(Arc::clone(&recorder))
-        .run();
-
-        // --- Phase 2: epoch-stamped refreshes from the fetch trace. ---
-        // First successful fetch instant per page; duplicates from
-        // crash-recovery refetches keep the earliest.
-        let mut first_fetch: BTreeMap<u32, SimTime> = BTreeMap::new();
-        for span in &crawl.trace {
-            if span.outcome == SpanOutcome::Fetched {
-                let e = first_fetch.entry(span.page.0).or_insert(span.end);
-                *e = (*e).min(span.end);
-            }
-        }
-        let docs: Vec<(u32, SimTime)> = first_fetch.into_iter().collect();
+        let web_cfg = WebConfig { num_pages: cfg.pages, num_hosts: cfg.hosts, ..WebConfig::tiny() };
+        let mut baseline = None;
+        let pipeline =
+            Pipeline::build(&web_cfg, cfg.seed, cfg.query_universe, Arc::clone(&recorder), |web| {
+                let base = CrawlConfig {
+                    agents: cfg.agents,
+                    connections_per_agent: 8,
+                    politeness_delay: cfg.politeness_delay,
+                    most_cited_seed: 50,
+                    ..CrawlConfig::default()
+                };
+                // Churn-free calibration crawl: sets the scale of the agent
+                // up/down process and the crawl-tier baseline numbers.
+                let assigner = ConsistentHashAssigner::new(cfg.agents, 64);
+                let calm = DistributedCrawl::new(web, assigner, base.clone(), cfg.seed).run();
+                let faults = cfg.crawl_churn.then(|| {
+                    let up = (calm.makespan / 3).max(1);
+                    let down = (calm.makespan / 10).max(1);
+                    AgentSchedule::generate(
+                        cfg.agents as usize,
+                        &UpDownProcess::exponential(up, down),
+                        (4 * calm.makespan).max(1),
+                        cfg.seed ^ 0x50A7_C4A4,
+                    )
+                });
+                baseline = Some(calm);
+                CrawlConfig { faults, ..base }
+            });
+        let baseline = baseline.expect("the pipeline calibrates before it crawls");
+        let docs = &pipeline.docs;
         assert!(!docs.is_empty(), "the crawl fetched nothing");
 
-        let full_corpus = corpus_from_web(&web, &content, cfg.seed);
-        let corpus: Corpus =
-            docs.iter().map(|&(page, _)| full_corpus[page as usize].clone()).collect();
-
+        // --- Phase 2: epoch-stamped refreshes from the fetch trace. ---
         // A page fetched at t publishes at the *next* refresh boundary,
         // so every lag is in (0, interval] — the bound the invariant
         // checker asserts.
@@ -505,7 +481,7 @@ impl SoakScenario {
         let mut refreshes: Vec<IndexRefresh> = (1..=last_refresh / interval)
             .map(|i| IndexRefresh { at: i * interval, docs_published: 0, max_lag: 0 })
             .collect();
-        for &(_, end) in &docs {
+        for &(_, end) in docs {
             let at = publish_at(end);
             let r = &mut refreshes[(at / interval - 1) as usize];
             r.docs_published += 1;
@@ -513,15 +489,13 @@ impl SoakScenario {
         }
 
         // --- Phase 3: the live index and the serving stack. ---
-        let assignment = RandomPartitioner { seed: cfg.seed }.assign(&corpus, cfg.partitions);
-        let repart = Arc::new(RepartIndex::build(corpus, &assignment, cfg.partitions, capacity));
+        let repart = Arc::new(RepartIndex::new(pipeline.index(cfg.partitions), capacity));
 
         // Freshness: the oracle ranks every document the probe matches,
         // with fixed scores and ties, so its first k hits are the eventual
         // top-k, and at t the published share of it is the count of those
         // hits with `publish_at ≤ t`.
-        let qmodel =
-            QueryModel::generate(&content, cfg.query_universe, 0.8, 0.9, cfg.seed ^ 0xF00D);
+        let qmodel = &pipeline.query_model;
         let probe: Vec<TermId> = qmodel
             .query(dwr_querylog::model::QueryId(0))
             .terms
@@ -677,10 +651,10 @@ impl SoakScenario {
         SoakReport {
             baseline_coverage: baseline.coverage,
             baseline_makespan: baseline.makespan,
-            crawl_coverage: crawl.coverage,
-            crawl_makespan: crawl.makespan,
-            crawl_faults: crawl.faults,
-            crawl_trace: crawl.trace,
+            crawl_coverage: pipeline.crawl.coverage,
+            crawl_makespan: pipeline.crawl.makespan,
+            crawl_faults: pipeline.crawl.faults,
+            crawl_trace: pipeline.crawl.trace,
             politeness_delay: cfg.politeness_delay,
             fetched_docs: docs.len() as u64,
             refreshes,
@@ -859,11 +833,6 @@ impl SoakInvariants {
         v
     }
 
-    /// Whether every invariant held.
-    pub fn is_clean(&self) -> bool {
-        self.violations().is_empty()
-    }
-
     /// Panic with the full violation list unless clean.
     pub fn assert_clean(&self) {
         let v = self.violations();
@@ -931,7 +900,7 @@ mod tests {
     #[test]
     fn tampered_reports_are_flagged() {
         let clean = SoakScenario::new(tiny()).run();
-        assert!(SoakInvariants::check(&clean).is_clean());
+        assert!(SoakInvariants::check(&clean).violations().is_empty());
 
         // A politeness breach planted in the trace is found.
         let mut r = clean.clone();
@@ -940,7 +909,7 @@ mod tests {
         r.crawl_trace.push(twin);
         let inv = SoakInvariants::check(&r);
         assert!(inv.politeness_violations > 0);
-        assert!(!inv.is_clean());
+        assert!(!inv.violations().is_empty());
 
         // A Failed query while sites were live is found.
         let mut r = clean.clone();
@@ -954,7 +923,7 @@ mod tests {
         r.refreshes[0].max_lag = r.refresh_interval + 1;
         let inv = SoakInvariants::check(&r);
         assert!(inv.freshness_max_lag > inv.freshness_bound);
-        assert!(!inv.is_clean());
+        assert!(!inv.violations().is_empty());
 
         // A lost document (published != fetched) breaks exactly-once
         // coverage.
@@ -973,7 +942,7 @@ mod tests {
         r.crawl_faults.crashes += 1;
         let inv = SoakInvariants::check(&r);
         assert!(inv.mismatches.iter().any(|m| m.contains("crawl.crashes")));
-        assert!(!inv.is_clean());
+        assert!(!inv.violations().is_empty());
 
         // Site-tier counters disagreeing with the per-query trace show
         // up as an outcome gap.

@@ -2,25 +2,27 @@
 //! search it — the Section 3 workflow with every knob exposed.
 //!
 //! Shows: consistent-hash host assignment, most-cited URL seeding,
-//! politeness, transient-failure retries, an agent crash with recovery,
-//! and finally indexing + querying the crawl.
+//! politeness, transient-failure retries, an agent crash (its hosts move
+//! to the survivors; it never comes back), and finally indexing +
+//! querying the pages the crawl fetched (the crawl-to-index `Pipeline`:
+//! doc `i` is the `i`-th fetched page).
 //!
 //! ```sh
 //! cargo run --example crawl_and_search --release
 //! ```
 
-use distributed_web_retrieval::crawler::assign::{AgentId, ConsistentHashAssigner};
+use distributed_web_retrieval::crawler::assign::AgentId;
 use distributed_web_retrieval::crawler::faults::AgentSchedule;
-use distributed_web_retrieval::crawler::sim::{CrawlConfig, DistributedCrawl};
-use distributed_web_retrieval::partition::parted::corpus_from_web;
+use distributed_web_retrieval::crawler::sim::CrawlConfig;
+use distributed_web_retrieval::obs::NoopRecorder;
+use distributed_web_retrieval::querylog::model::QueryId;
 use distributed_web_retrieval::sim::SECOND;
+use distributed_web_retrieval::soak::Pipeline;
 use distributed_web_retrieval::text::index::build_index;
 use distributed_web_retrieval::text::score::Bm25;
 use distributed_web_retrieval::text::search::search_or;
 use distributed_web_retrieval::text::TermId;
-use distributed_web_retrieval::webgraph::content::ContentModel;
-use distributed_web_retrieval::webgraph::generate::{generate_web, WebConfig};
-use distributed_web_retrieval::webgraph::graph::TopicId;
+use distributed_web_retrieval::webgraph::generate::WebConfig;
 use distributed_web_retrieval::webgraph::qos::QosConfig;
 
 fn main() {
@@ -28,17 +30,9 @@ fn main() {
     let mut web_cfg = WebConfig::tiny();
     web_cfg.num_pages = 4_000;
     web_cfg.num_hosts = 150;
-    let web = generate_web(&web_cfg, seed);
-    println!(
-        "web: {} pages on {} hosts, {} links, locality {:.2}",
-        web.num_pages(),
-        web.num_hosts(),
-        web.num_links(),
-        web.link_locality()
-    );
-
     // An 8-agent crawl with everything turned on: flaky servers, retries,
-    // most-cited seeding, and an agent crash halfway through.
+    // most-cited seeding, and an agent crash halfway through. The
+    // pipeline traces it and keeps the pages it fetched.
     let cfg = CrawlConfig {
         agents: 8,
         connections_per_agent: 16,
@@ -48,7 +42,15 @@ fn main() {
         faults: Some(AgentSchedule::single_crash(8, AgentId(5), 30 * 60 * SECOND)),
         ..CrawlConfig::default()
     };
-    let report = DistributedCrawl::new(&web, ConsistentHashAssigner::new(8, 128), cfg, seed).run();
+    let p = Pipeline::build(&web_cfg, seed, 100, NoopRecorder, |_| cfg);
+    let (web, report) = (&p.web, &p.crawl);
+    println!(
+        "web: {} pages on {} hosts, {} links, locality {:.2}",
+        web.num_pages(),
+        web.num_hosts(),
+        web.num_links(),
+        web.link_locality()
+    );
     println!(
         "\ncrawl: {:.1}% coverage in {:.1} simulated hours",
         100.0 * report.coverage,
@@ -65,28 +67,26 @@ fn main() {
     println!("  per-agent fetches: {:?} (agent 5 crashed)", report.per_agent_fetches);
     println!("  dns cache hit ratio: {:.1}%", 100.0 * report.dns.hit_ratio());
 
-    // Index the corpus and run a topical query.
-    let content = ContentModel::small(web_cfg.num_topics);
-    let corpus = corpus_from_web(&web, &content, seed);
-    let index = build_index(&corpus);
+    // Index the fetched corpus and ask the most popular query.
+    let index = build_index(&p.corpus);
     println!(
-        "\nindex: {} docs, {} distinct terms, {:.1} KB of postings",
+        "\nindex: {} docs (the fetched pages), {} distinct terms, {:.1} KB of postings",
         index.num_docs(),
         index.num_terms(),
         index.encoded_bytes() as f64 / 1024.0
     );
 
-    let mut rng = distributed_web_retrieval::sim::SimRng::new(seed);
-    let q = content.sample_query_terms(TopicId(2), 3, &mut rng);
-    let terms: Vec<TermId> = q.iter().map(|t| TermId(t.0)).collect();
+    let q = p.query_model.query(QueryId(0));
+    let terms: Vec<TermId> = q.terms.iter().map(|t| TermId(t.0)).collect();
     let hits = search_or(&index, &terms, 5, &Bm25::default(), &index);
-    println!("\ntop-5 for a topic-2 query ({} terms):", terms.len());
+    println!("\ntop-5 for the most popular query (topic {:?}, {} terms):", q.topic, terms.len());
     for (rank, h) in hits.iter().enumerate() {
-        let page = distributed_web_retrieval::webgraph::graph::PageId(h.doc.0);
+        let page = p.docs[h.doc.0 as usize].0;
         println!(
-            "  {}. doc {:>6}  score {:.3}  (host {:?}, topic {:?})",
+            "  {}. doc {:>5}  page {:>5}  score {:.3}  (host {:?}, topic {:?})",
             rank + 1,
             h.doc.0,
+            page.0,
             h.score,
             web.page(page).host,
             web.page(page).topic

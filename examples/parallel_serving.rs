@@ -3,7 +3,7 @@
 //! sharing the engine across a stream — with bit-identical results to
 //! the sequential configuration.
 
-use distributed_web_retrieval::core::{EngineConfig, SearchEngineLab, StreamOptions};
+use distributed_web_retrieval::soak::{EngineConfig, SearchEngineLab, StreamOptions};
 
 fn main() {
     let lab = SearchEngineLab::build(EngineConfig::default());

@@ -5,8 +5,8 @@
 //! cargo run --example quickstart --release
 //! ```
 
-use distributed_web_retrieval::core::{EngineConfig, SearchEngineLab};
 use distributed_web_retrieval::querylog::model::QueryId;
+use distributed_web_retrieval::soak::{EngineConfig, SearchEngineLab};
 use distributed_web_retrieval::text::TermId;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
     );
 
     // Ask the most popular query in the synthetic universe.
-    let q = lab.query_model().query(QueryId(0));
+    let q = lab.pipeline().query_model.query(QueryId(0));
     let terms: Vec<TermId> = q.terms.iter().map(|t| TermId(t.0)).collect();
     let hits = lab.search(&terms, 5);
     println!("\ntop-5 for the most popular query (topic {:?}):", q.topic);

@@ -7,7 +7,6 @@
 //! paper-vs-measured record of every reproduced table and figure.
 
 pub use dwr_avail as avail;
-pub use dwr_core as core;
 pub use dwr_crawler as crawler;
 pub use dwr_obs as obs;
 pub use dwr_partition as partition;

@@ -1,10 +1,11 @@
 //! Cross-crate integration: the full web → crawl → partition → index →
 //! query life cycle, exercised through the public API of the root package.
 
-use distributed_web_retrieval::core::{EngineConfig, SearchEngineLab};
 use distributed_web_retrieval::crawler::assign::ConsistentHashAssigner;
 use distributed_web_retrieval::crawler::sim::{CrawlConfig, DistributedCrawl, SpanOutcome};
+use distributed_web_retrieval::partition::parted::corpus_from_web;
 use distributed_web_retrieval::sim::{HOUR, SECOND};
+use distributed_web_retrieval::soak::{EngineConfig, SearchEngineLab};
 use distributed_web_retrieval::text::TermId;
 use distributed_web_retrieval::webgraph::generate::WebConfig;
 use std::collections::HashSet;
@@ -40,9 +41,9 @@ fn full_lifecycle_is_deterministic_and_consistent() {
     assert_eq!(lab1.crawl_report().fetched_pages, lab2.crawl_report().fetched_pages);
     assert_eq!(lab1.index().sizes(), lab2.index().sizes());
 
-    // Consistency: indexed docs never exceed crawled pages.
+    // Consistency: one indexed doc per crawled page.
     let report = lab1.serve_stream();
-    assert!(report.indexed_docs as u64 <= report.crawl.fetched_pages);
+    assert_eq!(report.indexed_docs as u64, lab1.crawl_report().fetched_pages);
     assert_eq!(
         report.serving.cache_hits + report.serving.full + report.serving.degraded,
         report.queries_served
@@ -59,10 +60,11 @@ fn different_seeds_build_different_engines() {
 #[test]
 fn search_results_live_in_the_corpus() {
     let lab = SearchEngineLab::build(lab_cfg(3));
-    let q = lab.query_model().query(distributed_web_retrieval::querylog::model::QueryId(0));
+    let q =
+        lab.pipeline().query_model.query(distributed_web_retrieval::querylog::model::QueryId(0));
     let terms: Vec<TermId> = q.terms.iter().map(|t| TermId(t.0)).collect();
     for hit in lab.search(&terms, 10) {
-        let doc = &lab.corpus()[hit.doc as usize];
+        let doc = &lab.pipeline().corpus[hit.doc as usize];
         // Every hit contains at least one query term.
         assert!(
             terms.iter().any(|t| doc.iter().any(|&(dt, _)| dt == *t)),
@@ -92,7 +94,7 @@ fn the_index_holds_exactly_the_crawled_pages() {
     // The same crawl again, traced: the pages it actually downloaded.
     let traced = CrawlConfig { record_trace: true, ..cfg.crawl.clone() };
     let assigner = ConsistentHashAssigner::new(cfg.crawl.agents, 64);
-    let crawl = DistributedCrawl::new(lab.web(), assigner, traced, cfg.seed).run();
+    let crawl = DistributedCrawl::new(&lab.pipeline().web, assigner, traced, cfg.seed).run();
     assert_eq!(crawl.fetched_pages, report.fetched_pages);
     let fetched: HashSet<u32> = crawl
         .trace
@@ -101,9 +103,17 @@ fn the_index_holds_exactly_the_crawled_pages() {
         .map(|s| s.page.0)
         .collect();
     assert_eq!(fetched.len() as u64, report.fetched_pages);
-    for (doc, terms) in lab.corpus().iter().enumerate() {
-        if !terms.is_empty() {
-            assert!(fetched.contains(&(doc as u32)), "page {doc} is indexed but was never fetched");
-        }
+
+    // Doc d is page docs[d].0, holding that page's terms: the index
+    // holds exactly the fetched pages.
+    let p = lab.pipeline();
+    assert_eq!(p.corpus.len(), p.docs.len());
+    assert_eq!(lab.index().num_docs(), p.docs.len());
+    let indexed: HashSet<u32> = p.docs.iter().map(|&(page, _)| page.0).collect();
+    assert_eq!(indexed.len(), p.docs.len(), "a page is indexed twice");
+    assert_eq!(indexed, fetched);
+    let pages = corpus_from_web(&p.web, &p.content, cfg.seed);
+    for (doc, &(page, _)) in p.docs.iter().enumerate() {
+        assert_eq!(p.corpus[doc], pages[page.0 as usize], "doc {doc} is not page {page:?}");
     }
 }

@@ -78,6 +78,7 @@ pub(crate) fn run(ctx: &Ctx) {
         crashed.duplicate_fetches,
         crashed.makespan as f64 / 3.6e9
     );
+    assert_eq!(crashed.duplicate_fetches, 0, "a crash must not make the crawl fetch a page twice");
 
     println!("\n(c) DNS cost (same crawl, per-agent caches):");
     println!(
@@ -87,5 +88,5 @@ pub(crate) fn run(ctx: &Ctx) {
     );
     println!("\npaper shape: retries recover coverage under transient failures; a crashed");
     println!("agent's hosts are re-assigned (consistent hashing) and coverage survives with");
-    println!("bounded duplicate work; DNS caching absorbs the lookup bottleneck.");
+    println!("no duplicate fetch; DNS caching absorbs the lookup bottleneck.");
 }

@@ -11,11 +11,13 @@
 //!   movement metric ("new agents enter the crawling system without
 //!   re-hashing all the server names", UbiCrawler \[6\]);
 //! * `refetches` / `lost_inflight` — crash-induced rework;
+//! * what churn costs in downloads: duplicate fetches (pages downloaded
+//!   twice) and fetch attempts per fetched page;
 //! * handoff traffic, coverage, and makespan.
 //!
 //! The headline assertion: at **every** churn rate, consistent hashing
 //! moves strictly fewer hosts per membership change than modulo
-//! rehashing — and churn never costs coverage.
+//! rehashing — and churn never costs coverage, nor a duplicate fetch.
 //!
 //! Run: `cargo run -p dwr-bench --release -- E26 [--smoke]`
 
@@ -89,7 +91,7 @@ pub(crate) fn run(ctx: &Ctx) {
     );
 
     println!(
-        "  {:>5} {:>11} {:>4} {:>4} {:>6} {:>11} {:>6} {:>5} {:>8} {:>7} {:>9}",
+        "  {:>5} {:>11} {:>4} {:>4} {:>6} {:>11} {:>6} {:>5} {:>5} {:>9} {:>8} {:>7} {:>9}",
         "scale",
         "policy",
         "dn",
@@ -98,6 +100,8 @@ pub(crate) fn run(ctx: &Ctx) {
         "moved/chg",
         "lost",
         "refet",
+        "dup",
+        "att/page",
         "handoff",
         "cover",
         "makespan"
@@ -116,7 +120,7 @@ pub(crate) fn run(ctx: &Ctx) {
             assert!(changes > 0, "scale {scale}: the schedule must actually churn");
             let moved_per_change = f.hosts_moved as f64 / changes as f64;
             println!(
-                "  {:>5.1} {:>11} {:>4} {:>4} {:>6} {:>11.1} {:>6} {:>5} {:>8} {:>7.3} {:>8.0}s",
+                "  {:>5.1} {:>11} {:>4} {:>4} {:>6} {:>11.1} {:>6} {:>5} {:>5} {:>9.3} {:>8} {:>7.3} {:>8.0}s",
                 scale,
                 policy,
                 f.crashes,
@@ -125,9 +129,15 @@ pub(crate) fn run(ctx: &Ctx) {
                 moved_per_change,
                 f.lost_inflight,
                 f.refetches,
+                r.duplicate_fetches,
+                r.attempts as f64 / r.fetched_pages as f64,
                 f.handoff_urls,
                 r.coverage,
                 r.makespan as f64 / SECOND as f64,
+            );
+            assert_eq!(
+                r.duplicate_fetches, 0,
+                "scale {scale} {policy}: churn must not fetch a page twice"
             );
             let baseline = if policy == "modulo" { &base_mod } else { &base_cons };
             assert!(
@@ -149,6 +159,7 @@ pub(crate) fn run(ctx: &Ctx) {
         );
     }
     println!("\ncheck: consistent < modulo hosts moved per membership change at every rate  [ok]");
+    println!("check: 0 duplicate fetches in every churned cell  [ok]");
 
     // Cross-check: the dwr-obs crawl counters agree *exactly* with the
     // offline CrawlFaultStats for a live-instrumented run.
@@ -179,5 +190,5 @@ pub(crate) fn run(ctx: &Ctx) {
     println!("change while consistent hashing moves only the lost/gained arcs, so under the");
     println!("same churn it pays far less frontier handoff — and either way the handoff");
     println!("protocol keeps coverage at the fault-free level for the politeness-bounded cost");
-    println!("of refetching the work that crashed mid-flight.");
+    println!("of refetching the work that crashed mid-flight, and no page is fetched twice.");
 }

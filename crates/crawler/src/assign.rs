@@ -192,31 +192,6 @@ impl GeoAssigner {
         }
         GeoAssigner { region_agents, region_of, all }
     }
-
-    /// Add `agent` to `region` (new agent, or relocate a known one).
-    pub fn add_agent_in_region(&mut self, agent: AgentId, region: u16) {
-        if let Some(&old) = self.region_of.get(&agent) {
-            if self.all.contains(&agent) && old == region {
-                return;
-            }
-            self.region_agents[usize::from(old)].retain(|&a| a != agent);
-        }
-        if usize::from(region) >= self.region_agents.len() {
-            self.region_agents.resize(usize::from(region) + 1, Vec::new());
-        }
-        self.region_agents[usize::from(region)].push(agent);
-        self.region_agents[usize::from(region)].sort_unstable();
-        self.region_of.insert(agent, region);
-        if !self.all.contains(&agent) {
-            self.all.push(agent);
-            self.all.sort_unstable();
-        }
-    }
-
-    /// The home region of `agent`, if it has ever been placed.
-    pub fn region_of(&self, agent: AgentId) -> Option<u16> {
-        self.region_of.get(&agent).copied()
-    }
 }
 
 impl UrlAssigner for GeoAssigner {
@@ -241,18 +216,18 @@ impl UrlAssigner for GeoAssigner {
     }
     /// Add a (new or recovered) agent. A previously seen agent rejoins
     /// its remembered home region; an agent never seen before joins the
-    /// global fallback pool only (it serves hosts of agent-less regions)
-    /// until [`GeoAssigner::add_agent_in_region`] places it.
+    /// global fallback pool only (it serves hosts of agent-less regions).
     fn add_agent(&mut self, agent: AgentId) -> bool {
         if self.all.contains(&agent) {
             return false;
         }
         if let Some(&region) = self.region_of.get(&agent) {
-            self.add_agent_in_region(agent, region);
-        } else {
-            self.all.push(agent);
-            self.all.sort_unstable();
+            let pool = &mut self.region_agents[usize::from(region)];
+            pool.push(agent);
+            pool.sort_unstable();
         }
+        self.all.push(agent);
+        self.all.sort_unstable();
         true
     }
 }
@@ -493,7 +468,6 @@ mod tests {
         let mut geo = original.clone();
         geo.remove_agent(AgentId(2));
         geo.add_agent(AgentId(2)); // recovery: no panic, back to region 1
-        assert_eq!(geo.region_of(AgentId(2)), Some(1));
         assert_eq!(geo.agents(), original.agents());
         // Assignment is exactly what it was before the crash.
         assert_eq!(movement_fraction(&original, &geo, &web), 0.0);
@@ -505,7 +479,6 @@ mod tests {
         let mut geo = GeoAssigner::new(&[0, 0, 1]);
         geo.add_agent(AgentId(9)); // never seen, region unknown: no panic
         assert!(geo.agents().contains(&AgentId(9)));
-        assert_eq!(geo.region_of(AgentId(9)), None);
         // Hosts in regions that still have agents are unaffected...
         for h in web.host_ids() {
             assert_ne!(geo.agent_for(h, &web), AgentId(9));
@@ -515,27 +488,6 @@ mod tests {
         geo.remove_agent(AgentId(2));
         let serves_fallback = web.host_ids().any(|h| geo.agent_for(h, &web) == AgentId(9));
         assert!(serves_fallback || web.host_ids().all(|h| web.host(h).region == 0));
-    }
-
-    #[test]
-    fn geo_add_agent_in_region_places_and_relocates() {
-        let web = web();
-        let mut geo = GeoAssigner::new(&[0, 0, 1]);
-        geo.add_agent_in_region(AgentId(3), 1);
-        assert_eq!(geo.region_of(AgentId(3)), Some(1));
-        for h in web.host_ids() {
-            let a = geo.agent_for(h, &web);
-            let region = web.host(h).region;
-            if a == AgentId(3) {
-                assert_eq!(region, 1);
-            }
-        }
-        // Relocation to a brand-new region grows the region table.
-        geo.add_agent_in_region(AgentId(3), 5);
-        assert_eq!(geo.region_of(AgentId(3)), Some(5));
-        // Idempotent re-add in the same region.
-        geo.add_agent_in_region(AgentId(3), 5);
-        assert_eq!(geo.agents().iter().filter(|a| a.0 == 3).count(), 1);
     }
 
     #[test]

@@ -117,7 +117,8 @@ pub struct Frontier {
     busy: IdSet<HostId>,
     /// Earliest next access per host.
     next_allowed: IdMap<HostId, SimTime>,
-    /// Pages ever enqueued (URL-seen test).
+    /// Pages enqueued here and not handed off (this agent's part of the
+    /// URL-seen test).
     seen: IdSet<PageId>,
     /// Minimum delay between accesses to one host.
     politeness_delay: SimTime,
@@ -253,6 +254,12 @@ impl Frontier {
     /// connection, if one is open, belongs to someone else). Citation
     /// counts do not travel: the new owner counts its own discoveries,
     /// as its seen set does.
+    ///
+    /// The seen set only remembers what this frontier queued, so it is
+    /// not the whole URL-seen test: the crawl simulator also rejects a
+    /// page that is already stored or in flight before it offers one,
+    /// and that is what keeps a host that changes hands from being
+    /// fetched twice.
     pub fn extract_host(&mut self, host: HostId) -> (Vec<PageId>, Option<SimTime>) {
         let pages = self.queues.remove(&host).map(HostQueue::into_pages).unwrap_or_default();
         self.pending -= pages.len();

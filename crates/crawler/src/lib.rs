@@ -17,8 +17,10 @@
 //!   [`AgentSchedule`]; each membership change updates the live assigner,
 //!   re-routes the affected hosts, and hands the departing agent's
 //!   unfetched frontier to the new owners with host-level politeness
-//!   state carried over, so the crawl completes with bounded duplicate
-//!   work and the one-connection/delay invariant intact.
+//!   state carried over, so the crawl completes with the
+//!   one-connection/delay invariant intact. Its URL-seen test consults
+//!   the document store and the open connections as well as the owner's
+//!   frontier, so churn costs no duplicate fetches.
 //! * **External factors** ([`sim`], via `dwr-webgraph`'s DNS and QoS
 //!   models) — DNS caching, slow servers, transient failures and retry,
 //!   and the hard politeness invariant: *never more than one open

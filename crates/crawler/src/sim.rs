@@ -31,6 +31,15 @@
 //! * the crashed agent's DNS cache and exchange buffers die with it and
 //!   are rebuilt empty on recovery; its undelivered exchange buffers are
 //!   recalled and re-routed by the coordinator.
+//!
+//! # The URL-seen test
+//!
+//! An agent's own seen set dies with it in a crash and does not travel
+//! with a handed-off host. The crawl's URL-seen test is therefore three
+//! sets, not one: a URL enters a frontier only if it is not stored (the
+//! document store outlives every agent), not in flight at its host's
+//! connection holder, and new to the owner's frontier. Every page is
+//! fetched at most once, however often its host changes hands.
 
 use crate::assign::{AgentId, UrlAssigner};
 use crate::exchange::{ExchangeBuffers, ExchangeStats};
@@ -185,7 +194,9 @@ pub struct FetchSpan {
 pub struct CrawlReport {
     /// Distinct pages fetched at least once.
     pub fetched_pages: u64,
-    /// Fetches of pages already fetched before (crash recovery cost).
+    /// Fetches of pages already fetched before: 0, churn included,
+    /// because the URL-seen test consults the document store and the
+    /// open connections (`tests/crawl_chaos.rs` asserts it).
     pub duplicate_fetches: u64,
     /// All fetch attempts, including failures.
     pub attempts: u64,
@@ -399,6 +410,8 @@ struct Sim<'w, A: UrlAssigner, R: Recorder> {
     /// assignment changes only when a membership change succeeds, and
     /// the table is refilled right then, so every other read is a load.
     owners: Vec<AgentId>,
+    /// Pages downloaded: the crawler's document store, which survives
+    /// every crash (the URL-seen test consults it, see `admit`).
     fetched: IdSet<PageId>,
     retry_count: IdMap<PageId, u32>,
     sitemap_served: IdSet<HostId>,
@@ -479,6 +492,24 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
         let owner = self.owners[host.0 as usize];
         debug_assert_eq!(owner, self.assigner.agent_for(host, self.web), "stale owner table");
         owner
+    }
+
+    /// The URL-seen test: admit `page` of `host` to `owner`'s frontier
+    /// only if it is not already stored, not being fetched by the host's
+    /// connection holder, and new to the owner's frontier. The first two
+    /// clauses outlive the agent that fetched the page, so a host that
+    /// changes hands in a crash, a recovery or a deferred handoff is
+    /// never fetched twice.
+    fn admit(&mut self, owner: u32, host: HostId, page: PageId, now: SimTime) -> bool {
+        if self.fetched.contains(&page) {
+            return false;
+        }
+        if let Some(&holder) = self.fetching.get(&host) {
+            if self.agents[holder as usize].in_flight.iter().any(|&(_, p, _)| p == page) {
+                return false;
+            }
+        }
+        self.agents[owner as usize].frontier.offer(host, page, now)
     }
 
     fn run(mut self) -> CrawlReport {
@@ -686,7 +717,7 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
                         if !self.robots.allowed(p, self.web) {
                             continue;
                         }
-                        if self.agents[agent as usize].frontier.offer(host, p, now) {
+                        if self.admit(agent, host, p, now) {
                             self.outstanding += 1;
                             self.sitemap_discoveries += 1;
                             self.wake(agent, now);
@@ -702,7 +733,7 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
                     let t_host = self.web.page(target).host;
                     let owner = self.owner_of(t_host);
                     if owner.0 == agent {
-                        if self.agents[agent as usize].frontier.offer(t_host, target, now) {
+                        if self.admit(agent, t_host, target, now) {
                             self.outstanding += 1;
                             self.wake(agent, now);
                         }
@@ -774,7 +805,7 @@ impl<'w, A: UrlAssigner, R: Recorder> Sim<'w, A, R> {
         for url in urls {
             let host = self.web.page(url).host;
             let owner = self.owner_of(host);
-            if self.agents[owner.0 as usize].frontier.offer(host, url, now) {
+            if self.admit(owner.0, host, url, now) {
                 self.wake(owner.0, now);
             } else {
                 // Known URL: the work item evaporates.

@@ -887,14 +887,14 @@ mod tests {
             bits,
             [
                 (0, 0),
+                (48 * SECOND, 0),
                 (96 * SECOND, 0),
+                (144 * SECOND, 0.9f64.to_bits()),
                 (192 * SECOND, 0.9f64.to_bits()),
-                (288 * SECOND, 1.0f64.to_bits()),
-                (384 * SECOND, 1.0f64.to_bits()),
-                (480 * SECOND, 1.0f64.to_bits()),
+                (240 * SECOND, 1.0f64.to_bits()),
             ]
         );
-        assert_eq!(report.freshness.full_at, 480 * SECOND);
+        assert_eq!(report.freshness.full_at, 240 * SECOND);
     }
 
     #[test]

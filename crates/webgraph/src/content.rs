@@ -18,7 +18,8 @@ use crate::graph::{SyntheticWeb, TopicId};
 use dwr_sim::dist::Zipf;
 use dwr_sim::SimRng;
 
-/// Identifier of a term (dense, `0..vocabulary_size`).
+/// Identifier of a term (dense: the background terms, then one slice per
+/// topic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
@@ -67,11 +68,6 @@ impl ContentModel {
         ContentModel::new(20_000, 2_000, num_topics, 0.35, 150.0)
     }
 
-    /// Total vocabulary size (background + all topics).
-    pub fn vocabulary_size(&self) -> u32 {
-        self.background_vocab + u32::from(self.num_topics) * self.terms_per_topic
-    }
-
     /// Number of topics.
     pub fn num_topics(&self) -> u16 {
         self.num_topics
@@ -94,7 +90,7 @@ impl ContentModel {
     }
 
     /// Draw one token for a document of topic `topic`.
-    pub fn sample_token(&self, topic: TopicId, rng: &mut SimRng) -> TermId {
+    fn sample_token(&self, topic: TopicId, rng: &mut SimRng) -> TermId {
         if rng.chance(self.topical_fraction) {
             let rank = self.topic_zipf.sample(rng) - 1;
             TermId(self.topic_base(topic).0 + rank as u32)
@@ -170,12 +166,14 @@ mod tests {
     #[test]
     fn term_space_layout() {
         let m = model();
-        assert_eq!(m.vocabulary_size(), 20_000 + 8 * 2_000);
         assert_eq!(m.topic_base(TopicId(0)), TermId(20_000));
         assert_eq!(m.topic_base(TopicId(7)), TermId(20_000 + 7 * 2_000));
         assert_eq!(m.topic_of_term(TermId(100)), None);
         assert_eq!(m.topic_of_term(TermId(20_000)), Some(TopicId(0)));
         assert_eq!(m.topic_of_term(TermId(20_000 + 2_000)), Some(TopicId(1)));
+        // The vocabulary ends with the last topic's slice.
+        assert_eq!(m.topic_of_term(TermId(20_000 + 8 * 2_000 - 1)), Some(TopicId(7)));
+        assert_eq!(m.topic_of_term(TermId(20_000 + 8 * 2_000)), None);
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl ChangeProcess {
         events.sort_unstable_by_key(|e| (e.time, e.page));
         events
     }
-
-    /// Whether `page` changed in `[since, now)` — convenience for
-    /// If-Modified-Since simulation without materializing events.
-    pub fn expected_changes(&self, page: PageId, window: SimTime) -> f64 {
-        self.rates_per_us[page.0 as usize] * window as f64
-    }
 }
 
 #[cfg(test)]
@@ -124,15 +118,5 @@ mod tests {
         let mut parts = b.events_in(0, 5 * DAY);
         parts.extend(b.events_in(5 * DAY, 10 * DAY));
         assert_eq!(whole, parts);
-    }
-
-    #[test]
-    fn expected_changes_scales_with_window() {
-        let web = generate_web(&WebConfig::tiny(), 27);
-        let proc = ChangeProcess::new(&web, 28);
-        let p = PageId(0);
-        let one = proc.expected_changes(p, DAY);
-        let ten = proc.expected_changes(p, 10 * DAY);
-        assert!((ten - 10.0 * one).abs() < 1e-9);
     }
 }

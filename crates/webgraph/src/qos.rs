@@ -102,16 +102,6 @@ impl QosModel {
         FetchOutcome::Ok(((think + transfer) * f64::from(q.slowness)) as SimTime)
     }
 
-    /// Whether the host belongs to the flaky class.
-    pub fn is_flaky(&self, host: HostId) -> bool {
-        self.hosts[host.0 as usize].failure_prob > 0.0
-    }
-
-    /// Whether the host belongs to the slow class.
-    pub fn is_slow(&self, host: HostId) -> bool {
-        self.hosts[host.0 as usize].slowness > 1.0
-    }
-
     /// Number of modelled hosts.
     pub fn num_hosts(&self) -> usize {
         self.hosts.len()
@@ -132,8 +122,8 @@ mod tests {
     fn class_fractions_roughly_respected() {
         let cfg = QosConfig::default();
         let m = QosModel::new(10_000, cfg, 1);
-        let slow = (0..10_000).filter(|&h| m.is_slow(HostId(h))).count();
-        let flaky = (0..10_000).filter(|&h| m.is_flaky(HostId(h))).count();
+        let slow = m.hosts.iter().filter(|q| q.slowness > 1.0).count();
+        let flaky = m.hosts.iter().filter(|q| q.failure_prob > 0.0).count();
         assert!((slow as f64 / 10_000.0 - 0.1).abs() < 0.02);
         assert!((flaky as f64 / 10_000.0 - 0.05).abs() < 0.02);
     }
@@ -168,7 +158,7 @@ mod tests {
         let mut fast_n = 0;
         for h in 0..1000u32 {
             if let FetchOutcome::Ok(t) = m.fetch(HostId(h), 10_000) {
-                if m.is_slow(HostId(h)) {
+                if m.hosts[h as usize].slowness > 1.0 {
                     slow_sum += t as f64;
                     slow_n += 1;
                 } else {

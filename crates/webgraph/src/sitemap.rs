@@ -40,11 +40,6 @@ impl RobotsPolicy {
         RobotsPolicy { host_fraction, seed }
     }
 
-    /// A policy allowing everything.
-    pub fn allow_all(web: &SyntheticWeb) -> Self {
-        RobotsPolicy { host_fraction: vec![0.0; web.num_hosts()], seed: 0 }
-    }
-
     /// Whether a polite crawler may fetch `page`.
     pub fn allowed(&self, page: PageId, web: &SyntheticWeb) -> bool {
         let host = web.page(page).host;
@@ -114,9 +109,9 @@ mod tests {
     }
 
     #[test]
-    fn allow_all_allows_everything() {
+    fn no_restrictive_host_allows_everything() {
         let w = web();
-        let r = RobotsPolicy::allow_all(&w);
+        let r = RobotsPolicy::generate(&w, 0.0, 0.3, 9);
         assert_eq!(r.allowed_count(&w), w.num_pages());
     }
 

@@ -57,7 +57,7 @@ fn main() {
         report.makespan as f64 / 3.6e9
     );
     println!(
-        "  {} attempts, {} transient failures, {} abandoned, {} duplicates (crash recovery)",
+        "  {} attempts, {} transient failures, {} abandoned, {} pages fetched twice",
         report.attempts, report.transient_failures, report.abandoned, report.duplicate_fetches
     );
     println!(

@@ -77,6 +77,7 @@ fn main() {
         "  {} fetches lost in crashes, {} of them refetched, {} duplicate fetches",
         f.lost_inflight, f.refetches, churned.duplicate_fetches
     );
+    assert_eq!(churned.duplicate_fetches, 0, "churn must not make the crawl fetch a page twice");
 
     // The live obs counters agree with the offline accounting.
     let snap = recorder.snapshot();

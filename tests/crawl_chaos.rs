@@ -3,7 +3,7 @@
 //! consistent-hash host reassignment and politeness-preserving frontier
 //! handoff.
 //!
-//! Three properties, per ISSUE 5:
+//! Four properties:
 //!
 //! 1. **coverage survives churn** — any fault schedule that keeps at
 //!    least one agent alive completes the crawl with coverage within
@@ -14,7 +14,10 @@
 //!    consecutive accesses to one host are at least `politeness_delay`
 //!    apart, *across agents and ownership transfers*;
 //! 3. **determinism** — the same seed and schedule reproduce the same
-//!    crawl, byte for byte, fault accounting included.
+//!    crawl, byte for byte, fault accounting included;
+//! 4. **exactly once** — no page is downloaded twice, however often its
+//!    host changes hands: `duplicate_fetches == 0` under any schedule,
+//!    any assignment policy and either queue order.
 //!
 //! The `crawl_chaos_fixed_seed_*` tests are the deterministic anchors CI
 //! runs; the proptest blocks widen the net locally. The properties draw
@@ -131,6 +134,15 @@ fn crawl_chaos_run(seed: u64) {
         r.trace.iter().filter(|s| s.outcome == SpanOutcome::LostInCrash).count() as u64;
     assert_eq!(lost_spans, f.lost_inflight);
     assert!(f.refetches <= f.lost_inflight);
+    assert_exactly_once(&r);
+}
+
+/// Property 4, checked from the report and the trace: no page is
+/// downloaded twice.
+fn assert_exactly_once(r: &CrawlReport) {
+    assert_eq!(r.duplicate_fetches, 0, "a page was fetched twice (faults {:?})", r.faults);
+    let fetched = r.trace.iter().filter(|s| s.outcome == SpanOutcome::Fetched).count() as u64;
+    assert_eq!(fetched, r.fetched_pages, "one Fetched span per stored page");
 }
 
 #[test]
@@ -204,6 +216,7 @@ fn owner_table_under_churn<A: UrlAssigner>(assigner: impl Fn() -> A, cfg: CrawlC
         baseline.coverage
     );
     assert_politeness(&r, chaos_cfg().politeness_delay);
+    assert_exactly_once(&r);
 }
 
 #[test]
@@ -272,11 +285,14 @@ proptest! {
             baseline.coverage,
             r.faults
         );
+        assert_exactly_once(&r);
     }
 
-    /// Property 2 at random churn rates, either assignment policy and
-    /// either queue order: the politeness invariant holds in every trace,
-    /// handoffs included.
+    /// Properties 2 and 4 at random churn rates, every assignment policy,
+    /// either queue order and flaky servers on or off: the politeness
+    /// invariant holds in every trace, handoffs included, and no page is
+    /// fetched twice. New inputs go last, so a case's earlier draws do
+    /// not depend on them.
     #[test]
     fn politeness_survives_handoffs(
         mtbf_min in 1u64..6,
@@ -284,6 +300,8 @@ proptest! {
         use_modulo in any::<bool>(),
         seed in any::<u64>(),
         order in queue_order(),
+        use_geo in any::<bool>(),
+        flaky in any::<bool>(),
     ) {
         let web = chaos_web(11);
         let process =
@@ -293,11 +311,19 @@ proptest! {
         let mut cfg = chaos_cfg();
         cfg.faults = Some(schedule);
         cfg.order = order;
-        let r = if use_modulo {
+        if flaky {
+            cfg.qos = QosConfig { flaky_fraction: 0.3, flaky_failure_prob: 0.4, ..cfg.qos };
+        }
+        let r = if use_geo {
+            let regions = vec![0, 0, 1, 1];
+            cfg.agent_regions = regions.clone();
+            DistributedCrawl::new(&web, GeoAssigner::new(&regions), cfg, 11).run()
+        } else if use_modulo {
             DistributedCrawl::new(&web, HashAssigner::new(AGENTS), cfg, 11).run()
         } else {
             DistributedCrawl::new(&web, ConsistentHashAssigner::new(AGENTS, 64), cfg, 11).run()
         };
         assert_politeness(&r, chaos_cfg().politeness_delay);
+        assert_exactly_once(&r);
     }
 }

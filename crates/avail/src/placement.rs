@@ -85,19 +85,8 @@ impl Placement {
         self.sites_of.iter().map(Vec::len).sum::<usize>() as f64 / self.sites_of.len() as f64
     }
 
-    /// Number of objects stored per site (load placed on each site).
-    pub fn per_site_load(&self) -> Vec<usize> {
-        let mut load = vec![0usize; self.num_sites as usize];
-        for sites in &self.sites_of {
-            for &s in sites {
-                load[s as usize] += 1;
-            }
-        }
-        load
-    }
-
     /// Given which sites are up, the fraction of objects reachable.
-    pub fn objects_available(&self, up: &[bool]) -> f64 {
+    fn objects_available(&self, up: &[bool]) -> f64 {
         assert_eq!(up.len(), self.num_sites as usize);
         if self.sites_of.is_empty() {
             return 1.0;
@@ -107,7 +96,7 @@ impl Placement {
     }
 
     /// Whether a full-coverage query (needs every object) succeeds.
-    pub fn query_succeeds(&self, up: &[bool]) -> bool {
+    fn query_succeeds(&self, up: &[bool]) -> bool {
         self.objects_available(up) >= 1.0
     }
 
@@ -142,6 +131,15 @@ mod tests {
         (0..n).map(|i| 0.85 + 0.01 * f64::from(i % 10)).collect()
     }
 
+    /// Number of objects stored per site.
+    fn per_site_load(p: &Placement) -> Vec<usize> {
+        let mut load = vec![0usize; p.num_sites as usize];
+        for &s in p.sites_of.iter().flatten() {
+            load[s as usize] += 1;
+        }
+        load
+    }
+
     #[test]
     fn overhead_equals_r() {
         let mut rng = SimRng::new(1);
@@ -157,7 +155,7 @@ mod tests {
     fn round_robin_balances_load() {
         let mut rng = SimRng::new(2);
         let p = Placement::new(PlacementStrategy::RoundRobin, 80, 8, 2, &avail(8), &mut rng);
-        let load = p.per_site_load();
+        let load = per_site_load(&p);
         assert!(load.iter().all(|&l| l == 20), "{load:?}");
     }
 
@@ -165,7 +163,7 @@ mod tests {
     fn best_sites_concentrates_load() {
         let mut rng = SimRng::new(3);
         let p = Placement::new(PlacementStrategy::BestSites, 80, 8, 2, &avail(8), &mut rng);
-        let load = p.per_site_load();
+        let load = per_site_load(&p);
         assert_eq!(load.iter().filter(|&&l| l > 0).count(), 2);
     }
 

@@ -71,7 +71,7 @@ pub(crate) fn run(ctx: &Ctx) {
         // Boolean AND baseline (same terms, no adjacency).
         let a = dwr_text::search::search_and(
             &plain,
-            &q.iter().map(|t| dwr_text::TermId(t.0)).collect::<Vec<_>>(),
+            &q,
             10_000,
             &dwr_text::score::Bm25::default(),
             &plain,

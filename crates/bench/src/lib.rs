@@ -14,7 +14,7 @@ use dwr_avail::{Timeline, UpDownProcess};
 use dwr_crawler::sim::CrawlConfig;
 use dwr_obs::Recorder;
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner, TrainingResults};
-use dwr_partition::parted::{corpus_from_web, Corpus, PartitionedIndex};
+use dwr_partition::parted::{Corpus, PartitionedIndex};
 use dwr_query::cache::ResultCache;
 use dwr_query::engine::DistributedEngine;
 use dwr_query::faults::site_outage_traces;
@@ -75,7 +75,7 @@ impl Fixture {
         };
         let web = generate_web(&web_cfg, SEED);
         let content = ContentModel::small(web_cfg.num_topics);
-        let corpus = corpus_from_web(&web, &content, SEED);
+        let corpus = content.corpus(&web, SEED);
         let universe = match scale {
             Scale::Small => 1_000,
             Scale::Medium => 5_000,
@@ -84,9 +84,9 @@ impl Fixture {
         Fixture { web, content, corpus, queries }
     }
 
-    /// The term vector of query `q` in `dwr-text` term space.
+    /// The term vector of query `q`.
     pub(crate) fn terms(&self, q: QueryId) -> Vec<TermId> {
-        terms_of(&self.queries, q)
+        self.queries.query(q).terms.clone()
     }
 
     /// Term vectors of the first `n` distinct queries (by popularity).
@@ -135,10 +135,6 @@ impl Ctx {
     }
 }
 
-fn terms_of(queries: &QueryModel, q: QueryId) -> Vec<TermId> {
-    queries.query(q).terms.iter().map(|t| TermId(t.0)).collect()
-}
-
 /// The training log of query-driven partitioning and routing: each
 /// weighted distinct query replayed on `reference`, carrying the top-`k`
 /// documents it recalls.
@@ -150,7 +146,7 @@ pub(crate) fn replay_training(
 ) -> TrainingResults {
     let queries = weighted
         .map(|(q, w)| {
-            let terms = terms_of(model, q);
+            let terms = model.query(q).terms.clone();
             let docs: Vec<u32> = search_or(reference, &terms, k, &Bm25::default(), reference)
                 .into_iter()
                 .map(|h| h.doc.0)

@@ -682,11 +682,6 @@ impl ObsRecorder {
         busy.iter().map(|&b| b / mean).collect()
     }
 
-    /// Live per-shard query counts.
-    pub fn shard_queries(&self) -> Vec<u64> {
-        self.shard_queries.iter().map(|c| c.get()).collect()
-    }
-
     /// Live per-site served counts (empty for single-site configs).
     pub fn site_served(&self) -> Vec<u64> {
         self.site
@@ -919,7 +914,8 @@ mod tests {
         assert_eq!(snap.counter("scatter.tasks"), Some(2));
         assert_eq!(snap.counter("broker.queries"), Some(1));
         assert_eq!(rec.busy_us(), vec![200.0, 300.0]);
-        assert_eq!(rec.shard_queries(), vec![1, 1]);
+        assert_eq!(snap.counter("shard.000.queries"), Some(1));
+        assert_eq!(snap.counter("shard.001.queries"), Some(1));
         assert_eq!(snap.histogram("engine.latency_us").map(|p| p.count()), Some(1));
         let spans = rec.spans();
         assert_eq!(spans.len(), 1, "span closed on Outcome");

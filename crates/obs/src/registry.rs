@@ -216,34 +216,6 @@ impl Snapshot {
         Snapshot { entries }
     }
 
-    /// Render as an aligned text table (one instrument per line).
-    pub fn to_text(&self) -> String {
-        let width = self.entries.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (name, snap) in &self.entries {
-            out.push_str(&format!("{name:<width$}  "));
-            match snap {
-                InstrumentSnapshot::Counter(v) => out.push_str(&format!("counter {v}")),
-                InstrumentSnapshot::Gauge(v) => out.push_str(&format!("gauge   {v:.3}")),
-                InstrumentSnapshot::Histogram(p) if p.is_empty() => {
-                    out.push_str("hist    (empty)");
-                }
-                InstrumentSnapshot::Histogram(p) => out.push_str(&format!(
-                    "hist    n={} mean={:.1} p50={:.1} p90={:.1} p99={:.1} p999={:.1} max={:.1}",
-                    p.count(),
-                    p.mean(),
-                    p.p50(),
-                    p.p90(),
-                    p.p99(),
-                    p.p999(),
-                    p.max()
-                )),
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// Render as a JSON object keyed by instrument name.
     pub fn to_json(&self) -> Json {
         let pairs = self
@@ -382,10 +354,6 @@ mod tests {
         let snap = r.snapshot();
         let names: Vec<_> = snap.entries().iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["a.load", "b.count", "c.lat"]);
-        let text = snap.to_text();
-        assert!(text.contains("a.load"), "{text}");
-        assert!(text.contains("counter 1"), "{text}");
-        assert!(text.contains("(empty)"), "{text}");
         let json = snap.to_json().render();
         assert!(json.starts_with('{') && json.contains("\"b.count\""), "{json}");
     }

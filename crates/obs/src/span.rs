@@ -184,11 +184,6 @@ impl SpanRecorder {
         self.lock().ring.iter().cloned().collect()
     }
 
-    /// Total queries counted (sampled or not).
-    pub fn queries_seen(&self) -> u64 {
-        self.lock().started
-    }
-
     fn finish(&self, st: &mut SpanState, span: Span) {
         if self.capacity == 0 {
             return;
@@ -218,7 +213,7 @@ mod tests {
         let spans = rec.spans();
         let sampled: Vec<_> = spans.iter().map(|s| s.qid).collect();
         assert_eq!(sampled, [0, 3, 6], "queries 1,4,7... by ordinal");
-        assert_eq!(rec.queries_seen(), 9);
+        assert_eq!(rec.lock().started, 9);
     }
 
     #[test]
@@ -253,7 +248,7 @@ mod tests {
         rec.enter(7, 0, Stage::Admit, 0.0);
         rec.enter(7, 10, Stage::Admit, 0.0); // failover retry re-enters the same query
         rec.close(7, 20, Stage::Outcome, 20.0);
-        assert_eq!(rec.queries_seen(), 1);
+        assert_eq!(rec.lock().started, 1);
         let spans = rec.spans();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].events.len(), 3);
@@ -265,7 +260,7 @@ mod tests {
         rec.enter(1, 0, Stage::Admit, 0.0);
         rec.close(1, 1, Stage::Outcome, 1.0);
         assert!(rec.spans().is_empty());
-        assert_eq!(rec.queries_seen(), 0);
+        assert_eq!(rec.lock().started, 0);
     }
 
     #[test]

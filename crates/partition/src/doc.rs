@@ -222,7 +222,7 @@ pub struct TrainingResults {
 
 impl TrainingResults {
     /// Doc → list of `(query index, weight)` that returned it.
-    pub fn doc_query_map(&self, num_docs: usize) -> Vec<Vec<(u32, f32)>> {
+    fn doc_query_map(&self, num_docs: usize) -> Vec<Vec<(u32, f32)>> {
         let mut map: Vec<Vec<(u32, f32)>> = vec![Vec::new(); num_docs];
         for (qi, (_, w, docs)) in self.queries.iter().enumerate() {
             for &d in docs {

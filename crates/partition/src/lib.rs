@@ -36,7 +36,7 @@ pub mod select;
 pub mod term;
 
 pub use doc::DocPartitioner;
-pub use parted::{corpus_from_web, Corpus, PartitionedIndex};
+pub use parted::{Corpus, PartitionedIndex};
 pub use repart::{RepartIndex, SplitFate, SplitSchedule};
 pub use select::CollectionSelector;
 pub use term::TermPartitioner;

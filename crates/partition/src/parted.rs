@@ -31,13 +31,9 @@ use std::thread;
 /// document id (= page id in web-derived corpora).
 pub type Corpus = Vec<Vec<(TermId, u32)>>;
 
-/// Generate the corpus of a synthetic web in `dwr-text` term space.
+/// Generate the corpus of a synthetic web: `content.corpus(web, seed)`.
 pub fn corpus_from_web(web: &SyntheticWeb, content: &ContentModel, seed: u64) -> Corpus {
-    content
-        .corpus(web, seed)
-        .into_iter()
-        .map(|doc| doc.into_iter().map(|(t, tf)| (TermId(t.0), tf)).collect())
-        .collect()
+    content.corpus(web, seed)
 }
 
 /// One self-contained partition: its inverted index over local doc ids
@@ -110,9 +106,9 @@ fn build_shards(corpus: &Corpus, global_of: Vec<Vec<u32>>) -> Vec<Arc<IndexShard
         .collect()
 }
 
-/// Why [`PartitionedIndex::try_build`] refused its inputs.
+/// Why `PartitionedIndex::try_build` refused its inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildError {
+enum BuildError {
     /// `assignment.len() != corpus.len()`.
     ArityMismatch {
         /// Documents in the corpus.
@@ -148,8 +144,6 @@ impl fmt::Display for BuildError {
     }
 }
 
-impl std::error::Error for BuildError {}
-
 /// A document-partitioned index: `Arc`-owned shards plus shared id maps
 /// and the epoch-stamped [`PartitionMap`] describing which shard slots
 /// are active.
@@ -172,12 +166,16 @@ pub struct PartitionedIndex {
 impl PartitionedIndex {
     /// Build `k` partition indexes from a corpus and an assignment vector.
     ///
+    /// `k` larger than the corpus is fine (trailing partitions are
+    /// empty); an empty corpus with `k >= 1` is fine (every partition is
+    /// empty). The `k` shard builds are independent and run on the
+    /// machine's available cores.
+    ///
     /// # Panics
     /// Panics if `assignment.len() != corpus.len()`, `k == 0`, or any
-    /// partition id is `>= k`. Use [`Self::try_build`] for a
-    /// non-panicking variant. A shard build that panics (a tf of 0, a term
-    /// repeated within a document) re-raises its own panic; when several
-    /// do, the lowest partition's.
+    /// partition id is `>= k`. A shard build that panics (a tf of 0, a
+    /// term repeated within a document) re-raises its own panic; when
+    /// several do, the lowest partition's.
     pub fn build(corpus: &Corpus, assignment: &[u32], k: usize) -> Self {
         match Self::try_build(corpus, assignment, k) {
             Ok(pi) => pi,
@@ -185,12 +183,9 @@ impl PartitionedIndex {
         }
     }
 
-    /// As [`Self::build`], returning degenerate inputs as a
-    /// [`BuildError`] instead of panicking. `k` larger than the corpus
-    /// is fine (trailing partitions are empty); an empty corpus with
-    /// `k >= 1` is fine (every partition is empty). The `k` shard builds
-    /// are independent and run on the machine's available cores.
-    pub fn try_build(corpus: &Corpus, assignment: &[u32], k: usize) -> Result<Self, BuildError> {
+    /// As [`Self::build`], returning degenerate inputs as a `BuildError`
+    /// instead of panicking.
+    fn try_build(corpus: &Corpus, assignment: &[u32], k: usize) -> Result<Self, BuildError> {
         if corpus.len() != assignment.len() {
             return Err(BuildError::ArityMismatch {
                 docs: corpus.len(),

@@ -27,25 +27,9 @@ pub fn global_top_k(corpus: &Corpus, terms: &[TermId], k: usize) -> Vec<u32> {
     search_or(&idx, terms, k, &Bm25::default(), &idx).into_iter().map(|h| h.doc.0).collect()
 }
 
-/// Recall@m-partitions of one query: the fraction of the global top-k that
-/// lives in the `m` partitions a selector ranks first.
-pub fn recall_at_partitions(
-    pi: &PartitionedIndex,
-    selector: &dyn CollectionSelector,
-    terms: &[TermId],
-    global_topk: &[u32],
-    m: usize,
-) -> f64 {
-    if global_topk.is_empty() {
-        return 1.0;
-    }
-    let chosen: Vec<u32> = selector.rank(terms).into_iter().take(m).map(|(p, _)| p).collect();
-    let hit = global_topk.iter().filter(|&&d| chosen.contains(&pi.partition_of(d))).count();
-    hit as f64 / global_topk.len() as f64
-}
-
-/// The whole recall curve for a batch of test queries: element `m-1` is
-/// the mean recall when searching the top `m` partitions.
+/// The recall curve for a batch of test queries: element `m-1` is the
+/// mean recall@m-partitions, the fraction of a query's global top-k that
+/// lives in the `m` partitions the selector ranks first.
 pub fn recall_curve(
     pi: &PartitionedIndex,
     selector: &dyn CollectionSelector,
@@ -117,8 +101,7 @@ mod tests {
         let (corpus, pi) = topical_setup();
         let cori = CoriSelector::from_partitions(&pi);
         // Terms of topic block 0 only occur in partition 0's docs.
-        let topk = global_top_k(&corpus, &[TermId(1), TermId(2)], 5);
-        let r1 = recall_at_partitions(&pi, &cori, &[TermId(1), TermId(2)], &topk, 1);
+        let r1 = recall_curve(&pi, &cori, &corpus, &[vec![TermId(1), TermId(2)]], 5)[0];
         assert!((r1 - 1.0).abs() < 1e-12, "r1={r1}");
     }
 
@@ -132,12 +115,5 @@ mod tests {
         assert_eq!(curve.len(), 3);
         assert!(curve.windows(2).all(|w| w[0] <= w[1] + 1e-12), "{curve:?}");
         assert!((curve[2] - 1.0).abs() < 1e-12, "all partitions = full recall");
-    }
-
-    #[test]
-    fn empty_topk_counts_as_full_recall() {
-        let (_, pi) = topical_setup();
-        let cori = CoriSelector::from_partitions(&pi);
-        assert_eq!(recall_at_partitions(&pi, &cori, &[TermId(1)], &[], 1), 1.0);
     }
 }

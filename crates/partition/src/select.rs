@@ -142,7 +142,7 @@ impl QueryDrivenSelector {
 
     /// Whether no term of `terms` appears in any trained profile — the
     /// profiles carry no routing signal for this query.
-    pub fn is_cold(&self, terms: &[TermId]) -> bool {
+    fn is_cold(&self, terms: &[TermId]) -> bool {
         terms.iter().all(|t| self.profiles.iter().all(|prof| !prof.contains_key(&t.0)))
     }
 }

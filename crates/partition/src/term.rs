@@ -47,7 +47,7 @@ impl QueryWorkload {
 
 /// The load a term places on its server under a workload: query frequency
 /// of the term × its posting-list length (the disk/CPU work to serve it).
-pub fn term_weight(index: &InvertedIndex, freq: f64, term: TermId) -> f64 {
+fn term_weight(index: &InvertedIndex, freq: f64, term: TermId) -> f64 {
     freq * f64::from(index.df(term).max(1))
 }
 

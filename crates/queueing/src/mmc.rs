@@ -32,16 +32,9 @@ impl MM1 {
         self.utilization() < 1.0
     }
 
-    /// Mean number in system `L = ρ/(1-ρ)` (requires stability).
-    pub fn mean_in_system(&self) -> f64 {
-        assert!(self.is_stable(), "unstable queue has no steady state");
-        let rho = self.utilization();
-        rho / (1.0 - rho)
-    }
-
     /// Mean response time `W = 1/(μ-λ)` (requires stability).
     pub fn mean_response_time(&self) -> f64 {
-        assert!(self.is_stable());
+        assert!(self.is_stable(), "unstable queue has no steady state");
         1.0 / (self.mu - self.lambda)
     }
 
@@ -71,7 +64,7 @@ impl MMc {
     }
 
     /// Offered load `a = λ/μ` in Erlangs.
-    pub fn offered_load(&self) -> f64 {
+    fn offered_load(&self) -> f64 {
         self.lambda / self.mu
     }
 
@@ -123,7 +116,6 @@ mod tests {
     fn mm1_closed_forms() {
         let q = MM1::new(8.0, 10.0);
         assert!((q.utilization() - 0.8).abs() < 1e-12);
-        assert!((q.mean_in_system() - 4.0).abs() < 1e-12);
         assert!((q.mean_response_time() - 0.5).abs() < 1e-12);
         assert!((q.mean_wait() - 0.4).abs() < 1e-12);
     }
@@ -131,7 +123,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no steady state")]
     fn mm1_unstable_panics() {
-        MM1::new(10.0, 10.0).mean_in_system();
+        MM1::new(10.0, 10.0).mean_response_time();
     }
 
     #[test]

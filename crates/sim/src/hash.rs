@@ -1,10 +1,10 @@
 //! The hasher for tables keyed by the program's own dense ids.
 //!
 //! Term ids, document ids, page ids and host ids are assigned by this
-//! program (lexicon rank, document order, generation order), not chosen
-//! by whoever sends a query or serves a page, so SipHash's resistance to
-//! crafted collisions buys nothing for them. [`IdHasher`] hashes such an
-//! id with one multiply and one xor-shift instead.
+//! program (content-model layout, document order, generation order), not
+//! chosen by whoever sends a query or serves a page, so SipHash's
+//! resistance to crafted collisions buys nothing for them. [`IdHasher`]
+//! hashes such an id with one multiply and one xor-shift instead.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

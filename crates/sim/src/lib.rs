@@ -16,6 +16,8 @@
 //! * [`net`] — latency/bandwidth models for LAN and WAN links between
 //!   simulated sites (Section 5 of the paper).
 //! * [`hash`] — the cheap hasher every crate's id-keyed tables share.
+//! * [`TermId`] — the one term id, shared by the content model that
+//!   mints it and the index that looks it up.
 //!
 //! The kernel is intentionally free of wall-clock time and global state:
 //! identical seeds produce identical traces, which the test suites of the
@@ -30,6 +32,19 @@ pub mod stats;
 
 pub use event::{EventQueue, SimTime};
 pub use rng::SimRng;
+
+/// Identifier of a term: the id the content model hands out, the query
+/// log samples and the index looks up.
+///
+/// Ids are dense, as `dwr_webgraph::ContentModel` lays them out: the
+/// background vocabulary from 0, then one slice of `terms_per_topic` ids
+/// per topic. `dwr-text` relies on it: an `InvertedIndex`'s term directory
+/// and `GlobalStats::sum`'s df table are both flat arrays sized by the
+/// largest id they hold, so a corpus of a few ids near `u32::MAX` would
+/// cost gigabytes. Looking up an id past the largest is fine, and answers
+/// "absent".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TermId(pub u32);
 
 /// One second expressed in the simulator's microsecond clock.
 pub const SECOND: SimTime = 1_000_000;

@@ -159,13 +159,10 @@ impl SearchEngineLab {
             None,
             self.cfg.seed ^ 0xBEEF,
         );
-        // Resolve term vectors up front: shared read-only input for the
-        // client threads.
-        let stream: Vec<Vec<TermId>> = log
-            .records()
-            .iter()
-            .map(|rec| model.query(rec.query).terms.iter().map(|t| TermId(t.0)).collect())
-            .collect();
+        // Resolve each record's terms up front: shared read-only input for
+        // the client threads.
+        let stream: Vec<&[TermId]> =
+            log.records().iter().map(|rec| model.query(rec.query).terms.as_slice()).collect();
         let cache = LruCache::new(self.cfg.cache_capacity);
         let mut engine = DistributedEngine::new(&self.index, cache, self.cfg.replicas);
         if let Some(threads) = opts.scatter_threads {
@@ -265,8 +262,7 @@ mod tests {
     fn search_returns_ranked_hits() {
         let lab = SearchEngineLab::build(small_cfg());
         let q = lab.pipeline().query_model.query(dwr_querylog::model::QueryId(0));
-        let terms: Vec<TermId> = q.terms.iter().map(|t| TermId(t.0)).collect();
-        let hits = lab.search(&terms, 10);
+        let hits = lab.search(&q.terms, 10);
         assert!(hits.len() <= 10);
         assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
     }

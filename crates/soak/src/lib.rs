@@ -65,7 +65,6 @@ use dwr_query::straggler::{StragglerModel, TailParams};
 use dwr_querylog::arrival::{generate_arrivals, DiurnalProfile};
 use dwr_sim::net::Topology;
 use dwr_sim::{SimRng, SimTime, HOUR, MINUTE, SECOND};
-use dwr_text::TermId;
 use dwr_webgraph::generate::WebConfig;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -496,16 +495,11 @@ impl SoakScenario {
         // top-k, and at t the published share of it is the count of those
         // hits with `publish_at ≤ t`.
         let qmodel = &pipeline.query_model;
-        let probe: Vec<TermId> = qmodel
-            .query(dwr_querylog::model::QueryId(0))
-            .terms
-            .iter()
-            .map(|t| TermId(t.0))
-            .collect();
+        let probe = &qmodel.query(dwr_querylog::model::QueryId(0)).terms;
         let oracle =
             DocBroker::single_site(&repart.snapshot()).with_global_stats(repart.corpus_stats());
         let published_at: Vec<SimTime> = oracle
-            .query(&probe, docs.len())
+            .query(probe, docs.len())
             .hits
             .iter()
             .map(|hit| publish_at(docs[hit.doc as usize].1))
@@ -622,9 +616,8 @@ impl SoakScenario {
             }
             engine.advance_to(a.time);
             let q = qmodel.sample(&mut qrng);
-            let terms: Vec<TermId> = qmodel.query(q).terms.iter().map(|t| TermId(t.0)).collect();
             let live_sites = engine.live_sites(a.time).len() as u32;
-            let r = engine.query(a.region, &terms, cfg.k);
+            let r = engine.query(a.region, &qmodel.query(q).terms, cfg.k);
             win_queries += 1;
             queries.push(QueryRecord {
                 at: a.time,

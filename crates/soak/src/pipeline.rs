@@ -18,7 +18,7 @@ use dwr_crawler::assign::ConsistentHashAssigner;
 use dwr_crawler::sim::{CrawlConfig, CrawlReport, DistributedCrawl, SpanOutcome};
 use dwr_obs::Recorder;
 use dwr_partition::doc::{DocPartitioner, RandomPartitioner};
-use dwr_partition::parted::{corpus_from_web, Corpus, PartitionedIndex};
+use dwr_partition::parted::{Corpus, PartitionedIndex};
 use dwr_querylog::model::QueryModel;
 use dwr_sim::SimTime;
 use dwr_webgraph::content::ContentModel;
@@ -77,7 +77,7 @@ impl Pipeline {
             .enumerate()
             .filter_map(|(page, t)| Some((PageId(page as u32), t?)))
             .collect();
-        let mut pages = corpus_from_web(&web, &content, seed);
+        let mut pages = content.corpus(&web, seed);
         let corpus =
             docs.iter().map(|&(page, _)| std::mem::take(&mut pages[page.0 as usize])).collect();
 
@@ -132,7 +132,7 @@ mod tests {
         assert_eq!(p.docs, fetched, "doc i is the i-th fetched page, at its one fetch");
         assert!(p.docs.windows(2).all(|w| w[0].0 < w[1].0), "no page is fetched twice");
 
-        let full = corpus_from_web(&p.web, &p.content, seed);
+        let full = p.content.corpus(&p.web, seed);
         assert_eq!(p.corpus.len(), p.docs.len());
         for (doc, &(page, _)) in p.corpus.iter().zip(&p.docs) {
             assert_eq!(doc, &full[page.0 as usize], "page {page:?}");

@@ -28,11 +28,11 @@ use crate::{DocId, TermId};
 /// An immutable inverted index over documents `0..num_docs`.
 ///
 /// Its lists sit in one arena in ascending term id, and a flat term
-/// directory indexed by term id says where: [`TermId`]s are dense lexicon
-/// ranks, so the directory has one 16-byte entry per id up to the largest
-/// indexed one, and looking a term up is one bounds-checked load. Two
-/// indexes are `==` when their arenas, directories and document lengths
-/// are, byte for byte.
+/// directory indexed by term id says where: [`TermId`]s are dense, so
+/// the directory has one 16-byte entry per id up to the largest indexed
+/// one, and looking a term up is one bounds-checked load. Two indexes
+/// are `==` when their arenas, directories and document lengths are,
+/// byte for byte.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct InvertedIndex {
     arena: Arena,

@@ -10,12 +10,12 @@
 //! * [`postings`] — posting lists with term frequencies, bit-packed per
 //!   block of 128 (frame of reference: one gap width and one tf width per
 //!   block) with a per-block ladder of last-doc skip keys and a
-//!   block-skipping `next_geq` cursor, the Lexicon/PostingList pair the
-//!   paper describes;
+//!   block-skipping `next_geq` cursor, the PostingList half of the
+//!   Lexicon/PostingList pair the paper describes;
 //! * [`index`] — one arena of lists per index behind a flat term
-//!   directory, the counting-sort index builder, round-robin splits and
-//!   index merging (the building blocks of Section 4's distributed
-//!   construction strategies);
+//!   directory (the pair's Lexicon half), the counting-sort index
+//!   builder, round-robin splits and index merging (the building blocks
+//!   of Section 4's distributed construction strategies);
 //! * [`score`] — BM25 with pluggable collection statistics, so the
 //!   "local vs. global statistics" experiments (Section 4, external
 //!   factors) can swap the statistics source under the same scorer;
@@ -47,18 +47,10 @@ pub mod topk;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u32);
 
-/// Identifier of a term. Layout-compatible with
-/// `dwr_webgraph::content::TermId`; kept separate so this crate stands
-/// alone as an IR library.
-///
-/// Ids are dense lexicon ranks ([`token::Lexicon`] hands them out from 0),
-/// and the crate relies on it: an index's term directory and
-/// [`GlobalStats::sum`]'s df table are both flat arrays sized by the
-/// largest id they hold, so a corpus of a few ids near `u32::MAX` would
-/// cost gigabytes. Looking up an id past the largest is fine, and
-/// answers "absent".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TermId(pub u32);
+/// Identifier of a term, the workspace's one term id (defined in
+/// `dwr-sim`). Ids are dense, and the term directory and
+/// [`GlobalStats::sum`] rely on it.
+pub use dwr_sim::TermId;
 
 pub use index::InvertedIndex;
 pub use postings::{

@@ -325,7 +325,7 @@ impl<'a> ListView<'a> {
 
     /// Number of postings in block `b` (all blocks are full except
     /// possibly the last).
-    pub fn block_len(&self, b: usize) -> usize {
+    fn block_len(&self, b: usize) -> usize {
         debug_assert!(b < self.blocks.len());
         (self.df as usize - b * BLOCK_LEN).min(BLOCK_LEN)
     }

@@ -18,10 +18,9 @@ use crate::graph::{SyntheticWeb, TopicId};
 use dwr_sim::dist::Zipf;
 use dwr_sim::SimRng;
 
-/// Identifier of a term (dense: the background terms, then one slice per
-/// topic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TermId(pub u32);
+/// Identifier of a term, the workspace's one term id (defined in
+/// `dwr-sim`; dense: the background terms, then one slice per topic).
+pub use dwr_sim::TermId;
 
 /// Parameters and samplers of the content model.
 #[derive(Debug, Clone)]

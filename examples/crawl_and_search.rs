@@ -21,7 +21,6 @@ use distributed_web_retrieval::soak::Pipeline;
 use distributed_web_retrieval::text::index::build_index;
 use distributed_web_retrieval::text::score::Bm25;
 use distributed_web_retrieval::text::search::search_or;
-use distributed_web_retrieval::text::TermId;
 use distributed_web_retrieval::webgraph::generate::WebConfig;
 use distributed_web_retrieval::webgraph::qos::QosConfig;
 
@@ -77,9 +76,8 @@ fn main() {
     );
 
     let q = p.query_model.query(QueryId(0));
-    let terms: Vec<TermId> = q.terms.iter().map(|t| TermId(t.0)).collect();
-    let hits = search_or(&index, &terms, 5, &Bm25::default(), &index);
-    println!("\ntop-5 for the most popular query (topic {:?}, {} terms):", q.topic, terms.len());
+    let hits = search_or(&index, &q.terms, 5, &Bm25::default(), &index);
+    println!("\ntop-5 for the most popular query (topic {:?}, {} terms):", q.topic, q.terms.len());
     for (rank, h) in hits.iter().enumerate() {
         let page = p.docs[h.doc.0 as usize].0;
         println!(

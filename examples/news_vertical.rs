@@ -30,8 +30,7 @@ fn main() {
     for i in 0..2_000u32 {
         let topic = TopicId((i % 6) as u16);
         let doc = content.sample_document(topic, &mut rng);
-        let tf: Vec<(TermId, u32)> = doc.iter().map(|&(t, c)| (TermId(t.0), c)).collect();
-        index.insert(tf);
+        index.insert(doc);
         topics_of.push(topic.0);
     }
     let stats = index.stats();
@@ -45,8 +44,7 @@ fn main() {
 
     // --- Ranked search over the live index. ---
     let q = content.sample_query_terms(TopicId(2), 3, &mut rng);
-    let terms: Vec<TermId> = q.iter().map(|t| TermId(t.0)).collect();
-    let hits = index.search(&terms, 5);
+    let hits = index.search(&q, 5);
     println!("\ntop-5 for a topic-2 query on the live index:");
     for (r, h) in hits.iter().enumerate() {
         println!("  {}. article {:>5}  score {:.3}", r + 1, h.doc.0, h.score);

@@ -9,7 +9,7 @@ use distributed_web_retrieval::partition::doc::{
     DocPartitioner, KMeansPartitioner, QueryDrivenPartitioner, RandomPartitioner,
     RoundRobinPartitioner, TrainingResults,
 };
-use distributed_web_retrieval::partition::parted::{corpus_from_web, PartitionedIndex};
+use distributed_web_retrieval::partition::parted::PartitionedIndex;
 use distributed_web_retrieval::partition::quality::{recall_curve, size_balance};
 use distributed_web_retrieval::partition::select::{
     CollectionSelector, CoriSelector, QueryDrivenSelector,
@@ -29,7 +29,7 @@ fn main() {
     let seed = 77;
     let web = generate_web(&WebConfig::tiny(), seed);
     let content = ContentModel::small(8);
-    let corpus = corpus_from_web(&web, &content, seed);
+    let corpus = content.corpus(&web, seed);
     let queries = QueryModel::generate(&content, 800, 0.8, 0.9, seed);
     let reference = build_index(&corpus);
 
@@ -43,8 +43,7 @@ fn main() {
         queries: counts
             .iter()
             .map(|(&q, &c)| {
-                let terms: Vec<TermId> =
-                    queries.query(q).terms.iter().map(|t| TermId(t.0)).collect();
+                let terms = queries.query(q).terms.clone();
                 let docs = search_or(&reference, &terms, 10, &Bm25::default(), &reference)
                     .into_iter()
                     .map(|h| h.doc.0)
@@ -62,7 +61,7 @@ fn main() {
     let test: Vec<Vec<TermId>> = (0..150)
         .map(|_| {
             let q = queries.sample(&mut rng);
-            queries.query(q).terms.iter().map(|t| TermId(t.0)).collect()
+            queries.query(q).terms.clone()
         })
         .collect();
 

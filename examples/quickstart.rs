@@ -7,7 +7,6 @@
 
 use distributed_web_retrieval::querylog::model::QueryId;
 use distributed_web_retrieval::soak::{EngineConfig, SearchEngineLab};
-use distributed_web_retrieval::text::TermId;
 
 fn main() {
     // Defaults: a 2k-page web, 4 crawl agents, 4 index partitions with 2
@@ -25,8 +24,7 @@ fn main() {
 
     // Ask the most popular query in the synthetic universe.
     let q = lab.pipeline().query_model.query(QueryId(0));
-    let terms: Vec<TermId> = q.terms.iter().map(|t| TermId(t.0)).collect();
-    let hits = lab.search(&terms, 5);
+    let hits = lab.search(&q.terms, 5);
     println!("\ntop-5 for the most popular query (topic {:?}):", q.topic);
     for (rank, h) in hits.iter().enumerate() {
         println!("  {}. doc {:>6}  score {:.3}", rank + 1, h.doc, h.score);

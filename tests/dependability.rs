@@ -7,7 +7,7 @@ use distributed_web_retrieval::crawler::assign::{AgentId, ConsistentHashAssigner
 use distributed_web_retrieval::crawler::sim::{CrawlConfig, DistributedCrawl};
 use distributed_web_retrieval::crawler::AgentSchedule;
 use distributed_web_retrieval::partition::doc::{DocPartitioner, RandomPartitioner};
-use distributed_web_retrieval::partition::parted::{corpus_from_web, PartitionedIndex};
+use distributed_web_retrieval::partition::parted::PartitionedIndex;
 use distributed_web_retrieval::query::cache::LruCache;
 use distributed_web_retrieval::query::engine::{DistributedEngine, Served};
 use distributed_web_retrieval::sim::{SimRng, DAY, SECOND};
@@ -41,7 +41,7 @@ fn crawl_survives_agent_crash_and_flaky_servers() {
 fn replicated_engine_degrades_gracefully_and_recovers() {
     let web = generate_web(&WebConfig::tiny(), SEED);
     let content = ContentModel::small(8);
-    let corpus = corpus_from_web(&web, &content, SEED);
+    let corpus = content.corpus(&web, SEED);
     let assignment = RandomPartitioner { seed: SEED }.assign(&corpus, 4);
     let pi = PartitionedIndex::build(&corpus, &assignment, 4);
     let engine = DistributedEngine::new(&pi, LruCache::new(64), 2);

@@ -3,9 +3,12 @@
 
 use distributed_web_retrieval::crawler::assign::ConsistentHashAssigner;
 use distributed_web_retrieval::crawler::sim::{CrawlConfig, DistributedCrawl, SpanOutcome};
-use distributed_web_retrieval::partition::parted::corpus_from_web;
+use distributed_web_retrieval::querylog::model::QueryId;
 use distributed_web_retrieval::sim::{HOUR, SECOND};
 use distributed_web_retrieval::soak::{EngineConfig, SearchEngineLab};
+use distributed_web_retrieval::text::index::build_index;
+use distributed_web_retrieval::text::score::Bm25;
+use distributed_web_retrieval::text::search::search_or;
 use distributed_web_retrieval::text::TermId;
 use distributed_web_retrieval::webgraph::generate::WebConfig;
 use std::collections::HashSet;
@@ -60,18 +63,41 @@ fn different_seeds_build_different_engines() {
 #[test]
 fn search_results_live_in_the_corpus() {
     let lab = SearchEngineLab::build(lab_cfg(3));
-    let q =
-        lab.pipeline().query_model.query(distributed_web_retrieval::querylog::model::QueryId(0));
-    let terms: Vec<TermId> = q.terms.iter().map(|t| TermId(t.0)).collect();
-    for hit in lab.search(&terms, 10) {
+    let q = lab.pipeline().query_model.query(QueryId(0));
+    for hit in lab.search(&q.terms, 10) {
         let doc = &lab.pipeline().corpus[hit.doc as usize];
         // Every hit contains at least one query term.
         assert!(
-            terms.iter().any(|t| doc.iter().any(|&(dt, _)| dt == *t)),
+            q.terms.iter().any(|t| doc.iter().any(|&(dt, _)| dt == *t)),
             "doc {} matches no query term",
             hit.doc
         );
     }
+}
+
+#[test]
+fn query_model_terms_reach_the_index_unconverted() {
+    // The content model, the query log and the index share one term id.
+    let id: TermId = distributed_web_retrieval::webgraph::TermId(7);
+    assert_eq!(id, TermId(7));
+
+    let lab = SearchEngineLab::build(lab_cfg(6));
+    let p = lab.pipeline();
+    let index = build_index(&p.corpus);
+    let mut answered = 0;
+    for q in 0..20 {
+        let terms: &[TermId] = &p.query_model.query(QueryId(q)).terms;
+        let matches: HashSet<u32> =
+            search_or(&index, terms, p.corpus.len(), &Bm25::default(), &index)
+                .iter()
+                .map(|h| h.doc.0)
+                .collect();
+        let hits = lab.search(terms, 10);
+        assert_eq!(hits.len(), matches.len().min(10), "query {q}");
+        assert!(hits.iter().all(|h| matches.contains(&h.doc)), "query {q}");
+        answered += usize::from(!hits.is_empty());
+    }
+    assert!(answered > 0, "no query matched a document");
 }
 
 #[test]
@@ -112,7 +138,7 @@ fn the_index_holds_exactly_the_crawled_pages() {
     let indexed: HashSet<u32> = p.docs.iter().map(|&(page, _)| page.0).collect();
     assert_eq!(indexed.len(), p.docs.len(), "a page is indexed twice");
     assert_eq!(indexed, fetched);
-    let pages = corpus_from_web(&p.web, &p.content, cfg.seed);
+    let pages = p.content.corpus(&p.web, cfg.seed);
     for (doc, &(page, _)) in p.docs.iter().enumerate() {
         assert_eq!(p.corpus[doc], pages[page.0 as usize], "doc {doc} is not page {page:?}");
     }

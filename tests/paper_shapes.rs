@@ -5,7 +5,7 @@
 //! invert a conclusion. Each test states the paper claim it guards.
 
 use distributed_web_retrieval::partition::doc::{DocPartitioner, RandomPartitioner};
-use distributed_web_retrieval::partition::parted::{corpus_from_web, PartitionedIndex};
+use distributed_web_retrieval::partition::parted::PartitionedIndex;
 use distributed_web_retrieval::partition::term::{
     evaluate_term_partition, BinPackingTermPartitioner, QueryWorkload, RandomTermPartitioner,
     TermPartitioner,
@@ -32,13 +32,13 @@ struct World {
 fn world() -> World {
     let web = generate_web(&WebConfig::tiny(), SEED);
     let content = ContentModel::small(8);
-    let corpus = corpus_from_web(&web, &content, SEED);
+    let corpus = content.corpus(&web, SEED);
     let model = QueryModel::generate(&content, 800, 0.8, 0.9, SEED);
     let mut rng = SimRng::new(SEED);
     let stream = (0..1_500)
         .map(|_| {
             let q = model.sample(&mut rng);
-            model.query(q).terms.iter().map(|t| TermId(t.0)).collect()
+            model.query(q).terms.clone()
         })
         .collect();
     World { corpus, stream }

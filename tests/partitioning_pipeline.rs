@@ -2,7 +2,7 @@
 //! query architectures agree with the monolithic reference index.
 
 use distributed_web_retrieval::partition::doc::{DocPartitioner, RandomPartitioner};
-use distributed_web_retrieval::partition::parted::{corpus_from_web, PartitionedIndex};
+use distributed_web_retrieval::partition::parted::PartitionedIndex;
 use distributed_web_retrieval::partition::quality::{global_top_k, size_balance};
 use distributed_web_retrieval::partition::repart::{RepartIndex, SplitFate};
 use distributed_web_retrieval::partition::select::{CollectionSelector, CoriSelector};
@@ -34,13 +34,13 @@ struct Setup {
 fn setup() -> Setup {
     let web = generate_web(&WebConfig::tiny(), SEED);
     let content = ContentModel::small(8);
-    let corpus = corpus_from_web(&web, &content, SEED);
+    let corpus = content.corpus(&web, SEED);
     let model = QueryModel::generate(&content, 200, 0.8, 0.9, SEED);
     let mut rng = SimRng::new(SEED);
     let queries = (0..30)
         .map(|_| {
             let q = model.sample(&mut rng);
-            model.query(q).terms.iter().map(|t| TermId(t.0)).collect()
+            model.query(q).terms.clone()
         })
         .collect();
     Setup { corpus, queries }

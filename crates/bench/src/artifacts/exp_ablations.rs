@@ -16,6 +16,7 @@ use dwr_partition::select::CoriSelector;
 use dwr_query::cache::{LruCache, ResultCache};
 use dwr_query::engine::query_key;
 use dwr_sim::stats::Imbalance;
+use dwr_text::index::build_index;
 
 pub(crate) fn run(ctx: &Ctx) {
     println!("E21. Ablations over the repository's own design dials.\n");
@@ -66,7 +67,7 @@ pub(crate) fn run(ctx: &Ctx) {
     let pi = ctx.random_index(Scale::Small, 8);
     let cori = CoriSelector::from_partitions(&pi);
     let queries = f.query_terms(100);
-    let curve = recall_curve(&pi, &cori, &f.corpus, &queries, 10);
+    let curve = recall_curve(&pi, &cori, &build_index(&f.corpus), &queries, 10);
     println!("  {:>4} {:>10} {:>14}", "m", "recall", "work saved");
     for (m, r) in curve.iter().enumerate() {
         println!(

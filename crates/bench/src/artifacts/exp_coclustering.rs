@@ -65,19 +65,19 @@ pub(crate) fn run(ctx: &Ctx) {
     let rows: Vec<(&str, Vec<f64>)> = vec![
         (
             "co-cluster + query-driven",
-            recall_curve(&qd_pi, &qd_sel as &dyn CollectionSelector, &f.corpus, &test, TOPK),
+            recall_curve(&qd_pi, &qd_sel as &dyn CollectionSelector, &reference, &test, TOPK),
         ),
         (
             "co-cluster + CORI",
-            recall_curve(&qd_pi, &qd_cori as &dyn CollectionSelector, &f.corpus, &test, TOPK),
+            recall_curve(&qd_pi, &qd_cori as &dyn CollectionSelector, &reference, &test, TOPK),
         ),
         (
             "k-means + CORI",
-            recall_curve(&km_pi, &km_cori as &dyn CollectionSelector, &f.corpus, &test, TOPK),
+            recall_curve(&km_pi, &km_cori as &dyn CollectionSelector, &reference, &test, TOPK),
         ),
         (
             "random + CORI",
-            recall_curve(&rnd_pi, &rnd_cori as &dyn CollectionSelector, &f.corpus, &test, TOPK),
+            recall_curve(&rnd_pi, &rnd_cori as &dyn CollectionSelector, &reference, &test, TOPK),
         ),
     ];
     for (name, curve) in &rows {

@@ -6,10 +6,10 @@
 //! ("the chosen subset should be able to provide a high number of relevant
 //! documents").
 
-use crate::parted::{Corpus, PartitionedIndex};
+use crate::parted::PartitionedIndex;
 use crate::select::CollectionSelector;
 use dwr_sim::stats::Imbalance;
-use dwr_text::index::build_index;
+use dwr_text::index::InvertedIndex;
 use dwr_text::score::Bm25;
 use dwr_text::search::search_or;
 use dwr_text::TermId;
@@ -20,32 +20,32 @@ pub fn size_balance(pi: &PartitionedIndex) -> Imbalance {
     Imbalance::of(&sizes)
 }
 
-/// The global reference ranking: top-k of the whole corpus in one index.
-/// Returns global doc ids.
-pub fn global_top_k(corpus: &Corpus, terms: &[TermId], k: usize) -> Vec<u32> {
-    let idx = build_index(corpus);
-    search_or(&idx, terms, k, &Bm25::default(), &idx).into_iter().map(|h| h.doc.0).collect()
+/// The global reference ranking: top-k of the whole corpus, read from
+/// `reference`, the corpus built as one index (`build_index`). Returns
+/// global doc ids.
+pub fn global_top_k(reference: &InvertedIndex, terms: &[TermId], k: usize) -> Vec<u32> {
+    search_or(reference, terms, k, &Bm25::default(), reference)
+        .into_iter()
+        .map(|h| h.doc.0)
+        .collect()
 }
 
 /// The recall curve for a batch of test queries: element `m-1` is the
 /// mean recall@m-partitions, the fraction of a query's global top-k that
-/// lives in the `m` partitions the selector ranks first.
+/// lives in the `m` partitions the selector ranks first. The global
+/// top-k is read from `reference`, the whole corpus as one index.
 pub fn recall_curve(
     pi: &PartitionedIndex,
     selector: &dyn CollectionSelector,
-    corpus: &Corpus,
+    reference: &InvertedIndex,
     queries: &[Vec<TermId>],
     k: usize,
 ) -> Vec<f64> {
     let nparts = pi.num_partitions();
     let mut acc = vec![0f64; nparts];
     let mut counted = 0usize;
-    let reference = build_index(corpus);
     for terms in queries {
-        let topk: Vec<u32> = search_or(&reference, terms, k, &Bm25::default(), &reference)
-            .into_iter()
-            .map(|h| h.doc.0)
-            .collect();
+        let topk = global_top_k(reference, terms, k);
         if topk.is_empty() {
             continue;
         }
@@ -67,7 +67,9 @@ pub fn recall_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parted::Corpus;
     use crate::select::CoriSelector;
+    use dwr_text::index::build_index;
 
     fn topical_setup() -> (Corpus, PartitionedIndex) {
         let corpus: Corpus = (0..30)
@@ -91,7 +93,7 @@ mod tests {
     #[test]
     fn global_topk_nonempty_for_present_terms() {
         let (corpus, _) = topical_setup();
-        let topk = global_top_k(&corpus, &[TermId(1)], 5);
+        let topk = global_top_k(&build_index(&corpus), &[TermId(1)], 5);
         assert!(!topk.is_empty());
         assert!(topk.len() <= 5);
     }
@@ -101,7 +103,8 @@ mod tests {
         let (corpus, pi) = topical_setup();
         let cori = CoriSelector::from_partitions(&pi);
         // Terms of topic block 0 only occur in partition 0's docs.
-        let r1 = recall_curve(&pi, &cori, &corpus, &[vec![TermId(1), TermId(2)]], 5)[0];
+        let reference = build_index(&corpus);
+        let r1 = recall_curve(&pi, &cori, &reference, &[vec![TermId(1), TermId(2)]], 5)[0];
         assert!((r1 - 1.0).abs() < 1e-12, "r1={r1}");
     }
 
@@ -111,7 +114,7 @@ mod tests {
         let cori = CoriSelector::from_partitions(&pi);
         let queries: Vec<Vec<TermId>> =
             vec![vec![TermId(1)], vec![TermId(101)], vec![TermId(201), TermId(202)]];
-        let curve = recall_curve(&pi, &cori, &corpus, &queries, 5);
+        let curve = recall_curve(&pi, &cori, &build_index(&corpus), &queries, 5);
         assert_eq!(curve.len(), 3);
         assert!(curve.windows(2).all(|w| w[0] <= w[1] + 1e-12), "{curve:?}");
         assert!((curve[2] - 1.0).abs() < 1e-12, "all partitions = full recall");

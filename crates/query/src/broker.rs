@@ -670,6 +670,7 @@ mod tests {
     use dwr_partition::doc::{DocPartitioner, RoundRobinPartitioner};
     use dwr_partition::parted::Corpus;
     use dwr_partition::quality::global_top_k;
+    use dwr_text::index::build_index;
 
     fn corpus() -> Corpus {
         (0..40u32).map(|d| vec![(TermId(d % 7), 1 + d % 3), (TermId(100 + d % 5), 1)]).collect()
@@ -726,7 +727,7 @@ mod tests {
         let top5: std::collections::HashSet<_> = local.iter().take(5).collect();
         assert!(global.iter().take(5).any(|d| !top5.contains(d)), "{local:?} vs {global:?}");
         // The second round's statistics restore the monolithic ranking.
-        assert_eq!(global, global_top_k(&corpus, &terms, 10));
+        assert_eq!(global, global_top_k(&build_index(&corpus), &terms, 10));
     }
 
     #[test]
@@ -735,7 +736,7 @@ mod tests {
         let broker = DocBroker::single_site(&pi);
         let terms = [TermId(1), TermId(100)];
         let got: Vec<u32> = broker.query(&terms, 10).hits.iter().map(|h| h.doc).collect();
-        let want = global_top_k(&c, &terms, 10);
+        let want = global_top_k(&build_index(&c), &terms, 10);
         // Local statistics may permute near-ties; the *sets* must agree.
         let mut gs = got.clone();
         let mut ws = want.clone();

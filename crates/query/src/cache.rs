@@ -7,6 +7,11 @@
 //! and a *dynamic* LRU half for bursts — and beats either alone on
 //! Zipf-with-drift traffic.
 //!
+//! A hit is meant to be that simple here too: [`LruCache`] — the policy
+//! every engine serves through — finds, refreshes and evicts entries in
+//! O(1), and [`ShardedCache::get_recorded`] allocates only the hits it
+//! returns.
+//!
 //! Caches also double as a dependability mechanism: [`ResultCache::get`]
 //! never expires entries, so a front-end can serve stale results while the
 //! backend is down (experiment E8 measures this).
@@ -17,6 +22,7 @@
 
 use crate::broker::GlobalHit;
 use crate::lock_recovering;
+use dwr_sim::hash::IdMap;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
@@ -94,76 +100,128 @@ pub trait ResultCache {
     fn name(&self) -> &'static str;
 }
 
-/// Classic LRU with O(log n) eviction (recency index in a BTreeMap).
+/// End of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One resident entry of an [`LruCache`], linked into its recency list.
+#[derive(Debug)]
+struct Slot {
+    key: u64,
+    value: CachedResults,
+    /// The next more recently used slot, or `NIL` at the newest.
+    newer: u32,
+    /// The next less recently used slot, or `NIL` at the oldest.
+    older: u32,
+}
+
+/// Classic LRU, O(1) per lookup, put and eviction: entries live in a slab
+/// threaded on an intrusive recency list, found through an id-hashed
+/// index. The victim is the least recently got-or-put entry; a lookup that
+/// misses (absent, or not deep enough) leaves recency as it was.
 #[derive(Debug)]
 pub struct LruCache {
     capacity: usize,
-    map: HashMap<u64, (CachedResults, u64)>,
-    by_recency: BTreeMap<u64, u64>,
-    tick: u64,
+    index: IdMap<u64, u32>,
+    slots: Vec<Slot>,
+    /// The most recently used slot, `NIL` while empty.
+    newest: u32,
+    /// The least recently used slot — the next victim — `NIL` while empty.
+    oldest: u32,
     stats: CacheStats,
 }
 
 impl LruCache {
     /// Create an LRU cache holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
+        assert!(capacity > 0 && capacity < NIL as usize);
         LruCache {
             capacity,
-            map: HashMap::with_capacity(capacity),
-            by_recency: BTreeMap::new(),
-            tick: 0,
+            index: IdMap::with_capacity_and_hasher(capacity, Default::default()),
+            slots: Vec::with_capacity(capacity),
+            newest: NIL,
+            oldest: NIL,
             stats: CacheStats::default(),
         }
     }
 
-    fn touch(&mut self, key: u64) {
-        self.tick += 1;
-        if let Some((_, stamp)) = self.map.get_mut(&key) {
-            self.by_recency.remove(stamp);
-            *stamp = self.tick;
-            self.by_recency.insert(self.tick, key);
+    /// Take slot `i` out of the recency list.
+    fn unlink(&mut self, i: u32) {
+        let Slot { newer, older, .. } = self.slots[i as usize];
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    /// Put unlinked slot `i` at the newest end of the recency list.
+    fn link_newest(&mut self, i: u32) {
+        let slot = &mut self.slots[i as usize];
+        slot.newer = NIL;
+        slot.older = self.newest;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slots[n as usize].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// Make slot `i` the most recently used.
+    fn touch(&mut self, i: u32) {
+        if self.newest != i {
+            self.unlink(i);
+            self.link_newest(i);
         }
     }
 }
 
 impl ResultCache for LruCache {
     fn get(&mut self, key: u64, k: usize) -> Option<&CachedResults> {
-        if self.map.get(&key).is_some_and(|(v, _)| v.answers(k)) {
-            self.stats.hits += 1;
-            self.touch(key);
-            self.map.get(&key).map(|(v, _)| v)
-        } else {
-            self.stats.misses += 1;
-            None
+        match self.index.get(&key) {
+            Some(&i) if self.slots[i as usize].value.answers(k) => {
+                self.stats.hits += 1;
+                self.touch(i);
+                Some(&self.slots[i as usize].value)
+            }
+            _ => {
+                self.stats.misses += 1;
+                None
+            }
         }
     }
 
     fn put(&mut self, key: u64, value: CachedResults) {
-        self.tick += 1;
-        if let Some((old_value, stamp)) = self.map.get_mut(&key) {
-            *old_value = value;
-            self.by_recency.remove(stamp);
-            *stamp = self.tick;
-            self.by_recency.insert(self.tick, key);
+        if let Some(&i) = self.index.get(&key) {
+            self.slots[i as usize].value = value;
+            self.touch(i);
             return;
         }
-        if self.map.len() >= self.capacity {
-            if let Some((&oldest, &victim)) = self.by_recency.iter().next() {
-                self.by_recency.remove(&oldest);
-                self.map.remove(&victim);
-                self.stats.evictions += 1;
-            }
-        }
-        self.map.insert(key, (value, self.tick));
-        self.by_recency.insert(self.tick, key);
+        let i = if self.slots.len() < self.capacity {
+            self.slots.push(Slot { key, value, newer: NIL, older: NIL });
+            (self.slots.len() - 1) as u32
+        } else {
+            // Full: the oldest slot is the victim, and takes the new entry.
+            let victim = self.oldest;
+            self.unlink(victim);
+            let slot = &mut self.slots[victim as usize];
+            self.index.remove(&slot.key);
+            slot.key = key;
+            slot.value = value;
+            self.stats.evictions += 1;
+            victim
+        };
+        self.link_newest(i);
+        self.index.insert(key, i);
     }
 
     fn stats(&self) -> CacheStats {
         self.stats
     }
     fn len(&self) -> usize {
-        self.map.len()
+        self.slots.len()
     }
     fn name(&self) -> &'static str {
         "LRU"
@@ -255,6 +313,7 @@ pub struct SdcCache {
     /// Static slots: reserved at build time, `None` until first filled.
     static_map: HashMap<u64, Option<CachedResults>>,
     dynamic: LruCache,
+    /// Lookups of the static section; the dynamic half counts its own.
     stats: CacheStats,
 }
 
@@ -283,17 +342,8 @@ impl ResultCache for SdcCache {
             self.stats.misses += 1;
             return None;
         }
-        // Delegate to the dynamic half; fold its counters into ours.
-        let before = self.dynamic.stats();
-        let hit = self.dynamic.get(key, k).is_some();
-        let after = self.dynamic.stats();
-        self.stats.hits += after.hits - before.hits;
-        self.stats.misses += after.misses - before.misses;
-        if hit {
-            self.dynamic.map.get(&key).map(|(v, _)| v)
-        } else {
-            None
-        }
+        // The dynamic half counts its own lookups; `stats` adds them in.
+        self.dynamic.get(key, k)
     }
 
     fn put(&mut self, key: u64, value: CachedResults) {
@@ -306,7 +356,11 @@ impl ResultCache for SdcCache {
 
     fn stats(&self) -> CacheStats {
         let d = self.dynamic.stats();
-        CacheStats { evictions: d.evictions, ..self.stats }
+        CacheStats {
+            hits: self.stats.hits + d.hits,
+            misses: self.stats.misses + d.misses,
+            evictions: d.evictions,
+        }
     }
     fn len(&self) -> usize {
         self.static_map.values().filter(|v| v.is_some()).count() + self.dynamic.len()

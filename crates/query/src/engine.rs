@@ -82,11 +82,11 @@ use dwr_obs::{Event, Histogram, NoopRecorder, Outcome as ObsOutcome, Recorder};
 use dwr_partition::parted::PartitionedIndex;
 use dwr_partition::repart::{RepartIndex, SplitFate, SplitSchedule};
 use dwr_partition::select::CollectionSelector;
+use dwr_sim::hash::IdSet;
 use dwr_sim::SimTime;
 use dwr_text::search::EvalStrategy;
 use dwr_text::TermId;
 use std::cell::OnceCell;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -349,12 +349,27 @@ struct EngineCore<C: ResultCache> {
     splits: Option<(Arc<SplitSchedule>, Mutex<usize>)>,
 }
 
-/// A stable cache key for a term multiset.
+/// Queries up to this many terms are keyed without allocating (every
+/// query model draws 1–4).
+const KEY_ON_STACK: usize = 8;
+
+/// A stable cache key for a term multiset: the FNV-1a fold of its ids in
+/// ascending order.
 pub fn query_key(terms: &[TermId]) -> u64 {
-    let mut sorted: Vec<u32> = terms.iter().map(|t| t.0).collect();
+    let mut stack = [0u32; KEY_ON_STACK];
+    let mut heap = Vec::new();
+    let sorted = if terms.len() <= KEY_ON_STACK {
+        &mut stack[..terms.len()]
+    } else {
+        heap.resize(terms.len(), 0);
+        &mut heap[..]
+    };
+    for (slot, t) in sorted.iter_mut().zip(terms) {
+        *slot = t.0;
+    }
     sorted.sort_unstable();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for t in sorted {
+    for &t in &*sorted {
         h ^= u64::from(t);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
@@ -690,14 +705,18 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// Serve a query, reporting the simulated backend latency alongside
     /// the results.
     pub fn query_full(&self, terms: &[TermId], k: usize) -> EngineResponse {
-        self.answer(&[terms], k, false).pop().expect("one response per query")
+        let mut slot = [None];
+        self.answer(&[terms], k, false, &mut slot);
+        slot[0].take().expect("one response per query")
     }
 
     /// Serve a query, allowing stale cache results when the backend is
     /// down (the dependability role of caches). Unlike [`Self::query`],
     /// a backend outage consults the cache *ignoring freshness*.
     pub fn query_stale_ok(&self, terms: &[TermId], k: usize) -> (Vec<GlobalHit>, Served) {
-        let r = self.answer(&[terms], k, true).pop().expect("one response per query");
+        let mut slot = [None];
+        self.answer(&[terms], k, true, &mut slot);
+        let r = slot[0].take().expect("one response per query");
         (r.hits, r.served)
     }
 
@@ -725,12 +744,16 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// `Hedge`s on a miss; then the scatter/gather blocks of the misses
     /// (query order); then their `Outcome`s (query order).
     pub fn query_batch(&self, queries: &[Vec<TermId>], k: usize) -> Vec<EngineResponse> {
-        self.answer(queries, k, false)
+        let mut out = vec![None; queries.len()];
+        self.answer(queries, k, false, &mut out);
+        out.into_iter().map(|r| r.expect("every admitted query resolved")).collect()
     }
 
     /// The one serving pipeline: admission (cache consult) and dispatch
     /// per query in query order, evaluation of every cache miss in one
-    /// broker batch, resolution in query order.
+    /// broker batch, resolution in query order. Query `i`'s response
+    /// lands in `out[i]`, so a call its cache answers whole allocates
+    /// nothing but the hits it returns.
     ///
     /// Every query of the call is served against one epoch-consistent
     /// snapshot, threaded through choose, dispatch, and evaluation, so a
@@ -743,16 +766,17 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         queries: &[Q],
         k: usize,
         stale_ok: bool,
-    ) -> Vec<EngineResponse> {
+        out: &mut [Option<EngineResponse>],
+    ) {
+        debug_assert_eq!(queries.len(), out.len(), "one slot per query");
         let now = self.now();
         let snap_cell = OnceCell::new();
         let snap = || snap_cell.get_or_init(|| self.broker.snapshot());
-        let mut out: Vec<Option<EngineResponse>> = Vec::with_capacity(queries.len());
         let mut staged: Vec<Staged<'_>> = Vec::new();
         // Staged entries before this index have been evaluated.
         let mut evaluated = 0;
         // Keys of staged misses whose answer will be cached.
-        let mut pending: HashSet<u64> = HashSet::new();
+        let mut pending: IdSet<u64> = IdSet::default();
         for (pos, terms) in queries.iter().map(AsRef::as_ref).enumerate() {
             let key = query_key(terms);
             self.recorder.record(Event::QueryStart { qid: key, now });
@@ -760,14 +784,13 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
                 // Asks for nothing: empty and `Full` without touching
                 // cache or backend (a deadline gather would otherwise
                 // report zero-of-n coverage as `Partial`).
-                out.push(Some(self.respond(key, now, Vec::new(), Served::Full, Some(0))));
+                out[pos] = Some(self.respond(key, now, Vec::new(), Served::Full, Some(0)));
                 continue;
             }
             // Repeats are detected *before* the cache consult so cache
             // hit/miss counters match the loop form (where the repeat's
             // consult happens after the original resolved, and hits).
             if pending.contains(&key) {
-                out.push(None);
                 staged.push(Staged::Dup { pos, key, terms });
                 continue;
             }
@@ -775,10 +798,9 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
                 let backend_down = stale_ok
                     && !self.reachable(snap(), terms).iter().any(|&p| self.group_available(p));
                 let served = if backend_down { Served::StaleFromCache } else { Served::CacheHit };
-                out.push(Some(self.respond(key, now, hit, served, None)));
+                out[pos] = Some(self.respond(key, now, hit, served, None));
                 continue;
             }
-            out.push(None);
             let mut cascade = self.begin(snap(), pos, key, terms, now);
             if cascade.decision.tranches.len() > 1 {
                 // Later tranches dispatch only once earlier rounds have
@@ -822,7 +844,6 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             };
             out[pos] = Some(resp);
         }
-        out.into_iter().map(|r| r.expect("every admitted query resolved")).collect()
     }
 
     /// Start a cache miss's cascade: decide its tranches — the router's

@@ -241,6 +241,9 @@ pub struct MultiSiteResponse {
 pub struct MultiSiteEngine<C: ResultCache, R: Recorder = NoopRecorder> {
     sites: Vec<SiteNode<C, R>>,
     topo: Topology,
+    /// Per anchor site, every site nearest first
+    /// ([`Topology::order_by_latency`]): the failover order.
+    orders: Vec<Vec<SiteId>>,
     cfg: MultiSiteConfig,
     counters: Counters,
     clock: AtomicU64,
@@ -269,9 +272,11 @@ impl<C: ResultCache, R: Recorder + Clone> MultiSiteEngine<C, R> {
                 window: Mutex::new(UtilWindow::default()),
             })
             .collect();
+        let orders = (0..topo.sites() as u32).map(|s| topo.order_by_latency(SiteId(s))).collect();
         MultiSiteEngine {
             sites,
             topo,
+            orders,
             cfg,
             counters: Counters::default(),
             clock: AtomicU64::new(0),
@@ -309,9 +314,9 @@ impl<C: ResultCache, R: Recorder + Clone> MultiSiteEngine<C, R> {
         &self.recorder
     }
 
-    /// Sites whose outage trace says they are up at `t`.
-    pub fn live_sites(&self, t: SimTime) -> Vec<usize> {
-        (0..self.sites.len()).filter(|&s| self.sites[s].outages.is_up(t)).collect()
+    /// How many sites their outage traces say are up at `t`.
+    pub fn live_sites(&self, t: SimTime) -> usize {
+        self.sites.iter().filter(|node| node.outages.is_up(t)).count()
     }
 
     /// Measured utilization of `site` in the window containing `now`.
@@ -331,7 +336,6 @@ impl<C: ResultCache, R: Recorder + Clone> MultiSiteEngine<C, R> {
         let now = self.now();
         let anchor = self.anchor(region);
         let anchor_id = SiteId(anchor as u32);
-        let order = self.topo.order_by_latency(anchor_id);
         // The query key is only needed for event correlation; skip the
         // hash when nobody is listening.
         let qid = if self.recorder.is_live() { query_key(terms) } else { 0 };
@@ -343,7 +347,7 @@ impl<C: ResultCache, R: Recorder + Clone> MultiSiteEngine<C, R> {
         let mut any_live = false;
         let mut refused_overload = false;
 
-        for sid in order {
+        for &sid in &self.orders[anchor] {
             let s = sid.0 as usize;
             let node = &self.sites[s];
             if !node.outages.is_up(now) {

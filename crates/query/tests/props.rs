@@ -1,7 +1,8 @@
 //! Property-based tests of query-layer invariants: cache bounds, replica
 //! dispatch, key stability, and the scatter pool's batch gather.
 
-use dwr_query::cache::{LfuCache, LruCache, ResultCache, SdcCache};
+use dwr_query::broker::GlobalHit;
+use dwr_query::cache::{CacheStats, CachedResults, LfuCache, LruCache, ResultCache, SdcCache};
 use dwr_query::engine::query_key;
 use dwr_query::replica::{PrimaryBackupStore, ReplicaGroup};
 use dwr_query::ScatterPool;
@@ -43,12 +44,47 @@ proptest! {
         }
     }
 
-    /// The query cache key is order- and duplication-insensitive in the
-    /// ways a term multiset should be (sorted canonical form).
+    /// The LRU is the naive model — entries in a `Vec` kept oldest to
+    /// newest — operation for operation: same entry returned (or none),
+    /// same length and same counters after every `get` and `put`, over
+    /// entries of every depth and lookups at every depth.
     #[test]
-    fn query_key_order_insensitive(mut terms in prop::collection::vec(0u32..10_000, 1..8), seed in any::<u64>()) {
+    fn lru_equals_a_recency_ordered_vec(
+        cap in 1usize..9,
+        ops in prop::collection::vec((0usize..6, 0u64..12, 0usize..25, 0usize..25), 0..200)
+    ) {
+        let mut lru = LruCache::new(cap);
+        let mut model = LruModel { cap, entries: Vec::new(), stats: CacheStats::default() };
+        for (n, &(op, key, k, len)) in ops.iter().enumerate() {
+            // Ops 0–3 look up at one of four depths, 4–5 put.
+            if let Some(&k) = [0, 5, 10, 20].get(op) {
+                let got = lru.get(key, k).cloned();
+                prop_assert_eq!(got, model.get(key, k), "op {}: get({}, {})", n, key, k);
+            } else {
+                // Entry `n`: asked `k` deep, holding up to `k` hits.
+                let hits = (0..len.min(k) as u32).map(|d| GlobalHit { doc: d, score: n as f32 }).collect();
+                let value = CachedResults { k, hits };
+                lru.put(key, value.clone());
+                model.put(key, value);
+            }
+            prop_assert_eq!(lru.len(), model.entries.len(), "op {}", n);
+            prop_assert_eq!(lru.stats(), model.stats, "op {}", n);
+        }
+    }
+
+    /// The query cache key is order- and duplication-insensitive in the
+    /// ways a term multiset should be (sorted canonical form), and is the
+    /// FNV-1a fold of the sorted ids — on the stack or past its bound.
+    #[test]
+    fn query_key_order_insensitive(mut terms in prop::collection::vec(0u32..10_000, 0..21), seed in any::<u64>()) {
         let ids: Vec<TermId> = terms.iter().map(|&t| TermId(t)).collect();
         let k1 = query_key(&ids);
+        let mut sorted = terms.clone();
+        sorted.sort_unstable();
+        let fold = sorted.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &t| {
+            (h ^ u64::from(t)).wrapping_mul(0x1000_0000_01b3)
+        });
+        prop_assert_eq!(k1, fold);
         // Shuffle deterministically.
         let mut rng = dwr_sim::SimRng::new(seed);
         rng.shuffle(&mut terms);
@@ -122,6 +158,40 @@ proptest! {
         let on_caller: Vec<Vec<u64>> =
             groups().into_iter().map(|g| g.into_iter().map(|task| task()).collect()).collect();
         prop_assert_eq!(ScatterPool::new(threads).scatter_batch(groups()), on_caller);
+    }
+}
+
+/// The reference LRU: resident entries oldest first, found by a scan.
+struct LruModel {
+    cap: usize,
+    entries: Vec<(u64, CachedResults)>,
+    stats: CacheStats,
+}
+
+impl LruModel {
+    fn get(&mut self, key: u64, k: usize) -> Option<CachedResults> {
+        match self.entries.iter().position(|(e, v)| *e == key && v.answers(k)) {
+            Some(i) => {
+                self.stats.hits += 1;
+                let entry = self.entries.remove(i);
+                self.entries.push(entry);
+                self.entries.last().map(|(_, v)| v.clone())
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn put(&mut self, key: u64, value: CachedResults) {
+        if let Some(i) = self.entries.iter().position(|(e, _)| *e == key) {
+            self.entries.remove(i);
+        } else if self.entries.len() == self.cap {
+            self.entries.remove(0);
+            self.stats.evictions += 1;
+        }
+        self.entries.push((key, value));
     }
 }
 

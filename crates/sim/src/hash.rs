@@ -4,15 +4,17 @@
 //! program (content-model layout, document order, generation order), not
 //! chosen by whoever sends a query or serves a page, so SipHash's
 //! resistance to crafted collisions buys nothing for them. [`IdHasher`]
-//! hashes such an id with one multiply and one xor-shift instead.
+//! hashes such an id with one multiply and one xor-shift instead. The
+//! same holds for the 64-bit query keys the result cache and the engine
+//! index by: a key is an FNV fold of the program's own term ids.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Hasher for `u32` ids and newtypes over them: one multiply and one
-/// xor-shift per key. Ids are arbitrary `u32`s, so the multiply carries
-/// every bit upward and the xor-shift folds the high half back into the
-/// low bits the table indexes by.
+/// Hasher for `u32` ids, newtypes over them and `u64` query keys: one
+/// multiply and one xor-shift per key. Ids are arbitrary, so the
+/// multiply carries every bit upward and the xor-shift folds the high
+/// half back into the low bits the table indexes by.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdHasher(u64);
 
@@ -27,7 +29,12 @@ impl Hasher for IdHasher {
 
     #[inline]
     fn write_u32(&mut self, id: u32) {
-        let x = (self.0 ^ u64::from(id)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.write_u64(u64::from(id));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let x = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.0 = x ^ (x >> 32);
     }
 
@@ -58,6 +65,14 @@ mod tests {
                 (0..32u32).map(|high| build.hash_one(high << 16 | low) & 63).collect();
             assert_eq!(buckets.len(), 32, "low bits {low:#x}");
         }
+    }
+
+    #[test]
+    fn id_hasher_spreads_u64_keys_that_share_their_low_half() {
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let buckets: std::collections::BTreeSet<u64> =
+            (0..32u64).map(|high| build.hash_one(high << 32 | 0xbeef) & 63).collect();
+        assert_eq!(buckets.len(), 32);
     }
 
     #[test]

@@ -616,7 +616,7 @@ impl SoakScenario {
             }
             engine.advance_to(a.time);
             let q = qmodel.sample(&mut qrng);
-            let live_sites = engine.live_sites(a.time).len() as u32;
+            let live_sites = engine.live_sites(a.time) as u32;
             let r = engine.query(a.region, &qmodel.query(q).terms, cfg.k);
             win_queries += 1;
             queries.push(QueryRecord {

@@ -72,7 +72,7 @@ fn main() {
     let study = |name: &str, assignment: Vec<u32>, selector: &dyn CollectionSelector| {
         let pi = PartitionedIndex::build(&corpus, &assignment, K);
         let b = size_balance(&pi);
-        let curve = recall_curve(&pi, selector, &corpus, &test, 10);
+        let curve = recall_curve(&pi, selector, &reference, &test, 10);
         println!(
             "{:<26} {:>9.2} {:>8.3} | {:>7.1}% {:>7.1}% {:>7.1}%",
             name,

@@ -180,8 +180,9 @@ fn post_split_children_inherit_parent_quality() {
     // in the parent iff it now lives in one of its children, so any
     // selection that swaps the parent for its children sees identical
     // recall (ε = 0), query by query.
+    let reference = build_index(&s.corpus);
     for q in &s.queries {
-        let topk = global_top_k(&s.corpus, q, 10);
+        let topk = global_top_k(&reference, q, 10);
         let in_parent = topk.iter().filter(|&&d| before.partition_of(d) == parent).count();
         let in_children =
             topk.iter().filter(|&&d| children.contains(&after.partition_of(d))).count();

@@ -10,12 +10,15 @@
 //! fixture, short stream)
 
 use crate::{Ctx, Scale, SEED};
+use dwr_avail::failure::DownInterval;
 use dwr_query::cache::{LfuCache, LruCache, ResultCache, SdcCache};
 use dwr_query::engine::{query_key, DistributedEngine, Served};
+use dwr_query::faults::FaultSchedule;
 use dwr_querylog::arrival::DiurnalProfile;
 use dwr_querylog::drift::TopicDrift;
 use dwr_querylog::log::QueryLog;
-use dwr_sim::{DAY, HOUR};
+use dwr_sim::{SimTime, DAY, HOUR, SECOND};
+use std::sync::Arc;
 
 pub(crate) fn run(ctx: &Ctx) {
     let smoke = ctx.smoke;
@@ -68,23 +71,19 @@ pub(crate) fn run(ctx: &Ctx) {
     // (b) Failure masking: a full backend outage; the cache serves stale.
     println!("\n(b) caches as fault tolerance: full backend outage mid-stream");
     let pi = ctx.random_index(scale, 4);
-    let engine = DistributedEngine::new(&pi, LruCache::new(2048), 1);
-    let mut answered_during_outage = 0u64;
-    let mut failed_during_outage = 0u64;
     let records = test.records();
     let outage_start = records.len() / 2;
     let outage_end = outage_start + records.len() / 4;
+    // Query `i` is served at `i` seconds, so the outage starts and ends
+    // at query instants and never inside a query's service window.
+    let at = |i: usize| i as SimTime * SECOND;
+    let outage = vec![DownInterval { start: at(outage_start), end: at(outage_end) }];
+    let schedule = FaultSchedule::from_intervals(vec![vec![outage]; 4], at(records.len()));
+    let engine = DistributedEngine::new(&pi, LruCache::new(2048), 1).with_faults(Arc::new(schedule));
+    let mut answered_during_outage = 0u64;
+    let mut failed_during_outage = 0u64;
     for (i, rec) in records.iter().enumerate() {
-        if i == outage_start {
-            for p in 0..4 {
-                engine.set_replica_alive(p, 0, false);
-            }
-        }
-        if i == outage_end {
-            for p in 0..4 {
-                engine.set_replica_alive(p, 0, true);
-            }
-        }
+        engine.advance_to(at(i));
         let (_, served) = engine.query_stale_ok(&f.terms(rec.query), 10);
         if (outage_start..outage_end).contains(&i) {
             match served {

@@ -25,12 +25,14 @@
 //! Run: `cargo run -p dwr-bench --release -- E25 [--smoke]`
 
 use crate::{accelerated_site_traces, site_tier, Ctx, Scale, SEED};
+use dwr_avail::failure::DownInterval;
 use dwr_obs::report::{busy_load_report, stage_tail_report};
 use dwr_obs::{NoopRecorder, ObsConfig, ObsRecorder, Snapshot};
 use dwr_query::cache::LruCache;
 use dwr_query::engine::{DistributedEngine, EngineStats};
+use dwr_query::faults::FaultSchedule;
 use dwr_query::multisite::MultiSiteConfig;
-use dwr_sim::{SimRng, SimTime, DAY};
+use dwr_sim::{SimRng, SimTime, DAY, SECOND};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -77,22 +79,24 @@ pub(crate) fn run(ctx: &Ctx) {
     let cfg = || ObsConfig::single_site(PARTITIONS).sample(101);
     let rec_seq = Arc::new(ObsRecorder::new(cfg()));
     let rec_par = Arc::new(ObsRecorder::new(cfg()));
-    let seq = DistributedEngine::new(&pi, LruCache::new(512), 2).with_obs(Arc::clone(&rec_seq));
+    // Query `i` is served at `i` seconds; both replicas of partition 0
+    // are down from the kill query's instant to the revive query's.
+    let at = |i: usize| i as SimTime * SECOND;
+    let (kill_at, revive_at) = (n_queries / 3, 2 * n_queries / 3);
+    let outage = vec![DownInterval { start: at(kill_at), end: at(revive_at) }];
+    let schedule = Arc::new(FaultSchedule::from_intervals(vec![vec![outage; 2]], at(n_queries)));
+    let seq = DistributedEngine::new(&pi, LruCache::new(512), 2)
+        .with_faults(Arc::clone(&schedule))
+        .with_obs(Arc::clone(&rec_seq));
     let par = DistributedEngine::new(&pi, LruCache::new(512), 2)
+        .with_faults(schedule)
         .with_parallelism(4)
         .with_obs(Arc::clone(&rec_par));
     assert!(par.is_parallel());
 
-    let kill_at = n_queries / 3;
-    let revive_at = 2 * n_queries / 3;
     for (i, terms) in f.zipf_terms(0x0B5E, n_queries).iter().enumerate() {
-        if i == kill_at || i == revive_at {
-            let up = i == revive_at;
-            for r in 0..2 {
-                seq.set_replica_alive(0, r, up);
-                par.set_replica_alive(0, r, up);
-            }
-        }
+        seq.advance_to(at(i));
+        par.advance_to(at(i));
         let a = seq.query_full(terms, 10);
         let b = par.query_full(terms, 10);
         assert_eq!(a.hits, b.hits, "query {i}");

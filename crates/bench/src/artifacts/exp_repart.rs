@@ -26,15 +26,16 @@
 //! Run: `cargo run -p dwr-bench --release -- E29 [--smoke]`
 
 use crate::{Ctx, Scale, SEED};
+use dwr_avail::failure::DownInterval;
 use dwr_obs::recorder::{ObsConfig, ObsRecorder};
 use dwr_partition::parted::{Corpus, PartitionedIndex};
 use dwr_partition::repart::{RepartIndex, SplitSchedule};
 use dwr_query::cache::LruCache;
 use dwr_query::engine::{DistributedEngine, Served};
+use dwr_query::faults::FaultSchedule;
 use dwr_sim::stats::Samples;
 use dwr_sim::{SimTime, DAY, SECOND};
 use dwr_text::TermId;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 const SERVERS: usize = 8;
@@ -188,27 +189,30 @@ fn run_offline(
     rebuilds: &[Rebuild],
     final_epoch: u64,
 ) -> Cell {
-    let engine =
-        DistributedEngine::new(pi, LruCache::new(512), REPLICAS).with_parallelism(POOL_THREADS);
+    // Query `i` is served at `i × HORIZON / n`. Every replica of a
+    // rebuilt shard is down over its window, with both ends moved up to
+    // the next query instant: no query sees the window differently, and
+    // no outage starts inside a query's service window.
+    let n = stream.len() as SimTime;
+    let at = |i: SimTime| i * HORIZON / n;
+    let next_query = |t: SimTime| at((t * n).div_ceil(HORIZON));
+    let lockouts = (0..SERVERS)
+        .map(|p| {
+            let windows = rebuilds.iter().filter(|w| w.root == p);
+            let ivs: Vec<_> = windows
+                .map(|w| DownInterval { start: next_query(w.start), end: next_query(w.end) })
+                .collect();
+            vec![ivs; REPLICAS]
+        })
+        .collect();
+    let schedule = FaultSchedule::from_intervals(lockouts, HORIZON);
+    let engine = DistributedEngine::new(pi, LruCache::new(512), REPLICAS)
+        .with_faults(Arc::new(schedule))
+        .with_parallelism(POOL_THREADS);
 
     let mut raw: Vec<f64> = Vec::with_capacity(stream.len());
-    let mut down: HashSet<usize> = HashSet::new();
     for (i, terms) in stream.iter().enumerate() {
-        let now = i as SimTime * HORIZON / stream.len() as SimTime;
-        engine.advance_to(now);
-        let want_down: HashSet<usize> =
-            rebuilds.iter().filter(|w| w.start <= now && now < w.end).map(|w| w.root).collect();
-        for &p in down.difference(&want_down) {
-            for r in 0..REPLICAS {
-                engine.set_replica_alive(p, r, true);
-            }
-        }
-        for &p in want_down.difference(&down) {
-            for r in 0..REPLICAS {
-                engine.set_replica_alive(p, r, false);
-            }
-        }
-        down = want_down;
+        engine.advance_to(at(i as SimTime));
         let r = engine.query_full(terms, K);
         if r.served == Served::Full {
             raw.push(r.latency.expect("served queries carry a latency") as f64);

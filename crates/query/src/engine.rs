@@ -35,16 +35,18 @@
 //!
 //! # Fault injection
 //!
-//! Replica liveness can be driven by a [`FaultSchedule`]
-//! ([`DistributedEngine::with_faults`]): [`DistributedEngine::advance_to`]
-//! applies the schedule's outage state at a simulated instant, and at
-//! dispatch time the engine checks whether the chosen replica dies
-//! *mid-query*, in which case it hedges once on another live replica
-//! (subject to the optional per-query deadline,
-//! [`DistributedEngine::with_deadline`]) before dropping the partition as
-//! degraded. Selection, the availability check, and dispatch happen in
-//! **one** pass under a single lock per replica group, so a group dying
-//! concurrently can never be counted as served.
+//! A [`FaultSchedule`] ([`DistributedEngine::with_faults`]) is the one
+//! record of replica liveness: replica `r` of slot `p` is up at `t` unless
+//! the schedule has it down then (no schedule, or a pair outside it, is
+//! up). Every serving call reads it at the call's one instant,
+//! [`DistributedEngine::now`] — to pick a replica, to decide stale
+//! serving, and to ask whether the chosen replica dies *mid-query*, in
+//! which case the engine hedges once on another up replica (subject to
+//! the optional per-query deadline, [`DistributedEngine::with_deadline`])
+//! before dropping the partition as degraded. A split's builder reads it
+//! at the split's instant. Liveness is a function of time, not state, so
+//! a clock moved concurrently cannot make a dispatch disagree with the
+//! check that chose it.
 //!
 //! # Tail tolerance
 //!
@@ -328,8 +330,10 @@ struct EngineCore<C: ResultCache> {
     /// router's chosen partitions (with its recall-safe cascade) instead
     /// of every active partition.
     router: Option<Arc<ShardRouter>>,
-    /// Outage schedule consulted at dispatch time and by `advance_to`.
+    /// The one record of replica liveness, read at each call's instant.
     faults: Option<Arc<FaultSchedule>>,
+    /// Replicas per group.
+    replicas: usize,
     /// Per-query latency budget gating hedged retries.
     deadline: Option<SimTime>,
     /// When the engine launches a duplicate request on a second replica.
@@ -403,6 +407,7 @@ impl<C: ResultCache> DistributedEngine<C> {
             counters: Counters::default(),
             router: None,
             faults: None,
+            replicas,
             deadline: None,
             policy: HedgePolicy::default(),
             stragglers: None,
@@ -510,13 +515,13 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         self
     }
 
-    /// Drive replica liveness from an outage schedule: `advance_to`
-    /// applies its state, and dispatch consults it for mid-query replica
-    /// deaths (triggering hedged retries). The same `Arc` can drive
-    /// several engines, which keeps fault-equivalence tests honest.
+    /// Drive replica liveness from an outage schedule: every serving
+    /// call reads it at the engine's clock, for the replicas it may pick
+    /// and for mid-query deaths (triggering hedged retries). The same
+    /// `Arc` can drive several engines, which keeps fault-equivalence
+    /// tests honest.
     pub fn with_faults(mut self, schedule: Arc<FaultSchedule>) -> Self {
         self.core.faults = Some(schedule);
-        self.advance_to(self.now());
         self
     }
 
@@ -579,27 +584,16 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         self.core.clock.load(Ordering::Relaxed)
     }
 
-    /// Advance the simulated clock to `t`, fire any scheduled splits
-    /// whose instant has been reached, and apply the fault schedule's
-    /// outage state to every replica group. Idempotent; callable from any
-    /// thread while other threads serve queries.
+    /// Advance the simulated clock to `t` (the instant at which later
+    /// calls read replica liveness), fire any scheduled splits whose
+    /// instant has been reached, and let the router check for drift.
+    /// Idempotent; callable from any thread while other threads serve
+    /// queries.
     pub fn advance_to(&self, t: SimTime) {
         self.core.clock.store(t, Ordering::Relaxed);
         self.fire_due_splits(t);
         if let Some(router) = &self.core.router {
             router.maybe_refresh(t, &self.recorder);
-        }
-        let Some(faults) = &self.core.faults else { return };
-        for (p, group) in self.core.groups.iter().enumerate() {
-            let replicas = faults.num_replicas(p);
-            if replicas == 0 {
-                continue;
-            }
-            let mut g = lock_recovering(group);
-            for r in 0..replicas {
-                // Graceful on schedules wider than the group.
-                g.set_alive(r, !faults.is_down(p, r, t));
-            }
         }
     }
 
@@ -607,7 +601,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// (the cursor advances under its own lock, so concurrent
     /// `advance_to` calls race safely). The injected crash fate comes
     /// from the schedule, downgraded to a clean abort when the parent's
-    /// replica group has no live replica at the split instant — a split
+    /// replica group has no up replica at the split instant — a split
     /// needs a live builder.
     fn fire_due_splits(&self, t: SimTime) {
         let Some((schedule, cursor)) = &self.core.splits else { return };
@@ -619,11 +613,8 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             }
             *cur += 1;
             let Some(parent) = repart.split_target() else { continue };
-            let fate = if self.group_has_live_replica(parent, ev.at) {
-                ev.fate
-            } else {
-                SplitFate::CrashBeforePublish
-            };
+            let fate =
+                if self.group_up(parent, ev.at) { ev.fate } else { SplitFate::CrashBeforePublish };
             match repart.split(parent, fate) {
                 Ok(report) if report.committed => self.recorder.record(Event::RepartSplit {
                     now: ev.at,
@@ -652,25 +643,19 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         index.capacity() > index.snapshot().num_partitions()
     }
 
-    /// Whether any replica of partition `p`'s group is live at `at`
-    /// according to the fault schedule (no schedule = always live).
-    fn group_has_live_replica(&self, p: u32, at: SimTime) -> bool {
-        let Some(faults) = &self.core.faults else { return true };
-        let pu = p as usize;
-        let replicas = faults.num_replicas(pu);
-        if replicas == 0 {
-            return true;
-        }
-        (0..replicas).any(|r| !faults.is_down(pu, r, at))
+    /// The one liveness rule: replica `r` of slot `p` is up at `t`
+    /// unless the fault schedule has it down then. With no schedule, or
+    /// for a pair outside it, it is up.
+    fn replica_up(&self, p: usize, r: usize, t: SimTime) -> bool {
+        self.core.faults.as_ref().is_none_or(|f| !f.is_down(p, r, t))
     }
 
-    /// Mark one replica of one partition down or up. Returns `false`
-    /// (changing nothing) when either index is out of range.
-    pub fn set_replica_alive(&self, partition: usize, replica: usize, up: bool) -> bool {
-        match self.core.groups.get(partition) {
-            Some(g) => lock_recovering(g).set_alive(replica, up),
-            None => false,
-        }
+    /// Whether any of the replicas of slot `p`'s group is up at `t` (a
+    /// slot with no group has none). Reads only the schedule, so it takes
+    /// no group lock.
+    fn group_up(&self, p: u32, t: SimTime) -> bool {
+        let p = p as usize;
+        p < self.core.groups.len() && (0..self.core.replicas).any(|r| self.replica_up(p, r, t))
     }
 
     /// Queries dispatched so far, per partition and replica.
@@ -684,16 +669,12 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     /// static index that is `0..num_partitions`, on a live one it is the
     /// current epoch's leaves. Drives the stale-serving decision: the
     /// backend counts as down for a query only when none of these
-    /// partitions has an available replica group.
+    /// partitions has an up replica.
     fn reachable(&self, snap: &PartitionedIndex, terms: &[TermId]) -> Vec<u32> {
         match &self.core.router {
             Some(router) => router.reachable(snap, terms),
             None => snap.active_parts(),
         }
-    }
-
-    fn group_available(&self, p: u32) -> bool {
-        self.core.groups.get(p as usize).is_some_and(|g| lock_recovering(g).available())
     }
 
     /// Serve a query.
@@ -796,7 +777,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             }
             if let Some(hit) = self.core.cache.get_recorded(key, k, &self.recorder, now) {
                 let backend_down = stale_ok
-                    && !self.reachable(snap(), terms).iter().any(|&p| self.group_available(p));
+                    && !self.reachable(snap(), terms).iter().any(|&p| self.group_up(p, now));
                 let served = if backend_down { Served::StaleFromCache } else { Served::CacheHit };
                 out[pos] = Some(self.respond(key, now, hit, served, None));
                 continue;
@@ -887,12 +868,11 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
     }
 
     /// Dispatch the cascade's next tranche, one pass over its
-    /// partitions: per group, availability and dispatch are decided
-    /// under a **single** lock acquisition, so a group dying
-    /// concurrently is observed as unserved and dropped rather than
-    /// queried anyway. When a fault schedule is attached, a replica
-    /// whose outage begins mid-query loses the attempt and the engine
-    /// hedges once on another live replica (if the deadline leaves room).
+    /// partitions: per group, the first replica up at `now` takes the
+    /// query, and a group with none is dropped as unserved. When a fault
+    /// schedule is attached, a replica whose outage begins mid-query
+    /// loses the attempt and the engine hedges once on another up
+    /// replica (if the deadline leaves room).
     fn dispatch_next(&self, snap: &PartitionedIndex, now: SimTime, c: &mut Cascade<'_>) {
         let tranche = &c.decision.tranches[c.rounds];
         c.rounds += 1;
@@ -984,7 +964,7 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
         qid: u64,
     ) -> OneDispatch {
         let pu = p as usize;
-        let Some(first) = group.dispatch() else {
+        let Some(first) = group.dispatch(|r| self.replica_up(pu, r, now)) else {
             return OneDispatch::default();
         };
         let service = self.broker.service_time_in(snap, pu, terms);
@@ -1038,7 +1018,9 @@ impl<C: ResultCache, R: Recorder> DistributedEngine<C, R> {
             ..OneDispatch::default()
         };
         let Some(h) = launch else { return unhedged() };
-        let Some(second) = group.peek(Some(first)) else { return unhedged() };
+        let Some(second) = group.peek(Some(first), |r| self.replica_up(pu, r, now)) else {
+            return unhedged();
+        };
         let c2 = self.drawn_cost(service, pu, second, qid);
         // Budget the hedge at the retry replica's own drawn cost from its
         // own launch offset. (Historically this check was `2 * svc <= d`,
@@ -1304,11 +1286,34 @@ mod tests {
         assert_ne!(query_key(&[TermId(1)]), query_key(&[TermId(2)]));
     }
 
+    fn down(start: SimTime, end: SimTime) -> dwr_avail::failure::DownInterval {
+        dwr_avail::failure::DownInterval { start, end }
+    }
+
+    /// A schedule of `parts × replicas` pairs over `[0, 100)` with the
+    /// `dead` pairs down throughout: at the engine's starting instant
+    /// they are down, and no outage begins later.
+    fn down_from_start(
+        parts: usize,
+        replicas: usize,
+        dead: &[(usize, usize)],
+    ) -> Arc<FaultSchedule> {
+        let pair = |p, r| if dead.contains(&(p, r)) { vec![down(0, 100)] } else { vec![] };
+        Arc::new(FaultSchedule::from_intervals(
+            (0..parts).map(|p| (0..replicas).map(|r| pair(p, r)).collect()).collect(),
+            100,
+        ))
+    }
+
     #[test]
     fn replica_failover_keeps_full_service() {
         let pi = setup();
-        let e = DistributedEngine::new(&pi, LruCache::new(16), 2);
-        e.set_replica_alive(0, 0, false); // one replica of partition 0 down
+        // One replica of partition 0 down.
+        let e = DistributedEngine::new(&pi, LruCache::new(16), 2).with_faults(down_from_start(
+            4,
+            2,
+            &[(0, 0)],
+        ));
         let (_, s) = e.query(&[TermId(2)], 5);
         assert_eq!(s, Served::Full, "second replica covers");
     }
@@ -1316,8 +1321,12 @@ mod tests {
     #[test]
     fn dead_group_degrades_results() {
         let pi = setup();
-        let e = DistributedEngine::new(&pi, LruCache::new(16), 1);
-        e.set_replica_alive(0, 0, false); // partition 0 gone entirely
+        // Partition 0 gone entirely.
+        let e = DistributedEngine::new(&pi, LruCache::new(16), 1).with_faults(down_from_start(
+            4,
+            1,
+            &[(0, 0)],
+        ));
         let (hits, s) = e.query(&[TermId(2)], 24);
         assert_eq!(s, Served::Degraded { missing: 1 });
         // Documents of partition 0 (globals 0,4,8,...) are absent.
@@ -1327,11 +1336,14 @@ mod tests {
     #[test]
     fn stale_serving_during_total_outage() {
         let pi = setup();
-        let e = DistributedEngine::new(&pi, LruCache::new(16), 1);
+        // Every partition's only replica is down over the second
+        // simulated second, which no query at t = 0 reaches.
+        let sec = 1_000_000;
+        let schedule =
+            FaultSchedule::from_intervals(vec![vec![vec![down(sec, 2 * sec)]]; 4], 3 * sec);
+        let e = DistributedEngine::new(&pi, LruCache::new(16), 1).with_faults(Arc::new(schedule));
         let (fresh, _) = e.query(&[TermId(3)], 5); // populate cache
-        for p in 0..4 {
-            e.set_replica_alive(p, 0, false);
-        }
+        e.advance_to(sec);
         let (stale, s) = e.query_stale_ok(&[TermId(3)], 5);
         assert_eq!(s, Served::StaleFromCache);
         assert_eq!(stale, fresh);
@@ -1405,21 +1417,6 @@ mod tests {
         });
         let s = e.stats();
         assert_eq!(s.cache_hits + s.full, 101);
-    }
-
-    #[test]
-    fn set_replica_alive_out_of_range_is_ignored() {
-        let pi = setup();
-        let e = DistributedEngine::new(&pi, LruCache::new(16), 2);
-        assert!(!e.set_replica_alive(99, 0, false), "bad partition");
-        assert!(!e.set_replica_alive(0, 99, false), "bad replica");
-        assert!(e.set_replica_alive(0, 1, false));
-        let (_, s) = e.query(&[TermId(1)], 5);
-        assert_eq!(s, Served::Full, "state untouched by bad indices");
-    }
-
-    fn down(start: SimTime, end: SimTime) -> dwr_avail::failure::DownInterval {
-        dwr_avail::failure::DownInterval { start, end }
     }
 
     #[test]
@@ -1531,34 +1528,40 @@ mod tests {
         assert_eq!(e.dispatch_counts()[0], vec![1, 0], "replica 1 untouched");
     }
 
-    /// Regression for the check-then-dispatch race: pre-fix, the engine
-    /// probed availability and dispatched under *separate* lock
-    /// acquisitions and ignored a `None` dispatch, so a group dying in
-    /// between was still queried and counted `Full`. Post-fix, every
-    /// evaluated partition corresponds to exactly one successful dispatch
-    /// (no fault schedule ⇒ no hedges), an invariant this test checks
-    /// under a concurrent replica killer.
+    /// Regression for the check-then-dispatch race: an engine that
+    /// decided availability and dispatched at different moments could
+    /// count a group that died in between as served. Every evaluated
+    /// partition must correspond to exactly one successful dispatch (one
+    /// replica per group ⇒ no hedges), an invariant this test checks
+    /// while a killer thread moves the clock back and forth across an
+    /// outage of replica (0, 0).
     #[test]
     fn full_service_implies_one_dispatch_per_partition() {
         use std::sync::atomic::AtomicBool;
-        // A deliberately wide index: with 256 partitions, the pre-fix
-        // availability pass and dispatch pass are microseconds apart, so
-        // the killer thread lands inside the TOCTOU window even when a
-        // timeslice preemption is the only source of interleaving.
+        // A deliberately wide index: with 256 partitions, a query's
+        // availability and dispatch decisions are microseconds apart, so
+        // the killer thread lands between them even when a timeslice
+        // preemption is the only source of interleaving.
         const P: usize = 256;
         let corpus: Corpus = (0..P as u32).map(|d| vec![(TermId(d % 7), 1)]).collect();
         let a = RoundRobinPartitioner.assign(&corpus, P);
         let pi = PartitionedIndex::build(&corpus, &a, P);
-        let e = Arc::new(DistributedEngine::new(&pi, LruCache::new(4), 1));
+        // Replica (0, 0) is down over the second simulated second; every
+        // query starts a whole second away from the outage's start.
+        let sec = 1_000_000;
+        let schedule = FaultSchedule::from_intervals(vec![vec![vec![down(sec, 2 * sec)]]], 3 * sec);
+        let e = Arc::new(
+            DistributedEngine::new(&pi, LruCache::new(4), 1).with_faults(Arc::new(schedule)),
+        );
         let stop = Arc::new(AtomicBool::new(false));
         let killer = {
             let e = Arc::clone(&e);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut up = false;
+                let mut down = false;
                 while !stop.load(Ordering::Relaxed) {
-                    e.set_replica_alive(0, 0, up);
-                    up = !up;
+                    e.advance_to(if down { sec + sec / 2 } else { 0 });
+                    down = !down;
                 }
             })
         };
@@ -1830,8 +1833,9 @@ mod tests {
                     let (hits, served) = e.query(&[TermId(1)], 5);
                     assert_eq!(hits, baseline);
                     assert!(matches!(served, Served::CacheHit | Served::Full));
-                    e.set_replica_alive(0, 0, false);
-                    e.set_replica_alive(0, 0, true);
+                    // A miss takes every replica group's lock.
+                    let (_, cold) = e.query(&[TermId(2)], 5);
+                    assert!(matches!(cold, Served::CacheHit | Served::Full));
                 });
             }
         });
@@ -2031,6 +2035,48 @@ mod tests {
         assert_eq!(stats.splits_committed, 2);
         assert_eq!(stats.splits_aborted, 1);
         repart.validate().expect("map never torn");
+    }
+
+    /// A split at t = 10 on `live_setup(2, 8)` under a schedule of
+    /// `sched_replicas` per slot with every slot's replica 0 down from the
+    /// start, and how a query at that instant is served.
+    fn split_under_replica_0_outage(
+        replicas: usize,
+        sched_replicas: usize,
+    ) -> (Arc<dwr_partition::repart::RepartIndex>, Served) {
+        use dwr_partition::repart::{SplitEvent, SplitFate, SplitSchedule};
+        let repart = live_setup(2, 8);
+        let splits =
+            SplitSchedule::from_events(vec![SplitEvent { at: 10, fate: SplitFate::Commit }], 100);
+        let replica_0: Vec<_> = (0..8).map(|p| (p, 0)).collect();
+        let e = DistributedEngine::new_live(&repart, LruCache::new(16), replicas)
+            .with_faults(down_from_start(8, sched_replicas, &replica_0))
+            .with_splits(Arc::new(splits));
+        e.advance_to(10);
+        let served = e.query_full(&[TermId(1)], 5).served;
+        (repart, served)
+    }
+
+    /// The split's builder and dispatch read one liveness rule over the
+    /// group's replicas: replica 1, outside a schedule that covers only
+    /// replica 0, is up, so it serves and the split commits.
+    #[test]
+    fn a_split_commits_while_a_replica_outside_the_schedule_serves() {
+        let (repart, served) = split_under_replica_0_outage(2, 1);
+        assert_eq!(served, Served::Full, "replica 1 serves every partition");
+        let stats = repart.repart_stats();
+        assert_eq!((stats.splits_committed, stats.splits_aborted), (1, 0));
+    }
+
+    /// A schedule's replica 1 is not a replica of a one-replica group:
+    /// with the group's only replica down, nothing serves and the split
+    /// aborts.
+    #[test]
+    fn a_split_aborts_when_only_a_replica_outside_the_group_is_up() {
+        let (repart, served) = split_under_replica_0_outage(1, 2);
+        assert_eq!(served, Served::Failed, "no replica of the group is up");
+        let stats = repart.repart_stats();
+        assert_eq!((stats.splits_committed, stats.splits_aborted), (0, 1));
     }
 
     #[test]

@@ -5,16 +5,19 @@
 //! the system returns cached results") is only testable if the query
 //! path actually experiences failures. A [`FaultSchedule`] is a grid of
 //! [`Timeline`]s, one per *(partition, replica)* pair, drawn from an
-//! [`UpDownProcess`] renewal model, and the engine consumes it two ways:
+//! [`UpDownProcess`] renewal model, and it is the engine's one record of
+//! replica liveness. The engine reads it at one point, each serving
+//! call's instant
+//! ([`DistributedEngine::now`](crate::engine::DistributedEngine::now),
+//! set by `advance_to`), and stores nothing of it:
 //!
-//! * [`DistributedEngine::advance_to`](crate::engine::DistributedEngine::advance_to)
-//!   applies the schedule's state at a simulated instant to every replica
-//!   group, so a query stream experiences realistic outages instead of
-//!   hand-placed `set_replica_alive` calls;
-//! * at dispatch time the engine asks [`FaultSchedule::fails_during`]
-//!   whether the chosen replica dies *mid-query*, which triggers one
-//!   hedged retry on another live replica before the partition is
-//!   dropped as degraded.
+//! * a replica is a candidate only if [`FaultSchedule::is_down`] says it
+//!   is up then — for dispatch, for the stale-serving check, and for a
+//!   split's builder at the split's instant;
+//! * the chosen replica's [`FaultSchedule::fails_during`] over the
+//!   query's service window says whether it dies *mid-query*, which
+//!   triggers one hedged retry on another up replica before the
+//!   partition is dropped as degraded.
 //!
 //! Every interval question is the pair's `Timeline`'s; the schedule adds
 //! only its dimensions and the rule that a pair outside them is always up.

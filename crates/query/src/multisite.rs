@@ -295,8 +295,9 @@ impl<C: ResultCache, R: Recorder + Clone> MultiSiteEngine<C, R> {
     }
 
     /// Advance the simulated clock to `t`, propagating it to every
-    /// site's engine (which applies any inner fault schedule). Callable
-    /// from any thread while others serve.
+    /// site's engine: the instant at which each reads its inner fault
+    /// schedule, and to which it fires due splits and checks its router.
+    /// Callable from any thread while others serve.
     pub fn advance_to(&self, t: SimTime) {
         self.clock.store(t, Ordering::Relaxed);
         for node in &self.sites {

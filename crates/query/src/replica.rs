@@ -11,10 +11,12 @@
 
 use std::collections::HashMap;
 
-/// The replicas of one partition with failover dispatch.
+/// The dispatch state of one partition's replicas: a round-robin cursor
+/// and a per-replica ledger. Whether a replica is up is not stored here;
+/// every call that chooses one is told, by an `up` predicate over replica
+/// indices (the engine reads its fault schedule at the query's instant).
 #[derive(Debug, Clone)]
 pub struct ReplicaGroup {
-    alive: Vec<bool>,
     /// Round-robin cursor.
     next: usize,
     /// Queries dispatched to each replica.
@@ -22,62 +24,39 @@ pub struct ReplicaGroup {
 }
 
 impl ReplicaGroup {
-    /// Create a group of `r` live replicas.
+    /// Create a group of `r` replicas.
     pub fn new(r: usize) -> Self {
         assert!(r > 0);
-        ReplicaGroup { alive: vec![true; r], next: 0, dispatched: vec![0; r] }
+        ReplicaGroup { next: 0, dispatched: vec![0; r] }
     }
 
-    /// Number of replicas (alive or not).
+    /// Number of replicas.
     pub fn size(&self) -> usize {
-        self.alive.len()
+        self.dispatched.len()
     }
 
-    /// Number of live replicas.
-    fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// Mark a replica down/up. Returns `false` (and changes nothing) when
-    /// `replica` is out of range, so a fault schedule sized for a larger
-    /// group cannot crash the engine.
-    pub fn set_alive(&mut self, replica: usize, up: bool) -> bool {
-        match self.alive.get_mut(replica) {
-            Some(state) => {
-                *state = up;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether any replica can serve.
-    pub fn available(&self) -> bool {
-        self.alive_count() > 0
-    }
-
-    /// The live replica the round-robin cursor reaches first, skipping
-    /// `avoid` (the hedged-retry path, where that replica failed
+    /// The first replica the round-robin cursor reaches that is `up` and
+    /// not `avoid` (the hedged-retry path, where that replica failed
     /// mid-query and retrying on it would just fail again), or `None`
-    /// when no such replica is live. Choosing charges nothing: the hedging
+    /// when there is none. Choosing charges nothing: the hedging
     /// policies need the candidate's identity first — its drawn service
     /// cost decides whether the hedge fits the deadline — and only then
     /// [`commit`](Self::commit) the dispatch.
-    pub fn peek(&self, avoid: Option<usize>) -> Option<usize> {
-        let n = self.alive.len();
-        (0..n).map(|probe| (self.next + probe) % n).find(|&c| Some(c) != avoid && self.alive[c])
+    pub fn peek(&self, avoid: Option<usize>, up: impl Fn(usize) -> bool) -> Option<usize> {
+        let n = self.size();
+        (0..n).map(|probe| (self.next + probe) % n).find(|&c| Some(c) != avoid && up(c))
     }
 
     /// Charge one dispatch to `replica` and move the cursor past it.
     pub fn commit(&mut self, replica: usize) {
-        self.next = (replica + 1) % self.alive.len();
+        self.next = (replica + 1) % self.size();
         self.dispatched[replica] += 1;
     }
 
-    /// Dispatch one query: the [`peek`](Self::peek)ed live replica,
-    /// committed, or `None` when the whole group is down.
-    pub fn dispatch(&mut self) -> Option<usize> {
-        let chosen = self.peek(None)?;
+    /// Dispatch one query: the [`peek`](Self::peek)ed up replica,
+    /// committed, or `None` when no replica is up.
+    pub fn dispatch(&mut self, up: impl Fn(usize) -> bool) -> Option<usize> {
+        let chosen = self.peek(None, up)?;
         self.commit(chosen);
         Some(chosen)
     }
@@ -201,7 +180,7 @@ mod tests {
     fn round_robin_balances() {
         let mut g = ReplicaGroup::new(3);
         for _ in 0..9 {
-            g.dispatch();
+            g.dispatch(|_| true);
         }
         assert_eq!(g.dispatched(), &[3, 3, 3]);
     }
@@ -209,10 +188,9 @@ mod tests {
     #[test]
     fn dispatch_skips_dead_replicas() {
         let mut g = ReplicaGroup::new(3);
-        g.set_alive(1, false);
         let mut served = [0u32; 3];
         for _ in 0..8 {
-            served[g.dispatch().expect("someone alive")] += 1;
+            served[g.dispatch(|r| r != 1).expect("someone alive")] += 1;
         }
         assert_eq!(served[1], 0);
         assert_eq!(served[0] + served[2], 8);
@@ -221,38 +199,24 @@ mod tests {
     #[test]
     fn group_down_returns_none() {
         let mut g = ReplicaGroup::new(2);
-        g.set_alive(0, false);
-        g.set_alive(1, false);
-        assert!(!g.available());
-        assert_eq!(g.dispatch(), None);
+        assert_eq!(g.dispatch(|_| false), None);
+        assert_eq!(g.dispatched(), &[0, 0], "nothing charged");
         // Recovery restores service.
-        g.set_alive(1, true);
-        assert_eq!(g.dispatch(), Some(1));
-    }
-
-    #[test]
-    fn set_alive_out_of_range_is_ignored() {
-        let mut g = ReplicaGroup::new(2);
-        assert!(!g.set_alive(5, false), "out-of-range index reports failure");
-        assert_eq!(g.alive_count(), 2, "state untouched");
-        assert!(g.set_alive(1, false));
-        assert_eq!(g.alive_count(), 1);
+        assert_eq!(g.dispatch(|r| r == 1), Some(1));
     }
 
     #[test]
     fn peek_avoiding_skips_the_failed_replica() {
         let mut g = ReplicaGroup::new(3);
         for _ in 0..30 {
-            let r = g.peek(Some(1)).expect("others alive");
+            let r = g.peek(Some(1), |_| true).expect("others alive");
             assert_ne!(r, 1);
             g.commit(r);
         }
         assert_eq!(g.dispatched()[1], 0);
-        // With only the excluded replica alive there is no hedge target.
-        g.set_alive(0, false);
-        g.set_alive(2, false);
-        assert_eq!(g.peek(Some(1)), None);
-        assert_eq!(g.dispatch(), Some(1), "plain dispatch still reaches it");
+        // With only the excluded replica up there is no hedge target.
+        assert_eq!(g.peek(Some(1), |r| r == 1), None);
+        assert_eq!(g.dispatch(|r| r == 1), Some(1), "plain dispatch still reaches it");
     }
 
     #[test]
@@ -330,24 +294,24 @@ mod tests {
     #[test]
     fn peek_charges_nothing_and_commit_follows_round_robin() {
         let mut g = ReplicaGroup::new(3);
-        g.set_alive(1, false);
+        let up = |r: usize| r != 1;
         for avoid in [None, Some(0), Some(1), Some(2)] {
             for _ in 0..7 {
-                let peeked = g.peek(avoid);
-                assert_eq!(g.peek(avoid), peeked, "peeking twice moves nothing");
+                let peeked = g.peek(avoid, up);
+                assert_eq!(g.peek(avoid, up), peeked, "peeking twice moves nothing");
                 if let Some(r) = peeked {
                     g.commit(r);
                 }
-                g.dispatch(); // shuffle the cursor between probes
+                g.dispatch(up); // shuffle the cursor between probes
             }
         }
         // Peek charges nothing: a fresh group shows zero dispatches.
         let mut g = ReplicaGroup::new(2);
-        assert_eq!(g.peek(Some(0)), Some(1));
+        assert_eq!(g.peek(Some(0), |_| true), Some(1));
         assert_eq!(g.dispatched(), &[0, 0]);
         // A commit moves the cursor past the committed replica.
         g.commit(1);
-        assert_eq!((g.peek(None), g.dispatched()), (Some(0), &[0, 1][..]));
+        assert_eq!((g.peek(None, |_| true), g.dispatched()), (Some(0), &[0, 1][..]));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property-based tests of query-layer invariants: cache bounds, replica
 //! dispatch, key stability, and the scatter pool's batch gather.
 
+use dwr_avail::failure::DownInterval;
 use dwr_query::broker::GlobalHit;
 use dwr_query::cache::{CacheStats, CachedResults, LfuCache, LruCache, ResultCache, SdcCache};
 use dwr_query::engine::query_key;
+use dwr_query::faults::FaultSchedule;
 use dwr_query::replica::{PrimaryBackupStore, ReplicaGroup};
 use dwr_query::ScatterPool;
 use dwr_text::TermId;
@@ -92,20 +94,21 @@ proptest! {
         prop_assert_eq!(k1, query_key(&ids2));
     }
 
-    /// Replica dispatch only ever selects live replicas, and balances
-    /// round-robin across them.
+    /// Replica dispatch only ever selects replicas the fault schedule
+    /// has up, and balances round-robin across them.
     #[test]
     fn dispatch_targets_live_replicas(r in 1usize..8, dead_mask in any::<u8>(), n in 1usize..100) {
+        let outage = |i: usize| {
+            let dead = dead_mask & (1 << i) != 0;
+            if dead { vec![DownInterval { start: 0, end: 1 }] } else { vec![] }
+        };
+        let faults = FaultSchedule::from_intervals(vec![(0..r).map(outage).collect()], 1);
+        let up = |i| !faults.is_down(0, i, 0);
         let mut g = ReplicaGroup::new(r);
-        for i in 0..r {
-            if dead_mask & (1 << i) != 0 {
-                g.set_alive(i, false);
-            }
-        }
         let live: Vec<usize> = (0..r).filter(|&i| dead_mask & (1 << i) == 0).collect();
         let mut counts = vec![0u64; r];
         for _ in 0..n {
-            match g.dispatch() {
+            match g.dispatch(up) {
                 Some(chosen) => {
                     prop_assert!(live.contains(&chosen));
                     counts[chosen] += 1;

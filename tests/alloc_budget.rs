@@ -1,20 +1,31 @@
 //! Allocation budgets of the serving hot path, pinned by a counting
 //! allocator: a warmed cache hit allocates once — the hits it returns —
-//! and keying a query allocates nothing.
+//! on one site and through the site tier alike, keying a query allocates
+//! nothing, and neither does moving a fault- and split-scheduled tier's
+//! clock while no split is due.
 //!
 //! The counter is per thread, so tests running in parallel do not count
 //! each other's allocations.
 
+use distributed_web_retrieval::avail::failure::{Timeline, UpDownProcess};
 use distributed_web_retrieval::partition::doc::{DocPartitioner, RandomPartitioner};
 use distributed_web_retrieval::partition::parted::PartitionedIndex;
+use distributed_web_retrieval::partition::repart::{RepartIndex, SplitSchedule};
 use distributed_web_retrieval::query::cache::LruCache;
 use distributed_web_retrieval::query::engine::{query_key, DistributedEngine, Served};
+use distributed_web_retrieval::query::faults::FaultSchedule;
+use distributed_web_retrieval::query::multisite::{
+    MultiSiteConfig, MultiSiteEngine, SiteEngineSpec,
+};
 use distributed_web_retrieval::querylog::model::{QueryId, QueryModel};
+use distributed_web_retrieval::sim::net::Topology;
+use distributed_web_retrieval::sim::{SimTime, DAY, HOUR, MINUTE};
 use distributed_web_retrieval::text::TermId;
 use distributed_web_retrieval::webgraph::content::ContentModel;
 use distributed_web_retrieval::webgraph::generate::{generate_web, WebConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 const SEED: u64 = 20070415;
 
@@ -103,4 +114,87 @@ fn keying_a_query_model_query_allocates_nothing() {
         let (n, _) = allocations(|| query_key(terms));
         assert_eq!(n, 0, "query {q} ({} terms)", terms.len());
     }
+}
+
+/// Sites of [`tier`].
+const SITES: usize = 3;
+/// Horizon of [`tier`]'s schedules.
+const HORIZON: SimTime = DAY;
+
+/// A 3-site tier shaped like the soak's: each site serves its own
+/// splittable copy of `index` (capacity 8) through 2 replicas per slot,
+/// under a generated fault schedule and the shared split schedule. No
+/// site goes down, so region 0's queries stay on site 0. Returns each
+/// site's index too.
+fn tier(
+    index: &PartitionedIndex,
+    splits: &Arc<SplitSchedule>,
+) -> (MultiSiteEngine<LruCache>, Vec<Arc<RepartIndex>>) {
+    let process = UpDownProcess::exponential(2 * HOUR, 30 * MINUTE);
+    let reparts: Vec<_> =
+        (0..SITES).map(|_| Arc::new(RepartIndex::new(index.clone(), 8))).collect();
+    let sites = reparts
+        .iter()
+        .enumerate()
+        .map(|(s, repart)| {
+            let faults = FaultSchedule::generate(8, 2, &process, HORIZON, SEED ^ s as u64);
+            SiteEngineSpec {
+                region: s as u16,
+                capacity_qps: 100.0,
+                engine: DistributedEngine::new_live(repart, LruCache::new(64), 2)
+                    .with_faults(Arc::new(faults))
+                    .with_splits(Arc::clone(splits)),
+                outages: Timeline::always_up(HORIZON),
+            }
+        })
+        .collect();
+    let tier = MultiSiteEngine::new(sites, Topology::geo_ring(SITES), MultiSiteConfig::default());
+    (tier, reparts)
+}
+
+#[test]
+fn a_tier_clock_step_with_no_split_due_allocates_nothing() {
+    let (index, _) = setup();
+    let splits = Arc::new(SplitSchedule::generate(4, HORIZON, SEED));
+    let (tier, reparts) = tier(&index, &splits);
+    let mut pending = splits.events().iter().map(|ev| ev.at).peekable();
+    let mut measured = 0;
+    for i in 0..1_000 {
+        let t = i * HORIZON / 1_000;
+        if pending.peek().is_some_and(|&at| at <= t) {
+            while pending.next_if(|&at| at <= t).is_some() {}
+            tier.advance_to(t);
+            continue;
+        }
+        let (n, ()) = allocations(|| tier.advance_to(t));
+        assert_eq!(n, 0, "advance_to({t}) with no split due");
+        measured += 1;
+    }
+    assert!(measured >= 990, "only {measured} instants had no split due");
+    for repart in &reparts {
+        assert!(repart.epoch() > 0, "the split schedule fired");
+    }
+}
+
+#[test]
+fn a_warmed_site_tier_cache_hit_allocates_only_its_hits() {
+    let (index, model) = setup();
+    let splits = Arc::new(SplitSchedule::generate(4, HORIZON, SEED));
+    let (tier, _) = tier(&index, &splits);
+    tier.advance_to(HORIZON / 2);
+    let mut checked = 0;
+    for q in 0..model.universe() as u32 {
+        let terms: &[TermId] = &model.query(QueryId(q)).terms;
+        let cold = tier.query(0, terms, 10);
+        let cached = matches!(cold.served, Served::Full | Served::Degraded { .. });
+        if !cached || cold.hits.is_empty() {
+            continue;
+        }
+        let (n, warm) = allocations(|| tier.query(0, terms, 10));
+        assert_eq!((warm.served, warm.site), (Served::CacheHit, Some(0)));
+        assert_eq!(warm.hits, cold.hits);
+        assert_eq!(n, 1, "query {q}: a site-tier cache hit allocates its hits and nothing else");
+        checked += 1;
+    }
+    assert!(checked >= 20, "only {checked} queries had a non-empty answer");
 }

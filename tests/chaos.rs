@@ -1,7 +1,7 @@
-//! Chaos suite: the query engine under `UpDownProcess`-driven outage
-//! schedules, randomized and concurrent.
+//! Chaos suite: the query engine under `UpDownProcess`-driven and
+//! hand-placed outage schedules, randomized and concurrent.
 //!
-//! Three properties, per ISSUE 2:
+//! Four properties:
 //!
 //! 1. the engine **never panics**, whatever the schedule (including
 //!    schedules wider than the replica groups they drive);
@@ -9,11 +9,16 @@
 //!    [`Served`] outcomes — every query increments exactly one outcome
 //!    counter;
 //! 3. the parallel scatter path stays **bit-for-bit equal** to the
-//!    sequential one under the *same* fault schedule.
+//!    sequential one under the *same* fault schedule;
+//! 4. at any instant, in any order of visits, a query's outcome is what
+//!    the schedule says about that instant — the schedule is the only
+//!    record of replica liveness.
 //!
-//! The four `chaos_fixed_seed_*` tests are the deterministic anchors CI
-//! runs; the proptest blocks widen the net locally.
+//! The four `chaos_fixed_seed_*` tests are concurrent anchors: clients
+//! serve while two clock drivers race, one sweeping the horizon and one
+//! jumping to random instants.
 
+use dwr_avail::failure::DownInterval;
 use dwr_avail::UpDownProcess;
 use dwr_query::cache::LruCache;
 use dwr_query::engine::{DistributedEngine, Served};
@@ -143,6 +148,91 @@ proptest! {
     }
 }
 
+/// Grid steps of [`outcomes_equal_the_schedule_at_any_instant`]'s
+/// schedules.
+const STEPS: u64 = 12;
+
+/// A hand-placed schedule of `partitions × replicas` pairs whose outages
+/// start and end on whole `step`s in `[0, STEPS × step)`, and the raw
+/// intervals it was built from.
+fn grid_schedule(
+    partitions: usize,
+    replicas: usize,
+    step: SimTime,
+    rng: &mut SimRng,
+) -> (FaultSchedule, Vec<Vec<Vec<DownInterval>>>) {
+    let mut pair = || {
+        let outages = rng.below(3);
+        (0..outages)
+            .map(|_| {
+                let start = rng.below(STEPS);
+                let end = (start + 1 + rng.below(3)).min(STEPS);
+                DownInterval { start: start * step, end: end * step }
+            })
+            .collect()
+    };
+    let raw: Vec<Vec<Vec<DownInterval>>> =
+        (0..partitions).map(|_| (0..replicas).map(|_| pair()).collect()).collect();
+    (FaultSchedule::from_intervals(raw.clone(), STEPS * step), raw)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Property 4: outcomes equal the schedule at any instant. Outage ends
+    /// lie on an hour grid and every service time is µs-sized, so no
+    /// outage starts inside a query; grid instants are visited in random,
+    /// non-monotone order on one engine, and the schedule is sometimes
+    /// wider and sometimes narrower than the engine. At each instant a
+    /// cold query is `Failed`, `Degraded` or `Full` exactly as the raw
+    /// intervals say, and a cached one is served stale exactly when no
+    /// partition has an up replica.
+    #[test]
+    fn outcomes_equal_the_schedule_at_any_instant(
+        partitions in 1usize..5,
+        replicas in 1usize..4,
+        sched_partitions in 1usize..7,
+        sched_replicas in 1usize..5,
+        visits in 1usize..30,
+        seed in any::<u64>(),
+    ) {
+        let pi = build_index(40, 24, partitions, seed);
+        let mut rng = SimRng::new(seed ^ 0x6E1D);
+        let (schedule, raw) = grid_schedule(sched_partitions, sched_replicas, HOUR, &mut rng);
+        let engine = DistributedEngine::new(&pi, LruCache::new(64), replicas)
+            .with_faults(Arc::new(schedule));
+        let down = |p: usize, r: usize, t: SimTime| {
+            raw.get(p).and_then(|group| group.get(r)).is_some_and(|ivs| {
+                ivs.iter().any(|iv| iv.start <= t && t < iv.end)
+            })
+        };
+        let up_partitions =
+            |t| (0..partitions).filter(|&p| (0..replicas).any(|r| !down(p, r, t))).count();
+        // Every outage is over at the horizon: warm the cache there.
+        let warm = [TermId(1)];
+        engine.advance_to(STEPS * HOUR);
+        let fresh = engine.query_full(&warm, 8);
+        prop_assert_eq!(fresh.served, Served::Full);
+        for visit in 0..visits {
+            let t = rng.below(STEPS + 1) * HOUR;
+            engine.advance_to(t);
+            let up = up_partitions(t);
+            // A term no document holds makes every visit's key new.
+            let cold = [TermId(rng.below(24) as u32), TermId(1_000 + visit as u32)];
+            let expected = match up {
+                0 => Served::Failed,
+                n if n < partitions => Served::Degraded { missing: partitions - n },
+                _ => Served::Full,
+            };
+            prop_assert_eq!(engine.query_full(&cold, 8).served, expected, "t = {}", t);
+            let (hits, served) = engine.query_stale_ok(&warm, 8);
+            let expected = if up == 0 { Served::StaleFromCache } else { Served::CacheHit };
+            prop_assert_eq!(served, expected, "stale check at t = {}", t);
+            prop_assert_eq!(&hits, &fresh.hits);
+        }
+    }
+}
+
 /// A schedule wider than the engine (more partitions, more replicas)
 /// must be harmless: the extra targets are ignored.
 #[test]
@@ -159,10 +249,11 @@ fn oversized_schedule_cannot_crash_the_engine() {
 }
 
 /// The concurrent chaos anchor: client threads serve a query stream
-/// while a driver thread advances the fault schedule and a saboteur
-/// injects manual (sometimes out-of-range) replica toggles. The engine
-/// must never panic and the outcome counters must account for every
-/// query issued.
+/// while two clock drivers race — one sweeping the horizon, one jumping
+/// to random, non-monotone instants — over a schedule twice as wide as
+/// the engine in both dimensions, so out-of-range pairs are read too.
+/// The engine must never panic and the outcome counters must account
+/// for every query issued.
 fn concurrent_chaos_run(seed: u64) {
     const CLIENTS: usize = 4;
     const QUERIES_PER_CLIENT: usize = 250;
@@ -171,7 +262,8 @@ fn concurrent_chaos_run(seed: u64) {
     let horizon = DAY;
     let pi = build_index(48, 24, partitions, seed);
     let process = UpDownProcess::exponential(2 * HOUR, 30 * MINUTE);
-    let schedule = Arc::new(FaultSchedule::generate(partitions, replicas, &process, horizon, seed));
+    let schedule =
+        Arc::new(FaultSchedule::generate(2 * partitions, 2 * replicas, &process, horizon, seed));
     let engine = Arc::new(
         DistributedEngine::new(&pi, LruCache::new(32), replicas)
             .with_faults(schedule)
@@ -180,7 +272,7 @@ fn concurrent_chaos_run(seed: u64) {
     );
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     std::thread::scope(|s| {
-        // Fault driver: sweeps simulated time across the horizon.
+        // Clock driver: sweeps simulated time across the horizon.
         {
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
@@ -193,17 +285,14 @@ fn concurrent_chaos_run(seed: u64) {
                 }
             });
         }
-        // Saboteur: manual toggles racing the schedule, including
-        // out-of-range targets that must be ignored gracefully.
+        // A second clock driver, racing the first with random jumps.
         {
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
             s.spawn(move || {
                 let mut rng = SimRng::new(seed ^ 0x5AB0);
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let p = rng.below(8) as usize; // half out of range
-                    let r = rng.below(4) as usize; // half out of range
-                    engine.set_replica_alive(p, r, rng.below(2) == 0);
+                    engine.advance_to(rng.below(horizon));
                     std::thread::yield_now();
                 }
             });

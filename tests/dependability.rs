@@ -1,7 +1,7 @@
 //! Cross-crate integration: failures everywhere — crawler agents, index
 //! replicas, whole sites — and the system's mitigation machinery.
 
-use distributed_web_retrieval::avail::failure::UpDownProcess;
+use distributed_web_retrieval::avail::failure::{DownInterval, UpDownProcess};
 use distributed_web_retrieval::avail::site::SiteConfig;
 use distributed_web_retrieval::crawler::assign::{AgentId, ConsistentHashAssigner};
 use distributed_web_retrieval::crawler::sim::{CrawlConfig, DistributedCrawl};
@@ -10,11 +10,13 @@ use distributed_web_retrieval::partition::doc::{DocPartitioner, RandomPartitione
 use distributed_web_retrieval::partition::parted::PartitionedIndex;
 use distributed_web_retrieval::query::cache::LruCache;
 use distributed_web_retrieval::query::engine::{DistributedEngine, Served};
-use distributed_web_retrieval::sim::{SimRng, DAY, SECOND};
+use distributed_web_retrieval::query::faults::FaultSchedule;
+use distributed_web_retrieval::sim::{SimRng, SimTime, DAY, SECOND};
 use distributed_web_retrieval::text::TermId;
 use distributed_web_retrieval::webgraph::content::ContentModel;
 use distributed_web_retrieval::webgraph::generate::{generate_web, WebConfig};
 use distributed_web_retrieval::webgraph::qos::QosConfig;
+use std::sync::Arc;
 
 const SEED: u64 = 90210;
 
@@ -44,26 +46,33 @@ fn replicated_engine_degrades_gracefully_and_recovers() {
     let corpus = content.corpus(&web, SEED);
     let assignment = RandomPartitioner { seed: SEED }.assign(&corpus, 4);
     let pi = PartitionedIndex::build(&corpus, &assignment, 4);
-    let engine = DistributedEngine::new(&pi, LruCache::new(64), 2);
+    // Partition 2 loses replica 0 over [1 s, 3 s) and replica 1 over
+    // [2 s, 4 s); queries run on whole seconds, far from any outage's
+    // start.
+    let down = |from: SimTime, to: SimTime| vec![DownInterval { start: from, end: to }];
+    let partition_2 = vec![down(SECOND, 3 * SECOND), down(2 * SECOND, 4 * SECOND)];
+    let outages = vec![vec![vec![], vec![]], vec![vec![], vec![]], partition_2];
+    let schedule = FaultSchedule::from_intervals(outages, 5 * SECOND);
+    let engine = DistributedEngine::new(&pi, LruCache::new(64), 2).with_faults(Arc::new(schedule));
 
     let terms = [TermId(5), TermId(20_001)];
     let (full, s) = engine.query(&terms, 20);
     assert_eq!(s, Served::Full);
 
     // One replica down: still full.
-    engine.set_replica_alive(2, 0, false);
+    engine.advance_to(SECOND);
     let (_, s) = engine.query(&[TermId(6)], 20);
     assert_eq!(s, Served::Full);
 
     // Whole group down: degraded, and missing exactly partition 2's docs.
-    engine.set_replica_alive(2, 1, false);
+    engine.advance_to(2 * SECOND);
     let (degraded, s) = engine.query(&[TermId(5), TermId(20_001), TermId(7)], 500);
     assert!(matches!(s, Served::Degraded { missing: 1 }));
     assert!(degraded.iter().all(|h| pi.partition_of(h.doc) != 2));
 
     // Recovery restores the original results (served from cache here,
     // which is exactly the coordinator's fast path for repeat queries).
-    engine.set_replica_alive(2, 0, true);
+    engine.advance_to(3 * SECOND);
     let (recovered, s) = engine.query(&terms, 20);
     assert!(matches!(s, Served::Full | Served::CacheHit));
     assert_eq!(recovered, full, "same query, same results after recovery");

@@ -8,6 +8,7 @@
 //! partition order regardless of completion order); the property test
 //! keeps it true under refactoring.
 
+use dwr_avail::failure::DownInterval;
 use dwr_avail::UpDownProcess;
 use dwr_partition::parted::{Corpus, PartitionedIndex};
 use dwr_query::cache::LruCache;
@@ -83,17 +84,23 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let pi = build_partitioned(&docs, k, seed);
-        let seq = DistributedEngine::new(&pi, LruCache::new(16), 2);
-        let par = DistributedEngine::new(&pi, LruCache::new(16), 2).with_parallelism(threads);
-        // Identical replica failures on both engines (never the whole
-        // pair of a partition: keep at least replica 1 alive so Failed
-        // vs Degraded stays reachable but deterministic).
-        for p in 0..k {
-            if dead_mask & (1 << (p % 8)) != 0 {
-                seq.set_replica_alive(p, 0, false);
-                par.set_replica_alive(p, 0, false);
-            }
-        }
+        // Identical replica failures on both engines, down from the
+        // engines' starting instant on (never the whole pair of a
+        // partition: keep at least replica 1 up so Failed vs Degraded
+        // stays reachable but deterministic).
+        let replica_0 = |p: usize| {
+            let dead = dead_mask & (1 << (p % 8)) != 0;
+            if dead { vec![DownInterval { start: 0, end: DAY }] } else { vec![] }
+        };
+        let schedule = Arc::new(FaultSchedule::from_intervals(
+            (0..k).map(|p| vec![replica_0(p), vec![]]).collect(),
+            DAY,
+        ));
+        let seq = DistributedEngine::new(&pi, LruCache::new(16), 2)
+            .with_faults(Arc::clone(&schedule));
+        let par = DistributedEngine::new(&pi, LruCache::new(16), 2)
+            .with_faults(schedule)
+            .with_parallelism(threads);
         for q in &queries {
             let terms: Vec<TermId> = q.iter().map(|&t| TermId(t)).collect();
             let a = seq.query_full(&terms, topk);

@@ -19,7 +19,7 @@
 //! * [`score`] — BM25 with pluggable collection statistics, so the
 //!   "local vs. global statistics" experiments (Section 4, external
 //!   factors) can swap the statistics source under the same scorer;
-//! * [`topk`] — a bounded top-k heap;
+//! * [`topk`] — bounded top-k selection over `u64` order keys;
 //! * [`search`] — ranked disjunctive and Boolean conjunctive evaluation,
 //!   with a hashed reference evaluator and a dense per-thread accumulator
 //!   returning bit-identical top-k;

@@ -30,12 +30,12 @@
 //!    deduplicated query's term order, converted to `f32` once. Both
 //!    evaluators perform that identical float operation sequence per
 //!    document, so even non-associativity cannot split them.
-//! 2. **Strict rejection against the threshold.** The dense evaluator
-//!    offers a document to the heap only when its `f32` score is not
-//!    *strictly below* [`TopK::threshold`]; a score equal to the
-//!    threshold can still win on a lower doc id, so `<=` would be wrong.
-//!    [`TopK`]'s order is total, so the order documents are offered in
-//!    does not matter.
+//! 2. **One order key.** Both evaluators offer every candidate to
+//!    [`TopK`], which ranks `(doc, score)` by one `u64` order key: the
+//!    `f32` score's bits, transformed to order like the floats, above
+//!    the inverted doc id, so a higher score wins and a tie goes to the
+//!    lower doc id. The order is total, so the order documents are
+//!    offered in does not matter.
 //! 3. **Every touched document is a candidate.** A document whose
 //!    contributions are all `0.0` (idf is floored at 0) is still in the
 //!    reference's table, and still in the dense evaluator's touched list.
@@ -45,16 +45,22 @@
 //! stage by stage over one accumulator set and reports the set's size
 //! after each stage, so the pipeline holds no scoring of its own.
 //!
-//! The dense scratch — sums, "seen" flags, the touched list and one
-//! block-decode buffer — is kept per thread and grows to the largest
-//! `num_docs` the thread has evaluated (9 bytes per document). Every
-//! slot is zero between evaluations: each evaluation resets the slots
-//! its touched list names when it ends, and again before it starts, so a
-//! panic that unwinds out of one evaluation (the scatter pool catches it
-//! and keeps its worker) cannot leave stale sums for the next.
+//! The dense scratch — sums, "seen" flags, the touched list, one
+//! block-decode buffer and the selection's buffer — is kept per thread
+//! and grows to the largest `num_docs` the thread has evaluated (13 bytes
+//! per document). The selection's buffer holds `max(4k, 64)` keys with k
+//! capped at the number of documents touched, so a caller's huge k cannot
+//! grow it past 32 bytes per document. Every slot is zero between
+//! evaluations: the select pass zeroes each touched slot as it reads the
+//! sum, and each
+//! evaluation resets the slots its touched list names again before it
+//! starts, so a panic that unwinds out of one evaluation (the scatter
+//! pool catches it and keeps its worker) cannot leave stale sums for the
+//! next. Nothing in the accumulate loop can panic: one range check per
+//! block, on its last (largest) doc, comes before the block's writes.
 
 use crate::index::InvertedIndex;
-use crate::postings::{ListView, Posting, PostingCursor};
+use crate::postings::{ListView, Posting, PostingCursor, BLOCK_LEN};
 use crate::score::{Bm25, CollectionStats, TermScorer};
 use crate::topk::TopK;
 use crate::{DocId, TermId};
@@ -116,16 +122,29 @@ impl EvalStats {
     }
 }
 
-/// Deduplicate query terms preserving first-occurrence order (the
-/// canonical term order both evaluators fold scores in).
-fn dedup_terms(terms: &[TermId]) -> Vec<TermId> {
-    let mut canon: Vec<TermId> = Vec::with_capacity(terms.len());
+/// Queries up to this many terms are deduplicated without allocating
+/// (every query model draws 1–4).
+const TERMS_ON_STACK: usize = 8;
+
+/// Run `f` on the query's terms deduplicated, preserving first-occurrence
+/// order (the canonical term order both evaluators fold scores in).
+fn with_canon<R>(terms: &[TermId], f: impl FnOnce(&[TermId]) -> R) -> R {
+    let mut stack = [TermId(0); TERMS_ON_STACK];
+    let mut heap = Vec::new();
+    let canon = if terms.len() <= TERMS_ON_STACK {
+        &mut stack[..]
+    } else {
+        heap.resize(terms.len(), TermId(0));
+        &mut heap[..]
+    };
+    let mut n = 0;
     for &t in terms {
-        if !canon.contains(&t) {
-            canon.push(t);
+        if !canon[..n].contains(&t) {
+            canon[n] = t;
+            n += 1;
         }
     }
-    canon
+    f(&canon[..n])
 }
 
 /// Ranked disjunctive (OR) evaluation: score every document containing at
@@ -165,11 +184,10 @@ pub fn search_or_with(
     if k == 0 {
         return Vec::new();
     }
-    let canon = dedup_terms(terms);
-    match strategy {
-        EvalStrategy::Exhaustive => search_or_exhaustive(index, &canon, k, bm25, stats, ev),
-        EvalStrategy::Dense => search_or_dense(index, &[&canon], k, bm25, stats, ev, |_| {}),
-    }
+    with_canon(terms, |canon| match strategy {
+        EvalStrategy::Exhaustive => search_or_exhaustive(index, canon, k, bm25, stats, ev),
+        EvalStrategy::Dense => search_or_dense(index, &[canon], k, bm25, stats, ev, |_| {}),
+    })
 }
 
 /// Ranked disjunctive evaluation in stages, as a term-partitioned
@@ -224,33 +242,41 @@ fn search_or_exhaustive(
     for (doc, score) in acc {
         top.push(doc, score as f32);
     }
-    into_hits(top)
+    into_hits(&mut top)
 }
 
 /// The dense evaluator's per-thread scratch (see module docs). Between
 /// evaluations every slot of `sum` is `0.0` and of `seen` is `false`,
-/// except after a panic, when `touched` names every slot that is not.
+/// except after a panic, when `touched[..touched_len]` names every slot
+/// that is not.
 #[derive(Default)]
 struct Scratch {
     /// Partial scores by local doc id.
     sum: Vec<f64>,
     /// Whether the evaluation has touched a doc, even with a `0.0`.
     seen: Vec<bool>,
-    /// The docs touched, in first-touch order.
+    /// The docs touched, in first-touch order, are `touched[..touched_len]`.
+    /// Each posting writes its doc at `touched_len` and advances the count
+    /// only if the doc is new, so the list is `BLOCK_LEN` longer than the
+    /// largest `num_docs` evaluated: a write past the last new doc always
+    /// has a slot.
     touched: Vec<u32>,
+    touched_len: usize,
     /// One decoded block.
     block: Vec<Posting>,
+    /// The selection's buffer (`TopK::reusing`).
+    keys: Vec<u64>,
 }
 
 impl Scratch {
-    /// Zero every slot `touched` names and forget them: on entry to an
-    /// evaluation and on its exit.
+    /// Zero every slot the touched list names and forget them: on entry
+    /// to an evaluation, for a panic that unwound out of the last one.
     fn reset(&mut self) {
-        for &d in &self.touched {
+        for &d in &self.touched[..self.touched_len] {
             self.sum[d as usize] = 0.0;
             self.seen[d as usize] = false;
         }
-        self.touched.clear();
+        self.touched_len = 0;
     }
 }
 
@@ -278,20 +304,27 @@ fn search_or_dense(
         if s.sum.len() < n {
             s.sum.resize(n, 0.0);
             s.seen.resize(n, false);
+            s.touched.resize(n + BLOCK_LEN, 0);
         }
         for &stage in stages {
             accumulate(s, index, stage, bm25, stats, ev);
-            staged(s.touched.len());
+            staged(s.touched_len);
         }
-        let mut top = TopK::new(k);
-        for &d in s.touched.iter() {
-            let score = s.sum[d as usize] as f32;
-            if top.threshold().is_none_or(|thr| score >= thr) {
-                top.push(d, score);
-            }
+        // Select and reset in one pass: each touched slot is read, zeroed
+        // and offered. The top-k of `touched_len` candidates is the same
+        // for every k at or above it, so the kept buffer is bounded by the
+        // index's size, not by the caller's k.
+        let Scratch { sum, seen, touched, touched_len, keys, .. } = s;
+        let mut top = TopK::reusing(k.min(*touched_len).max(1), std::mem::take(keys));
+        for &d in &touched[..*touched_len] {
+            let score = std::mem::take(&mut sum[d as usize]) as f32;
+            seen[d as usize] = false;
+            top.push(d, score);
         }
-        s.reset();
-        into_hits(top)
+        *touched_len = 0;
+        let hits = into_hits(&mut top);
+        *keys = top.into_keys();
+        hits
     })
 }
 
@@ -307,7 +340,8 @@ fn accumulate(
     stats: &impl CollectionStats,
     ev: &mut EvalStats,
 ) {
-    let Scratch { sum, seen, touched, block } = s;
+    let Scratch { sum, seen, touched, touched_len, block, .. } = s;
+    let n = index.num_docs();
     for &t in terms {
         let Some(list) = index.postings(t) else { continue };
         ev.postings_scanned += u64::from(list.df());
@@ -320,23 +354,26 @@ fn accumulate(
             if blocks.append_next(block) != Ok(true) {
                 break;
             }
+            // A block's docs ascend, so this one check bounds them all:
+            // nothing in the loops below can panic, and at any panic
+            // point the touched list names every slot written.
+            let last = block.last().map_or(0, |p| p.doc.0);
+            assert!(last < n, "doc {last} beyond the index's {n} docs");
+            let mut len = *touched_len;
             for p in block.iter() {
                 let d = p.doc.0 as usize;
-                if !seen[d] {
-                    touched.push(p.doc.0);
-                    seen[d] = true;
-                }
+                touched[len] = p.doc.0;
+                len += usize::from(!seen[d]);
+                seen[d] = true;
                 sum[d] += scorer.score(p.tf, index.doc_len(p.doc));
             }
+            *touched_len = len;
         }
     }
 }
 
-fn into_hits(top: TopK) -> Vec<SearchHit> {
-    top.into_sorted_vec()
-        .into_iter()
-        .map(|(doc, score)| SearchHit { doc: DocId(doc), score })
-        .collect()
+fn into_hits(top: &mut TopK) -> Vec<SearchHit> {
+    top.sorted().map(|(doc, score)| SearchHit { doc: DocId(doc), score }).collect()
 }
 
 /// The posting lists of a conjunction, shortest first, each with its
@@ -376,7 +413,7 @@ pub fn search_and(
     bm25: &Bm25,
     stats: &impl CollectionStats,
 ) -> Vec<SearchHit> {
-    let Some(lists) = and_lists(index, &dedup_terms(terms), k, bm25, stats) else {
+    let Some(lists) = with_canon(terms, |canon| and_lists(index, canon, k, bm25, stats)) else {
         return Vec::new(); // a missing term empties the AND
     };
     let mut cursors: Vec<PostingCursor<'_>> = lists.iter().map(|&(_, _, l)| l.cursor()).collect();
@@ -391,7 +428,7 @@ pub fn search_and(
         parts.sort_unstable_by_key(|&(c, _)| c);
         top.push(doc.0, parts.iter().fold(0.0f64, |score, &(_, s)| score + s) as f32);
     });
-    into_hits(top)
+    into_hits(&mut top)
 }
 
 /// Leapfrog intersection: hands `on_match` each document every cursor
@@ -439,7 +476,7 @@ pub fn search_and_exhaustive(
     bm25: &Bm25,
     stats: &impl CollectionStats,
 ) -> Vec<SearchHit> {
-    let Some(lists) = and_lists(index, &dedup_terms(terms), k, bm25, stats) else {
+    let Some(lists) = with_canon(terms, |canon| and_lists(index, canon, k, bm25, stats)) else {
         return Vec::new();
     };
 
@@ -477,7 +514,7 @@ pub fn search_and_exhaustive(
         parts.sort_unstable_by_key(|&(c, _)| c);
         top.push(d.0, parts.iter().fold(0.0f64, |score, &(_, s)| score + s) as f32);
     }
-    into_hits(top)
+    into_hits(&mut top)
 }
 
 #[cfg(test)]
@@ -612,12 +649,29 @@ mod tests {
         }));
         assert!(unwound.is_err());
         // What a pool worker that caught the panic is left with.
-        assert_eq!(SCRATCH.with_borrow(|s| s.touched.len()), 4000, "term 1's sums stay");
+        assert_eq!(SCRATCH.with_borrow(|s| s.touched_len), 4000, "term 1's sums stay");
         for index in [&big, &idx(), &big] {
             for k in [1, 5, 50] {
                 let (a, b) = or_both(index, &terms, k);
                 assert_eq!(a, b, "k={k}");
             }
+        }
+    }
+
+    #[test]
+    fn a_huge_k_keeps_the_selection_buffer_within_the_index() {
+        let n = 300u32;
+        let corpus: Vec<Vec<(TermId, u32)>> =
+            (0..n).map(|d| vec![(TermId(1), 1 + d % 5)]).collect();
+        let index = build_index(&corpus);
+        let (bm, terms) = (Bm25::default(), [TermId(1)]);
+        let (reference, _) = or_both(&index, &terms, n as usize);
+        for k in [n as usize, 10 * n as usize, 1 << 40, usize::MAX] {
+            let mut ev = EvalStats::default();
+            let hits = search_or_with(EvalStrategy::Dense, &index, &terms, k, &bm, &index, &mut ev);
+            assert_eq!(hits, reference, "k={k}");
+            let kept = SCRATCH.with_borrow(|s| s.keys.capacity());
+            assert!(kept <= (4 * n as usize).max(64), "k={k}: {kept} keys kept");
         }
     }
 

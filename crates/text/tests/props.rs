@@ -8,7 +8,7 @@ use dwr_text::postings::{ListView, Posting, PostingList, PostingListBuilder, BLO
 use dwr_text::score::{Bm25, CollectionStats, GlobalStats};
 use dwr_text::search::{
     search_and, search_and_exhaustive, search_or, search_or_pipelined, search_or_with, EvalStats,
-    EvalStrategy,
+    EvalStrategy, SearchHit,
 };
 use dwr_text::token::{term_frequencies, tokenize};
 use dwr_text::topk::TopK;
@@ -89,8 +89,58 @@ impl CollectionStats for OneDoc<'_> {
     }
 }
 
-/// Every ranked-OR evaluation of one query against the exhaustive
-/// reference: the dense evaluator, and the dense evaluator run in stages
+/// Strategy: up to 2,000 `(key, score)` pairs. About half draw the key
+/// from 0..24 and the score from a palette of both zeros, negatives and
+/// a few positives, so whole `(key, score)` pairs repeat and scores tie
+/// across keys; the rest draw any key and a score in ±10⁶.
+fn topk_stream_strategy() -> impl Strategy<Value = Vec<(u32, f32)>> {
+    const PALETTE: [f32; 8] = [-0.0, 0.0, -2.5, -1e-3, 1e-3, 1.0, 2.5, 7.0];
+    let pair = ((0u32..2, 0u32..24), any::<u32>(), 0usize..PALETTE.len(), -1e6f32..1e6);
+    prop::collection::vec(pair, 0..2000).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .map(
+                |((small, key), any_key, pick, score)| {
+                    if small == 1 {
+                        (key, PALETTE[pick])
+                    } else {
+                        (any_key, score)
+                    }
+                },
+            )
+            .collect()
+    })
+}
+
+/// The ranked-OR answer by brute force, sharing no code with the
+/// evaluators' selection: each doc's sum folded from [`inline_bm25`] in
+/// canonical term order into a `BTreeMap`, converted to `f32` once,
+/// sorted by score descending then doc ascending, and cut to `k`.
+fn brute_force_or(
+    idx: &InvertedIndex,
+    canon: &[TermId],
+    k: usize,
+    stats: &impl CollectionStats,
+) -> Vec<SearchHit> {
+    let bm = Bm25::default();
+    let mut sums: BTreeMap<u32, f64> = BTreeMap::new();
+    for &t in canon {
+        for p in idx.postings(t).iter().flat_map(|list| list.iter()) {
+            *sums.entry(p.doc.0).or_insert(0.0) +=
+                inline_bm25(&bm, stats, t, p.tf, idx.doc_len(p.doc));
+        }
+    }
+    let mut hits: Vec<SearchHit> =
+        sums.into_iter().map(|(d, sum)| SearchHit { doc: DocId(d), score: sum as f32 }).collect();
+    hits.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.doc.cmp(&b.doc)));
+    hits.truncate(k);
+    hits
+}
+
+/// Every ranked-OR evaluation of one query against the brute-force
+/// reference and the exhaustive evaluator: the exhaustive evaluator's
+/// hits must equal [`brute_force_or`]'s bit for bit; the dense
+/// evaluator, and the dense evaluator run in stages
 /// (`search_or_pipelined`) over the deduplicated query cut at `cuts`
 /// (each taken modulo its length + 1). Both must equal the reference's
 /// hits and work counters bit for bit, and each stage's forwarded size a
@@ -109,14 +159,15 @@ fn check_evaluators(
         (search_or_with(strategy, idx, terms, k, &bm, stats, &mut ev), ev)
     });
     let n = idx.num_docs();
-    prop_assert_eq!(&dense, &ex, "dense diverges on {:?} k={} ({} docs)", terms, k, n);
-
     let mut canon: Vec<TermId> = Vec::new();
     for &t in terms {
         if !canon.contains(&t) {
             canon.push(t);
         }
     }
+    let brute = brute_force_or(idx, &canon, k, stats);
+    prop_assert_eq!(&ex.0, &brute, "exhaustive diverges on {:?} k={} ({} docs)", terms, k, n);
+    prop_assert_eq!(&dense, &ex, "dense diverges on {:?} k={} ({} docs)", terms, k, n);
     let mut at: Vec<usize> = cuts.iter().map(|&c| c % (canon.len() + 1)).collect();
     at.extend([0, canon.len()]);
     at.sort_unstable();
@@ -297,6 +348,40 @@ fn dense_work_counters_anchor() {
     );
 }
 
+/// Fixed cases for the dense loop's branch-free touched list, each checked
+/// against the brute-force reference and the exhaustive evaluator, whole
+/// and in stages: a first query term absent from the index, terms whose
+/// lists hold exactly the same docs (the second term appends no doc), and
+/// a first pipeline stage that is empty or holds only the absent term. The
+/// lists span several blocks.
+#[test]
+fn evaluators_equal_brute_force_on_the_dense_loops_paths() {
+    // Terms 1 and 2 are in every document, term 3 in every third; term 4
+    // is in none, and term 50 is past the term directory's end.
+    let corpus: Vec<Vec<(TermId, u32)>> = (0..700u32)
+        .map(|d| {
+            let mut doc = vec![(TermId(1), 1 + d % 4), (TermId(2), 1 + d % 3)];
+            if d % 3 == 0 {
+                doc.push((TermId(3), 2));
+            }
+            doc.push((TermId(5), 1 + d % 7));
+            doc
+        })
+        .collect();
+    let idx = build_index(&corpus);
+    let (a, b, c, absent, past) = (TermId(1), TermId(2), TermId(3), TermId(4), TermId(50));
+    let queries: [&[TermId]; 6] =
+        [&[absent, a], &[past, c, a], &[a, b], &[b, a, b], &[c, a, b], &[absent, past]];
+    for terms in queries {
+        for cuts in [&[][..], &[0], &[1], &[0, 1], &[1, 2]] {
+            for k in [0, 1, 10, 700, 1000] {
+                let checked = check_evaluators(&idx, terms, cuts, k, &idx);
+                assert!(checked.is_ok(), "{terms:?} cuts={cuts:?} k={k}: {checked:?}");
+            }
+        }
+    }
+}
+
 proptest! {
     /// Codec roundtrip: decode(encode(postings)) == postings, and df/cf
     /// match.
@@ -331,26 +416,46 @@ proptest! {
         }
     }
 
-    /// TopK equals a full sort-and-truncate.
+    /// TopK equals a full sort-and-truncate, bit for bit with `-0.0` read
+    /// as `+0.0`: over streams long enough to fill its buffer many times,
+    /// k on both sides of the buffer's 64-key floor, streams offered
+    /// as drawn, worst first (every entry beats the floor) or best first
+    /// (almost none does), repeated pairs, both zeros and negative
+    /// scores, and k at or above the stream's length.
     #[test]
-    fn topk_matches_sort(entries in prop::collection::vec((any::<u32>(), -1e6f32..1e6), 0..200), k in 1usize..20) {
+    fn topk_matches_sort(
+        entries in topk_stream_strategy(),
+        k in 1usize..71,
+        order in 0usize..3,
+        cut in 0usize..4,
+    ) {
+        let mut entries = entries;
+        let by_rank = |a: &(u32, f32), b: &(u32, f32)| {
+            b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0))
+        };
+        match order {
+            1 => entries.sort_by(|a, b| by_rank(b, a)),
+            2 => entries.sort_by(by_rank),
+            _ => {}
+        }
+        match cut {
+            0 => entries.truncate(k),
+            1 => entries.truncate(k / 2),
+            _ => {}
+        }
         let mut top = TopK::new(k);
         for &(key, score) in &entries {
             top.push(key, score);
         }
-        let got = top.into_sorted_vec();
-        let mut want = entries.clone();
-        want.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        want.dedup();
-        // dedup only adjacent duplicates of identical (key, score) pairs —
-        // duplicates are legal inputs, so compare prefix by values instead.
-        let want: Vec<(u32, f32)> = {
-            let mut w = entries.clone();
-            w.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-            w.truncate(k);
-            w
+        prop_assert_eq!(top.len(), k.min(entries.len()));
+        let bits = |v: Vec<(u32, f32)>| -> Vec<(u32, u32)> {
+            v.into_iter().map(|(key, score)| (key, (score + 0.0).to_bits())).collect()
         };
-        prop_assert_eq!(got, want);
+        let got = bits(top.into_sorted_vec());
+        let mut want = entries.clone();
+        want.sort_by(by_rank);
+        want.truncate(k);
+        prop_assert_eq!(got, bits(want), "k={} order={} len={}", k, order, entries.len());
     }
 
     /// The counting-sort build equals a per-term reference written with

@@ -1,8 +1,9 @@
 //! Allocation budgets of the serving hot path, pinned by a counting
 //! allocator: a warmed cache hit allocates once — the hits it returns —
-//! on one site and through the site tier alike, keying a query allocates
-//! nothing, and neither does moving a fault- and split-scheduled tier's
-//! clock while no split is due.
+//! on one site and through the site tier alike, and so does a warmed
+//! dense shard evaluation; keying a query allocates nothing, and neither
+//! does moving a fault- and split-scheduled tier's clock while no split
+//! is due.
 //!
 //! The counter is per thread, so tests running in parallel do not count
 //! each other's allocations.
@@ -20,6 +21,8 @@ use distributed_web_retrieval::query::multisite::{
 use distributed_web_retrieval::querylog::model::{QueryId, QueryModel};
 use distributed_web_retrieval::sim::net::Topology;
 use distributed_web_retrieval::sim::{SimTime, DAY, HOUR, MINUTE};
+use distributed_web_retrieval::text::score::Bm25;
+use distributed_web_retrieval::text::search::{search_or_with, EvalStats, EvalStrategy};
 use distributed_web_retrieval::text::TermId;
 use distributed_web_retrieval::webgraph::content::ContentModel;
 use distributed_web_retrieval::webgraph::generate::{generate_web, WebConfig};
@@ -104,6 +107,31 @@ fn a_warmed_cache_hit_allocates_only_its_hits() {
         checked += 1;
     }
     assert!(checked >= 20, "only {checked} queries had a non-empty answer");
+}
+
+#[test]
+fn a_warmed_dense_evaluation_allocates_only_its_hits() {
+    let (index, model) = setup();
+    let bm25 = Bm25::default();
+    let mut checked = 0;
+    for p in 0..index.num_partitions() {
+        let shard = index.part(p);
+        for q in 0..model.universe() as u32 {
+            let terms: &[TermId] = &model.query(QueryId(q)).terms;
+            let mut ev = EvalStats::default();
+            let cold = search_or_with(EvalStrategy::Dense, shard, terms, 10, &bm25, shard, &mut ev);
+            if cold.is_empty() {
+                continue;
+            }
+            let (n, warm) = allocations(|| {
+                search_or_with(EvalStrategy::Dense, shard, terms, 10, &bm25, shard, &mut ev)
+            });
+            assert_eq!(warm, cold);
+            assert_eq!(n, 1, "shard {p}, query {q}: a dense evaluation allocates its hits");
+            checked += 1;
+        }
+    }
+    assert!(checked >= 80, "only {checked} evaluations had a non-empty answer");
 }
 
 #[test]
